@@ -7,7 +7,8 @@ type result = {
   iterations : int;
 }
 
-(* Min-heap of (cost, wire) on float keys. *)
+(* Min-heap of (cost, wire) on float keys.  [pop] returns the wire only:
+   the router never reads the popped key, and returning it would box. *)
 module Heap = struct
   type t = {
     mutable keys : float array;
@@ -19,15 +20,12 @@ module Heap = struct
 
   let clear h = h.n <- 0
 
-  let push h k v =
-    if h.n >= Array.length h.keys then begin
-      h.keys <- Array.append h.keys (Array.make (Array.length h.keys) 0.0);
-      h.data <- Array.append h.data (Array.make (Array.length h.data) 0)
-    end;
-    let i = ref h.n in
-    h.keys.(!i) <- k;
-    h.data.(!i) <- v;
-    h.n <- h.n + 1;
+  let grow h =
+    h.keys <- Array.append h.keys (Array.make (Array.length h.keys) 0.0);
+    h.data <- Array.append h.data (Array.make (Array.length h.data) 0)
+
+  let sift_up h i =
+    let i = ref i in
     let continue = ref true in
     while !continue && !i > 0 do
       let parent = (!i - 1) / 2 in
@@ -42,33 +40,40 @@ module Heap = struct
       else continue := false
     done
 
+  (* inlined so the float key is never boxed at the call *)
+  let[@inline] push h k v =
+    if h.n >= Array.length h.keys then grow h;
+    let i = h.n in
+    h.keys.(i) <- k;
+    h.data.(i) <- v;
+    h.n <- i + 1;
+    sift_up h i
+
+  (* requires [h.n > 0] *)
   let pop h =
-    if h.n = 0 then None
-    else begin
-      let k = h.keys.(0) and v = h.data.(0) in
-      h.n <- h.n - 1;
-      h.keys.(0) <- h.keys.(h.n);
-      h.data.(0) <- h.data.(h.n);
-      let i = ref 0 in
-      let continue = ref true in
-      while !continue do
-        let left = (2 * !i) + 1 and right = (2 * !i) + 2 in
-        let smallest = ref !i in
-        if left < h.n && h.keys.(left) < h.keys.(!smallest) then smallest := left;
-        if right < h.n && h.keys.(right) < h.keys.(!smallest) then
-          smallest := right;
-        if !smallest <> !i then begin
-          let tk = h.keys.(!smallest) and td = h.data.(!smallest) in
-          h.keys.(!smallest) <- h.keys.(!i);
-          h.data.(!smallest) <- h.data.(!i);
-          h.keys.(!i) <- tk;
-          h.data.(!i) <- td;
-          i := !smallest
-        end
-        else continue := false
-      done;
-      Some (k, v)
-    end
+    let v = h.data.(0) in
+    h.n <- h.n - 1;
+    h.keys.(0) <- h.keys.(h.n);
+    h.data.(0) <- h.data.(h.n);
+    let i = ref 0 in
+    let continue = ref true in
+    while !continue do
+      let left = (2 * !i) + 1 and right = (2 * !i) + 2 in
+      let smallest = ref !i in
+      if left < h.n && h.keys.(left) < h.keys.(!smallest) then smallest := left;
+      if right < h.n && h.keys.(right) < h.keys.(!smallest) then
+        smallest := right;
+      if !smallest <> !i then begin
+        let tk = h.keys.(!smallest) and td = h.data.(!smallest) in
+        h.keys.(!smallest) <- h.keys.(!i);
+        h.data.(!smallest) <- h.data.(!i);
+        h.keys.(!i) <- tk;
+        h.data.(!i) <- td;
+        i := !smallest
+      end
+      else continue := false
+    done;
+    v
 end
 
 let driver_wire dev pack place ni =
@@ -93,11 +98,47 @@ let base_cost dev w =
   | Device.HLong | Device.VLong -> 4.0
   | Device.BelIn | Device.BelOut | Device.PadIn | Device.PadOut -> 0.6
 
+let is_long dev w =
+  match dev.Device.wkind.(w) with
+  | Device.HLong | Device.VLong -> true
+  | _ -> false
+
 let run ?(max_iters = 60) dev pack place =
   let nwires = dev.Device.nwires in
   let nnets = Array.length pack.Pack.nets in
+  let wrow = dev.Device.wrow and wcol = dev.Device.wcol in
+  (* Neighbour table in CSR form: the fanout of wire w is the slots
+     off.(w) .. off.(w+1)-1 of [adj], in [wire_out] order (which fixes the
+     order of heap pushes, and so the routes).  A slot packs the pip and the
+     wire at its other end as [pip lsl wbits lor wire]. *)
+  let wbits = ref 1 in
+  while 1 lsl !wbits < nwires do incr wbits done;
+  let wbits = !wbits in
+  let wmask = (1 lsl wbits) - 1 in
+  let off = Array.make (nwires + 1) 0 in
+  for w = 0 to nwires - 1 do
+    off.(w + 1) <- off.(w) + Array.length dev.Device.wire_out.(w)
+  done;
+  let adj = Array.make off.(nwires) 0 in
+  Array.iteri
+    (fun w pips ->
+      Array.iteri
+        (fun k pipid ->
+          adj.(off.(w) + k) <- (pipid lsl wbits) lor Device.pip_other dev pipid w)
+        pips)
+    dev.Device.wire_out;
+  let long = Array.init nwires (is_long dev) in
   let occ = Array.make nwires 0 in
   let hist = Array.make nwires 0.0 in
+  let pres_fac = ref 0.6 in
+  (* PathFinder wire cost, cached per wire.  It changes only with occ
+     (re-set at every rip-up and commit) and with pres_fac/hist (re-set for
+     every wire at the start of an iteration). *)
+  let wcost = Array.make nwires 0.0 in
+  let set_cost w =
+    let over = float_of_int occ.(w) in
+    wcost.(w) <- (base_cost dev w *. (1.0 +. (over *. !pres_fac))) +. hist.(w)
+  in
   let cost = Array.make nwires infinity in
   let prev = Array.make nwires (-1) in
   let stamp = Array.make nwires 0 in
@@ -105,6 +146,18 @@ let run ?(max_iters = 60) dev pack place =
   let epoch = ref 0 in
   let tree_epoch = ref 0 in
   let heap = Heap.create () in
+  (* the routing tree of the net being routed, oldest wire first; its
+     wires are distinct, so nwires slots always suffice *)
+  let tree = Array.make nwires 0 and tree_n = ref 0 in
+  let tree_pips = Array.make nwires 0 and tree_pips_n = ref 0 in
+  let add buf n x =
+    buf.(!n) <- x;
+    incr n
+  in
+  (* a net's result arrays list its tree newest wire (and pip) first *)
+  let newest_first buf n = Array.init n (fun i -> buf.(n - 1 - i)) in
+  (* per tree wire: pips from the source, and the sum of their spans *)
+  let depth = Array.make nwires 0 and spansum = Array.make nwires 0 in
   let net_wires = Array.make nnets [||] in
   let net_pips = Array.make nnets [||] in
   let srcs = Array.init nnets (fun ni -> driver_wire dev pack place ni) in
@@ -113,129 +166,120 @@ let run ?(max_iters = 60) dev pack place =
         Array.of_list
           (List.map (sink_wire dev pack place) pack.Pack.nets.(ni).Pack.sinks))
   in
-  (* Net bounding boxes (tile coordinates) with a per-iteration margin. *)
-  let bbox = Array.make nnets (0, 0, 0, 0) in
-  let compute_bbox ni margin =
-    let rmin = ref max_int and rmax = ref min_int in
-    let cmin = ref max_int and cmax = ref min_int in
-    let touch w =
-      let r = dev.Device.wrow.(w) and c = dev.Device.wcol.(w) in
-      if r < !rmin then rmin := r;
-      if r > !rmax then rmax := r;
-      if c < !cmin then cmin := c;
-      if c > !cmax then cmax := c
-    in
-    touch srcs.(ni);
-    Array.iter touch sinks.(ni);
-    bbox.(ni) <- (!rmin - margin, !rmax + margin, !cmin - margin, !cmax + margin)
-  in
-  let in_bbox ni w =
-    let rmin, rmax, cmin, cmax = bbox.(ni) in
-    let r = dev.Device.wrow.(w) and c = dev.Device.wcol.(w) in
-    (* long lines span the whole row/column; never exclude them *)
-    match dev.Device.wkind.(w) with
-    | Device.HLong | Device.VLong -> true
-    | _ -> r >= rmin && r <= rmax && c >= cmin && c <= cmax
-  in
-  let pres_fac = ref 0.6 in
-  let wire_cost w =
-    let over = float_of_int occ.(w) in
-    (base_cost dev w *. (1.0 +. (over *. !pres_fac))) +. hist.(w)
-  in
-  let route_net ni =
-    let src = srcs.(ni) in
+  (* Route one net inside its bounding box (tile coordinates of the source
+     and sinks, widened by [margin]); long lines span a whole row or column
+     and are never excluded.  Returns the first unreachable sink, or -1. *)
+  let route_net ni margin =
+    let src = srcs.(ni) and sks = sinks.(ni) in
+    let rmin = ref wrow.(src) and rmax = ref wrow.(src) in
+    let cmin = ref wcol.(src) and cmax = ref wcol.(src) in
+    Array.iter
+      (fun w ->
+        let r = wrow.(w) and c = wcol.(w) in
+        if r < !rmin then rmin := r;
+        if r > !rmax then rmax := r;
+        if c < !cmin then cmin := c;
+        if c > !cmax then cmax := c)
+      sks;
+    let rmin = !rmin - margin and rmax = !rmax + margin in
+    let cmin = !cmin - margin and cmax = !cmax + margin in
     incr tree_epoch;
     tree_stamp.(src) <- !tree_epoch;
-    let tree = ref [ src ] in
-    let tree_pips = ref [] in
-    let failed = ref None in
-    Array.iter
-      (fun sk ->
-        if !failed = None && tree_stamp.(sk) <> !tree_epoch then begin
-          incr epoch;
-          Heap.clear heap;
-          (* seed with current tree *)
-          List.iter
-            (fun w ->
-              stamp.(w) <- !epoch;
-              cost.(w) <- 0.0;
-              prev.(w) <- -1;
-              let dist =
-                abs (dev.Device.wrow.(w) - dev.Device.wrow.(sk))
-                + abs (dev.Device.wcol.(w) - dev.Device.wcol.(sk))
-              in
-              Heap.push heap (0.9 *. float_of_int dist) w)
-            !tree;
-          let found = ref false in
-          let continue = ref true in
-          while !continue do
-            match Heap.pop heap with
-            | None -> continue := false
-            | Some (_, w) ->
-                if w = sk then begin
-                  found := true;
-                  continue := false
-                end
-                else
-                  Array.iter
-                    (fun pipid ->
-                      let d = Device.pip_other dev pipid w in
-                      if in_bbox ni d then begin
-                        let c = cost.(w) +. wire_cost d in
-                        if stamp.(d) <> !epoch || c < cost.(d) then begin
-                          stamp.(d) <- !epoch;
-                          cost.(d) <- c;
-                          prev.(d) <- pipid;
-                          let dist =
-                            abs (dev.Device.wrow.(d) - dev.Device.wrow.(sk))
-                            + abs (dev.Device.wcol.(d) - dev.Device.wcol.(sk))
-                          in
-                          Heap.push heap (c +. (0.9 *. float_of_int dist)) d
-                        end
-                      end)
-                    dev.Device.wire_out.(w)
-          done;
-          if not !found then failed := Some sk
+    depth.(src) <- 0;
+    spansum.(src) <- 0;
+    tree_n := 0;
+    tree_pips_n := 0;
+    add tree tree_n src;
+    let failed = ref (-1) in
+    let s = ref 0 in
+    while !failed < 0 && !s < Array.length sks do
+      let sk = sks.(!s) in
+      incr s;
+      if tree_stamp.(sk) <> !tree_epoch then begin
+        incr epoch;
+        let ep = !epoch in
+        let skr = wrow.(sk) and skc = wcol.(sk) in
+        Heap.clear heap;
+        (* seed with the current tree, newest wire first *)
+        for i = !tree_n - 1 downto 0 do
+          let w = tree.(i) in
+          stamp.(w) <- ep;
+          cost.(w) <- 0.0;
+          prev.(w) <- -1;
+          let dist = abs (wrow.(w) - skr) + abs (wcol.(w) - skc) in
+          Heap.push heap (0.9 *. float_of_int dist) w
+        done;
+        let found = ref false in
+        while (not !found) && heap.Heap.n > 0 do
+          let w = Heap.pop heap in
+          if w = sk then found := true
           else begin
-            (* backtrack: add path wires and pips to tree *)
-            let rec back w =
-              if tree_stamp.(w) <> !tree_epoch then begin
-                tree_stamp.(w) <- !tree_epoch;
-                tree := w :: !tree;
-                let pipid = prev.(w) in
-                if pipid >= 0 then begin
-                  tree_pips := pipid :: !tree_pips;
-                  back (Device.pip_other dev pipid w)
+            let cw = cost.(w) in
+            for k = off.(w) to off.(w + 1) - 1 do
+              let d = adj.(k) land wmask in
+              let r = wrow.(d) and c = wcol.(d) in
+              if long.(d) || (r >= rmin && r <= rmax && c >= cmin && c <= cmax)
+              then begin
+                let cd = cw +. wcost.(d) in
+                if stamp.(d) <> ep || cd < cost.(d) then begin
+                  stamp.(d) <- ep;
+                  cost.(d) <- cd;
+                  prev.(d) <- adj.(k) lsr wbits;
+                  let dist = abs (r - skr) + abs (c - skc) in
+                  Heap.push heap (cd +. (0.9 *. float_of_int dist)) d
                 end
               end
-            in
-            back sk
+            done
           end
-        end)
-      sinks.(ni);
-    match !failed with
-    | Some sk -> Error sk
-    | None ->
-        net_wires.(ni) <- Array.of_list !tree;
-        net_pips.(ni) <- Array.of_list !tree_pips;
-        Array.iter (fun w -> occ.(w) <- occ.(w) + 1) net_wires.(ni);
-        Ok ()
+        done;
+        if not !found then failed := sk
+        else begin
+          (* backtrack to the tree, adding path wires and pips to it *)
+          let first = !tree_n in
+          let w = ref sk in
+          while tree_stamp.(!w) <> !tree_epoch do
+            tree_stamp.(!w) <- !tree_epoch;
+            add tree tree_n !w;
+            add tree_pips tree_pips_n prev.(!w);
+            w := Device.pip_other dev prev.(!w) !w
+          done;
+          (* !w is where the path joins the tree: walk back down to sk *)
+          for i = !tree_n - 1 downto first do
+            let x = tree.(i) in
+            depth.(x) <- depth.(!w) + 1;
+            spansum.(x) <- spansum.(!w) + Device.wire_span dev x;
+            w := x
+          done
+        end
+      end
+    done;
+    if !failed < 0 then begin
+      net_wires.(ni) <- newest_first tree !tree_n;
+      net_pips.(ni) <- newest_first tree_pips !tree_pips_n;
+      Array.iter
+        (fun w ->
+          occ.(w) <- occ.(w) + 1;
+          set_cost w)
+        net_wires.(ni)
+    end;
+    !failed
   in
   let rip_up ni =
-    Array.iter (fun w -> occ.(w) <- occ.(w) - 1) net_wires.(ni);
+    Array.iter
+      (fun w ->
+        occ.(w) <- occ.(w) - 1;
+        set_cost w)
+      net_wires.(ni);
     net_wires.(ni) <- [||];
     net_pips.(ni) <- [||]
   in
+  (* The net order is the permutation Array.sort makes of equal keys, not
+     longest span first: the sort that was meant to do that compared
+     bounding boxes before any were computed, so every span was 0.  Every
+     committed route and bitstream depends on this permutation, hence the
+     constant comparator (see DESIGN.md §18). *)
   let order = Array.init nnets (fun i -> i) in
-  (* route longest-span nets first *)
-  Array.sort
-    (fun a b ->
-      let span ni =
-        let rmin, rmax, cmin, cmax = bbox.(ni) in
-        rmax - rmin + (cmax - cmin)
-      in
-      compare (span b) (span a))
-    order;
+  Array.sort (fun _ _ -> 0) order;
   let result = ref None in
   let iter = ref 0 in
   (* occupancy is counted per wire; a source wire occupied by its own single
@@ -243,27 +287,24 @@ let run ?(max_iters = 60) dev pack place =
   let overused w = occ.(w) > 1 in
   while !result = None && !iter < max_iters do
     let margin = 3 + (2 * !iter) in
-    Array.iter (fun ni -> compute_bbox ni margin) order;
+    for w = 0 to nwires - 1 do
+      set_cost w
+    done;
     let route_error = ref None in
     Array.iter
       (fun ni ->
+        (* PathFinder renegotiates every net each iteration: a net that is
+           not itself overused may be squatting on the only access wires
+           of a congested sink, and must be given the chance to move.
+           Ripping it up first excludes its own occupancy from the costs. *)
         if !route_error = None then begin
-          (* PathFinder renegotiates every net each iteration: a net that is
-             not itself overused may be squatting on the only access wires
-             of a congested sink, and must be given the chance to move. *)
-          let needs = true in
-          if needs then begin
-            if Array.length net_wires.(ni) > 0 then rip_up ni;
-            (* exclude own occupancy while measuring congestion: done by
-               rip-up above *)
-            match route_net ni with
-            | Ok () -> ()
-            | Error sk ->
-                route_error :=
-                  Some
-                    (Printf.sprintf "net %d: no path to sink %s" ni
-                       (Device.describe_wire dev sk))
-          end
+          if Array.length net_wires.(ni) > 0 then rip_up ni;
+          let sk = route_net ni margin in
+          if sk >= 0 then
+            route_error :=
+              Some
+                (Printf.sprintf "net %d: no path to sink %s" ni
+                   (Device.describe_wire dev sk))
         end)
       order;
     (match !route_error with
@@ -278,50 +319,12 @@ let run ?(max_iters = 60) dev pack place =
           end
         done;
         if !over = 0 then begin
-          (* success: compute per-sink stats *)
+          (* success: no wire is shared, so depth/spansum still hold what
+             each net's last routing wrote *)
           let sink_stats =
-            Array.init nnets (fun ni ->
-                (* walk the tree from the source *)
-                let depth = Hashtbl.create 16 in
-                let spansum = Hashtbl.create 16 in
-                Hashtbl.replace depth srcs.(ni) 0;
-                Hashtbl.replace spansum srcs.(ni) 0;
-                (* iterate pips until fixpoint (tree, so one pass in order
-                   works if sorted; do simple repeated passes) *)
-                let pips = net_pips.(ni) in
-                let remaining = ref (Array.to_list pips) in
-                let progress = ref true in
-                (* tree edges; bidirectional pips may have been traversed
-                   either way, so settle whichever endpoint is known *)
-                while !remaining <> [] && !progress do
-                  progress := false;
-                  remaining :=
-                    List.filter
-                      (fun pipid ->
-                        let s = dev.Device.pip_src.(pipid) in
-                        let d = dev.Device.pip_dst.(pipid) in
-                        let settle from into =
-                          let df = Hashtbl.find depth from in
-                          Hashtbl.replace depth into (df + 1);
-                          Hashtbl.replace spansum into
-                            (Hashtbl.find spansum from + Device.wire_span dev into);
-                          progress := true;
-                          false
-                        in
-                        match Hashtbl.mem depth s, Hashtbl.mem depth d with
-                        | true, false -> settle s d
-                        | false, true when dev.Device.pip_bidir.(pipid) ->
-                            settle d s
-                        | true, true -> (progress := !progress; false)
-                        | _ -> true)
-                      !remaining
-                done;
-                Array.map
-                  (fun sk ->
-                    match Hashtbl.find_opt depth sk with
-                    | Some dp -> (sk, dp, Hashtbl.find spansum sk)
-                    | None -> (sk, 0, 0))
-                  sinks.(ni))
+            Array.map
+              (Array.map (fun sk -> (sk, depth.(sk), spansum.(sk))))
+              sinks
           in
           result :=
             Some
@@ -334,9 +337,6 @@ let run ?(max_iters = 60) dev pack place =
                  })
         end
         else begin
-          if Sys.getenv_opt "TMR_ROUTE_DEBUG" <> None then
-            Printf.eprintf "DEBUG iter=%d over=%d pres=%.3g\n%!" !iter !over
-              !pres_fac;
           pres_fac := !pres_fac *. 1.7;
           if !iter = max_iters - 1 then begin
             let examples = ref [] in
@@ -346,28 +346,6 @@ let run ?(max_iters = 60) dev pack place =
                   Printf.sprintf "%s(occ=%d)" (Device.describe_wire dev w) occ.(w)
                   :: !examples
             done;
-            if Sys.getenv_opt "TMR_ROUTE_DEBUG" <> None then
-              for w = 0 to nwires - 1 do
-                if overused w then
-                  Array.iteri
-                    (fun ni wires ->
-                      if Array.exists (fun x -> x = w) wires then begin
-                        Printf.eprintf "DEBUG overused %s used by net %d (src %s)\n%!"
-                          (Device.describe_wire dev w) ni
-                          (Device.describe_wire dev srcs.(ni));
-                        Array.iter
-                          (fun tw ->
-                            Printf.eprintf "   tree: %s occ=%d\n%!"
-                              (Device.describe_wire dev tw) occ.(tw))
-                          wires;
-                        Array.iter
-                          (fun sk ->
-                            Printf.eprintf "   sink: %s\n%!"
-                              (Device.describe_wire dev sk))
-                          sinks.(ni)
-                      end)
-                    net_wires
-              done;
             result :=
               Some
                 (Error

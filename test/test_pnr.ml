@@ -153,6 +153,56 @@ let test_route_no_overuse_and_connected () =
             net.Pack.sinks)
         pack.Pack.nets
 
+(* Golden routes: one digest per design over everything the router returns
+   plus the bitstream it leads to, so any change to the router's search
+   order (heap ties, neighbour order, cost rounding) shows up here. *)
+let route_digest (impl : Impl.t) =
+  let r = impl.Impl.route in
+  let b = Buffer.create 65536 in
+  let ints a =
+    Buffer.add_string b (string_of_int (Array.length a));
+    Array.iter (fun x -> Buffer.add_char b ' '; Buffer.add_string b (string_of_int x)) a;
+    Buffer.add_char b '\n'
+  in
+  Array.iter ints r.Route.net_pips;
+  Array.iter ints r.Route.net_wires;
+  Array.iter
+    (Array.iter (fun (s, d, sp) -> ints [| s; d; sp |]))
+    r.Route.sink_stats;
+  ints [| r.Route.iterations |];
+  Buffer.add_string b
+    (Bitstream.to_hex impl.Impl.bitgen.Tmr_pnr.Bitgen.bitstream);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let golden_routes =
+  let open Tmr_core in
+  [
+    ("standard", Partition.Unprotected, Voter.Majority,
+     "62af4aeff3354732ffdc7b3a3272e575");
+    ("tmr_p1", Partition.Max_partition, Voter.Majority,
+     "5a7fe0b114f2ca8200f51db2df289875");
+    ("tmr_p2", Partition.Medium_partition, Voter.Majority,
+     "2f5f72900dd2ed97cf5d1eba2e3c4da0");
+    ("tmr_p3", Partition.Min_partition, Voter.Majority,
+     "d6c66e37b01cd1f975c8654a44edfcce");
+    ("tmr_p3_nv", Partition.Min_partition_nv, Voter.Majority,
+     "dcbdc311f41c23cccdba7dda22bb81b9");
+    ("tmr_p2/detecting", Partition.Medium_partition, Voter.Detecting,
+     "38bdaa5139661c330bf4b3ecdd0683ca");
+  ]
+
+let test_golden_routes () =
+  List.iter
+    (fun (name, strategy, voter, expected) ->
+      let nl =
+        Tmr_filter.Designs.build ~params:Tmr_filter.Fir.tiny_params ~voter
+          strategy
+      in
+      let impl = Impl.implement_exn ~seed:1 (Lazy.force dev) (Lazy.force db) nl in
+      Alcotest.(check string) (name ^ " route digest") expected
+        (route_digest impl))
+    golden_routes
+
 let test_impl_end_to_end () =
   let nl = build_datapath () in
   let impl = Impl.implement_exn ~seed:5 (Lazy.force dev) (Lazy.force db) nl in
@@ -243,6 +293,8 @@ let () =
         [
           Alcotest.test_case "no overuse; all sinks connected" `Quick
             test_route_no_overuse_and_connected;
+          Alcotest.test_case "golden routes (5 designs + detecting voter)"
+            `Quick test_golden_routes;
         ] );
       ( "impl",
         [
