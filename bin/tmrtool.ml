@@ -1134,7 +1134,8 @@ let explain_cmd =
             "  divergence   %d cone nodes diverged; first at cycle %d, \
              propagation depth %d\n"
             d.Fsim.df_diverged d.Fsim.df_first_cycle d.Fsim.df_depth;
-          (* describe the first diverging node via its bel, if it has one *)
+          (* describe the first diverging node (the one nearest the fault
+             site on the first diverging cycle) via its bel, if it has one *)
           let node = d.Fsim.df_first_node in
           let bel = ref (-1) in
           for b = 0 to dev.Tmr_arch.Device.nbels - 1 do
@@ -1142,40 +1143,37 @@ let explain_cmd =
           done;
           if !bel >= 0 then
             Printf.printf
-              "  first node   %d = bel %d (domain %d, partition %s%s)\n" node
-              !bel
+              "  first node   %d = bel %d (domain %d, partition %s%s), \
+               nearest the fault site\n"
+              node !bel
               a.Forensics.bel_domain.(!bel)
               (Forensics.part_name a a.Forensics.bel_part.(!bel))
               (if a.Forensics.bel_voter.(!bel) then ", voter" else "")
-          else Printf.printf "  first node   %d (routing/pad node)\n" node;
+          else
+            Printf.printf
+              "  first node   %d (routing/pad node), nearest the fault site\n"
+              node;
           (* voter masking: silent overall, yet some voter in the cone
              held its baseline value every cycle *)
           if derr < 0 then begin
             let nn = Fsim.num_nodes base in
-            let voter_nodes = Bytes.make nn '\000' in
+            let voters = Bytes.make nn '\000' in
             Array.iteri
               (fun b isv ->
                 if isv then begin
                   let n = Fsim.cone_node_of_bel cone b in
-                  if n >= 0 && n < nn then Bytes.set voter_nodes n '\001'
+                  if n >= 0 && n < nn then Bytes.set voters n '\001'
                 end)
               a.Forensics.bel_voter;
-            let masked =
-              Array.exists
-                (fun n ->
-                  n < nn
-                  && Bytes.get voter_nodes n <> '\000'
-                  && not (Fsim.diff_node_diverged dsc n))
-                (Fsim.diff_cone dsc)
-            in
-            if masked then
-              print_endline
-                "  verdict      masked at a voter: internal corruption \
-                 stopped at (or before) a majority vote"
-            else
-              print_endline
-                "  verdict      silent but diverged; no voter in the cone \
-                 held its baseline (logic masking)"
+            match Fsim.diff_provenance dsc ~voters with
+            | Some p when p.Fsim.pv_voter_held ->
+                print_endline
+                  "  verdict      masked at a voter: internal corruption \
+                   stopped at (or before) a majority vote"
+            | _ ->
+                print_endline
+                  "  verdict      silent but diverged; no voter in the cone \
+                   held its baseline (logic masking)"
           end
         end;
         if conv >= 0 then

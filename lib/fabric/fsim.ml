@@ -1656,6 +1656,9 @@ let replay_lut t node rv0 rv1 rv2 rv3 =
 
 type dseeds = Seed_node of int | Seed_derived
 
+let nearer_first depth u f =
+  f < 0 || depth.(u) < depth.(f) || (depth.(u) = depth.(f) && u < f)
+
 let diff_run ?(ndetect = 0) ~forensics ~scratch:d ~tape:tp ~base ~sim ~seeds
     ~watch ~base_watch ~expected () =
   let n = sim.nnodes in
@@ -2033,12 +2036,11 @@ let diff_run ?(ndetect = 0) ~forensics ~scratch:d ~tape:tp ~base ~sim ~seeds
         then begin
           Bytes.set d.dd_divmark node '\001';
           d.dd_fdiverged <- d.dd_fdiverged + 1;
-          if d.dd_ffirst_node < 0 then begin
-            (* dd_cone is in evaluation order: the first hit on the first
-               diverging cycle is the topologically-first divergence *)
-            d.dd_ffirst_node <- node;
-            d.dd_ffirst_cycle <- c
-          end;
+          if d.dd_ffirst_cycle < 0 then d.dd_ffirst_cycle <- c;
+          if
+            d.dd_ffirst_cycle = c
+            && nearer_first d.dd_depth node d.dd_ffirst_node
+          then d.dd_ffirst_node <- node;
           if d.dd_depth.(node) > d.dd_fdepth then
             d.dd_fdepth <- d.dd_depth.(node)
         end
@@ -2145,10 +2147,39 @@ let diff_forensics d =
     df_depth = (if d.dd_fcollect then d.dd_fdepth else -1);
   }
 
-let diff_node_diverged d node =
-  d.dd_fcollect
-  && node < Bytes.length d.dd_divmark
-  && Bytes.get d.dd_divmark node <> '\000'
+type provenance = {
+  pv_diverged : int;
+  pv_first_node : int;
+  pv_first_cycle : int;
+  pv_depth : int;
+  pv_cone : int;
+  pv_voter_held : bool;
+}
+
+let diff_provenance d ~voters =
+  if not d.dd_fcollect then None
+  else begin
+    let held = ref false in
+    let i = ref 0 in
+    while (not !held) && !i < d.dd_ncone do
+      let n = d.dd_cone.(!i) in
+      if
+        n < Bytes.length voters
+        && Bytes.get voters n <> '\000'
+        && Bytes.get d.dd_divmark n = '\000'
+      then held := true;
+      incr i
+    done;
+    Some
+      {
+        pv_diverged = d.dd_fdiverged;
+        pv_first_node = d.dd_ffirst_node;
+        pv_first_cycle = d.dd_ffirst_cycle;
+        pv_depth = d.dd_fdepth;
+        pv_cone = d.dd_ncone;
+        pv_voter_held = !held;
+      }
+  end
 
 (* Test hooks: the cone computed by the last [diff_run]. *)
 let diff_cone d = Array.sub d.dd_cone 0 d.dd_ncone

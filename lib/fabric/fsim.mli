@@ -272,6 +272,13 @@ type dseeds =
           content or pin wiring differs from the base, plus every
           appended node *)
 
+val nearer_first : int array -> int -> int -> bool
+(** [nearer_first depth u f]: whether node [u] replaces the current
+    first-divergence pick [f] ([-1] = none yet) — smaller BFS depth
+    from the seed set, then smaller node id.  The one rule both engines
+    use for [first_diverged_node]: a property of the fault's effective
+    graph, not of any evaluation order. *)
+
 val diff_run :
   ?ndetect:int ->
   forensics:bool ->
@@ -306,7 +313,7 @@ val diff_run :
 
     With [~forensics:true] it additionally compares the settled
     cone against the tape every cycle, recording which nodes diverged
-    from the baseline ({!diff_forensics}, {!diff_node_diverged}).  The
+    from the baseline ({!diff_forensics}, {!diff_provenance}).  The
     scan is read-only with respect to simulation state: the returned
     cycles are bit-identical with forensics on or off. *)
 
@@ -319,8 +326,11 @@ type diff_forensics = {
   df_frontier : int;
   df_diverged : int;  (** distinct cone nodes that left the baseline *)
   df_first_node : int;
-      (** topologically-first diverging node on the first diverging
-          cycle; [-1] when the fault never visibly diverged *)
+      (** the divergence nearest the fault site: among the nodes diverged
+          on the first diverging cycle, the one with the smallest
+          (BFS depth from the seed set, node id); [-1] when the fault
+          never visibly diverged.  A property of the fault's effective
+          graph, so every engine reports the same node. *)
   df_first_cycle : int;
   df_depth : int;
       (** max BFS distance (from the seed set) of any diverged node —
@@ -331,9 +341,24 @@ type diff_forensics = {
 val diff_forensics : dscratch -> diff_forensics
 (** Forensic summary of the last {!diff_run} with this scratch. *)
 
-val diff_node_diverged : dscratch -> int -> bool
-(** Whether a node diverged from the baseline during the last
-    forensics-enabled {!diff_run} (false when forensics was off). *)
+type provenance = {
+  pv_diverged : int;  (** {!diff_forensics}'s [df_diverged] *)
+  pv_first_node : int;  (** [df_first_node] *)
+  pv_first_cycle : int;  (** [df_first_cycle] *)
+  pv_depth : int;  (** [df_depth] *)
+  pv_cone : int;  (** [df_cone] *)
+  pv_voter_held : bool;
+      (** some voter node of the cone never left the baseline *)
+}
+(** One fault's divergence provenance: what the forensics layer records
+    per differentially simulated fault.  The scalar engine reports it
+    through {!diff_provenance}, the batched engine per lane
+    ({!Fsim_batch.run}); both give equal records for the same fault. *)
+
+val diff_provenance : dscratch -> voters:Bytes.t -> provenance option
+(** Provenance of the last {!diff_run} with this scratch, [None] when it
+    ran without [~forensics:true].  [voters] flags voter nodes
+    (['\001'], indexed by base node). *)
 
 val diff_cone : dscratch -> int array
 (** The cone (faulted nodes' fanout closure) computed by the last

@@ -28,7 +28,15 @@
    cyclic SCC of the base graph (the scalar engine iterates those to a
    Kleene fixpoint with different intra-cycle semantics), and any lane
    whose own effective circuit is cyclic (a bridge fault closing a
-   combinational loop). *)
+   combinational loop).
+
+   With forensics requested, each lane also gets the scalar engine's
+   divergence provenance ({!F.provenance}): a per-cycle word-parallel
+   fold of the divergence words into [ever], and once per lane after
+   the run a BFS over that lane's own effective graph for the cone,
+   the depths and the voter check.  Exact for the same reason the
+   verdicts are: a lane's divergence bits are the scalar engine's
+   divergence set, cycle by cycle. *)
 
 module Logic = Tmr_logic.Logic
 module Lanemask = Tmr_logic.Bitvec.Lanemask
@@ -38,17 +46,16 @@ module F = Fsim
 
 exception Ineligible
 
-let debug =
-  match Sys.getenv_opt "FSIM_BATCH_DEBUG" with Some "" | None -> false | Some _ -> true
-
-let bail msg =
-  if debug then Printf.eprintf "[fsim_batch] bail: %s\n%!" msg;
-  raise Ineligible
+type forensics = {
+  fo_seeds : F.dseeds array;
+  fo_voters : Bytes.t;
+}
 
 type verdict = {
   bv_error_cycle : int;
   bv_converge_cycle : int;
   bv_detect_cycle : int;
+  bv_provenance : F.provenance option;
 }
 
 type t = {
@@ -103,6 +110,14 @@ type t = {
   mutable dq : int array;  (* register-state divergence *)
   mutable dmark : Bytes.t;  (* '\001' = on [dlist] *)
   mutable dlist : int array;  (* nodes with a non-empty [dv] word *)
+  (* forensic provenance, sized by the first forensic run after a
+     capacity change: [ever] (all-zero between runs, like [dv]) is the
+     OR of every scanned cycle's divergence words; the per-lane BFS
+     stamps [pv_seen] with a monotone epoch *)
+  mutable ever : int array;
+  mutable pv_seen : int array;
+  mutable pv_depth : int array;
+  mutable pv_epoch : int;
   (* tape-value broadcast memo, stamped by cycle; valid across runs
      while the worker keeps handing in the same tape *)
   tb_h : int array;
@@ -225,6 +240,10 @@ let create base cone ~width =
       dq = [||];
       dmark = Bytes.empty;
       dlist = [||];
+      ever = [||];
+      pv_seen = [||];
+      pv_depth = [||];
+      pv_epoch = 0;
       tb_h = Array.make (max 1 bn) 0;
       tb_l = Array.make (max 1 bn) 0;
       tb_c = Array.make (max 1 bn) (-1);
@@ -247,7 +266,7 @@ let last_cone t = Array.sub t.last_cone 0 t.last_nm
 (* Index of the single set bit of [m] (an isolated power of two). *)
 let rec bit_index m i = if m land 1 = 1 then i else bit_index (m lsr 1) (i + 1)
 
-let run t ?(ndetect = 0) ~tape ~expected ~watch ~lanes () =
+let run t ?(ndetect = 0) ?forensics ~tape ~expected ~watch ~lanes () =
   let v = t.view in
   let bn = v.F.v_nnodes in
   let nlanes = Array.length lanes in
@@ -255,6 +274,10 @@ let run t ?(ndetect = 0) ~tape ~expected ~watch ~lanes () =
     invalid_arg "Fsim_batch.run: lane count out of range";
   if ndetect < 0 || ndetect > Array.length watch then
     invalid_arg "Fsim_batch.run: ndetect out of range";
+  (match forensics with
+  | Some fo when Array.length fo.fo_seeds <> nlanes ->
+      invalid_arg "Fsim_batch.run: one seed rule per lane"
+  | _ -> ());
   let nfunc = Array.length watch - ndetect in
   if F.tape_nnodes tape <> bn then
     invalid_arg "Fsim_batch.run: tape recorded for another simulator";
@@ -264,7 +287,6 @@ let run t ?(ndetect = 0) ~tape ~expected ~watch ~lanes () =
   let ns = (nlanes + 31) / 32 in
   let stride = t.stride in
   let fullw = Lanes.full in
-  let t_start = if debug then Sys.time () else 0. in
   try
     (* ---- lane address space: extras of lane i live at
        [lane_extbase.(i) ..], after every base node ---- *)
@@ -278,6 +300,11 @@ let run t ?(ndetect = 0) ~tape ~expected ~watch ~lanes () =
     let tot_extras = !tot in
     let nn = bn + tot_extras in
     ensure t nn;
+    if forensics <> None && Array.length t.pv_seen < t.cap then begin
+      t.ever <- Array.make (t.cap * stride) 0;
+      t.pv_seen <- Array.make t.cap 0;
+      t.pv_depth <- Array.make t.cap 0
+    end;
     let ext_row = Array.make (max 1 tot_extras) [||] in
     let ext_lane = Array.make (max 1 tot_extras) 0 in
     (* ---- per-lane overlays ---- *)
@@ -351,7 +378,7 @@ let run t ?(ndetect = 0) ~tape ~expected ~watch ~lanes () =
         (match d.F.dl_cell with
         | None -> ()
         | Some (node, p) ->
-            if node < 0 || node >= bn then bail "node out of range";
+            if node < 0 || node >= bn then raise Ineligible;
             lane_cell.(li) <- Some (node, p);
             seeds := node :: !seeds;
             (match p with
@@ -386,7 +413,7 @@ let run t ?(ndetect = 0) ~tape ~expected ~watch ~lanes () =
         in
         Array.iter
           (fun (node, row) ->
-            if node < 0 || node >= bn then bail "node out of range";
+            if node < 0 || node >= bn then raise Ineligible;
             let rrow = Array.map remap row in
             (match Hashtbl.find_opt tbl_rows node with
             | Some r -> r := (li, rrow) :: !r
@@ -435,7 +462,7 @@ let run t ?(ndetect = 0) ~tape ~expected ~watch ~lanes () =
     (* cyclic SCCs need per-fault Kleene iteration: scalar fallback *)
     for i = 0 to nm - 1 do
       let u = t.members.(i) in
-      if u < bn && Bytes.get t.cyc_node u <> '\000' then bail "cyclic SCC member"
+      if u < bn && Bytes.get t.cyc_node u <> '\000' then raise Ineligible
     done;
     (* ---- edges of a member: base row, overlay rows, extra inputs ---- *)
     let iter_edges r f =
@@ -676,12 +703,7 @@ let run t ?(ndetect = 0) ~tape ~expected ~watch ~lanes () =
             for j = 0 to tot_extras - 1 do
               if ext_lane.(j) = li && in_l (bn + j) then visit (bn + j)
             done
-          with Lane_cycle ->
-            if debug then
-              Printf.eprintf
-                "[fsim_batch] lane %d declined: effective circuit cyclic\n%!"
-                li;
-            lane_dead.(li) <- true
+          with Lane_cycle -> lane_dead.(li) <- true
         end
       done
     end;
@@ -717,18 +739,6 @@ let run t ?(ndetect = 0) ~tape ~expected ~watch ~lanes () =
           end)
     done;
     let nfrontier = !nfrontier in
-    if debug then
-      Printf.eprintf
-        "[fsim_batch] batch: %d lanes, union cone %d of %d nodes, frontier \
-         %d, leftover %d\n\
-         %!"
-        nlanes nm bn nfrontier
-        (let k = ref 0 in
-         for i = 0 to nm - 1 do
-           let u = t.members.(i) in
-           if Bytes.get t.mark u <> '\000' && t.indeg.(u) > 0 then incr k
-         done;
-         !k);
     (* per-lane seeds, deduplicated, ordered for replay: the scalar
        replay evaluates seeds in the fault's own cone order, but only
        DIRECT seed->seed effective edges constrain it (non-seed inputs
@@ -769,7 +779,7 @@ let run t ?(ndetect = 0) ~tape ~expected ~watch ~lanes () =
                 end;
                 incr j
               done;
-              if !pick < 0 then bail "cyclic seed set";
+              if !pick < 0 then raise Ineligible;
               done_.(!pick) <- true;
               out.(k) <- a.(!pick)
             done;
@@ -1135,8 +1145,6 @@ let run t ?(ndetect = 0) ~tape ~expected ~watch ~lanes () =
     (* nodes whose value planes changed this cycle: only those need
        their previous-cycle (glitch-rule) planes refreshed at the
        boundary, instead of copying the whole union cone every cycle *)
-    let dbg_evals = ref 0 in
-    let dbg_commits = ref 0 in
     let chmark = Bytes.make nn '\000' in
     let chlist = Array.make (nm + nfrontier + 1) 0 in
     let nch = ref 0 in
@@ -1194,14 +1202,12 @@ let run t ?(ndetect = 0) ~tape ~expected ~watch ~lanes () =
          done
        end);
       if !obs then begin
-        if debug then incr dbg_commits;
         note_changed u;
         mark_readers u tick ~pu:t.pos.(u)
       end
     in
     let eval_member u tick =
       if t.dirty.(u) >= tick then begin
-        if debug then incr dbg_evals;
         (* consume the event so extra sweeps only revisit re-marked
            nodes; a tick+1 stamp (resolve next-cycle rule) survives *)
         if t.dirty.(u) = tick then t.dirty.(u) <- tick - 1;
@@ -1356,14 +1362,52 @@ let run t ?(ndetect = 0) ~tape ~expected ~watch ~lanes () =
       done
     in
     (* ---- the per-cycle loop ---- *)
-    let t_setup = if debug then Sys.time () else 0. in
     let err_cy = Array.make nlanes (-1) in
     let conv_cy = Array.make nlanes (-1) in
     let det_cy = Array.make nlanes (-1) in
-    let dbg_sweeps = ref 0 in
     let und = Lanemask.create nlanes in
     Lanemask.set_all und;
     Array.iteri (fun li d -> if d then Lanemask.clear und li) lane_dead;
+    (* forensic scan state: [fresh] holds the lanes with no divergence
+       yet, [first_cy]/[first_nodes] what each lane diverged at first *)
+    let collect = forensics <> None in
+    let ever = t.ever in
+    let fresh = Array.init ns (Lanemask.word und) in
+    let hit = Array.make ns 0 in
+    let first_cy = Array.make nlanes (-1) in
+    let first_nodes = Array.make nlanes [] in
+    let scan_divergence c =
+      for i = 0 to !ndl - 1 do
+        let u = dlist.(i) in
+        if u < bn then begin
+          let b = u * stride in
+          for s = 0 to ns - 1 do
+            let w = dv.(b + s) land Lanemask.word und s in
+            if w <> 0 then begin
+              ever.(b + s) <- ever.(b + s) lor w;
+              let m = ref (w land fresh.(s)) in
+              hit.(s) <- hit.(s) lor !m;
+              while !m <> 0 do
+                let lsb = !m land - !m in
+                let li = (s * 32) + bit_index lsb 0 in
+                first_nodes.(li) <- u :: first_nodes.(li);
+                m := !m land (!m - 1)
+              done
+            end
+          done
+        end
+      done;
+      for s = 0 to ns - 1 do
+        let m = ref hit.(s) in
+        while !m <> 0 do
+          let lsb = !m land - !m in
+          first_cy.((s * 32) + bit_index lsb 0) <- c;
+          m := !m land (!m - 1)
+        done;
+        fresh.(s) <- fresh.(s) land lnot hit.(s);
+        hit.(s) <- 0
+      done
+    in
     let cy = ref 0 in
     while (not (Lanemask.is_empty und)) && !cy < cycles do
       let c = !cy in
@@ -1422,10 +1466,12 @@ let run t ?(ndetect = 0) ~tape ~expected ~watch ~lanes () =
           sweep_again := false;
           for i = s0 to s1 - 1 do
             eval_member t.order.(i) tick
-          done;
-          if debug && !sweep_again then incr dbg_sweeps
+          done
         done
       done;
+      (* forensic divergence scan, where the scalar engine scans: the
+         settled cycle, before decided lanes leave the batch *)
+      if collect then scan_divergence c;
       (* watched-output check (before the clock, like the scalar
          engine).  Functional entries ([wi < nfunc]) record the first
          error; trailing detection entries record the first disagreement
@@ -1573,16 +1619,98 @@ let run t ?(ndetect = 0) ~tape ~expected ~watch ~lanes () =
       end;
       incr cy
     done;
-    if debug then
-      Printf.eprintf
-        "[fsim_batch] ran %d cycles, %d extra sweeps, %d evals, %d commits, \
-         %d diverged at end (setup %.2fms loop %.2fms)\n\
-         %!"
-        !cy !dbg_sweeps !dbg_evals !dbg_commits !ndl
-        ((t_setup -. t_start) *. 1e3)
-        ((Sys.time () -. t_setup) *. 1e3);
+    (* ---- per-lane provenance: one BFS from the scalar engine's seed
+       set over the lane's own effective graph.  BFS reach and distances
+       do not depend on visiting order, so cone size and depths equal
+       the scalar engine's.  The base reader CSR alone walks that graph
+       exactly: every overlay edge ends at a seed (a rewired row that
+       differs from the base, or an appended node), already at depth 0,
+       and a rewired row equal to the base row keeps the base edges ---- *)
+    let provenance fo li =
+      t.pv_epoch <- t.pv_epoch + 1;
+      let ep = t.pv_epoch in
+      let seen = t.pv_seen and depth = t.pv_depth in
+      let q = t.queue in
+      let qtl = ref 0 in
+      let push u dep =
+        if seen.(u) <> ep then begin
+          seen.(u) <- ep;
+          depth.(u) <- dep;
+          q.(!qtl) <- u;
+          incr qtl
+        end
+      in
+      (match fo.fo_seeds.(li) with
+      | F.Seed_node s -> push s 0
+      | F.Seed_derived ->
+          (* what differs from the base: the cell, rows that really
+             changed (a re-resolved row can equal the base one), and
+             every appended node *)
+          let d = lanes.(li) in
+          (match d.F.dl_cell with
+          | Some (u, p) ->
+              let differs =
+                match p with
+                | F.Cp_table tb -> tb <> v.F.v_table.(u)
+                | F.Cp_inv iv -> iv <> v.F.v_inv.(u)
+                | F.Cp_qinit qi -> not (Logic.equal qi v.F.v_q_init.(u))
+                | F.Cp_ce b -> b <> v.F.v_ce_frozen.(u)
+              in
+              if differs then push u 0
+          | None -> ());
+          Array.iter
+            (fun (u, row) -> if row <> v.F.v_inputs.(u) then push u 0)
+            d.F.dl_rows;
+          for i = 0 to Array.length d.F.dl_extras - 1 do
+            push (lane_extbase.(li) + i) 0
+          done);
+      let qhd = ref 0 in
+      while !qhd < !qtl do
+        let p = q.(!qhd) in
+        incr qhd;
+        if p < bn then
+          for e = t.csr_off.(p) to t.csr_off.(p + 1) - 1 do
+            push t.csr_succ.(e) (depth.(p) + 1)
+          done
+      done;
+      let sub = li lsr 5 and m = 1 lsl (li land 31) in
+      let voters = fo.fo_voters in
+      let diverged = ref 0 and dmax = ref (-1) and held = ref false in
+      for i = 0 to !qtl - 1 do
+        let u = q.(i) in
+        if u < bn && ever.((u * stride) + sub) land m <> 0 then begin
+          incr diverged;
+          if depth.(u) > !dmax then dmax := depth.(u)
+        end
+        else if u < Bytes.length voters && Bytes.get voters u <> '\000' then
+          held := true
+      done;
+      {
+        F.pv_diverged = !diverged;
+        pv_first_node =
+          List.fold_left
+            (fun f u -> if F.nearer_first depth u f then u else f)
+            (-1) first_nodes.(li);
+        pv_first_cycle = first_cy.(li);
+        pv_depth = !dmax;
+        pv_cone = !qtl;
+        pv_voter_held = !held;
+      }
+    in
+    let verdicts =
+      Array.init nlanes (fun li ->
+          if lane_dead.(li) then None
+          else
+            Some
+              {
+                bv_error_cycle = err_cy.(li);
+                bv_converge_cycle = conv_cy.(li);
+                bv_detect_cycle = det_cy.(li);
+                bv_provenance = Option.map (fun fo -> provenance fo li) forensics;
+              })
+    in
     (* restore the all-zero divergence invariant for the next run:
-       every touched [dv]/[dvl]/[dq]/[dmark] entry is a member's *)
+       every touched [dv]/[dvl]/[dq]/[ever]/[dmark] entry is a member's *)
     for i = 0 to nm - 1 do
       let u = t.members.(i) in
       Bytes.set dmark u '\000';
@@ -1591,16 +1719,11 @@ let run t ?(ndetect = 0) ~tape ~expected ~watch ~lanes () =
         dv.(b + s) <- 0;
         dvl.(b + s) <- 0;
         dq.(b + s) <- 0
-      done
+      done;
+      if collect then
+        for s = 0 to stride - 1 do
+          ever.(b + s) <- 0
+        done
     done;
-    Some
-      (Array.init nlanes (fun li ->
-           if lane_dead.(li) then None
-           else
-             Some
-               {
-                 bv_error_cycle = err_cy.(li);
-                 bv_converge_cycle = conv_cy.(li);
-                 bv_detect_cycle = det_cy.(li);
-               }))
+    Some verdicts
   with Ineligible -> None

@@ -10,7 +10,9 @@
 
     Per-lane verdicts are bit-identical to the scalar differential
     engine fault by fault: same first error cycle, same convergence
-    cycle, under the same pessimistic-glitch and seed-replay rules. *)
+    cycle, under the same pessimistic-glitch and seed-replay rules.
+    On request each lane also carries the scalar engine's forensic
+    divergence provenance, field for field. *)
 
 type t
 (** Per-worker batch context over one base simulator: the base reader
@@ -31,6 +33,14 @@ val csr : t -> int array * int array
 val bel_of : t -> int array
 (** The base {!Fsim.bel_map}, for handing to {!Fsim.fault_delta}. *)
 
+type forensics = {
+  fo_seeds : Fsim.dseeds array;
+      (** per lane: the seed rule its scalar {!Fsim.diff_run} would get
+          ([Seed_node] for a patch, [Seed_derived] for a reroute) *)
+  fo_voters : Bytes.t;  (** per base node: ['\001'] = voter node *)
+}
+(** What per-lane provenance collection needs beyond the overlays. *)
+
 type verdict = {
   bv_error_cycle : int;  (** first watched-output error, [-1] = silent *)
   bv_converge_cycle : int;
@@ -38,6 +48,10 @@ type verdict = {
   bv_detect_cycle : int;
       (** first cycle a trailing detection watch entry left its all-zero
           expectation, [-1] = never (always [-1] when [ndetect = 0]) *)
+  bv_provenance : Fsim.provenance option;
+      (** with [?forensics]: equal to what {!Fsim.diff_provenance}
+          reports after a forensic {!Fsim.diff_run} of the lane's fault;
+          [None] without *)
 }
 (** Exactly {!Fsim.diff_run}'s
     [(first_error_cycle, converge_cycle, detect_cycle)] triple for the
@@ -46,6 +60,7 @@ type verdict = {
 val run :
   t ->
   ?ndetect:int ->
+  ?forensics:forensics ->
   tape:Fsim.tape ->
   expected:Tmr_logic.Logic.t array array ->
   watch:int array ->
@@ -66,6 +81,13 @@ val run :
     versa, so detection latency matches the scalar engine bit for bit.
     Defaults to [0] (every watch entry functional — the historical
     contract).
+
+    [forensics] turns on per-lane provenance ([bv_provenance]): each
+    cycle folds the lanes' divergence words into a per-node
+    ever-diverged word, and after the run one BFS per lane over its own
+    effective graph yields the cone, the depths and the voter check.
+    Without it the per-cycle loop pays one boolean test.  Raises
+    [Invalid_argument] unless [fo_seeds] has one entry per lane.
 
     A [None] element declines that single lane: its rewiring makes the
     lane's own effective circuit combinationally cyclic (a bridge can

@@ -309,12 +309,12 @@ let run_body ?progress ?workers ?(cone_skip = true) ?(diff = true)
   in
   (* a registered forensics sink implies collection, like tracing *)
   let forensics = forensics || Forensics.enabled () in
-  (* The batch engine has no forensic instrumentation, and sequential
-     stopping needs per-fault completion order; both force the scalar
-     engine, as does running without the differential tape or without
-     fault planning. *)
+  (* Sequential stopping needs per-fault completion order, so it forces
+     the scalar engine, as does running without the differential tape
+     or without fault planning.  Forensics batches: the batch engine
+     collects each lane's provenance itself. *)
   let batch_width =
-    if forensics || stop_at_ci <> None || (not diff) || not cone_skip then 0
+    if stop_at_ci <> None || (not diff) || not cone_skip then 0
     else batch_width
   in
   let fattr =
@@ -642,47 +642,34 @@ let run_body ?progress ?workers ?(cone_skip = true) ?(diff = true)
       end
     in
     (* The forensic record: structural attribution on every plan path;
-       divergence fields from the diff scratch when the fault ran
-       differentially.  [masked_at_voter]: the fault corrupted cone
-       state yet stayed silent, and some voter in its fanout cone never
-       left the baseline — the corruption was out-voted (as opposed to
-       logically masked before reaching any voter). *)
-    let forensic_of bit error_cycle dsc_opt =
+       divergence fields from the engine's provenance when the fault ran
+       differentially (scalar or batched — the records are equal).
+       [masked_at_voter]: the fault corrupted cone state yet stayed
+       silent, and some voter in its fanout cone never left the
+       baseline — the corruption was out-voted (as opposed to logically
+       masked before reaching any voter). *)
+    let forensic_of bit error_cycle prov =
       match fattr with
       | None -> None
       | Some a ->
           let f = Forensics.structural a bit in
-          let f =
-            match dsc_opt with
+          Some
+            (match prov with
             | None -> f
-            | Some dsc ->
-                let d = Fsim.diff_forensics dsc in
-                if not d.Fsim.df_collected then f
-                else begin
-                  let masked =
-                    error_cycle < 0
-                    && d.Fsim.df_diverged > 0
-                    && Array.exists
-                         (fun n ->
-                           n < Bytes.length voter_nodes
-                           && Bytes.get voter_nodes n <> '\000'
-                           && not (Fsim.diff_node_diverged dsc n))
-                         (Fsim.diff_cone dsc)
-                  in
-                  {
-                    f with
-                    Forensics.masked_at_voter = masked;
-                    diverged = d.Fsim.df_diverged;
-                    first_diverged_node = d.Fsim.df_first_node;
-                    diverge_cycle = d.Fsim.df_first_cycle;
-                    depth = d.Fsim.df_depth;
-                    cone_nodes = d.Fsim.df_cone;
-                  }
-                end
-          in
-          Some f
+            | Some p ->
+                {
+                  f with
+                  Forensics.masked_at_voter =
+                    error_cycle < 0 && p.Fsim.pv_diverged > 0
+                    && p.Fsim.pv_voter_held;
+                  diverged = p.Fsim.pv_diverged;
+                  first_diverged_node = p.Fsim.pv_first_node;
+                  diverge_cycle = p.Fsim.pv_first_cycle;
+                  depth = p.Fsim.pv_depth;
+                  cone_nodes = p.Fsim.pv_cone;
+                })
     in
-    let finish ?dsc ?(detect = -1) bit error_cycle =
+    let finish ?prov ?(detect = -1) bit error_cycle =
       if error_cycle >= 0 then Tmr_obs.Metrics.observe m_first_error error_cycle;
       {
         bit;
@@ -690,9 +677,10 @@ let run_body ?progress ?workers ?(cone_skip = true) ?(diff = true)
         effect = Classify.classify impl bit;
         first_error_cycle = error_cycle;
         detect_cycle = detect;
-        forensics = forensic_of bit error_cycle dsc;
+        forensics = forensic_of bit error_cycle prov;
       }
     in
+    let scalar_prov dsc = Fsim.diff_provenance dsc ~voters:voter_nodes in
     (* returns the result and the path the engine actually took (a failed
        reroute executes as a rebuild and is reported as one) *)
     let inject bit =
@@ -722,7 +710,8 @@ let run_body ?progress ?workers ?(cone_skip = true) ?(diff = true)
                           ~expected:expected_flat ())
                   in
                   note_converge cv;
-                  (finish ~dsc:dsc_patch ~detect:det bit err, Fsim.Path_diff)
+                  ( finish ?prov:(scalar_prov dsc_patch) ~detect:det bit err,
+                    Fsim.Path_diff )
               | None ->
                   let err, det =
                     Fsim.with_patch cone base ex bit (fun sim ->
@@ -755,7 +744,9 @@ let run_body ?progress ?workers ?(cone_skip = true) ?(diff = true)
                           ~base_watch ~expected:expected_flat ()
                       in
                       note_converge cv;
-                      (finish ~dsc:dsc_reroute ~detect:det bit err, Fsim.Path_diff)
+                      ( finish ?prov:(scalar_prov dsc_reroute) ~detect:det bit
+                          err,
+                        Fsim.Path_diff )
                   | None ->
                       let err, det = run_dut sim (io_for sim) in
                       (finish ~detect:det bit err, Fsim.Path_reroute))
@@ -829,11 +820,29 @@ let run_body ?progress ?workers ?(cone_skip = true) ?(diff = true)
           let lanes =
             Array.map (fun j -> snd (Option.get deltas.(j))) lane_js
           in
+          (* each lane is seeded the way its scalar diff run would be *)
+          let forensics =
+            Option.map
+              (fun _ ->
+                {
+                  Fsim_batch.fo_seeds =
+                    Array.map
+                      (fun j ->
+                        match deltas.(j) with
+                        | Some (Fsim.Path_patch, _) ->
+                            Fsim.Seed_node
+                              (Fsim.patch_node cone ex faults.(idxs.(j)))
+                        | _ -> Fsim.Seed_derived)
+                      lane_js;
+                  fo_voters = voter_nodes;
+                })
+              fattr
+          in
           let verdicts =
             if Array.length lanes = 0 then None
             else
-              Fsim_batch.run bt ~ndetect ~tape ~expected:expected_flat
-                ~watch:base_watch ~lanes ()
+              Fsim_batch.run bt ~ndetect ?forensics ~tape
+                ~expected:expected_flat ~watch:base_watch ~lanes ()
           in
           (match verdicts with
           | Some vs ->
@@ -898,7 +907,8 @@ let run_body ?progress ?workers ?(cone_skip = true) ?(diff = true)
                         incr ks
                       end;
                       let r =
-                        finish ~detect:v.Fsim_batch.bv_detect_cycle faults.(i)
+                        finish ?prov:v.Fsim_batch.bv_provenance
+                          ~detect:v.Fsim_batch.bv_detect_cycle faults.(i)
                           v.Fsim_batch.bv_error_cycle
                       in
                       results.(i) <- r;

@@ -202,10 +202,11 @@ val run :
     [--no-batch]) disables batching and runs every differential fault
     on the scalar engine.  Only 0, 32 and 64 are accepted
     ([Invalid_argument] otherwise).  Batching is exact — per-fault
-    verdicts are bit-identical to the scalar engine — and is forced off
-    when it cannot be ([forensics], [stop_at_ci], [diff = false] or
-    [cone_skip = false]).  Lanes the batch engine declines fall back to
-    the scalar engine automatically.
+    verdicts, and with [forensics] the forensic records, are equal to
+    the scalar engine's — and is forced off when it cannot be
+    ([stop_at_ci], [diff = false] or [cone_skip = false]).  Lanes the
+    batch engine declines fall back to the scalar engine
+    automatically.
 
     [progress] is called with a {!progress} snapshot from worker
     domains, serialized and rate-limited by the pool.

@@ -47,7 +47,9 @@ type t = {
           least one voter in its fanout cone held its baseline value —
           the divergence was stopped at (or before) a vote *)
   diverged : int;  (** cone nodes that left the baseline; -1 not diffed *)
-  first_diverged_node : int;  (** topologically-first divergence, -1 none *)
+  first_diverged_node : int;
+      (** the divergence nearest the fault site: among the nodes diverged
+          at [diverge_cycle], the smallest (BFS depth, node id); -1 none *)
   diverge_cycle : int;
   depth : int;  (** max BFS propagation depth of the divergence, -1 *)
   cone_nodes : int;  (** fanout-cone size; -1 when not diffed *)

@@ -270,6 +270,8 @@ let test_forensic_records_tmr () =
 
 (* --- JSONL sink --- *)
 
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
 let read_lines path =
   let ic = open_in path in
   let rec go acc =
@@ -333,6 +335,81 @@ let test_jsonl_emission () =
   Sys.remove path;
   Sys.remove path2
 
+(* --- batched provenance: forensic campaigns on the batch engine record
+   exactly what the scalar engine records, fault by fault and byte for
+   byte in the JSONL stream --- *)
+
+let pp_forensic ppf (r : Campaign.fault_result) =
+  match r.Campaign.forensics with
+  | None -> Format.fprintf ppf "{bit=%d; no record}" r.Campaign.bit
+  | Some f ->
+      Format.fprintf ppf
+        "{bit=%d; wrong=%b; detect=%d; diverged=%d; first=%d@%d; depth=%d; \
+         cone=%d; masked=%b}"
+        r.Campaign.bit
+        (r.Campaign.outcome = Campaign.Wrong_answer)
+        r.Campaign.detect_cycle f.Forensics.diverged
+        f.Forensics.first_diverged_node f.Forensics.diverge_cycle
+        f.Forensics.depth f.Forensics.cone_nodes f.Forensics.masked_at_voter
+
+let forensic_result = Alcotest.testable pp_forensic ( = )
+
+let test_batched_provenance_equals_scalar () =
+  let ctx =
+    Context.create ~scale:Context.Reduced ~seed:2 ~faults_per_design:120 ()
+  in
+  let configs =
+    List.map (fun s -> (s, Tmr_core.Voter.Majority)) Partition.all_paper_designs
+    @ [ (Partition.Medium_partition, Tmr_core.Voter.Detecting) ]
+  in
+  let batched_total = ref 0 in
+  List.iter
+    (fun (strategy, voter) ->
+      let run = Runs.implement_design ~voter ctx strategy in
+      let name =
+        Partition.name strategy
+        ^ if voter = Tmr_core.Voter.Detecting then "/detecting" else ""
+      in
+      let campaign ~workers ~batch_width jsonl =
+        Option.iter Forensics.to_file jsonl;
+        Fun.protect
+          ~finally:(fun () -> if jsonl <> None then Forensics.close ())
+          (fun () ->
+            Option.get
+              (Runs.campaign_design ~workers ~forensics:true ~batch_width ctx
+                 run)
+                .Runs.campaign)
+      in
+      let scalar_jsonl = Filename.temp_file "forensics-scalar" ".jsonl" in
+      let batch_jsonl = Filename.temp_file "forensics-batch" ".jsonl" in
+      let scalar = campaign ~workers:2 ~batch_width:0 (Some scalar_jsonl) in
+      Alcotest.(check int) (name ^ ": scalar reference ran no batches") 0
+        scalar.Campaign.stats.Campaign.batched;
+      List.iter
+        (fun workers ->
+          List.iter
+            (fun width ->
+              let jsonl =
+                if workers = 2 && width = 64 then Some batch_jsonl else None
+              in
+              let b = campaign ~workers ~batch_width:width jsonl in
+              let label = Printf.sprintf "%s w%d width %d" name workers width in
+              Alcotest.(check bool) (label ^ ": lanes ran batched") true
+                (b.Campaign.stats.Campaign.batched > 0);
+              batched_total := !batched_total + b.Campaign.stats.Campaign.batched;
+              Alcotest.(check (array forensic_result))
+                (label ^ ": forensic records equal the scalar engine's")
+                scalar.Campaign.results b.Campaign.results)
+            [ 32; 64 ])
+        [ 1; 2 ];
+      Alcotest.(check bool)
+        (name ^ ": JSONL streams byte-identical") true
+        (read_file scalar_jsonl = read_file batch_jsonl);
+      Sys.remove scalar_jsonl;
+      Sys.remove batch_jsonl)
+    configs;
+  Alcotest.(check bool) "batch engine exercised" true (!batched_total > 0)
+
 let () =
   Alcotest.run "tmr_forensics"
     [
@@ -356,4 +433,9 @@ let () =
         ] );
       ( "jsonl",
         [ Alcotest.test_case "stream per fault" `Quick test_jsonl_emission ] );
+      ( "batched",
+        [
+          Alcotest.test_case "batched provenance equals scalar (6 designs)"
+            `Slow test_batched_provenance_equals_scalar;
+        ] );
     ]
