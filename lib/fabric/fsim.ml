@@ -108,6 +108,8 @@ type t = {
   pad_node : (int, int) Hashtbl.t;  (* PadIn wire -> node *)
   watch_node : (int, int) Hashtbl.t;  (* PadOut wire -> node *)
   has_loop : bool;
+  const_zero : int;  (* pinless comb node reading Zero (see [build]) *)
+  const_one : int;  (* ... reading One *)
 }
 
 (* The registered-bel index: [clock] used to scan every node testing
@@ -419,6 +421,17 @@ let build ?ws ex ~watch_outputs =
       in
       Hashtbl.replace watch_node w n)
     watch_outputs;
+  (* Shared constant drivers, allocated last so no other node id moves.
+     Nothing here reads them; [phase_a] resolves the output of an unused
+     (combinational, constant-table) bel outside the cone onto them, which
+     is exactly the pinless node a rebuild would give that bel. *)
+  let const_node table =
+    let id = alloc k_bel_comb ~table ~inv:0 ~ce:false ~qi:Logic.X in
+    Hashtbl.add bel_pins id (Array.make 4 (-1));
+    id
+  in
+  let const_zero = const_node 0x0000 in
+  let const_one = const_node 0xFFFF in
   let n = bld.n in
   let kind = Array.sub bld.b_kind 0 n in
   let table = Array.sub bld.b_table 0 n in
@@ -456,9 +469,12 @@ let build ?ws ex ~watch_outputs =
     pad_node;
     watch_node;
     has_loop;
+    const_zero;
+    const_one;
   }
 
 let num_nodes t = t.nnodes
+let const_nodes t = (t.const_zero, t.const_one)
 let has_comb_loop t = t.has_loop
 
 let reset t =
@@ -780,8 +796,9 @@ let patch_node c ex bit =
    wiring at all — just one cell's pins/kind — but still needs the
    incremental resolution and SCC machinery, so it lands here too.
    Returns [None] when the change reaches outside what the base cone
-   knows (new bels, live out-of-cone nets, driver loops) — the caller
-   falls back to a full rebuild.
+   knows (live out-of-cone bels or pads, driver loops) — the caller
+   falls back to a full rebuild.  An unused constant bel outside the
+   cone is not live: it resolves to a shared constant node.
 
    With [?scratch], all large per-call arrays live in the caller-owned
    scratch and are reused: the returned simulator is valid only until the
@@ -986,7 +1003,16 @@ let phase_a ~scratch:s c base ex bit =
               let b = dev.Device.wire_bel.(w) in
               let bn = c.c_bel_node.(b) in
               if bn >= 0 then bn
-              else raise Too_hard (* bel outside the base cone *)
+              else if Extract.out_sel ex b then
+                raise Too_hard (* live registered bel outside the cone *)
+              else
+                (* an unused comb bel: a rebuild would give it a pinless
+                   node returning its constant table, as the shared
+                   constant nodes do *)
+                let table = Extract.lut_table ex b in
+                if support_mask table <> 0 then raise Too_hard
+                else if table land 1 = 0 then base.const_zero
+                else base.const_one
           | Device.HSingle | Device.VSingle | Device.HDouble | Device.VDouble
           | Device.HLong | Device.VLong | Device.BelIn | Device.PadOut -> (
               let old = c.c_wire_node.(w) in
@@ -1195,6 +1221,8 @@ let reroute ~scratch:s c base ex bit =
         pad_node = base.pad_node;
         watch_node;
         has_loop;
+        const_zero = base.const_zero;
+        const_one = base.const_one;
       }
   with Too_hard -> None
 

@@ -20,7 +20,12 @@ val make_workspace : Tmr_arch.Device.t -> workspace
 
 val build : ?ws:workspace -> Extract.t -> watch_outputs:int array -> t
 (** [watch_outputs] are PadOut wires (the design's output pads).  The
-    simulator covers exactly the logic cone observable from them. *)
+    simulator covers exactly the logic cone observable from them, plus
+    two shared constant nodes appended after every other node
+    ({!const_nodes}): pinless combinational bel nodes with tables
+    [0x0000] and [0xFFFF] that nothing in the built graph reads.  The
+    fault fast paths ({!reroute}, {!fault_delta}) map a fault-created
+    bridge onto an unused bel's constant output to them. *)
 
 val reset : t -> unit
 (** Flip-flops to their configuration-load state (a scrub/reconfiguration
@@ -56,6 +61,11 @@ val set_node : t -> int -> Tmr_logic.Logic.t -> unit
 
 val num_nodes : t -> int
 (** Size of the collapsed simulation graph (diagnostics). *)
+
+val const_nodes : t -> int * int
+(** [(zero, one)]: the shared constant node ids {!build} appended — the
+    last two ids of a freshly built simulator.  A {!reroute}d derivation
+    keeps its base's ids. *)
 
 val has_comb_loop : t -> bool
 (** True when the configuration contains a fault-induced combinational
@@ -134,8 +144,13 @@ val reroute : scratch:scratch -> cone -> t -> Extract.t -> int -> t option
 (** [reroute ~scratch cone base ex bit] derives the fault simulator for a
     [Path_reroute] bit (already flipped in [ex]): the affected electrical
     components are re-resolved and stale readers remapped on a copy of the
-    base node graph, skipping the full cone walk.  [None] when the fault
-    reaches resources the base cone never saw — fall back to {!build}.
+    base node graph, skipping the full cone walk.  A bridge onto the
+    output of an unused combinational bel with a constant table (one
+    outside the base cone) resolves to the matching {!const_nodes}
+    entry, exactly as a rebuild would evaluate that bel.  [None] when
+    the fault reaches live resources the base cone never saw (a
+    registered or support-bearing bel, an enabled pad) or closes a pure
+    driver loop — fall back to {!build}.
     The returned simulator aliases the scratch buffers and is only valid
     until the next [reroute] with the same scratch. *)
 
@@ -226,7 +241,9 @@ val fault_delta :
     affected components are re-resolved exactly as {!reroute} does, but
     only the changed rows are recorded — stale readers are found
     through the base {!reader_csr} ([succ_off]/[succ], with [bel_of]
-    from {!bel_map}) instead of an O(n) scan.  [None] whenever
+    from {!bel_map}) instead of an O(n) scan.  Rows may read the
+    {!const_nodes} (a bridge onto an unused constant bel), which are
+    ordinary base nodes on the tape.  [None] whenever
     {!reroute} would fall back to a rebuild, and additionally on
     [Out_sel] kind changes or an orphaned watch node (the batch engine
     shares kinds and watch resolution across lanes) — the caller runs

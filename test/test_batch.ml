@@ -214,6 +214,108 @@ let test_engine_verdicts_and_grouping () =
     done
   done
 
+(* --- bridges onto an unused LUT: a flip that shorts a cone net onto the
+   constant output of an unused combinational bel resolves to a shared
+   constant node instead of forcing a rebuild.  On exactly those faults,
+   batched == scalar diff == rebuild, and no reroute falls back: a
+   campaign rebuilds only what [plan_fault] itself plans as a rebuild
+   (pad enables) --- *)
+
+let test_constant_bridges () =
+  let ctx = Context.create ~scale:Context.Reduced ~seed:1 () in
+  List.iter
+    (fun strategy ->
+      let name = Partition.name strategy in
+      let run = Runs.implement_design ctx strategy in
+      let impl = run.Runs.impl in
+      let watch_outputs =
+        Array.concat
+          (List.map
+             (fun (port, _) -> Campaign.dut_output_wires impl port)
+             (Netlist.output_ports impl.Impl.mapped))
+      in
+      let ex =
+        Extract.create impl.Impl.dev impl.Impl.db
+          (Bitstream.copy impl.Impl.bitgen.Tmr_pnr.Bitgen.bitstream)
+      in
+      let ws = Fsim.make_workspace impl.Impl.dev in
+      let base = Fsim.build ~ws ex ~watch_outputs in
+      let cone = Fsim.snapshot_cone ws in
+      let zero, one = Fsim.const_nodes base in
+      let succ_off, succ = Fsim.reader_csr base in
+      let bel_of = Fsim.bel_map cone base in
+      let scratch = Fsim.make_scratch () in
+      let flipped bit f =
+        Extract.apply_bit_flip ex bit;
+        Fun.protect ~finally:(fun () -> Extract.apply_bit_flip ex bit) f
+      in
+      let reads_const bit =
+        let hit row = Array.exists (fun n -> n = zero || n = one) row in
+        flipped bit (fun () ->
+            match
+              Fsim.fault_delta ~scratch cone base ex bit ~succ_off ~succ
+                ~bel_of
+            with
+            | Some d ->
+                Array.exists (fun (_, row) -> hit row) d.Fsim.dl_rows
+                || Array.exists (fun (ins, _) -> hit ins) d.Fsim.dl_extras
+            | None -> false)
+      in
+      let essential = run.Runs.faultlist.Tmr_inject.Faultlist.bits in
+      let planned path bit = Fsim.plan_fault cone ex bit = path in
+      let bridges =
+        List.filter
+          (fun bit -> planned Fsim.Path_reroute bit && reads_const bit)
+          (Array.to_list essential)
+      in
+      Alcotest.(check bool)
+        (name ^ ": some faults bridge onto a constant node")
+        true (bridges <> []);
+      let faults = Array.of_list (List.filteri (fun i _ -> i < 64) bridges) in
+      Array.iter
+        (fun bit ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: bit %d reroutes" name bit)
+            true
+            (flipped bit (fun () ->
+                 Option.is_some (Fsim.reroute ~scratch cone base ex bit))))
+        faults;
+      let campaign ?cone_skip ~batch_width faults =
+        Campaign.run ~workers:1 ?cone_skip ~batch_width ~name ~impl
+          ~golden:ctx.Context.golden_nl ~stimulus:ctx.Context.stimulus ~faults
+          ()
+      in
+      let batched = campaign ~batch_width:64 faults in
+      let scalar = campaign ~batch_width:0 faults in
+      let rebuild = campaign ~cone_skip:false ~batch_width:0 faults in
+      Alcotest.(check bool) (name ^ ": bridges ran batched") true
+        (batched.Campaign.stats.Campaign.batched > 0);
+      Alcotest.(check int) (name ^ ": scalar diff never rebuilt") 0
+        scalar.Campaign.stats.Campaign.rebuilt;
+      check_same_results (name ^ ": batched vs scalar diff") batched scalar;
+      check_same_results (name ^ ": scalar diff vs rebuild") scalar rebuild;
+      (* campaign level: the bridges, every planned rebuild and a sample
+         of the rest; only the planned rebuilds rebuild *)
+      let mixed =
+        Array.concat
+          [
+            faults;
+            Array.of_seq
+              (Seq.filter (planned Fsim.Path_rebuild) (Array.to_seq essential));
+            Tmr_inject.Faultlist.sample run.Runs.faultlist ~seed:1 ~count:500;
+          ]
+      in
+      let plan_rebuilds =
+        Array.fold_left
+          (fun n bit -> if planned Fsim.Path_rebuild bit then n + 1 else n)
+          0 mixed
+      in
+      Alcotest.(check int)
+        (name ^ ": rebuilt == planned rebuilds")
+        plan_rebuilds
+        (campaign ~batch_width:64 mixed).Campaign.stats.Campaign.rebuilt)
+    Partition.all_paper_designs
+
 let () =
   Alcotest.run "tmr_batch"
     [
@@ -226,5 +328,7 @@ let () =
         [
           Alcotest.test_case "verdicts == diff_run, cone reader-closed"
             `Slow test_engine_verdicts_and_grouping;
+          Alcotest.test_case "constant bridges: no rebuild, == oracle"
+            `Slow test_constant_bridges;
         ] );
     ]

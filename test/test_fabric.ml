@@ -107,6 +107,36 @@ let test_fabric_no_loops_in_golden () =
   Alcotest.(check bool) "golden config has no comb loop" false
     (Fsim.has_comb_loop sim)
 
+(* The two shared constant nodes: the last ids of a fresh build, reading
+   Zero and One from the first eval on, and unread by the golden graph
+   (only a fault overlay ever points at them). *)
+let test_constant_nodes () =
+  let impl = implement (build_datapath ()) in
+  let ex =
+    Extract.create (Lazy.force dev) (Lazy.force db)
+      (Bitstream.copy impl.Impl.bitgen.Tmr_pnr.Bitgen.bitstream)
+  in
+  let sim =
+    Fsim.build ex ~watch_outputs:(Array.init 6 (Impl.output_pad_wire impl "r"))
+  in
+  let n = Fsim.num_nodes sim in
+  let zero, one = Fsim.const_nodes sim in
+  Alcotest.(check (pair int int)) "last two node ids" (n - 2, n - 1) (zero, one);
+  Fsim.reset sim;
+  Fsim.eval sim;
+  Alcotest.(check char) "zero node reads 0" '0'
+    (Logic.to_char (Fsim.node_value sim zero));
+  Alcotest.(check char) "one node reads 1" '1'
+    (Logic.to_char (Fsim.node_value sim one));
+  let off, _ = Fsim.reader_csr sim in
+  List.iter
+    (fun c ->
+      Alcotest.(check int)
+        (Printf.sprintf "node %d has no readers" c)
+        0
+        (off.(c + 1) - off.(c)))
+    [ zero; one ]
+
 let test_open_fault_breaks_output () =
   (* Turning OFF a pip of a routed net must corrupt (X) or change some
      output at some point, or at least never crash. *)
@@ -321,6 +351,7 @@ let () =
             test_fabric_matches_netsim;
           Alcotest.test_case "no comb loops in golden config" `Quick
             test_fabric_no_loops_in_golden;
+          Alcotest.test_case "shared constant nodes" `Quick test_constant_nodes;
           Alcotest.test_case "open fault: sim robust + flip is involution"
             `Quick test_open_fault_breaks_output;
           Alcotest.test_case "lut fault changes function" `Quick

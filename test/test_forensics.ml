@@ -268,6 +268,54 @@ let test_forensic_records_tmr () =
     (tmr.Campaign.wrong + std.Campaign.wrong)
     (after - before)
 
+(* --- provenance coverage: every fault the plan sends to a fast path runs
+   differentially and carries its divergence cone, bridges onto an
+   unused constant bel included; only plan-level rebuilds (pad enables)
+   lack provenance. --- *)
+
+let test_fast_path_faults_have_provenance () =
+  let ctx =
+    Context.create ~scale:Context.Reduced ~seed:1 ~faults_per_design:1000 ()
+  in
+  let run = Runs.implement_design ctx Partition.Medium_partition in
+  let impl = run.Runs.impl in
+  let c =
+    Option.get
+      (Runs.campaign_design ~workers:2 ~forensics:true ctx run).Runs.campaign
+  in
+  let watch_outputs =
+    Array.concat
+      (List.map
+         (fun (port, _) -> Campaign.dut_output_wires impl port)
+         (Tmr_netlist.Netlist.output_ports impl.Impl.mapped))
+  in
+  let ex =
+    Tmr_fabric.Extract.create impl.Impl.dev impl.Impl.db
+      (Tmr_arch.Bitstream.copy impl.Impl.bitgen.Tmr_pnr.Bitgen.bitstream)
+  in
+  let ws = Tmr_fabric.Fsim.make_workspace impl.Impl.dev in
+  ignore (Tmr_fabric.Fsim.build ~ws ex ~watch_outputs);
+  let cone = Tmr_fabric.Fsim.snapshot_cone ws in
+  let fast = ref 0 in
+  Array.iter
+    (fun (r : Campaign.fault_result) ->
+      match Tmr_fabric.Fsim.plan_fault cone ex r.Campaign.bit with
+      | Tmr_fabric.Fsim.Path_patch | Tmr_fabric.Fsim.Path_reroute ->
+          incr fast;
+          let f = Option.get r.Campaign.forensics in
+          let label = Printf.sprintf "bit %d" r.Campaign.bit in
+          (* a rebuild leaves the divergence fields at -1; a reroute that
+             re-resolves to the very same graph seeds nothing and has an
+             empty (0) cone, so it cannot diverge *)
+          Alcotest.(check bool) (label ^ ": provenance recorded") true
+            (f.Forensics.cone_nodes >= 0);
+          if f.Forensics.cone_nodes = 0 then
+            Alcotest.(check int) (label ^ ": empty cone, no divergence") 0
+              f.Forensics.diverged
+      | _ -> ())
+    c.Campaign.results;
+  Alcotest.(check bool) "fast-path faults sampled" true (!fast > 0)
+
 (* --- JSONL sink --- *)
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
@@ -430,6 +478,8 @@ let () =
             `Slow test_forensics_bit_identical_campaigns;
           Alcotest.test_case "TMR forensic records and summary" `Slow
             test_forensic_records_tmr;
+          Alcotest.test_case "fast-path faults carry provenance (TMR_p2)"
+            `Slow test_fast_path_faults_have_provenance;
         ] );
       ( "jsonl",
         [ Alcotest.test_case "stream per fault" `Quick test_jsonl_emission ] );
