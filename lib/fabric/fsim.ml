@@ -528,6 +528,19 @@ let eval_node t node =
   else if k = k_constx then Logic.X
   else (* k_pad *) t.values.(node)
 
+(* Node evaluation is monotone in the information order (X below Zero
+   and One): Kleene LUT completion, [Logic.resolve], and the glitch rule
+   with [last] fixed within the cycle.  Iterating a cyclic SCC from all-X
+   therefore only ever raises values, each node at most once, and
+   reaches the least fixpoint within [n] changing sweeps plus the one
+   that sees no change.  The batch engine ({!Fsim_batch}) relies on that
+   same least fixpoint, so a sweep count beyond [n + 1] is a broken
+   invariant, not a slow loop to cut short. *)
+let kleene_spend budget who =
+  if !budget = 0 then
+    failwith (who ^ ": Kleene iteration exceeded n+1 sweeps (non-monotone node)");
+  decr budget
+
 let eval t =
   let off = t.scc_off and nodes = t.scc_nodes in
   for si = 0 to t.nsccs - 1 do
@@ -542,10 +555,10 @@ let eval t =
         t.values.(nodes.(i)) <- Logic.X
       done;
       let changed = ref true in
-      let guard = ref ((3 * (hi - lo)) + 4) in
-      while !changed && !guard > 0 do
+      let budget = ref (hi - lo + 1) in
+      while !changed do
+        kleene_spend budget "Fsim.eval";
         changed := false;
-        decr guard;
         for i = lo to hi - 1 do
           let node = nodes.(i) in
           let v = eval_node t node in
@@ -2029,10 +2042,10 @@ let diff_run ?(ndetect = 0) ~forensics ~scratch:d ~tape:tp ~base ~sim ~seeds
             values.(node) <- Logic.X
           done;
           let changed = ref true in
-          let guard = ref ((3 * (hi - lo)) + 4) in
-          while !changed && !guard > 0 do
+          let budget = ref (hi - lo + 1) in
+          while !changed do
+            kleene_spend budget "Fsim.diff_run";
             changed := false;
-            decr guard;
             for i = lo to hi - 1 do
               let node = d.dd_cone.(i) in
               let v = eval_node sim node in

@@ -11,6 +11,9 @@
     Per-lane verdicts are bit-identical to the scalar differential
     engine fault by fault: same first error cycle, same convergence
     cycle, under the same pessimistic-glitch and seed-replay rules.
+    That includes lanes whose circuit is combinationally cyclic (a
+    bridge closing a loop, or a cone running through a cyclic SCC of
+    the base graph): those are Kleene-iterated inside the batch.
     On request each lane also carries the scalar engine's forensic
     divergence provenance, field for field. *)
 
@@ -33,14 +36,6 @@ val csr : t -> int array * int array
 val bel_of : t -> int array
 (** The base {!Fsim.bel_map}, for handing to {!Fsim.fault_delta}. *)
 
-type forensics = {
-  fo_seeds : Fsim.dseeds array;
-      (** per lane: the seed rule its scalar {!Fsim.diff_run} would get
-          ([Seed_node] for a patch, [Seed_derived] for a reroute) *)
-  fo_voters : Bytes.t;  (** per base node: ['\001'] = voter node *)
-}
-(** What per-lane provenance collection needs beyond the overlays. *)
-
 type verdict = {
   bv_error_cycle : int;  (** first watched-output error, [-1] = silent *)
   bv_converge_cycle : int;
@@ -49,7 +44,7 @@ type verdict = {
       (** first cycle a trailing detection watch entry left its all-zero
           expectation, [-1] = never (always [-1] when [ndetect = 0]) *)
   bv_provenance : Fsim.provenance option;
-      (** with [?forensics]: equal to what {!Fsim.diff_provenance}
+      (** with [?voters]: equal to what {!Fsim.diff_provenance}
           reports after a forensic {!Fsim.diff_run} of the lane's fault;
           [None] without *)
 }
@@ -60,19 +55,22 @@ type verdict = {
 val run :
   t ->
   ?ndetect:int ->
-  ?forensics:forensics ->
+  ?voters:Bytes.t ->
   tape:Fsim.tape ->
   expected:Tmr_logic.Logic.t array array ->
   watch:int array ->
-  lanes:Fsim.delta array ->
+  lanes:(Fsim.dseeds * Fsim.delta) array ->
   unit ->
-  verdict option array option
+  verdict array
 (** [run t ~tape ~expected ~watch ~lanes ()] simulates all faults of
-    [lanes] (at most [width t], each a {!Fsim.patch_delta} or
-    {!Fsim.fault_delta} overlay) in one batch against the baseline
-    [tape]; [watch] are the base simulator's watch nodes and
-    [expected.(cycle).(i)] the golden value of [watch.(i)] — the same
-    arrays a scalar {!Fsim.diff_run} of these faults would receive.
+    [lanes] (at most [width t]) in one batch against the baseline
+    [tape] and returns one verdict per lane.  Each lane is a
+    {!Fsim.patch_delta} or {!Fsim.fault_delta} overlay with the seed
+    rule its scalar {!Fsim.diff_run} would get ([Seed_node] for a
+    patch, [Seed_derived] for a reroute).  [watch] are the base
+    simulator's watch nodes and [expected.(cycle).(i)] the golden value
+    of [watch.(i)] — the same arrays a scalar {!Fsim.diff_run} of these
+    faults would receive.
 
     [ndetect] marks the last [ndetect] entries of [watch] as in-circuit
     detection flags with all-zero expected rows, exactly as in
@@ -82,22 +80,28 @@ val run :
     Defaults to [0] (every watch entry functional — the historical
     contract).
 
-    [forensics] turns on per-lane provenance ([bv_provenance]): each
-    cycle folds the lanes' divergence words into a per-node
-    ever-diverged word, and after the run one BFS per lane over its own
-    effective graph yields the cone, the depths and the voter check.
-    Without it the per-cycle loop pays one boolean test.  Raises
-    [Invalid_argument] unless [fo_seeds] has one entry per lane.
+    [voters] (per base node, ['\001'] = voter node) turns on per-lane
+    provenance ([bv_provenance]): each cycle folds the lanes'
+    divergence words into a per-node ever-diverged word, and after the
+    run one BFS per lane over its own effective graph yields the cone,
+    the depths and the voter check.  Without it the per-cycle loop pays
+    one boolean test.
 
-    A [None] element declines that single lane: its rewiring makes the
-    lane's own effective circuit combinationally cyclic (a bridge can
-    close a feedback loop), which needs the scalar engine's per-SCC
-    Kleene iteration.  The lane's bits are frozen at X for the whole
-    batch, so the other lanes are unaffected.
+    Every lane runs in the batch and gets a verdict, cyclic ones
+    included: a bridge that closes a combinational loop, or a cone
+    through a cyclic SCC of the base graph.  Such loops are
+    Kleene-iterated inside the batch: cut nodes meeting every cycle
+    restart from X whenever their SCC of the union graph is dirty, and
+    rounds of sweeps run until the cuts stop moving.  Node evaluation is
+    monotone in the information order (X below Zero and One), so this
+    reaches the least fixpoint, which is what the scalar engine and the
+    rebuild oracle compute.  A lane with a seed on a cycle never
+    replay-converges, as in the scalar engine.
 
-    An overall [None] declines the whole batch (a union-cone node in a
-    cyclic SCC of the {e base} graph): the caller runs every lane on
-    the scalar engine instead. *)
+    Raises [Invalid_argument] on a [Seed_node] lane whose overlay
+    rewires rows or appends nodes, or on overlay nodes outside the base
+    graph; [Failure] if a fixpoint iteration runs past its n + 1 bound
+    (a non-monotone node — a broken invariant, never a slow loop). *)
 
 val last_cone : t -> int array
 (** The union cone of the last {!run}, in evaluation order (test

@@ -121,7 +121,7 @@ let m_fault_batch = Tmr_obs.Metrics.histogram "campaign.fault_ns.batch"
 (* Batch-engine accounting: lanes executed word-parallel, the lane count
    of each executed batch (occupancy — near the width when cone grouping
    packs well), and faults that planned batchable but fell back to the
-   scalar engine (overlay ineligible or batch declined). *)
+   scalar engine (no derivable overlay). *)
 let m_batch_lanes = Tmr_obs.Metrics.counter "campaign.batch_lanes"
 let m_batch_occupancy = Tmr_obs.Metrics.histogram "campaign.batch_occupancy"
 let m_batch_scalar = Tmr_obs.Metrics.counter "campaign.batch_scalar"
@@ -782,9 +782,10 @@ let run_body ?progress ?workers ?(cone_skip = true) ?(diff = true)
     (* One batch: derive each lane's structural overlay against the base
        simulator (the extract is flipped only while the delta is taken),
        run every derivable lane word-parallel, and fan the per-lane
-       verdicts back out as ordinary scalar-shaped results.  Lanes with
-       no derivable overlay — and the whole batch when the union cone is
-       ineligible — fall back to the scalar engine fault by fault. *)
+       verdicts back out as ordinary scalar-shaped results.  Lanes whose
+       circuit closes a combinational loop run in the batch too (Kleene
+       iteration, see {!Fsim_batch.run}); only lanes with no derivable
+       overlay fall back to the scalar engine, fault by fault. *)
     let do_batch idxs =
       match (batcher, tape) with
       | Some bt, Some tape ->
@@ -792,7 +793,8 @@ let run_body ?progress ?workers ?(cone_skip = true) ?(diff = true)
           let succ_off, succ = Fsim_batch.csr bt in
           let bel_of = Fsim_batch.bel_of bt in
           let n = Array.length idxs in
-          let deltas = Array.make n None in
+          (* each lane is seeded the way its scalar diff run would be *)
+          let lanes = Array.make n None in
           for j = 0 to n - 1 do
             let bit = faults.(idxs.(j)) in
             match Fsim.plan_fault cone ex bit with
@@ -801,134 +803,92 @@ let run_body ?progress ?workers ?(cone_skip = true) ?(diff = true)
                 Fun.protect
                   ~finally:(fun () -> Extract.apply_bit_flip ex bit)
                   (fun () ->
-                    let d =
-                      match plan with
-                      | Fsim.Path_patch -> Some (Fsim.patch_delta cone ex bit)
-                      | _ ->
-                          Fsim.fault_delta ~scratch cone base ex bit ~succ_off
-                            ~succ ~bel_of
-                    in
-                    match d with
-                    | Some d -> deltas.(j) <- Some (plan, d)
-                    | None -> ())
+                    match plan with
+                    | Fsim.Path_patch ->
+                        lanes.(j) <-
+                          Some
+                            ( plan,
+                              ( Fsim.Seed_node (Fsim.patch_node cone ex bit),
+                                Fsim.patch_delta cone ex bit ) )
+                    | _ ->
+                        Option.iter
+                          (fun d -> lanes.(j) <- Some (plan, (Fsim.Seed_derived, d)))
+                          (Fsim.fault_delta ~scratch cone base ex bit ~succ_off
+                             ~succ ~bel_of))
             | _ -> ()
           done;
           let lane_js =
             Array.of_seq
-              (Seq.filter (fun j -> deltas.(j) <> None) (Seq.init n Fun.id))
+              (Seq.filter (fun j -> lanes.(j) <> None) (Seq.init n Fun.id))
           in
-          let lanes =
-            Array.map (fun j -> snd (Option.get deltas.(j))) lane_js
-          in
-          (* each lane is seeded the way its scalar diff run would be *)
-          let forensics =
-            Option.map
-              (fun _ ->
-                {
-                  Fsim_batch.fo_seeds =
-                    Array.map
-                      (fun j ->
-                        match deltas.(j) with
-                        | Some (Fsim.Path_patch, _) ->
-                            Fsim.Seed_node
-                              (Fsim.patch_node cone ex faults.(idxs.(j)))
-                        | _ -> Fsim.Seed_derived)
-                      lane_js;
-                  fo_voters = voter_nodes;
-                })
-              fattr
-          in
-          let verdicts =
-            if Array.length lanes = 0 then None
-            else
-              Fsim_batch.run bt ~ndetect ?forensics ~tape
-                ~expected:expected_flat ~watch:base_watch ~lanes ()
-          in
-          (match verdicts with
-          | Some vs ->
-              let dt = Tmr_obs.Clock.now_ns () - t0 in
-              busy_ns.(wid) <- busy_ns.(wid) + dt;
-              let nl =
-                Array.fold_left
-                  (fun acc v -> if v <> None then acc + 1 else acc)
-                  0 vs
-              in
-              if nl > 0 then begin
-                Tmr_obs.Metrics.incr ~by:nl m_batch_lanes;
-                Tmr_obs.Metrics.observe m_batch_occupancy nl;
-                if Tmr_obs.Events.enabled () then
-                  Tmr_obs.Events.publish
-                    (Tmr_obs.Events.Batch_dispatched { design = name; lanes = nl });
+          let nl = Array.length lane_js in
+          if nl > 0 then begin
+            let vs =
+              Fsim_batch.run bt ~ndetect
+                ?voters:(Option.map (fun _ -> voter_nodes) fattr)
+                ~tape ~expected:expected_flat ~watch:base_watch
+                ~lanes:(Array.map (fun j -> snd (Option.get lanes.(j))) lane_js)
+                ()
+            in
+            let dt = Tmr_obs.Clock.now_ns () - t0 in
+            busy_ns.(wid) <- busy_ns.(wid) + dt;
+            Tmr_obs.Metrics.incr ~by:nl m_batch_lanes;
+            Tmr_obs.Metrics.observe m_batch_occupancy nl;
+            if Tmr_obs.Events.enabled () then
+              Tmr_obs.Events.publish
+                (Tmr_obs.Events.Batch_dispatched { design = name; lanes = nl });
+            if Tmr_obs.Trace.enabled () then
+              Tmr_obs.Trace.emit_complete
+                ~args:[ ("lanes", string_of_int nl) ]
+                ~name:"batch" ~start_ns:t0 ~dur_ns:dt ();
+            let per = dt / nl in
+            (* each consumer-visible fault still gets its own trace
+               span: the batch interval is sliced into [nl] adjacent
+               child spans, so per-fault spans nest inside "batch" and
+               tooling that counts faults keeps working *)
+            Array.iteri
+              (fun k j ->
+                let v = vs.(k) in
+                let i = idxs.(j) in
+                let plan, _ = Option.get lanes.(j) in
+                bump (fun s ->
+                    let s =
+                      match plan with
+                      | Fsim.Path_patch -> { s with patched = s.patched + 1 }
+                      | _ -> { s with rerouted = s.rerouted + 1 }
+                    in
+                    { s with diffed = s.diffed + 1; batched = s.batched + 1 });
+                note_converge v.Fsim_batch.bv_converge_cycle;
+                Tmr_obs.Metrics.observe m_fault_batch per;
                 if Tmr_obs.Trace.enabled () then
                   Tmr_obs.Trace.emit_complete
-                    ~args:[ ("lanes", string_of_int nl) ]
-                    ~name:"batch" ~start_ns:t0 ~dur_ns:dt ()
-              end;
-              let per = dt / max 1 nl in
-              (* each consumer-visible fault still gets its own trace
-                 span: the batch interval is sliced into [nl] adjacent
-                 child spans, so per-fault spans nest inside "batch"
-                 and tooling that counts faults keeps working *)
-              let ks = ref 0 in
-              Array.iteri
-                (fun k j ->
-                  match vs.(k) with
-                  | None ->
-                      (* lane declined (its rewiring closed a
-                         combinational loop): scalar fallback *)
-                      deltas.(j) <- None
-                  | Some v ->
-                      let i = idxs.(j) in
-                      let plan, _ = Option.get deltas.(j) in
-                      bump (fun s ->
-                          let s =
-                            match plan with
-                            | Fsim.Path_patch ->
-                                { s with patched = s.patched + 1 }
-                            | _ -> { s with rerouted = s.rerouted + 1 }
-                          in
-                          {
-                            s with
-                            diffed = s.diffed + 1;
-                            batched = s.batched + 1;
-                          });
-                      note_converge v.Fsim_batch.bv_converge_cycle;
-                      Tmr_obs.Metrics.observe m_fault_batch per;
-                      if Tmr_obs.Trace.enabled () then begin
-                        Tmr_obs.Trace.emit_complete
-                          ~args:
-                            [
-                              ("bit", string_of_int faults.(i));
-                              ("path", Fsim.path_name Fsim.Path_diff);
-                            ]
-                          ~name:"fault"
-                          ~start_ns:(t0 + (!ks * per))
-                          ~dur_ns:per ();
-                        incr ks
-                      end;
-                      let r =
-                        finish ?prov:v.Fsim_batch.bv_provenance
-                          ~detect:v.Fsim_batch.bv_detect_cycle faults.(i)
-                          v.Fsim_batch.bv_error_cycle
-                      in
-                      results.(i) <- r;
-                      if r.outcome = Wrong_answer then
-                        ignore (Atomic.fetch_and_add wrong_live 1);
-                      ignore (Atomic.fetch_and_add faults_done 1))
-                lane_js;
-              for j = 0 to n - 1 do
-                if deltas.(j) = None then begin
-                  Tmr_obs.Metrics.incr m_batch_scalar;
-                  do_fault idxs.(j)
-                end
-              done
-          | None ->
-              (* union cone ineligible (cyclic SCC / overlay cycle):
-                 every lane runs scalar; the verdicts are identical
-                 either way, only slower *)
-              busy_ns.(wid) <- busy_ns.(wid) + (Tmr_obs.Clock.now_ns () - t0);
-              Tmr_obs.Metrics.incr ~by:n m_batch_scalar;
-              Array.iter do_fault idxs)
+                    ~args:
+                      [
+                        ("bit", string_of_int faults.(i));
+                        ("path", Fsim.path_name Fsim.Path_diff);
+                      ]
+                    ~name:"fault"
+                    ~start_ns:(t0 + (k * per))
+                    ~dur_ns:per ();
+                let r =
+                  finish ?prov:v.Fsim_batch.bv_provenance
+                    ~detect:v.Fsim_batch.bv_detect_cycle faults.(i)
+                    v.Fsim_batch.bv_error_cycle
+                in
+                results.(i) <- r;
+                if r.outcome = Wrong_answer then
+                  ignore (Atomic.fetch_and_add wrong_live 1);
+                ignore (Atomic.fetch_and_add faults_done 1))
+              lane_js
+          end
+          else busy_ns.(wid) <- busy_ns.(wid) + (Tmr_obs.Clock.now_ns () - t0);
+          (* no derivable overlay: the scalar engine, fault by fault *)
+          for j = 0 to n - 1 do
+            if lanes.(j) = None then begin
+              Tmr_obs.Metrics.incr m_batch_scalar;
+              do_fault idxs.(j)
+            end
+          done
       | _ -> Array.iter do_fault idxs
     in
     setup_ns.(wid) <- Tmr_obs.Clock.now_ns () - t_setup;

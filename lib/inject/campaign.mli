@@ -204,9 +204,15 @@ val run :
     ([Invalid_argument] otherwise).  Batching is exact — per-fault
     verdicts, and with [forensics] the forensic records, are equal to
     the scalar engine's — and is forced off when it cannot be
-    ([stop_at_ci], [diff = false] or [cone_skip = false]).  Lanes the
-    batch engine declines fall back to the scalar engine
-    automatically.
+    ([stop_at_ci], [diff = false] or [cone_skip = false]).  Faults
+    whose rewiring closes a combinational loop, or whose cone runs
+    through a cyclic SCC of the base graph, stay in the batch: the
+    engine Kleene-iterates the affected SCC for those lanes from X,
+    and since node evaluation is monotone in the information order
+    this reaches the same least fixpoint the scalar engine computes.
+    Only a fault with no derivable overlay (an output-select flip, an
+    orphaned watch node, a bridge the overlay cannot express) runs on
+    the scalar engine instead.
 
     [progress] is called with a {!progress} snapshot from worker
     domains, serialized and rate-limited by the pool.

@@ -1,8 +1,9 @@
 (* Bit-parallel batched fault simulation: batched campaigns are
    bit-identical to the scalar differential engine and to the
    full-rebuild oracle on all five paper designs, across worker counts
-   and batch widths; and the engine-level lane grouping keeps every
-   lane's fault inside a reader-closed union cone. *)
+   and batch widths, loop-closing faults included; and the engine-level
+   lane grouping keeps every lane's fault inside a reader-closed union
+   cone. *)
 
 module Logic = Tmr_logic.Logic
 module Srand = Tmr_logic.Srand
@@ -168,29 +169,19 @@ let test_engine_verdicts_and_grouping () =
     let n = min width (Array.length faults - lo) in
     let lanes =
       Array.init n (fun k ->
-          let _, _, d, _, _ = faults.(lo + k) in
-          d)
+          let _, seed, d, _, _ = faults.(lo + k) in
+          (Fsim.Seed_node seed, d))
     in
-    let verdicts =
-      match
-        Fsim_batch.run bt ~tape ~expected ~watch ~lanes ()
-      with
-      | Some vs -> vs
-      | None -> Alcotest.fail "batch declined a pure-patch batch"
-    in
+    let verdicts = Fsim_batch.run bt ~tape ~expected ~watch ~lanes () in
     Array.iteri
       (fun k v ->
         let bit, _, _, derr, dcv = faults.(lo + k) in
-        match v with
-        | None ->
-            Alcotest.failf "bit %d: patch lane declined" bit
-        | Some v ->
-            Alcotest.(check int)
-              (Printf.sprintf "bit %d: first error cycle" bit)
-              derr v.Fsim_batch.bv_error_cycle;
-            Alcotest.(check int)
-              (Printf.sprintf "bit %d: convergence cycle" bit)
-              dcv v.Fsim_batch.bv_converge_cycle)
+        Alcotest.(check int)
+          (Printf.sprintf "bit %d: first error cycle" bit)
+          derr v.Fsim_batch.bv_error_cycle;
+        Alcotest.(check int)
+          (Printf.sprintf "bit %d: convergence cycle" bit)
+          dcv v.Fsim_batch.bv_converge_cycle)
       verdicts;
     (* lane grouping invariant: the union cone is reader-closed (fault
        effects cannot escape it) and contains every lane's seed *)
@@ -316,6 +307,80 @@ let test_constant_bridges () =
         (campaign ~batch_width:64 mixed).Campaign.stats.Campaign.rebuilt)
     Partition.all_paper_designs
 
+(* --- loop-closing lanes: planned reroute faults whose own circuit puts
+   a seed on a combinational loop (a bridge closing a feedback path, or a
+   seed inside a cyclic SCC of the base graph).  The batch engine
+   Kleene-iterates them in the word; fault by fault they equal the
+   scalar engine and the rebuild oracle, convergence statistics
+   included, and only faults with no overlay leave the batch --- *)
+
+let batch_scalar_count () =
+  Option.value ~default:0
+    (List.assoc_opt "campaign.batch_scalar"
+       (Tmr_obs.Metrics.snapshot ()).Tmr_obs.Metrics.counters)
+
+let test_loop_closing_lanes () =
+  let ctx = Context.create ~scale:Context.Reduced ~seed:1 () in
+  let configs =
+    List.map (fun s -> (s, Tmr_core.Voter.Majority)) Partition.all_paper_designs
+    @ [ (Partition.Medium_partition, Tmr_core.Voter.Detecting) ]
+  in
+  let total = ref 0 in
+  List.iter
+    (fun (strategy, voter) ->
+      let run = Runs.implement_design ~voter ctx strategy in
+      let name =
+        Partition.name strategy
+        ^ if voter = Tmr_core.Voter.Detecting then "/detecting" else ""
+      in
+      let lf = Loop_faults.find run in
+      total := !total + Array.length lf.Loop_faults.loop;
+      let no_overlay =
+        Array.sub lf.Loop_faults.no_overlay 0
+          (min 8 (Array.length lf.Loop_faults.no_overlay))
+      in
+      let faults = Array.append lf.Loop_faults.loop no_overlay in
+      if faults <> [||] then begin
+        let campaign ?cone_skip ~batch_width faults =
+          Campaign.run ~workers:1 ?cone_skip ~batch_width ~name
+            ~impl:run.Runs.impl ~golden:ctx.Context.golden_nl
+            ~stimulus:ctx.Context.stimulus ~faults ()
+        in
+        let scalar = campaign ~batch_width:0 faults in
+        (* the rebuild oracle (a full simulator per fault) on every
+           fourth fault *)
+        let every4 a =
+          Array.of_list (List.filteri (fun i _ -> i mod 4 = 0) (Array.to_list a))
+        in
+        let rebuild = campaign ~cone_skip:false ~batch_width:0 (every4 faults) in
+        Alcotest.(check (array result_testable))
+          (name ^ ": scalar diff vs rebuild, every fourth fault")
+          (every4 scalar.Campaign.results)
+          rebuild.Campaign.results;
+        let stats (c : Campaign.t) = c.Campaign.stats in
+        List.iter
+          (fun width ->
+            let label = Printf.sprintf "%s: width %d" name width in
+            let before = batch_scalar_count () in
+            let b = campaign ~batch_width:width faults in
+            Alcotest.(check int)
+              (label ^ ": only no-overlay faults left the batch")
+              (Array.length no_overlay)
+              (batch_scalar_count () - before);
+            Alcotest.(check int)
+              (label ^ ": every loop-closing fault ran batched")
+              (Array.length lf.Loop_faults.loop)
+              (stats b).Campaign.batched;
+            check_same_results (label ^ " vs scalar") b scalar;
+            Alcotest.(check int) (label ^ ": diffed")
+              (stats scalar).Campaign.diffed (stats b).Campaign.diffed;
+            Alcotest.(check int) (label ^ ": converged")
+              (stats scalar).Campaign.converged (stats b).Campaign.converged)
+          [ 64; 32 ]
+      end)
+    configs;
+  Alcotest.(check bool) "loop-closing faults found" true (!total > 0)
+
 let () =
   Alcotest.run "tmr_batch"
     [
@@ -330,5 +395,7 @@ let () =
             `Slow test_engine_verdicts_and_grouping;
           Alcotest.test_case "constant bridges: no rebuild, == oracle"
             `Slow test_constant_bridges;
+          Alcotest.test_case "loop-closing lanes: batched == oracle"
+            `Slow test_loop_closing_lanes;
         ] );
     ]

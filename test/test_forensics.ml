@@ -385,7 +385,9 @@ let test_jsonl_emission () =
 
 (* --- batched provenance: forensic campaigns on the batch engine record
    exactly what the scalar engine records, fault by fault and byte for
-   byte in the JSONL stream --- *)
+   byte in the JSONL stream — on a fault sample, and on every fault
+   whose rewiring puts a seed on a combinational loop (those lanes are
+   Kleene-iterated inside the batch) --- *)
 
 let pp_forensic ppf (r : Campaign.fault_result) =
   match r.Campaign.forensics with
@@ -452,6 +454,25 @@ let test_batched_provenance_equals_scalar () =
         [ 1; 2 ];
       Alcotest.(check bool)
         (name ^ ": JSONL streams byte-identical") true
+        (read_file scalar_jsonl = read_file batch_jsonl);
+      let loop = (Loop_faults.find run).Loop_faults.loop in
+      let loop_campaign ~batch_width jsonl =
+        Forensics.to_file jsonl;
+        Fun.protect ~finally:Forensics.close (fun () ->
+            Campaign.run ~workers:1 ~forensics:true ~batch_width ~name
+              ~impl:run.Runs.impl ~golden:ctx.Context.golden_nl
+              ~stimulus:ctx.Context.stimulus ~faults:loop ())
+      in
+      let scalar = loop_campaign ~batch_width:0 scalar_jsonl in
+      let b = loop_campaign ~batch_width:64 batch_jsonl in
+      Alcotest.(check int)
+        (name ^ ": every loop-closing fault ran batched")
+        (Array.length loop) b.Campaign.stats.Campaign.batched;
+      Alcotest.(check (array forensic_result))
+        (name ^ ": loop-closing faults: forensic records equal")
+        scalar.Campaign.results b.Campaign.results;
+      Alcotest.(check bool)
+        (name ^ ": loop-closing faults: JSONL streams byte-identical") true
         (read_file scalar_jsonl = read_file batch_jsonl);
       Sys.remove scalar_jsonl;
       Sys.remove batch_jsonl)
