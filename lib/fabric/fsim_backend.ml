@@ -120,46 +120,93 @@ module Lanes = struct
      the broadcast of [v] exactly on the agreeing lanes. *)
   let mismatch ~h ~l v = (h lxor broadcast_h v) lor (l lxor broadcast_l v)
 
-  (* LUT over planes.  [ph]/[pl] hold the four per-pin plane words with
-     any per-lane pin inversion already applied; an unused pin is the
-     constant-Zero planes (0, full) so minterms selecting it drop out,
-     exactly as the scalar scan skips the pin (its index bit stays 0).
-     [t1] holds, per minterm, the mask of lanes whose (possibly
-     patched) truth table has that bit set.  A lane may read 1 iff some
+  (* Pin planes of one LUT pin: the value planes [h]/[l] read inverted
+     on the lanes of [im], and constant Zero on the lanes of [unused] —
+     an unused pin contributes index bit 0, as the scalar scan skips it
+     whatever its inversion bit. *)
+  let pin_h ~h ~l ~im ~unused = (h land lnot im lor (l land im)) land lnot unused
+  let pin_l ~h ~l ~im ~unused = l land lnot im lor (h land im) lor unused
+
+  (* Lanes selected by some minterm of a four-minterm group, given the
+     pin-0/1 selectors and the group's leaf words. *)
+  let[@inline] pick s0 s1 s2 s3 w0 w1 w2 w3 =
+    s0 land w0 lor (s1 land w1) lor (s2 land w2) lor (s3 land w3)
+
+  (* Leaf word of minterm [m] of a truth table shared by every lane. *)
+  let[@inline] leaf table m = -((table lsr m) land 1)
+
+  (* LUT over planes, as a two-level Shannon expansion: the minterm
+     selector factors into a pin-0/1 selector [s] times a pin-2/3
+     selector [r], so each plane is an OR over the four [r] of an OR
+     over the four [s] of the leaf words.  A lane may read 1 iff some
      1-minterm is selectable under its pin possibilities, may read 0
      iff some 0-minterm is; both at once is X — literally Kleene
      completion over the X pins, which is what the scalar
-     [lut_x_const] submask walk computes one completion at a time. *)
-  let lut_planes ~ph ~pl ~t1 =
-    let h = ref 0 and l = ref 0 in
-    for m = 0 to 15 do
-      let sel =
-        (if m land 1 = 1 then ph.(0) else pl.(0))
-        land (if m land 2 = 2 then ph.(1) else pl.(1))
-        land (if m land 4 = 4 then ph.(2) else pl.(2))
-        land (if m land 8 = 8 then ph.(3) else pl.(3))
-      in
-      let t = t1.(m) in
-      h := !h lor (t land sel);
-      l := !l lor (lnot t land sel)
-    done;
-    { h = !h land full; l = !l land full }
+     [lut_x_const] submask walk computes one completion at a time.
+     [ph]/[pl] hold the four pin words ({!pin_h}/{!pin_l}), every word
+     within [full]; the result lands in [dh.(i)]/[dl.(i)]. *)
+  let lut_table ~ph ~pl ~table ~dh ~dl i =
+    let s0 = pl.(0) land pl.(1) and s1 = ph.(0) land pl.(1) in
+    let s2 = pl.(0) land ph.(1) and s3 = ph.(0) land ph.(1) in
+    let r0 = pl.(2) land pl.(3) and r1 = ph.(2) land pl.(3) in
+    let r2 = pl.(2) land ph.(3) and r3 = ph.(2) land ph.(3) in
+    let t = table and f = lnot table in
+    dh.(i) <-
+      r0 land pick s0 s1 s2 s3 (leaf t 0) (leaf t 1) (leaf t 2) (leaf t 3)
+      lor (r1 land pick s0 s1 s2 s3 (leaf t 4) (leaf t 5) (leaf t 6) (leaf t 7))
+      lor (r2 land pick s0 s1 s2 s3 (leaf t 8) (leaf t 9) (leaf t 10) (leaf t 11))
+      lor (r3 land pick s0 s1 s2 s3 (leaf t 12) (leaf t 13) (leaf t 14) (leaf t 15));
+    dl.(i) <-
+      r0 land pick s0 s1 s2 s3 (leaf f 0) (leaf f 1) (leaf f 2) (leaf f 3)
+      lor (r1 land pick s0 s1 s2 s3 (leaf f 4) (leaf f 5) (leaf f 6) (leaf f 7))
+      lor (r2 land pick s0 s1 s2 s3 (leaf f 8) (leaf f 9) (leaf f 10) (leaf f 11))
+      lor (r3 land pick s0 s1 s2 s3 (leaf f 12) (leaf f 13) (leaf f 14) (leaf f 15))
+
+  (* The same over per-lane truth tables: [leaves.(at + m)] is the mask
+     of lanes whose table has minterm [m] set. *)
+  let lut_leaves ~ph ~pl ~leaves ~at ~dh ~dl i =
+    let s0 = pl.(0) land pl.(1) and s1 = ph.(0) land pl.(1) in
+    let s2 = pl.(0) land ph.(1) and s3 = ph.(0) land ph.(1) in
+    let r0 = pl.(2) land pl.(3) and r1 = ph.(2) land pl.(3) in
+    let r2 = pl.(2) land ph.(3) and r3 = ph.(2) land ph.(3) in
+    let w0 = leaves.(at) and w1 = leaves.(at + 1) in
+    let w2 = leaves.(at + 2) and w3 = leaves.(at + 3) in
+    let w4 = leaves.(at + 4) and w5 = leaves.(at + 5) in
+    let w6 = leaves.(at + 6) and w7 = leaves.(at + 7) in
+    let w8 = leaves.(at + 8) and w9 = leaves.(at + 9) in
+    let w10 = leaves.(at + 10) and w11 = leaves.(at + 11) in
+    let w12 = leaves.(at + 12) and w13 = leaves.(at + 13) in
+    let w14 = leaves.(at + 14) and w15 = leaves.(at + 15) in
+    dh.(i) <-
+      r0 land pick s0 s1 s2 s3 w0 w1 w2 w3
+      lor (r1 land pick s0 s1 s2 s3 w4 w5 w6 w7)
+      lor (r2 land pick s0 s1 s2 s3 w8 w9 w10 w11)
+      lor (r3 land pick s0 s1 s2 s3 w12 w13 w14 w15);
+    dl.(i) <-
+      r0 land pick s0 s1 s2 s3 (lnot w0) (lnot w1) (lnot w2) (lnot w3)
+      lor (r1 land pick s0 s1 s2 s3 (lnot w4) (lnot w5) (lnot w6) (lnot w7))
+      lor (r2 land pick s0 s1 s2 s3 (lnot w8) (lnot w9) (lnot w10) (lnot w11))
+      lor (r3
+          land pick s0 s1 s2 s3 (lnot w12) (lnot w13) (lnot w14) (lnot w15))
 
   (* Resolve over planes, with the scalar engine's pessimistic skew
      rule folded in: a lane settles One only when every driver is
      definitely One now AND was definitely One last cycle (no driver
-     transitioned); symmetrically for Zero; anything else is X. *)
-  let resolve_planes ~n ~h ~l ~lh ~ll =
-    if n = 0 then x
+     transitioned); symmetrically for Zero; anything else is X.  The
+     result lands in [dh.(i)]/[dl.(i)]. *)
+  let resolve_planes ~n ~h ~l ~lh ~ll ~dh ~dl i =
+    let one_ng = ref full and zero_ng = ref full in
+    for k = 0 to n - 1 do
+      one_ng := !one_ng land h.(k) land lnot l.(k) land lh.(k) land lnot ll.(k);
+      zero_ng := !zero_ng land l.(k) land lnot h.(k) land ll.(k) land lnot lh.(k)
+    done;
+    if n = 0 then begin
+      dh.(i) <- full;
+      dl.(i) <- full
+    end
     else begin
-      let one_ng = ref full and zero_ng = ref full in
-      for i = 0 to n - 1 do
-        one_ng := !one_ng land h.(i) land lnot l.(i) land lh.(i)
-                  land lnot ll.(i);
-        zero_ng := !zero_ng land l.(i) land lnot h.(i) land ll.(i)
-                   land lnot lh.(i)
-      done;
-      { h = full land lnot !zero_ng; l = full land lnot !one_ng }
+      dh.(i) <- full land lnot !zero_ng;
+      dl.(i) <- full land lnot !one_ng
     end
 end
 

@@ -107,18 +107,52 @@ module Lanes : sig
   val mismatch : h:int -> l:int -> Tmr_logic.Logic.t -> int
   (** Mask of lanes whose value differs from the scalar [v]. *)
 
-  val lut_planes : ph:int array -> pl:int array -> t1:int array -> t
-  (** LUT over planes.  [ph]/[pl]: four per-pin plane words with any
-      per-lane pin inversion already applied; an unused pin must be the
-      constant-Zero planes [(0, full)].  [t1]: per minterm, the mask of
-      lanes whose (possibly patched) truth table has that bit set.
-      Equals the scalar LUT (including Kleene completion over X pins)
-      lane by lane. *)
+  val pin_h : h:int -> l:int -> im:int -> unused:int -> int
+  val pin_l : h:int -> l:int -> im:int -> unused:int -> int
+  (** Plane words of one LUT pin: the value planes [h]/[l] read
+      inverted on the lanes of [im] and as constant Zero on the lanes
+      of [unused] (an unused pin contributes index bit 0, whatever its
+      inversion bit, as {!Scalar.lut_scan} skips it). *)
+
+  val lut_table :
+    ph:int array ->
+    pl:int array ->
+    table:int ->
+    dh:int array ->
+    dl:int array ->
+    int ->
+    unit
+  (** [lut_table ~ph ~pl ~table ~dh ~dl i] evaluates a LUT whose truth
+      table [table] is shared by every lane and stores the result planes
+      in [dh.(i)]/[dl.(i)]; allocation-free.  [ph]/[pl]: the four pin
+      words from {!pin_h}/{!pin_l}, each within {!full}.  Equals
+      {!Scalar.lut_eval} (including Kleene completion over X pins) lane
+      by lane. *)
+
+  val lut_leaves :
+    ph:int array ->
+    pl:int array ->
+    leaves:int array ->
+    at:int ->
+    dh:int array ->
+    dl:int array ->
+    int ->
+    unit
+  (** {!lut_table} over per-lane truth tables: [leaves.(at + m)] is the
+      mask of lanes whose table has minterm [m] set. *)
 
   val resolve_planes :
-    n:int -> h:int array -> l:int array -> lh:int array -> ll:int array -> t
+    n:int ->
+    h:int array ->
+    l:int array ->
+    lh:int array ->
+    ll:int array ->
+    dh:int array ->
+    dl:int array ->
+    int ->
+    unit
   (** Resolve [n] drivers given their current ([h]/[l]) and previous
       ([lh]/[ll]) plane words, with the scalar engine's pessimistic
-      glitch rule folded in.  [n = 0] is X (matching the scalar
-      engine). *)
+      glitch rule folded in, into [dh.(i)]/[dl.(i)].  [n = 0] is X
+      (matching the scalar engine). *)
 end

@@ -5,10 +5,13 @@
    evaluation over the union of the lanes' fanout cones against the
    shared baseline tape, instead of one scalar [Fsim.diff_run] per
    fault.  Each lane's effective circuit is the base graph plus its
-   fault overlay ({!Fsim.delta}): truth-table / inversion / init /
-   clock-enable cell patches apply word-parallel through per-lane
-   masks, while rewired input rows and appended resolve nodes are
-   spliced per lane (scalar evaluation of just that lane's bit).
+   fault overlay ({!Fsim.delta}), held in per-node slots of [t] for the
+   run: truth-table / inversion / init / clock-enable cell patches
+   apply word-parallel through per-lane masks, and a LUT row rewired by
+   a lane is gathered into the pin words (that lane's pin bits read its
+   own inputs) before the one word-parallel LUT evaluation.  Rewired
+   resolve rows and appended resolve nodes are spliced per lane
+   (scalar evaluation of just that lane's bit).
 
    Verdicts are bit-identical to the scalar differential engine fault
    by fault: the per-cycle plane values of a lane equal the values the
@@ -93,8 +96,26 @@ type t = {
   mutable rv : Logic.t array;  (* replay overlay: value *)
   mutable rvl : Logic.t array;  (* replay overlay: last *)
   mutable rq : Logic.t array;  (* replay overlay: register state *)
+  (* per-node overlay slots (base nodes + appended extras), empty
+     between runs: each run clears the slots of the nodes it touched on
+     the way out, as it does [dv] and [fz] *)
+  mutable ov_t1 : int array array;
+      (* per-lane truth tables: leaf words, sub * 16 + minterm; [||] =
+         the base table in every lane *)
+  mutable ov_im : int array array;  (* inversion masks, sub * 4 + pin *)
+  mutable ov_ce : int array array;  (* clock-enable-frozen lanes, per sub *)
+  mutable ov_qh : int array array;  (* flip-flop init planes, per sub *)
+  mutable ov_ql : int array array;
+  mutable ov_rows : (int * int array) list array;  (* (lane, rewired row) *)
+  mutable radj : int list array;  (* overlay readers *)
+  mutable ovm : int array;
+      (* node * stride + sub: lanes with a LUT overlay there (table,
+         inversion or rewired row) *)
+  (* kernel work of the last run *)
+  mutable n_evals : int;
+  mutable n_quiet : int;
+  mutable n_splices : int;
   (* evaluation scratch *)
-  t1s : int array;  (* 16: per-minterm table lane-masks of one sub *)
   phs : int array;  (* 4: per-pin H planes, inversion applied *)
   pls : int array;
   newh : int array;  (* stride: the value being built *)
@@ -166,7 +187,15 @@ let ensure t n =
     t.dq <- Array.make ps 0;
     t.dmark <- Bytes.make cap '\000';
     t.dlist <- Array.make (cap + 1) 0;
-    t.fz <- Array.make ps 0
+    t.fz <- Array.make ps 0;
+    t.ov_t1 <- Array.make cap [||];
+    t.ov_im <- Array.make cap [||];
+    t.ov_ce <- Array.make cap [||];
+    t.ov_qh <- Array.make cap [||];
+    t.ov_ql <- Array.make cap [||];
+    t.ov_rows <- Array.make cap [];
+    t.radj <- Array.make cap [];
+    t.ovm <- Array.make ps 0
   end
 
 let res_ensure t n =
@@ -230,7 +259,17 @@ let create base cone ~width =
       rv = [||];
       rvl = [||];
       rq = [||];
-      t1s = Array.make 16 0;
+      ov_t1 = [||];
+      ov_im = [||];
+      ov_ce = [||];
+      ov_qh = [||];
+      ov_ql = [||];
+      ov_rows = [||];
+      radj = [||];
+      ovm = [||];
+      n_evals = 0;
+      n_quiet = 0;
+      n_splices = 0;
       phs = Array.make 4 0;
       pls = Array.make 4 0;
       newh = Array.make stride 0;
@@ -268,6 +307,10 @@ let csr t = (t.csr_off, t.csr_succ)
 let bel_of t = t.bel_of
 let last_cone t = Array.sub t.last_cone 0 t.last_nm
 
+type work = { evals : int; quiet : int; splices : int }
+
+let work t = { evals = t.n_evals; quiet = t.n_quiet; splices = t.n_splices }
+
 (* Index of the single set bit of [m] (an isolated power of two). *)
 let rec bit_index m i = if m land 1 = 1 then i else bit_index (m lsr 1) (i + 1)
 
@@ -301,74 +344,80 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
   let tot_extras = !tot in
   let nn = bn + tot_extras in
   ensure t nn;
+  t.n_evals <- 0;
+  t.n_quiet <- 0;
+  t.n_splices <- 0;
   if voters <> None && Array.length t.pv_seen < t.cap then begin
     t.ever <- Array.make (t.cap * stride) 0;
     t.pv_seen <- Array.make t.cap 0;
     t.pv_depth <- Array.make t.cap 0
   end;
+  (* every check before any slot is written, so a rejected run leaves
+     the slots empty *)
+  Array.iteri
+    (fun li d ->
+      (match d.F.dl_cell with
+      | Some (node, _) when node < 0 || node >= bn ->
+          invalid_arg "Fsim_batch.run: cell patch outside the base graph"
+      | _ -> ());
+      Array.iter
+        (fun (node, _) ->
+          if node < 0 || node >= bn then
+            invalid_arg "Fsim_batch.run: rewired row outside the base graph")
+        d.F.dl_rows;
+      match seed_rules.(li) with
+      | F.Seed_node s ->
+          if s < 0 || s >= bn then
+            invalid_arg "Fsim_batch.run: seed node outside the base graph";
+          if d.F.dl_rows <> [||] || d.F.dl_extras <> [||] then
+            invalid_arg "Fsim_batch.run: Seed_node lane with rewiring"
+      | F.Seed_derived -> ())
+    lanes;
   let ext_row = Array.make (max 1 tot_extras) [||] in
   let ext_lane = Array.make (max 1 tot_extras) 0 in
-  (* ---- per-lane overlays ---- *)
-  let tbl_t1 : (int, int array) Hashtbl.t = Hashtbl.create 8 in
-  let tbl_im : (int, int array) Hashtbl.t = Hashtbl.create 4 in
-  let tbl_ce : (int, int array) Hashtbl.t = Hashtbl.create 4 in
-  let tbl_qi : (int, int array * int array) Hashtbl.t = Hashtbl.create 4 in
-  let tbl_rows : (int, (int * int array) list ref) Hashtbl.t =
-    Hashtbl.create 16
-  in
-  let radj : (int, int list ref) Hashtbl.t = Hashtbl.create 32 in
+  (* ---- per-lane overlays, into the per-node slots ---- *)
+  let touched = ref [] in
+  let touch u = touched := u :: !touched in
   let radj_add p r =
-    match Hashtbl.find_opt radj p with
-    | Some lst -> lst := r :: !lst
-    | None -> Hashtbl.add radj p (ref [ r ])
+    t.radj.(p) <- r :: t.radj.(p);
+    touch p
   in
   let lane_cell = Array.make nlanes None in
   let lane_rows : (int * int array) list array = Array.make nlanes [] in
+  let slot_of slots node init =
+    if Array.length slots.(node) = 0 then begin
+      slots.(node) <- init ();
+      touch node
+    end;
+    slots.(node)
+  in
+  let bcast_bit x k = if (x lsr k) land 1 = 1 then fullw else 0 in
   let t1_of node =
-    match Hashtbl.find_opt tbl_t1 node with
-    | Some a -> a
-    | None ->
-        let table = v.F.v_table.(node) in
-        let a =
-          Array.init (16 * ns) (fun i ->
-              if (table lsr (i / ns)) land 1 = 1 then fullw else 0)
-        in
-        Hashtbl.add tbl_t1 node a;
-        a
+    let table = v.F.v_table.(node) in
+    slot_of t.ov_t1 node (fun () ->
+        Array.init (16 * ns) (fun i -> bcast_bit table (i land 15)))
   in
   let im_of node =
-    match Hashtbl.find_opt tbl_im node with
-    | Some a -> a
-    | None ->
-        let inv = v.F.v_inv.(node) in
-        let a =
-          Array.init (4 * ns) (fun i ->
-              if (inv lsr (i / ns)) land 1 = 1 then fullw else 0)
-        in
-        Hashtbl.add tbl_im node a;
-        a
+    let inv = v.F.v_inv.(node) in
+    slot_of t.ov_im node (fun () ->
+        Array.init (4 * ns) (fun i -> bcast_bit inv (i land 3)))
   in
   let ce_of node =
-    match Hashtbl.find_opt tbl_ce node with
-    | Some a -> a
-    | None ->
-        let a =
-          Array.make ns (if v.F.v_ce_frozen.(node) then fullw else 0)
-        in
-        Hashtbl.add tbl_ce node a;
-        a
+    slot_of t.ov_ce node (fun () ->
+        Array.make ns (if v.F.v_ce_frozen.(node) then fullw else 0))
   in
   let qi_of node =
-    match Hashtbl.find_opt tbl_qi node with
-    | Some p -> p
-    | None ->
-        let q = v.F.v_q_init.(node) in
-        let p =
-          ( Array.make ns (Lanes.broadcast_h q),
-            Array.make ns (Lanes.broadcast_l q) )
-        in
-        Hashtbl.add tbl_qi node p;
-        p
+    let q = v.F.v_q_init.(node) in
+    ( slot_of t.ov_qh node (fun () -> Array.make ns (Lanes.broadcast_h q)),
+      slot_of t.ov_ql node (fun () -> Array.make ns (Lanes.broadcast_l q)) )
+  in
+  let set_lane a i m on =
+    a.(i) <- (if on then a.(i) lor m else a.(i) land lnot m)
+  in
+  let lut_overlay node sub m =
+    let i = (node * stride) + sub in
+    t.ovm.(i) <- t.ovm.(i) lor m;
+    touch node
   in
   Array.iteri
     (fun li d ->
@@ -376,35 +425,26 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
       let m = 1 lsl bit in
       (match d.F.dl_cell with
       | None -> ()
-      | Some (node, p) ->
-          if node < 0 || node >= bn then
-            invalid_arg "Fsim_batch.run: cell patch outside the base graph";
+      | Some (node, p) -> (
           lane_cell.(li) <- Some (node, p);
-          (match p with
+          match p with
           | F.Cp_table tbl ->
               let a = t1_of node in
               for mt = 0 to 15 do
-                let i = (mt * ns) + sub in
-                if (tbl lsr mt) land 1 = 1 then a.(i) <- a.(i) lor m
-                else a.(i) <- a.(i) land lnot m
-              done
+                set_lane a ((sub * 16) + mt) m ((tbl lsr mt) land 1 = 1)
+              done;
+              lut_overlay node sub m
           | F.Cp_inv iv ->
               let a = im_of node in
               for j = 0 to 3 do
-                let i = (j * ns) + sub in
-                if (iv lsr j) land 1 = 1 then a.(i) <- a.(i) lor m
-                else a.(i) <- a.(i) land lnot m
-              done
+                set_lane a ((sub * 4) + j) m ((iv lsr j) land 1 = 1)
+              done;
+              lut_overlay node sub m
           | F.Cp_qinit q ->
               let ah, al = qi_of node in
-              if Lanes.broadcast_h q <> 0 then ah.(sub) <- ah.(sub) lor m
-              else ah.(sub) <- ah.(sub) land lnot m;
-              if Lanes.broadcast_l q <> 0 then al.(sub) <- al.(sub) lor m
-              else al.(sub) <- al.(sub) land lnot m
-          | F.Cp_ce b ->
-              let a = ce_of node in
-              if b then a.(sub) <- a.(sub) lor m
-              else a.(sub) <- a.(sub) land lnot m));
+              set_lane ah sub m (Lanes.broadcast_h q <> 0);
+              set_lane al sub m (Lanes.broadcast_l q <> 0)
+          | F.Cp_ce b -> set_lane (ce_of node) sub m b));
       let remap p =
         if p < 0 then -1
         else if p < bn then p
@@ -412,12 +452,9 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
       in
       Array.iter
         (fun (node, row) ->
-          if node < 0 || node >= bn then
-            invalid_arg "Fsim_batch.run: rewired row outside the base graph";
           let rrow = Array.map remap row in
-          (match Hashtbl.find_opt tbl_rows node with
-          | Some r -> r := (li, rrow) :: !r
-          | None -> Hashtbl.add tbl_rows node (ref [ (li, rrow) ]));
+          t.ov_rows.(node) <- (li, rrow) :: t.ov_rows.(node);
+          lut_overlay node sub m;
           lane_rows.(li) <- (node, rrow) :: lane_rows.(li);
           Array.iter (fun p -> if p >= 0 then radj_add p node) rrow)
         d.F.dl_rows;
@@ -441,13 +478,7 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
     Array.mapi
       (fun li rule ->
         match rule with
-        | F.Seed_node s ->
-            let d = lanes.(li) in
-            if s < 0 || s >= bn then
-              invalid_arg "Fsim_batch.run: seed node outside the base graph";
-            if d.F.dl_rows <> [||] || d.F.dl_extras <> [||] then
-              invalid_arg "Fsim_batch.run: Seed_node lane with rewiring";
-            [ s ]
+        | F.Seed_node s -> [ s ]
         | F.Seed_derived ->
             let d = lanes.(li) in
             let acc = ref [] in
@@ -491,9 +522,7 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
       for e = t.csr_off.(u) to t.csr_off.(u + 1) - 1 do
         push t.csr_succ.(e)
       done;
-    match Hashtbl.find_opt radj u with
-    | Some lst -> List.iter push !lst
-    | None -> ()
+    List.iter push t.radj.(u)
   done;
   let nm = !qtl in
   Array.blit t.queue 0 t.members 0 nm;
@@ -510,12 +539,9 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
        for j = 0 to Array.length ins - 1 do
          if ins.(j) >= 0 then f ins.(j)
        done);
-    match Hashtbl.find_opt tbl_rows r with
-    | Some rl ->
-        List.iter
-          (fun (_, row) -> Array.iter (fun p -> if p >= 0 then f p) row)
-          !rl
-    | None -> ()
+    List.iter
+      (fun (_, row) -> Array.iter (fun p -> if p >= 0 then f p) row)
+      t.ov_rows.(r)
   in
   (* ---- topological order (Kahn) over member-internal combinational
      edges.  Registers are sources, exactly as in the base engine's
@@ -564,9 +590,7 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
       for e = t.csr_off.(u) to t.csr_off.(u + 1) - 1 do
         dec t.csr_succ.(e)
       done;
-    match Hashtbl.find_opt radj u with
-    | Some lst -> List.iter dec !lst
-    | None -> ()
+    List.iter dec t.radj.(u)
   done;
   (* effective input row of [u] in lane [li]'s circuit (combinational
      reads; a register has none — its row is read at the clock) *)
@@ -662,15 +686,11 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
                   let key x =
                     if x < bn then 2 * t.base_pos.(x)
                     else
-                      match Hashtbl.find_opt radj x with
-                      | Some lst ->
-                          List.fold_left
-                            (fun acc r ->
-                              if r < bn then
-                                min acc ((2 * t.base_pos.(r)) - 1)
-                              else acc)
-                            max_int !lst
-                      | None -> max_int
+                      List.fold_left
+                        (fun acc r ->
+                          if r < bn then min acc ((2 * t.base_pos.(r)) - 1)
+                          else acc)
+                        max_int t.radj.(x)
                   in
                   let chunk = Array.sub t.order s0 (!ot - s0) in
                   Array.sort (fun a b -> compare (key a) (key b)) chunk;
@@ -904,19 +924,17 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
   for i = 0 to nregs - 1 do
     let r = t.regs.(i) in
     let b = r * stride in
-    (match Hashtbl.find_opt tbl_qi r with
-    | Some (ah, al) ->
-        for s = 0 to ns - 1 do
-          t.qh.(b + s) <- ah.(s);
-          t.ql.(b + s) <- al.(s)
-        done
-    | None ->
-        let hh = Lanes.broadcast_h v.F.v_q_init.(r)
-        and lw = Lanes.broadcast_l v.F.v_q_init.(r) in
-        for s = 0 to ns - 1 do
-          t.qh.(b + s) <- hh;
-          t.ql.(b + s) <- lw
-        done);
+    (if Array.length t.ov_qh.(r) > 0 then begin
+       Array.blit t.ov_qh.(r) 0 t.qh b ns;
+       Array.blit t.ov_ql.(r) 0 t.ql b ns
+     end
+     else
+       let hh = Lanes.broadcast_h v.F.v_q_init.(r)
+       and lw = Lanes.broadcast_l v.F.v_q_init.(r) in
+       for s = 0 to ns - 1 do
+         t.qh.(b + s) <- hh;
+         t.ql.(b + s) <- lw
+       done);
     (* initial register-state divergence (patched q-init) *)
     let tv = F.tape_get_u tape 0 r in
     let nz = ref false in
@@ -950,27 +968,32 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
      combinational member at or behind it is a union-graph back edge,
      so the current sweep must run again to settle it. ---- *)
   let sweep_again = ref false in
-  let mark_readers u tick ~pu =
-    let m1 s =
-      if Bytes.get t.mark s <> '\000' then begin
-        let k = if s < bn then v.F.v_kind.(s) else F.kind_resolve in
-        if k = F.kind_bel_reg then begin
-          if t.rdirty.(s) < tick then t.rdirty.(s) <- tick
-        end
-        else begin
-          let tg = if k = F.kind_resolve then tick + 1 else tick in
-          if t.dirty.(s) < tg then t.dirty.(s) <- tg;
-          if t.pos.(s) <= pu then sweep_again := true
-        end
+  let mark1 s tick pu =
+    if Bytes.get t.mark s <> '\000' then begin
+      let k = if s < bn then v.F.v_kind.(s) else F.kind_resolve in
+      if k = F.kind_bel_reg then begin
+        if t.rdirty.(s) < tick then t.rdirty.(s) <- tick
       end
-    in
+      else begin
+        let tg = if k = F.kind_resolve then tick + 1 else tick in
+        if t.dirty.(s) < tg then t.dirty.(s) <- tg;
+        if t.pos.(s) <= pu then sweep_again := true
+      end
+    end
+  in
+  let rec mark_list l tick pu =
+    match l with
+    | [] -> ()
+    | s :: tl ->
+        mark1 s tick pu;
+        mark_list tl tick pu
+  in
+  let mark_readers u tick ~pu =
     if u < bn then
       for e = t.csr_off.(u) to t.csr_off.(u + 1) - 1 do
-        m1 t.csr_succ.(e)
+        mark1 t.csr_succ.(e) tick pu
       done;
-    match Hashtbl.find_opt radj u with
-    | Some lst -> List.iter m1 !lst
-    | None -> ()
+    mark_list t.radj.(u) tick pu
   in
   (* ---- per-lane effective circuit (row splices and replay) ---- *)
   let eff_table li u =
@@ -1057,80 +1080,148 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
       tpb_c.(p) <- !cur_c
     end
   in
-  (* word-parallel LUT of node [u] into newh/newl, per-lane table and
-     inversion masks applied, then per-lane row splices.  Also the
-     next-state function of registers. *)
-  let comb_planes u =
-    let row = v.F.v_inputs.(u) in
-    let table = v.F.v_table.(u) and inv = v.F.v_inv.(u) in
-    let t1o = Hashtbl.find_opt tbl_t1 u in
-    let imo = Hashtbl.find_opt tbl_im u in
-    for s = 0 to ns - 1 do
-      (match t1o with
-      | Some a ->
-          for mt = 0 to 15 do
-            t.t1s.(mt) <- a.((mt * ns) + s)
+  (* ---- the evaluation kernel: every result lands in newh/newl, one
+     plane word pair per sub-word ---- *)
+  let phs = t.phs and pls = t.pls and newh = t.newh and newl = t.newl in
+  (* lanes reading pin [j] inverted: the per-lane masks [ima] when some
+     lane patched them, else the base inversion bits [inv] *)
+  let pin_im ima inv s j =
+    if Array.length ima > 0 then ima.((s * 4) + j)
+    else if (inv lsr j) land 1 = 1 then fullw
+    else 0
+  in
+  (* pin words of sub [s] over the base row, inversion applied: an
+     undiverged lane reads the tape's value *)
+  let base_pins row inv ima s =
+    for j = 0 to 3 do
+      let p = row.(j) in
+      if p < 0 then begin
+        phs.(j) <- 0;
+        pls.(j) <- fullw
+      end
+      else begin
+        let bp = (p * stride) + s in
+        let d = dv.(bp) in
+        let ph =
+          if d = fullw then h.(bp)
+          else begin
+            tape_bcast p;
+            if d = 0 then tb_h.(p)
+            else h.(bp) land d lor (tb_h.(p) land lnot d)
+          end
+        in
+        let pl =
+          if d = fullw then l.(bp)
+          else if d = 0 then tb_l.(p)
+          else l.(bp) land d lor (tb_l.(p) land lnot d)
+        in
+        let im = pin_im ima inv s j in
+        phs.(j) <- Lanes.pin_h ~h:ph ~l:pl ~im ~unused:0;
+        pls.(j) <- Lanes.pin_l ~h:ph ~l:pl ~im ~unused:0
+      end
+    done
+  in
+  (* a lane that rewired this LUT's row reads its own pins: gather that
+     lane's pin bits (its own inversion bit applied; an unused pin is
+     constant Zero) into the pin words *)
+  let rec gather_rows rows ima inv s =
+    match rows with
+    | [] -> ()
+    | (li, rrow) :: tl ->
+        if li lsr 5 = s then begin
+          let m = 1 lsl (li land 31) in
+          for j = 0 to 3 do
+            let p = rrow.(j) in
+            let own = p >= 0 && dv.((p * stride) + s) land m <> 0 in
+            if p >= 0 && p < bn && not own then tape_bcast p;
+            let bp = (p * stride) + s in
+            let sh =
+              if p < 0 then 0
+              else if own then h.(bp)
+              else if p < bn then tb_h.(p)
+              else fullw
+            in
+            let sl =
+              if p < 0 then fullw
+              else if own then l.(bp)
+              else if p < bn then tb_l.(p)
+              else fullw
+            in
+            let im = pin_im ima inv s j in
+            let unused = if p < 0 then m else 0 in
+            phs.(j) <-
+              phs.(j) land lnot m
+              lor (Lanes.pin_h ~h:sh ~l:sl ~im ~unused land m);
+            pls.(j) <-
+              pls.(j) land lnot m
+              lor (Lanes.pin_l ~h:sh ~l:sl ~im ~unused land m)
           done
-      | None ->
-          for mt = 0 to 15 do
-            t.t1s.(mt) <- (if (table lsr mt) land 1 = 1 then fullw else 0)
-          done);
-      for j = 0 to 3 do
-        let p = row.(j) in
-        if p < 0 then begin
-          (* unused pin: constant Zero, as the scalar scan skips it *)
-          t.phs.(j) <- 0;
-          t.pls.(j) <- fullw
-        end
-        else begin
-          let bp = (p * stride) + s in
-          let d = dv.(bp) in
-          let ph =
-            if d = fullw then h.(bp)
-            else begin
-              tape_bcast p;
-              if d = 0 then tb_h.(p)
-              else h.(bp) land d lor (tb_h.(p) land lnot d)
-            end
-          in
-          let pl =
-            if d = fullw then l.(bp)
-            else if d = 0 then tb_l.(p)
-            else l.(bp) land d lor (tb_l.(p) land lnot d)
-          in
-          let im =
-            match imo with
-            | Some a -> a.((j * ns) + s)
-            | None -> if (inv lsr j) land 1 = 1 then fullw else 0
-          in
-          t.phs.(j) <- ph land lnot im lor (pl land im);
-          t.pls.(j) <- pl land lnot im lor (ph land im)
-        end
-      done;
-      let r = Lanes.lut_planes ~ph:t.phs ~pl:t.pls ~t1:t.t1s in
-      t.newh.(s) <- r.Lanes.h;
-      t.newl.(s) <- r.Lanes.l
+        end;
+        gather_rows tl ima inv s
+  in
+  (* sub-word [s] of LUT node [u] (a combinational bel, or a register's
+     next-state function): pins gathered, then one word-parallel LUT
+     over the base table or the per-lane leaves *)
+  let lut_sub u s =
+    let inv = v.F.v_inv.(u) and ima = t.ov_im.(u) in
+    base_pins v.F.v_inputs.(u) inv ima s;
+    (match t.ov_rows.(u) with
+    | [] -> ()
+    | rows -> gather_rows rows ima inv s);
+    let leaves = t.ov_t1.(u) in
+    if Array.length leaves > 0 then
+      Lanes.lut_leaves ~ph:phs ~pl:pls ~leaves ~at:(s * 16) ~dh:newh ~dl:newl s
+    else
+      Lanes.lut_table ~ph:phs ~pl:pls ~table:v.F.v_table.(u) ~dh:newh
+        ~dl:newl s;
+    t.n_evals <- t.n_evals + 1
+  in
+  let comb_planes u =
+    for s = 0 to ns - 1 do
+      lut_sub u s
+    done
+  in
+  let undiverged p s = p < 0 || dv.((p * stride) + s) = 0 in
+  (* A quiet sub-word — no lane with an overlay at [u], no diverged lane
+     on any input — equals the tape on every lane: the tape is the
+     settled fixpoint tape(u) = LUT(tape(inputs)) of the base circuit.
+     (Only on the evaluation path: a register's next state at the clock
+     reads this cycle's values against the next cycle's tape.)  False
+     when the commit would be a no-op: every sub-word quiet and no lane
+     diverged at [u]. *)
+  let comb_eval u =
+    let row = v.F.v_inputs.(u) in
+    let b = u * stride in
+    let moves = ref false in
+    for s = 0 to ns - 1 do
+      if
+        t.ovm.(b + s) = 0
+        && undiverged row.(0) s
+        && undiverged row.(1) s
+        && undiverged row.(2) s
+        && undiverged row.(3) s
+      then begin
+        tape_bcast u;
+        newh.(s) <- tb_h.(u);
+        newl.(s) <- tb_l.(u);
+        if dv.(b + s) <> 0 then moves := true;
+        t.n_quiet <- t.n_quiet + 1
+      end
+      else begin
+        lut_sub u s;
+        moves := true
+      end
     done;
-    match Hashtbl.find_opt tbl_rows u with
-    | None -> ()
-    | Some rl ->
-        List.iter
-          (fun (li, rrow) ->
-            let sub = li lsr 5 and bit = li land 31 in
-            let tb = eff_table li u and iv = eff_inv li u in
-            let acc = ref 0 in
-            for j = 0 to 3 do
-              let p = rrow.(j) in
-              if p >= 0 then
-                match lane_v p sub bit with
-                | Logic.Zero ->
-                    acc := !acc lor (((iv lsr j) land 1) lsl j)
-                | Logic.One ->
-                    acc := !acc lor ((1 - ((iv lsr j) land 1)) lsl j)
-                | Logic.X -> acc := !acc lor (1 lsl (j + 4))
-            done;
-            splice (Scalar.lut_of_acc tb !acc) sub bit)
-          !rl
+    !moves
+  in
+  let rec splice_resolve_rows rows =
+    match rows with
+    | [] -> ()
+    | (li, rrow) :: tl ->
+        let sub = li lsr 5 and bit = li land 31 in
+        splice (scalar_resolve rrow sub bit) sub bit;
+        t.n_splices <- t.n_splices + 1;
+        splice_resolve_rows tl
   in
   let res_planes u =
     let row = v.F.v_inputs.(u) in
@@ -1160,38 +1251,27 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
           t.reslh.(i) <- lh.(bp);
           t.resll.(i) <- ll.(bp)
         end
-        else begin
-          let bh, bl =
-            if !cur_c > 0 then begin
-              tape_bcast_prev p;
-              (tpb_h.(p), tpb_l.(p))
-            end
-            else (fullw, fullw)
-          in
+        else if !cur_c > 0 then begin
+          tape_bcast_prev p;
           if dl = 0 then begin
-            t.reslh.(i) <- bh;
-            t.resll.(i) <- bl
+            t.reslh.(i) <- tpb_h.(p);
+            t.resll.(i) <- tpb_l.(p)
           end
           else begin
-            t.reslh.(i) <- lh.(bp) land dl lor (bh land lnot dl);
-            t.resll.(i) <- ll.(bp) land dl lor (bl land lnot dl)
+            t.reslh.(i) <- lh.(bp) land dl lor (tpb_h.(p) land lnot dl);
+            t.resll.(i) <- ll.(bp) land dl lor (tpb_l.(p) land lnot dl)
           end
         end
+        else begin
+          t.reslh.(i) <- lh.(bp) land dl lor (fullw land lnot dl);
+          t.resll.(i) <- ll.(bp) land dl lor (fullw land lnot dl)
+        end
       done;
-      let r =
-        Lanes.resolve_planes ~n ~h:t.resh ~l:t.resl ~lh:t.reslh ~ll:t.resll
-      in
-      t.newh.(s) <- r.Lanes.h;
-      t.newl.(s) <- r.Lanes.l
+      Lanes.resolve_planes ~n ~h:t.resh ~l:t.resl ~lh:t.reslh ~ll:t.resll
+        ~dh:newh ~dl:newl s;
+      t.n_evals <- t.n_evals + 1
     done;
-    match Hashtbl.find_opt tbl_rows u with
-    | None -> ()
-    | Some rl ->
-        List.iter
-          (fun (li, rrow) ->
-            let sub = li lsr 5 and bit = li land 31 in
-            splice (scalar_resolve rrow sub bit) sub bit)
-          !rl
+    splice_resolve_rows t.ov_rows.(u)
   in
   let extra_planes u =
     let li = ext_lane.(u - bn) in
@@ -1200,7 +1280,8 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
       t.newh.(s) <- fullw;
       t.newl.(s) <- fullw
     done;
-    splice (scalar_resolve ext_row.(u - bn) sub bit) sub bit
+    splice (scalar_resolve ext_row.(u - bn) sub bit) sub bit;
+    t.n_splices <- t.n_splices + 1
   in
   (* nodes whose value planes changed this cycle: only those need
      their previous-cycle (glitch-rule) planes refreshed at the
@@ -1253,14 +1334,15 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
          end
        done
      else begin
-       let tv = F.tape_get_u tape !cur_c u in
+       tape_bcast u;
+       let th = tb_h.(u) and tl = tb_l.(u) in
        for s = 0 to ns - 1 do
          let f = if !freeze then fz.(b + s) else 0 in
          let nh = t.newh.(s) land lnot f lor (h.(b + s) land f)
          and nl = t.newl.(s) land lnot f lor (l.(b + s) land f) in
          let od = dv.(b + s) in
          let nd =
-           Lanes.mismatch ~h:nh ~l:nl tv land live.(s) land lnot f
+           ((nh lxor th) lor (nl lxor tl)) land live.(s) land lnot f
            lor (od land f)
          in
          (* observable to readers: a lane entering/leaving divergence,
@@ -1304,8 +1386,7 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
           commit u tick
         end
         else if k = F.kind_bel_comb then begin
-          comb_planes u;
-          commit u tick
+          if comb_eval u then commit u tick
         end
         else if k = F.kind_resolve then begin
           res_planes u;
@@ -1668,9 +1749,9 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
           if dq.(b + s) <> 0 then dqnz := true
         done;
         if t.rdirty.(r) >= tick || !dqnz then begin
-          let fzo = Hashtbl.find_opt tbl_ce r in
+          let fza = t.ov_ce.(r) in
           let basefz = v.F.v_ce_frozen.(r) in
-          if not (basefz && fzo = None) then begin
+          if not (basefz && Array.length fza = 0) then begin
             comb_planes r;
             let tvq = F.tape_get_u tape c r in
             let tvn = F.tape_get_u tape (c + 1) r in
@@ -1678,9 +1759,9 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
             let mark = ref false in
             for s = 0 to ns - 1 do
               let fzw =
-                match fzo with
-                | Some a -> a.(s)
-                | None -> if basefz then fullw else 0
+                if Array.length fza > 0 then fza.(s)
+                else if basefz then fullw
+                else 0
               in
               let od = dq.(b + s) in
               (* a frozen lane keeps its current state: stored planes
@@ -1818,9 +1899,21 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
           bv_provenance = Option.map (fun vo -> provenance vo li) voters;
         })
   in
-  (* restore the all-zero divergence and cut invariants for the next
-     run: every touched [dv]/[dvl]/[dq]/[ever]/[dmark]/[fz] entry is a
-     member's *)
+  (* restore the all-zero divergence and cut invariants and the empty
+     overlay slots for the next run: every touched
+     [dv]/[dvl]/[dq]/[ever]/[dmark]/[fz] entry is a member's, every
+     written slot is on [touched] *)
+  List.iter
+    (fun u ->
+      t.ov_t1.(u) <- [||];
+      t.ov_im.(u) <- [||];
+      t.ov_ce.(u) <- [||];
+      t.ov_qh.(u) <- [||];
+      t.ov_ql.(u) <- [||];
+      t.ov_rows.(u) <- [];
+      t.radj.(u) <- [];
+      Array.fill t.ovm (u * stride) stride 0)
+    !touched;
   Array.iter
     (List.iter (fun u -> Array.fill t.fz (u * stride) stride 0))
     gcuts;

@@ -5,8 +5,10 @@
     over the union of the lanes' fanout cones against the shared
     baseline tape, instead of one scalar {!Fsim.diff_run} per fault.
     Cell-content patches (truth table, pin inversion, flip-flop init,
-    clock-enable) apply word-parallel through per-lane masks; rewired
-    input rows and appended resolve nodes are spliced per lane.
+    clock-enable) apply word-parallel through per-lane masks, and a
+    rewired LUT row is gathered into the pin words of its lane before
+    the one word-parallel LUT evaluation; rewired resolve rows and
+    appended resolve nodes are spliced per lane.
 
     Per-lane verdicts are bit-identical to the scalar differential
     engine fault by fault: same first error cycle, same convergence
@@ -106,3 +108,19 @@ val run :
 val last_cone : t -> int array
 (** The union cone of the last {!run}, in evaluation order (test
     hook). *)
+
+type work = {
+  evals : int;
+      (** sub-words (32 lanes of one node) computed by the LUT or
+          resolve kernel, at evaluation and at the register clock *)
+  quiet : int;
+      (** LUT sub-words short-circuited to the tape: no lane with an
+          overlay at the node, no diverged lane on any of its inputs *)
+  splices : int;
+      (** single-lane scalar splices: rewired resolve rows and appended
+          resolve nodes *)
+}
+(** Kernel work counts of one {!run}. *)
+
+val work : t -> work
+(** The work of the last {!run}. *)

@@ -126,6 +126,14 @@ let m_batch_lanes = Tmr_obs.Metrics.counter "campaign.batch_lanes"
 let m_batch_occupancy = Tmr_obs.Metrics.histogram "campaign.batch_occupancy"
 let m_batch_scalar = Tmr_obs.Metrics.counter "campaign.batch_scalar"
 
+(* Batch-kernel work ({!Fsim_batch.work}), added once per batch:
+   32-lane sub-words computed by the LUT/resolve kernel, LUT sub-words
+   short-circuited to the tape (quiet), and the single-lane scalar
+   splices left (rewired resolve rows, appended resolve nodes). *)
+let m_batch_evals = Tmr_obs.Metrics.counter "campaign.batch_evals"
+let m_batch_quiet = Tmr_obs.Metrics.counter "campaign.batch_quiet"
+let m_batch_splices = Tmr_obs.Metrics.counter "campaign.batch_splices"
+
 (* Cycle at which a differentially-simulated fault provably converged
    back to the baseline; the distribution shows how much of the stimulus
    the early exit saves. *)
@@ -240,6 +248,20 @@ type io = {
   io_dets : int array list;
       (* in-circuit detection flag nodes, one array per detect port;
          expected all-zero on the fault-free device *)
+}
+
+(* A worker's simulator state: its own extract (flipped fault by fault)
+   and workspace, the golden simulator built from them with its cone
+   snapshot and resolved IO, and the fault-free baseline tape of the
+   differential engine. *)
+type wstate = {
+  w_ex : Extract.t;
+  w_ws : Fsim.workspace;
+  w_scratch : Fsim.scratch;
+  w_base : Fsim.t;
+  w_cone : Fsim.cone;
+  w_io : io;
+  w_tape : Fsim.tape option;
 }
 
 (* Sequential-stopping monitor.  Results land in arbitrary order, but the
@@ -404,8 +426,11 @@ let run_body ?progress ?workers ?(cone_skip = true) ?(diff = true)
      paired with the first cycle an in-circuit detection flag left zero
      (or -1).  With detection flags present the run continues past a
      functional error until the flag verdict also resolves — detection
-     latency is an observable, not a side effect of when we stopped. *)
-  let run_dut sim io =
+     latency is an observable, not a side effect of when we stopped.
+     With [tape], every node's settled value of every cycle is recorded
+     on the way: a fault-free DUT runs every cycle, so its tape is
+     complete. *)
+  let run_dut ?tape sim io =
     Fsim.reset sim;
     let error_cycle = ref (-1) in
     let detect_cycle = ref (-1) in
@@ -415,6 +440,9 @@ let run_body ?progress ?workers ?(cone_skip = true) ?(diff = true)
       let c = !cycle in
       drive sim io c;
       Fsim.eval sim;
+      (match tape with
+      | Some tp -> Fsim.tape_record tp sim ~cycle:c
+      | None -> ());
       if !error_cycle < 0 then begin
         let ok =
           List.for_all
@@ -445,21 +473,6 @@ let run_body ?progress ?workers ?(cone_skip = true) ?(diff = true)
     done;
     (!error_cycle, !detect_cycle)
   in
-  (* The fault-free per-cycle value of every node, for the differential
-     engine: recorded once per worker, amortised over all its faults. *)
-  let record_tape sim io =
-    let tape =
-      Fsim.tape_create ~nnodes:(Fsim.num_nodes sim) ~cycles:stimulus.cycles
-    in
-    Fsim.reset sim;
-    for c = 0 to stimulus.cycles - 1 do
-      drive sim io c;
-      Fsim.eval sim;
-      Fsim.tape_record tape sim ~cycle:c;
-      Fsim.clock sim
-    done;
-    tape
-  in
   (* Golden output matrix flattened per cycle, in [watch_outputs] order:
      the differential engine's cone-aware output check indexes it by
      flat watch position. *)
@@ -470,8 +483,8 @@ let run_body ?progress ?workers ?(cone_skip = true) ?(diff = true)
           (List.map (fun (_, _, m) -> m.(c)) output_map @ [ det_zeros ]))
   in
   (* baseline: the un-faulted DUT must match the golden device *)
-  let check_baseline sim io =
-    match run_dut sim io with
+  let check_baseline ?tape sim io =
+    match run_dut ?tape sim io with
     | -1, -1 -> ()
     | -1, d ->
         failwith
@@ -514,21 +527,60 @@ let run_body ?progress ?workers ?(cone_skip = true) ?(diff = true)
       first_error_cycle = -1; detect_cycle = -1; forensics = None }
   in
   let results = Array.make total dummy in
+  let stats_per_worker = Array.make workers no_stats in
+  (* per-worker injection and setup time; each cell is written by its
+     owner only, and Domain.join publishes it to the caller *)
+  let busy_ns = Array.make workers 0 in
+  let setup_ns = Array.make workers 0 in
+  (* Worker-local simulator state: own bitstream copy, own extract, own
+     workspace, plus the golden cone snapshot for the fast paths.  One
+     fault-free pass per worker records the baseline tape (amortised
+     over all its faults); worker 0's pass also checks the DUT against
+     the golden device. *)
+  let setup wid =
+    let t0 = Tmr_obs.Clock.now_ns () in
+    let ex = new_extract () in
+    let ws = Fsim.make_workspace dev in
+    let base = Fsim.build ~ws ex ~watch_outputs in
+    let cone = Fsim.snapshot_cone ws in
+    let base_io = resolve_io base in
+    let tape =
+      if diff then
+        Some
+          (Fsim.tape_create ~nnodes:(Fsim.num_nodes base)
+             ~cycles:stimulus.cycles)
+      else None
+    in
+    if wid = 0 then check_baseline ?tape base base_io
+    else if tape <> None then ignore (run_dut ?tape base base_io);
+    setup_ns.(wid) <- setup_ns.(wid) + (Tmr_obs.Clock.now_ns () - t0);
+    {
+      w_ex = ex;
+      w_ws = ws;
+      w_scratch = Fsim.make_scratch ();
+      w_base = base;
+      w_cone = cone;
+      w_io = base_io;
+      w_tape = tape;
+    }
+  in
   (* Batch schedule: one planning pass over the (un-flipped) golden
      extract classifies every fault; patch- and reroute-planned faults
      group by {!group_key} and pack, in first-index order, into batches
      of at most [batch_width] lanes.  Silent and rebuild faults — and
      everything when batching is off — stay scalar singles.  The
      schedule only affects which engine runs each fault, never its
-     verdict, so results are independent of it. *)
-  let units =
-    if batch_width = 0 then Array.init total (fun i -> Single i)
+     verdict, so results are independent of it.  It plans on worker 0's
+     state, built up front: planning needs the golden extract and cone,
+     exactly what worker 0 uses next.  The campaign's wall clock covers
+     that setup too, like every other worker's. *)
+  let t_start = Tmr_obs.Clock.now_ns () in
+  let state0, units =
+    if batch_width = 0 then (None, Array.init total (fun i -> Single i))
     else
       Tmr_obs.Trace.with_span "batch_plan" (fun () ->
-          let pex = new_extract () in
-          let pws = Fsim.make_workspace dev in
-          let _psim = Fsim.build ~ws:pws pex ~watch_outputs in
-          let pcone = Fsim.snapshot_cone pws in
+          let st = setup 0 in
+          let pex = st.w_ex and pcone = st.w_cone in
           let groups : (int, int list ref) Hashtbl.t = Hashtbl.create 1024 in
           let order = ref [] in
           let singles = ref [] in
@@ -566,7 +618,7 @@ let run_body ?progress ?workers ?(cone_skip = true) ?(diff = true)
             (List.sort compare !order);
           flush ();
           List.iter (fun i -> units := Single i :: !units) !singles;
-          Array.of_list (List.rev !units))
+          (Some st, Array.of_list (List.rev !units)))
   in
   (* fault-level completion count for the progress line — the pool only
      counts units, whose sizes vary from 1 to [batch_width] faults *)
@@ -587,29 +639,20 @@ let run_body ?progress ?workers ?(cone_skip = true) ?(diff = true)
   (* running wrong-answer count for the live progress line; display-only,
      so a moment of slack against [completed] is fine *)
   let wrong_live = Atomic.make 0 in
-  let stats_per_worker = Array.make workers no_stats in
-  (* per-worker injection and setup time; each cell is written by its
-     owner only, and Domain.join publishes it to the caller *)
-  let busy_ns = Array.make workers 0 in
-  let setup_ns = Array.make workers 0 in
   let worker wid =
+    let st =
+      match state0 with Some st when wid = 0 -> st | _ -> setup wid
+    in
     let t_setup = Tmr_obs.Clock.now_ns () in
-    (* worker-local simulator state: own bitstream copy, own extract, own
-       workspace, plus the golden cone snapshot for the fast paths *)
-    let ex = new_extract () in
-    let ws = Fsim.make_workspace dev in
-    let scratch = Fsim.make_scratch () in
-    let base = Fsim.build ~ws ex ~watch_outputs in
-    let cone = Fsim.snapshot_cone ws in
-    let base_io = resolve_io base in
-    if wid = 0 then check_baseline base base_io;
+    let ex = st.w_ex and ws = st.w_ws and scratch = st.w_scratch in
+    let base = st.w_base and cone = st.w_cone and base_io = st.w_io in
+    let tape = st.w_tape in
     (* a derived simulator that kept the base IO tables resolves to the
        same node arrays — reuse them without re-hashing *)
     let io_for sim =
       if sim == base || Fsim.same_io base sim then base_io
       else resolve_io sim
     in
-    let tape = if diff then Some (record_tape base base_io) else None in
     (* separate diff scratches per plan path: patch faults run on [base]
        whose successor CSR is then cached across the whole campaign,
        instead of being evicted by every interleaved reroute *)
@@ -832,6 +875,10 @@ let run_body ?progress ?workers ?(cone_skip = true) ?(diff = true)
             in
             let dt = Tmr_obs.Clock.now_ns () - t0 in
             busy_ns.(wid) <- busy_ns.(wid) + dt;
+            let w = Fsim_batch.work bt in
+            Tmr_obs.Metrics.incr ~by:w.Fsim_batch.evals m_batch_evals;
+            Tmr_obs.Metrics.incr ~by:w.Fsim_batch.quiet m_batch_quiet;
+            Tmr_obs.Metrics.incr ~by:w.Fsim_batch.splices m_batch_splices;
             Tmr_obs.Metrics.incr ~by:nl m_batch_lanes;
             Tmr_obs.Metrics.observe m_batch_occupancy nl;
             if Tmr_obs.Events.enabled () then
@@ -891,7 +938,7 @@ let run_body ?progress ?workers ?(cone_skip = true) ?(diff = true)
           done
       | _ -> Array.iter do_fault idxs
     in
-    setup_ns.(wid) <- Tmr_obs.Clock.now_ns () - t_setup;
+    setup_ns.(wid) <- setup_ns.(wid) + (Tmr_obs.Clock.now_ns () - t_setup);
     fun u ->
       match units.(u) with
       | Single i -> do_fault i
@@ -925,7 +972,6 @@ let run_body ?progress ?workers ?(cone_skip = true) ?(diff = true)
     Tmr_obs.Events.publish
       (Tmr_obs.Events.Campaign_started
          { design = name; faults = total; workers });
-  let t_start = Tmr_obs.Clock.now_ns () in
   Tmr_obs.Trace.with_span
     ~args:
       [

@@ -101,7 +101,10 @@ type t = {
   stats : engine_stats;
       (** covers all work the engine performed — on a CI-stopped campaign
           that can exceed [injected] (in-flight chunks past the stop) *)
-  wall_ns : int;  (** wall-clock time of the injection loop *)
+  wall_ns : int;
+      (** wall-clock time of the injection loop, every worker's setup
+          included (worker 0's is built before batch planning, which
+          runs on it) *)
   busy_ns : int array;
       (** per-worker time spent injecting (length [workers]); the gap to
           [workers * wall_ns] is per-worker setup ({!field-setup_ns}),

@@ -381,6 +381,128 @@ let test_loop_closing_lanes () =
     configs;
   Alcotest.(check bool) "loop-closing faults found" true (!total > 0)
 
+(* --- the baseline tape is the settled fixpoint of the base circuit:
+   at every cycle every combinational base node reads the LUT of its
+   base row's tape values.  The batch engine's quiet sub-words rest on
+   this (a node with no overlay lane and no diverged input equals the
+   tape on every lane).  Nodes of cyclic SCCs are included — the tape
+   holds their least fixpoint, a fixpoint all the same; the reduced
+   base graphs have none, so the rerouted simulators of a few
+   loop-closing faults of the standard design stand in for them --- *)
+
+let test_tape_fixpoint () =
+  let ctx = Context.create ~scale:Context.Reduced ~seed:1 () in
+  let stim = ctx.Context.stimulus in
+  let cycles = stim.Campaign.cycles in
+  let configs =
+    List.map (fun s -> (s, Tmr_core.Voter.Majority)) Partition.all_paper_designs
+    @ [ (Partition.Medium_partition, Tmr_core.Voter.Detecting) ]
+  in
+  let cyclic_checked = ref 0 in
+  (* the tape of [sim] exactly as a campaign worker records it, checked
+     node by node *)
+  let check label impl sim =
+    let ins =
+      List.map
+        (fun (port, samples) ->
+          ( List.map (Fsim.pad_nodes sim) (Campaign.dut_input_wires impl port),
+            samples ))
+        stim.Campaign.inputs
+    in
+    let nn = Fsim.num_nodes sim in
+    let tape = Fsim.tape_create ~nnodes:nn ~cycles in
+    Fsim.reset sim;
+    for c = 0 to cycles - 1 do
+      List.iter
+        (fun (node_sets, samples) ->
+          List.iter
+            (Array.iteri (fun i n ->
+                 Fsim.set_node sim n
+                   (Logic.of_bool ((samples.(c) asr i) land 1 = 1))))
+            node_sets)
+        ins;
+      Fsim.eval sim;
+      Fsim.tape_record tape sim ~cycle:c;
+      Fsim.clock sim
+    done;
+    let v = Fsim.view sim in
+    let cyclic = Bytes.make nn '\000' in
+    for si = 0 to v.Fsim.v_nsccs - 1 do
+      for i = v.Fsim.v_scc_off.(si) to v.Fsim.v_scc_off.(si + 1) - 1 do
+        Bytes.set cyclic v.Fsim.v_scc_nodes.(i) (Bytes.get v.Fsim.v_scc_cyclic si)
+      done
+    done;
+    let values = Array.make nn Logic.X in
+    let bad = ref 0 and checked = ref 0 in
+    for c = 0 to cycles - 1 do
+      for u = 0 to nn - 1 do
+        values.(u) <- Fsim.tape_get tape ~cycle:c ~node:u
+      done;
+      for u = 0 to nn - 1 do
+        if v.Fsim.v_kind.(u) = Fsim.kind_bel_comb then begin
+          incr checked;
+          if Bytes.get cyclic u <> '\000' then incr cyclic_checked;
+          let lut =
+            Tmr_fabric.Fsim_backend.Scalar.lut_eval ~values
+              ~pins:v.Fsim.v_inputs.(u) ~table:v.Fsim.v_table.(u)
+              ~inv:v.Fsim.v_inv.(u)
+          in
+          if not (Logic.equal lut values.(u)) then begin
+            if !bad = 0 then
+              Printf.printf "%s: node %d cycle %d: tape %c, LUT %c\n" label u c
+                (Logic.to_char values.(u)) (Logic.to_char lut);
+            incr bad
+          end
+        end
+      done
+    done;
+    Alcotest.(check bool) (label ^ ": combinational nodes checked") true
+      (!checked > 0);
+    Alcotest.(check int) (label ^ ": tape(u) <> LUT(tape(row))") 0 !bad
+  in
+  List.iter
+    (fun (strategy, voter) ->
+      let run = Runs.implement_design ~voter ctx strategy in
+      let impl = run.Runs.impl in
+      let name =
+        Partition.name strategy
+        ^ if voter = Tmr_core.Voter.Detecting then "/detecting" else ""
+      in
+      let watch_outputs =
+        Array.concat
+          (List.map
+             (fun (port, _) -> Campaign.dut_output_wires impl port)
+             (Netlist.output_ports impl.Impl.mapped))
+      in
+      let ex =
+        Extract.create impl.Impl.dev impl.Impl.db
+          (Bitstream.copy impl.Impl.bitgen.Tmr_pnr.Bitgen.bitstream)
+      in
+      let ws = Fsim.make_workspace impl.Impl.dev in
+      let base = Fsim.build ~ws ex ~watch_outputs in
+      let cone = Fsim.snapshot_cone ws in
+      check name impl base;
+      let scratch = Fsim.make_scratch () in
+      let loop =
+        if strategy = Partition.Unprotected then (Loop_faults.find run).Loop_faults.loop
+        else [||]
+      in
+      Array.iteri
+        (fun i bit ->
+          if i < 4 then begin
+            Extract.apply_bit_flip ex bit;
+            Fun.protect
+              ~finally:(fun () -> Extract.apply_bit_flip ex bit)
+              (fun () ->
+                match Fsim.reroute ~scratch cone base ex bit with
+                | Some sim ->
+                    check (Printf.sprintf "%s, bit %d rerouted" name bit) impl sim
+                | None -> Alcotest.failf "%s: bit %d does not reroute" name bit)
+          end)
+        loop)
+    configs;
+  Alcotest.(check bool) "cyclic-SCC nodes checked" true (!cyclic_checked > 0)
+
 let () =
   Alcotest.run "tmr_batch"
     [
@@ -397,5 +519,7 @@ let () =
             `Slow test_constant_bridges;
           Alcotest.test_case "loop-closing lanes: batched == oracle"
             `Slow test_loop_closing_lanes;
+          Alcotest.test_case "tape is the base circuit's fixpoint" `Quick
+            test_tape_fixpoint;
         ] );
     ]

@@ -62,12 +62,12 @@ let test_tape_roundtrip () =
 (* --- cone closure + differential == full replay on a hand-built
    fabric: every patchable bit of a small implemented datapath --- *)
 
-let build_datapath () =
+let build_datapath ?(k = -3) () =
   let nl = Netlist.create () in
   let a = Word.input nl "a" ~width:6 in
   let b = Word.input nl "b" ~width:6 in
   let s = Word.add nl a b in
-  let p = Word.mul_const nl s (-3) ~width:6 in
+  let p = Word.mul_const nl s k ~width:6 in
   let r = Word.reg nl p in
   Word.output nl "r" r;
   nl
@@ -234,6 +234,35 @@ let test_diff_vs_rebuild_campaigns () =
   Alcotest.(check bool) "some faults converged early" true
     (!total_converged > 0)
 
+(* --- the fault-free pass that records a worker's baseline tape also
+   checks the DUT against the golden device: a DUT computing (a+b)*-3
+   against a golden (a+b)*5 fails the campaign with the first
+   disagreeing output bit, whichever engine runs --- *)
+
+let test_baseline_check () =
+  let dev = Lazy.force dev and db = Lazy.force db in
+  let impl = Impl.implement_exn ~seed:5 dev db (build_datapath ()) in
+  let stimulus =
+    {
+      Campaign.cycles = 8;
+      inputs = [ ("a", Array.init 8 (fun i -> i + 1)); ("b", Array.make 8 2) ];
+    }
+  in
+  List.iter
+    (fun (diff, batch_width) ->
+      let label = Printf.sprintf "diff %b, batch width %d" diff batch_width in
+      match
+        Campaign.run ~workers:1 ~diff ~batch_width ~name:"dp" ~impl
+          ~golden:(build_datapath ~k:5 ()) ~stimulus ~faults:[| 0 |] ()
+      with
+      | _ -> Alcotest.failf "%s: the faulty baseline passed" label
+      | exception Failure msg ->
+          Alcotest.(check string) label
+            "Campaign dp: fault-free DUT disagrees with golden device at \
+             cycle 1 (port \"r\" bit 3: expected 1, got 0)"
+            msg)
+    [ (true, 64); (true, 0); (false, 0) ]
+
 let () =
   Alcotest.run "tmr_diff"
     [
@@ -245,5 +274,7 @@ let () =
             `Slow test_patch_diff_matches_oracle;
           Alcotest.test_case "campaigns: diff == full replay (5 designs)"
             `Slow test_diff_vs_rebuild_campaigns;
+          Alcotest.test_case "baseline pass checks the DUT" `Quick
+            test_baseline_check;
         ] );
     ]

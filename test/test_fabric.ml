@@ -342,6 +342,70 @@ let test_congestion_report () =
   Alcotest.(check bool) "summary mentions wirelength" true
     (String.length (Tmr_pnr.Congestion.summary cong) > 0)
 
+(* --- the lane backend's LUT equals the scalar LUT lane by lane: one
+   32-lane word, each lane with its own pin values in {0, 1, X}, unused
+   pins, pin inversion and truth table (or every lane sharing lane 0's
+   table, the base-table kernel) --- *)
+
+module Lanes = Tmr_fabric.Fsim_backend.Lanes
+module Scalar = Tmr_fabric.Fsim_backend.Scalar
+
+(* per lane: pin value codes (0 Zero, 1 One, 2 X), unused-pin mask,
+   inversion mask, truth table *)
+let lanes_lut_gen =
+  QCheck.Gen.(
+    pair bool
+      (array_size (return Lanes.word_bits)
+         (quad
+            (array_size (return 4) (int_bound 2))
+            (int_bound 15) (int_bound 15) (int_bound 0xffff))))
+
+let qcheck_lanes_lut =
+  QCheck.Test.make ~count:500 ~name:"Lanes LUT == Scalar.lut_eval per lane"
+    (QCheck.make lanes_lut_gen) (fun (shared, lanes) ->
+      let logic k = [| Logic.Zero; Logic.One; Logic.X |].(k) in
+      let table li =
+        let _, _, _, tb = lanes.(if shared then 0 else li) in
+        tb
+      in
+      let lane_bits f =
+        let w = ref 0 in
+        Array.iteri (fun li ln -> if f li ln then w := !w lor (1 lsl li)) lanes;
+        !w
+      in
+      let ph = Array.make 4 0 and pl = Array.make 4 0 in
+      for j = 0 to 3 do
+        (* an unused pin's value planes are arbitrary: the mask decides *)
+        let h = lane_bits (fun _ (vals, _, _, _) -> vals.(j) <> 0) in
+        let l = lane_bits (fun _ (vals, _, _, _) -> vals.(j) <> 1) in
+        let im = lane_bits (fun _ (_, _, inv, _) -> (inv lsr j) land 1 = 1) in
+        let unused = lane_bits (fun _ (_, un, _, _) -> (un lsr j) land 1 = 1) in
+        ph.(j) <- Lanes.pin_h ~h ~l ~im ~unused;
+        pl.(j) <- Lanes.pin_l ~h ~l ~im ~unused
+      done;
+      let dh = Array.make 2 0 and dl = Array.make 2 0 in
+      if shared then Lanes.lut_table ~ph ~pl ~table:(table 0) ~dh ~dl 1
+      else begin
+        (* the leaves sit behind 16 words of noise: [at] must be honoured *)
+        let leaves =
+          Array.init 32 (fun i ->
+              if i < 16 then Lanes.full
+              else lane_bits (fun li _ -> (table li lsr (i - 16)) land 1 = 1))
+        in
+        Lanes.lut_leaves ~ph ~pl ~leaves ~at:16 ~dh ~dl 1
+      end;
+      Array.for_all Fun.id
+        (Array.mapi
+           (fun li (vals, unused, inv, _) ->
+             let pins =
+               Array.init 4 (fun j -> if (unused lsr j) land 1 = 1 then -1 else j)
+             in
+             Logic.equal
+               (Lanes.lane ~h:dh.(1) ~l:dl.(1) li)
+               (Scalar.lut_eval ~values:(Array.map logic vals) ~pins
+                  ~table:(table li) ~inv))
+           lanes))
+
 let () =
   Alcotest.run "tmr_fabric"
     [
@@ -368,4 +432,5 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_flip_involution;
           Alcotest.test_case "congestion report" `Quick test_congestion_report;
         ] );
+      ("lanes", [ QCheck_alcotest.to_alcotest qcheck_lanes_lut ]);
     ]
