@@ -29,87 +29,96 @@ type t = {
   pad_cfg_bits : int array;  (* pad -> base of 3 consecutive attr bits *)
 }
 
-(* Column key used to give the bit layout a Xilinx-like column-major
-   organisation: resources are sorted by the column they sit in. *)
+(* The bit layout is column-major like the Xilinx configuration memory:
+   resources are emitted pads ascending (enable, then attributes 0..2),
+   bels ascending (LUT bits 0..15, FF init, output select, CE and SR
+   inversion, pin inversions 0..3), then pips ascending, and stably
+   sorted by the tile column they sit in.  A pip sits in the lower column
+   of its two endpoints.  [build] does that sort as a counting sort: one
+   pass counts the bits of every column, a second walks the emission
+   order and writes each resource at its column's next free address.
+   Every multi-bit group (LUT table, pin inversions, pad attributes) is
+   emitted contiguously into one column, so it stays contiguous. *)
 let pip_col dev i =
   let s = dev.Device.pip_src.(i) and d = dev.Device.pip_dst.(i) in
   min dev.Device.wcol.(s) dev.Device.wcol.(d)
+
+let bits_per_bel = 24
+let bits_per_pad = 4
 
 let build dev =
   let nbels = dev.Device.nbels in
   let npips = dev.Device.npips in
   let npads = dev.Device.npads in
-  (* (column, ordinal, resource) list; ordinal keeps the sort stable. *)
-  let entries = ref [] in
-  let add col r = entries := (col, r) :: !entries in
-  for i = npips - 1 downto 0 do
-    add (pip_col dev i) (Pip i)
+  let pad_col pad = dev.Device.wcol.(dev.Device.pad_wire.(pad)) in
+  let ncols = 1 + Array.fold_left max 0 dev.Device.wcol in
+  (* next.(c): first the bit count of column c, then its next free
+     address *)
+  let next = Array.make ncols 0 in
+  let count col k = next.(col) <- next.(col) + k in
+  for pad = 0 to npads - 1 do
+    count (pad_col pad) bits_per_pad
   done;
-  for b = nbels - 1 downto 0 do
-    let col = dev.Device.bel_col.(b) in
-    for pin = 3 downto 0 do
-      add col (In_inv (b, pin))
+  for b = 0 to nbels - 1 do
+    count dev.Device.bel_col.(b) bits_per_bel
+  done;
+  for i = 0 to npips - 1 do
+    count (pip_col dev i) 1
+  done;
+  let n = ref 0 in
+  for c = 0 to ncols - 1 do
+    let k = next.(c) in
+    next.(c) <- !n;
+    n := !n + k
+  done;
+  let resources = Array.make !n (Pip 0) in
+  let take col k =
+    let a = next.(col) in
+    next.(col) <- a + k;
+    a
+  in
+  let pad_bits = Array.make npads (-1) in
+  let pad_cfg_bits = Array.make npads (-1) in
+  for pad = 0 to npads - 1 do
+    let a = take (pad_col pad) bits_per_pad in
+    resources.(a) <- Pad_enable pad;
+    for attr = 0 to 2 do
+      resources.(a + 1 + attr) <- Pad_cfg (pad, attr)
     done;
-    add col (Sr_inv b);
-    add col (Ce_inv b);
-    add col (Out_sel b);
-    add col (Ff_init b);
-    for idx = 15 downto 0 do
-      add col (Lut_bit (b, idx))
-    done
+    pad_bits.(pad) <- a;
+    pad_cfg_bits.(pad) <- a + 1
   done;
-  for pad = npads - 1 downto 0 do
-    let col = dev.Device.wcol.(dev.Device.pad_wire.(pad)) in
-    for attr = 2 downto 0 do
-      add col (Pad_cfg (pad, attr))
-    done;
-    add col (Pad_enable pad)
-  done;
-  let arr = Array.of_list !entries in
-  (* stable sort by column only *)
-  let tagged = Array.mapi (fun i (col, r) -> (col, i, r)) arr in
-  Array.sort
-    (fun (c1, i1, _) (c2, i2, _) -> if c1 <> c2 then compare c1 c2 else compare i1 i2)
-    tagged;
-  let resources = Array.map (fun (_, _, r) -> r) tagged in
-  let n = Array.length resources in
-  let pip_bits = Array.make npips (-1) in
   let lut_bits = Array.make nbels (-1) in
   let ff_init_bits = Array.make nbels (-1) in
   let out_sel_bits = Array.make nbels (-1) in
   let ce_inv_bits = Array.make nbels (-1) in
   let sr_inv_bits = Array.make nbels (-1) in
   let in_inv_bits = Array.make nbels (-1) in
-  let pad_bits = Array.make npads (-1) in
-  let pad_cfg_bits = Array.make npads (-1) in
-  for a = 0 to n - 1 do
-    match resources.(a) with
-    | Pip i -> pip_bits.(i) <- a
-    | Lut_bit (b, idx) -> if idx = 0 then lut_bits.(b) <- a
-    | Ff_init b -> ff_init_bits.(b) <- a
-    | Out_sel b -> out_sel_bits.(b) <- a
-    | Ce_inv b -> ce_inv_bits.(b) <- a
-    | Sr_inv b -> sr_inv_bits.(b) <- a
-    | In_inv (b, pin) -> if pin = 0 then in_inv_bits.(b) <- a
-    | Pad_enable pad -> pad_bits.(pad) <- a
-    | Pad_cfg (pad, attr) -> if attr = 0 then pad_cfg_bits.(pad) <- a
+  for b = 0 to nbels - 1 do
+    let a = take dev.Device.bel_col.(b) bits_per_bel in
+    for idx = 0 to 15 do
+      resources.(a + idx) <- Lut_bit (b, idx)
+    done;
+    resources.(a + 16) <- Ff_init b;
+    resources.(a + 17) <- Out_sel b;
+    resources.(a + 18) <- Ce_inv b;
+    resources.(a + 19) <- Sr_inv b;
+    for pin = 0 to 3 do
+      resources.(a + 20 + pin) <- In_inv (b, pin)
+    done;
+    lut_bits.(b) <- a;
+    ff_init_bits.(b) <- a + 16;
+    out_sel_bits.(b) <- a + 17;
+    ce_inv_bits.(b) <- a + 18;
+    sr_inv_bits.(b) <- a + 19;
+    in_inv_bits.(b) <- a + 20
   done;
-  (* LUT table bits must be contiguous ascending from their base for
-     [lut_bit] to be a simple offset; verify. *)
-  Array.iteri
-    (fun a r ->
-      match r with
-      | Lut_bit (b, idx) ->
-          if a <> lut_bits.(b) + idx then
-            failwith "Bitdb.build: LUT bits not contiguous"
-      | In_inv (b, pin) ->
-          if a <> in_inv_bits.(b) + pin then
-            failwith "Bitdb.build: pin-invert bits not contiguous"
-      | Pad_cfg (pad, attr) ->
-          if a <> pad_cfg_bits.(pad) + attr then
-            failwith "Bitdb.build: pad attr bits not contiguous"
-      | Pip _ | Ff_init _ | Out_sel _ | Ce_inv _ | Sr_inv _ | Pad_enable _ -> ())
-    resources;
+  let pip_bits = Array.make npips (-1) in
+  for i = 0 to npips - 1 do
+    let a = take (pip_col dev i) 1 in
+    resources.(a) <- Pip i;
+    pip_bits.(i) <- a
+  done;
   {
     resources;
     frame_bits = dev.Device.params.Arch.frame_bits;

@@ -359,26 +359,36 @@ let build p =
             (List.init 4 (fun t -> vs l x y ((t * 3 + k + pos) mod p.ch_singles)))
     done
   done;
-  (* Deduplicate (src, dst, kind) triples: a connection is one bit. *)
-  let raw_src = Ivec.to_array src_v in
-  let raw_dst = Ivec.to_array dst_v in
-  let raw_bid = Ivec.to_array bid_v in
-  let seen = Hashtbl.create (Array.length raw_src) in
-  let kept_src = Ivec.create () and kept_dst = Ivec.create () in
-  let kept_bid = Ivec.create () in
-  for i = 0 to Array.length raw_src - 1 do
-    let key = (((raw_src.(i) * nwires) + raw_dst.(i)) * 2) + raw_bid.(i) in
-    if not (Hashtbl.mem seen key) then begin
-      Hashtbl.add seen key ();
-      Ivec.push kept_src raw_src.(i);
-      Ivec.push kept_dst raw_dst.(i);
-      Ivec.push kept_bid raw_bid.(i)
+  (* Deduplicate (src, dst, kind) triples: a connection is one bit, and
+     its first occurrence fixes its pip id.  The pips kept so far are
+     chained per source wire, so a raw pip is checked only against the
+     few kept pips that share its source: head.(w) is the newest kept pip
+     leaving w, and kept pip k stores its (dst, kind) key at
+     link.(2k) and the pip kept before it from the same source at
+     link.(2k+1), next to each other for the chain walk. *)
+  let head = Array.make nwires (-1) in
+  let link = Ivec.create () in
+  let kept_src = Ivec.create () in
+  for i = 0 to src_v.Ivec.n - 1 do
+    let s = src_v.Ivec.a.(i) in
+    let key = (dst_v.Ivec.a.(i) * 2) + bid_v.Ivec.a.(i) in
+    let k = ref head.(s) in
+    while !k >= 0 && link.Ivec.a.(2 * !k) <> key do
+      k := link.Ivec.a.((2 * !k) + 1)
+    done;
+    if !k < 0 then begin
+      Ivec.push link key;
+      Ivec.push link head.(s);
+      head.(s) <- kept_src.Ivec.n;
+      Ivec.push kept_src s
     end
   done;
   let pip_src = Ivec.to_array kept_src in
-  let pip_dst = Ivec.to_array kept_dst in
-  let pip_bidir = Array.map (fun v -> v = 1) (Ivec.to_array kept_bid) in
   let npips = Array.length pip_src in
+  let pip_dst = Array.init npips (fun k -> link.Ivec.a.(2 * k) lsr 1) in
+  let pip_bidir =
+    Array.init npips (fun k -> link.Ivec.a.(2 * k) land 1 = 1)
+  in
   (* adjacency *)
   let out_cnt = Array.make nwires 0 and in_cnt = Array.make nwires 0 in
   for i = 0 to npips - 1 do

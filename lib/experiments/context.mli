@@ -1,9 +1,12 @@
 (** Shared experimental setup: device, bit database, case-study filter,
     stimulus and campaign sizing.
 
-    Building the XC2S200E-like device costs a couple of seconds, so every
-    experiment in a process shares one context.  [scale] selects the
-    paper-scale setup or a reduced one for tests and quick runs. *)
+    Most of [create] is building the device graph and its bit database.
+    On a 2-vCPU box (OCaml 5.1.1) one call takes ~0.2-0.4 s at paper
+    scale (the e2e bench's [setup_s] on [paper-p2] reads ~0.37 s) and
+    ~10 ms at reduced scale; every experiment in a process still shares
+    one context.  [scale] selects the paper-scale setup or a reduced one
+    for tests and quick runs. *)
 
 type scale =
   | Paper  (** XC2S200E-like device, 11-tap 9-bit filter *)

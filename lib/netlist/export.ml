@@ -12,23 +12,31 @@ let quote s =
     s;
   Buffer.contents buf
 
+(* Inverse of [quote].  [quote] writes every '%' as an escape, so a '%'
+   not followed by two hex digits is malformed input. *)
 let unquote s =
+  let hex c =
+    match c with
+    | '0' .. '9' -> Char.code c - Char.code '0'
+    | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
+    | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
+    | _ -> -1
+  in
   let buf = Buffer.create (String.length s) in
   let n = String.length s in
   let rec go i =
-    if i < n then
-      if s.[i] = '%' && i + 2 < n then begin
-        Buffer.add_char buf
-          (Char.chr (int_of_string ("0x" ^ String.sub s (i + 1) 2)));
-        go (i + 3)
-      end
-      else begin
-        Buffer.add_char buf s.[i];
-        go (i + 1)
-      end
+    if i >= n then Ok (Buffer.contents buf)
+    else if s.[i] <> '%' then begin
+      Buffer.add_char buf s.[i];
+      go (i + 1)
+    end
+    else if i + 2 < n && hex s.[i + 1] >= 0 && hex s.[i + 2] >= 0 then begin
+      Buffer.add_char buf (Char.chr ((hex s.[i + 1] * 16) + hex s.[i + 2]));
+      go (i + 3)
+    end
+    else Error (Printf.sprintf "bad escape in %S" s)
   in
-  go 0;
-  Buffer.contents buf
+  go 0
 
 let kind_to_string = function
   | Netlist.Input -> "input"
@@ -171,19 +179,20 @@ let of_string text =
                       | Some w -> String.sub w plen (String.length w - plen)
                       | None -> default
                     in
-                    let name = unquote (attr "name" "") in
-                    let comp = unquote (attr "comp" "") in
-                    let domain =
-                      Option.value ~default:(-1)
-                        (int_of_string_opt (attr "domain" "-1"))
-                    in
-                    let voter = attr "voter" "0" = "1" in
-                    Netlist.set_comp nl comp;
-                    match
-                      Netlist.add_cell nl ~name ~domain ~voter kind ~fanins
-                    with
-                    | _ -> incr next_id
-                    | exception Invalid_argument m -> err lineno "%s" m)))
+                    match (unquote (attr "name" ""), unquote (attr "comp" "")) with
+                    | Error e, _ | _, Error e -> err lineno "%s" e
+                    | Ok name, Ok comp -> (
+                        let domain =
+                          Option.value ~default:(-1)
+                            (int_of_string_opt (attr "domain" "-1"))
+                        in
+                        let voter = attr "voter" "0" = "1" in
+                        Netlist.set_comp nl comp;
+                        match
+                          Netlist.add_cell nl ~name ~domain ~voter kind ~fanins
+                        with
+                        | _ -> incr next_id
+                        | exception Invalid_argument m -> err lineno "%s" m))))
         | "inport" :: port :: bit_ws | "outport" :: port :: bit_ws -> (
             let bits =
               List.map
@@ -196,14 +205,16 @@ let of_string text =
                 bit_ws
               |> Array.of_list
             in
-            let port = unquote port in
             let add =
               if List.hd words = "inport" then Netlist.add_input_port
               else Netlist.add_output_port
             in
-            match add nl port bits with
-            | () -> ()
-            | exception Invalid_argument m -> err lineno "%s" m)
+            match unquote port with
+            | Error e -> err lineno "%s" e
+            | Ok port -> (
+                match add nl port bits with
+                | () -> ()
+                | exception Invalid_argument m -> err lineno "%s" m))
         | _ -> err lineno "unparsable line %S" line
       end)
     lines;

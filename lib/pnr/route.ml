@@ -142,6 +142,9 @@ let run ?(max_iters = 60) dev pack place =
   let cost = Array.make nwires infinity in
   let prev = Array.make nwires (-1) in
   let stamp = Array.make nwires 0 in
+  (* expanded.(w) = epoch once w's fanout has been scanned at its current
+     cost; a relaxation that lowers the cost clears it *)
+  let expanded = Array.make nwires 0 in
   let tree_stamp = Array.make nwires 0 in
   let epoch = ref 0 in
   let tree_epoch = ref 0 in
@@ -213,7 +216,8 @@ let run ?(max_iters = 60) dev pack place =
         while (not !found) && heap.Heap.n > 0 do
           let w = Heap.pop heap in
           if w = sk then found := true
-          else begin
+          else if expanded.(w) <> ep then begin
+            expanded.(w) <- ep;
             let cw = cost.(w) in
             for k = off.(w) to off.(w + 1) - 1 do
               let d = adj.(k) land wmask in
@@ -223,6 +227,7 @@ let run ?(max_iters = 60) dev pack place =
                 let cd = cw +. wcost.(d) in
                 if stamp.(d) <> ep || cd < cost.(d) then begin
                   stamp.(d) <- ep;
+                  expanded.(d) <- 0;
                   cost.(d) <- cd;
                   prev.(d) <- adj.(k) lsr wbits;
                   let dist = abs (r - skr) + abs (c - skc) in

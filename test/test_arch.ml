@@ -125,6 +125,130 @@ let test_scaled_params () =
   | Ok () -> ()
   | Error es -> Alcotest.fail (List.hd es)
 
+(* Layout pins: digests over the device graph and the bit database,
+   recorded before the builders were rewritten, so any change to pip ids,
+   adjacency order or bit addresses (and so to every route, bitstream and
+   fault list) shows up here. *)
+let ints b a =
+  Buffer.add_string b (string_of_int (Array.length a));
+  Array.iter (fun x -> Buffer.add_char b ' '; Buffer.add_string b (string_of_int x)) a;
+  Buffer.add_char b '\n'
+
+let hex b = Digest.to_hex (Digest.string (Buffer.contents b))
+
+let device_digest (d : Device.t) =
+  let b = Buffer.create 65536 in
+  ints b d.Device.pip_src;
+  ints b d.Device.pip_dst;
+  ints b (Array.map Bool.to_int d.Device.pip_bidir);
+  Array.iter (ints b) d.Device.wire_out;
+  Array.iter (ints b) d.Device.wire_in;
+  hex b
+
+let resource_string = function
+  | Bitdb.Pip i -> Printf.sprintf "pip %d" i
+  | Bitdb.Lut_bit (bel, idx) -> Printf.sprintf "lut %d %d" bel idx
+  | Bitdb.Ff_init bel -> Printf.sprintf "ff %d" bel
+  | Bitdb.Out_sel bel -> Printf.sprintf "osel %d" bel
+  | Bitdb.Ce_inv bel -> Printf.sprintf "ce %d" bel
+  | Bitdb.Sr_inv bel -> Printf.sprintf "sr %d" bel
+  | Bitdb.In_inv (bel, pin) -> Printf.sprintf "inv %d %d" bel pin
+  | Bitdb.Pad_enable pad -> Printf.sprintf "pad %d" pad
+  | Bitdb.Pad_cfg (pad, attr) -> Printf.sprintf "padcfg %d %d" pad attr
+
+let bitdb_digest database =
+  let b = Buffer.create 65536 in
+  Buffer.add_string b (string_of_int (Bitdb.frame_bits database));
+  for a = 0 to Bitdb.num_bits database - 1 do
+    Buffer.add_char b '\n';
+    Buffer.add_string b (resource_string (Bitdb.resource database a))
+  done;
+  hex b
+
+let golden_layouts =
+  [
+    ("small", Arch.small, "b75482c385c385c8e7be6121dbffdfe7",
+     "d8c26505fe64d66a190648ba8054b246");
+    ("xc2s200e", Arch.xc2s200e, "fe4680efe61cb8c509f7b445448891a4",
+     "a6a7eb508c3490a56820af88ac5ebef8");
+  ]
+
+let test_layout_digests () =
+  List.iter
+    (fun (name, p, dev_expected, db_expected) ->
+      let d = Device.build p in
+      Alcotest.(check string) (name ^ " device digest") dev_expected
+        (device_digest d);
+      Alcotest.(check string) (name ^ " bitdb digest") db_expected
+        (bitdb_digest (Bitdb.build d)))
+    golden_layouts
+
+(* The layout contract itself: the bits of a column are its pads, then
+   its bels, then its pips, each in id order with the sub-bits of one
+   resource in a fixed order; every resource has exactly one bit. *)
+let layout_key (d : Device.t) = function
+  | Bitdb.Pad_enable pad -> (d.Device.wcol.(d.Device.pad_wire.(pad)), 0, pad, 0)
+  | Bitdb.Pad_cfg (pad, attr) ->
+      (d.Device.wcol.(d.Device.pad_wire.(pad)), 0, pad, 1 + attr)
+  | Bitdb.Lut_bit (bel, idx) -> (d.Device.bel_col.(bel), 1, bel, idx)
+  | Bitdb.Ff_init bel -> (d.Device.bel_col.(bel), 1, bel, 16)
+  | Bitdb.Out_sel bel -> (d.Device.bel_col.(bel), 1, bel, 17)
+  | Bitdb.Ce_inv bel -> (d.Device.bel_col.(bel), 1, bel, 18)
+  | Bitdb.Sr_inv bel -> (d.Device.bel_col.(bel), 1, bel, 19)
+  | Bitdb.In_inv (bel, pin) -> (d.Device.bel_col.(bel), 1, bel, 20 + pin)
+  | Bitdb.Pip i ->
+      let s = d.Device.pip_src.(i) and t = d.Device.pip_dst.(i) in
+      (min d.Device.wcol.(s) d.Device.wcol.(t), 2, i, 0)
+
+let qcheck_layout_contract =
+  QCheck.Test.make ~count:20 ~name:"bit layout contract on scaled devices"
+    (QCheck.make
+       ~print:(fun (paper, r, c) ->
+         Printf.sprintf "%s %dx%d" (if paper then "xc2s200e" else "small") r c)
+       (QCheck.Gen.triple QCheck.Gen.bool (QCheck.Gen.int_range 1 6)
+          (QCheck.Gen.int_range 1 6)))
+    (fun (paper, rows, cols) ->
+      let p = Arch.scaled (if paper then Arch.xc2s200e else Arch.small) ~rows ~cols in
+      let d = Device.build p in
+      let database = Bitdb.build d in
+      let n = Bitdb.num_bits database in
+      let expected =
+        d.Device.npips + (d.Device.nbels * 24) + (d.Device.npads * 4)
+      in
+      let ordered = ref true in
+      for a = 1 to n - 1 do
+        let prev = layout_key d (Bitdb.resource database (a - 1)) in
+        if compare prev (layout_key d (Bitdb.resource database a)) >= 0 then
+          ordered := false
+      done;
+      (* every resource sits at its lookup address, strictly increasing
+         keys make the bits distinct, and the count leaves no room for
+         anything else: each resource appears exactly once *)
+      let contiguous = ref true in
+      let at a r = if Bitdb.resource database a <> r then contiguous := false in
+      for bel = 0 to d.Device.nbels - 1 do
+        for idx = 0 to 15 do
+          at (Bitdb.lut_bit database ~bel ~idx) (Bitdb.Lut_bit (bel, idx))
+        done;
+        for pin = 0 to 3 do
+          at (Bitdb.in_inv_bit database ~bel ~pin) (Bitdb.In_inv (bel, pin))
+        done;
+        at (Bitdb.ff_init_bit database ~bel) (Bitdb.Ff_init bel);
+        at (Bitdb.out_sel_bit database ~bel) (Bitdb.Out_sel bel);
+        at (Bitdb.ce_inv_bit database ~bel) (Bitdb.Ce_inv bel);
+        at (Bitdb.sr_inv_bit database ~bel) (Bitdb.Sr_inv bel)
+      done;
+      for pad = 0 to d.Device.npads - 1 do
+        at (Bitdb.pad_enable_bit database ~pad) (Bitdb.Pad_enable pad);
+        for attr = 0 to 2 do
+          at (Bitdb.pad_cfg_bit database ~pad ~attr) (Bitdb.Pad_cfg (pad, attr))
+        done
+      done;
+      for i = 0 to d.Device.npips - 1 do
+        at (Bitdb.pip_bit database i) (Bitdb.Pip i)
+      done;
+      n = expected && !ordered && !contiguous)
+
 let () =
   Alcotest.run "tmr_arch"
     [
@@ -139,6 +263,8 @@ let () =
         [
           Alcotest.test_case "reverse lookups" `Quick test_bitdb_reverse_lookups;
           Alcotest.test_case "class counts" `Quick test_bitdb_class_counts;
+          Alcotest.test_case "layout digests" `Quick test_layout_digests;
+          QCheck_alcotest.to_alcotest qcheck_layout_contract;
         ] );
       ( "device",
         [

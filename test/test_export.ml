@@ -72,9 +72,53 @@ let test_rejects_garbage () =
   (match Export.of_string "tmrnl 99" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "bad version accepted");
-  match Export.of_string "tmrnl 1\ncell 0 not 5" with
+  (match Export.of_string "tmrnl 1\ncell 0 not 5" with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "dangling fanin accepted"
+  | Ok _ -> Alcotest.fail "dangling fanin accepted");
+  List.iter
+    (fun text ->
+      match Export.of_string text with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "bad escape accepted in %S" text)
+    [
+      "tmrnl 1\ncell 0 input ; name=%zz";
+      "tmrnl 1\ncell 0 input ; comp=a%4";
+      "tmrnl 1\ninport %g0 0";
+    ]
+
+(* Mutated dumps of a real netlist: whatever the damage, the parser
+   answers [Ok] or [Error] and never raises. *)
+let tiny_fir_text =
+  lazy (Export.to_string (Tmr_filter.Fir.build Tmr_filter.Fir.tiny_params))
+
+let mutate text muts =
+  let alphabet = "%0aFzg ;=\n-19:" in
+  List.fold_left
+    (fun t (op, pos, a, b) ->
+      let n = String.length t in
+      let pos = if n = 0 then 0 else pos mod n in
+      let c k = String.make 1 alphabet.[k mod String.length alphabet] in
+      let before = String.sub t 0 pos and after = String.sub t pos (n - pos) in
+      match op with
+      | 0 -> before ^ c a ^ c b ^ after
+      | 1 ->
+          let len = min (String.length after) (1 + (a mod 8)) in
+          before ^ String.sub after len (String.length after - len)
+      | _ ->
+          if after = "" then t
+          else before ^ c a ^ String.sub after 1 (String.length after - 1))
+    text muts
+
+let qcheck_mutated_dump_never_raises =
+  let open QCheck.Gen in
+  let mutation =
+    quad (int_bound 2) (int_bound 1_000_000) (int_bound 100) (int_bound 100)
+  in
+  QCheck.Test.make ~count:500 ~name:"mutated dump parses or fails closed"
+    (QCheck.make (list_size (int_range 1 4) mutation))
+    (fun muts ->
+      match Export.of_string (mutate (Lazy.force tiny_fir_text) muts) with
+      | Ok _ | Error _ -> true)
 
 let () =
   Alcotest.run "tmr_export"
@@ -86,5 +130,6 @@ let () =
           Alcotest.test_case "roundtrip TMR attributes" `Quick
             test_roundtrip_tmr_attributes;
           Alcotest.test_case "rejects garbage" `Quick test_rejects_garbage;
+          QCheck_alcotest.to_alcotest qcheck_mutated_dump_never_raises;
         ] );
     ]
