@@ -536,6 +536,7 @@ let implement_cmd =
     Printf.printf "  flip-flops    %d\n" (Impl.used_ffs impl);
     Printf.printf "  route iters   %d\n"
       impl.Impl.route.Tmr_pnr.Route.iterations;
+    Printf.printf "  route digest  %s\n" (Impl.route_digest impl);
     Printf.printf "  est. clock    %.1f MHz (critical %.1f ns, %d LUT levels)\n"
       impl.Impl.timing.Tmr_pnr.Timing.mhz
       impl.Impl.timing.Tmr_pnr.Timing.critical_ns

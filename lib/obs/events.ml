@@ -244,7 +244,10 @@ let state : bus option Atomic.t = Atomic.make None
    right after [fork].  Writes are synchronous — one whole line plus
    flush per event under the spool mutex — which keeps every line a
    single [write(2)] (lines are far below the 64 KiB channel buffer), so
-   a tailer reading the file never observes a torn line. *)
+   a tailer reading the file never observes a torn line.  A fatal signal
+   can still cut one [write(2)] short: the kernel abandons a file write
+   between pages once the process is being killed.  [spool_write] blocks
+   the termination signals around the write for that reason. *)
 type spool = {
   sp_mutex : Mutex.t;
   sp_oc : out_channel;
@@ -290,6 +293,10 @@ let enqueue b payload =
   end;
   Mutex.unlock b.mutex
 
+(* blocked while a spool line is written and flushed, so one that arrives
+   mid-line is delivered after the newline *)
+let termination_signals = [ Sys.sigterm; Sys.sigint ]
+
 let spool_write s payload =
   Mutex.lock s.sp_mutex;
   let seq = s.sp_seq in
@@ -298,10 +305,12 @@ let spool_write s payload =
   let line =
     Printf.sprintf "{\"seq\":%d,\"ts_ns\":%d%s\n" seq (Clock.now_ns ()) payload
   in
+  let mask = Thread.sigmask Unix.SIG_BLOCK termination_signals in
   (try
      output_string s.sp_oc line;
      flush s.sp_oc
    with Sys_error _ -> ());
+  ignore (Thread.sigmask Unix.SIG_SETMASK mask);
   Mutex.unlock s.sp_mutex
 
 let publish ev =

@@ -102,7 +102,9 @@ val publish : event -> unit
 (** Enqueue one event.  Never blocks on I/O; drops (counted) when the
     ring is full.  Domain-safe.  In spool mode the event is written
     synchronously to the spool file instead (one whole line per write,
-    so a concurrent tailer never sees a torn line). *)
+    so a concurrent tailer never sees a torn line; SIGTERM and SIGINT are
+    blocked during the write, so a worker they kill ends on a whole
+    line). *)
 
 (** {1 Origin context}
 

@@ -83,6 +83,23 @@ let implement_exn ?seed ?moves_per_site ?floorplan ?max_route_iters dev db nl =
   | Ok t -> t
   | Error msg -> failwith ("Impl.implement: " ^ msg)
 
+let route_digest t =
+  let r = t.route in
+  let b = Buffer.create 65536 in
+  let ints a =
+    Buffer.add_string b (string_of_int (Array.length a));
+    Array.iter (fun x -> Buffer.add_char b ' '; Buffer.add_string b (string_of_int x)) a;
+    Buffer.add_char b '\n'
+  in
+  Array.iter ints r.Route.net_pips;
+  Array.iter ints r.Route.net_wires;
+  Array.iter
+    (Array.iter (fun (s, d, sp) -> ints [| s; d; sp |]))
+    r.Route.sink_stats;
+  ints [| r.Route.iterations |];
+  Buffer.add_string b (Tmr_arch.Bitstream.to_hex t.bitgen.Bitgen.bitstream);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
 let port_pad_wire t find_port port bit =
   let bits = find_port t.mapped port in
   if bit < 0 || bit >= Array.length bits then

@@ -37,6 +37,12 @@ val implement_exn :
   Tmr_netlist.Netlist.t ->
   t
 
+val route_digest : t -> string
+(** Hex MD5 over everything the router returned ([net_pips], [net_wires],
+    [sink_stats], [iterations]) and the bitstream it led to.  Any change to
+    the router's search order (heap ties, neighbour order, cost rounding)
+    or to the placement changes it; the tests and CI pin it per design. *)
+
 val input_pad_wire : t -> string -> int -> int
 (** [input_pad_wire t port bit] is the PadIn wire driving input [port]
     bit [bit]. *)

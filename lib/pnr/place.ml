@@ -131,17 +131,17 @@ let run ?(seed = 1) ?(moves_per_site = 128) ?(floorplan = `Free) dev pack nl =
   assign_pads pack.Pack.live_inputs in_pads;
   assign_pads pack.Pack.live_outputs out_pads;
   (* --- cost model: HPWL over nets --- *)
-  let pos_of_cell c =
-    let s = pack.Pack.site_of_cell.(c) in
-    if s >= 0 then
-      let b = site_bel.(s) in
-      (dev.Device.bel_row.(b), dev.Device.bel_col.(b))
-    else begin
-      let pad = pad_of_cell.(c) in
-      assert (pad >= 0);
-      let w = dev.Device.pad_wire.(pad) in
-      (dev.Device.wrow.(w), dev.Device.wcol.(w))
-    end
+  (* HPWL is integral, so costs, deltas and the total are kept as ints: the
+     float sums they replace were exact, and [float_of_int] of the int sums
+     gives the same values bit for bit. *)
+  let site_of_cell = pack.Pack.site_of_cell in
+  let bel_row = dev.Device.bel_row and bel_col = dev.Device.bel_col in
+  let wrow = dev.Device.wrow and wcol = dev.Device.wcol in
+  let pad_wire = dev.Device.pad_wire in
+  let cell_pad_wire c =
+    let pad = pad_of_cell.(c) in
+    assert (pad >= 0);
+    pad_wire.(pad)
   in
   let nnets = Array.length pack.Pack.nets in
   let net_cells =
@@ -162,54 +162,88 @@ let run ?(seed = 1) ?(moves_per_site = 128) ?(floorplan = `Free) dev pack nl =
     let cells = net_cells.(ni) in
     let rmin = ref max_int and rmax = ref min_int in
     let cmin = ref max_int and cmax = ref min_int in
-    Array.iter
-      (fun c ->
-        let r, cc = pos_of_cell c in
-        if r < !rmin then rmin := r;
-        if r > !rmax then rmax := r;
-        if cc < !cmin then cmin := cc;
-        if cc > !cmax then cmax := cc)
-      cells;
-    float_of_int (!rmax - !rmin + (!cmax - !cmin))
+    for i = 0 to Array.length cells - 1 do
+      let c = cells.(i) in
+      let s = site_of_cell.(c) in
+      let r = if s >= 0 then bel_row.(site_bel.(s)) else wrow.(cell_pad_wire c) in
+      let cc = if s >= 0 then bel_col.(site_bel.(s)) else wcol.(cell_pad_wire c) in
+      if r < !rmin then rmin := r;
+      if r > !rmax then rmax := r;
+      if cc < !cmin then cmin := cc;
+      if cc > !cmax then cmax := cc
+    done;
+    !rmax - !rmin + (!cmax - !cmin)
   in
-  (* nets touching each movable cell *)
-  let nets_of_cell = Hashtbl.create (4 * nnets) in
-  Array.iteri
-    (fun ni cells ->
-      Array.iter
-        (fun c ->
-          let cur = Option.value ~default:[] (Hashtbl.find_opt nets_of_cell c) in
-          Hashtbl.replace nets_of_cell c (ni :: cur))
-        cells)
-    net_cells;
-  let nets_of_site s =
-    let site = pack.Pack.sites.(s) in
-    let own = Option.value ~default:[] (Hashtbl.find_opt nets_of_cell site.Pack.out_cell) in
-    (* pins: nets where this site is a sink *)
-    Array.fold_left
-      (fun acc p ->
-        if p >= 0 then
-          match pack.Pack.net_of_cell.(p) with
-          | -1 -> acc
-          | ni -> ni :: acc
-        else acc)
-      own site.Pack.pins
-    |> List.sort_uniq compare
+  (* nets touching each cell, ascending *)
+  let cell_nets =
+    let acc = Array.make n [] in
+    for ni = nnets - 1 downto 0 do
+      Array.iter (fun c -> acc.(c) <- ni :: acc.(c)) net_cells.(ni)
+    done;
+    Array.map Array.of_list acc
   in
-  let site_nets = Array.init nsites nets_of_site in
+  (* nets touching each site (its own net and the nets it sinks), ascending
+     and distinct *)
+  let site_nets =
+    Array.init nsites (fun s ->
+        let site = pack.Pack.sites.(s) in
+        Array.fold_left
+          (fun acc p ->
+            if p >= 0 then
+              match pack.Pack.net_of_cell.(p) with
+              | -1 -> acc
+              | ni -> ni :: acc
+            else acc)
+          (Array.to_list cell_nets.(site.Pack.out_cell))
+          site.Pack.pins
+        |> List.sort_uniq compare |> Array.of_list)
+  in
   let net_cost = Array.init nnets hpwl in
-  let total = ref (Array.fold_left ( +. ) 0.0 net_cost) in
-  let recompute nets_list =
-    List.fold_left
-      (fun delta ni ->
-        let fresh = hpwl ni in
-        let d = fresh -. net_cost.(ni) in
-        net_cost.(ni) <- fresh;
-        delta +. d)
-      0.0 nets_list
+  let total = ref (Array.fold_left ( + ) 0 net_cost) in
+  (* A move's affected nets, [affected.(0 .. !n_affected - 1)], and their
+     costs before it: the sorted union of two ascending, distinct net lists
+     (the order [List.sort_uniq compare (a @ b)] gives). *)
+  let widest a = Array.fold_left (fun m l -> max m (Array.length l)) 0 a in
+  let affected = Array.make (2 * max (widest site_nets) (widest cell_nets)) 0 in
+  let saved = Array.make (Array.length affected) 0 in
+  let n_affected = ref 0 in
+  let merge a b =
+    let la = Array.length a and lb = Array.length b in
+    let i = ref 0 and j = ref 0 and k = ref 0 in
+    while !i < la || !j < lb do
+      let x =
+        if !j >= lb || (!i < la && a.(!i) <= b.(!j)) then begin
+          let x = a.(!i) in
+          incr i;
+          if !j < lb && b.(!j) = x then incr j;
+          x
+        end
+        else begin
+          let x = b.(!j) in
+          incr j;
+          x
+        end
+      in
+      affected.(!k) <- x;
+      saved.(!k) <- net_cost.(x);
+      incr k
+    done;
+    n_affected := !k
   in
-  let restore nets_list saved =
-    List.iter2 (fun ni c -> net_cost.(ni) <- c) nets_list saved
+  let recompute () =
+    let delta = ref 0 in
+    for k = 0 to !n_affected - 1 do
+      let ni = affected.(k) in
+      let fresh = hpwl ni in
+      delta := !delta + (fresh - net_cost.(ni));
+      net_cost.(ni) <- fresh
+    done;
+    !delta
+  in
+  let restore () =
+    for k = 0 to !n_affected - 1 do
+      net_cost.(affected.(k)) <- saved.(k)
+    done
   in
   let allowed_col s col =
     match floorplan with
@@ -221,18 +255,25 @@ let run ?(seed = 1) ?(moves_per_site = 128) ?(floorplan = `Free) dev pack nl =
   (* --- annealing --- *)
   let nmoves = max 2000 (moves_per_site * max nsites 1) in
   let temp0 = 4.0 +. (0.02 *. float_of_int nsites) in
-  let temp_ref = ref 1.0 in
+  (* the current temperature, in a float array so updates do not box *)
+  let temp = Float.Array.make 1 1.0 in
   let rows = dev.Device.params.Arch.rows in
   let cols = dev.Device.params.Arch.cols in
   let bpt = Arch.bels_per_tile dev.Device.params in
   let radius_ref = ref (max rows cols) in
+  let accept delta =
+    delta <= 0
+    ||
+    let delta = float_of_int delta in
+    Srand.float rng 1.0 < exp (-.delta /. Float.Array.get temp 0)
+  in
   (* Range-limited move target: a random bel within the current radius of
      the site's tile. *)
+  let clamp v lo hi = if v < lo then lo else if v > hi then hi else v in
   let candidate_bel s =
     let b = site_bel.(s) in
-    let r0 = dev.Device.bel_row.(b) and c0 = dev.Device.bel_col.(b) in
+    let r0 = bel_row.(b) and c0 = bel_col.(b) in
     let rad = !radius_ref in
-    let clamp v lo hi = max lo (min hi v) in
     let r = clamp (r0 - rad + Srand.int rng ((2 * rad) + 1)) 0 (rows - 1) in
     let c = clamp (c0 - rad + Srand.int rng ((2 * rad) + 1)) 0 (cols - 1) in
     Device.bel_at dev ~row:r ~col:c ~slot:(Srand.int rng bpt)
@@ -243,31 +284,25 @@ let run ?(seed = 1) ?(moves_per_site = 128) ?(floorplan = `Free) dev pack nl =
       let s = Srand.int rng nsites in
       let b_new = candidate_bel s in
       let b_old = site_bel.(s) in
-      if b_new <> b_old && allowed_col s dev.Device.bel_col.(b_new) then begin
+      if b_new <> b_old && allowed_col s bel_col.(b_new) then begin
         let s2 = bel_site.(b_new) in
-        if s2 >= 0 && not (allowed_col s2 dev.Device.bel_col.(b_old)) then ()
+        if s2 >= 0 && not (allowed_col s2 bel_col.(b_old)) then ()
         else begin
-          let affected =
-            if s2 >= 0 then List.sort_uniq compare (site_nets.(s) @ site_nets.(s2))
-            else site_nets.(s)
-          in
-          let saved = List.map (fun ni -> net_cost.(ni)) affected in
+          merge site_nets.(s) (if s2 >= 0 then site_nets.(s2) else [||]);
           (* apply *)
           site_bel.(s) <- b_new;
           bel_site.(b_new) <- s;
           bel_site.(b_old) <- s2;
           if s2 >= 0 then site_bel.(s2) <- b_old;
-          let delta = recompute affected in
-          let temp = !temp_ref in
-          if delta <= 0.0 || Srand.float rng 1.0 < exp (-.delta /. temp) then
-            total := !total +. delta
+          let delta = recompute () in
+          if accept delta then total := !total + delta
           else begin
             (* revert *)
             site_bel.(s) <- b_old;
             bel_site.(b_old) <- s;
             bel_site.(b_new) <- s2;
             if s2 >= 0 then site_bel.(s2) <- b_new;
-            restore affected saved
+            restore ()
           end
         end
       end
@@ -275,11 +310,9 @@ let run ?(seed = 1) ?(moves_per_site = 128) ?(floorplan = `Free) dev pack nl =
   in
   let try_pad_move () =
     (* swap the pad assignment of two same-direction port cells *)
-    let cells, pads =
-      if Srand.bool rng && n_inputs > 0 then (pack.Pack.live_inputs, in_pads)
-      else if n_outputs > 0 then (pack.Pack.live_outputs, out_pads)
-      else (pack.Pack.live_inputs, in_pads)
-    in
+    let inputs = (Srand.bool rng && n_inputs > 0) || n_outputs <= 0 in
+    let cells = if inputs then pack.Pack.live_inputs else pack.Pack.live_outputs in
+    let pads = if inputs then in_pads else out_pads in
     if Array.length cells = 0 then ()
     else begin
       let c1 = cells.(Srand.int rng (Array.length cells)) in
@@ -287,30 +320,19 @@ let run ?(seed = 1) ?(moves_per_site = 128) ?(floorplan = `Free) dev pack nl =
       let p1 = pad_of_cell.(c1) in
       if p1 <> p2 then begin
         let c2 = pad_cell.(p2) in
-        let affected =
-          let l1 = Option.value ~default:[] (Hashtbl.find_opt nets_of_cell c1) in
-          let l2 =
-            if c2 >= 0 then
-              Option.value ~default:[] (Hashtbl.find_opt nets_of_cell c2)
-            else []
-          in
-          List.sort_uniq compare (l1 @ l2)
-        in
-        let saved = List.map (fun ni -> net_cost.(ni)) affected in
+        merge cell_nets.(c1) (if c2 >= 0 then cell_nets.(c2) else [||]);
         pad_of_cell.(c1) <- p2;
         pad_cell.(p2) <- c1;
         pad_cell.(p1) <- c2;
         if c2 >= 0 then pad_of_cell.(c2) <- p1;
-        let delta = recompute affected in
-        let temp = !temp_ref in
-        if delta <= 0.0 || Srand.float rng 1.0 < exp (-.delta /. temp) then
-          total := !total +. delta
+        let delta = recompute () in
+        if accept delta then total := !total + delta
         else begin
           pad_of_cell.(c1) <- p1;
           pad_cell.(p1) <- c1;
           pad_cell.(p2) <- c2;
           if c2 >= 0 then pad_of_cell.(c2) <- p2;
-          restore affected saved
+          restore ()
         end
       end
     end
@@ -318,9 +340,11 @@ let run ?(seed = 1) ?(moves_per_site = 128) ?(floorplan = `Free) dev pack nl =
   let max_dim = max rows cols in
   for m = 0 to nmoves - 1 do
     let progress = float_of_int m /. float_of_int nmoves in
-    temp_ref := max 0.005 (temp0 *. ((1.0 -. progress) ** 3.0));
+    let t = temp0 *. ((1.0 -. progress) ** 3.0) in
+    Float.Array.set temp 0 (if 0.005 >= t then 0.005 else t);
     let shrink = (1.0 -. progress) ** 2.0 in
-    radius_ref := max 2 (int_of_float (float_of_int max_dim *. shrink));
+    let rad = int_of_float (float_of_int max_dim *. shrink) in
+    radius_ref := if 2 >= rad then 2 else rad;
     if Srand.int rng 10 < 8 then try_site_move () else try_pad_move ()
   done;
-  { site_bel; pad_of_cell; cost = !total }
+  { site_bel; pad_of_cell; cost = float_of_int !total }

@@ -8,7 +8,15 @@ type result = {
 }
 
 (* Min-heap of (cost, wire) on float keys.  [pop] returns the wire only:
-   the router never reads the popped key, and returning it would box. *)
+   the router never reads the popped key, and returning it would box.
+
+   Both sifts move a hole instead of swapping, and [pop] picks the smaller
+   child without a branch, the left child on a tie.  Each step makes the
+   same comparison outcome as the swap-based textbook sift (move up while
+   the parent is strictly greater; move down to the smaller child while it
+   is strictly smaller, the left one on a tie), so every layout, and with it
+   every tie between equal keys, is the same.  The sifts touch no index
+   above [n], which is below the capacity, hence the unsafe accesses. *)
 module Heap = struct
   type t = {
     mutable keys : float array;
@@ -19,60 +27,54 @@ module Heap = struct
   let create () = { keys = Array.make 1024 0.0; data = Array.make 1024 0; n = 0 }
 
   let clear h = h.n <- 0
+  let size h = h.n
 
   let grow h =
     h.keys <- Array.append h.keys (Array.make (Array.length h.keys) 0.0);
     h.data <- Array.append h.data (Array.make (Array.length h.data) 0)
 
-  let sift_up h i =
-    let i = ref i in
-    let continue = ref true in
-    while !continue && !i > 0 do
-      let parent = (!i - 1) / 2 in
-      if h.keys.(parent) > h.keys.(!i) then begin
-        let tk = h.keys.(parent) and td = h.data.(parent) in
-        h.keys.(parent) <- h.keys.(!i);
-        h.data.(parent) <- h.data.(!i);
-        h.keys.(!i) <- tk;
-        h.data.(!i) <- td;
-        i := parent
-      end
-      else continue := false
-    done
-
   (* inlined so the float key is never boxed at the call *)
   let[@inline] push h k v =
     if h.n >= Array.length h.keys then grow h;
-    let i = h.n in
-    h.keys.(i) <- k;
-    h.data.(i) <- v;
-    h.n <- i + 1;
-    sift_up h i
+    let keys = h.keys and data = h.data in
+    let i = ref h.n in
+    h.n <- !i + 1;
+    while
+      !i > 0 && Array.unsafe_get keys ((!i - 1) / 2) > k
+    do
+      let p = (!i - 1) / 2 in
+      Array.unsafe_set keys !i (Array.unsafe_get keys p);
+      Array.unsafe_set data !i (Array.unsafe_get data p);
+      i := p
+    done;
+    Array.unsafe_set keys !i k;
+    Array.unsafe_set data !i v
 
   (* requires [h.n > 0] *)
   let pop h =
-    let v = h.data.(0) in
-    h.n <- h.n - 1;
-    h.keys.(0) <- h.keys.(h.n);
-    h.data.(0) <- h.data.(h.n);
-    let i = ref 0 in
-    let continue = ref true in
-    while !continue do
-      let left = (2 * !i) + 1 and right = (2 * !i) + 2 in
-      let smallest = ref !i in
-      if left < h.n && h.keys.(left) < h.keys.(!smallest) then smallest := left;
-      if right < h.n && h.keys.(right) < h.keys.(!smallest) then
-        smallest := right;
-      if !smallest <> !i then begin
-        let tk = h.keys.(!smallest) and td = h.data.(!smallest) in
-        h.keys.(!smallest) <- h.keys.(!i);
-        h.data.(!smallest) <- h.data.(!i);
-        h.keys.(!i) <- tk;
-        h.data.(!i) <- td;
-        i := !smallest
-      end
-      else continue := false
+    let keys = h.keys and data = h.data in
+    let v = Array.unsafe_get data 0 in
+    let n = h.n - 1 in
+    h.n <- n;
+    let k = Array.unsafe_get keys n and x = Array.unsafe_get data n in
+    (* sentinel: a left child at n - 1 has a right sibling that never wins *)
+    Array.unsafe_set keys n infinity;
+    let i = ref 0 and c = ref 1 in
+    while
+      !c < n
+      &&
+      let l = !c in
+      let m = l + Bool.to_int (Array.unsafe_get keys (l + 1) < Array.unsafe_get keys l) in
+      c := m;
+      Array.unsafe_get keys m < k
+    do
+      Array.unsafe_set keys !i (Array.unsafe_get keys !c);
+      Array.unsafe_set data !i (Array.unsafe_get data !c);
+      i := !c;
+      c := (2 * !c) + 1
     done;
+    Array.unsafe_set keys !i k;
+    Array.unsafe_set data !i x;
     v
 end
 
@@ -103,48 +105,76 @@ let is_long dev w =
   | Device.HLong | Device.VLong -> true
   | _ -> false
 
+(* branch-free [abs] *)
+let[@inline] iabs x =
+  let m = x asr (Sys.int_size - 1) in
+  (x lxor m) - m
+
 let run ?(max_iters = 60) dev pack place =
   let nwires = dev.Device.nwires in
   let nnets = Array.length pack.Pack.nets in
   let wrow = dev.Device.wrow and wcol = dev.Device.wcol in
   (* Neighbour table in CSR form: the fanout of wire w is the slots
      off.(w) .. off.(w+1)-1 of [adj], in [wire_out] order (which fixes the
-     order of heap pushes, and so the routes).  A slot packs the pip and the
-     wire at its other end as [pip lsl wbits lor wire]. *)
-  let wbits = ref 1 in
-  while 1 lsl !wbits < nwires do incr wbits done;
-  let wbits = !wbits in
+     order of heap pushes, and so the routes).  A slot packs the pip, the
+     far wire's row, column and long-line flag, and the far wire itself as
+     [pip | row | col | long | wire] (most significant first), so the
+     bounding-box test and the A* distance read nothing but the slot. *)
+  let bits_for n =
+    let b = ref 1 in
+    while 1 lsl !b < n do incr b done;
+    !b
+  in
+  let max_of a = Array.fold_left max 0 a in
+  assert (Array.for_all (fun x -> x >= 0) wrow);
+  assert (Array.for_all (fun x -> x >= 0) wcol);
+  let wbits = bits_for nwires in
+  let cbits = bits_for (max_of wcol + 1) and rbits = bits_for (max_of wrow + 1) in
+  let long_shift = wbits in
+  let col_shift = long_shift + 1 in
+  let row_shift = col_shift + cbits in
+  let pip_shift = row_shift + rbits in
+  if pip_shift + bits_for dev.Device.npips > 63 then
+    invalid_arg "Route.run: device too large for a packed neighbour slot";
   let wmask = (1 lsl wbits) - 1 in
+  let cmask = (1 lsl cbits) - 1 and rmask = (1 lsl rbits) - 1 in
+  let geo w =
+    (wrow.(w) lsl row_shift) lor (wcol.(w) lsl col_shift)
+    lor (Bool.to_int (is_long dev w) lsl long_shift)
+  in
   let off = Array.make (nwires + 1) 0 in
   for w = 0 to nwires - 1 do
     off.(w + 1) <- off.(w) + Array.length dev.Device.wire_out.(w)
   done;
   let adj = Array.make off.(nwires) 0 in
-  Array.iteri
-    (fun w pips ->
-      Array.iteri
-        (fun k pipid ->
-          adj.(off.(w) + k) <- (pipid lsl wbits) lor Device.pip_other dev pipid w)
-        pips)
-    dev.Device.wire_out;
-  let long = Array.init nwires (is_long dev) in
+  for w = 0 to nwires - 1 do
+    let pips = dev.Device.wire_out.(w) in
+    for k = 0 to Array.length pips - 1 do
+      let d = Device.pip_other dev pips.(k) w in
+      adj.(off.(w) + k) <- (pips.(k) lsl pip_shift) lor geo d lor d
+    done
+  done;
   let occ = Array.make nwires 0 in
   let hist = Array.make nwires 0.0 in
   let pres_fac = ref 0.6 in
-  (* PathFinder wire cost, cached per wire.  It changes only with occ
-     (re-set at every rip-up and commit) and with pres_fac/hist (re-set for
-     every wire at the start of an iteration). *)
-  let wcost = Array.make nwires 0.0 in
+  (* One record of [stride] floats per wire, so a relaxation reads and
+     writes one record instead of four arrays:
+     - [f_wcost]: the cached PathFinder wire cost.  It changes only with
+       occ (re-set at every rip-up and commit) and with pres_fac/hist
+       (re-set for every wire at the start of an iteration);
+     - [f_cost]: the search cost from the tree, valid while [f_stamp]
+       holds the current search epoch;
+     - [f_expanded]: the epoch once w's fanout has been scanned at its
+       current cost; a relaxation that lowers the cost clears it.
+     Epochs count searches, far below 2^53, so they are exact as floats. *)
+  let stride = 4 and f_wcost = 0 and f_cost = 1 and f_stamp = 2 and f_expanded = 3 in
+  let wr = Float.Array.make (stride * nwires) 0.0 in
   let set_cost w =
     let over = float_of_int occ.(w) in
-    wcost.(w) <- (base_cost dev w *. (1.0 +. (over *. !pres_fac))) +. hist.(w)
+    Float.Array.set wr ((stride * w) + f_wcost)
+      ((base_cost dev w *. (1.0 +. (over *. !pres_fac))) +. hist.(w))
   in
-  let cost = Array.make nwires infinity in
   let prev = Array.make nwires (-1) in
-  let stamp = Array.make nwires 0 in
-  (* expanded.(w) = epoch once w's fanout has been scanned at its current
-     cost; a relaxation that lowers the cost clears it *)
-  let expanded = Array.make nwires 0 in
   let tree_stamp = Array.make nwires 0 in
   let epoch = ref 0 in
   let tree_epoch = ref 0 in
@@ -200,14 +230,14 @@ let run ?(max_iters = 60) dev pack place =
       incr s;
       if tree_stamp.(sk) <> !tree_epoch then begin
         incr epoch;
-        let ep = !epoch in
+        let ep = float_of_int !epoch in
         let skr = wrow.(sk) and skc = wcol.(sk) in
         Heap.clear heap;
         (* seed with the current tree, newest wire first *)
         for i = !tree_n - 1 downto 0 do
           let w = tree.(i) in
-          stamp.(w) <- ep;
-          cost.(w) <- 0.0;
+          Float.Array.set wr ((stride * w) + f_stamp) ep;
+          Float.Array.set wr ((stride * w) + f_cost) 0.0;
           prev.(w) <- -1;
           let dist = abs (wrow.(w) - skr) + abs (wcol.(w) - skc) in
           Heap.push heap (0.9 *. float_of_int dist) w
@@ -216,25 +246,37 @@ let run ?(max_iters = 60) dev pack place =
         while (not !found) && heap.Heap.n > 0 do
           let w = Heap.pop heap in
           if w = sk then found := true
-          else if expanded.(w) <> ep then begin
-            expanded.(w) <- ep;
-            let cw = cost.(w) in
-            for k = off.(w) to off.(w + 1) - 1 do
-              let d = adj.(k) land wmask in
-              let r = wrow.(d) and c = wcol.(d) in
-              if long.(d) || (r >= rmin && r <= rmax && c >= cmin && c <= cmax)
-              then begin
-                let cd = cw +. wcost.(d) in
-                if stamp.(d) <> ep || cd < cost.(d) then begin
-                  stamp.(d) <- ep;
-                  expanded.(d) <- 0;
-                  cost.(d) <- cd;
-                  prev.(d) <- adj.(k) lsr wbits;
-                  let dist = abs (r - skr) + abs (c - skc) in
-                  Heap.push heap (cd +. (0.9 *. float_of_int dist)) d
+          else begin
+            let wb = stride * w in
+            if Float.Array.unsafe_get wr (wb + f_expanded) <> ep then begin
+              Float.Array.unsafe_set wr (wb + f_expanded) ep;
+              let cw = Float.Array.unsafe_get wr (wb + f_cost) in
+              for k = Array.unsafe_get off w to Array.unsafe_get off (w + 1) - 1 do
+                let slot = Array.unsafe_get adj k in
+                let r = (slot lsr row_shift) land rmask
+                and c = (slot lsr col_shift) land cmask in
+                (* in the box iff no difference to an edge is negative *)
+                if
+                  (slot lsr long_shift) land 1 = 1
+                  || (r - rmin) lor (rmax - r) lor (c - cmin) lor (cmax - c) >= 0
+                then begin
+                  let d = slot land wmask in
+                  let db = stride * d in
+                  let cd = cw +. Float.Array.unsafe_get wr (db + f_wcost) in
+                  if
+                    Float.Array.unsafe_get wr (db + f_stamp) <> ep
+                    || cd < Float.Array.unsafe_get wr (db + f_cost)
+                  then begin
+                    Float.Array.unsafe_set wr (db + f_stamp) ep;
+                    Float.Array.unsafe_set wr (db + f_expanded) 0.0;
+                    Float.Array.unsafe_set wr (db + f_cost) cd;
+                    Array.unsafe_set prev d (slot lsr pip_shift);
+                    let dist = iabs (r - skr) + iabs (c - skc) in
+                    Heap.push heap (cd +. (0.9 *. float_of_int dist)) d
+                  end
                 end
-              end
-            done
+              done
+            end
           end
         done;
         if not !found then failed := sk

@@ -13,6 +13,26 @@ type result = {
   iterations : int;
 }
 
+(** The router's priority queue: a binary min-heap of wires keyed by float
+    search cost.  Internal to {!run}, and exposed only so that tests can
+    check it.  Ties between equal keys are broken by the heap layout, so
+    routes depend on the exact pop order: [pop] must return the same
+    sequence as the swap-based textbook heap (sift up while the parent is
+    strictly greater; sift down to the smaller child while it is strictly
+    smaller, the left child on a tie). *)
+module Heap : sig
+  type t
+
+  val create : unit -> t
+  val clear : t -> unit
+  val size : t -> int
+  val push : t -> float -> int -> unit
+
+  val pop : t -> int
+  (** Removes a minimum entry and returns its wire.  Requires
+      [size h > 0]. *)
+end
+
 val driver_wire : Tmr_arch.Device.t -> Pack.t -> Place.t -> int -> int
 (** Physical wire driving a net (by net index). *)
 

@@ -153,27 +153,125 @@ let test_route_no_overuse_and_connected () =
             net.Pack.sinks)
         pack.Pack.nets
 
-(* Golden routes: one digest per design over everything the router returns
-   plus the bitstream it leads to, so any change to the router's search
-   order (heap ties, neighbour order, cost rounding) shows up here. *)
-let route_digest (impl : Impl.t) =
-  let r = impl.Impl.route in
-  let b = Buffer.create 65536 in
-  let ints a =
-    Buffer.add_string b (string_of_int (Array.length a));
-    Array.iter (fun x -> Buffer.add_char b ' '; Buffer.add_string b (string_of_int x)) a;
-    Buffer.add_char b '\n'
-  in
-  Array.iter ints r.Route.net_pips;
-  Array.iter ints r.Route.net_wires;
-  Array.iter
-    (Array.iter (fun (s, d, sp) -> ints [| s; d; sp |]))
-    r.Route.sink_stats;
-  ints [| r.Route.iterations |];
-  Buffer.add_string b
-    (Bitstream.to_hex impl.Impl.bitgen.Tmr_pnr.Bitgen.bitstream);
-  Digest.to_hex (Digest.string (Buffer.contents b))
+(* The router's heap before it moved holes and picked children without a
+   branch, kept verbatim as the reference: the router's ties, and so every
+   route, depend on the exact pop order. *)
+module Swap_heap = struct
+  type t = {
+    mutable keys : float array;
+    mutable data : int array;
+    mutable n : int;
+  }
 
+  let create () = { keys = Array.make 1024 0.0; data = Array.make 1024 0; n = 0 }
+
+  let clear h = h.n <- 0
+
+  let grow h =
+    h.keys <- Array.append h.keys (Array.make (Array.length h.keys) 0.0);
+    h.data <- Array.append h.data (Array.make (Array.length h.data) 0)
+
+  let sift_up h i =
+    let i = ref i in
+    let continue = ref true in
+    while !continue && !i > 0 do
+      let parent = (!i - 1) / 2 in
+      if h.keys.(parent) > h.keys.(!i) then begin
+        let tk = h.keys.(parent) and td = h.data.(parent) in
+        h.keys.(parent) <- h.keys.(!i);
+        h.data.(parent) <- h.data.(!i);
+        h.keys.(!i) <- tk;
+        h.data.(!i) <- td;
+        i := parent
+      end
+      else continue := false
+    done
+
+  (* inlined so the float key is never boxed at the call *)
+  let[@inline] push h k v =
+    if h.n >= Array.length h.keys then grow h;
+    let i = h.n in
+    h.keys.(i) <- k;
+    h.data.(i) <- v;
+    h.n <- i + 1;
+    sift_up h i
+
+  (* requires [h.n > 0] *)
+  let pop h =
+    let v = h.data.(0) in
+    h.n <- h.n - 1;
+    h.keys.(0) <- h.keys.(h.n);
+    h.data.(0) <- h.data.(h.n);
+    let i = ref 0 in
+    let continue = ref true in
+    while !continue do
+      let left = (2 * !i) + 1 and right = (2 * !i) + 2 in
+      let smallest = ref !i in
+      if left < h.n && h.keys.(left) < h.keys.(!smallest) then smallest := left;
+      if right < h.n && h.keys.(right) < h.keys.(!smallest) then
+        smallest := right;
+      if !smallest <> !i then begin
+        let tk = h.keys.(!smallest) and td = h.data.(!smallest) in
+        h.keys.(!smallest) <- h.keys.(!i);
+        h.data.(!smallest) <- h.data.(!i);
+        h.keys.(!i) <- tk;
+        h.data.(!i) <- td;
+        i := !smallest
+      end
+      else continue := false
+    done;
+    v
+end
+
+type heap_op = Push of float | Pop | Clear
+
+(* Keys from three values, so nearly every comparison is a tie; long
+   sequences without clears push past the initial capacity of 1024.  Each push carries a
+   distinct value, so equal pop sequences mean equal tie-breaking. *)
+let qcheck_heap_equivalence =
+  let open QCheck in
+  let push = Gen.map (fun k -> Push k) (Gen.oneofl [ 0.0; 0.9; 1.8 ]) in
+  let op clears =
+    Gen.frequency
+      ([ (12, push); (8, Gen.return Pop) ]
+      @ if clears then [ (1, Gen.return Clear) ] else [])
+  in
+  let pp = function
+    | Push k -> Printf.sprintf "push %g" k
+    | Pop -> "pop"
+    | Clear -> "clear"
+  in
+  Test.make ~count:200 ~name:"Route.Heap pops what the swap heap pops"
+    (make
+       ~print:(fun ops -> String.concat "; " (List.map pp ops))
+       Gen.(bool >>= fun clears -> list_size (int_range 0 8000) (op clears)))
+    (fun ops ->
+      let h = Route.Heap.create () and r = Swap_heap.create () in
+      let next = ref 0 in
+      List.for_all
+        (function
+          | Push k ->
+              Route.Heap.push h k !next;
+              Swap_heap.push r k !next;
+              incr next;
+              true
+          | Clear ->
+              Route.Heap.clear h;
+              Swap_heap.clear r;
+              true
+          | Pop ->
+              Route.Heap.size h = r.Swap_heap.n
+              && (r.Swap_heap.n = 0 || Route.Heap.pop h = Swap_heap.pop r))
+        ops
+      && Route.Heap.size h = r.Swap_heap.n
+      &&
+      let rec drain () =
+        r.Swap_heap.n = 0 || (Route.Heap.pop h = Swap_heap.pop r && drain ())
+      in
+      drain ())
+
+(* Golden routes: one [Impl.route_digest] per design, so any change to the
+   router's search order shows up here. *)
 let golden_routes =
   let open Tmr_core in
   [
@@ -200,7 +298,7 @@ let test_golden_routes () =
       in
       let impl = Impl.implement_exn ~seed:1 (Lazy.force dev) (Lazy.force db) nl in
       Alcotest.(check string) (name ^ " route digest") expected
-        (route_digest impl))
+        (Impl.route_digest impl))
     golden_routes
 
 let test_impl_end_to_end () =
@@ -293,6 +391,7 @@ let () =
         [
           Alcotest.test_case "no overuse; all sinks connected" `Quick
             test_route_no_overuse_and_connected;
+          QCheck_alcotest.to_alcotest qcheck_heap_equivalence;
           Alcotest.test_case "golden routes (5 designs + detecting voter)"
             `Quick test_golden_routes;
         ] );
