@@ -198,18 +198,17 @@ let events_file_t =
   Arg.(
     value
     & opt (some string) None
-    & info [ "events" ] ~docv:"SPEC"
+    & info [ "events" ] ~docv:"FILE"
         ~doc:
           "Stream live structured campaign events (started / progress / \
-           CI updates / worker heartbeats / batch dispatches / stopped) as \
-           JSONL.  $(docv) is a file path, or $(b,unix:)$(i,PATH) to serve \
-           a Unix-domain socket instead; $(b,tmrtool watch) $(docv) tails \
-           either.  Emission never blocks the fault loop: events beyond \
-           the buffer are dropped and accounted as sequence-number gaps.  \
-           With $(b,--procs) > 1 every worker spools its events beside the \
-           shard queue and the parent relays them onto this stream live, \
-           origin-stamped ($(i,pid)/$(i,worker)/$(i,shard)/$(i,job)), so \
-           file and socket sinks see one merged fleet stream.")
+           CI updates / worker heartbeats / batch dispatches / stopped) to \
+           $(docv) as JSONL, one whole line appended and flushed per \
+           event, so the sequence numbers are dense and $(b,tmrtool watch \
+           -f) $(docv) can tail the file live.  With $(b,--procs) > 1 \
+           every worker spools its events beside the shard queue and the \
+           parent relays them into $(docv) live, origin-stamped \
+           ($(i,pid)/$(i,worker)/$(i,shard)/$(i,job)), so $(docv) is one \
+           merged fleet stream.")
 
 let listen_t =
   Arg.(
@@ -226,11 +225,6 @@ let telemetry_t =
   Term.(
     const (fun trace metrics events listen -> (trace, metrics, events, listen))
     $ trace_file_t $ metrics_file_t $ events_file_t $ listen_t)
-
-let install_events spec =
-  match String.length spec >= 5 && String.sub spec 0 5 = "unix:" with
-  | true -> Tmr_obs.Events.listen_unix (String.sub spec 5 (String.length spec - 5))
-  | false -> Tmr_obs.Events.to_file spec
 
 (* An interrupted run should still leave its telemetry behind: first
    wind down any forked worker fleet (terminate, reap, drain the spool
@@ -254,7 +248,7 @@ let install_sigint metrics =
    telemetry behind. *)
 let with_telemetry (trace, metrics, events, listen) f =
   Option.iter Trace.to_file trace;
-  Option.iter install_events events;
+  Option.iter Tmr_obs.Events.to_file events;
   Option.iter
     (fun port ->
       Tmr_obs.Expose.set_active_probe (Some Campaign.active_campaigns);
@@ -1396,17 +1390,17 @@ let watch_cmd =
       & pos 0 (some string) None
       & info [] ~docv:"SOURCE"
           ~doc:
-            "Event stream to tail: a JSONL file written by $(b,--events \
-             FILE), or $(b,unix:)$(i,PATH) to connect to a live \
-             $(b,--events unix:)$(i,PATH) socket.")
+            "Event stream to read: a JSONL file written by $(b,--events \
+             FILE).")
   in
   let follow_t =
     Arg.(
       value & flag
       & info [ "follow"; "f" ]
           ~doc:
-            "Keep tailing a file as it grows until every campaign seen \
-             has stopped (sockets are always followed to EOF).")
+            "Keep tailing the file as it grows until every campaign seen \
+             has stopped (the live path: start it beside a running \
+             $(b,--events) campaign).")
   in
   let watch_json_t =
     Arg.(
@@ -1463,44 +1457,30 @@ let watch_cmd =
         end
       end
     in
-    (match String.length source >= 5 && String.sub source 0 5 = "unix:" with
-    | true ->
-        let path = String.sub source 5 (String.length source - 5) in
-        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-        (try Unix.connect fd (Unix.ADDR_UNIX path)
-         with Unix.Unix_error (e, _, _) ->
-           Printf.eprintf "tmrtool watch: cannot connect to %s: %s\n" path
-             (Unix.error_message e);
-           exit 1);
-        let ic = Unix.in_channel_of_descr fd in
-        (try
-           while true do
-             feed (input_line ic);
-             redraw ~final:false ()
-           done
-         with End_of_file -> ());
-        close_in ic
-    | false ->
-        let ic =
-          try open_in source
-          with Sys_error e ->
-            Printf.eprintf "tmrtool watch: %s\n" e;
-            exit 1
-        in
-        let continue = ref true in
-        while !continue do
-          match input_line ic with
-          | line ->
-              feed line;
-              redraw ~final:false ()
-          | exception End_of_file ->
-              if follow && not (Tmr_obs.Watch.finished st) then begin
-                redraw ~final:false ();
-                Unix.sleepf 0.2
-              end
-              else continue := false
-        done;
-        close_in ic);
+    let ic =
+      try open_in source
+      with Sys_error e ->
+        Printf.eprintf "tmrtool watch: %s\n" e;
+        exit 1
+    in
+    let next_line () =
+      if follow then Tmr_obs.Events.input_whole_line ic
+      else In_channel.input_line ic
+    in
+    let continue = ref true in
+    while !continue do
+      match next_line () with
+      | Some line ->
+          feed line;
+          redraw ~final:false ()
+      | None ->
+          if follow && not (Tmr_obs.Watch.finished st) then begin
+            redraw ~final:false ();
+            Unix.sleepf 0.2
+          end
+          else continue := false
+    done;
+    close_in ic;
     if !bad > 0 then
       Printf.eprintf "tmrtool watch: skipped %d unparseable lines\n" !bad;
     if Tmr_obs.Watch.events_seen st = 0 then begin
@@ -1515,139 +1495,15 @@ let watch_cmd =
   Cmd.v
     (Cmd.info "watch"
        ~doc:
-         "tail a live --events stream (file or unix socket) and render a \
+         "read or tail (-f) an --events stream file and render a \
           multi-campaign dashboard")
     Term.(
       const run $ source_t $ follow_t $ watch_json_t $ confidence_t
       $ worker_timeout_t)
-
-(* --- serve / submit --- *)
-
-let host_t =
-  Arg.(
-    value & opt string "127.0.0.1"
-    & info [ "host" ] ~docv:"ADDR" ~doc:"bind/connect address")
-
-let serve_cmd =
-  let port_t =
-    Arg.(
-      required
-      & opt (some int) None
-      & info [ "listen" ] ~docv:"PORT" ~doc:"TCP port to listen on")
-  in
-  let dir_t =
-    Arg.(
-      value & opt string ".tmr-service"
-      & info [ "dir" ] ~docv:"DIR"
-          ~doc:
-            "Queue root: each job runs its shard queue under \
-             $(docv)/<job name> (so re-submitting an interrupted job \
-             resumes it) and leaves <job name>.summary.json behind.")
-  in
-  let max_jobs_t =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "max-jobs" ] ~docv:"N"
-          ~doc:"Exit after $(docv) completed jobs (tests/CI).")
-  in
-  let serve_procs_t =
-    Arg.(
-      value & opt int 1
-      & info [ "procs" ] ~docv:"P"
-          ~doc:"Worker processes forked per job (see $(b,inject --procs)).")
-  in
-  let run host port dir max_jobs procs =
-    Printf.eprintf "tmrtool serve: listening on %s:%d, queue root %s\n%!"
-      host port dir;
-    Service.serve ~host ?max_jobs ~procs ~port ~dir ()
-  in
-  Cmd.v
-    (Cmd.info "serve"
-       ~doc:
-         "campaign-as-a-service: accept newline-delimited JSON campaign \
-          jobs over TCP, run them through the sharded engine, stream \
-          progress events to every connected client")
-    Term.(
-      const run $ host_t $ port_t $ dir_t $ max_jobs_t $ serve_procs_t)
-
-let submit_cmd =
-  let port_t =
-    Arg.(
-      required
-      & opt (some int) None
-      & info [ "port" ] ~docv:"PORT" ~doc:"server TCP port")
-  in
-  let workers_t =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "workers" ] ~docv:"W"
-          ~doc:"domain workers per process, on the server")
-  in
-  let run host port scale seed faults design voter exhaustive shards workers
-      no_diff batch_width =
-    let j =
-      Service.job ~scale ~seed ~faults ~exhaustive ?shards ?workers
-        ~diff:(not no_diff) ~batch_width ~voter design
-    in
-    let jname = Service.job_name j in
-    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    (try Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port))
-     with Unix.Unix_error (e, _, _) ->
-       Printf.eprintf "tmrtool submit: cannot connect to %s:%d: %s\n" host
-         port (Unix.error_message e);
-       exit 1);
-    let oc = Unix.out_channel_of_descr fd in
-    let ic = Unix.in_channel_of_descr fd in
-    output_string oc (Tmr_obs.Json.to_string (Service.job_to_json j));
-    output_char oc '\n';
-    flush oc;
-    Printf.eprintf "submitted %s to %s:%d\n%!" jname host port;
-    (* relay the server's event stream until our job completes; other
-       clients' events ride along, which is the point of the service *)
-    let done_ = ref false in
-    (try
-       while not !done_ do
-         let line = input_line ic in
-         (match Tmr_obs.Json.parse line with
-         | Ok js -> (
-             match Option.bind (Tmr_obs.Json.member "error" js) Tmr_obs.Json.str with
-             | Some e ->
-                 Printf.eprintf "tmrtool submit: server rejected the job: %s\n" e;
-                 exit 1
-             | None -> ())
-         | Error _ -> ());
-         print_endline line;
-         match Tmr_obs.Events.parse_line line with
-         | Ok { Tmr_obs.Events.p_event = Tmr_obs.Events.Job_done { job; _ }; _ }
-           when job = jname ->
-             done_ := true
-         | Ok _ | Error _ -> ()
-       done
-     with End_of_file -> ());
-    (try Unix.close fd with _ -> ());
-    if not !done_ then begin
-      Printf.eprintf
-        "tmrtool submit: server closed the stream before %s completed\n"
-        jname;
-      exit 1
-    end
-  in
-  Cmd.v
-    (Cmd.info "submit"
-       ~doc:
-         "submit one campaign job to a running $(b,tmrtool serve) and \
-          relay its event stream (JSONL on stdout) until the job is done")
-    Term.(
-      const run $ host_t $ port_t $ scale_t $ seed_t $ faults_t $ design_t
-      $ voter_t $ exhaustive_t $ shards_t $ workers_t $ no_diff_t
-      $ batch_width_t)
 
 let () =
   let doc = "optimal TMR voter partitioning on an SRAM FPGA (DATE'05 reproduction)" in
   let info = Cmd.info "tmrtool" ~doc ~version:(Store.version_string ()) in
   exit (Cmd.eval (Cmd.group info
        [ report_cmd; implement_cmd; inject_cmd; explain_cmd; congestion_cmd;
-         export_cmd; tables_cmd; profile_cmd; watch_cmd; serve_cmd;
-         submit_cmd ]))
+         export_cmd; tables_cmd; profile_cmd; watch_cmd ]))

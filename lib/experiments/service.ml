@@ -10,16 +10,6 @@ module Metrics = Tmr_obs.Metrics
 module Trace = Tmr_obs.Trace
 module Expose = Tmr_obs.Expose
 
-(* Fleet/service instruments, exposed by /metrics alongside the
-   campaign's own. *)
-let m_queue_depth = Metrics.gauge "service.queue_depth"
-let m_shards_done = Metrics.gauge "service.shards_done"
-let m_orphan_reclaims = Metrics.counter "service.orphan_reclaims"
-let m_claim_ns = Metrics.histogram "service.claim_ns"
-let m_jobs_active = Metrics.gauge "service.jobs_active"
-let m_jobs_completed = Metrics.counter "service.jobs_completed"
-let m_clients = Metrics.gauge "service.clients"
-
 type job = {
   j_design : Partition.strategy;
   j_scale : Context.scale;
@@ -79,69 +69,6 @@ let job_to_json j =
       ("voter", Json.Str (Tmr_core.Voter.name j.j_voter));
     ]
 
-let job_of_json json =
-  let ( let* ) = Result.bind in
-  let req name conv =
-    match Option.bind (Json.member name json) conv with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "job: missing or ill-typed field %S" name)
-  in
-  let opt name conv default =
-    match Json.member name json with
-    | None -> Ok default
-    | Some v -> (
-        match conv v with
-        | Some v -> Ok v
-        | None -> Error (Printf.sprintf "job: ill-typed field %S" name))
-  in
-  let* design_s = req "design" Json.str in
-  let* j_design =
-    match
-      List.find_opt
-        (fun d -> Partition.name d = design_s)
-        Partition.all_paper_designs
-    with
-    | Some d -> Ok d
-    | None -> Error (Printf.sprintf "job: unknown design %S" design_s)
-  in
-  let* scale_s = opt "scale" Json.str "paper" in
-  let* j_scale =
-    match scale_s with
-    | "paper" -> Ok Context.Paper
-    | "reduced" -> Ok Context.Reduced
-    | s -> Error (Printf.sprintf "job: unknown scale %S" s)
-  in
-  let* j_seed = opt "seed" Json.int 1 in
-  let* j_faults = opt "faults" Json.int 1500 in
-  let* j_exhaustive = opt "exhaustive" Json.bool false in
-  let* j_shards = opt "shards" Json.int 16 in
-  let* j_workers = opt "workers" Json.int 1 in
-  let* j_diff = opt "diff" Json.bool true in
-  let* j_batch_width = opt "batch_width" Json.int 64 in
-  let* voter_s = opt "voter" Json.str "majority" in
-  let* j_voter =
-    match Tmr_core.Voter.of_name voter_s with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "job: unknown voter %S" voter_s)
-  in
-  if j_shards <= 0 then Error "job: shards must be positive"
-  else if j_batch_width <> 0 && j_batch_width <> 32 && j_batch_width <> 64 then
-    Error "job: batch_width must be 0, 32 or 64"
-  else
-    Ok
-      {
-        j_design;
-        j_scale;
-        j_seed;
-        j_faults;
-        j_exhaustive;
-        j_shards;
-        j_workers;
-        j_diff;
-        j_batch_width;
-        j_voter;
-      }
-
 let faults_of _ctx (run : Runs.design_run) j =
   if j.j_exhaustive then Array.copy run.Runs.faultlist.Faultlist.bits
   else Faultlist.sample run.Runs.faultlist ~seed:j.j_seed ~count:j.j_faults
@@ -159,7 +86,7 @@ let fingerprint j faults =
 type spool_info = {
   sp_worker : int;
   sp_path : string;
-  sp_events : int;  (* worker-local events relayed onto the bus *)
+  sp_events : int;  (* worker-local events relayed onto the parent stream *)
   sp_gaps : int;  (* worker-local sequence numbers never seen *)
 }
 
@@ -187,9 +114,8 @@ let interrupt () = (Atomic.get interrupt_hook) ()
 
 (* One tail per worker spool.  The channel is opened lazily (the file
    only exists once the child's first event lands) and read with
-   [input_line]: spool writes are line-atomic (one write(2) per line),
-   so End_of_file is the only mid-line condition and simply means
-   "caught up — retry next tick". *)
+   [Events.input_whole_line]: a line whose newline has not landed is left
+   for the next tick, and one torn by SIGKILL is never relayed. *)
 type tail = {
   tl_worker : int;
   tl_path : string;
@@ -214,9 +140,9 @@ let drain_tail t =
   | Some ic ->
       let continue = ref true in
       while !continue do
-        match input_line ic with
-        | exception End_of_file -> continue := false
-        | line -> (
+        match Events.input_whole_line ic with
+        | None -> continue := false
+        | Some line -> (
             match Events.respool_line line with
             | Some (oseq, payload) ->
                 (* gap accounting per origin: worker seqs are dense, so
@@ -289,7 +215,7 @@ let run_sharded ?(procs = 1) ?shard_limit ?(fresh = false)
                   pass --fresh to discard it"
                  dir))
   in
-  Metrics.incr ~by:(Workqueue.reclaim_orphans wq) m_orphan_reclaims;
+  ignore (Workqueue.reclaim_orphans wq);
   let plan = Shard.plan ~total ~shards:j.j_shards in
   let* done0 = Workqueue.load_done wq in
   let* () =
@@ -323,10 +249,7 @@ let run_sharded ?(procs = 1) ?shard_limit ?(fresh = false)
     let claimed = ref 0 in
     let continue = ref true in
     while !continue && !claimed < limit do
-      let t_claim = Clock.now_ns () in
-      let claimed_range = Workqueue.claim wq ~pid in
-      Metrics.observe m_claim_ns (Clock.now_ns () - t_claim);
-      match claimed_range with
+      match Workqueue.claim wq ~pid with
       | None -> continue := false
       | Some r ->
           let sub = Array.sub faults r.Shard.sh_lo (r.Shard.sh_hi - r.Shard.sh_lo) in
@@ -395,19 +318,14 @@ let run_sharded ?(procs = 1) ?shard_limit ?(fresh = false)
      (* Fork the workers *after* the implementation and fault list exist:
         children inherit the built device, bitstream and golden netlist
         by copy-on-write instead of re-running the CAD flow per process.
-        Each child talks to the world only through the queue directory.
-        The bus threads are quiesced across the fork window: a child
-        forked while the writer thread is mid-runtime-lock inherits a
-        poisoned threads runtime and wedges at its first forced yield. *)
-     Events.pause ();
+        Each child talks to the world only through the queue directory. *)
      let children =
        List.map
          (fun worker ->
            match Unix.fork () with
            | 0 ->
-               (* the bus threads did not survive the fork, and its
-                  sinks' descriptors are shared with the parent: disown
-                  bus and trace sink before anything else *)
+               (* the event and trace sinks' channels belong to the
+                  parent: disown both before anything else *)
                Events.detach ();
                Trace.detach ();
                (* inherited handlers belong to the parent (they flush
@@ -443,7 +361,6 @@ let run_sharded ?(procs = 1) ?shard_limit ?(fresh = false)
            | pid -> pid)
          worker_ids
      in
-     Events.resume ();
      (* fleet-wide scrapes: fold the workers' snapshot files into every
         /metrics render for as long as they exist *)
      let fleet_snapshots () =
@@ -456,9 +373,10 @@ let run_sharded ?(procs = 1) ?shard_limit ?(fresh = false)
      in
      Expose.set_extra_snapshots (Some fleet_snapshots);
      (* The parent watches: a tailer thread follows the live spools and
-        republishes every worker event onto the bus (re-sequenced, origin
-        preserved), while the main thread reaps children and relays a
-        Shard_done per manifest that appears. *)
+        appends every worker event to the parent's stream (re-sequenced,
+        origin preserved), while the main thread reaps children and
+        relays a Shard_done per manifest that appears.  Both write
+        through the one sink lock, so the merged [seq] is dense. *)
      let tails =
        if events_on then
          List.map (fun w -> make_tail w (Workqueue.spool_path wq ~worker:w))
@@ -492,8 +410,6 @@ let run_sharded ?(procs = 1) ?shard_limit ?(fresh = false)
        match Workqueue.load_done wq with
        | Error _ -> ()
        | Ok ms ->
-           Metrics.set m_shards_done (float_of_int (List.length ms));
-           Metrics.set m_queue_depth (float_of_int (Workqueue.pending wq));
            List.iter
              (fun (m : Shard.manifest) ->
                if not (Hashtbl.mem seen m.Shard.sm_id) then begin
@@ -638,219 +554,3 @@ let summary_json j status =
         body
         (Tmr_obs.Jsonl.escape name)
         j.j_exhaustive (o.o_resumed + o.o_fresh) o.o_resumed o.o_fresh
-
-(* ------------------------------------------------------------------ *)
-(* Campaign-as-a-service. *)
-
-let write_all fd bytes =
-  let len = Bytes.length bytes in
-  let off = ref 0 in
-  while !off < len do
-    off := !off + Unix.write fd bytes !off (len - !off)
-  done
-
-let rec mkdir_p d =
-  if d <> "" && d <> "." && d <> "/" && not (Sys.file_exists d) then begin
-    mkdir_p (Filename.dirname d);
-    try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
-let serve ?(host = "127.0.0.1") ?max_jobs ?(procs = 1) ~port ~dir () =
-  mkdir_p dir;
-  let listen_fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt listen_fd Unix.SO_REUSEADDR true;
-  Unix.bind listen_fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
-  Unix.listen listen_fd 16;
-  let mutex = Mutex.create () in
-  let cond = Condition.create () in
-  let queue : job Queue.t = Queue.create () in
-  let peers = ref [] in
-  let stopping = ref false in
-  let seq = ref 0 in
-  (* Every client sees the same JSONL stream, rendered exactly like the
-     event bus would ({!Events.render}, server-local dense seq), so
-     [tmrtool watch] and {!Events.parse_line} work on a captured feed. *)
-  let broadcast ev =
-    Mutex.lock mutex;
-    let line = Events.render ~seq:!seq ~ts_ns:(Clock.now_ns ()) ev ^ "\n" in
-    incr seq;
-    let bytes = Bytes.of_string line in
-    peers :=
-      List.filter
-        (fun fd ->
-          match write_all fd bytes with
-          | () -> true
-          | exception _ ->
-              (try Unix.close fd with _ -> ());
-              false)
-        !peers;
-    Mutex.unlock mutex
-  in
-  let drop_peer fd =
-    Mutex.lock mutex;
-    let present = List.memq fd !peers in
-    peers := List.filter (fun p -> not (p == fd)) !peers;
-    Metrics.set m_clients (float_of_int (List.length !peers));
-    Mutex.unlock mutex;
-    if present then try Unix.close fd with _ -> ()
-  in
-  (* one reader thread per client: each line is one job *)
-  let client_reader fd =
-    let ic = Unix.in_channel_of_descr fd in
-    (try
-       while true do
-         let line = input_line ic in
-         if String.trim line <> "" then begin
-           match Result.bind (Json.parse line) job_of_json with
-           | Ok j ->
-               Mutex.lock mutex;
-               Queue.add j queue;
-               Condition.signal cond;
-               Mutex.unlock mutex;
-               broadcast
-                 (Events.Job_queued
-                    { job = job_name j; design = Partition.name j.j_design })
-           | Error e -> (
-               let msg =
-                 Printf.sprintf "{\"error\":\"%s\"}\n" (Tmr_obs.Jsonl.escape e)
-               in
-               try write_all fd (Bytes.of_string msg) with _ -> ())
-         end
-       done
-     with End_of_file | Sys_error _ | Unix.Unix_error _ -> ());
-    drop_peer fd
-  in
-  (* polling accept, same pattern as the event bus: a blocking accept is
-     not reliably interruptible from another thread *)
-  let acceptor () =
-    Unix.set_nonblock listen_fd;
-    let running = ref true in
-    while !running do
-      (match Unix.accept listen_fd with
-      | fd, _ ->
-          (try Unix.clear_nonblock fd with _ -> ());
-          (try Unix.setsockopt_float fd Unix.SO_SNDTIMEO 0.5 with _ -> ());
-          Mutex.lock mutex;
-          peers := fd :: !peers;
-          Metrics.set m_clients (float_of_int (List.length !peers));
-          Mutex.unlock mutex;
-          ignore (Thread.create client_reader fd)
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-          Thread.delay 0.05
-      | exception _ -> running := false);
-      Mutex.lock mutex;
-      if !stopping then running := false;
-      Mutex.unlock mutex
-    done
-  in
-  let acceptor_t = Thread.create acceptor () in
-  (* jobs run sequentially in this thread; implementations are cached so
-     repeated jobs skip the CAD flow *)
-  let ctxs : (string * int, Context.t) Hashtbl.t = Hashtbl.create 4 in
-  let runs : (string * int * string, Runs.design_run) Hashtbl.t =
-    Hashtbl.create 8
-  in
-  let completed = ref 0 in
-  let stop_after () =
-    match max_jobs with Some n -> !completed >= n | None -> false
-  in
-  while not (stop_after ()) do
-    Mutex.lock mutex;
-    while Queue.is_empty queue do
-      Condition.wait cond mutex
-    done;
-    let j = Queue.take queue in
-    Mutex.unlock mutex;
-    let jname = job_name j in
-    let design = Partition.name j.j_design in
-    Metrics.set m_jobs_active 1.0;
-    Printf.eprintf "serve: job %s started (%s)\n%!" jname (Store.version_string ());
-    broadcast (Events.Job_started { job = jname; design });
-    (match
-       let ckey = (scale_name j.j_scale, j.j_seed) in
-       let ctx =
-         match Hashtbl.find_opt ctxs ckey with
-         | Some ctx -> ctx
-         | None ->
-             let ctx =
-               Context.create ~scale:j.j_scale ~seed:j.j_seed
-                 ~faults_per_design:j.j_faults ()
-             in
-             Hashtbl.add ctxs ckey ctx;
-             ctx
-       in
-       let rkey =
-         ( scale_name j.j_scale,
-           j.j_seed,
-           design ^ "/" ^ Tmr_core.Voter.name j.j_voter )
-       in
-       let run =
-         match Hashtbl.find_opt runs rkey with
-         | Some run -> run
-         | None ->
-             let run =
-               Runs.implement_design ~voter:j.j_voter ctx j.j_design
-             in
-             Hashtbl.add runs rkey run;
-             run
-       in
-       run_sharded ~procs ~notify:broadcast
-         ~dir:(Filename.concat dir jname)
-         j ctx run
-     with
-    | Ok (Complete o) ->
-        let c = o.o_campaign in
-        let oc =
-          open_out (Filename.concat dir (jname ^ ".summary.json"))
-        in
-        Fun.protect
-          ~finally:(fun () -> close_out_noerr oc)
-          (fun () ->
-            output_string oc (summary_json j (Complete o));
-            output_char oc '\n');
-        broadcast
-          (Events.Job_done
-             {
-               job = jname;
-               design;
-               injected = c.Campaign.injected;
-               wrong = c.Campaign.wrong;
-               wall_ns = c.Campaign.wall_ns;
-             })
-    | Ok (Incomplete _ as st) ->
-        let oc =
-          open_out (Filename.concat dir (jname ^ ".summary.json"))
-        in
-        Fun.protect
-          ~finally:(fun () -> close_out_noerr oc)
-          (fun () ->
-            output_string oc (summary_json j st);
-            output_char oc '\n');
-        broadcast
-          (Events.Job_done
-             { job = jname; design; injected = 0; wrong = 0; wall_ns = 0 })
-    | Error e ->
-        Printf.eprintf "serve: job %s failed: %s\n%!" jname e;
-        broadcast
-          (Events.Job_done
-             { job = jname; design; injected = 0; wrong = 0; wall_ns = 0 })
-    | exception e ->
-        Printf.eprintf "serve: job %s raised: %s\n%!" jname
-          (Printexc.to_string e);
-        broadcast
-          (Events.Job_done
-             { job = jname; design; injected = 0; wrong = 0; wall_ns = 0 }));
-    Metrics.set m_jobs_active 0.0;
-    Metrics.incr m_jobs_completed;
-    incr completed
-  done;
-  Mutex.lock mutex;
-  stopping := true;
-  Mutex.unlock mutex;
-  Thread.join acceptor_t;
-  (try Unix.close listen_fd with _ -> ());
-  Mutex.lock mutex;
-  let ps = !peers in
-  peers := [];
-  Mutex.unlock mutex;
-  List.iter (fun fd -> try Unix.close fd with _ -> ()) ps

@@ -1,16 +1,13 @@
-(** Distributed campaign driver: sharded, resumable, multi-process runs
-    and the campaign-as-a-service TCP front end.
+(** Distributed campaign driver: sharded, resumable, multi-process runs.
 
-    The execution model stacks three layers of parallelism:
+    The execution model stacks two layers of parallelism:
 
     - inside one process, {!Tmr_inject.Campaign.run} spreads a shard's
       faults over a domain {!Tmr_inject.Pool};
     - {!run_sharded} splits the whole fault-index space into
       {!Tmr_inject.Shard} ranges kept in an on-disk
       {!Tmr_inject.Workqueue}, and with [procs >= 2] forks that many
-      worker processes which claim ranges until the queue drains;
-    - {!serve} accepts campaign jobs over TCP and feeds them through
-      {!run_sharded}, streaming progress to every connected client.
+      worker processes which claim ranges until the queue drains.
 
     Because each per-fault verdict is a pure function of the fault bit,
     the merged result is bit-identical to a single-process campaign over
@@ -43,11 +40,12 @@ val job : ?scale:Context.scale -> ?seed:int -> ?faults:int ->
 
 val job_name : job -> string
 (** Stable human-readable id, e.g. ["tmr_p2-reduced-seed1-exhaustive"] —
-    the [job] field of the service's stream events and the natural
-    per-job queue directory name. *)
+    the [job] field of every event origin and the natural per-job queue
+    directory name. *)
 
 val job_to_json : job -> Tmr_obs.Json.t
-val job_of_json : Tmr_obs.Json.t -> (job, string) result
+(** The job spec as written to the queue's [job.json] (and hashed into
+    {!fingerprint}). *)
 
 val faults_of : Context.t -> Runs.design_run -> job -> int array
 (** The job's fault-index space: the full essential-bit list when
@@ -62,8 +60,8 @@ type spool_info = {
   sp_worker : int;  (** worker slot (1-based; 0 is the parent) *)
   sp_path : string;  (** the worker's [events-w<K>.jsonl] spool file *)
   sp_events : int;
-      (** worker-local events relayed onto the bus — the spool's origin
-          sequence range is [0 .. sp_events + sp_gaps - 1] *)
+      (** worker-local events relayed onto the parent's stream — the
+          spool's origin sequence range is [0 .. sp_events + sp_gaps - 1] *)
   sp_gaps : int;  (** origin sequence numbers never observed *)
 }
 (** Per-worker spool accounting from a forked run with events enabled. *)
@@ -108,13 +106,13 @@ val run_sharded :
     rename-based queue, and each runs its shards on [j_workers] domains.
 
     Distributed telemetry: forked children
-    {!Tmr_obs.Events.detach} from the parent's bus and — when events
+    {!Tmr_obs.Events.detach} from the parent's sink and — when events
     were enabled at fork time — reopen a per-worker spool
     ([events-w<K>.jsonl] in [dir]) stamped with their origin
     (pid/worker/shard and the job correlation id).  A parent tailer
-    thread follows the live spools and republishes every worker event
-    onto the real bus, re-sequenced with origin preserved, so file and
-    socket sinks see one coherent fleet stream.  Children also snapshot
+    thread follows the live spools and appends every worker event to
+    the parent's stream, re-sequenced with origin preserved, so the
+    stream file is one coherent fleet stream.  Children also snapshot
     their metrics registry to [metrics-w<K>.json] at every shard
     boundary (folded into {!Tmr_obs.Expose} scrapes fleet-wide) and,
     when tracing, write [trace-w<K>.jsonl], which the parent stitches
@@ -131,45 +129,20 @@ val run_sharded :
     time-boxing for incremental exhaustive runs; the result is then
     [Incomplete] unless everything else was already done.
 
-    [notify] (default {!Tmr_obs.Events.publish}) receives
-    [Shard_done] after every completed range — [serve] points it at its
-    own broadcast stream.
+    [notify] (default {!Tmr_obs.Events.publish}) receives the fleet-level
+    [Campaign_started] / [Campaign_stopped] and a [Shard_done] after
+    every completed range.
 
     A crashed worker's claim is reclaimed on the next invocation (dead
     owner pid), so a kill -9 mid-shard costs at most that shard's work. *)
 
 val interrupt : unit -> unit
 (** When a {!run_sharded} fleet is live in this process: SIGTERM every
-    remaining child, reap them, and drain the spool tails onto the bus.
-    No-op otherwise.  Intended to be called from the host binary's
+    remaining child, reap them, and drain the spool tails onto the
+    parent's stream.  No-op otherwise.  Intended to be called from the host binary's
     SIGINT handler {e before} it flushes and closes its sinks. *)
 
 val summary_json : job -> status -> string
 (** One-line JSON: the job name plus either the merged campaign summary
     (see {!Tmr_inject.Campaign.summary_json}, with [exhaustive] and
     shard counts spliced in) or the incomplete shard tally. *)
-
-val serve :
-  ?host:string ->
-  ?max_jobs:int ->
-  ?procs:int ->
-  port:int ->
-  dir:string ->
-  unit ->
-  unit
-(** Campaign-as-a-service: listen on [host]:[port] (default 127.0.0.1),
-    accept newline-delimited JSON jobs ({!job_of_json}) from any number
-    of concurrent clients, queue them, and run them sequentially through
-    {!run_sharded} (each under [dir]/<job name>, so re-submitting an
-    interrupted job resumes it).
-
-    Every connected client receives the full event stream as JSONL in
-    {!Tmr_obs.Events.render} format — [job_queued] / [job_started] /
-    campaign progress / [shard_done] / [job_done] — with a server-local
-    dense [seq].  A malformed job line is answered with one
-    [{"error":...}] line on the offending client only.
-
-    Implementations are cached per (scale, seed, design), so repeated
-    jobs against the same design skip the CAD flow.  [max_jobs] stops
-    the server after that many jobs completed (tests/CI); otherwise it
-    serves until the process is interrupted. *)

@@ -54,15 +54,6 @@ type event =
       wrong : int;
       pending : int;
     }
-  | Job_queued of { job : string; design : string }
-  | Job_started of { job : string; design : string }
-  | Job_done of {
-      job : string;
-      design : string;
-      injected : int;
-      wrong : int;
-      wall_ns : int;
-    }
 
 let type_name = function
   | Campaign_started _ -> "campaign_started"
@@ -75,13 +66,10 @@ let type_name = function
   | Plan_paths _ -> "plan_paths"
   | Manifest_written _ -> "manifest_written"
   | Shard_done _ -> "shard_done"
-  | Job_queued _ -> "job_queued"
-  | Job_started _ -> "job_started"
-  | Job_done _ -> "job_done"
 
 (* Everything after the "ts_ns" field: ,"type":...,<fields>} — built by
-   the producer outside the ring lock; seq and ts are prepended by the
-   writer thread, which is the only place the full line exists. *)
+   the producer outside the sink lock; seq and ts are prepended under
+   it. *)
 let payload_of ev =
   let b = Buffer.create 160 in
   Buffer.add_string b (Printf.sprintf ",\"type\":%S" (type_name ev));
@@ -145,19 +133,7 @@ let payload_of ev =
       int "lo" lo;
       int "hi" hi;
       int "wrong" wrong;
-      int "pending" pending
-  | Job_queued { job; design } ->
-      str "job" job;
-      str "design" design
-  | Job_started { job; design } ->
-      str "job" job;
-      str "design" design
-  | Job_done { job; design; injected; wrong; wall_ns } ->
-      str "job" job;
-      str "design" design;
-      int "injected" injected;
-      int "wrong" wrong;
-      int "wall_ns" wall_ns);
+      int "pending" pending);
   Buffer.add_char b '}';
   Buffer.contents b
 
@@ -214,376 +190,52 @@ let stamped_payload ev =
   | "" -> p
   | sfx -> String.sub p 0 (String.length p - 1) ^ sfx ^ "}"
 
-(* --- the bus ---------------------------------------------------------- *)
+(* --- the sink ---------------------------------------------------------- *)
 
-let default_capacity = 4096
+(* Every stream has one writer: a {!Jsonl} sink whose every line is
+   appended and flushed under its mutex ({!Jsonl.append}), with [seq]
+   assigned under the same lock.  Nothing is queued, so nothing can be
+   dropped and [seq] is dense by construction; a reader tailing the file
+   never waits on a buffer. *)
+let sink = Jsonl.make ()
 
-type entry = { e_seq : int; e_ts : int; e_payload : string }
+(* the next seq; survives [close] so manifests written after teardown
+   can still record the final sequence number *)
+let next_seq = Atomic.make 0
 
-type bus = {
-  mutex : Mutex.t;
-  cond : Condition.t;
-  capacity : int;
-  ring : entry array;
-  mutable head : int;  (* oldest undrained entry *)
-  mutable len : int;
-  mutable next_seq : int;
-  mutable stopping : bool;
-  mutable file : out_channel option;
-  mutable listen_fd : Unix.file_descr option;
-  mutable sock_path : string option;
-  mutable peers : Unix.file_descr list;
-  mutable writer : Thread.t option;
-  mutable acceptor : Thread.t option;
-}
+let enabled () = Jsonl.enabled sink
+let published () = Atomic.get next_seq
+let last_seq () = Atomic.get next_seq - 1
 
-let state : bus option Atomic.t = Atomic.make None
-
-(* A spool is the forked-worker counterpart of the bus: a plain append
-   channel with no threads at all, so it is trivially safe to install
-   right after [fork].  Writes are synchronous — one whole line plus
-   flush per event under the spool mutex — which keeps every line a
-   single [write(2)] (lines are far below the 64 KiB channel buffer), so
-   a tailer reading the file never observes a torn line.  A fatal signal
-   can still cut one [write(2)] short: the kernel abandons a file write
-   between pages once the process is being killed.  [spool_write] blocks
-   the termination signals around the write for that reason. *)
-type spool = {
-  sp_mutex : Mutex.t;
-  sp_oc : out_channel;
-  mutable sp_seq : int;
-}
-
-let spool_state : spool option Atomic.t = Atomic.make None
-
-(* Totals survive [close] so manifests written after teardown can still
-   record the final sequence number. *)
-let total_seq = Atomic.make 0
-let total_dropped = Atomic.make 0
-
-let enabled () =
-  Atomic.get state <> None || Atomic.get spool_state <> None
-
-let published () = Atomic.get total_seq
-let dropped () = Atomic.get total_dropped
-let last_seq () = Atomic.get total_seq - 1
-
-let clients () =
-  match Atomic.get state with
-  | None -> 0
-  | Some b ->
-      Mutex.lock b.mutex;
-      let n = List.length b.peers in
-      Mutex.unlock b.mutex;
-      n
-
-let enqueue b payload =
-  Mutex.lock b.mutex;
-  (* seq and ts assigned under the ring lock: sequence order, ring
-     order and timestamp order all agree *)
-  let seq = b.next_seq in
-  b.next_seq <- seq + 1;
-  Atomic.incr total_seq;
-  if b.len >= b.capacity then Atomic.incr total_dropped
-  else begin
-    b.ring.((b.head + b.len) mod b.capacity) <-
-      { e_seq = seq; e_ts = Clock.now_ns (); e_payload = payload };
-    b.len <- b.len + 1;
-    Condition.signal b.cond
-  end;
-  Mutex.unlock b.mutex
-
-(* blocked while a spool line is written and flushed, so one that arrives
-   mid-line is delivered after the newline *)
-let termination_signals = [ Sys.sigterm; Sys.sigint ]
-
-let spool_write s payload =
-  Mutex.lock s.sp_mutex;
-  let seq = s.sp_seq in
-  s.sp_seq <- seq + 1;
-  Atomic.incr total_seq;
-  let line =
-    Printf.sprintf "{\"seq\":%d,\"ts_ns\":%d%s\n" seq (Clock.now_ns ()) payload
-  in
-  let mask = Thread.sigmask Unix.SIG_BLOCK termination_signals in
-  (try
-     output_string s.sp_oc line;
-     flush s.sp_oc
-   with Sys_error _ -> ());
-  ignore (Thread.sigmask Unix.SIG_SETMASK mask);
-  Mutex.unlock s.sp_mutex
-
-let publish ev =
-  match Atomic.get spool_state with
-  | Some s -> spool_write s (stamped_payload ev)
-  | None -> (
-      match Atomic.get state with
-      | None -> ()
-      | Some b -> enqueue b (stamped_payload ev))
-
-(* Republish a pre-rendered payload (everything after the "ts_ns" field)
-   onto the bus under a fresh sequence number — how the tailer folds
-   spooled worker events into the parent stream. *)
+(* seq and ts are taken under the lock that orders the lines, so
+   timestamp order matches sequence order *)
 let publish_payload payload =
-  match Atomic.get state with
-  | None -> ()
-  | Some b -> enqueue b payload
+  Jsonl.append sink (fun () ->
+      let seq = Atomic.fetch_and_add next_seq 1 in
+      Printf.sprintf "{\"seq\":%d,\"ts_ns\":%d%s" seq (Clock.now_ns ()) payload)
 
-(* --- writer thread ---------------------------------------------------- *)
+let publish ev = if enabled () then publish_payload (stamped_payload ev)
 
-let write_all fd bytes =
-  let len = Bytes.length bytes in
-  let off = ref 0 in
-  while !off < len do
-    off := !off + Unix.write fd bytes !off (len - !off)
-  done
-
-let writer_loop b =
-  let finished = ref false in
-  while not !finished do
-    Mutex.lock b.mutex;
-    while b.len = 0 && not b.stopping do
-      Condition.wait b.cond b.mutex
-    done;
-    let n = b.len in
-    let batch = Array.init n (fun i -> b.ring.((b.head + i) mod b.capacity)) in
-    b.head <- (b.head + n) mod b.capacity;
-    b.len <- 0;
-    let peers = b.peers in
-    let file = b.file in
-    if b.stopping && n = 0 then finished := true;
-    Mutex.unlock b.mutex;
-    if n > 0 then begin
-      let buf = Buffer.create (n * 160) in
-      Array.iter
-        (fun e ->
-          Buffer.add_string buf
-            (Printf.sprintf "{\"seq\":%d,\"ts_ns\":%d%s\n" e.e_seq e.e_ts
-               e.e_payload))
-        batch;
-      let text = Buffer.contents buf in
-      (match file with
-      | Some oc -> ( try output_string oc text; flush oc with Sys_error _ -> ())
-      | None -> ());
-      let bytes = Bytes.of_string text in
-      let dead =
-        List.filter
-          (fun fd ->
-            match write_all fd bytes with
-            | () -> false
-            | exception _ -> true)
-          peers
-      in
-      if dead <> [] then begin
-        Mutex.lock b.mutex;
-        b.peers <- List.filter (fun fd -> not (List.memq fd dead)) b.peers;
-        Mutex.unlock b.mutex;
-        List.iter (fun fd -> try Unix.close fd with _ -> ()) dead
-      end
-    end
-  done
-
-(* Polling accept: a thread parked in a blocking accept() is not
-   reliably woken when another thread closes the listen fd, so the
-   acceptor polls and watches the stopping flag instead. *)
-let accept_loop b fd =
-  Unix.set_nonblock fd;
-  let running = ref true in
-  while !running do
-    (match Unix.accept fd with
-    | c, _ ->
-        (try Unix.clear_nonblock c with _ -> ());
-        (* a peer that stops reading must never stall the writer thread
-           for long: bound the send and drop the peer on timeout *)
-        (try Unix.setsockopt_float c Unix.SO_SNDTIMEO 0.5 with _ -> ());
-        Mutex.lock b.mutex;
-        b.peers <- c :: b.peers;
-        Mutex.unlock b.mutex
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-        Thread.delay 0.05
-    | exception _ -> running := false);
-    Mutex.lock b.mutex;
-    if b.stopping then running := false;
-    Mutex.unlock b.mutex
-  done
-
-(* --- lifecycle -------------------------------------------------------- *)
-
-let ensure_bus capacity =
-  match Atomic.get state with
-  | Some b -> b
-  | None ->
-      let capacity = max 1 capacity in
-      let b =
-        {
-          mutex = Mutex.create ();
-          cond = Condition.create ();
-          capacity;
-          ring = Array.make capacity { e_seq = 0; e_ts = 0; e_payload = "" };
-          head = 0;
-          len = 0;
-          next_seq = 0;
-          stopping = false;
-          file = None;
-          listen_fd = None;
-          sock_path = None;
-          peers = [];
-          writer = None;
-          acceptor = None;
-        }
-      in
-      (* each stream numbers from 0, so gaps measure this stream's drops *)
-      Atomic.set total_seq 0;
-      Atomic.set total_dropped 0;
-      b.writer <- Some (Thread.create writer_loop b);
-      Atomic.set state (Some b);
-      b
-
-let to_file ?(capacity = default_capacity) path =
-  let b = ensure_bus capacity in
-  let oc = open_out path in
-  Mutex.lock b.mutex;
-  let old = b.file in
-  b.file <- Some oc;
-  Mutex.unlock b.mutex;
-  Option.iter (fun oc -> try close_out oc with Sys_error _ -> ()) old
-
-let listen_unix ?(capacity = default_capacity) path =
-  let b = ensure_bus capacity in
-  (try if Sys.file_exists path then Sys.remove path with Sys_error _ -> ());
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.bind fd (Unix.ADDR_UNIX path);
-  Unix.listen fd 8;
-  Mutex.lock b.mutex;
-  b.listen_fd <- Some fd;
-  b.sock_path <- Some path;
-  Mutex.unlock b.mutex;
-  b.acceptor <- Some (Thread.create (accept_loop b) fd)
-
-(* Fork safety: a forked child inherits the bus record but not the
-   writer/acceptor threads, and shares the sinks' file offsets with the
-   parent.  Publishing from the child would queue into a ring nobody
-   drains (or worse, interleave bytes into the parent's stream), so a
-   child must disown the bus before doing anything else — one atomic
-   store, no locks taken, safe even if the fork happened while another
-   thread held the ring mutex.  An inherited spool channel is equally
-   foreign (its buffer and file offset belong to the process that opened
-   it) and is forgotten the same way. *)
-let detach () =
-  Atomic.set state None;
-  Atomic.set spool_state None;
-  clear_context ()
+(* a new stream numbers from 0; reset first, so nobody can publish into
+   the new sink under an old number *)
+let to_file path =
+  Atomic.set next_seq 0;
+  Jsonl.to_file sink path
 
 let spool ~path ~worker ~job =
-  Atomic.set state None;
-  (match Atomic.exchange spool_state None with
-  | Some s -> ( try close_out s.sp_oc with Sys_error _ -> ())
-  | None -> ());
   set_context ~worker ~job;
-  let oc = open_out path in
-  (* a spool is its own stream: seq dense from 0 per worker *)
-  Atomic.set total_seq 0;
-  Atomic.set total_dropped 0;
-  Atomic.set spool_state
-    (Some { sp_mutex = Mutex.create (); sp_oc = oc; sp_seq = 0 })
+  to_file path
 
-(* Forking while the bus threads are live is unsafe: on a busy bus the
-   writer is parked in (or racing through) a runtime condition wait at
-   almost any instant, and a child forked at that moment inherits a
-   poisoned systhreads state — it runs fine until its first forced
-   yield, then blocks forever on a condition variable nobody will ever
-   signal.  [pause] drains the ring and joins the writer and acceptor
-   threads while keeping every sink open (file channel, listen fd,
-   connected peers, sequence counter); [resume] restarts the threads.
-   Events published in between simply accumulate in the ring.  A parent
-   about to fork brackets the fork with the pair; both are no-ops when
-   no bus is active. *)
-let pause () =
-  match Atomic.get state with
-  | None -> ()
-  | Some b ->
-      Mutex.lock b.mutex;
-      b.stopping <- true;
-      Condition.broadcast b.cond;
-      Mutex.unlock b.mutex;
-      Option.iter Thread.join b.writer;
-      Option.iter Thread.join b.acceptor;
-      b.writer <- None;
-      b.acceptor <- None
-
-let resume () =
-  match Atomic.get state with
-  | None -> ()
-  | Some b ->
-      Mutex.lock b.mutex;
-      b.stopping <- false;
-      Mutex.unlock b.mutex;
-      b.writer <- Some (Thread.create writer_loop b);
-      match b.listen_fd with
-      | Some fd -> b.acceptor <- Some (Thread.create (accept_loop b) fd)
-      | None -> ()
+(* A forked child's inherited sink belongs to the parent (channel buffer,
+   file offset, and a mutex a parent thread may have held), so a child
+   forgets it before doing anything else. *)
+let detach () =
+  Jsonl.detach sink;
+  clear_context ()
 
 let close () =
-  (match Atomic.exchange spool_state None with
-  | Some s ->
-      Mutex.lock s.sp_mutex;
-      (try close_out s.sp_oc with Sys_error _ -> ());
-      Mutex.unlock s.sp_mutex;
-      clear_context ()
-  | None -> ());
-  match Atomic.exchange state None with
-  | None -> ()
-  | Some b ->
-      Mutex.lock b.mutex;
-      b.stopping <- true;
-      Condition.broadcast b.cond;
-      Mutex.unlock b.mutex;
-      (* the writer drains whatever is still in the ring before exiting;
-         the acceptor notices the stopping flag on its next poll tick *)
-      Option.iter Thread.join b.writer;
-      Option.iter Thread.join b.acceptor;
-      (match b.listen_fd with
-      | Some fd -> ( try Unix.close fd with _ -> ())
-      | None -> ());
-      (match b.file with
-      | Some oc -> ( try close_out oc with Sys_error _ -> ())
-      | None -> ());
-      List.iter (fun fd -> try Unix.close fd with _ -> ()) b.peers;
-      (match b.sock_path with
-      | Some p -> ( try Sys.remove p with Sys_error _ -> ())
-      | None -> ())
-
-(* --- re-sequencing spooled lines -------------------------------------- *)
-
-(* Turn one spool line back into a bus payload: strip the worker-local
-   "seq"/"ts_ns" prefix (the bus assigns fresh ones) and append the
-   worker-local sequence number as "oseq", so per-origin density is
-   still checkable on the merged stream.  Pure string surgery — the
-   tailer must not pay a JSON parse per relayed event. *)
-let respool_line line =
-  let n = String.length line in
-  let pfx = "{\"seq\":" in
-  let plen = String.length pfx in
-  if n < plen + 2 || String.sub line 0 plen <> pfx || line.[n - 1] <> '}' then
-    None
-  else
-    match String.index_from_opt line plen ',' with
-    | None -> None
-    | Some c1 -> (
-        match int_of_string_opt (String.sub line plen (c1 - plen)) with
-        | None -> None
-        | Some oseq ->
-            let tpfx = "\"ts_ns\":" in
-            let tlen = String.length tpfx in
-            let tstart = c1 + 1 in
-            if n < tstart + tlen || String.sub line tstart tlen <> tpfx then
-              None
-            else
-              (match String.index_from_opt line (tstart + tlen) ',' with
-              | None -> None
-              | Some c2 ->
-                  let body = String.sub line c2 (n - 1 - c2) in
-                  Some (oseq, Printf.sprintf "%s,\"oseq\":%d}" body oseq)))
+  Jsonl.close sink;
+  clear_context ()
 
 (* --- reading a stream back -------------------------------------------- *)
 
@@ -594,32 +246,21 @@ type parsed = {
   p_origin : origin option;
 }
 
-let parse_line line =
+(* The tree comes back too, for {!respool_line}'s top-level key check. *)
+let parse_tree line =
   let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e in
   let* j = Json.parse line in
-  let req name =
-    match Json.member name j with
-    | Some v -> Ok v
+  let field obj what conv name =
+    match Json.member name obj with
     | None -> Error (Printf.sprintf "events: missing field %S" name)
+    | Some v -> (
+        match conv v with
+        | Some x -> Ok x
+        | None -> Error (Printf.sprintf "events: field %S is not %s" name what))
   in
-  let int_f name =
-    let* v = req name in
-    match Json.int v with
-    | Some i -> Ok i
-    | None -> Error (Printf.sprintf "events: field %S is not an int" name)
-  in
-  let str_f name =
-    let* v = req name in
-    match Json.str v with
-    | Some s -> Ok s
-    | None -> Error (Printf.sprintf "events: field %S is not a string" name)
-  in
-  let flt_f name =
-    let* v = req name in
-    match Json.num v with
-    | Some f -> Ok f
-    | None -> Error (Printf.sprintf "events: field %S is not a number" name)
-  in
+  let int_f = field j "an int" Json.int in
+  let str_f = field j "a string" Json.str in
+  let flt_f = field j "a number" Json.num in
   let* seq = int_f "seq" in
   let* ts = int_f "ts_ns" in
   let* ty = str_f "type" in
@@ -695,51 +336,63 @@ let parse_line line =
         let* wrong = int_f "wrong" in
         let* pending = int_f "pending" in
         Ok (Shard_done { design; shard; lo; hi; wrong; pending })
-    | "job_queued" ->
-        let* job = str_f "job" in
-        let* design = str_f "design" in
-        Ok (Job_queued { job; design })
-    | "job_started" ->
-        let* job = str_f "job" in
-        let* design = str_f "design" in
-        Ok (Job_started { job; design })
-    | "job_done" ->
-        let* job = str_f "job" in
-        let* design = str_f "design" in
-        let* injected = int_f "injected" in
-        let* wrong = int_f "wrong" in
-        let* wall_ns = int_f "wall_ns" in
-        Ok (Job_done { job; design; injected; wrong; wall_ns })
     | other -> Error (Printf.sprintf "events: unknown event type %S" other)
   in
-  let origin =
-    match Json.member "origin" j with
-    | None -> None
-    | Some o ->
-        let geti k d =
-          match Option.bind (Json.member k o) Json.int with
-          | Some v -> v
-          | None -> d
-        in
-        let gets k d =
-          match Option.bind (Json.member k o) Json.str with
-          | Some v -> v
-          | None -> d
-        in
-        (* relayed lines carry the worker-local seq as top-level "oseq";
-           a raw spool line's own seq is already worker-local *)
-        let o_seq =
-          match Option.bind (Json.member "oseq" j) Json.int with
-          | Some v -> v
-          | None -> seq
-        in
-        Some
-          {
-            o_pid = geti "pid" 0;
-            o_worker = geti "worker" 0;
-            o_shard = geti "shard" (-1);
-            o_job = gets "job" "";
-            o_seq;
-          }
+  (* relayed lines carry the worker-local seq as top-level "oseq"; a
+     raw spool line's own seq is already worker-local *)
+  let* oseq =
+    match Json.member "oseq" j with
+    | None -> Ok seq
+    | Some _ -> int_f "oseq"
   in
-  Ok { p_seq = seq; p_ts_ns = ts; p_event = ev; p_origin = origin }
+  (* [origin_suffix] always writes all four fields, so anything less is
+     not a line this module wrote *)
+  let* origin =
+    match Json.member "origin" j with
+    | None -> Ok None
+    | Some (Json.Obj _ as o) ->
+        let* o_pid = field o "an int" Json.int "pid" in
+        let* o_worker = field o "an int" Json.int "worker" in
+        let* o_shard = field o "an int" Json.int "shard" in
+        let* o_job = field o "a string" Json.str "job" in
+        Ok (Some { o_pid; o_worker; o_shard; o_job; o_seq = oseq })
+    | Some _ -> Error "events: field \"origin\" is not an object"
+  in
+  Ok (j, { p_seq = seq; p_ts_ns = ts; p_event = ev; p_origin = origin })
+
+let parse_line line = Result.map snd (parse_tree line)
+
+(* A write can be read half-copied when it spans a page boundary, and
+   SIGKILL can tear a stream's last line, so a trailing line without its
+   newline is left unread, the channel back at its start. *)
+let input_whole_line ic =
+  let at = pos_in ic in
+  match input_line ic with
+  | line when pos_in ic - at > String.length line -> Some line
+  | _ ->
+      seek_in ic at;
+      None
+  | exception End_of_file -> None
+
+(* --- re-sequencing spooled lines -------------------------------------- *)
+
+(* Turn one spool line back into a payload for {!publish_payload}: strip
+   the worker-local "seq"/"ts_ns" prefix (the parent's sink assigns fresh
+   ones) and append the worker-local sequence number as "oseq", so
+   per-origin density is still checkable on the merged stream.  Only a
+   line that parses, carries an origin and has no "oseq" yet is relayed,
+   and only in the canonical prefix form this module writes — so every
+   relayed line parses again, with [o_seq] the worker-local seq. *)
+let respool_line line =
+  match parse_tree line with
+  | Ok (j, { p_seq; p_origin = Some _; _ }) when Json.member "oseq" j = None ->
+      let pfx = Printf.sprintf "{\"seq\":%d,\"ts_ns\":" p_seq in
+      let n = String.length line and plen = String.length pfx in
+      if n > plen && String.sub line 0 plen = pfx && line.[n - 1] = '}' then
+        match String.index_from_opt line plen ',' with
+        | Some c ->
+            let body = String.sub line c (n - 1 - c) in
+            Some (p_seq, Printf.sprintf "%s,\"oseq\":%d}" body p_seq)
+        | None -> None
+      else None
+  | Ok _ | Error _ -> None

@@ -1,18 +1,11 @@
-(** Typed, lock-light structured event bus for live campaign telemetry.
+(** Typed structured events for live campaign telemetry.
 
-    Producers (Campaign, Pool, Store, tmrtool) publish typed events;
-    a single writer thread renders them to JSONL and fans them out to
-    the registered sinks — a file, a Unix-domain socket server, or
-    both.  The design goal is that the fault loop never blocks on
-    telemetry:
-
-    - {!publish} only formats the payload and takes one short ring
-      mutex; all I/O happens on the writer thread.
-    - The ring is bounded.  When it is full the event is dropped and
-      counted — its sequence number is still consumed, so a gap in the
-      [seq] field of the stream is an exact record of what was lost.
-    - Socket clients that stop reading are disconnected rather than
-      back-pressuring the bus.
+    Producers (Campaign, Pool, Store, tmrtool) publish typed events to
+    one sink: a JSONL file that every event is appended to synchronously,
+    one whole line per [write(2)] under the sink mutex, flushed at once.
+    There is no queue and no writer thread, so nothing is ever dropped,
+    and a reader tailing the file ([tmrtool watch -f]) with
+    {!input_whole_line} sees whole lines only.
 
     Every line is one JSON object
     [{"seq":N,"ts_ns":T,"type":"...",...}] with [seq] dense from 0 per
@@ -82,29 +75,17 @@ type event =
       wrong : int;  (** wrong answers within the range *)
       pending : int;  (** ranges still queued or claimed *)
     }  (** one checkpointed shard of a distributed campaign completed *)
-  | Job_queued of { job : string; design : string }
-      (** a campaign job entered the [tmrtool serve] queue *)
-  | Job_started of { job : string; design : string }
-  | Job_done of {
-      job : string;
-      design : string;
-      injected : int;
-      wrong : int;
-      wall_ns : int;
-    }
 
 val enabled : unit -> bool
-(** Is any sink installed (bus or spool)?  Producers may use this to
-    skip building event arguments, but {!publish} is already a no-op
-    when false. *)
+(** Is a sink installed?  Producers may use this to skip building event
+    arguments, but {!publish} is already a no-op when false. *)
 
 val publish : event -> unit
-(** Enqueue one event.  Never blocks on I/O; drops (counted) when the
-    ring is full.  Domain-safe.  In spool mode the event is written
-    synchronously to the spool file instead (one whole line per write,
-    so a concurrent tailer never sees a torn line; SIGTERM and SIGINT are
-    blocked during the write, so a worker they kill ends on a whole
-    line). *)
+(** Append one event to the sink as one whole line and flush it.
+    Domain- and thread-safe.  SIGTERM and SIGINT are blocked in the
+    calling thread until the sink lock is released, so a process they
+    kill ends on a whole line, and a handler that calls {!close} never
+    runs while its own thread holds the lock.  No-op without a sink. *)
 
 (** {1 Origin context}
 
@@ -112,8 +93,8 @@ val publish : event -> unit
     ["origin"] object — [{"pid":…,"worker":…,"shard":…,"job":"…"}] —
     so the merged fleet stream stays attributable per worker.  The
     context is ambient process state: set once per worker, updated with
-    {!set_shard} at shard boundaries, carried by both bus and spool
-    sinks.  With no context set the wire format is unchanged. *)
+    {!set_shard} at shard boundaries.  With no context set the wire
+    format is unchanged. *)
 
 val set_context : worker:int -> job:string -> unit
 (** Stamp subsequent events with this origin.  [job] is the correlation
@@ -126,77 +107,49 @@ val set_shard : int -> unit
 (** Record the shard the process is currently running ([-1] between
     shards).  No-op without a context. *)
 
+val to_file : string -> unit
+(** Stream events to [path] as JSONL, truncating it.  Replaces (and
+    closes) any sink already installed; the new stream's [seq] starts
+    at 0. *)
+
 val spool : path:string -> worker:int -> job:string -> unit
-(** Switch this process to spool mode: disown any inherited bus, set
-    the origin context, and append every published event to [path]
-    (truncating) as JSONL with a worker-local dense [seq] from 0.
-    Thread-less and lock-light, hence safe right after [fork]; the
-    parent's tailer follows the file live.  {!close} flushes and
-    closes the spool. *)
+(** {!to_file} for a forked worker: set the origin context first, so
+    every line carries the worker's origin and the file's [seq] is
+    worker-local.  The parent's tailer follows the file live.  Call
+    {!detach} before this in a forked child. *)
 
 val publish_payload : string -> unit
-(** Enqueue a pre-rendered payload (everything after the ["ts_ns"]
-    field, starting with a comma) under a fresh bus sequence number.
-    Used by the tailer to relay spooled worker events; no-op without a
-    bus. *)
+(** Append a pre-rendered payload (everything after the ["ts_ns"]
+    field, starting with a comma) under the sink's next sequence
+    number, through the same locked path as {!publish}.  Used by the
+    tailer to relay spooled worker events; no-op without a sink. *)
 
 val respool_line : string -> (int * string) option
 (** [respool_line line] converts one spool line into
     [(worker_seq, payload)] for {!publish_payload}: the worker-local
     prefix is stripped and re-appended as a top-level ["oseq"] field.
-    [None] when [line] is not a well-formed spool line. *)
-
-val to_file : ?capacity:int -> string -> unit
-(** Start (or reuse) the bus and stream events to [path] as JSONL,
-    truncating it.  [capacity] (default 4096) bounds the ring and is
-    only honoured by the call that creates the bus. *)
-
-val listen_unix : ?capacity:int -> string -> unit
-(** Start (or reuse) the bus and serve the event stream on a
-    Unix-domain socket bound at [path] (an existing socket file is
-    replaced).  Clients see events published after they connect; a
-    client that falls behind is disconnected. *)
+    [None] unless [line] parses ({!parse_line}), carries an origin, has
+    no ["oseq"] yet and starts in the canonical [{"seq":N,"ts_ns":]
+    form, so a relayed line always parses back with [o_seq = N]. *)
 
 val close : unit -> unit
-(** Drain the ring, flush and close every sink, join the bus threads
-    and disable publishing.  Idempotent. *)
-
-val pause : unit -> unit
-(** Drain the ring and join the writer and acceptor threads while
-    keeping every sink open (file channel, listen socket, connected
-    peers) and the sequence counter intact.  Events published while
-    paused accumulate in the ring and flow once {!resume} restarts the
-    threads.  A process about to [fork] must bracket the fork with
-    [pause]/[resume]: a child forked while the writer thread is live
-    inherits a poisoned threads runtime and can block forever at its
-    first forced yield.  No-op without a bus. *)
-
-val resume : unit -> unit
-(** Restart the bus threads after {!pause}.  No-op without a bus. *)
+(** Flush and close the sink, clear the origin context and disable
+    publishing.  Idempotent. *)
 
 val detach : unit -> unit
-(** Disown the bus {e without} draining, closing or joining anything:
-    publishing becomes a no-op in this process, every sink stays
-    untouched.  For forked children — they inherit the bus record but
-    not its threads, and share the sinks' file descriptors with the
-    parent, so the only safe move is to forget the bus entirely.  Lock
-    free (one atomic store), hence safe immediately after [fork] even
-    if the fork split another thread mid-[publish]. *)
+(** Forget the sink {e without} flushing, closing or locking anything:
+    publishing becomes a no-op in this process.  For forked children —
+    the inherited channel belongs to the parent, and its mutex may have
+    been held by a parent thread that does not exist in the child.  One
+    atomic store, hence safe immediately after [fork]. *)
 
 val published : unit -> int
-(** Events assigned a sequence number since the bus was (last)
-    created — written plus dropped. *)
-
-val dropped : unit -> int
-(** Events whose sequence numbers are missing from the stream. *)
+(** Events written to the current (or last) stream. *)
 
 val last_seq : unit -> int
 (** Highest sequence number assigned, or [-1] when none.  Survives
     {!close}, so a run manifest can record the final sequence number
     after teardown. *)
-
-val clients : unit -> int
-(** Currently connected socket clients. *)
 
 val type_name : event -> string
 (** The [type] field value, e.g. ["campaign_progress"]. *)
@@ -223,7 +176,17 @@ type parsed = {
 }
 
 val parse_line : string -> (parsed, string) result
-(** Parse one stream line back into a typed event. *)
+(** Parse one stream line back into a typed event.  An ["origin"] must
+    be an object with integer [pid], [worker] and [shard] and a string
+    [job], and an ["oseq"] must be an integer; anything else is an
+    [Error]. *)
+
+val input_whole_line : in_channel -> string option
+(** The next newline-terminated line of a stream that may still be
+    growing, or [None] at its end.  A trailing line without its newline
+    (a write a reader caught half-copied, or a line SIGKILL tore) is
+    left unread with the channel back at its start, so a follower
+    re-reads it once the rest lands. *)
 
 val render : seq:int -> ts_ns:int -> event -> string
 (** The exact line {!publish} would emit (without the newline).

@@ -51,13 +51,6 @@ let help_for name =
   | "fsim.reroute_fallback" -> "Reroutes that fell back to a full rebuild"
   | "pool.chunks" -> "Work chunks claimed by campaign workers"
   | "pool.claim_wait_ns" -> "Time workers waited to claim a chunk"
-  | "service.queue_depth" -> "Jobs waiting in the service queue"
-  | "service.shards_done" -> "Completed shards of the running job"
-  | "service.orphan_reclaims" -> "Crashed workers' shard claims reclaimed"
-  | "service.claim_ns" -> "Shard claim latency"
-  | "service.jobs_active" -> "Jobs currently executing"
-  | "service.jobs_completed" -> "Jobs completed since the service started"
-  | "service.clients" -> "Connected event-stream clients"
   | _ -> "tmrtool metric " ^ name
 
 (* Extra snapshot sources folded into every scrape: the campaign parent
@@ -120,19 +113,13 @@ let render () =
       line "# TYPE %s_max gauge" n;
       line "%s_max %d" n s.Metrics.max)
     snap.Metrics.histograms;
-  (* event-bus liveness: how far the stream is, and what was lost *)
-  line "# HELP events_bus_published Events accepted onto the bus";
+  (* event-stream liveness: how far the stream is *)
+  line "# HELP events_bus_published Events written to the event stream";
   line "# TYPE events_bus_published gauge";
   line "events_bus_published %d" (Events.published ());
-  line "# HELP events_bus_dropped Events dropped by the bounded buffer";
-  line "# TYPE events_bus_dropped gauge";
-  line "events_bus_dropped %d" (Events.dropped ());
   line "# HELP events_bus_last_seq Sequence number of the newest event";
   line "# TYPE events_bus_last_seq gauge";
   line "events_bus_last_seq %d" (Events.last_seq ());
-  line "# HELP events_bus_clients Connected event-stream clients";
-  line "# TYPE events_bus_clients gauge";
-  line "events_bus_clients %d" (Events.clients ());
   Buffer.contents b
 
 (* --- server ----------------------------------------------------------- *)
@@ -166,9 +153,8 @@ let healthz_body () =
     | None -> 0
   in
   Printf.sprintf
-    "{\"status\":\"ok\",\"uptime_s\":%.3f,\"bus\":{\"enabled\":%b,\"published\":%d,\"dropped\":%d,\"clients\":%d},\"active_campaigns\":%d}\n"
-    uptime (Events.enabled ()) (Events.published ()) (Events.dropped ())
-    (Events.clients ()) active
+    "{\"status\":\"ok\",\"uptime_s\":%.3f,\"bus\":{\"enabled\":%b,\"published\":%d},\"active_campaigns\":%d}\n"
+    uptime (Events.enabled ()) (Events.published ()) active
 
 let respond client =
   let buf = Bytes.create 2048 in

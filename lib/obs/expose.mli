@@ -1,6 +1,6 @@
 (** Metrics exposition: Prometheus text format v0.0.4 over HTTP.
 
-    {!render} turns the live {!Metrics} registry (plus event-bus
+    {!render} turns the live {!Metrics} registry (plus event-stream
     liveness gauges from {!Events}) into the Prometheus text format, and
     {!listen} serves it from a single background thread so a running
     campaign can be scraped or curl-polled mid-flight:
@@ -17,9 +17,8 @@ val render : unit -> string
 (** The current registry as Prometheus text format v0.0.4.  Metric
     names are sanitized (dots become underscores); histograms emit
     cumulative [_bucket{le="..."}] series plus [_sum]/[_count] and
-    exact [_min]/[_max] gauges; the event bus contributes
-    [events_bus_published]/[events_bus_dropped]/[events_bus_last_seq]/
-    [events_bus_clients].  When extra snapshot sources are registered
+    exact [_min]/[_max] gauges; the event stream contributes
+    [events_bus_published]/[events_bus_last_seq].  When extra snapshot sources are registered
     ({!set_extra_snapshots}) they are folded in with {!Metrics.merge},
     so a distributed campaign scrape reports fleet-wide totals. *)
 
@@ -36,8 +35,8 @@ val set_active_probe : (unit -> int) option -> unit
 
 val healthz_body : unit -> string
 (** The [/healthz] response body: one JSON object with [status],
-    [uptime_s] (0 when no server runs), bus liveness
-    ([enabled]/[published]/[dropped]/[clients]) and
+    [uptime_s] (0 when no server runs), event-stream liveness
+    ([bus]: [enabled]/[published]) and
     [active_campaigns].  Exposed for tests. *)
 
 val listen : ?host:string -> int -> int

@@ -230,8 +230,13 @@ let member key = function
 let str = function Str s -> Some s | _ -> None
 let num = function Num f -> Some f | _ -> None
 
+(* [int_of_float] is unspecified outside [min_int, max_int]: 1e300 is
+   integral but no int.  [-int_bound] is [min_int] exactly. *)
+let int_bound = Float.ldexp 1.0 (Sys.int_size - 1)
+
 let int = function
-  | Num f when Float.is_integer f -> Some (int_of_float f)
+  | Num f when Float.is_integer f && f >= -.int_bound && f < int_bound ->
+      Some (int_of_float f)
   | _ -> None
 
 let bool = function Bool b -> Some b | _ -> None

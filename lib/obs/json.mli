@@ -34,5 +34,8 @@ val member : string -> t -> t option
 val str : t -> string option
 val num : t -> float option
 val int : t -> int option
+(** An integral number within the range of [int]; [None] otherwise
+    (e.g. [1.5], [1e300]). *)
+
 val bool : t -> bool option
 val arr : t -> t list

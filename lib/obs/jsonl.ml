@@ -39,6 +39,27 @@ let emit t line =
             output_char s.oc '\n'
           with Sys_error _ -> ())
 
+(* Blocked while an [append]ed line is written and flushed: the kernel
+   abandons a file write between pages once a fatal signal is pending,
+   so one arriving mid-line is delivered after the newline instead.  The
+   mask is restored only after the unlock, so a handler that closes the
+   sink never runs in a thread that still holds its lock. *)
+let termination_signals = [ Sys.sigterm; Sys.sigint ]
+
+let append t render =
+  match Atomic.get t with
+  | None -> ()
+  | Some s ->
+      let mask = Thread.sigmask Unix.SIG_BLOCK termination_signals in
+      Mutex.lock s.mutex;
+      (try
+         output_string s.oc (render ());
+         output_char s.oc '\n';
+         flush s.oc
+       with Sys_error _ -> ());
+      Mutex.unlock s.mutex;
+      ignore (Thread.sigmask Unix.SIG_SETMASK mask)
+
 let escape s =
   let b = Buffer.create (String.length s + 2) in
   String.iter

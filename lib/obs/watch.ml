@@ -58,8 +58,6 @@ type t = {
   mutable gap_total : int;
   mutable nevents : int;
   mutable max_ts : int;  (* latest ts_ns on the stream *)
-  mutable jobs_queued : int;
-  mutable jobs_done : int;
 }
 
 let create () =
@@ -72,8 +70,6 @@ let create () =
     gap_total = 0;
     nevents = 0;
     max_ts = 0;
-    jobs_queued = 0;
-    jobs_done = 0;
   }
 
 let campaign_of t design =
@@ -280,9 +276,6 @@ let feed t (p : Events.parsed) =
       c.c_base_completed <- c.c_base_completed + (hi - lo);
       c.c_base_wrong <- c.c_base_wrong + wrong;
       c.c_last_ts <- ts
-  | Events.Job_queued _ -> t.jobs_queued <- t.jobs_queued + 1
-  | Events.Job_started _ -> ()
-  | Events.Job_done _ -> t.jobs_done <- t.jobs_done + 1
 
 let finished t =
   Hashtbl.length t.campaigns > 0
@@ -449,9 +442,6 @@ let render ?(confidence = 0.95) ?worker_timeout t =
       ws;
     Buffer.add_char b '\n'
   end;
-  if t.jobs_queued > 0 then
-    Buffer.add_string b
-      (Printf.sprintf "jobs: %d queued, %d done\n" t.jobs_queued t.jobs_done);
   Buffer.add_string b
     (Printf.sprintf "stream: %d events, last seq %d, %d dropped\n" t.nevents
        t.last_seq t.gap_total);

@@ -1,9 +1,10 @@
 (** Event-stream aggregation behind [tmrtool watch].
 
-    Feed parsed {!Events} lines (from a JSONL file or a live socket) in
-    stream order; the state tracks every campaign seen (multi-campaign
-    streams render one row each), per-worker heartbeats, batch
-    occupancy and stream health (sequence gaps = dropped events).
+    Feed parsed {!Events} lines (from a JSONL file, possibly still
+    growing) in stream order; the state tracks every campaign seen
+    (multi-campaign streams render one row each), per-worker
+    heartbeats, batch occupancy and stream health (sequence gaps =
+    events missing from the stream, e.g. unparseable lines).
 
     The wrong-rate confidence interval is recomputed from the event
     counts with {!Stats.wilson} — the same code the injection engine

@@ -74,7 +74,7 @@ let temp_dir tag =
   d
 
 (* ------------------------------------------------------------------ *)
-(* fork + detach: the bus belongs to the parent; a forked child that
+(* fork + detach: the sink belongs to the parent; a forked child that
    detaches publishes into the void and the parent's stream stays
    dense. *)
 
@@ -86,13 +86,13 @@ let test_fork_detach () =
   (match Unix.fork () with
   | 0 ->
       Events.detach ();
-      (* all of these must be no-ops: the bus belongs to the parent *)
+      (* all of these must be no-ops: the sink belongs to the parent *)
       List.iter Events.publish all_events;
       Unix._exit (if Events.enabled () then 1 else 0)
   | pid -> (
       match Unix.waitpid [] pid with
       | _, Unix.WEXITED 0 -> ()
-      | _ -> Alcotest.fail "detached child saw an enabled bus"));
+      | _ -> Alcotest.fail "detached child saw an enabled sink"));
   Events.publish (List.nth all_events 2);
   Events.publish (List.nth all_events 3);
   Events.close ();

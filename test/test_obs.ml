@@ -540,6 +540,22 @@ let test_json_error_paths () =
   rejects "deep array nesting" (String.make 5000 '[');
   rejects "deep closed nesting"
     (String.make 1000 '[' ^ "1" ^ String.make 1000 ']');
+  (* integral numbers outside the range of int are no int (they used to
+     convert to an unspecified value, e.g. seq 0 for 1e300) *)
+  List.iter
+    (fun (text, want) ->
+      match Tmr_obs.Json.parse text with
+      | Ok v -> Alcotest.(check (option int)) ("Json.int " ^ text) want (Tmr_obs.Json.int v)
+      | Error msg -> Alcotest.failf "%s rejected: %s" text msg)
+    [
+      ("1e300", None);
+      ("-1e300", None);
+      ("9.3e18", None);
+      ("4611686018427387904", None);
+      ("-4611686018427387904", Some min_int);
+      ("1.5", None);
+      ("-42", Some (-42));
+    ];
   (match Tmr_obs.Json.parse "{\"a\": [1, {\"b\": null}]}" with
   | Ok _ -> ()
   | Error msg -> Alcotest.failf "valid document rejected: %s" msg);

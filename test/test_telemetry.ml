@@ -1,4 +1,4 @@
-(* Live telemetry: event-bus ordering and drop accounting, torn-line
+(* Live telemetry: event-stream ordering and density, torn-line
    freedom of the shared JSONL sink under domain concurrency, the
    Prometheus exposition endpoint, the offline span profiler, exact
    histogram extrema, and end-to-end exactness — a campaign's event
@@ -73,8 +73,8 @@ let test_jsonl_concurrent () =
   Sys.remove path
 
 (* ------------------------------------------------------------------ *)
-(* Event bus: every variant round-trips through the stream; sequence
-   numbers are dense and timestamps monotone. *)
+(* Event stream: every variant round-trips through the file sink;
+   sequence numbers are dense and timestamps monotone. *)
 
 let all_events =
   [
@@ -139,7 +139,6 @@ let test_event_roundtrip () =
     all_events parsed;
   Alcotest.(check int) "published counts all" (List.length all_events)
     (Events.published ());
-  Alcotest.(check int) "nothing dropped" 0 (Events.dropped ());
   Alcotest.(check int) "last_seq survives close"
     (List.length all_events - 1)
     (Events.last_seq ());
@@ -157,91 +156,81 @@ let test_render_parse_inverse () =
           (Events.type_name ev))
     all_events
 
-(* Drop accounting: a tiny ring under a firehose loses events, but the
-   stream records the loss exactly — written + dropped = published, and
-   the missing sequence numbers are precisely the dropped count. *)
-let test_event_drops_exact () =
-  let path = Filename.temp_file "tmr_events_drop" ".jsonl" in
-  Events.to_file ~capacity:8 path;
-  let total = 50_000 in
-  let domains = 4 in
+(* Concurrent publishers share one synchronous sink: every event lands
+   as a whole line and the stream's seq is dense and in file order. *)
+let test_event_concurrent_dense () =
+  let path = Filename.temp_file "tmr_events_conc" ".jsonl" in
+  Events.to_file path;
+  let domains = 4 and per_domain = 2_000 in
   let workers =
     Array.init domains (fun d ->
         Domain.spawn (fun () ->
-            for i = 1 to total / domains do
+            for i = 1 to per_domain do
               Events.publish
                 (Events.Campaign_progress
-                   {
-                     design = "firehose";
-                     completed = i;
-                     total = total / domains;
-                     wrong = d;
-                   })
+                   { design = "firehose"; completed = i; total = per_domain;
+                     wrong = d })
             done))
   in
   Array.iter Domain.join workers;
   Events.close ();
   let lines = read_lines path in
-  let published = Events.published () in
-  let dropped = Events.dropped () in
-  Alcotest.(check int) "published = every publish call" total published;
-  Alcotest.(check int) "written + dropped = published" published
-    (List.length lines + dropped);
-  let seqs = List.map (fun l -> (parse_exn l).Events.p_seq) lines in
-  let rec check_sorted gaps = function
-    | a :: (b :: _ as rest) ->
-        Alcotest.(check bool) "seq strictly increasing" true (b > a);
-        check_sorted (gaps + (b - a - 1)) rest
-    | [ last ] -> (gaps, last)
-    | [] -> (gaps, -1)
-  in
-  let interior_gaps, last = check_sorted 0 seqs in
-  let head_gap = match seqs with s :: _ -> s | [] -> 0 in
-  let tail_gap = published - 1 - last in
-  Alcotest.(check int) "stream gaps = drop counter exactly" dropped
-    (head_gap + interior_gaps + tail_gap);
+  Alcotest.(check int) "every publish written" (domains * per_domain)
+    (List.length lines);
+  Alcotest.(check int) "published = lines" (List.length lines)
+    (Events.published ());
+  List.iteri
+    (fun i l ->
+      Alcotest.(check int) "seq dense in file order" i (parse_exn l).Events.p_seq)
+    lines;
   Sys.remove path
 
-let test_event_socket_sink () =
-  let sock = Filename.temp_file "tmr_events" ".sock" in
-  Sys.remove sock;
-  Events.listen_unix sock;
-  let fd = Unix.socket PF_UNIX SOCK_STREAM 0 in
-  Unix.connect fd (ADDR_UNIX sock);
-  (* let the acceptor register the client before publishing *)
-  let rec wait n =
-    if Events.clients () = 0 && n > 0 then begin
-      Thread.delay 0.02;
-      wait (n - 1)
-    end
+(* A follower never consumes a line whose newline has not landed: it
+   reads the whole line once the rest of the write arrives. *)
+let test_input_whole_line () =
+  let path = Filename.temp_file "tmr_events_tail" ".jsonl" in
+  let append text =
+    let oc = open_out_gen [ Open_append ] 0o644 path in
+    output_string oc text;
+    close_out oc
   in
-  wait 100;
-  Alcotest.(check int) "client connected" 1 (Events.clients ());
-  List.iter Events.publish all_events;
-  Events.close ();
-  let buf = Buffer.create 1024 in
-  let bytes = Bytes.create 4096 in
-  let rec drain () =
-    match Unix.read fd bytes 0 4096 with
-    | 0 -> ()
-    | n ->
-        Buffer.add_subbytes buf bytes 0 n;
-        drain ()
+  append "{\"a\":1}\n{\"b\":";
+  let ic = open_in path in
+  let next () = Events.input_whole_line ic in
+  Alcotest.(check (option string)) "whole line" (Some "{\"a\":1}") (next ());
+  Alcotest.(check (option string)) "half a line is left unread" None (next ());
+  Alcotest.(check (option string)) "still unread" None (next ());
+  append "2}\n";
+  Alcotest.(check (option string)) "rest landed" (Some "{\"b\":2}") (next ());
+  Alcotest.(check (option string)) "at the end" None (next ());
+  close_in ic;
+  Sys.remove path
+
+(* An origin that [origin_suffix] could not have written, an ill-typed
+   oseq, or an integral seq outside the int range is an error, never a
+   phantom process 0. *)
+let test_parse_rejects_malformed () =
+  let base = Events.render ~seq:0 ~ts_ns:0 (List.hd all_events) in
+  let with_field kv = String.sub base 0 (String.length base - 1) ^ "," ^ kv ^ "}" in
+  List.iter
+    (fun line ->
+      match Events.parse_line line with
+      | Ok _ -> Alcotest.failf "accepted %S" line
+      | Error _ -> ())
+    [
+      with_field "\"origin\":\"garbage\"";
+      with_field "\"origin\":{}";
+      with_field "\"origin\":{\"pid\":\"x\",\"worker\":1.5}";
+      with_field
+        "\"origin\":{\"pid\":1,\"worker\":1,\"shard\":0,\"job\":\"j\"},\"oseq\":\"x\"";
+      "{\"seq\":1e300" ^ String.sub base 8 (String.length base - 8);
+    ];
+  let ok =
+    with_field "\"origin\":{\"pid\":1,\"worker\":2,\"shard\":-1,\"job\":\"j\"}"
   in
-  drain ();
-  Unix.close fd;
-  let lines =
-    String.split_on_char '\n' (Buffer.contents buf)
-    |> List.filter (fun l -> l <> "")
-  in
-  Alcotest.(check int) "socket client sees every event"
-    (List.length all_events) (List.length lines);
-  List.iter2
-    (fun sent line ->
-      if (parse_exn line).Events.p_event <> sent then
-        Alcotest.failf "socket stream mismatch for %s"
-          (Events.type_name sent))
-    all_events lines
+  match (parse_exn ok).Events.p_origin with
+  | Some o -> Alcotest.(check int) "well-formed origin parses" 2 o.Events.o_worker
+  | None -> Alcotest.fail "well-formed origin dropped"
 
 (* ------------------------------------------------------------------ *)
 (* Exposition *)
@@ -276,9 +265,9 @@ let test_expose_render () =
       "# HELP test_expose_hist_min Smallest observation of test_expose_hist";
       "test_expose_hist_min 5";
       "test_expose_hist_max 9000";
-      "# HELP events_bus_published Events accepted onto the bus";
+      "# HELP events_bus_published Events written to the event stream";
       "# TYPE events_bus_published gauge";
-      "events_bus_clients 0";
+      "# TYPE events_bus_last_seq gauge";
     ];
   (* every # TYPE family line is introduced by a # HELP line for the
      same family, in HELP-then-TYPE order (what promtool lint checks) *)
@@ -500,7 +489,7 @@ let test_spool_roundtrip () =
     parsed;
   Sys.remove path
 
-(* respool_line + publish_payload: relaying a spool through a bus
+(* respool_line + publish_payload: relaying a spool into a parent stream
    re-sequences the line, keeps the origin and records the worker-local
    seq as oseq *)
 let test_respool_merge () =
@@ -573,7 +562,8 @@ let test_metrics_merge () =
     (List.assoc "test.merge.counter" (Metrics.merge m empty).Metrics.counters);
   Sys.remove path
 
-(* /healthz: liveness JSON with uptime, bus state and the campaign probe *)
+(* /healthz: liveness JSON with uptime, event-stream state and the
+   campaign probe *)
 let test_healthz () =
   Expose.set_active_probe (Some (fun () -> 2));
   let body = Expose.healthz_body () in
@@ -682,6 +672,81 @@ let test_watch_fleet () =
     (contains ~needle:"STALE" (Watch.render ~worker_timeout:5.0 w))
 
 (* ------------------------------------------------------------------ *)
+(* Fuzzing the stream readers: byte flips, truncations and splices of
+   rendered lines of every variant — bare, spooled (origin) and relayed
+   (origin + oseq).  [parse_line] and [respool_line] never raise, and a
+   line [respool_line] accepts always relays into a line that parses
+   back with [o_seq] = the worker-local seq it reported. *)
+
+let fuzz_corpus =
+  lazy
+    (let variants =
+       all_events
+       @ [
+           Events.Campaign_detection
+             { design = "tmr_p2"; silent_correct = 90; detected_corrected = 5;
+               detected_wrong = 3; silent_wrong = 2 };
+           Events.Shard_done
+             { design = "tmr_p2"; shard = 3; lo = 30; hi = 40; wrong = 1;
+               pending = 2 };
+         ]
+     in
+     List.concat
+       (List.mapi
+          (fun i ev ->
+            let line = Events.render ~seq:i ~ts_ns:(1000 * i) ev in
+            let spooled =
+              String.sub line 0 (String.length line - 1)
+              ^ Printf.sprintf
+                  ",\"origin\":{\"pid\":%d,\"worker\":1,\"shard\":%d,\"job\":\"j\"}}"
+                  (100 + i) (i - 2)
+            in
+            [ line; spooled;
+              with_origin ~pid:7 ~worker:2 ~shard:i ~job:"j" ~oseq:i line ])
+          variants)
+     |> Array.of_list)
+
+let mutate_line corpus (base, muts) =
+  let alphabet = "{}[]\",:.-+e0159aoqsx \\" in
+  List.fold_left
+    (fun t (op, pos, a) ->
+      let n = String.length t in
+      let pos = if n = 0 then 0 else pos mod (n + 1) in
+      let c = String.make 1 alphabet.[a mod String.length alphabet] in
+      let before = String.sub t 0 pos and after = String.sub t pos (n - pos) in
+      match op with
+      | 0 when after <> "" ->
+          (* byte flip *)
+          before ^ c ^ String.sub after 1 (String.length after - 1)
+      | 1 -> (* truncation *) before
+      | 2 ->
+          (* splice: this prefix, another line's suffix *)
+          let other = corpus.(a mod Array.length corpus) in
+          let k = min (String.length other) pos in
+          before ^ String.sub other k (String.length other - k)
+      | _ -> (* insertion *) before ^ c ^ after)
+    corpus.(base mod Array.length corpus)
+    muts
+
+let qcheck_mutated_lines_fail_closed =
+  let open QCheck.Gen in
+  let mutation = triple (int_bound 3) (int_bound 1_000) (int_bound 1_000) in
+  QCheck.Test.make ~count:2000 ~name:"mutated event lines fail closed"
+    (QCheck.make (pair (int_bound 1_000) (list_size (int_range 0 3) mutation)))
+    (fun input ->
+      let line = mutate_line (Lazy.force fuzz_corpus) input in
+      (match Events.parse_line line with Ok _ | Error _ -> ());
+      match Events.respool_line line with
+      | None -> true
+      | Some (oseq, payload) -> (
+          match
+            Events.parse_line
+              (Printf.sprintf "{\"seq\":%d,\"ts_ns\":%d%s" 9 99 payload)
+          with
+          | Ok { Events.p_origin = Some o; _ } -> o.Events.o_seq = oseq
+          | Ok _ | Error _ -> false))
+
+(* ------------------------------------------------------------------ *)
 (* End to end: events on vs. events off gives bit-identical verdicts,
    and the stream alone reproduces the final n/wrong/CI. *)
 
@@ -738,9 +803,13 @@ let () =
           Alcotest.test_case "roundtrip + ordering" `Quick test_event_roundtrip;
           Alcotest.test_case "render/parse inverse" `Quick
             test_render_parse_inverse;
-          Alcotest.test_case "drop accounting exact" `Quick
-            test_event_drops_exact;
-          Alcotest.test_case "unix socket sink" `Quick test_event_socket_sink;
+          Alcotest.test_case "concurrent publishers dense" `Quick
+            test_event_concurrent_dense;
+          Alcotest.test_case "input_whole_line waits for the newline" `Quick
+            test_input_whole_line;
+          Alcotest.test_case "malformed lines rejected" `Quick
+            test_parse_rejects_malformed;
+          QCheck_alcotest.to_alcotest qcheck_mutated_lines_fail_closed;
         ] );
       ( "expose",
         [
