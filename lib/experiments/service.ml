@@ -517,7 +517,10 @@ let run_sharded ?(procs = 1) ?shard_limit ?(fresh = false)
           Ok ((m, rs) :: acc))
         (Ok []) dones
     in
-    let merged = Shard.merge ~design:name ~total ~procs ~wall_ns shards in
+    let* merged =
+      Shard.merge ~design:name ~total ~procs ~wall_ns shards
+      |> Result.map_error (Printf.sprintf "shard dir %s: %s" dir)
+    in
     (* origin-less, hence authoritative for watchers: the merged fleet
        totals, not any single shard's *)
     notify

@@ -202,27 +202,31 @@ let add_stats (a : Campaign.engine_stats) (b : Campaign.engine_stats) =
     batched = a.Campaign.batched + b.Campaign.batched;
   }
 
+(* Every check below reads data from disk, so a damaged shard directory
+   is an [Error], never an exception. *)
 let merge ~design ~total ~procs ~wall_ns shards =
   let shards =
     List.sort (fun (a, _) (b, _) -> compare a.sm_lo b.sm_lo) shards
   in
+  let fail fmt = Printf.ksprintf (fun s -> Error ("Shard.merge: " ^ s)) fmt in
   (* the shards must tile [0, total) exactly *)
-  let edge =
+  let* edge =
     List.fold_left
       (fun expect (m, _) ->
-        if m.sm_lo <> expect then
-          invalid_arg
-            (Printf.sprintf
-               "Shard.merge: shard %d covers [%d,%d) but [%d,...) is next \
-                uncovered"
-               m.sm_id m.sm_lo m.sm_hi expect);
-        m.sm_hi)
-      0 shards
+        let* expect = expect in
+        if m.sm_hi < m.sm_lo then
+          fail "shard %d has an inverted range [%d,%d)" m.sm_id m.sm_lo m.sm_hi
+        else if m.sm_lo <> expect then
+          fail "shard %d covers [%d,%d) but [%d,...) is next uncovered"
+            m.sm_id m.sm_lo m.sm_hi expect
+        else Ok m.sm_hi)
+      (Ok 0) shards
   in
-  if edge <> total then
-    invalid_arg
-      (Printf.sprintf "Shard.merge: shards cover [0,%d) of %d faults" edge
-         total);
+  let* () =
+    if edge <> total then
+      fail "shards cover [0,%d) of %d faults" edge total
+    else Ok ()
+  in
   let dummy =
     {
       Campaign.bit = -1;
@@ -235,27 +239,33 @@ let merge ~design ~total ~procs ~wall_ns shards =
   in
   let results = Array.make total dummy in
   let filled = Bytes.make total '\000' in
-  List.iter
-    (fun (m, rs) ->
-      if Array.length rs <> m.sm_hi - m.sm_lo then
-        invalid_arg
-          (Printf.sprintf
-             "Shard.merge: shard %d holds %d results for range [%d,%d)"
-             m.sm_id (Array.length rs) m.sm_lo m.sm_hi);
-      Array.iter
-        (fun (i, r) ->
-          if i < m.sm_lo || i >= m.sm_hi then
-            invalid_arg
-              (Printf.sprintf
-                 "Shard.merge: shard %d result index %d outside [%d,%d)"
-                 m.sm_id i m.sm_lo m.sm_hi);
-          if Bytes.get filled i <> '\000' then
-            invalid_arg
-              (Printf.sprintf "Shard.merge: duplicate result index %d" i);
-          Bytes.set filled i '\001';
-          results.(i) <- r)
-        rs)
-    shards;
+  let place m (i, r) =
+    if i < m.sm_lo || i >= m.sm_hi then
+      fail "shard %d result index %d outside [%d,%d)" m.sm_id i m.sm_lo
+        m.sm_hi
+    else if Bytes.get filled i <> '\000' then
+      fail "duplicate result index %d" i
+    else begin
+      Bytes.set filled i '\001';
+      results.(i) <- r;
+      Ok ()
+    end
+  in
+  let* () =
+    List.fold_left
+      (fun acc (m, rs) ->
+        let* () = acc in
+        if Array.length rs <> m.sm_hi - m.sm_lo then
+          fail "shard %d holds %d results for range [%d,%d)" m.sm_id
+            (Array.length rs) m.sm_lo m.sm_hi
+        else
+          Array.fold_left
+            (fun acc ir ->
+              let* () = acc in
+              place m ir)
+            (Ok ()) rs)
+      (Ok ()) shards
+  in
   let wrong =
     Array.fold_left
       (fun acc r ->
@@ -263,11 +273,12 @@ let merge ~design ~total ~procs ~wall_ns shards =
       0 results
   in
   let manifest_wrong = List.fold_left (fun a (m, _) -> a + m.sm_wrong) 0 shards in
-  if wrong <> manifest_wrong then
-    invalid_arg
-      (Printf.sprintf
-         "Shard.merge: manifests claim %d wrong answers, results hold %d"
-         manifest_wrong wrong);
+  let* () =
+    if wrong <> manifest_wrong then
+      fail "manifests claim %d wrong answers, results hold %d" manifest_wrong
+        wrong
+    else Ok ()
+  in
   let stats =
     List.fold_left (fun a (m, _) -> add_stats a m.sm_stats) no_stats shards
   in
@@ -281,15 +292,16 @@ let merge ~design ~total ~procs ~wall_ns shards =
     List.fold_left (fun a (m, _) -> a + m.sm_wall_ns) 0 shards
   in
   let wall_ns = max wall_ns ((shard_wall + procs - 1) / procs) in
-  {
-    Campaign.design;
-    requested = total;
-    injected = total;
-    wrong;
-    results;
-    workers = procs;
-    stats;
-    wall_ns;
-    busy_ns = [| busy |];
-    setup_ns = [| setup |];
-  }
+  Ok
+    {
+      Campaign.design;
+      requested = total;
+      injected = total;
+      wrong;
+      results;
+      workers = procs;
+      stats;
+      wall_ns;
+      busy_ns = [| busy |];
+      setup_ns = [| setup |];
+    }

@@ -77,10 +77,16 @@ val merge :
   procs:int ->
   wall_ns:int ->
   (manifest * (int * Campaign.fault_result) array) list ->
-  Campaign.t
+  (Campaign.t, string) result
 (** Fold completed shards into one campaign.  The shards must tile
-    [0, total) exactly (no gap, no overlap — [Invalid_argument]
-    otherwise) and each result's index must lie in its shard's range.
+    [0, total) exactly, each shard must hold one result per index of
+    its range, each result's index must lie in its shard's range and
+    appear once, and the manifests' [sm_wrong] must sum to the wrong
+    answers the results hold.  Manifests and results are read from
+    disk, so any violation (a gap, an overlap, an inverted range, an
+    index outside its shard, a duplicate index, a result count that
+    disagrees with the range, a wrong-count mismatch) is an [Error]
+    naming the defect, never an exception.
     [results] land at their fault index, so the merged array is
     bit-identical to the single-process campaign over the same fault
     list; [wrong] and [stats] are the sums; [wall_ns] is the

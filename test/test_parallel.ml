@@ -114,6 +114,24 @@ let test_pool_progress () =
   Alcotest.(check int) "final tick is 100%" 200
     (List.fold_left (fun _ x -> x) 0 calls)
 
+(* (d) worker domains run on the minor heap a freshly spawned domain gets
+   from the runtime: a per-worker nursery override costs its full size in
+   resident memory for every worker *)
+let test_pool_keeps_minor_heap () =
+  let minor_words () = (Gc.get ()).Gc.minor_heap_size in
+  let fresh = Domain.join (Domain.spawn minor_words) in
+  let seen = Array.make 2 (-1) in
+  (* total above the chunk, so the pool spawns domains *)
+  Pool.run ~workers:2 ~chunk:16 ~total:64 (fun wid ->
+      seen.(wid) <- minor_words ();
+      fun _i -> ());
+  Array.iteri
+    (fun wid words ->
+      Alcotest.(check int)
+        (Printf.sprintf "worker %d minor heap (words)" wid)
+        fresh words)
+    seen
+
 let () =
   Alcotest.run "tmr_parallel"
     [
@@ -122,6 +140,8 @@ let () =
           Alcotest.test_case "covers all items" `Quick test_pool_covers_all_items;
           Alcotest.test_case "progress" `Quick test_pool_progress;
           Alcotest.test_case "exception propagation" `Quick test_pool_exception;
+          Alcotest.test_case "workers keep the minor heap" `Quick
+            test_pool_keeps_minor_heap;
         ] );
       ( "campaign",
         [

@@ -149,6 +149,76 @@ let test_shard_events_roundtrip () =
         { design = "tmr_p2"; shard = 3; lo = 30; hi = 40; wrong = 1; pending = 2 };
     ]
 
+(* Fuzzing the shard readers ({!Fuzz}) over rendered result lines and a
+   manifest.  Both come from disk, so [result_of_line] and
+   [manifest_of_json] must answer [Error] rather than raise, however the
+   bytes were damaged. *)
+
+let shard_fuzz_corpus =
+  lazy
+    (let results =
+       List.concat_map
+         (fun effect ->
+           [
+             Shard.result_to_line ~index:3
+               {
+                 Campaign.bit = 77;
+                 outcome = Campaign.Wrong_answer;
+                 effect;
+                 first_error_cycle = 12;
+                 detect_cycle = 4;
+                 forensics = None;
+               };
+             Shard.result_to_line ~index:123456
+               {
+                 Campaign.bit = 9;
+                 outcome = Campaign.Silent;
+                 effect;
+                 first_error_cycle = -1;
+                 detect_cycle = -1;
+                 forensics = None;
+               };
+           ])
+         Classify.all
+     in
+     let manifest =
+       Tmr_obs.Json.to_string
+         (Shard.manifest_to_json
+            {
+              Shard.sm_id = 3;
+              sm_lo = 30;
+              sm_hi = 40;
+              sm_wrong = 2;
+              sm_stats =
+                {
+                  Campaign.skipped = 1;
+                  patched = 2;
+                  rerouted = 3;
+                  rebuilt = 4;
+                  diffed = 5;
+                  converged = 6;
+                  batched = 7;
+                };
+              sm_wall_ns = 123456;
+              sm_busy_ns = 111111;
+              sm_setup_ns = 22222;
+              sm_owner = 999;
+              sm_fingerprint = "cafe1234";
+            })
+     in
+     Array.of_list (manifest :: results))
+
+let qcheck_mutated_shard_files_fail_closed =
+  QCheck.Test.make ~count:3000
+    ~name:"mutated result lines and manifests fail closed" Fuzz.input
+    (fun input ->
+      let text = Fuzz.mutate (Lazy.force shard_fuzz_corpus) input in
+      (match Shard.result_of_line text with Ok _ | Error _ -> ());
+      (match Tmr_obs.Json.parse text with
+      | Ok j -> ( match Shard.manifest_of_json j with Ok _ | Error _ -> ())
+      | Error _ -> ());
+      true)
+
 (* --- work queue ------------------------------------------------------- *)
 
 let mk_manifest (r : Shard.range) =
@@ -258,6 +328,95 @@ let test_workqueue_reclaim () =
   Alcotest.(check int) "zombie's claim reclaimed" 1
     (Workqueue.reclaim_orphans wq);
   ignore (Unix.waitpid [] zpid)
+
+(* --- merge ------------------------------------------------------------ *)
+
+(* Four intact 10-fault shards over [0, 40), one wrong answer (index 25)
+   recorded in both the results and shard 2's manifest. *)
+let intact_shards () =
+  Array.to_list (Shard.plan ~total:40 ~shards:4)
+  |> List.map (fun (r : Shard.range) ->
+         let rs =
+           Array.init
+             (r.Shard.sh_hi - r.Shard.sh_lo)
+             (fun k ->
+               let i = r.Shard.sh_lo + k in
+               ( i,
+                 {
+                   Campaign.bit = 100 + i;
+                   outcome =
+                     (if i = 25 then Campaign.Wrong_answer else Campaign.Silent);
+                   effect = Classify.Other_effect;
+                   first_error_cycle = (if i = 25 then 3 else -1);
+                   detect_cycle = -1;
+                   forensics = None;
+                 } ))
+         in
+         let m = mk_manifest r in
+         ({ m with Shard.sm_wrong = (if r.Shard.sh_id = 2 then 1 else 0) }, rs))
+
+let merge40 shards =
+  Shard.merge ~design:"tmr_p2" ~total:40 ~procs:1 ~wall_ns:1 shards
+
+(* apply [f] to shard [id] only *)
+let with_shard id f =
+  List.map (fun ((m, _) as s) -> if m.Shard.sm_id = id then f s else s)
+
+let test_merge_intact () =
+  match merge40 (List.rev (intact_shards ())) with
+  | Error e -> Alcotest.failf "intact shards refused: %s" e
+  | Ok c ->
+      Alcotest.(check int) "injected" 40 c.Campaign.injected;
+      Alcotest.(check int) "wrong" 1 c.Campaign.wrong;
+      Alcotest.(check (list int)) "results in index order"
+        (List.init 40 (fun i -> 100 + i))
+        (Array.to_list (Array.map (fun r -> r.Campaign.bit) c.Campaign.results))
+
+(* each defect a damaged shard directory can hold is an [Error] naming
+   it, never an exception *)
+let test_merge_defects () =
+  let expect_error name ~needle shards =
+    match merge40 shards with
+    | Ok _ -> Alcotest.failf "%s: merged anyway" name
+    | Error e ->
+        let has =
+          let n = String.length needle and h = String.length e in
+          let rec go i = i + n <= h && (String.sub e i n = needle || go (i + 1)) in
+          go 0
+        in
+        if not has then Alcotest.failf "%s: error %S lacks %S" name e needle
+    | exception exn ->
+        Alcotest.failf "%s: raised %s" name (Printexc.to_string exn)
+  in
+  let shards = intact_shards () in
+  expect_error "gap" ~needle:"next uncovered"
+    (List.filter (fun (m, _) -> m.Shard.sm_id <> 1) shards);
+  expect_error "short cover" ~needle:"cover [0,30) of 40"
+    (List.filter (fun (m, _) -> m.Shard.sm_id <> 3) shards);
+  expect_error "overlap" ~needle:"next uncovered"
+    (with_shard 1 (fun (m, rs) -> ({ m with Shard.sm_lo = 5 }, rs)) shards);
+  expect_error "same shard twice" ~needle:"next uncovered"
+    (List.nth shards 1 :: shards);
+  expect_error "inverted range" ~needle:"inverted range"
+    (with_shard 3 (fun (m, rs) -> ({ m with Shard.sm_hi = 20 }, rs)) shards);
+  expect_error "index outside its shard" ~needle:"outside [10,20)"
+    (with_shard 1
+       (fun (m, rs) ->
+         let rs = Array.copy rs in
+         rs.(4) <- (35, snd rs.(4));
+         (m, rs))
+       shards);
+  expect_error "duplicate index" ~needle:"duplicate result index 12"
+    (with_shard 1
+       (fun (m, rs) ->
+         let rs = Array.copy rs in
+         rs.(3) <- (12, snd rs.(3));
+         (m, rs))
+       shards);
+  expect_error "result count" ~needle:"holds 9 results"
+    (with_shard 1 (fun (m, rs) -> (m, Array.sub rs 0 9)) shards);
+  expect_error "wrong-count mismatch" ~needle:"claim 999 wrong answers"
+    (with_shard 3 (fun (m, rs) -> ({ m with Shard.sm_wrong = 998 }, rs)) shards)
 
 (* --- end-to-end equivalence ------------------------------------------- *)
 
@@ -397,6 +556,43 @@ let test_fingerprint_guard () =
       Alcotest.(check int) "nothing resumed" 0 o.Service.o_resumed
   | Ok (Service.Incomplete _) | Error _ -> Alcotest.fail "fresh run failed"
 
+(* a finished queue whose manifest was damaged on disk: the resume that
+   merges it returns an [Error] naming the shard directory *)
+let test_damaged_manifest_refused () =
+  let ctx = Lazy.force ctx in
+  let run = Lazy.force run_p2 in
+  let dir = temp_dir "damaged" in
+  let job =
+    Service.job ~scale:Context.Reduced ~seed:2 ~faults:40 ~shards:4
+      Partition.Medium_partition
+  in
+  (match Service.run_sharded ~notify:(fun _ -> ()) ~dir job ctx run with
+  | Ok (Service.Complete _) -> ()
+  | Ok (Service.Incomplete _) | Error _ -> Alcotest.fail "seed run failed");
+  let path = Filename.concat (Filename.concat dir "done") "00003.json" in
+  let m =
+    match
+      Result.bind
+        (Tmr_obs.Json.parse (In_channel.with_open_bin path In_channel.input_all))
+        Shard.manifest_of_json
+    with
+    | Ok m -> m
+    | Error e -> Alcotest.failf "manifest unreadable: %s" e
+  in
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc
+        (Tmr_obs.Json.to_string
+           (Shard.manifest_to_json
+              { m with Shard.sm_wrong = m.Shard.sm_wrong + 999 })));
+  match Service.run_sharded ~notify:(fun _ -> ()) ~dir job ctx run with
+  | Ok _ -> Alcotest.fail "damaged shard directory merged"
+  | Error e ->
+      let prefix = Printf.sprintf "shard dir %s: Shard.merge: " dir in
+      Alcotest.(check bool)
+        (Printf.sprintf "%S names the directory and the merge" e)
+        true
+        (String.starts_with ~prefix e)
+
 (* --- exhaustive + job codec ------------------------------------------- *)
 
 let test_exhaustive_faults () =
@@ -477,6 +673,13 @@ let () =
             test_manifest_roundtrip;
           Alcotest.test_case "shard/job events roundtrip" `Quick
             test_shard_events_roundtrip;
+          QCheck_alcotest.to_alcotest qcheck_mutated_shard_files_fail_closed;
+        ] );
+      ( "merge",
+        [
+          Alcotest.test_case "intact shards merge" `Quick test_merge_intact;
+          Alcotest.test_case "each defect is an Error" `Quick
+            test_merge_defects;
         ] );
       ( "workqueue",
         [
@@ -494,6 +697,8 @@ let () =
             test_procs2_bit_identical;
           Alcotest.test_case "fingerprint guard + fresh" `Slow
             test_fingerprint_guard;
+          Alcotest.test_case "damaged manifest refused" `Quick
+            test_damaged_manifest_refused;
           Alcotest.test_case "exhaustive fault space" `Quick
             test_exhaustive_faults;
         ] );

@@ -706,35 +706,11 @@ let fuzz_corpus =
           variants)
      |> Array.of_list)
 
-let mutate_line corpus (base, muts) =
-  let alphabet = "{}[]\",:.-+e0159aoqsx \\" in
-  List.fold_left
-    (fun t (op, pos, a) ->
-      let n = String.length t in
-      let pos = if n = 0 then 0 else pos mod (n + 1) in
-      let c = String.make 1 alphabet.[a mod String.length alphabet] in
-      let before = String.sub t 0 pos and after = String.sub t pos (n - pos) in
-      match op with
-      | 0 when after <> "" ->
-          (* byte flip *)
-          before ^ c ^ String.sub after 1 (String.length after - 1)
-      | 1 -> (* truncation *) before
-      | 2 ->
-          (* splice: this prefix, another line's suffix *)
-          let other = corpus.(a mod Array.length corpus) in
-          let k = min (String.length other) pos in
-          before ^ String.sub other k (String.length other - k)
-      | _ -> (* insertion *) before ^ c ^ after)
-    corpus.(base mod Array.length corpus)
-    muts
-
 let qcheck_mutated_lines_fail_closed =
-  let open QCheck.Gen in
-  let mutation = triple (int_bound 3) (int_bound 1_000) (int_bound 1_000) in
   QCheck.Test.make ~count:2000 ~name:"mutated event lines fail closed"
-    (QCheck.make (pair (int_bound 1_000) (list_size (int_range 0 3) mutation)))
+    Fuzz.input
     (fun input ->
-      let line = mutate_line (Lazy.force fuzz_corpus) input in
+      let line = Fuzz.mutate (Lazy.force fuzz_corpus) input in
       (match Events.parse_line line with Ok _ | Error _ -> ());
       match Events.respool_line line with
       | None -> true
