@@ -210,26 +210,16 @@ let events_file_t =
            ($(i,pid)/$(i,worker)/$(i,shard)/$(i,job)), so $(docv) is one \
            merged fleet stream.")
 
-let listen_t =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "listen" ] ~docv:"PORT"
-        ~doc:
-          "Serve the live metrics registry on \
-           http://127.0.0.1:$(docv)/metrics (Prometheus text format \
-           v0.0.4) for the duration of the run.  Port 0 picks a free \
-           port (printed to stderr).")
-
 let telemetry_t =
   Term.(
-    const (fun trace metrics events listen -> (trace, metrics, events, listen))
-    $ trace_file_t $ metrics_file_t $ events_file_t $ listen_t)
+    const (fun trace metrics events -> (trace, metrics, events))
+    $ trace_file_t $ metrics_file_t $ events_file_t)
 
 (* An interrupted run should still leave its telemetry behind: first
    wind down any forked worker fleet (terminate, reap, drain the spool
-   tails onto the bus — so the merged stream ends on whole lines), then
-   flush every sink and exit with the conventional 128+SIGINT status. *)
+   tails onto the bus — so the merged stream ends on whole lines — and
+   fold the workers' metrics), then flush every sink and exit with the
+   conventional 128+SIGINT status. *)
 let install_sigint metrics =
   ignore
     (Sys.signal Sys.sigint
@@ -242,25 +232,17 @@ let install_sigint metrics =
             (try Option.iter Metrics.write_file metrics with _ -> ());
             exit 130)))
 
-(* Install the trace/event sinks and the exposition endpoint before the
-   work and always flush everything after — also when the command
-   raises or is interrupted, so a crashed run still leaves its
-   telemetry behind. *)
-let with_telemetry (trace, metrics, events, listen) f =
+(* Install the trace/event sinks before the work and always flush
+   everything after — also when the command raises or is interrupted,
+   so a crashed run still leaves its telemetry behind. *)
+let with_telemetry (trace, metrics, events) f =
   Option.iter Trace.to_file trace;
   Option.iter Tmr_obs.Events.to_file events;
-  Option.iter
-    (fun port ->
-      Tmr_obs.Expose.set_active_probe (Some Campaign.active_campaigns);
-      let p = Tmr_obs.Expose.listen port in
-      Printf.eprintf "serving metrics on http://127.0.0.1:%d/metrics\n%!" p)
-    listen;
   install_sigint metrics;
   Fun.protect
     ~finally:(fun () ->
       Trace.close ();
       Tmr_obs.Events.close ();
-      Tmr_obs.Expose.stop ();
       Option.iter Metrics.write_file metrics)
     f
 
@@ -717,7 +699,7 @@ let inject_cmd =
           merged_out;
         Option.iter
           (fun dir ->
-            let _, _, events_spec, _ = telem in
+            let _, _, events_spec = telem in
             let spools =
               List.map
                 (fun (s : Service.spool_info) ->
@@ -799,7 +781,7 @@ let inject_cmd =
       | Some c ->
           Option.iter
             (fun dir ->
-              let _, _, events_spec, _ = telem in
+              let _, _, events_spec = telem in
               let m =
                 Store.of_run ~confidence ~diff:(not no_diff)
                   ~forensics:(forensics <> None) ?stop

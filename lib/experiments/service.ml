@@ -8,7 +8,6 @@ module Events = Tmr_obs.Events
 module Clock = Tmr_obs.Clock
 module Metrics = Tmr_obs.Metrics
 module Trace = Tmr_obs.Trace
-module Expose = Tmr_obs.Expose
 
 type job = {
   j_design : Partition.strategy;
@@ -240,10 +239,16 @@ let run_sharded ?(procs = 1) ?shard_limit ?(fresh = false)
   let t0 = Clock.now_ns () in
   let limit = Option.value shard_limit ~default:max_int in
   let jname = job_name j in
+  (* A worker's snapshot that cannot be written must not stop its shard
+     work: the parent warns when it cannot fold the file. *)
+  let snapshot_metrics file =
+    try Metrics.write_file file with Sys_error _ -> ()
+  in
   (* One claimed range at a time: simulate it as an ordinary (domain
      pooled) campaign over the sub-list, persist, claim the next.
      [metrics_file] (workers only) re-snapshots the registry at every
-     shard boundary so the parent can fold live fleet totals. *)
+     shard boundary, so a killed worker's finished shards still count
+     when the parent folds the file. *)
   let claim_loop ?metrics_file ~quiet () =
     let pid = Unix.getpid () in
     let claimed = ref 0 in
@@ -270,7 +275,7 @@ let run_sharded ?(procs = 1) ?shard_limit ?(fresh = false)
           let m = Shard.manifest_of_campaign r ~fingerprint:fp ~owner:pid c in
           Workqueue.complete wq ~pid r ~lines ~manifest:m;
           incr claimed;
-          Option.iter Metrics.write_file metrics_file;
+          Option.iter snapshot_metrics metrics_file;
           if not quiet then
             notify
               (Events.Shard_done
@@ -304,7 +309,7 @@ let run_sharded ?(procs = 1) ?shard_limit ?(fresh = false)
      let tracing = Trace.enabled () in
      let worker_ids = List.init procs (fun k -> k + 1) in
      (* stale telemetry from a previous (interrupted) run must neither
-        be tailed nor folded into this run's scrapes *)
+        be tailed nor folded into this run's metrics *)
      List.iter
        (fun w ->
          List.iter
@@ -335,6 +340,10 @@ let run_sharded ?(procs = 1) ?shard_limit ?(fresh = false)
                   claim is reclaimed *)
                Sys.set_signal Sys.sigterm Sys.Signal_default;
                Sys.set_signal Sys.sigint Sys.Signal_default;
+               (* the registry copied at fork holds the parent's counts;
+                  the parent folds this worker's snapshot back in, so
+                  the worker must count only its own work *)
+               Metrics.reset ();
                if events_on then
                  Events.spool
                    ~path:(Workqueue.spool_path wq ~worker)
@@ -352,7 +361,7 @@ let run_sharded ?(procs = 1) ?shard_limit ?(fresh = false)
                      (Printexc.to_string e);
                    1
                in
-               Metrics.write_file metrics_file;
+               snapshot_metrics metrics_file;
                Events.close ();
                Trace.close ();
                (* _exit, not exit: at_exit in the child would flush
@@ -361,17 +370,23 @@ let run_sharded ?(procs = 1) ?shard_limit ?(fresh = false)
            | pid -> pid)
          worker_ids
      in
-     (* fleet-wide scrapes: fold the workers' snapshot files into every
-        /metrics render for as long as they exist *)
-     let fleet_snapshots () =
-       List.filter_map
-         (fun w ->
-           match Metrics.read_file (Workqueue.metrics_path wq ~worker:w) with
-           | Ok s -> Some s
-           | Error _ -> None)
-         worker_ids
+     (* Fleet totals: once the workers are reaped, add each one's final
+        snapshot into this process's registry, so --metrics and the
+        store's metrics digest count the fleet's work.  Exactly once,
+        whether the run ends normally or through the SIGINT hook. *)
+     let folded = Atomic.make false in
+     let fold_worker_metrics () =
+       if not (Atomic.exchange folded true) then
+         List.iter
+           (fun w ->
+             let p = Workqueue.metrics_path wq ~worker:w in
+             match Metrics.read_file p with
+             | Ok snap -> Metrics.absorb snap
+             | Error e ->
+                 Printf.eprintf "warning: skipping worker metrics %s: %s\n%!"
+                   p e)
+           worker_ids
      in
-     Expose.set_extra_snapshots (Some fleet_snapshots);
      (* The parent watches: a tailer thread follows the live spools and
         appends every worker event to the parent's stream (re-sequenced,
         origin preserved), while the main thread reaps children and
@@ -440,7 +455,8 @@ let run_sharded ?(procs = 1) ?shard_limit ?(fresh = false)
              try ignore (Unix.waitpid [] pid)
              with Unix.Unix_error _ -> ())
            !remaining;
-         stop_tailer ());
+         stop_tailer ();
+         fold_worker_metrics ());
      Fun.protect
        ~finally:(fun () -> Atomic.set interrupt_hook (fun () -> ()))
        (fun () ->
@@ -457,7 +473,8 @@ let run_sharded ?(procs = 1) ?shard_limit ?(fresh = false)
            if !remaining <> [] then Unix.sleepf 0.02
          done;
          stop_tailer ();
-         relay ());
+         relay ();
+         fold_worker_metrics ());
      spools :=
        List.map
          (fun t ->

@@ -112,13 +112,16 @@ val run_sharded :
     (pid/worker/shard and the job correlation id).  A parent tailer
     thread follows the live spools and appends every worker event to
     the parent's stream, re-sequenced with origin preserved, so the
-    stream file is one coherent fleet stream.  Children also snapshot
-    their metrics registry to [metrics-w<K>.json] at every shard
-    boundary (folded into {!Tmr_obs.Expose} scrapes fleet-wide) and,
-    when tracing, write [trace-w<K>.jsonl], which the parent stitches
-    into its own trace after the run.  The run also publishes
-    origin-less fleet-level [Campaign_started] / [Campaign_stopped]
-    events around the whole sharded campaign.
+    stream file is one coherent fleet stream.  Children count from a
+    zeroed metrics registry and snapshot it to [metrics-w<K>.json] at
+    every shard boundary; once they are reaped (also by {!interrupt})
+    the parent adds each file into its own registry with
+    {!Tmr_obs.Metrics.absorb}, so its snapshots report fleet totals.
+    A missing or unreadable file is skipped with one stderr warning
+    naming it.  When tracing, children write [trace-w<K>.jsonl], which
+    the parent stitches into its own trace after the run.  The run
+    also publishes origin-less fleet-level [Campaign_started] /
+    [Campaign_stopped] events around the whole sharded campaign.
 
     The per-worker spool accounting is returned in
     [o_spools]; {!interrupt} (wired to the host's SIGINT handler)
@@ -138,8 +141,9 @@ val run_sharded :
 
 val interrupt : unit -> unit
 (** When a {!run_sharded} fleet is live in this process: SIGTERM every
-    remaining child, reap them, and drain the spool tails onto the
-    parent's stream.  No-op otherwise.  Intended to be called from the host binary's
+    remaining child, reap them, drain the spool tails onto the
+    parent's stream and fold the workers' metrics files into the
+    registry.  No-op otherwise.  Intended to be called from the host binary's
     SIGINT handler {e before} it flushes and closes its sinks. *)
 
 val summary_json : job -> status -> string

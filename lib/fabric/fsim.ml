@@ -2239,23 +2239,14 @@ let diff_cone_is_closed d sim =
   !ok
 
 (* ------------------------------------------------------------------ *)
-(* Telemetry: shadowing wrappers so every caller is measured.  The
-   histograms are process-global Tmr_obs instruments; recording is one
-   atomic add per call and needs no registered sink. *)
+(* Telemetry: a shadowing wrapper so every caller is counted.  A
+   reroute that falls back to a full rebuild is a cost regression (CI
+   requires 0 on the exhaustive reduced TMR_p2 campaign); counting is
+   one atomic add and needs no registered sink. *)
 
-let m_build_ns = Tmr_obs.Metrics.histogram "fsim.build_ns"
-let m_reroute_ns = Tmr_obs.Metrics.histogram "fsim.reroute_ns"
 let m_reroute_fallback = Tmr_obs.Metrics.counter "fsim.reroute_fallback"
 
-let build ?ws ex ~watch_outputs =
-  let t0 = Tmr_obs.Clock.now_ns () in
-  let t = build ?ws ex ~watch_outputs in
-  Tmr_obs.Metrics.observe m_build_ns (Tmr_obs.Clock.now_ns () - t0);
-  t
-
 let reroute ~scratch c base ex bit =
-  let t0 = Tmr_obs.Clock.now_ns () in
   let r = reroute ~scratch c base ex bit in
-  Tmr_obs.Metrics.observe m_reroute_ns (Tmr_obs.Clock.now_ns () - t0);
   if Option.is_none r then Tmr_obs.Metrics.incr m_reroute_fallback;
   r

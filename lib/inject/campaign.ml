@@ -144,10 +144,9 @@ let m_converge = Tmr_obs.Metrics.histogram "campaign.diff_converge_cycle"
 let m_first_error = Tmr_obs.Metrics.histogram "campaign.first_error_cycle"
 
 (* In-circuit detection observability (campaigns whose design carries a
-   detecting voter): the four-way verdict split, the detection latency
-   distribution (cycles from first internal divergence — when forensics
-   recorded one — to the first disagreement flag), and the headline SDC
-   rate of the last campaign. *)
+   detecting voter): the four-way verdict split and the detection
+   latency distribution (cycles from first internal divergence — when
+   forensics recorded one — to the first disagreement flag). *)
 let m_det_silent_correct =
   Tmr_obs.Metrics.counter "campaign.detection.silent_correct"
 let m_det_corrected =
@@ -157,10 +156,7 @@ let m_det_silent_wrong =
   Tmr_obs.Metrics.counter "campaign.detection.silent_wrong"
 let m_det_latency =
   Tmr_obs.Metrics.histogram "campaign.detection.latency_cycles"
-let m_sdc_rate = Tmr_obs.Metrics.gauge "campaign.detection.sdc_rate"
 let m_busy = Tmr_obs.Metrics.counter "campaign.worker_busy_ns"
-let m_setup = Tmr_obs.Metrics.counter "campaign.worker_setup_ns"
-let m_wall = Tmr_obs.Metrics.gauge "campaign.wall_ns"
 let m_util = Tmr_obs.Metrics.gauge "campaign.worker_utilization"
 
 let fault_hist = function
@@ -321,7 +317,7 @@ let group_key dev db bit =
   | Bitdb.Pip p -> (4 * dev.Device.pip_dst.(p)) + 1
   | Bitdb.Pad_enable p | Bitdb.Pad_cfg (p, _) -> (4 * p) + 2
 
-let run_body ?progress ?workers ?(cone_skip = true) ?(diff = true)
+let run ?progress ?workers ?(cone_skip = true) ?(diff = true)
     ?(forensics = false) ?stop_at_ci ?(batch_width = 64) ~name ~impl ~golden
     ~stimulus ~faults () =
   if batch_width <> 0 && batch_width <> 32 && batch_width <> 64 then
@@ -987,8 +983,6 @@ let run_body ?progress ?workers ?(cone_skip = true) ?(diff = true)
   let busy_total = Array.fold_left ( + ) 0 busy_ns in
   let setup_total = Array.fold_left ( + ) 0 setup_ns in
   Tmr_obs.Metrics.incr ~by:busy_total m_busy;
-  Tmr_obs.Metrics.incr ~by:setup_total m_setup;
-  Tmr_obs.Metrics.set m_wall (float_of_int wall_ns);
   Tmr_obs.Metrics.set m_util
     (if wall_ns > 0 then
        float_of_int (busy_total + setup_total)
@@ -1042,9 +1036,6 @@ let run_body ?progress ?workers ?(cone_skip = true) ?(diff = true)
     Tmr_obs.Metrics.incr ~by:!n_dc m_det_corrected;
     Tmr_obs.Metrics.incr ~by:!n_dw m_det_wrong;
     Tmr_obs.Metrics.incr ~by:!n_sw m_det_silent_wrong;
-    Tmr_obs.Metrics.set m_sdc_rate
-      (if effective > 0 then float_of_int !n_sw /. float_of_int effective
-       else 0.0);
     if emit_events then
       Tmr_obs.Events.publish
         (Tmr_obs.Events.Campaign_detection
@@ -1091,21 +1082,6 @@ let run_body ?progress ?workers ?(cone_skip = true) ?(diff = true)
   | _ -> ());
   { design = name; requested = total; injected = effective; wrong; results;
     workers; stats; wall_ns; busy_ns; setup_ns }
-
-(* Liveness gauge for the /healthz endpoint: campaigns currently inside
-   {!run} in this process.  Forked shard workers keep their own count —
-   the probe answers for the process that serves the scrape. *)
-let active = Atomic.make 0
-let active_campaigns () = Atomic.get active
-
-let run ?progress ?workers ?cone_skip ?diff ?forensics ?stop_at_ci
-    ?batch_width ~name ~impl ~golden ~stimulus ~faults () =
-  Atomic.incr active;
-  Fun.protect
-    ~finally:(fun () -> Atomic.decr active)
-    (fun () ->
-      run_body ?progress ?workers ?cone_skip ?diff ?forensics ?stop_at_ci
-        ?batch_width ~name ~impl ~golden ~stimulus ~faults ())
 
 let wrong_percent t =
   if t.injected = 0 then 0.0

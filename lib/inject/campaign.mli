@@ -224,10 +224,6 @@ val run :
     device (an implementation-flow bug, not a fault); the message names
     the first disagreeing port, bit and expected/actual values. *)
 
-val active_campaigns : unit -> int
-(** Campaigns currently inside {!run} in this process — the liveness
-    probe behind the exposition server's [/healthz] endpoint. *)
-
 val wrong_percent : t -> float
 
 val ci : ?confidence:float -> t -> Tmr_obs.Stats.interval

@@ -40,11 +40,6 @@ let locked s f =
   Mutex.lock s.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock s.mutex) f
 
-(* Time from wanting a chunk to holding it: the cursor mutex is the only
-   shared point of the pool, so this histogram is the direct measure of
-   worker contention (it also absorbs the progress callback running under
-   the same mutex in another worker). *)
-let m_claim_wait = Tmr_obs.Metrics.histogram "pool.claim_wait_ns"
 let m_chunks = Tmr_obs.Metrics.counter "pool.chunks"
 
 (* Claim the next chunk, or None when done/cancelled/stopped.  The stop
@@ -52,7 +47,6 @@ let m_chunks = Tmr_obs.Metrics.counter "pool.chunks"
    forever true), so the worst a race costs is one extra chunk. *)
 let claim s =
   let stopped = match s.should_stop with Some f -> f () | None -> false in
-  let t0 = Tmr_obs.Clock.now_ns () in
   let r =
     locked s (fun () ->
         if stopped || s.failure <> None || s.next >= s.total then None
@@ -68,7 +62,6 @@ let claim s =
           Some (lo, hi)
         end)
   in
-  Tmr_obs.Metrics.observe m_claim_wait (Tmr_obs.Clock.now_ns () - t0);
   if r <> None then Tmr_obs.Metrics.incr m_chunks;
   r
 

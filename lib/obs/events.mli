@@ -190,4 +190,4 @@ val input_whole_line : in_channel -> string option
 
 val render : seq:int -> ts_ns:int -> event -> string
 (** The exact line {!publish} would emit (without the newline).
-    Exposed for tests. *)
+    Public for tests. *)

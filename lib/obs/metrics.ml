@@ -116,7 +116,14 @@ let rec atomic_max a v =
   let cur = Atomic.get a in
   if v > cur && not (Atomic.compare_and_set a cur v) then atomic_max a v
 
+(* Samples are capped at 2^53, the range in which a JSON number (a
+   double) holds every integer exactly, so a snapshot always reads back
+   ([of_json_string]) whatever was observed: a max of [max_int] would
+   print as 2^62 - 1 and parse as 2^62, which is no [int]. *)
+let max_sample = 1 lsl 53
+
 let observe h v =
+  let v = if v > max_sample then max_sample else v in
   let s = slot () in
   ignore (Atomic.fetch_and_add h.h_buckets.(s).(bucket_of v) 1);
   ignore (Atomic.fetch_and_add h.h_count.(s) 1);
@@ -332,16 +339,18 @@ let to_json_string ?(indent = 2) snap =
   Buffer.contents b
 
 (* Atomic (tmp + rename): forked workers rewrite their per-worker
-   snapshot at every shard boundary while the parent folds the same
-   files into its scrape responses, so a reader must never observe a
-   half-written file. *)
+   snapshot at every shard boundary, and a worker killed mid-write must
+   leave its previous snapshot whole for the parent to fold. *)
 let write_file path =
   let tmp = path ^ ".tmp." ^ string_of_int (Unix.getpid ()) in
   let oc = open_out tmp in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
     (fun () -> output_string oc (to_json_string (snapshot ())));
-  Sys.rename tmp path
+  try Sys.rename tmp path
+  with e ->
+    (try Sys.remove tmp with Sys_error _ -> ());
+    raise e
 
 (* --- reading snapshots back and folding them -------------------------- *)
 
@@ -439,68 +448,34 @@ let read_file path =
   | exception Sys_error e -> Error e
   | body -> of_json_string body
 
-(* union of two name-sorted association lists, combining on collision *)
-let merge_assoc combine a b =
-  let rec go acc a b =
-    match (a, b) with
-    | [], rest | rest, [] -> List.rev_append acc rest
-    | (ka, va) :: ta, (kb, vb) :: tb ->
-        if ka = kb then go ((ka, combine va vb) :: acc) ta tb
-        else if ka < kb then go ((ka, va) :: acc) ta b
-        else go ((kb, vb) :: acc) a tb
+(* Fold a snapshot into the live registry: counters and histogram
+   contents add into this domain's shard, extrema fold, and a gauge (a
+   last-write-wins cell) takes the absorbed value.  A name registered
+   here as another kind is skipped: the snapshot came from disk and
+   must not crash its reader. *)
+let absorb snap =
+  let s = slot () in
+  let each get apply items =
+    List.iter
+      (fun (name, v) ->
+        match get name with
+        | exception Invalid_argument _ -> ()
+        | i -> apply i v)
+      items
   in
-  go [] a b
-
-let merge_summary a b =
-  if a.count = 0 then b
-  else if b.count = 0 then a
-  else begin
-    let pairs =
-      (* both bucket arrays ascend by bound (catch-all max_int last) *)
-      let rec go acc xa xb =
-        match (xa, xb) with
-        | [], rest | rest, [] -> List.rev_append acc rest
-        | (ba, ca) :: ta, (bb, cb) :: tb ->
-            if ba = bb then go ((ba, ca + cb) :: acc) ta tb
-            else if ba < bb then go ((ba, ca) :: acc) ta xb
-            else go ((bb, cb) :: acc) xa tb
-      in
-      go [] (Array.to_list a.buckets) (Array.to_list b.buckets)
-    in
-    let count = a.count + b.count and sum = a.sum + b.sum in
-    let pct q =
-      let rank =
-        max 1 (min count (Float.to_int (Float.ceil (q *. float_of_int count))))
-      in
-      let rec walk acc = function
-        | [] -> 0.0
-        | (bound, c) :: rest ->
-            if acc + c >= rank then
-              float_of_int
-                (if bound = max_int then bounds.(nbuckets - 2) else bound)
-            else walk (acc + c) rest
-      in
-      walk 0 pairs
-    in
-    {
-      count;
-      sum;
-      mean = float_of_int sum /. float_of_int count;
-      p50 = pct 0.50;
-      p95 = pct 0.95;
-      p99 = pct 0.99;
-      min = min a.min b.min;
-      max = max a.max b.max;
-      buckets = Array.of_list pairs;
-    }
-  end
-
-let merge a b =
-  {
-    counters = merge_assoc ( + ) a.counters b.counters;
-    (* a gauge is a last-write-wins cell; across processes "the other
-       snapshot's value" is as good a tiebreak as any, so the right
-       operand (conventionally the fresher snapshot) wins *)
-    gauges = merge_assoc (fun _ v -> v) a.gauges b.gauges;
-    histograms = merge_assoc merge_summary a.histograms b.histograms;
-  }
+  each counter (fun c v -> ignore (Atomic.fetch_and_add c.c_shards.(s) v))
+    snap.counters;
+  each gauge (fun g v -> Atomic.set g.g_cell v) snap.gauges;
+  each histogram
+    (fun h (v : hist_summary) ->
+      if v.count > 0 then begin
+        Array.iter
+          (fun (bound, c) ->
+            ignore (Atomic.fetch_and_add h.h_buckets.(s).(bucket_of bound) c))
+          v.buckets;
+        ignore (Atomic.fetch_and_add h.h_count.(s) v.count);
+        ignore (Atomic.fetch_and_add h.h_sum.(s) v.sum);
+        atomic_min h.h_min.(s) v.min;
+        atomic_max h.h_max.(s) v.max
+      end)
+    snap.histograms

@@ -33,7 +33,8 @@ val set : gauge -> float -> unit
 
 val observe : histogram -> int -> unit
 (** Record one non-negative sample (conventionally nanoseconds).
-    Samples [<= 0] land in the first bucket.  Domain-safe, exact counts
+    Samples [<= 0] land in the first bucket; samples above [2^53] are
+    recorded as [2^53], so every snapshot reads back exactly.  Domain-safe, exact counts
     and sums; the bucket resolution is [2^(1/3)] (~26%), which bounds
     the percentile error. *)
 
@@ -91,15 +92,15 @@ val write_file : string -> unit
 (** [write_file path] = take a snapshot and write its JSON to [path].
     Atomic (tmp + rename in the same directory): a concurrent reader
     sees either the previous snapshot or the new one, never a torn
-    file — forked workers rewrite their snapshot at shard boundaries
-    while the parent folds the files into live scrapes. *)
+    file — forked workers rewrite their snapshot at shard boundaries,
+    and one killed mid-write leaves the previous snapshot whole. *)
 
 (** {1 Cross-process aggregation}
 
     Forked campaign workers cannot share the in-memory registry, so
     each serializes its snapshot with {!write_file} and the parent
-    reads the files back and folds them over its own live snapshot —
-    fleet-wide totals from per-process parts. *)
+    reads the files back and {!absorb}s them once the workers are
+    reaped — fleet-wide totals from per-process parts. *)
 
 val of_json_string : string -> (snapshot, string) result
 (** Parse a snapshot back from its {!to_json_string} rendering. *)
@@ -107,8 +108,11 @@ val of_json_string : string -> (snapshot, string) result
 val read_file : string -> (snapshot, string) result
 (** Read and parse one snapshot file. *)
 
-val merge : snapshot -> snapshot -> snapshot
-(** Fold two snapshots: counters add; gauges keep the right operand's
-    value (last-write-wins across processes); histograms sum counts
-    and bucket contents, keep exact extrema, and recompute mean and
-    percentiles from the merged buckets. *)
+val absorb : snapshot -> unit
+(** Add a snapshot into the live registry: counters add; histograms add
+    counts, sums and bucket contents by bound and keep exact extrema
+    (mean and percentiles are recomputed from the merged buckets at the
+    next {!snapshot}); gauges take the absorbed value
+    (last-write-wins across processes).  Unknown names are registered;
+    a name already registered as another kind is skipped.  Never
+    raises. *)

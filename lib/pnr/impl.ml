@@ -15,21 +15,9 @@ type t = {
   seed : int;
 }
 
-(* Per-CAD-phase wall time: one histogram per phase (so repeated
-   implementations accumulate a distribution) plus a trace span each, all
-   under an enclosing "implement" span. *)
-let m_phase =
-  List.map
-    (fun p -> (p, Tmr_obs.Metrics.histogram ("impl.phase_ns." ^ p)))
-    [ "techmap"; "pack"; "place"; "route"; "bitgen"; "timing" ]
-
-let phase name f =
-  let h = List.assoc name m_phase in
-  Tmr_obs.Trace.with_span name (fun () ->
-      let t0 = Tmr_obs.Clock.now_ns () in
-      let r = f () in
-      Tmr_obs.Metrics.observe h (Tmr_obs.Clock.now_ns () - t0);
-      r)
+(* Per-CAD-phase wall time: a trace span each, all under an enclosing
+   "implement" span (e2ebench's per-layer ledger reads them). *)
+let phase = Tmr_obs.Trace.with_span
 
 let implement ?(seed = 1) ?moves_per_site ?floorplan ?max_route_iters dev db nl =
   Tmr_obs.Trace.with_span ~args:[ ("seed", string_of_int seed) ] "implement"

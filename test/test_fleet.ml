@@ -7,8 +7,10 @@
    fork-safe.  Domain-using telemetry tests live in test_telemetry.ml. *)
 
 module Events = Tmr_obs.Events
+module Metrics = Tmr_obs.Metrics
 module Watch = Tmr_obs.Watch
 module Campaign = Tmr_inject.Campaign
+module Workqueue = Tmr_inject.Workqueue
 module Partition = Tmr_core.Partition
 module Context = Tmr_experiments.Context
 module Runs = Tmr_experiments.Runs
@@ -243,6 +245,128 @@ let test_fleet_stream_all_designs () =
       Sys.remove stream)
     Partition.all_paper_designs
 
+(* ------------------------------------------------------------------ *)
+(* Fleet metrics: forked workers count from a zeroed registry and the
+   parent adds their final snapshots into its own once they are reaped,
+   so a forked run reports the same deterministic counters as one that
+   runs every shard in-process. *)
+
+let fleet_counters =
+  [
+    "campaign.batch_evals";
+    "campaign.batch_quiet";
+    "campaign.batch_splices";
+    "campaign.batch_lanes";
+    "campaign.batch_scalar";
+    "campaign.detection.silent_correct";
+    "campaign.detection.detected_corrected";
+    "campaign.detection.detected_wrong";
+    "campaign.detection.silent_wrong";
+    "fsim.reroute_fallback";
+  ]
+
+(* what [f] added to each counter of this process's registry *)
+let counter_deltas f =
+  let get (snap : Metrics.snapshot) name =
+    Option.value ~default:0 (List.assoc_opt name snap.Metrics.counters)
+  in
+  let before = Metrics.snapshot () in
+  let r = f () in
+  let after = Metrics.snapshot () in
+  (r, List.map (fun n -> (n, get after n - get before n)) fleet_counters)
+
+let tmr_p2 =
+  List.find (fun s -> Partition.name s = "tmr_p2") Partition.all_paper_designs
+
+let complete = function
+  | Ok (Service.Complete o) -> o
+  | Ok (Service.Incomplete _) -> Alcotest.fail "unexpectedly incomplete"
+  | Error e -> Alcotest.fail e
+
+(* the detecting voter, so the detection counters are nonzero too *)
+let test_fleet_counters_fold () =
+  let ctx = Lazy.force ctx in
+  let voter = Tmr_core.Voter.Detecting in
+  let run = Runs.implement_design ~voter ctx tmr_p2 in
+  let job =
+    Service.job ~scale:Context.Reduced ~seed:2 ~exhaustive:true ~shards:4
+      ~voter tmr_p2
+  in
+  let sharded procs () =
+    complete
+      (Service.run_sharded ~procs ~notify:ignore
+         ~dir:(temp_dir (Printf.sprintf "counters-p%d" procs))
+         job ctx run)
+  in
+  let inline, c1 = counter_deltas (sharded 1) in
+  let forked, c2 = counter_deltas (sharded 2) in
+  Alcotest.(check bool) "verdicts identical" true
+    (inline.Service.o_campaign.Campaign.results
+    = forked.Service.o_campaign.Campaign.results);
+  Alcotest.(check bool) "the batch engine ran" true
+    (List.assoc "campaign.batch_evals" c1 > 0);
+  Alcotest.(check bool) "detectors fired" true
+    (List.assoc "campaign.detection.detected_corrected" c1 > 0);
+  List.iter
+    (fun name ->
+      Alcotest.(check int)
+        (name ^ ": --procs 2 = --procs 1")
+        (List.assoc name c1) (List.assoc name c2))
+    fleet_counters
+
+(* A worker whose snapshot cannot be read is skipped with one warning
+   naming its file; the run and its verdicts are unaffected.  The file
+   is blocked by a directory at its path: the worker's writes fail (and
+   are ignored) and the parent's read fails. *)
+let test_unreadable_worker_metrics () =
+  let ctx = Lazy.force ctx in
+  let run = Runs.implement_design ctx tmr_p2 in
+  let job = Service.job ~scale:Context.Reduced ~seed:2 ~faults:40 ~shards:4 tmr_p2 in
+  let intact =
+    complete
+      (Service.run_sharded ~procs:2 ~notify:ignore ~dir:(temp_dir "intact")
+         job ctx run)
+  in
+  let dir = temp_dir "blocked" in
+  let blocked = Workqueue.metrics_path (Workqueue.create ~dir) ~worker:2 in
+  Unix.mkdir blocked 0o755;
+  let log = Filename.temp_file "tmr_fleet_stderr" ".txt" in
+  let saved = Unix.dup Unix.stderr in
+  let fd = Unix.openfile log [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o644 in
+  Unix.dup2 fd Unix.stderr;
+  Unix.close fd;
+  let damaged =
+    Fun.protect
+      ~finally:(fun () ->
+        Unix.dup2 saved Unix.stderr;
+        Unix.close saved)
+      (fun () ->
+        complete
+          (Service.run_sharded ~procs:2 ~notify:ignore ~dir job ctx run))
+  in
+  Alcotest.(check bool) "verdicts unchanged" true
+    (intact.Service.o_campaign.Campaign.results
+    = damaged.Service.o_campaign.Campaign.results);
+  let warnings =
+    List.filter (contains ~needle:"warning: skipping worker metrics")
+      (read_lines log)
+  in
+  Alcotest.(check int) "one warning" 1 (List.length warnings);
+  Alcotest.(check bool) "the warning names the file" true
+    (contains ~needle:blocked (List.hd warnings));
+  Sys.remove log
+
+(* A truncated snapshot is an Error from the reader the fold uses *)
+let test_truncated_snapshot () =
+  let path = Filename.temp_file "tmr_fleet_metrics" ".json" in
+  Metrics.write_file path;
+  let body = In_channel.with_open_bin path In_channel.input_all in
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc (String.sub body 0 (String.length body / 2)));
+  Alcotest.(check bool) "truncated file is an Error" true
+    (Result.is_error (Metrics.read_file path));
+  Sys.remove path
+
 let () =
   Alcotest.run "fleet"
     [
@@ -256,5 +380,14 @@ let () =
         [
           Alcotest.test_case "fleet stream == quiet run, all designs" `Slow
             test_fleet_stream_all_designs;
+        ] );
+      ( "metrics",
+        [
+          Alcotest.test_case "forked counters == in-process counters" `Slow
+            test_fleet_counters_fold;
+          Alcotest.test_case "unreadable worker snapshot skipped" `Quick
+            test_unreadable_worker_metrics;
+          Alcotest.test_case "truncated snapshot is an Error" `Quick
+            test_truncated_snapshot;
         ] );
     ]

@@ -1,12 +1,12 @@
 (* Live telemetry: event-stream ordering and density, torn-line
    freedom of the shared JSONL sink under domain concurrency, the
-   Prometheus exposition endpoint, the offline span profiler, exact
-   histogram extrema, and end-to-end exactness — a campaign's event
+   offline span profiler, exact histogram extrema, cross-process
+   metrics folding, and end-to-end exactness — a campaign's event
    stream alone reproduces the engine's final verdict. *)
 
 module Metrics = Tmr_obs.Metrics
+module Json = Tmr_obs.Json
 module Events = Tmr_obs.Events
-module Expose = Tmr_obs.Expose
 module Profile = Tmr_obs.Profile
 module Watch = Tmr_obs.Watch
 module Jsonl = Tmr_obs.Jsonl
@@ -233,127 +233,12 @@ let test_parse_rejects_malformed () =
   | None -> Alcotest.fail "well-formed origin dropped"
 
 (* ------------------------------------------------------------------ *)
-(* Exposition *)
+(* Substring search for report texts *)
 
 let contains ~needle hay =
   let nh = String.length hay and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
   nn = 0 || go 0
-
-let test_expose_render () =
-  let c = Metrics.counter "test.expose.counter" in
-  Metrics.incr ~by:7 c;
-  let h = Metrics.histogram "test.expose.hist" in
-  Metrics.observe h 5;
-  Metrics.observe h 9000;
-  let text = Expose.render () in
-  List.iter
-    (fun needle ->
-      Alcotest.(check bool)
-        (Printf.sprintf "exposition contains %S" needle)
-        true
-        (contains ~needle text))
-    [
-      "# HELP test_expose_counter tmrtool metric test.expose.counter";
-      "# TYPE test_expose_counter counter";
-      "test_expose_counter 7";
-      "# HELP test_expose_hist tmrtool metric test.expose.hist";
-      "# TYPE test_expose_hist histogram";
-      "test_expose_hist_bucket{le=\"+Inf\"} 2";
-      "test_expose_hist_sum 9005";
-      "test_expose_hist_count 2";
-      "# HELP test_expose_hist_min Smallest observation of test_expose_hist";
-      "test_expose_hist_min 5";
-      "test_expose_hist_max 9000";
-      "# HELP events_bus_published Events written to the event stream";
-      "# TYPE events_bus_published gauge";
-      "# TYPE events_bus_last_seq gauge";
-    ];
-  (* every # TYPE family line is introduced by a # HELP line for the
-     same family, in HELP-then-TYPE order (what promtool lint checks) *)
-  let lines = String.split_on_char '\n' text in
-  let prev = ref "" in
-  List.iter
-    (fun l ->
-      if String.length l > 7 && String.sub l 0 7 = "# TYPE " then begin
-        let fam =
-          match String.index_from_opt l 7 ' ' with
-          | Some i -> String.sub l 7 (i - 7)
-          | None -> String.sub l 7 (String.length l - 7)
-        in
-        Alcotest.(check bool)
-          (Printf.sprintf "HELP precedes TYPE for %s" fam)
-          true
-          (String.length !prev > 8 + String.length fam
-          && String.sub !prev 0 (8 + String.length fam) = "# HELP " ^ fam ^ " ")
-      end;
-      prev := l)
-    lines;
-  (* cumulative buckets: each le count is >= the previous one *)
-  let bucket_counts =
-    String.split_on_char '\n' text
-    |> List.filter_map (fun l ->
-           if
-             String.length l > 0
-             && contains ~needle:"test_expose_hist_bucket{le=" l
-           then
-             match String.rindex_opt l ' ' with
-             | Some i ->
-                 int_of_string_opt
-                   (String.sub l (i + 1) (String.length l - i - 1))
-             | None -> None
-           else None)
-  in
-  Alcotest.(check bool) "at least two bucket lines" true
-    (List.length bucket_counts >= 2);
-  let rec cumulative = function
-    | a :: (b :: _ as rest) ->
-        Alcotest.(check bool) "buckets cumulative" true (b >= a);
-        cumulative rest
-    | _ -> ()
-  in
-  cumulative bucket_counts
-
-let test_expose_http () =
-  let port = Expose.listen 0 in
-  Alcotest.(check bool) "kernel picked a port" true (port > 0);
-  Alcotest.(check (option int)) "port is reported" (Some port) (Expose.port ());
-  let c = Metrics.counter "test.expose.http" in
-  Metrics.incr ~by:3 c;
-  let fetch path =
-    let fd = Unix.socket PF_INET SOCK_STREAM 0 in
-    Fun.protect
-      ~finally:(fun () -> Unix.close fd)
-      (fun () ->
-        Unix.connect fd (ADDR_INET (Unix.inet_addr_loopback, port));
-        let req =
-          Printf.sprintf "GET %s HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
-            path
-        in
-        ignore (Unix.write_substring fd req 0 (String.length req));
-        let buf = Buffer.create 4096 in
-        let bytes = Bytes.create 4096 in
-        let rec drain () =
-          match Unix.read fd bytes 0 4096 with
-          | 0 -> ()
-          | n ->
-              Buffer.add_subbytes buf bytes 0 n;
-              drain ()
-        in
-        drain ();
-        Buffer.contents buf)
-  in
-  let resp = fetch "/metrics" in
-  Alcotest.(check bool) "200 OK" true (contains ~needle:"200 OK" resp);
-  Alcotest.(check bool) "prometheus content type" true
-    (contains ~needle:"text/plain; version=0.0.4" resp);
-  Alcotest.(check bool) "body has the counter" true
-    (contains ~needle:"test_expose_http 3" resp);
-  let missing = fetch "/nope" in
-  Alcotest.(check bool) "404 elsewhere" true
-    (contains ~needle:"404" missing);
-  Expose.stop ();
-  Alcotest.(check (option int)) "stopped" None (Expose.port ())
 
 (* ------------------------------------------------------------------ *)
 (* Profiler: hand-built trace with known nesting. *)
@@ -453,8 +338,7 @@ let test_hist_min_max () =
 
 (* ------------------------------------------------------------------ *)
 (* Distributed telemetry: per-worker spools, the respool relay,
-   cross-process metrics folding, /healthz, and watch-side fleet
-   accounting.  Anything that forks lives in test_fleet.ml: this
+   cross-process metrics folding and watch-side fleet accounting.  Anything that forks lives in test_fleet.ml: this
    binary spawns domains, and Unix.fork is unavailable after that. *)
 
 (* spool mode: line-per-event file with a worker-local dense seq and an
@@ -524,7 +408,7 @@ let test_respool_merge () =
   Sys.remove spool;
   Sys.remove merged
 
-(* cross-process metrics: write_file / read_file / merge *)
+(* cross-process metrics: write_file / read_file / absorb *)
 let test_metrics_merge () =
   let c = Metrics.counter "test.merge.counter" in
   Metrics.incr ~by:5 c;
@@ -540,11 +424,13 @@ let test_metrics_merge () =
     | Ok s -> s
     | Error e -> Alcotest.failf "read_file: %s" e
   in
-  let live = Metrics.snapshot () in
-  let m = Metrics.merge live from_file in
-  Alcotest.(check int) "counters add" (2 * List.assoc "test.merge.counter" live.Metrics.counters)
+  Metrics.set g 7.0;
+  Metrics.absorb from_file;
+  let m = Metrics.snapshot () in
+  Alcotest.(check int) "counters add"
+    (2 * List.assoc "test.merge.counter" from_file.Metrics.counters)
     (List.assoc "test.merge.counter" m.Metrics.counters);
-  Alcotest.(check (float 1e-9)) "gauges right-win" 2.5
+  Alcotest.(check (float 1e-9)) "the absorbed gauge wins" 2.5
     (List.assoc "test.merge.gauge" m.Metrics.gauges);
   let hs = List.assoc "test.merge.hist" m.Metrics.histograms in
   Alcotest.(check int) "histogram counts add" 4 hs.Metrics.count;
@@ -552,60 +438,21 @@ let test_metrics_merge () =
   Alcotest.(check int) "min exact across processes" 10 hs.Metrics.min;
   Alcotest.(check int) "max exact across processes" 1000 hs.Metrics.max;
   Alcotest.(check (float 1e-9)) "mean recomputed" 505.0 hs.Metrics.mean;
-  (* buckets still sum to the count after the merge *)
+  Alcotest.(check (float 1e-9)) "p50 from the merged buckets" 10.0
+    hs.Metrics.p50;
+  (* buckets still sum to the count after the fold *)
   Alcotest.(check int) "bucket counts sum to count" hs.Metrics.count
     (Array.fold_left (fun a (_, n) -> a + n) 0 hs.Metrics.buckets);
-  (* empty merges are identities *)
+  (* an empty snapshot changes nothing, and a name registered as
+     another kind is skipped, not raised on *)
   let empty = { Metrics.counters = []; gauges = []; histograms = [] } in
-  Alcotest.(check int) "merge with empty keeps counters"
-    (List.assoc "test.merge.counter" m.Metrics.counters)
-    (List.assoc "test.merge.counter" (Metrics.merge m empty).Metrics.counters);
+  Metrics.absorb empty;
+  Metrics.absorb
+    { empty with Metrics.counters = [ ("test.merge.hist", 3) ];
+      gauges = [ ("test.merge.counter", 1.0) ] };
+  Alcotest.(check bool) "empty and mismatched snapshots change nothing" true
+    (Metrics.snapshot () = m);
   Sys.remove path
-
-(* /healthz: liveness JSON with uptime, event-stream state and the
-   campaign probe *)
-let test_healthz () =
-  Expose.set_active_probe (Some (fun () -> 2));
-  let body = Expose.healthz_body () in
-  List.iter
-    (fun needle ->
-      Alcotest.(check bool)
-        (Printf.sprintf "healthz contains %S" needle)
-        true
-        (contains ~needle body))
-    [ "\"status\":\"ok\""; "\"uptime_s\":"; "\"bus\":"; "\"active_campaigns\":2" ];
-  Expose.set_active_probe None;
-  let port = Expose.listen 0 in
-  let fetch path =
-    let fd = Unix.socket PF_INET SOCK_STREAM 0 in
-    Fun.protect
-      ~finally:(fun () -> Unix.close fd)
-      (fun () ->
-        Unix.connect fd (ADDR_INET (Unix.inet_addr_loopback, port));
-        let req =
-          Printf.sprintf "GET %s HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
-            path
-        in
-        ignore (Unix.write_substring fd req 0 (String.length req));
-        let buf = Buffer.create 4096 in
-        let bytes = Bytes.create 4096 in
-        let rec drain () =
-          match Unix.read fd bytes 0 4096 with
-          | 0 -> ()
-          | n ->
-              Buffer.add_subbytes buf bytes 0 n;
-              drain ()
-        in
-        drain ();
-        Buffer.contents buf)
-  in
-  let resp = fetch "/healthz" in
-  Expose.stop ();
-  Alcotest.(check bool) "healthz 200" true (contains ~needle:"200 OK" resp);
-  Alcotest.(check bool) "healthz is json" true
-    (contains ~needle:"application/json" resp);
-  Alcotest.(check bool) "healthz body served" true
-    (contains ~needle:"\"status\":\"ok\"" resp)
 
 (* watch: origin-stamped shard-local events feed the fleet table and
    in-flight progress; only origin-less events drive the verdict *)
@@ -722,6 +569,60 @@ let qcheck_mutated_lines_fail_closed =
           | Ok { Events.p_origin = Some o; _ } -> o.Events.o_seq = oseq
           | Ok _ | Error _ -> false))
 
+(* The metrics-snapshot reader parses worker files from disk on every
+   forked run: [Json.parse] and [Metrics.of_json_string] return a
+   result on any mutation of a printed snapshot and never raise. *)
+
+let snapshot_corpus =
+  lazy
+    (let h = Metrics.histogram "test.fuzz.hist" in
+     List.iter (Metrics.observe h) [ 0; 7; 900; max_int ];
+     Metrics.incr ~by:3 (Metrics.counter "test.fuzz.counter");
+     Metrics.set (Metrics.gauge "test.fuzz.gauge") (-2.5e-3);
+     let snap = Metrics.snapshot () in
+     [| Metrics.to_json_string snap; Metrics.to_json_string ~indent:0 snap |])
+
+let qcheck_mutated_snapshots_fail_closed =
+  QCheck.Test.make ~count:2000 ~name:"mutated metrics snapshots fail closed"
+    Fuzz.input
+    (fun input ->
+      let doc = Fuzz.mutate (Lazy.force snapshot_corpus) input in
+      (match Json.parse doc with Ok _ | Error _ -> ());
+      match Metrics.of_json_string doc with Ok _ | Error _ -> true)
+
+(* printing then parsing any JSON value gives it back *)
+let json_gen =
+  let open QCheck.Gen in
+  let finite f = if Float.is_finite f then f else 0.0 in
+  let leaf =
+    oneof
+      [
+        return Json.Null;
+        map (fun b -> Json.Bool b) bool;
+        map (fun f -> Json.Num (finite f)) float;
+        map (fun i -> Json.Num (float_of_int i)) int;
+        map (fun s -> Json.Str s) string;
+      ]
+  in
+  sized
+  @@ fix (fun self n ->
+         if n = 0 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               (1, map (fun l -> Json.Arr l) (list_size (int_bound 4) (self (n / 2))));
+               ( 1,
+                 map
+                   (fun l -> Json.Obj l)
+                   (list_size (int_bound 4) (pair string (self (n / 2)))) );
+             ])
+
+let qcheck_json_roundtrip =
+  QCheck.Test.make ~count:1000 ~name:"Json.parse inverts Json.to_string"
+    (QCheck.make ~print:Json.to_string json_gen)
+    (fun j -> Json.parse (Json.to_string j) = Ok j)
+
 (* ------------------------------------------------------------------ *)
 (* End to end: events on vs. events off gives bit-identical verdicts,
    and the stream alone reproduces the final n/wrong/CI. *)
@@ -787,18 +688,17 @@ let () =
             test_parse_rejects_malformed;
           QCheck_alcotest.to_alcotest qcheck_mutated_lines_fail_closed;
         ] );
-      ( "expose",
-        [
-          Alcotest.test_case "prometheus text" `Quick test_expose_render;
-          Alcotest.test_case "http endpoint" `Quick test_expose_http;
-        ] );
       ( "profile",
         [
           Alcotest.test_case "nesting + self time" `Quick test_profile_nesting;
           Alcotest.test_case "error paths" `Quick test_profile_errors;
         ] );
       ( "metrics",
-        [ Alcotest.test_case "exact min/max" `Quick test_hist_min_max ] );
+        [
+          Alcotest.test_case "exact min/max" `Quick test_hist_min_max;
+          QCheck_alcotest.to_alcotest qcheck_mutated_snapshots_fail_closed;
+          QCheck_alcotest.to_alcotest qcheck_json_roundtrip;
+        ] );
       ( "campaign",
         [
           Alcotest.test_case "events-on identical + watch exact" `Slow
@@ -812,7 +712,6 @@ let () =
             test_respool_merge;
           Alcotest.test_case "metrics fold across processes" `Quick
             test_metrics_merge;
-          Alcotest.test_case "/healthz" `Quick test_healthz;
           Alcotest.test_case "watch fleet table + staleness" `Quick
             test_watch_fleet;
         ] );
