@@ -16,7 +16,7 @@ type bit_class =
   | Class_ff
 
 type t = {
-  resources : resource array;
+  resources : int array;  (* bit -> packed resource, see [pack] *)
   frame_bits : int;
   pip_bits : int array;
   lut_bits : int array;  (* bel -> base address of its 16 table bits *)
@@ -40,8 +40,33 @@ type t = {
    Every multi-bit group (LUT table, pin inversions, pad attributes) is
    emitted contiguously into one column, so it stays contiguous. *)
 let pip_col dev i =
-  let s = dev.Device.pip_src.(i) and d = dev.Device.pip_dst.(i) in
-  min dev.Device.wcol.(s) dev.Device.wcol.(d)
+  let cs = dev.Device.wcol.(dev.Device.pip_src.(i))
+  and cd = dev.Device.wcol.(dev.Device.pip_dst.(i)) in
+  if cs <= cd then cs else cd
+
+(* Each bit's resource is one immediate int: the constructor's tag in
+   the low [tag_bits], the second argument (LUT position, pin or pad
+   attribute, all below 16) in the next [sub_bits], and the pip, bel or
+   pad id above them.  [resource] decodes it on demand, so the database
+   holds no block per bit. *)
+let tag_bits = 4
+let sub_bits = 4
+let id_shift = tag_bits + sub_bits
+let max_id = max_int lsr id_shift
+
+let tag_pip = 0
+let tag_lut = 1
+let tag_ff = 2
+let tag_out_sel = 3
+let tag_ce_inv = 4
+let tag_sr_inv = 5
+let tag_in_inv = 6
+let tag_pad_enable = 7
+let tag_pad_cfg = 8
+
+let tag_mask = (1 lsl tag_bits) - 1
+let sub_mask = (1 lsl sub_bits) - 1
+let pack tag id sub = (id lsl id_shift) lor (sub lsl tag_bits) lor tag
 
 let bits_per_bel = 24
 let bits_per_pad = 4
@@ -50,6 +75,8 @@ let build dev =
   let nbels = dev.Device.nbels in
   let npips = dev.Device.npips in
   let npads = dev.Device.npads in
+  if npips - 1 > max_id || nbels - 1 > max_id || npads - 1 > max_id then
+    invalid_arg "Bitdb.build: device too large for a packed resource";
   let pad_col pad = dev.Device.wcol.(dev.Device.pad_wire.(pad)) in
   let ncols = 1 + Array.fold_left max 0 dev.Device.wcol in
   (* next.(c): first the bit count of column c, then its next free
@@ -62,8 +89,13 @@ let build dev =
   for b = 0 to nbels - 1 do
     count dev.Device.bel_col.(b) bits_per_bel
   done;
+  (* pip_bits.(i) holds pip i's column until the second pass replaces it
+     with the pip's address *)
+  let pip_bits = Array.make npips 0 in
   for i = 0 to npips - 1 do
-    count (pip_col dev i) 1
+    let c = pip_col dev i in
+    pip_bits.(i) <- c;
+    next.(c) <- next.(c) + 1
   done;
   let n = ref 0 in
   for c = 0 to ncols - 1 do
@@ -71,7 +103,7 @@ let build dev =
     next.(c) <- !n;
     n := !n + k
   done;
-  let resources = Array.make !n (Pip 0) in
+  let resources = Array.make !n 0 in
   let take col k =
     let a = next.(col) in
     next.(col) <- a + k;
@@ -81,9 +113,9 @@ let build dev =
   let pad_cfg_bits = Array.make npads (-1) in
   for pad = 0 to npads - 1 do
     let a = take (pad_col pad) bits_per_pad in
-    resources.(a) <- Pad_enable pad;
+    resources.(a) <- pack tag_pad_enable pad 0;
     for attr = 0 to 2 do
-      resources.(a + 1 + attr) <- Pad_cfg (pad, attr)
+      resources.(a + 1 + attr) <- pack tag_pad_cfg pad attr
     done;
     pad_bits.(pad) <- a;
     pad_cfg_bits.(pad) <- a + 1
@@ -97,14 +129,14 @@ let build dev =
   for b = 0 to nbels - 1 do
     let a = take dev.Device.bel_col.(b) bits_per_bel in
     for idx = 0 to 15 do
-      resources.(a + idx) <- Lut_bit (b, idx)
+      resources.(a + idx) <- pack tag_lut b idx
     done;
-    resources.(a + 16) <- Ff_init b;
-    resources.(a + 17) <- Out_sel b;
-    resources.(a + 18) <- Ce_inv b;
-    resources.(a + 19) <- Sr_inv b;
+    resources.(a + 16) <- pack tag_ff b 0;
+    resources.(a + 17) <- pack tag_out_sel b 0;
+    resources.(a + 18) <- pack tag_ce_inv b 0;
+    resources.(a + 19) <- pack tag_sr_inv b 0;
     for pin = 0 to 3 do
-      resources.(a + 20 + pin) <- In_inv (b, pin)
+      resources.(a + 20 + pin) <- pack tag_in_inv b pin
     done;
     lut_bits.(b) <- a;
     ff_init_bits.(b) <- a + 16;
@@ -113,10 +145,11 @@ let build dev =
     sr_inv_bits.(b) <- a + 19;
     in_inv_bits.(b) <- a + 20
   done;
-  let pip_bits = Array.make npips (-1) in
   for i = 0 to npips - 1 do
-    let a = take (pip_col dev i) 1 in
-    resources.(a) <- Pip i;
+    let c = pip_bits.(i) in
+    let a = next.(c) in
+    next.(c) <- a + 1;
+    resources.(a) <- pack tag_pip i 0;
     pip_bits.(i) <- a
   done;
   {
@@ -136,17 +169,30 @@ let build dev =
 let num_bits t = Array.length t.resources
 let frame_bits t = t.frame_bits
 let num_frames t = (num_bits t + t.frame_bits - 1) / t.frame_bits
-let resource t a = t.resources.(a)
+
+let resource t a =
+  let r = t.resources.(a) in
+  let tag = r land tag_mask in
+  let id = r lsr id_shift and sub = (r lsr tag_bits) land sub_mask in
+  if tag = tag_pip then Pip id
+  else if tag = tag_lut then Lut_bit (id, sub)
+  else if tag = tag_ff then Ff_init id
+  else if tag = tag_out_sel then Out_sel id
+  else if tag = tag_ce_inv then Ce_inv id
+  else if tag = tag_sr_inv then Sr_inv id
+  else if tag = tag_in_inv then In_inv (id, sub)
+  else if tag = tag_pad_enable then Pad_enable id
+  else Pad_cfg (id, sub)
+
 let frame_of_bit t a = a / t.frame_bits
 
-let class_of_resource = function
-  | Pip _ -> Class_routing
-  | Lut_bit _ -> Class_lut
-  | Out_sel _ | Ce_inv _ | Sr_inv _ | In_inv _ | Pad_enable _ | Pad_cfg _ ->
-      Class_custom
-  | Ff_init _ -> Class_ff
+let class_of_tag tag =
+  if tag = tag_pip then Class_routing
+  else if tag = tag_lut then Class_lut
+  else if tag = tag_ff then Class_ff
+  else Class_custom
 
-let class_of_bit t a = class_of_resource t.resources.(a)
+let class_of_bit t a = class_of_tag (t.resources.(a) land tag_mask)
 
 let pip_bit t i = t.pip_bits.(i)
 let lut_bit t ~bel ~idx = t.lut_bits.(bel) + idx
@@ -160,14 +206,13 @@ let pad_cfg_bit t ~pad ~attr = t.pad_cfg_bits.(pad) + attr
 
 let class_counts t =
   let routing = ref 0 and lut = ref 0 and custom = ref 0 and ff = ref 0 in
-  Array.iter
-    (fun r ->
-      match class_of_resource r with
-      | Class_routing -> incr routing
-      | Class_lut -> incr lut
-      | Class_custom -> incr custom
-      | Class_ff -> incr ff)
-    t.resources;
+  for a = 0 to num_bits t - 1 do
+    match class_of_bit t a with
+    | Class_routing -> incr routing
+    | Class_lut -> incr lut
+    | Class_custom -> incr custom
+    | Class_ff -> incr ff
+  done;
   [
     (Class_routing, !routing);
     (Class_lut, !lut);

@@ -36,24 +36,6 @@ type t = {
   wire_pad : int array;
 }
 
-(* Growable int vector, used while the final sizes are unknown. *)
-module Ivec = struct
-  type t = {
-    mutable a : int array;
-    mutable n : int;
-  }
-
-  let create () = { a = Array.make 1024 0; n = 0 }
-
-  let push t v =
-    if t.n >= Array.length t.a then
-      t.a <- Array.append t.a (Array.make (Array.length t.a) 0);
-    t.a.(t.n) <- v;
-    t.n <- t.n + 1
-
-  let to_array t = Array.sub t.a 0 t.n
-end
-
 (* Wire id layout: contiguous blocks per wire family, with closed-form
    id computation so construction never needs a lookup table. *)
 type layout = {
@@ -137,6 +119,161 @@ let pad_channel_anchor p pos =
   else if pos < 2 * p.cols then `H (p.rows, pos - p.cols)
   else if pos < (2 * p.cols) + p.rows then `V (0, pos - (2 * p.cols))
   else `V (p.cols, pos - (2 * p.cols) - p.rows)
+
+(* Where [raw_pips] puts the pips it generates: it only counts them
+   while the arrays are too short to hold them. *)
+type sink = {
+  mutable n : int;
+  src : int array;
+  dst : int array;
+  bid : bool array;
+}
+
+let emit sk s d b =
+  let n = sk.n in
+  if n < Array.length sk.src then begin
+    sk.src.(n) <- s;
+    sk.dst.(n) <- d;
+    sk.bid.(n) <- b
+  end;
+  sk.n <- n + 1
+
+(* directional (buffered) pip: a drives b *)
+let pip sk a b = emit sk a b false
+
+(* bidirectional (pass-transistor) pip: a and b are shorted when on, and
+   the endpoints go in ascending order *)
+let bidir sk a b = if a <= b then emit sk a b true else emit sk b a true
+
+(* -1 marks a side the array edge cuts off *)
+let both sk a b = if a >= 0 && b >= 0 then bidir sk a b
+
+(* Every pip the fabric style defines, in generation order.  The order
+   fixes the pip ids, so it must not change; narrow channels emit the
+   same connection more than once, and [build] keeps the first. *)
+let raw_pips l sk =
+  let p = l.p in
+  let open Arch in
+  let incident = Array.make 4 (-1) in
+  (* Switch boxes: points (y, x), y in 0..rows, x in 0..cols. *)
+  for y = 0 to p.rows do
+    for x = 0 to p.cols do
+      (* disjoint pattern: same-track clique across the four sides *)
+      for i = 0 to p.ch_singles - 1 do
+        incident.(0) <- (if y <= p.rows - 1 then vs l x y i else -1);
+        incident.(1) <- (if y - 1 >= 0 then vs l x (y - 1) i else -1);
+        incident.(2) <- (if x <= p.cols - 1 then hs l y x i else -1);
+        incident.(3) <- (if x - 1 >= 0 then hs l y (x - 1) i else -1);
+        for ia = 0 to 3 do
+          for ib = 0 to 3 do
+            let a = incident.(ia) and b = incident.(ib) in
+            if a >= 0 && a < b then emit sk a b true
+          done
+        done
+      done;
+      (* Wilton-style rotating turns: track i turns onto track i+1, so the
+         graph is not partitioned per track index *)
+      for i = 0 to p.ch_singles - 1 do
+        let i' = (i + 1) mod p.ch_singles in
+        if x - 1 >= 0 && y <= p.rows - 1 then
+          bidir sk (hs l y (x - 1) i) (vs l x y i');
+        if x <= p.cols - 1 && y - 1 >= 0 then
+          bidir sk (hs l y x i) (vs l x (y - 1) i')
+      done;
+      (* doubles: straight-through, turns, and transfers to singles *)
+      for j = 0 to p.ch_doubles - 1 do
+        let hw = if x - 2 >= 0 then hd l y (x - 2) j else -1 in
+        let he = if x <= p.cols - 1 then hd l y x j else -1 in
+        let vsou = if y - 2 >= 0 then vd l x (y - 2) j else -1 in
+        let vno = if y <= p.rows - 1 then vd l x y j else -1 in
+        both sk hw he;
+        both sk vsou vno;
+        both sk hw vno;
+        both sk he vsou;
+        (* transfer to the same-index single at this point *)
+        let single_here =
+          if x <= p.cols - 1 then hs l y x j
+          else if x - 1 >= 0 then hs l y (x - 1) j
+          else -1
+        in
+        let vsingle_here =
+          if y <= p.rows - 1 then vs l x y j
+          else if y - 1 >= 0 then vs l x (y - 1) j
+          else -1
+        in
+        both sk hw single_here;
+        both sk hw vsingle_here;
+        both sk he single_here;
+        both sk he vsingle_here;
+        both sk vsou single_here;
+        both sk vsou vsingle_here;
+        both sk vno single_here;
+        both sk vno vsingle_here
+      done;
+      (* long-line taps *)
+      if x mod p.long_tap_period = 0 then
+        for k = 0 to p.ch_longs - 1 do
+          if x <= p.cols - 1 then bidir sk (hl l y k) (hs l y x k)
+        done;
+      if y mod p.long_tap_period = 0 then
+        for k = 0 to p.ch_longs - 1 do
+          if y <= p.rows - 1 then bidir sk (vl l x k) (vs l x y k)
+        done
+    done
+  done;
+  (* Connection boxes: tile (r, c) uses H channel y=r segment x=c and
+     V channel x=c segment y=r. *)
+  let scatter base span salt = (base + salt) mod span in
+  for r = 0 to p.rows - 1 do
+    for c = 0 to p.cols - 1 do
+      for slot = 0 to bels_per_tile p - 1 do
+        let b = bel_id l r c slot in
+        (* input pins: odd stride over the tracks so the option set of each
+           pin mixes parities and differs across slots and pins *)
+        for j = 0 to p.lut_inputs - 1 do
+          let pw = pin l b j in
+          let salt = (slot * 7) + (j * 5) + r + c in
+          for k = 0 to p.cb_in_singles - 1 do
+            if k mod 2 = 0 then
+              pip sk (hs l r c (scatter (k * 3) p.ch_singles salt)) pw
+            else pip sk (vs l c r (scatter (k * 3) p.ch_singles salt)) pw
+          done;
+          (* one double and one long tap per pin *)
+          pip sk (hd l r c ((slot + j + c) mod p.ch_doubles)) pw;
+          if j mod 2 = 0 then pip sk (hl l r (j mod p.ch_longs)) pw
+          else pip sk (vl l c (j mod p.ch_longs)) pw
+        done;
+        (* output pin *)
+        let ow = pin l b p.lut_inputs in
+        let osalt = (slot * 13) + r + c in
+        for k = 0 to p.cb_out_singles - 1 do
+          pip sk ow (hs l r c (scatter (k * 3) p.ch_singles osalt));
+          pip sk ow (vs l c r (scatter ((k * 3) + 1) p.ch_singles osalt))
+        done;
+        pip sk ow (hd l r c (slot mod p.ch_doubles));
+        pip sk ow (vd l c r ((slot + 1) mod p.ch_doubles))
+      done
+    done
+  done;
+  (* Pads: four channel tracks, each driven by the input pad and driving
+     the output pad *)
+  for pos = 0 to l.pad_positions - 1 do
+    for k = 0 to p.pads_per_position - 1 do
+      let inw = pad_id_wire l pos k true in
+      let outw = pad_id_wire l pos k false in
+      let anchor = pad_channel_anchor p pos in
+      for t = 0 to 3 do
+        let track = ((t * 3) + k + pos) mod p.ch_singles in
+        let w =
+          match anchor with
+          | `H (y, x) -> hs l y x track
+          | `V (x, y) -> vs l x y track
+        in
+        pip sk inw w;
+        pip sk w outw
+      done
+    done
+  done
 
 let build p =
   let l = layout p in
@@ -230,190 +367,75 @@ let build p =
     done
   done;
   (* ---------------- PIPs ---------------- *)
-  let src_v = Ivec.create () and dst_v = Ivec.create () in
-  let bid_v = Ivec.create () in
-  (* directional (buffered) pip: a drives b *)
-  let pip a b = Ivec.push src_v a; Ivec.push dst_v b; Ivec.push bid_v 0 in
-  (* bidirectional (pass-transistor) pip: a and b are shorted when on.
-     Canonical endpoint order avoids duplicates. *)
-  let bidir a b =
-    let a, b = if a <= b then (a, b) else (b, a) in
-    Ivec.push src_v a; Ivec.push dst_v b; Ivec.push bid_v 1
+  (* Raw pips go into arrays of exactly their count: [raw_pips] runs once
+     to count and once to fill. *)
+  let count = { n = 0; src = [||]; dst = [||]; bid = [||] } in
+  raw_pips l count;
+  let nraw = count.n in
+  let raw =
+    { n = 0; src = Array.make nraw 0; dst = Array.make nraw 0;
+      bid = Array.make nraw false }
   in
-  (* Switch boxes: points (y, x), y in 0..rows, x in 0..cols. *)
-  for y = 0 to p.rows do
-    for x = 0 to p.cols do
-      (* disjoint pattern: same-track clique across the four sides *)
-      for i = 0 to p.ch_singles - 1 do
-        let incident = ref [] in
-        if x - 1 >= 0 then incident := hs l y (x - 1) i :: !incident;
-        if x <= p.cols - 1 then incident := hs l y x i :: !incident;
-        if y - 1 >= 0 then incident := vs l x (y - 1) i :: !incident;
-        if y <= p.rows - 1 then incident := vs l x y i :: !incident;
-        let ws = !incident in
-        List.iter
-          (fun a -> List.iter (fun b -> if a < b then bidir a b) ws)
-          ws
-      done;
-      (* Wilton-style rotating turns: track i turns onto track i+1, so the
-         graph is not partitioned per track index *)
-      for i = 0 to p.ch_singles - 1 do
-        let i' = (i + 1) mod p.ch_singles in
-        if x - 1 >= 0 && y <= p.rows - 1 then
-          bidir (hs l y (x - 1) i) (vs l x y i');
-        if x <= p.cols - 1 && y - 1 >= 0 then
-          bidir (hs l y x i) (vs l x (y - 1) i')
-      done;
-      (* doubles: straight-through, turns, and transfers to singles *)
-      for j = 0 to p.ch_doubles - 1 do
-        let hw = if x - 2 >= 0 then Some (hd l y (x - 2) j) else None in
-        let he = if x <= p.cols - 1 then Some (hd l y x j) else None in
-        let vsou = if y - 2 >= 0 then Some (vd l x (y - 2) j) else None in
-        let vno = if y <= p.rows - 1 then Some (vd l x y j) else None in
-        let opt2 f a b = match a, b with Some a, Some b -> f a b | _ -> () in
-        opt2 bidir hw he;
-        opt2 bidir vsou vno;
-        opt2 bidir hw vno;
-        opt2 bidir he vsou;
-        (* transfer to the same-index single at this point *)
-        let single_here =
-          if x <= p.cols - 1 then Some (hs l y x j)
-          else if x - 1 >= 0 then Some (hs l y (x - 1) j)
-          else None
-        in
-        let vsingle_here =
-          if y <= p.rows - 1 then Some (vs l x y j)
-          else if y - 1 >= 0 then Some (vs l x (y - 1) j)
-          else None
-        in
-        List.iter
-          (fun d ->
-            opt2 bidir d single_here;
-            opt2 bidir d vsingle_here)
-          [ hw; he; vsou; vno ]
-        |> ignore
-      done;
-      (* long-line taps *)
-      if x mod p.long_tap_period = 0 then
-        for k = 0 to p.ch_longs - 1 do
-          if x <= p.cols - 1 then bidir (hl l y k) (hs l y x k)
-        done;
-      if y mod p.long_tap_period = 0 then
-        for k = 0 to p.ch_longs - 1 do
-          if y <= p.rows - 1 then bidir (vl l x k) (vs l x y k)
-        done
-    done
-  done;
-  (* Connection boxes: tile (r, c) uses H channel y=r segment x=c and
-     V channel x=c segment y=r. *)
-  let scatter base span salt = (base + salt) mod span in
-  for r = 0 to p.rows - 1 do
-    for c = 0 to p.cols - 1 do
-      for slot = 0 to bpt - 1 do
-        let b = bel_id l r c slot in
-        (* input pins: odd stride over the tracks so the option set of each
-           pin mixes parities and differs across slots and pins *)
-        for j = 0 to p.lut_inputs - 1 do
-          let pw = bel_in.(b).(j) in
-          let salt = (slot * 7) + (j * 5) + r + c in
-          for k = 0 to p.cb_in_singles - 1 do
-            if k mod 2 = 0 then
-              pip (hs l r c (scatter (k * 3) p.ch_singles salt)) pw
-            else pip (vs l c r (scatter (k * 3) p.ch_singles salt)) pw
-          done;
-          (* one double and one long tap per pin *)
-          pip (hd l r c ((slot + j + c) mod p.ch_doubles)) pw;
-          if j mod 2 = 0 then pip (hl l r (j mod p.ch_longs)) pw
-          else pip (vl l c (j mod p.ch_longs)) pw
-        done;
-        (* output pin *)
-        let ow = bel_out.(b) in
-        let osalt = (slot * 13) + r + c in
-        for k = 0 to p.cb_out_singles - 1 do
-          pip ow (hs l r c (scatter (k * 3) p.ch_singles osalt));
-          pip ow (vs l c r (scatter ((k * 3) + 1) p.ch_singles osalt))
-        done;
-        pip ow (hd l r c (slot mod p.ch_doubles));
-        pip ow (vd l c r ((slot + 1) mod p.ch_doubles))
-      done
-    done
-  done;
-  (* Pads *)
-  for pos = 0 to l.pad_positions - 1 do
-    for k = 0 to p.pads_per_position - 1 do
-      let inw = pad_id_wire l pos k true in
-      let outw = pad_id_wire l pos k false in
-      let connect_channel tracks =
-        List.iter
-          (fun w ->
-            pip inw w;
-            pip w outw)
-          tracks
-      in
-      match pad_channel_anchor p pos with
-      | `H (y, x) ->
-          connect_channel
-            (List.init 4 (fun t -> hs l y x ((t * 3 + k + pos) mod p.ch_singles)))
-      | `V (x, y) ->
-          connect_channel
-            (List.init 4 (fun t -> vs l x y ((t * 3 + k + pos) mod p.ch_singles)))
-    done
-  done;
+  raw_pips l raw;
+  let pip_src = raw.src and pip_dst = raw.dst and pip_bidir = raw.bid in
   (* Deduplicate (src, dst, kind) triples: a connection is one bit, and
      its first occurrence fixes its pip id.  The pips kept so far are
-     chained per source wire, so a raw pip is checked only against the
-     few kept pips that share its source: head.(w) is the newest kept pip
-     leaving w, and kept pip k stores its (dst, kind) key at
-     link.(2k) and the pip kept before it from the same source at
-     link.(2k+1), next to each other for the chain walk. *)
+     chained per destination wire (at most 11 pips enter one wire at
+     paper scale, where a long line is the source of 336), so a raw pip
+     is checked only against the kept pips with its destination:
+     head.(w) is the newest kept pip entering w and next.(k) the one
+     kept before k.  Kept pips move down in place to their id (k <= i),
+     and each one is counted on the wires whose adjacency lists it. *)
   let head = Array.make nwires (-1) in
-  let link = Ivec.create () in
-  let kept_src = Ivec.create () in
-  for i = 0 to src_v.Ivec.n - 1 do
-    let s = src_v.Ivec.a.(i) in
-    let key = (dst_v.Ivec.a.(i) * 2) + bid_v.Ivec.a.(i) in
-    let k = ref head.(s) in
-    while !k >= 0 && link.Ivec.a.(2 * !k) <> key do
-      k := link.Ivec.a.((2 * !k) + 1)
+  let next = Array.make nraw (-1) in
+  let out_cnt = Array.make nwires 0 and in_cnt = Array.make nwires 0 in
+  let kept = ref 0 in
+  for i = 0 to nraw - 1 do
+    let s = pip_src.(i) and d = pip_dst.(i) and bid = pip_bidir.(i) in
+    let k = ref head.(d) in
+    while !k >= 0 && (pip_src.(!k) <> s || pip_bidir.(!k) <> bid) do
+      k := next.(!k)
     done;
     if !k < 0 then begin
-      Ivec.push link key;
-      Ivec.push link head.(s);
-      head.(s) <- kept_src.Ivec.n;
-      Ivec.push kept_src s
+      let k = !kept in
+      pip_src.(k) <- s;
+      pip_dst.(k) <- d;
+      pip_bidir.(k) <- bid;
+      next.(k) <- head.(d);
+      head.(d) <- k;
+      kept := k + 1;
+      out_cnt.(s) <- out_cnt.(s) + 1;
+      in_cnt.(d) <- in_cnt.(d) + 1;
+      if bid then begin
+        out_cnt.(d) <- out_cnt.(d) + 1;
+        in_cnt.(s) <- in_cnt.(s) + 1
+      end
     end
   done;
-  let pip_src = Ivec.to_array kept_src in
-  let npips = Array.length pip_src in
-  let pip_dst = Array.init npips (fun k -> link.Ivec.a.(2 * k) lsr 1) in
-  let pip_bidir =
-    Array.init npips (fun k -> link.Ivec.a.(2 * k) land 1 = 1)
-  in
-  (* adjacency *)
-  let out_cnt = Array.make nwires 0 and in_cnt = Array.make nwires 0 in
-  for i = 0 to npips - 1 do
-    out_cnt.(pip_src.(i)) <- out_cnt.(pip_src.(i)) + 1;
-    in_cnt.(pip_dst.(i)) <- in_cnt.(pip_dst.(i)) + 1;
-    if pip_bidir.(i) then begin
-      out_cnt.(pip_dst.(i)) <- out_cnt.(pip_dst.(i)) + 1;
-      in_cnt.(pip_src.(i)) <- in_cnt.(pip_src.(i)) + 1
-    end
-  done;
+  let npips = !kept in
+  let exact a = if npips = nraw then a else Array.sub a 0 npips in
+  let pip_src = exact pip_src and pip_dst = exact pip_dst in
+  let pip_bidir = exact pip_bidir in
+  (* Adjacency: each wire's lists are allocated at their counted size
+     and filled from the last pip down, counting back to zero, which
+     leaves them in ascending pip id. *)
   let wire_out = Array.init nwires (fun w -> Array.make out_cnt.(w) 0) in
   let wire_in = Array.init nwires (fun w -> Array.make in_cnt.(w) 0) in
-  Array.fill out_cnt 0 nwires 0;
-  Array.fill in_cnt 0 nwires 0;
-  for i = 0 to npips - 1 do
+  for i = npips - 1 downto 0 do
     let s = pip_src.(i) and d = pip_dst.(i) in
-    wire_out.(s).(out_cnt.(s)) <- i;
-    out_cnt.(s) <- out_cnt.(s) + 1;
-    wire_in.(d).(in_cnt.(d)) <- i;
-    in_cnt.(d) <- in_cnt.(d) + 1;
+    let c = out_cnt.(s) - 1 in
+    out_cnt.(s) <- c;
+    wire_out.(s).(c) <- i;
+    let c = in_cnt.(d) - 1 in
+    in_cnt.(d) <- c;
+    wire_in.(d).(c) <- i;
     if pip_bidir.(i) then begin
-      wire_out.(d).(out_cnt.(d)) <- i;
-      out_cnt.(d) <- out_cnt.(d) + 1;
-      wire_in.(s).(in_cnt.(s)) <- i;
-      in_cnt.(s) <- in_cnt.(s) + 1
+      let c = out_cnt.(d) - 1 in
+      out_cnt.(d) <- c;
+      wire_out.(d).(c) <- i;
+      let c = in_cnt.(s) - 1 in
+      in_cnt.(s) <- c;
+      wire_in.(s).(c) <- i
     end
   done;
   {

@@ -2,10 +2,10 @@
     stimulus and campaign sizing.
 
     Most of [create] is building the device graph and its bit database.
-    On a 2-vCPU box (OCaml 5.1.1) one call takes ~0.2-0.4 s at paper
-    scale (the e2e bench's [setup_s] on [paper-p2] reads ~0.37 s) and
-    ~10 ms at reduced scale; every experiment in a process still shares
-    one context.  [scale] selects the paper-scale setup or a reduced one
+    On a 2-vCPU box (OCaml 5.1.1) one call takes ~0.1-0.2 s at paper
+    scale (the e2e bench's [setup_s] on [paper-p2] reads ~0.12 s) and
+    allocates ~9 Mwords, and takes ~10 ms at reduced scale; every
+    experiment in a process still shares one context.  [scale] selects the paper-scale setup or a reduced one
     for tests and quick runs. *)
 
 type scale =

@@ -421,14 +421,18 @@ let run_sharded ?(procs = 1) ?shard_limit ?(fresh = false)
      in
      let seen = Hashtbl.create 16 in
      List.iter (fun id -> Hashtbl.replace seen id ()) done0_ids;
+     (* parse only the manifests not relayed yet, ascending; one that
+        cannot be read yet (its write is mid-rename) ends this pass, so
+        it and every later id wait for the next tick *)
      let relay () =
-       match Workqueue.load_done wq with
-       | Error _ -> ()
-       | Ok ms ->
-           List.iter
-             (fun (m : Shard.manifest) ->
-               if not (Hashtbl.mem seen m.Shard.sm_id) then begin
-                 Hashtbl.replace seen m.Shard.sm_id ();
+       let rec go = function
+         | [] -> ()
+         | id :: rest when Hashtbl.mem seen id -> go rest
+         | id :: rest -> (
+             match Workqueue.load_manifest wq id with
+             | Error _ -> ()
+             | Ok m ->
+                 Hashtbl.replace seen id ();
                  notify
                    (Events.Shard_done
                       {
@@ -438,9 +442,10 @@ let run_sharded ?(procs = 1) ?shard_limit ?(fresh = false)
                         hi = m.Shard.sm_hi;
                         wrong = m.Shard.sm_wrong;
                         pending = Workqueue.pending wq;
-                      })
-               end)
-             ms
+                      });
+                 go rest)
+       in
+       go (Workqueue.done_ids wq)
      in
      let remaining = ref children in
      (* Ctrl-C: terminate the fleet, reap it, then drain what the dying

@@ -222,20 +222,26 @@ let reclaim_orphans t =
 (* ------------------------------------------------------------------ *)
 (* Reading back. *)
 
+(* a manifest still being written shows up as its tmp file, which
+   carries the same id *)
+let done_ids t = List.sort_uniq compare (ids_in t "done")
+
+let load_manifest t id =
+  let p = path t [ "done"; id_name id ] in
+  match Result.bind (Json.parse (read_file p)) Shard.manifest_of_json with
+  | Ok m -> Ok m
+  | Error e -> Error (Printf.sprintf "%s: %s" p e)
+  | exception Sys_error e -> Error e
+
 let load_done t =
-  let ids = List.sort compare (ids_in t "done") in
   let rec go acc = function
     | [] -> Ok (List.rev acc)
     | id :: rest -> (
-        let p = path t [ "done"; id_name id ] in
-        match
-          Result.bind (Json.parse (read_file p)) Shard.manifest_of_json
-        with
+        match load_manifest t id with
         | Ok m -> go (m :: acc) rest
-        | Error e -> Error (Printf.sprintf "%s: %s" p e)
-        | exception Sys_error e -> Error e)
+        | Error e -> Error e)
   in
-  go [] ids
+  go [] (done_ids t)
 
 let read_results t (m : Shard.manifest) =
   let p = path t [ "results"; results_name m.Shard.sm_id ] in

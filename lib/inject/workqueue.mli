@@ -82,6 +82,14 @@ val reclaim_orphans : t -> int
 
 (** {1 Reading back} *)
 
+val done_ids : t -> int list
+(** Ids of the completed shards, ascending, read from the directory
+    listing alone.  A manifest whose write is still in flight is listed
+    too, and {!load_manifest} fails on it until the rename lands. *)
+
+val load_manifest : t -> int -> (Shard.manifest, string) result
+(** The manifest of one completed shard; [Error] names the file. *)
+
 val load_done : t -> (Shard.manifest list, string) result
 (** All completed-shard manifests, ascending by id.  A truncated or
     corrupt manifest is an [Error] naming the file — completion writes

@@ -125,6 +125,83 @@ let test_scaled_params () =
   | Ok () -> ()
   | Error es -> Alcotest.fail (List.hd es)
 
+(* Random fabrics around the two shipped ones at 1-6 x 1-6 tiles.  Half
+   of them get narrow channels (2-6 singles, up to 8 single choices per
+   input pin, no more doubles than singles), where generation emits the
+   same connection more than once and [Device.build]'s dedup has work to
+   do: no shipped or [Arch.scaled] device has a duplicate raw pip. *)
+let arch_gen =
+  let open QCheck.Gen in
+  let* paper = bool and* rows = int_range 1 6 and* cols = int_range 1 6 in
+  let* narrow = bool and* singles = int_range 2 6 and* cb_in = int_range 1 8 in
+  let p = Arch.scaled (if paper then Arch.xc2s200e else Arch.small) ~rows ~cols in
+  return
+    (if narrow then
+       { p with Arch.ch_singles = singles; cb_in_singles = cb_in;
+                ch_doubles = min p.Arch.ch_doubles singles }
+     else p)
+
+let arch_arb =
+  QCheck.make arch_gen ~print:(fun p ->
+      Printf.sprintf "%dx%d singles %d doubles %d longs %d cb_in %d cb_out %d"
+        p.Arch.rows p.Arch.cols p.Arch.ch_singles p.Arch.ch_doubles
+        p.Arch.ch_longs p.Arch.cb_in_singles p.Arch.cb_out_singles)
+
+let qcheck_dedup_oracle =
+  QCheck.Test.make ~count:100 ~name:"build equals the pre-rewrite builder"
+    arch_arb (fun p -> Device.build p = Device_oracle.build p)
+
+let test_narrow_dedup () =
+  let p =
+    { (Arch.scaled Arch.small ~rows:3 ~cols:3) with
+      Arch.ch_singles = 3; cb_in_singles = 6 }
+  in
+  let d = Device.build p in
+  (* 2,546 raw pips, 936 of them repeats *)
+  Alcotest.(check int) "pips kept" 1610 d.Device.npips;
+  Alcotest.(check bool) "same as the pre-rewrite builder" true
+    (d = Device_oracle.build p);
+  match Device.check_invariants d with
+  | Ok () -> ()
+  | Error es -> Alcotest.fail (List.hd es)
+
+(* Words [f] allocates, each block counted once wherever it was born:
+   [Gc.minor_words] is exact at any point, while the minor count in
+   [Gc.counters] lags until the next minor collection; major minus
+   promoted words is what went straight to the major heap. *)
+let allocated_words f =
+  let words () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  let w0 = words () in
+  let x = f () in
+  (x, words () -. w0)
+
+(* The paper-scale builders allocate little beyond the arrays they
+   return: 7.1 Mwords for the device graph and 1.6 Mwords for the bit
+   database, against 27.0 and 3.5 when the raw pips went through
+   doubling vectors and every bit held a boxed resource.  The bounds
+   leave 15 % for compiler and runtime drift. *)
+let test_build_allocation () =
+  let d, dev_words = allocated_words (fun () -> Device.build Arch.xc2s200e) in
+  let _, db_words = allocated_words (fun () -> Bitdb.build d) in
+  Printf.printf "Device.build %.2f Mwords, Bitdb.build %.2f Mwords\n"
+    (dev_words /. 1e6) (db_words /. 1e6);
+  let within name words limit =
+    if words > limit then
+      Alcotest.failf "%s allocated %.2f Mwords, above %.2f" name
+        (words /. 1e6) (limit /. 1e6)
+  in
+  within "Device.build" dev_words 8.2e6;
+  within "Bitdb.build" db_words 1.85e6
+
+let test_packed_field_guard () =
+  let d = Lazy.force dev in
+  Alcotest.check_raises "pip id past the packed field"
+    (Invalid_argument "Bitdb.build: device too large for a packed resource")
+    (fun () -> ignore (Bitdb.build { d with Device.npips = max_int }))
+
 (* Layout pins: digests over the device graph and the bit database,
    recorded before the builders were rewritten, so any change to pip ids,
    adjacency order or bit addresses (and so to every route, bitstream and
@@ -202,13 +279,8 @@ let layout_key (d : Device.t) = function
 
 let qcheck_layout_contract =
   QCheck.Test.make ~count:20 ~name:"bit layout contract on scaled devices"
-    (QCheck.make
-       ~print:(fun (paper, r, c) ->
-         Printf.sprintf "%s %dx%d" (if paper then "xc2s200e" else "small") r c)
-       (QCheck.Gen.triple QCheck.Gen.bool (QCheck.Gen.int_range 1 6)
-          (QCheck.Gen.int_range 1 6)))
-    (fun (paper, rows, cols) ->
-      let p = Arch.scaled (if paper then Arch.xc2s200e else Arch.small) ~rows ~cols in
+    arch_arb
+    (fun p ->
       let d = Device.build p in
       let database = Bitdb.build d in
       let n = Bitdb.num_bits database in
@@ -265,10 +337,17 @@ let () =
           Alcotest.test_case "class counts" `Quick test_bitdb_class_counts;
           Alcotest.test_case "layout digests" `Quick test_layout_digests;
           QCheck_alcotest.to_alcotest qcheck_layout_contract;
+          Alcotest.test_case "ids past the packed field rejected" `Quick
+            test_packed_field_guard;
+          Alcotest.test_case "paper-scale build allocation" `Quick
+            test_build_allocation;
         ] );
       ( "device",
         [
           Alcotest.test_case "geometry" `Quick test_device_geometry;
           Alcotest.test_case "scaled params" `Quick test_scaled_params;
+          Alcotest.test_case "narrow channels deduplicate" `Quick
+            test_narrow_dedup;
+          QCheck_alcotest.to_alcotest qcheck_dedup_oracle;
         ] );
     ]

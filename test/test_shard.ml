@@ -300,6 +300,20 @@ let test_workqueue_claims () =
       | Error e -> Alcotest.failf "read_results: %s" e)
   | Ok ms -> Alcotest.failf "expected 1 done manifest, got %d" (List.length ms)
   | Error e -> Alcotest.failf "load_done: %s" e);
+  Alcotest.(check (list int)) "done ids" [ 1 ] (Workqueue.done_ids wq);
+  (match Workqueue.load_manifest wq 1 with
+  | Ok m -> Alcotest.(check int) "manifest by id" 1 m.Shard.sm_id
+  | Error e -> Alcotest.failf "load_manifest: %s" e);
+  (* a manifest mid-write is listed by its tmp file but not yet loadable *)
+  let tmp =
+    Filename.concat (Filename.concat (Workqueue.dir wq) "done") "00003.json.tmp.1"
+  in
+  Out_channel.with_open_bin tmp (fun oc -> output_string oc "{");
+  Alcotest.(check (list int)) "in-flight id listed" [ 1; 3 ] (Workqueue.done_ids wq);
+  (match Workqueue.load_manifest wq 3 with
+  | Ok _ -> Alcotest.fail "in-flight manifest loaded"
+  | Error _ -> ());
+  Sys.remove tmp;
   (* live claims are not reclaimed *)
   Alcotest.(check int) "own claim is not an orphan" 0
     (Workqueue.reclaim_orphans wq)
