@@ -28,6 +28,7 @@ module Stats = Tmr_obs.Stats
 module Trace = Tmr_obs.Trace
 module Progress = Tmr_obs.Progress
 module Fsim = Tmr_fabric.Fsim
+module Fsim_batch = Tmr_fabric.Fsim_batch
 module Extract = Tmr_fabric.Extract
 module Footprint = Tmr_fabric.Footprint
 module Bitdb = Tmr_arch.Bitdb
@@ -104,51 +105,16 @@ let voter_t =
            tmr_err_* ports; campaigns classify every fault into the \
            detected-vs-silent verdict taxonomy).")
 
-let no_diff_t =
+let oracle_t =
   Arg.(
     value & flag
-    & info [ "no-diff" ]
+    & info [ "oracle" ]
         ~doc:
-          "Disable the differential fault-simulation engine (baseline tape \
-           + cone-restricted event-driven evaluation + convergence \
-           early-exit); every patch/reroute fault then replays the full \
-           DUT.  Results are bit-identical either way.")
-
-(* --batch-width N with --no-batch as an alias for 0; anything outside
-   {0, 32, 64} is rejected at parse time. *)
-let batch_width_t =
-  let bw_conv =
-    let parse s =
-      match int_of_string_opt s with
-      | Some ((0 | 32 | 64) as w) -> Ok w
-      | Some _ | None ->
-          Error (`Msg "batch width must be 0, 32 or 64")
-    in
-    Arg.conv (parse, Format.pp_print_int)
-  in
-  let width_t =
-    Arg.(
-      value & opt bw_conv 64
-      & info [ "batch-width" ] ~docv:"N"
-          ~doc:
-            "Lanes per machine word for the bit-parallel batch engine: 64 \
-             (default), 32, or 0 to disable batching.  The batch engine \
-             packs patch/reroute faults with structurally close fanout \
-             cones into the bit lanes of one word-parallel differential \
-             cone walk; verdicts are bit-identical to the scalar engine's \
-             fault by fault.")
-  in
-  let no_batch_t =
-    Arg.(
-      value & flag
-      & info [ "no-batch" ]
-          ~doc:
-            "Alias for $(b,--batch-width)=0: run every differential fault \
-             on the scalar engine.")
-  in
-  Term.(
-    const (fun width no_batch -> if no_batch then 0 else width)
-    $ width_t $ no_batch_t)
+          "Rebuild the fault simulator from the flipped configuration for \
+           every fault and replay the whole stimulus, instead of running \
+           the batched differential engine.  This is the oracle the engine \
+           is checked against: per-fault results are byte-identical, only \
+           much slower.")
 
 let mk_ctx scale seed faults =
   Context.create ~scale ~seed ~faults_per_design:faults ()
@@ -268,33 +234,29 @@ let engine_summary (c : Campaign.t) =
     (pct s.Campaign.patched) s.Campaign.rerouted (pct s.Campaign.rerouted)
     s.Campaign.rebuilt (pct s.Campaign.rebuilt);
   let snap = Metrics.snapshot () in
-  if s.Campaign.diffed > 0 then begin
+  if s.Campaign.batched > 0 then begin
+    (match List.assoc_opt "campaign.batch_occupancy" snap.Metrics.histograms with
+    | Some h when h.Metrics.count > 0 ->
+        Printf.printf
+          "  batch engine: %d faults word-parallel in %d batches, lane \
+           occupancy p50 %.0f p95 %.0f\n"
+          s.Campaign.batched h.Metrics.count h.Metrics.p50 h.Metrics.p95
+    | _ -> Printf.printf "  batch engine: %d faults word-parallel\n" s.Campaign.batched);
     let conv_pct =
       100.0
       *. float_of_int s.Campaign.converged
-      /. float_of_int (max 1 s.Campaign.diffed)
+      /. float_of_int (max 1 s.Campaign.batched)
     in
     match
       List.assoc_opt "campaign.diff_converge_cycle" snap.Metrics.histograms
     with
     | Some h when h.Metrics.count > 0 ->
         Printf.printf
-          "  diff engine: %d differential, %d converged early (%.1f%%), \
-           median convergence cycle %.0f\n"
-          s.Campaign.diffed s.Campaign.converged conv_pct h.Metrics.p50
+          "  convergence: %d converged early (%.1f%%), median cycle %.0f\n"
+          s.Campaign.converged conv_pct h.Metrics.p50
     | _ ->
-        Printf.printf
-          "  diff engine: %d differential, %d converged early (%.1f%%)\n"
-          s.Campaign.diffed s.Campaign.converged conv_pct
-  end;
-  if s.Campaign.batched > 0 then begin
-    match List.assoc_opt "campaign.batch_occupancy" snap.Metrics.histograms with
-    | Some h when h.Metrics.count > 0 ->
-        Printf.printf
-          "  batch engine: %d faults word-parallel in %d batches, lane \
-           occupancy p50 %.0f p95 %.0f\n"
-          s.Campaign.batched h.Metrics.count h.Metrics.p50 h.Metrics.p95
-    | _ -> Printf.printf "  batch engine: %d faults word-parallel\n" s.Campaign.batched
+        Printf.printf "  convergence: %d converged early (%.1f%%)\n"
+          s.Campaign.converged conv_pct
   end;
   Printf.printf "  %-18s %8s %9s %9s %9s\n" "fault latency" "count" "p50"
     "p95" "p99";
@@ -308,7 +270,7 @@ let engine_summary (c : Campaign.t) =
             h.Metrics.count (dur_pp h.Metrics.p50) (dur_pp h.Metrics.p95)
             (dur_pp h.Metrics.p99)
       | _ -> ())
-    [ "silent"; "patch"; "reroute"; "rebuild"; "diff"; "batch" ]
+    [ "silent"; "rebuild"; "batch" ]
 
 (* --- campaign statistics options --- *)
 
@@ -648,13 +610,13 @@ let inject_cmd =
   in
   (* inject via the shard engine: plan → (resume) → claim → merge *)
   let run_sharded_inject ~telem ~confidence ~scale ~seed ~faults ~design
-      ~voter ~no_diff ~batch_width ~json ~store ~exhaustive ~shards ~procs
-      ~shard_dir ~shard_limit ~fresh ~merged_out =
+      ~voter ~oracle ~json ~store ~exhaustive ~shards ~procs ~shard_dir
+      ~shard_limit ~fresh ~merged_out =
     let ctx = mk_ctx scale seed faults in
     let r = Runs.implement_design ~voter ctx design in
     let job =
       Service.job ~scale ~seed ~faults ~exhaustive ?shards
-        ?workers:(jobs ()) ~diff:(not no_diff) ~batch_width ~voter design
+        ?workers:(jobs ()) ~cone_skip:(not oracle) ~voter design
     in
     let dir =
       match shard_dir with
@@ -712,7 +674,7 @@ let inject_cmd =
                 o.Service.o_spools
             in
             let m =
-              Store.of_run ~confidence ~diff:(not no_diff) ~exhaustive
+              Store.of_run ~confidence ~cone_skip:(not oracle) ~exhaustive
                 ?events_path:events_spec ~spools ctx
                 { r with Runs.campaign = Some c }
             in
@@ -737,8 +699,8 @@ let inject_cmd =
           engine_summary c
         end
   in
-  let run telem forensics scale seed faults design voter no_diff batch_width
-      json confidence stop_ci stop_min store exhaustive shards procs shard_dir
+  let run telem forensics scale seed faults design voter oracle json
+      confidence stop_ci stop_min store exhaustive shards procs shard_dir
       shard_limit fresh merged_out =
     let sharded =
       exhaustive || procs > 1 || shards <> None || shard_dir <> None
@@ -764,16 +726,16 @@ let inject_cmd =
     with_forensics forensics @@ fun () ->
     if sharded then
       run_sharded_inject ~telem ~confidence ~scale ~seed ~faults ~design
-        ~voter ~no_diff ~batch_width ~json ~store ~exhaustive ~shards ~procs
-        ~shard_dir ~shard_limit ~fresh ~merged_out
+        ~voter ~oracle ~json ~store ~exhaustive ~shards ~procs ~shard_dir
+        ~shard_limit ~fresh ~merged_out
     else begin
       let ctx = mk_ctx scale seed faults in
       let r = Runs.implement_design ~voter ctx design in
       let stop = stop_rule_of ~confidence ~stop_min stop_ci in
       let progress, flush = ci_progress ~confidence () in
       let r =
-        Runs.campaign_design ~progress ?workers:(jobs ()) ~diff:(not no_diff)
-          ~batch_width ?stop_at_ci:stop ctx r
+        Runs.campaign_design ~progress ?workers:(jobs ())
+          ~cone_skip:(not oracle) ?stop_at_ci:stop ctx r
       in
       flush ();
       match r.Runs.campaign with
@@ -783,7 +745,7 @@ let inject_cmd =
             (fun dir ->
               let _, _, events_spec = telem in
               let m =
-                Store.of_run ~confidence ~diff:(not no_diff)
+                Store.of_run ~confidence ~cone_skip:(not oracle)
                   ~forensics:(forensics <> None) ?stop
                   ?events_path:events_spec ctx r
               in
@@ -809,7 +771,7 @@ let inject_cmd =
     (Cmd.info "inject" ~doc:"fault-injection campaign on one design")
     Term.(
       const run $ telemetry_t $ forensics_file_t $ scale_t $ seed_t $ faults_t
-      $ design_t $ voter_t $ no_diff_t $ batch_width_t $ json_t $ confidence_t
+      $ design_t $ voter_t $ oracle_t $ json_t $ confidence_t
       $ stop_ci_t $ stop_min_t $ inject_store_t $ exhaustive_t $ shards_t
       $ procs_t $ shard_dir_t $ shard_limit_t $ fresh_t $ merged_out_t)
 
@@ -934,15 +896,44 @@ let explain_cmd =
             node_sets)
         ins
     in
+    (* voter bels of the golden cone as simulation nodes, for the
+       masked-at-voter verdict *)
+    let voters =
+      let nn = Fsim.num_nodes base in
+      let v = Bytes.make nn '\000' in
+      Array.iteri
+        (fun b isv ->
+          if isv then begin
+            let n = Fsim.cone_node_of_bel cone b in
+            if n >= 0 && n < nn then Bytes.set v n '\001'
+          end)
+        a.Forensics.bel_voter;
+      v
+    in
+    let bt = Fsim_batch.create base cone in
     Extract.apply_bit_flip ex bit;
-    (* differential divergence trace (patch / reroute faults only) *)
-    let diffinfo =
+    (* batch-engine divergence trace: the fault as a one-lane batch
+       (patch / reroute faults with an overlay only) *)
+    let lane =
       match plan with
-      | Fsim.Path_patch | Fsim.Path_reroute -> (
+      | Fsim.Path_patch ->
+          Some
+            ( Fsim.Seed_node (Fsim.patch_node cone ex bit),
+              Fsim.patch_delta cone ex bit )
+      | Fsim.Path_reroute ->
+          let succ_off, succ = Fsim_batch.csr bt in
+          Option.map
+            (fun d -> (Fsim.Seed_derived, d))
+            (Fsim.fault_delta ~scratch:(Fsim.make_scratch ()) cone base ex bit
+               ~watch:watch_outputs ~succ_off ~succ
+               ~bel_of:(Fsim_batch.bel_of bt))
+      | Fsim.Path_silent | Fsim.Path_rebuild -> None
+    in
+    let engine =
+      Option.map
+        (fun lane ->
           let ins = io_ins base in
-          let tape =
-            Fsim.tape_create ~nnodes:(Fsim.num_nodes base) ~cycles
-          in
+          let tape = Fsim.tape_create ~nnodes:(Fsim.num_nodes base) ~cycles in
           Fsim.reset base;
           for c = 0 to cycles - 1 do
             drive base ins c;
@@ -950,37 +941,16 @@ let explain_cmd =
             Fsim.tape_record tape base ~cycle:c;
             Fsim.clock base
           done;
-          let base_watch = Fsim.watch_nodes base watch_outputs in
           let expected =
             let det_zeros = Array.make ndetect Logic.Zero in
             Array.init cycles (fun c ->
                 Array.concat
                   (List.map (fun (_, m) -> m.(c)) golden @ [ det_zeros ]))
           in
-          let dsc = Fsim.make_dscratch () in
-          let run_diff sim seeds =
-            let watch =
-              if sim == base then base_watch
-              else Fsim.watch_nodes sim watch_outputs
-            in
-            Fsim.diff_run ~ndetect ~forensics:true ~scratch:dsc ~tape ~base
-              ~sim ~seeds ~watch ~base_watch ~expected ()
-          in
-          match plan with
-          | Fsim.Path_patch ->
-              let seed = Fsim.patch_node cone ex bit in
-              let res =
-                Fsim.with_patch cone base ex bit (fun sim ->
-                    run_diff sim (Fsim.Seed_node seed))
-              in
-              Some (dsc, res)
-          | Fsim.Path_reroute -> (
-              let scratch = Fsim.make_scratch () in
-              match Fsim.reroute ~scratch cone base ex bit with
-              | Some sim -> Some (dsc, run_diff sim Fsim.Seed_derived)
-              | None -> None)
-          | _ -> None)
-      | _ -> None
+          (Fsim_batch.run bt ~ndetect ~voters ~tape ~expected
+             ~watch:(Fsim.watch_nodes base watch_outputs)
+             ~lanes:[| lane |] ()).(0))
+        lane
     in
     (* ground truth: full rebuild of the faulted fabric, replayed end to
        end (also feeds the waveform) *)
@@ -1079,7 +1049,7 @@ let explain_cmd =
                (List.map (fun (p, c) -> Printf.sprintf "%s@%d" p c) l))
             earliest
     end;
-    (match diffinfo with
+    (match engine with
     | None -> (
         match plan with
         | Fsim.Path_silent ->
@@ -1090,15 +1060,17 @@ let explain_cmd =
             print_endline
               "  divergence   n/a: the fault restructures the netlist \
                (rebuild path), no differential trace")
-    | Some (dsc, (derr, conv, ddet)) ->
-        if ndetect > 0 && ddet >= 0 then
-          Printf.printf
-            "  diff detect  differential engine saw the flag at cycle %d\n"
-            ddet;
-        let d = Fsim.diff_forensics dsc in
-        Printf.printf "  cone         %d nodes, %d seeds, frontier %d\n"
-          d.Fsim.df_cone d.Fsim.df_seeds d.Fsim.df_frontier;
-        if d.Fsim.df_diverged = 0 then
+    | Some v ->
+        let err = v.Fsim_batch.bv_error_cycle in
+        if err >= 0 then
+          Printf.printf "  engine       batch lane: first error at cycle %d\n" err
+        else print_endline "  engine       batch lane: silent";
+        if ndetect > 0 && v.Fsim_batch.bv_detect_cycle >= 0 then
+          Printf.printf "  engine flag  batch lane saw the flag at cycle %d\n"
+            v.Fsim_batch.bv_detect_cycle;
+        let p = Option.get v.Fsim_batch.bv_provenance in
+        Printf.printf "  cone         %d nodes\n" p.Fsim.pv_cone;
+        if p.Fsim.pv_diverged = 0 then
           print_endline
             (if !first_err >= 0 then
                "  divergence   confined to rewired/appended nodes (no \
@@ -1110,10 +1082,10 @@ let explain_cmd =
           Printf.printf
             "  divergence   %d cone nodes diverged; first at cycle %d, \
              propagation depth %d\n"
-            d.Fsim.df_diverged d.Fsim.df_first_cycle d.Fsim.df_depth;
+            p.Fsim.pv_diverged p.Fsim.pv_first_cycle p.Fsim.pv_depth;
           (* describe the first diverging node (the one nearest the fault
              site on the first diverging cycle) via its bel, if it has one *)
-          let node = d.Fsim.df_first_node in
+          let node = p.Fsim.pv_first_node in
           let bel = ref (-1) in
           for b = 0 to dev.Tmr_arch.Device.nbels - 1 do
             if !bel < 0 && Fsim.cone_node_of_bel cone b = node then bel := b
@@ -1132,31 +1104,19 @@ let explain_cmd =
               node;
           (* voter masking: silent overall, yet some voter in the cone
              held its baseline value every cycle *)
-          if derr < 0 then begin
-            let nn = Fsim.num_nodes base in
-            let voters = Bytes.make nn '\000' in
-            Array.iteri
-              (fun b isv ->
-                if isv then begin
-                  let n = Fsim.cone_node_of_bel cone b in
-                  if n >= 0 && n < nn then Bytes.set voters n '\001'
-                end)
-              a.Forensics.bel_voter;
-            match Fsim.diff_provenance dsc ~voters with
-            | Some p when p.Fsim.pv_voter_held ->
-                print_endline
-                  "  verdict      masked at a voter: internal corruption \
-                   stopped at (or before) a majority vote"
-            | _ ->
-                print_endline
-                  "  verdict      silent but diverged; no voter in the cone \
-                   held its baseline (logic masking)"
-          end
+          if err < 0 then
+            print_endline
+              (if p.Fsim.pv_voter_held then
+                 "  verdict      masked at a voter: internal corruption \
+                  stopped at (or before) a majority vote"
+               else
+                 "  verdict      silent but diverged; no voter in the cone \
+                  held its baseline (logic masking)")
         end;
-        if conv >= 0 then
+        if v.Fsim_batch.bv_converge_cycle >= 0 then
           Printf.printf
             "  convergence  faulty state rejoined the baseline at cycle %d\n"
-            conv);
+            v.Fsim_batch.bv_converge_cycle);
     match (vcd, vcd_out) with
     | Some w, Some path ->
         Vcd.writer_save w path;
@@ -1252,7 +1212,7 @@ let tables_cmd =
              reproduces the paper's majority-voter numbers while \
              re-measuring the partition optimum under every variant.")
   in
-  let run telem forensics scale seed faults no_diff batch_width voters json =
+  let run telem forensics scale seed faults oracle voters json =
     with_telemetry telem @@ fun () ->
     with_forensics forensics @@ fun () ->
     let ctx = mk_ctx scale seed faults in
@@ -1269,8 +1229,8 @@ let tables_cmd =
     end;
     let progress, flush = ci_progress ~confidence:0.95 () in
     let campaign =
-      Runs.campaign_design ~progress ?workers:(jobs ()) ~diff:(not no_diff)
-        ~batch_width ~forensics:true ctx
+      Runs.campaign_design ~progress ?workers:(jobs ()) ~cone_skip:(not oracle)
+        ~forensics:true ctx
     in
     let runs = List.map campaign impls in
     (* the remaining voter variants, campaigned over the same fault
@@ -1312,7 +1272,7 @@ let tables_cmd =
           and the per-voter detection coverage comparison")
     Term.(
       const run $ telemetry_t $ forensics_file_t $ scale_t $ seed_t $ faults_t
-      $ no_diff_t $ batch_width_t $ voters_t $ tables_json_t)
+      $ oracle_t $ voters_t $ tables_json_t)
 
 (* --- profile --- *)
 

@@ -30,8 +30,8 @@ let implement_design ?(voter = Tmr_core.Voter.Majority) (ctx : Context.t)
     campaign = None;
   }
 
-let campaign_design ?progress ?workers ?cone_skip ?diff ?forensics ?stop_at_ci
-    ?batch_width (ctx : Context.t) run =
+let campaign_design ?progress ?workers ?cone_skip ?forensics ?stop_at_ci
+    (ctx : Context.t) run =
   let name = Partition.name run.strategy in
   let faults =
     Faultlist.sample run.faultlist ~seed:ctx.Context.seed
@@ -39,17 +39,16 @@ let campaign_design ?progress ?workers ?cone_skip ?diff ?forensics ?stop_at_ci
   in
   let progress_cb = Option.map (fun f p -> f name p) progress in
   let campaign =
-    Campaign.run ?progress:progress_cb ?workers ?cone_skip ?diff ?forensics
-      ?stop_at_ci ?batch_width ~name ~impl:run.impl
+    Campaign.run ?progress:progress_cb ?workers ?cone_skip ?forensics
+      ?stop_at_ci ~name ~impl:run.impl
       ~golden:ctx.Context.golden_nl ~stimulus:ctx.Context.stimulus ~faults ()
   in
   { run with campaign = Some campaign }
 
-let run_all ?progress ?workers ?forensics ?stop_at_ci ?batch_width ?voter ctx =
+let run_all ?progress ?workers ?forensics ?stop_at_ci ?voter ctx =
   List.map
     (fun strategy ->
-      campaign_design ?progress ?workers ?forensics ?stop_at_ci ?batch_width
-        ctx
+      campaign_design ?progress ?workers ?forensics ?stop_at_ci ctx
         (implement_design ?voter ctx strategy))
     Partition.all_paper_designs
 

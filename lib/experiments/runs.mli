@@ -24,10 +24,8 @@ val campaign_design :
   ?progress:(string -> Tmr_inject.Campaign.progress -> unit) ->
   ?workers:int ->
   ?cone_skip:bool ->
-  ?diff:bool ->
   ?forensics:bool ->
   ?stop_at_ci:Tmr_obs.Stats.stop_rule ->
-  ?batch_width:int ->
   Context.t ->
   design_run ->
   design_run
@@ -41,7 +39,6 @@ val run_all :
   ?workers:int ->
   ?forensics:bool ->
   ?stop_at_ci:Tmr_obs.Stats.stop_rule ->
-  ?batch_width:int ->
   ?voter:Tmr_core.Voter.variant ->
   Context.t ->
   design_run list

@@ -17,14 +17,13 @@ type job = {
   j_exhaustive : bool;
   j_shards : int;
   j_workers : int;
-  j_diff : bool;
-  j_batch_width : int;
+  j_cone_skip : bool;
   j_voter : Tmr_core.Voter.variant;
 }
 
 let job ?(scale = Context.Paper) ?(seed = 1) ?(faults = 1500)
-    ?(exhaustive = false) ?(shards = 16) ?(workers = 1) ?(diff = true)
-    ?(batch_width = 64) ?(voter = Tmr_core.Voter.Majority) design =
+    ?(exhaustive = false) ?(shards = 16) ?(workers = 1) ?(cone_skip = true)
+    ?(voter = Tmr_core.Voter.Majority) design =
   {
     j_design = design;
     j_scale = scale;
@@ -33,8 +32,7 @@ let job ?(scale = Context.Paper) ?(seed = 1) ?(faults = 1500)
     j_exhaustive = exhaustive;
     j_shards = shards;
     j_workers = workers;
-    j_diff = diff;
-    j_batch_width = batch_width;
+    j_cone_skip = cone_skip;
     j_voter = voter;
   }
 
@@ -63,8 +61,7 @@ let job_to_json j =
       ("exhaustive", Json.Bool j.j_exhaustive);
       ("shards", int j.j_shards);
       ("workers", int j.j_workers);
-      ("diff", Json.Bool j.j_diff);
-      ("batch_width", int j.j_batch_width);
+      ("cone_skip", Json.Bool j.j_cone_skip);
       ("voter", Json.Str (Tmr_core.Voter.name j.j_voter));
     ]
 
@@ -260,8 +257,8 @@ let run_sharded ?(procs = 1) ?shard_limit ?(fresh = false)
           let sub = Array.sub faults r.Shard.sh_lo (r.Shard.sh_hi - r.Shard.sh_lo) in
           Events.set_shard r.Shard.sh_id;
           let c =
-            Campaign.run ~workers:j.j_workers ~diff:j.j_diff
-              ~batch_width:j.j_batch_width ~name ~impl:run.Runs.impl
+            Campaign.run ~workers:j.j_workers ~cone_skip:j.j_cone_skip ~name
+              ~impl:run.Runs.impl
               ~golden:ctx.Context.golden_nl ~stimulus:ctx.Context.stimulus
               ~faults:sub ()
           in
@@ -422,8 +419,8 @@ let run_sharded ?(procs = 1) ?shard_limit ?(fresh = false)
      let seen = Hashtbl.create 16 in
      List.iter (fun id -> Hashtbl.replace seen id ()) done0_ids;
      (* parse only the manifests not relayed yet, ascending; one that
-        cannot be read yet (its write is mid-rename) ends this pass, so
-        it and every later id wait for the next tick *)
+        cannot be read ends this pass, so it and every later id wait for
+        the next tick *)
      let relay () =
        let rec go = function
          | [] -> ()

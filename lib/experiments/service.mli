@@ -24,19 +24,19 @@ type job = {
           CI-free wrong-answer rate of the paper's Table 3 argument *)
   j_shards : int;  (** checkpointable ranges to plan *)
   j_workers : int;  (** domain workers per process *)
-  j_diff : bool;
-  j_batch_width : int;
+  j_cone_skip : bool;
+      (** [false]: every fault on the rebuild oracle ([--oracle]) *)
   j_voter : Tmr_core.Voter.variant;
       (** voter macro the design is built with; part of the job
           fingerprint, so a resume never mixes voter variants *)
 }
 
 val job : ?scale:Context.scale -> ?seed:int -> ?faults:int ->
-  ?exhaustive:bool -> ?shards:int -> ?workers:int -> ?diff:bool ->
-  ?batch_width:int -> ?voter:Tmr_core.Voter.variant ->
+  ?exhaustive:bool -> ?shards:int -> ?workers:int -> ?cone_skip:bool ->
+  ?voter:Tmr_core.Voter.variant ->
   Tmr_core.Partition.strategy -> job
 (** Defaults: paper scale, seed 1, 1500 faults, sampled, 16 shards,
-    1 worker, diff on, batch width 64, majority voter. *)
+    1 worker, the fast engine (cone_skip on), majority voter. *)
 
 val job_name : job -> string
 (** Stable human-readable id, e.g. ["tmr_p2-reduced-seed1-exhaustive"] —

@@ -22,7 +22,6 @@ type manifest = {
   m_spools : spool_ref list;
   m_workers : int;
   m_cone_skip : bool;
-  m_diff : bool;
   m_forensics : bool;
   m_stop : Stats.stop_rule option;
   m_exhaustive : bool;
@@ -75,9 +74,9 @@ let git_commit =
 let version_string () =
   Printf.sprintf "tmrtool %s (git %s)" tool_version (Lazy.force git_commit)
 
-let of_run ?(confidence = 0.95) ?(cone_skip = true) ?(diff = true)
-    ?(forensics = false) ?stop ?(exhaustive = false) ?events_path
-    ?(spools = []) (ctx : Context.t) (run : Runs.design_run) =
+let of_run ?(confidence = 0.95) ?(cone_skip = true) ?(forensics = false)
+    ?stop ?(exhaustive = false) ?events_path ?(spools = []) (ctx : Context.t)
+    (run : Runs.design_run) =
   let c =
     match run.Runs.campaign with
     | Some c -> c
@@ -113,7 +112,6 @@ let of_run ?(confidence = 0.95) ?(cone_skip = true) ?(diff = true)
     m_spools = spools;
     m_workers = c.Campaign.workers;
     m_cone_skip = cone_skip;
-    m_diff = diff;
     m_forensics = forensics;
     m_stop = stop;
     m_exhaustive = exhaustive;
@@ -182,7 +180,6 @@ let to_json m =
              m.m_spools) );
       ("workers", int m.m_workers);
       ("cone_skip", Json.Bool m.m_cone_skip);
-      ("diff", Json.Bool m.m_diff);
       ("forensics", Json.Bool m.m_forensics);
       ( "stop",
         match m.m_stop with
@@ -237,7 +234,6 @@ let of_json j =
   let* created = require "created" (num "created") in
   let* workers = require "workers" (int "workers") in
   let* cone_skip = require "cone_skip" (bool "cone_skip") in
-  let* diff = require "diff" (bool "diff") in
   let* forensics = require "forensics" (bool "forensics") in
   let* requested = require "requested" (int "requested") in
   let* injected = require "injected" (int "injected") in
@@ -297,7 +293,6 @@ let of_json j =
         | _ -> []);
       m_workers = workers;
       m_cone_skip = cone_skip;
-      m_diff = diff;
       m_forensics = forensics;
       m_stop = stop;
       (* absent in manifests written by older tool versions *)

@@ -43,8 +43,7 @@ type manifest = {
       (** per-worker event spools of a forked ([--procs]) run with
           events on; empty otherwise *)
   m_workers : int;
-  m_cone_skip : bool;
-  m_diff : bool;
+  m_cone_skip : bool;  (** [false]: the run used the rebuild oracle *)
   m_forensics : bool;
   m_stop : Tmr_obs.Stats.stop_rule option;  (** CI stop, when used *)
   m_exhaustive : bool;
@@ -86,7 +85,6 @@ and detection = {
 val of_run :
   ?confidence:float ->
   ?cone_skip:bool ->
-  ?diff:bool ->
   ?forensics:bool ->
   ?stop:Tmr_obs.Stats.stop_rule ->
   ?exhaustive:bool ->
@@ -98,8 +96,7 @@ val of_run :
 (** Build a manifest from an injected design run (raises
     [Invalid_argument] if the run has no campaign).  The engine-config
     flags record what the caller passed to {!Runs.campaign_design};
-    they default like the engine does (cone_skip/diff on, forensics
-    off).  [events_path] records where the live event stream went; the
+    they default like the engine does (cone_skip on, forensics off).  [events_path] records where the live event stream went; the
     current last sequence number is captured with it. *)
 
 val to_json : manifest -> Tmr_obs.Json.t

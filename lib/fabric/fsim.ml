@@ -114,7 +114,7 @@ type t = {
 
 (* The registered-bel index: [clock] used to scan every node testing
    [kind = k_bel_reg] each cycle; the membership is fixed at build time
-   (only an Out_sel fault moves it, handled by [reroute]). *)
+   (an Out_sel fault moves it only in a batch lane's overlay). *)
 let collect_reg_nodes kind n =
   let c = ref 0 in
   for node = 0 to n - 1 do
@@ -448,7 +448,7 @@ let build ?ws ex ~watch_outputs =
     compute_sccs ~scratch:ws.ws_scc ~nnodes:n ~kind ~inputs
   in
   (* copy exact-size out of the workspace scratch: this simulator must
-     survive later builds/reroutes that reuse the same workspace *)
+     survive later builds that reuse the same workspace *)
   {
     nnodes = n;
     kind;
@@ -496,8 +496,6 @@ let set_pad t wire v =
    evaluates 32 faults at a time.  Calls are fully qualified so ocamlopt
    keeps them direct (and inlines the small ones) — this is the
    simulator's innermost loop. *)
-
-let lut_x_const = Fsim_backend.Scalar.lut_x_const
 
 let lut_eval t node =
   Fsim_backend.Scalar.lut_eval ~values:t.values ~pins:t.inputs.(node)
@@ -691,16 +689,12 @@ type fault_path =
   | Path_patch
   | Path_reroute
   | Path_rebuild
-  | Path_diff
-      (* execution outcome, never returned by [plan_fault]: a patch or
-         reroute fault that ran on the differential engine *)
 
 let path_name = function
   | Path_silent -> "silent"
   | Path_patch -> "patch"
   | Path_reroute -> "reroute"
   | Path_rebuild -> "rebuild"
-  | Path_diff -> "diff"
 
 (* Decide, against the *golden* (un-flipped) extract state, how the flip
    of [bit] can be handled.  Every branch below is exact: [Path_silent]
@@ -723,7 +717,7 @@ let plan_fault c ex bit =
         let new_t = old_t lxor (1 lsl idx) in
         (* a shrinking support keeps every wired pin valid (the table just
            ignores it); a growing support needs pins the cone never wired,
-           which [reroute] resolves incrementally *)
+           which [fault_delta] resolves incrementally *)
         if support_mask new_t land lnot (support_mask old_t) = 0 then
           Path_patch
         else Path_reroute
@@ -763,29 +757,8 @@ let plan_fault c ex bit =
       else Path_silent (* only [drivers dst] changes, and the cone never
                           reads it *)
 
-(* Apply a bel-content fault in place on [base], run [f], undo.  The bit
-   must already be flipped in [ex]; [plan_fault] must have said
-   [Path_patch]. *)
-let with_patch c base ex bit f =
-  let db = Extract.database ex in
-  let patch_cell arr node v =
-    let old = arr.(node) in
-    arr.(node) <- v;
-    Fun.protect ~finally:(fun () -> arr.(node) <- old) (fun () -> f base)
-  in
-  match Bitdb.resource db bit with
-  | Bitdb.Lut_bit (b, _) ->
-      patch_cell base.table c.c_bel_node.(b) (Extract.lut_table ex b)
-  | Bitdb.In_inv (b, _) ->
-      patch_cell base.inv c.c_bel_node.(b) (Extract.in_inv_mask ex b)
-  | Bitdb.Ff_init b | Bitdb.Sr_inv b ->
-      patch_cell base.q_init c.c_bel_node.(b) (Extract.ff_init ex b)
-  | Bitdb.Ce_inv b ->
-      patch_cell base.ce_frozen c.c_bel_node.(b) (Extract.ce_inv ex b)
-  | _ -> invalid_arg "Fsim.with_patch: not a patchable bit"
-
-(* The single node whose cell content a [Path_patch] fault edits — the
-   differential engine seeds its fanout cone from it. *)
+(* The single node whose cell content a [Path_patch] fault edits: the
+   seed of its fanout cone in the batch engine. *)
 let patch_node c ex bit =
   let db = Extract.database ex in
   match Bitdb.resource db bit with
@@ -800,42 +773,26 @@ let patch_node c ex bit =
   | _ -> invalid_arg "Fsim.patch_node: not a patchable bit"
 
 (* ------------------------------------------------------------------ *)
-(* Reroute: derive a fault simulator from [base] without a full rebuild.
-   The flipped bit is already applied to [ex].  For a routing bit only
-   the electrical components containing the pip endpoints changed: we
-   re-resolve those components, remap every reader whose resolution
-   passed through them, and re-run the SCC pass on the (slightly grown)
-   node graph.  A support-widening LUT bit or an out_sel flip changes no
-   wiring at all — just one cell's pins/kind — but still needs the
-   incremental resolution and SCC machinery, so it lands here too.
-   Returns [None] when the change reaches outside what the base cone
-   knows (live out-of-cone bels or pads, driver loops) — the caller
-   falls back to a full rebuild.  An unused constant bel outside the
-   cone is not live: it resolves to a shared constant node.
+(* Local repair of a [Path_reroute] fault against the base graph.  The
+   flipped bit is already applied to [ex].  For a routing bit only the
+   electrical components containing the pip endpoints changed: they are
+   re-resolved, and every reader whose resolution passed through them is
+   remapped.  A support-widening LUT bit or an out_sel flip changes no
+   wiring at all — just one cell's pins or kind — but needs the same
+   incremental resolution, so it lands here too.  [Too_hard] when the
+   change reaches outside what the base cone knows (live out-of-cone
+   bels or pads, driver loops): the caller rebuilds.  An unused constant
+   bel outside the cone is not live: it resolves to a shared constant
+   node.
 
-   With [?scratch], all large per-call arrays live in the caller-owned
-   scratch and are reused: the returned simulator is valid only until the
-   next [reroute] with the same scratch.  This keeps the per-fault
-   allocation near zero, which matters under multiple domains: every
-   minor collection is a stop-the-world rendezvous. *)
+   All per-wire and per-node maps live in the caller-owned scratch and
+   are epoch-stamped, so the steady-state fault loop allocates almost
+   nothing (under multiple domains every minor collection is a
+   stop-the-world rendezvous). *)
 
 exception Too_hard
 
 type scratch = {
-  s_scc : scc_scratch;
-  mutable s_cap : int;
-  mutable s_kind : int array;
-  mutable s_table : int array;
-  mutable s_inv : int array;
-  mutable s_ce : bool array;
-  mutable s_qi : Logic.t array;
-  mutable s_q : Logic.t array;
-  mutable s_values : Logic.t array;
-  mutable s_last : Logic.t array;
-  mutable s_inputs : int array array;
-  mutable s_res_wires : int array array;
-  (* Epoch-stamped per-wire and per-node maps replacing what would
-     otherwise be six fresh hashtables per fault. *)
   mutable s_epoch : int;
   mutable s_wcap : int;
   mutable s_wn_stamp : int array;  (* wire -> epoch of s_wn validity *)
@@ -849,18 +806,6 @@ type scratch = {
 
 let make_scratch () =
   {
-    s_scc = make_scc_scratch ();
-    s_cap = 0;
-    s_kind = [||];
-    s_table = [||];
-    s_inv = [||];
-    s_ce = [||];
-    s_qi = [||];
-    s_q = [||];
-    s_values = [||];
-    s_last = [||];
-    s_inputs = [||];
-    s_res_wires = [||];
     s_epoch = 0;
     s_wcap = 0;
     s_wn_stamp = [||];
@@ -871,22 +816,6 @@ let make_scratch () =
     s_orph_cap = 0;
     s_orph = [||];
   }
-
-let scratch_ensure s n =
-  if s.s_cap < n then begin
-    let cap = max n (max 1024 (2 * s.s_cap)) in
-    s.s_cap <- cap;
-    s.s_kind <- Array.make cap 0;
-    s.s_table <- Array.make cap 0;
-    s.s_inv <- Array.make cap 0;
-    s.s_ce <- Array.make cap false;
-    s.s_qi <- Array.make cap Logic.X;
-    s.s_q <- Array.make cap Logic.X;
-    s.s_values <- Array.make cap Logic.X;
-    s.s_last <- Array.make cap Logic.X;
-    s.s_inputs <- Array.make cap [||];
-    s.s_res_wires <- Array.make cap [||]
-  end
 
 let scratch_wires_ensure s nw =
   if s.s_wcap < nw then begin
@@ -904,12 +833,11 @@ let scratch_orph_ensure s n =
     s.s_orph <- Array.make s.s_orph_cap 0
   end
 
-(* Phase A, shared between {!reroute} (which then materialises a whole
-   derived simulator) and {!fault_delta} (which only records the
-   overlay): re-resolve the electrical components affected by the flip
-   under the post-flip extract, memoising wire->node resolutions and
-   reserving appended resolve nodes.  Raises [Too_hard] whenever the
-   change reaches outside what the base cone knows. *)
+(* Phase A of {!fault_delta}: re-resolve the electrical components
+   affected by the flip under the post-flip extract, memoising
+   wire->node resolutions and reserving appended resolve nodes.  Raises
+   [Too_hard] whenever the change reaches outside what the base cone
+   knows. *)
 
 type phase_a = {
   pa_n_extra : int;
@@ -932,7 +860,7 @@ let phase_a ~scratch:s c base ex bit =
         ((if dev.Device.pip_bidir.(p) then [ sw; dw ] else [ dw ]), `None)
     | Bitdb.Lut_bit (b, _) -> ([], `Lut b)
     | Bitdb.Out_sel b -> ([], `Out b)
-    | _ -> invalid_arg "Fsim.reroute: bit is not reroutable"
+    | _ -> invalid_arg "Fsim.fault_delta: bit is not reroutable"
   in
   scratch_wires_ensure s dev.Device.nwires;
   scratch_orph_ensure s base.nnodes;
@@ -1113,136 +1041,6 @@ let phase_a ~scratch:s c base ex bit =
       pa_have_orphans = !norph > 0;
     }
 
-let reroute ~scratch:s c base ex bit =
-  let dev = Extract.device ex in
-  if dev != c.c_dev then invalid_arg "Fsim.reroute: cone from another device";
-  try
-    let pa = phase_a ~scratch:s c base ex bit in
-    let node_of = pa.pa_node_of
-    and orphaned = pa.pa_orphaned
-    and extras = pa.pa_extras
-    and cell = pa.pa_cell in
-    (* Phase B/C: size the derived arrays (scratch-backed when given),
-       then remap every reader whose resolution went stale. *)
-    let n = base.nnodes + pa.pa_n_extra in
-    scratch_ensure s n;
-    Array.blit base.kind 0 s.s_kind 0 base.nnodes;
-    Array.fill s.s_kind base.nnodes (n - base.nnodes) k_resolve;
-    Array.blit base.table 0 s.s_table 0 base.nnodes;
-    Array.blit base.inv 0 s.s_inv 0 base.nnodes;
-    Array.blit base.ce_frozen 0 s.s_ce 0 base.nnodes;
-    Array.blit base.q_init 0 s.s_qi 0 base.nnodes;
-    Array.fill s.s_qi base.nnodes (n - base.nnodes) Logic.X;
-    Array.blit base.inputs 0 s.s_inputs 0 base.nnodes;
-    Array.blit base.res_wires 0 s.s_res_wires 0 base.nnodes;
-    let kind, table, inv, ce_frozen, q_init, q, values, last, inputs', res_wires,
-        scc =
-      ( s.s_kind, s.s_table, s.s_inv, s.s_ce, s.s_qi, s.s_q, s.s_values,
-        s.s_last, s.s_inputs, s.s_res_wires, s.s_scc )
-    in
-    for id = base.nnodes to n - 1 do
-      let us, ins = Hashtbl.find extras id in
-      inputs'.(id) <- !ins;
-      res_wires.(id) <- us
-    done;
-    let have_orphans = pa.pa_have_orphans in
-    let stale row =
-      let st = ref false in
-      Array.iter (fun nd -> if nd >= 0 && orphaned nd then st := true) row;
-      !st
-    in
-    if have_orphans then begin
-      Array.iteri
-        (fun node wires ->
-          if Array.length wires > 0 && stale base.inputs.(node) then
-            inputs'.(node) <- Array.map node_of wires)
-        base.res_wires;
-      Array.iter
-        (fun b ->
-          let node = c.c_bel_node.(b) in
-          let pins = base.inputs.(node) in
-          if stale pins then
-            inputs'.(node) <-
-              Array.mapi
-                (fun j p ->
-                  if p < 0 then -1 else node_of dev.Device.bel_in.(b).(j))
-                pins)
-        c.c_bels
-    end;
-    (match cell with
-    | `None -> ()
-    | `Lut (node, t', row) ->
-        table.(node) <- t';
-        inputs'.(node) <- row
-    | `Out (node, registered) ->
-        kind.(node) <- (if registered then k_bel_reg else k_bel_comb));
-    let watch_node =
-      let needs_remap =
-        have_orphans
-        && Hashtbl.fold
-             (fun _ nd acc -> acc || orphaned nd)
-             base.watch_node false
-      in
-      if not needs_remap then base.watch_node
-      else begin
-        let tbl = Hashtbl.create (Hashtbl.length base.watch_node) in
-        Hashtbl.iter
-          (fun w nd ->
-            let nd' =
-              if not (orphaned nd) then nd
-              else
-                let pad = dev.Device.wire_pad.(w) in
-                if pad >= 0 && not (Extract.pad_enabled ex pad) then x_node_id
-                else node_of w
-            in
-            Hashtbl.replace tbl w nd')
-          base.watch_node;
-        tbl
-      end
-    in
-    let nsccs, has_loop =
-      compute_sccs ~scratch:scc ~nnodes:n ~kind ~inputs:inputs'
-    in
-    let reg_nodes =
-      (* extras are resolve nodes; only an Out_sel cell flip can move the
-         registered-bel membership *)
-      match cell with
-      | `Out _ -> collect_reg_nodes kind n
-      | `None | `Lut _ -> base.reg_nodes
-    in
-    Array.blit q_init 0 q 0 n;
-    Array.fill values 0 n Logic.X;
-    Array.fill last 0 n Logic.X;
-    Some
-      {
-        nnodes = n;
-        kind;
-        inputs = inputs';
-        res_wires;
-        table;
-        inv;
-        ce_frozen;
-        q_init;
-        q;
-        values;
-        last;
-        nsccs;
-        scc_off = scc.sc_off;
-        scc_nodes = scc.sc_nodes;
-        scc_cyclic = scc.sc_cyclic;
-        reg_nodes;
-        pad_node = base.pad_node;
-        watch_node;
-        has_loop;
-        const_zero = base.const_zero;
-        const_one = base.const_one;
-      }
-  with Too_hard -> None
-
-(* A derived simulator shares [base]'s pad/watch wire->node tables
-   physically unless [reroute] had to remap an orphaned watch node. *)
-let same_io a b = a.pad_node == b.pad_node && a.watch_node == b.watch_node
-
 (* ------------------------------------------------------------------ *)
 (* Read-only graph view + fault overlays: what the bit-parallel batched
    engine ({!Fsim_batch}) needs from a base simulator.  The view shares
@@ -1330,16 +1128,17 @@ type cell_patch =
   | Cp_inv of int
   | Cp_qinit of Logic.t
   | Cp_ce of bool
+  | Cp_reg of bool
 
 type delta = {
   dl_cell : (int * cell_patch) option;
   dl_rows : (int * int array) array;
   dl_extras : (int array * int array) array;
+  dl_watch : (int * int) array;
 }
 
-(* A [Path_patch] fault as an overlay: one cell-content override,
-   mirroring [with_patch]'s dispatch.  The bit is already flipped in
-   [ex]. *)
+(* A [Path_patch] fault as an overlay: one cell-content override.  The
+   bit is already flipped in [ex]. *)
 let patch_delta c ex bit =
   let db = Extract.database ex in
   let cell =
@@ -1353,17 +1152,17 @@ let patch_delta c ex bit =
     | Bitdb.Ce_inv b -> (c.c_bel_node.(b), Cp_ce (Extract.ce_inv ex b))
     | _ -> invalid_arg "Fsim.patch_delta: not a patchable bit"
   in
-  { dl_cell = Some cell; dl_rows = [||]; dl_extras = [||] }
+  { dl_cell = Some cell; dl_rows = [||]; dl_extras = [||]; dl_watch = [||] }
 
 (* A [Path_reroute] fault as an overlay over the *base* graph: runs
-   phase A only, then finds the stale reader rows through the base
-   reader CSR from the orphaned nodes instead of [reroute]'s O(n)
-   scan — the remap itself is identical ([node_of] over the same
-   wires).  [None] falls back to the scalar engine: the places
-   [reroute] would bail, plus an [Out_sel] kind change (lanes share
-   node kinds) and an orphaned watch node (lanes share the watch
-   resolution). *)
-let fault_delta ~scratch:s c base ex bit ~succ_off ~succ ~bel_of =
+   phase A, then finds the stale reader rows through the base reader
+   CSR from the orphaned nodes and re-resolves them ([node_of] over the
+   same wires a rebuild would walk).  An out_sel flip becomes a kind
+   override of its node; an orphaned watch node re-resolves like any
+   stale reader (a disabled pad reads X, as in [build]).  [None] when
+   the change reaches outside what the base cone knows: the caller
+   rebuilds. *)
+let fault_delta ~scratch:s c base ex bit ~watch ~succ_off ~succ ~bel_of =
   let dev = Extract.device ex in
   if dev != c.c_dev then
     invalid_arg "Fsim.fault_delta: cone from another device";
@@ -1372,14 +1171,28 @@ let fault_delta ~scratch:s c base ex bit ~succ_off ~succ ~bel_of =
     let node_of = pa.pa_node_of and orphaned = pa.pa_orphaned in
     let cell =
       match pa.pa_cell with
-      | `Out _ -> raise Too_hard
+      | `Out (node, registered) -> Some (node, Cp_reg registered)
       | `None -> None
       | `Lut (node, table, _) -> Some (node, Cp_table table)
     in
+    let remaps = ref [] in
     if pa.pa_have_orphans then
-      Hashtbl.iter
-        (fun _ nd -> if orphaned nd then raise Too_hard)
-        base.watch_node;
+      Array.iteri
+        (fun i w ->
+          let nd =
+            match Hashtbl.find_opt base.watch_node w with
+            | Some nd -> nd
+            | None -> invalid_arg "Fsim.fault_delta: wire is not watched"
+          in
+          if orphaned nd then begin
+            let pad = dev.Device.wire_pad.(w) in
+            let nd' =
+              if pad >= 0 && not (Extract.pad_enabled ex pad) then x_node_id
+              else node_of w
+            in
+            if nd' <> nd then remaps := (i, nd') :: !remaps
+          end)
+        watch;
     let rows = ref [] in
     let row_done = Hashtbl.create 8 in
     let add_cell_row () =
@@ -1423,7 +1236,13 @@ let fault_delta ~scratch:s c base ex bit ~succ_off ~succ ~bel_of =
           let us, ins = Hashtbl.find pa.pa_extras (base.nnodes + i) in
           (!ins, us))
     in
-    Some { dl_cell = cell; dl_rows = Array.of_list !rows; dl_extras = extras }
+    Some
+      {
+        dl_cell = cell;
+        dl_rows = Array.of_list !rows;
+        dl_extras = extras;
+        dl_watch = Array.of_list (List.rev !remaps);
+      }
   with Too_hard -> None
 
 (* ------------------------------------------------------------------ *)
@@ -1498,695 +1317,9 @@ let tape_record tp t ~cycle =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Differential fault simulation.
-
-   A fault disturbs only the static fanout cone of its seed nodes: the
-   transitive closure over graph successors (reverse edges of [inputs],
-   which covers resolve inputs, comb pins *and* register pins, so the
-   closure crosses register boundaries).  The engine simulates only the
-   cone; any input read from outside it comes from the baseline tape.
-   Within the cone a dirty-stamp event scheme skips nodes whose inputs
-   did not change this cycle, and a convergence check at each cycle
-   boundary abandons the fault early once it provably can no longer
-   diverge from the baseline.
-
-   Convergence needs care because the fault is *persistent* (the flipped
-   configuration bit stays flipped): cone state equal to the baseline at
-   cycle c does not by itself imply equality forever — a flipped LUT row
-   may first be exercised at a later cycle.  The sound rule used here is
-   state equality (cone values and cone register state match the tape at
-   the boundary) *plus* a seed replay: only the seed nodes are evaluated
-   against pure tape inputs for every remaining cycle, and each old-node
-   seed must reproduce its taped value.  If so, every non-seed cone node
-   keeps seeing baseline inputs and the whole cone provably tracks the
-   tape; the fault's outcome is decided.  The replay is skipped (no
-   early exit) when a seed sits in a cyclic SCC, where single-node
-   re-evaluation is not the fixpoint the full engine computes. *)
-
-type dscratch = {
-  mutable dd_csr_for : t option;  (* simulator the CSR below was built for *)
-  mutable dd_ncap : int;  (* node capacity *)
-  mutable dd_off : int array;  (* CSR row offsets, nnodes+1 *)
-  mutable dd_cursor : int array;
-  mutable dd_ecap : int;
-  mutable dd_succ : int array;  (* CSR successor lists *)
-  mutable dd_mark : Bytes.t;  (* '\001' = cone member *)
-  mutable dd_fmark : Bytes.t;  (* '\001' = frontier member *)
-  mutable dd_smark : Bytes.t;  (* '\001' = seed *)
-  mutable dd_cone : int array;  (* cone nodes, evaluation order *)
-  mutable dd_ncone : int;
-  mutable dd_grp : int array;  (* group starts into dd_cone, dd_ngrp+1 *)
-  mutable dd_gcyc : Bytes.t;  (* per group: cyclic SCC *)
-  mutable dd_ngrp : int;
-  mutable dd_regs : int array;  (* cone registers *)
-  mutable dd_nregs : int;
-  mutable dd_frontier : int array;  (* non-cone inputs of cone nodes *)
-  mutable dd_nfrontier : int;
-  mutable dd_seeds : int array;  (* seeds, evaluation order *)
-  mutable dd_nseeds : int;
-  mutable dd_suspect : int array;  (* watch indices that can differ *)
-  mutable dd_scap : int;
-  mutable dd_nsuspect : int;
-  mutable dd_dirty : int array;  (* per node: tick stamp of dirtiness *)
-  mutable dd_rdirty : int array;  (* per register: tick stamp *)
-  mutable dd_tick : int;  (* monotone across faults *)
-  mutable dd_old : Logic.t array;  (* cyclic-group pre-eval values *)
-  mutable dd_rv : Logic.t array;  (* replay overlay: value *)
-  mutable dd_rvl : Logic.t array;  (* replay overlay: last *)
-  mutable dd_rq : Logic.t array;  (* replay overlay: register state *)
-  mutable dd_depth : int array;  (* per node: BFS depth from the seeds *)
-  mutable dd_divmark : Bytes.t;  (* '\001' = diverged from the tape *)
-  (* forensic summary of the last forensics-enabled [diff_run] *)
-  mutable dd_fcollect : bool;
-  mutable dd_fdiverged : int;
-  mutable dd_ffirst_node : int;
-  mutable dd_ffirst_cycle : int;
-  mutable dd_fdepth : int;
-}
-
-let make_dscratch () =
-  {
-    dd_csr_for = None;
-    dd_ncap = 0;
-    dd_off = [||];
-    dd_cursor = [||];
-    dd_ecap = 0;
-    dd_succ = [||];
-    dd_mark = Bytes.empty;
-    dd_fmark = Bytes.empty;
-    dd_smark = Bytes.empty;
-    dd_cone = [||];
-    dd_ncone = 0;
-    dd_grp = [||];
-    dd_gcyc = Bytes.empty;
-    dd_ngrp = 0;
-    dd_regs = [||];
-    dd_nregs = 0;
-    dd_frontier = [||];
-    dd_nfrontier = 0;
-    dd_seeds = [||];
-    dd_nseeds = 0;
-    dd_suspect = [||];
-    dd_scap = 0;
-    dd_nsuspect = 0;
-    dd_dirty = [||];
-    dd_rdirty = [||];
-    dd_tick = 0;
-    dd_old = [||];
-    dd_rv = [||];
-    dd_rvl = [||];
-    dd_rq = [||];
-    dd_depth = [||];
-    dd_divmark = Bytes.empty;
-    dd_fcollect = false;
-    dd_fdiverged = 0;
-    dd_ffirst_node = -1;
-    dd_ffirst_cycle = -1;
-    dd_fdepth = -1;
-  }
-
-let dscratch_ensure d n =
-  if d.dd_ncap < n then begin
-    let cap = max n (max 1024 (2 * d.dd_ncap)) in
-    d.dd_ncap <- cap;
-    d.dd_off <- Array.make (cap + 1) 0;
-    d.dd_cursor <- Array.make (cap + 1) 0;
-    d.dd_mark <- Bytes.make cap '\000';
-    d.dd_fmark <- Bytes.make cap '\000';
-    d.dd_smark <- Bytes.make cap '\000';
-    d.dd_cone <- Array.make cap 0;
-    d.dd_grp <- Array.make (cap + 1) 0;
-    d.dd_gcyc <- Bytes.make cap '\000';
-    d.dd_regs <- Array.make cap 0;
-    d.dd_frontier <- Array.make cap 0;
-    d.dd_seeds <- Array.make cap 0;
-    (* fresh stamp arrays start at 0 < any live tick: never stale-dirty *)
-    d.dd_dirty <- Array.make cap 0;
-    d.dd_rdirty <- Array.make cap 0;
-    d.dd_old <- Array.make cap Logic.X;
-    d.dd_rv <- Array.make cap Logic.X;
-    d.dd_rvl <- Array.make cap Logic.X;
-    d.dd_rq <- Array.make cap Logic.X;
-    d.dd_depth <- Array.make cap 0;
-    d.dd_divmark <- Bytes.make cap '\000';
-    d.dd_csr_for <- None
-  end
-
-let dscratch_suspect_ensure d n =
-  if d.dd_scap < n then begin
-    d.dd_scap <- max n (2 * d.dd_scap);
-    d.dd_suspect <- Array.make d.dd_scap 0
-  end
-
-(* Reverse CSR over [inputs]: successors of each node.  Cached while the
-   physical simulator is unchanged — cell-content patches ([with_patch])
-   never alter the edge set, so the base simulator's CSR survives a whole
-   campaign; derived reroute simulators get a rebuild. *)
-let build_csr d sim =
-  let n = sim.nnodes in
-  let off = d.dd_off in
-  Array.fill off 0 (n + 1) 0;
-  for node = 0 to n - 1 do
-    let ins = sim.inputs.(node) in
-    for j = 0 to Array.length ins - 1 do
-      let p = ins.(j) in
-      if p >= 0 then off.(p + 1) <- off.(p + 1) + 1
-    done
-  done;
-  for i = 1 to n do
-    off.(i) <- off.(i) + off.(i - 1)
-  done;
-  let e = off.(n) in
-  if d.dd_ecap < e then begin
-    d.dd_ecap <- max e (2 * d.dd_ecap);
-    d.dd_succ <- Array.make d.dd_ecap 0
-  end;
-  Array.blit off 0 d.dd_cursor 0 (n + 1);
-  for node = 0 to n - 1 do
-    let ins = sim.inputs.(node) in
-    for j = 0 to Array.length ins - 1 do
-      let p = ins.(j) in
-      if p >= 0 then begin
-        d.dd_succ.(d.dd_cursor.(p)) <- node;
-        d.dd_cursor.(p) <- d.dd_cursor.(p) + 1
-      end
-    done
-  done
-
-(* Allocation-free LUT evaluation over an arbitrary pin-value reader,
-   for the seed replay (values come from overlays or the tape). *)
-let replay_lut t node rv0 rv1 rv2 rv3 =
-  let table = t.table.(node) in
-  let inv = t.inv.(node) in
-  let pins = t.inputs.(node) in
-  let acc = ref 0 in
-  for j = 0 to 3 do
-    if pins.(j) >= 0 then begin
-      let v = if j = 0 then rv0 else if j = 1 then rv1 else if j = 2 then rv2 else rv3 in
-      (match v with
-      | Logic.Zero -> acc := !acc lor (((inv lsr j) land 1) lsl j)
-      | Logic.One -> acc := !acc lor ((1 - ((inv lsr j) land 1)) lsl j)
-      | Logic.X -> acc := !acc lor (1 lsl (j + 4)))
-    end
-  done;
-  let idx = !acc land 0xf and xmask = !acc lsr 4 in
-  let first = (table lsr idx) land 1 in
-  if xmask = 0 then Logic.of_bool (first = 1)
-  else if lut_x_const table idx xmask xmask first then Logic.of_bool (first = 1)
-  else Logic.X
+(* Batch-engine seeds and divergence provenance. *)
 
 type dseeds = Seed_node of int | Seed_derived
-
-let nearer_first depth u f =
-  f < 0 || depth.(u) < depth.(f) || (depth.(u) = depth.(f) && u < f)
-
-let diff_run ?(ndetect = 0) ~forensics ~scratch:d ~tape:tp ~base ~sim ~seeds
-    ~watch ~base_watch ~expected () =
-  let n = sim.nnodes in
-  let cycles = tp.tp_cycles in
-  if tp.tp_nnodes <> base.nnodes then
-    invalid_arg "Fsim.diff_run: tape recorded for another simulator";
-  if Array.length expected <> cycles then
-    invalid_arg "Fsim.diff_run: expected matrix / tape cycle mismatch";
-  if Array.length watch <> Array.length base_watch then
-    invalid_arg "Fsim.diff_run: watch array length mismatch";
-  if ndetect < 0 || ndetect > Array.length watch then
-    invalid_arg "Fsim.diff_run: ndetect out of range";
-  (* watch layout: functional outputs first, then [ndetect] detection
-     nodes (voter disagreement flags, expected Zero on the baseline) *)
-  let nfunc = Array.length watch - ndetect in
-  dscratch_ensure d n;
-  dscratch_suspect_ensure d (Array.length watch);
-  (match d.dd_csr_for with
-  | Some s when s == sim -> ()  (* content patches keep the edge set *)
-  | _ ->
-      build_csr d sim;
-      d.dd_csr_for <- Some sim);
-  Bytes.fill d.dd_mark 0 n '\000';
-  Bytes.fill d.dd_fmark 0 n '\000';
-  Bytes.fill d.dd_smark 0 n '\000';
-  d.dd_fcollect <- forensics;
-  if forensics then begin
-    Bytes.fill d.dd_divmark 0 n '\000';
-    d.dd_fdiverged <- 0;
-    d.dd_ffirst_node <- -1;
-    d.dd_ffirst_cycle <- -1;
-    d.dd_fdepth <- -1
-  end;
-  (* ---- seeds and cone closure (BFS over the CSR).  The queue is
-     emptied in FIFO order, so the depth recorded at first visit is the
-     BFS distance from the seed set. ---- *)
-  let qtail = ref 0 in
-  let queue = d.dd_cone in (* BFS visit list; rebuilt in eval order below *)
-  let push v dep =
-    if Bytes.get d.dd_mark v = '\000' then begin
-      Bytes.set d.dd_mark v '\001';
-      d.dd_depth.(v) <- dep;
-      queue.(!qtail) <- v;
-      incr qtail
-    end
-  in
-  let seed v =
-    if Bytes.get d.dd_smark v = '\000' then begin
-      Bytes.set d.dd_smark v '\001';
-      push v 0
-    end
-  in
-  (match seeds with
-  | Seed_node s -> seed s
-  | Seed_derived ->
-      (* every node whose cell content or pin wiring differs from the
-         base, plus every appended node *)
-      let bn = base.nnodes in
-      for node = 0 to bn - 1 do
-        if
-          sim.kind.(node) <> base.kind.(node)
-          || sim.table.(node) <> base.table.(node)
-          || sim.inv.(node) <> base.inv.(node)
-          || sim.ce_frozen.(node) <> base.ce_frozen.(node)
-          || (not (Logic.equal sim.q_init.(node) base.q_init.(node)))
-          || sim.inputs.(node) != base.inputs.(node)
-             && sim.inputs.(node) <> base.inputs.(node)
-        then seed node
-      done;
-      for node = bn to n - 1 do
-        seed node
-      done);
-  let qhead = ref 0 in
-  while !qhead < !qtail do
-    let v = queue.(!qhead) in
-    incr qhead;
-    let dep = d.dd_depth.(v) + 1 in
-    for e = d.dd_off.(v) to d.dd_off.(v + 1) - 1 do
-      push d.dd_succ.(e) dep
-    done
-  done;
-  (* ---- cone in evaluation order, grouped by the simulator's SCCs.
-     SCC edges are a subset of CSR edges, so reaching one member of a
-     cyclic SCC reaches them all: groups are never split. ---- *)
-  d.dd_ncone <- 0;
-  d.dd_ngrp <- 0;
-  d.dd_nregs <- 0;
-  d.dd_nseeds <- 0;
-  let no_replay = ref false in
-  let off = sim.scc_off and snodes = sim.scc_nodes in
-  for si = 0 to sim.nsccs - 1 do
-    let lo = off.(si) and hi = off.(si + 1) in
-    let any = ref false in
-    for i = lo to hi - 1 do
-      if Bytes.get d.dd_mark snodes.(i) <> '\000' then any := true
-    done;
-    if !any then begin
-      let cyc = Bytes.get sim.scc_cyclic si <> '\000' in
-      d.dd_grp.(d.dd_ngrp) <- d.dd_ncone;
-      Bytes.set d.dd_gcyc d.dd_ngrp (if cyc then '\001' else '\000');
-      d.dd_ngrp <- d.dd_ngrp + 1;
-      for i = lo to hi - 1 do
-        let node = snodes.(i) in
-        d.dd_cone.(d.dd_ncone) <- node;
-        d.dd_ncone <- d.dd_ncone + 1;
-        if sim.kind.(node) = k_bel_reg then begin
-          d.dd_regs.(d.dd_nregs) <- node;
-          d.dd_nregs <- d.dd_nregs + 1
-        end;
-        if Bytes.get d.dd_smark node <> '\000' then begin
-          d.dd_seeds.(d.dd_nseeds) <- node;
-          d.dd_nseeds <- d.dd_nseeds + 1;
-          if cyc then no_replay := true
-        end
-      done
-    end
-  done;
-  d.dd_grp.(d.dd_ngrp) <- d.dd_ncone;
-  (* ---- frontier: non-cone inputs of cone nodes ---- *)
-  d.dd_nfrontier <- 0;
-  for i = 0 to d.dd_ncone - 1 do
-    let ins = sim.inputs.(d.dd_cone.(i)) in
-    for j = 0 to Array.length ins - 1 do
-      let p = ins.(j) in
-      if
-        p >= 0
-        && Bytes.get d.dd_mark p = '\000'
-        && Bytes.get d.dd_fmark p = '\000'
-      then begin
-        Bytes.set d.dd_fmark p '\001';
-        d.dd_frontier.(d.dd_nfrontier) <- p;
-        d.dd_nfrontier <- d.dd_nfrontier + 1
-      end
-    done
-  done;
-  (* ---- suspect watch indices: remapped by [reroute] or inside the
-     cone; every other watched node provably reads its taped value ---- *)
-  d.dd_nsuspect <- 0;
-  let remapped_old = ref false and remapped_extra = ref false in
-  for i = 0 to Array.length watch - 1 do
-    let w = watch.(i) in
-    let rm = w <> base_watch.(i) in
-    if rm || Bytes.get d.dd_mark w <> '\000' then begin
-      d.dd_suspect.(d.dd_nsuspect) <- i;
-      d.dd_nsuspect <- d.dd_nsuspect + 1;
-      if rm then
-        if w >= tp.tp_nnodes then remapped_extra := true
-        else remapped_old := true
-    end
-  done;
-  (* ---- initial state: X values, q_init registers, fresh dirty ticks
-     (everything in the cone is dirty at cycle 0) ---- *)
-  let values = sim.values and last = sim.last and q = sim.q in
-  for i = 0 to d.dd_ncone - 1 do
-    let node = d.dd_cone.(i) in
-    values.(node) <- Logic.X;
-    last.(node) <- Logic.X
-  done;
-  for i = 0 to d.dd_nfrontier - 1 do
-    let f = d.dd_frontier.(i) in
-    values.(f) <- Logic.X;
-    last.(f) <- Logic.X
-  done;
-  for i = 0 to d.dd_nregs - 1 do
-    let r = d.dd_regs.(i) in
-    q.(r) <- sim.q_init.(r)
-  done;
-  let tick0 = d.dd_tick + 1 in
-  d.dd_tick <- tick0 + cycles + 2;
-  for i = 0 to d.dd_ncone - 1 do
-    d.dd_dirty.(d.dd_cone.(i)) <- tick0
-  done;
-  for i = 0 to d.dd_nregs - 1 do
-    d.dd_rdirty.(d.dd_regs.(i)) <- tick0
-  done;
-  (* A node's settled value changed at [tick]: schedule its readers.
-     Registers re-latch at this cycle's clock; resolve readers also
-     re-evaluate next cycle because the glitch rule reads [last]. *)
-  let mark_readers node tick =
-    for e = d.dd_off.(node) to d.dd_off.(node + 1) - 1 do
-      let s = d.dd_succ.(e) in
-      if Bytes.get d.dd_mark s <> '\000' then begin
-        let k = sim.kind.(s) in
-        if k = k_bel_reg then begin
-          if d.dd_rdirty.(s) < tick then d.dd_rdirty.(s) <- tick
-        end
-        else begin
-          let target = if k = k_resolve then tick + 1 else tick in
-          if d.dd_dirty.(s) < target then d.dd_dirty.(s) <- target
-        end
-      end
-    done
-  in
-  (* Seed replay: from a boundary where the cone state equals the tape,
-     evaluate only the seeds against taped inputs for every remaining
-     cycle.  Old-node seeds must reproduce their taped values; then no
-     non-seed cone node can ever see a non-baseline input again. *)
-  let rv = d.dd_rv and rvl = d.dd_rvl and rq = d.dd_rq in
-  let getv cy p =
-    if Bytes.get d.dd_smark p <> '\000' then rv.(p) else tape_get_u tp cy p
-  in
-  let getl cy p =
-    if Bytes.get d.dd_smark p <> '\000' then rvl.(p)
-    else tape_get_u tp (cy - 1) p
-  in
-  let replay_eval cy s =
-    let k = sim.kind.(s) in
-    if k = k_bel_reg then rq.(s)
-    else if k = k_bel_comb then begin
-      let pins = sim.inputs.(s) in
-      let pv j = if pins.(j) < 0 then Logic.X else getv cy pins.(j) in
-      replay_lut sim s (pv 0) (pv 1) (pv 2) (pv 3)
-    end
-    else if k = k_resolve then begin
-      let ins = sim.inputs.(s) in
-      let len = Array.length ins in
-      if len = 0 then Logic.X
-      else begin
-        let v = ref (getv cy ins.(0)) in
-        for i = 1 to len - 1 do
-          v := Logic.resolve !v (getv cy ins.(i))
-        done;
-        match !v with
-        | Logic.X -> Logic.X
-        | (Logic.Zero | Logic.One) as sv ->
-            let glitch = ref false in
-            for i = 0 to len - 1 do
-              if not (Logic.equal (getl cy ins.(i)) sv) then glitch := true
-            done;
-            if !glitch then Logic.X else sv
-      end
-    end
-    else Logic.X (* constx; pads and constants are never seeds *)
-  in
-  let replay_converges cy =
-    for i = 0 to d.dd_nseeds - 1 do
-      let s = d.dd_seeds.(i) in
-      rv.(s) <- values.(s);
-      rvl.(s) <- last.(s);
-      if sim.kind.(s) = k_bel_reg then rq.(s) <- q.(s)
-    done;
-    let ok = ref true in
-    let cy' = ref (cy + 1) in
-    while !ok && !cy' < cycles do
-      let cc = !cy' in
-      let i = ref 0 in
-      while !ok && !i < d.dd_nseeds do
-        let s = d.dd_seeds.(!i) in
-        let v = replay_eval cc s in
-        rv.(s) <- v;
-        if s < tp.tp_nnodes && not (Logic.equal v (tape_get_u tp cc s)) then
-          ok := false;
-        incr i
-      done;
-      if !ok then begin
-        for i = 0 to d.dd_nseeds - 1 do
-          let s = d.dd_seeds.(i) in
-          if sim.kind.(s) = k_bel_reg && not sim.ce_frozen.(s) then begin
-            let pins = sim.inputs.(s) in
-            let pv j = if pins.(j) < 0 then Logic.X else getv cc pins.(j) in
-            rq.(s) <- replay_lut sim s (pv 0) (pv 1) (pv 2) (pv 3)
-          end
-        done;
-        for i = 0 to d.dd_nseeds - 1 do
-          let s = d.dd_seeds.(i) in
-          rvl.(s) <- rv.(s)
-        done
-      end;
-      incr cy'
-    done;
-    !ok
-  in
-  let state_matches cy =
-    let bn = tp.tp_nnodes in
-    let ok = ref true in
-    let i = ref 0 in
-    while !ok && !i < d.dd_ncone do
-      let node = d.dd_cone.(!i) in
-      if node < bn && not (Logic.equal values.(node) (tape_get_u tp cy node))
-      then ok := false;
-      incr i
-    done;
-    let i = ref 0 in
-    while !ok && !i < d.dd_nregs do
-      let r = d.dd_regs.(!i) in
-      (* cone registers are base nodes; the tape holds the baseline's q
-         at the *next* boundary via its settled value then *)
-      if not (Logic.equal q.(r) (tape_get_u tp (cy + 1) r)) then ok := false;
-      incr i
-    done;
-    !ok
-  in
-  (* ---- the per-cycle loop ---- *)
-  let error_cycle = ref (-1) in
-  let converge_cycle = ref (-1) in
-  (* first cycle a detection watch node left Zero; the loop keeps running
-     past a functional error until detection also resolves (fires,
-     converges away, or the stimulus ends) — and vice versa *)
-  let detect_cycle = ref (-1) in
-  let det_pending () = ndetect > 0 && !detect_cycle < 0 in
-  let cy = ref 0 in
-  while
-    (!error_cycle < 0 || det_pending ())
-    && !converge_cycle < 0
-    && !cy < cycles
-  do
-    let c = !cy in
-    let tick = tick0 + c in
-    (* frontier values come from the tape; a change schedules readers *)
-    for i = 0 to d.dd_nfrontier - 1 do
-      let f = d.dd_frontier.(i) in
-      let v = tape_get_u tp c f in
-      if not (Logic.equal v values.(f)) then begin
-        values.(f) <- v;
-        mark_readers f tick
-      end
-    done;
-    (* event-driven cone evaluation in SCC order *)
-    for g = 0 to d.dd_ngrp - 1 do
-      let lo = d.dd_grp.(g) and hi = d.dd_grp.(g + 1) in
-      if Bytes.get d.dd_gcyc g = '\000' then begin
-        let node = d.dd_cone.(lo) in
-        if d.dd_dirty.(node) >= tick then begin
-          let v = eval_node sim node in
-          if not (Logic.equal v values.(node)) then begin
-            values.(node) <- v;
-            mark_readers node tick
-          end
-        end
-      end
-      else begin
-        let dirty = ref false in
-        for i = lo to hi - 1 do
-          if d.dd_dirty.(d.dd_cone.(i)) >= tick then dirty := true
-        done;
-        if !dirty then begin
-          for i = lo to hi - 1 do
-            let node = d.dd_cone.(i) in
-            d.dd_old.(node) <- values.(node);
-            values.(node) <- Logic.X
-          done;
-          let changed = ref true in
-          let budget = ref (hi - lo + 1) in
-          while !changed do
-            kleene_spend budget "Fsim.diff_run";
-            changed := false;
-            for i = lo to hi - 1 do
-              let node = d.dd_cone.(i) in
-              let v = eval_node sim node in
-              if not (Logic.equal v values.(node)) then begin
-                values.(node) <- v;
-                changed := true
-              end
-            done
-          done;
-          for i = lo to hi - 1 do
-            let node = d.dd_cone.(i) in
-            if not (Logic.equal values.(node) d.dd_old.(node)) then
-              mark_readers node tick
-          done
-        end
-      end
-    done;
-    (* forensic divergence scan: compare the settled cone against the
-       baseline tape.  Read-only with respect to the simulation state, so
-       results are bit-identical whether or not it runs. *)
-    if forensics then begin
-      let bn = tp.tp_nnodes in
-      for i = 0 to d.dd_ncone - 1 do
-        let node = d.dd_cone.(i) in
-        if
-          node < bn
-          && Bytes.get d.dd_divmark node = '\000'
-          && not (Logic.equal values.(node) (tape_get_u tp c node))
-        then begin
-          Bytes.set d.dd_divmark node '\001';
-          d.dd_fdiverged <- d.dd_fdiverged + 1;
-          if d.dd_ffirst_cycle < 0 then d.dd_ffirst_cycle <- c;
-          if
-            d.dd_ffirst_cycle = c
-            && nearer_first d.dd_depth node d.dd_ffirst_node
-          then d.dd_ffirst_node <- node;
-          if d.dd_depth.(node) > d.dd_fdepth then
-            d.dd_fdepth <- d.dd_depth.(node)
-        end
-      done
-    end;
-    (* cone-aware output check: only suspects can differ from golden *)
-    let exp = expected.(c) in
-    let i = ref 0 in
-    while (!error_cycle < 0 || det_pending ()) && !i < d.dd_nsuspect do
-      let wi = d.dd_suspect.(!i) in
-      let w = watch.(wi) in
-      let v =
-        if Bytes.get d.dd_mark w <> '\000' then values.(w)
-        else tape_get_u tp c w
-      in
-      if not (Logic.equal v exp.(wi)) then
-        if wi < nfunc then begin
-          if !error_cycle < 0 then error_cycle := c
-        end
-        else if !detect_cycle < 0 then detect_cycle := c;
-      incr i
-    done;
-    if !error_cycle < 0 || det_pending () then begin
-      (* clock the cone registers; a q change dirties readers next cycle *)
-      for i = 0 to d.dd_nregs - 1 do
-        let r = d.dd_regs.(i) in
-        if d.dd_rdirty.(r) >= tick && not sim.ce_frozen.(r) then begin
-          let nq = lut_eval sim r in
-          if not (Logic.equal nq q.(r)) then begin
-            q.(r) <- nq;
-            if d.dd_dirty.(r) < tick + 1 then d.dd_dirty.(r) <- tick + 1
-          end
-        end
-      done;
-      for i = 0 to d.dd_ncone - 1 do
-        let node = d.dd_cone.(i) in
-        last.(node) <- values.(node)
-      done;
-      for i = 0 to d.dd_nfrontier - 1 do
-        let f = d.dd_frontier.(i) in
-        last.(f) <- values.(f)
-      done;
-      (* convergence early-exit *)
-      if
-        c < cycles - 1
-        && (not !no_replay)
-        && (not !remapped_extra)
-        && state_matches c
-        && replay_converges c
-      then begin
-        converge_cycle := c;
-        (* a remapped watch keeps reading a different (old) node than
-           the baseline run compared: scan its taped values over the
-           skipped cycles *)
-        if !remapped_old then begin
-          let c' = ref (c + 1) in
-          while (!error_cycle < 0 || det_pending ()) && !c' < cycles do
-            let exp = expected.(!c') in
-            let si = ref 0 in
-            while (!error_cycle < 0 || det_pending ()) && !si < d.dd_nsuspect
-            do
-              let wi = d.dd_suspect.(!si) in
-              let w = watch.(wi) in
-              if
-                w <> base_watch.(wi)
-                && not (Logic.equal (tape_get_u tp !c' w) exp.(wi))
-              then
-                if wi < nfunc then begin
-                  if !error_cycle < 0 then error_cycle := !c'
-                end
-                else if !detect_cycle < 0 then detect_cycle := !c';
-              incr si
-            done;
-            incr c'
-          done
-        end
-      end
-    end;
-    incr cy
-  done;
-  (!error_cycle, !converge_cycle, !detect_cycle)
-
-(* Forensic view of the last [diff_run]. *)
-type diff_forensics = {
-  df_collected : bool;
-  df_cone : int;
-  df_seeds : int;
-  df_frontier : int;
-  df_diverged : int;
-  df_first_node : int;
-  df_first_cycle : int;
-  df_depth : int;
-}
-
-let diff_forensics d =
-  {
-    df_collected = d.dd_fcollect;
-    df_cone = d.dd_ncone;
-    df_seeds = d.dd_nseeds;
-    df_frontier = d.dd_nfrontier;
-    df_diverged = (if d.dd_fcollect then d.dd_fdiverged else -1);
-    df_first_node = (if d.dd_fcollect then d.dd_ffirst_node else -1);
-    df_first_cycle = (if d.dd_fcollect then d.dd_ffirst_cycle else -1);
-    df_depth = (if d.dd_fcollect then d.dd_fdepth else -1);
-  }
 
 type provenance = {
   pv_diverged : int;
@@ -2197,56 +1330,16 @@ type provenance = {
   pv_voter_held : bool;
 }
 
-let diff_provenance d ~voters =
-  if not d.dd_fcollect then None
-  else begin
-    let held = ref false in
-    let i = ref 0 in
-    while (not !held) && !i < d.dd_ncone do
-      let n = d.dd_cone.(!i) in
-      if
-        n < Bytes.length voters
-        && Bytes.get voters n <> '\000'
-        && Bytes.get d.dd_divmark n = '\000'
-      then held := true;
-      incr i
-    done;
-    Some
-      {
-        pv_diverged = d.dd_fdiverged;
-        pv_first_node = d.dd_ffirst_node;
-        pv_first_cycle = d.dd_ffirst_cycle;
-        pv_depth = d.dd_fdepth;
-        pv_cone = d.dd_ncone;
-        pv_voter_held = !held;
-      }
-  end
-
-(* Test hooks: the cone computed by the last [diff_run]. *)
-let diff_cone d = Array.sub d.dd_cone 0 d.dd_ncone
-
-let diff_cone_is_closed d sim =
-  let ok = ref true in
-  for node = 0 to sim.nnodes - 1 do
-    if Bytes.get d.dd_mark node = '\000' then begin
-      let ins = sim.inputs.(node) in
-      for j = 0 to Array.length ins - 1 do
-        let p = ins.(j) in
-        if p >= 0 && Bytes.get d.dd_mark p <> '\000' then ok := false
-      done
-    end
-  done;
-  !ok
-
 (* ------------------------------------------------------------------ *)
 (* Telemetry: a shadowing wrapper so every caller is counted.  A
-   reroute that falls back to a full rebuild is a cost regression (CI
-   requires 0 on the exhaustive reduced TMR_p2 campaign); counting is
-   one atomic add and needs no registered sink. *)
+   planned reroute with no overlay falls back to a full rebuild, a cost
+   regression (CI requires 0 on the exhaustive reduced TMR_p2
+   campaign); counting is one atomic add and needs no registered
+   sink. *)
 
 let m_reroute_fallback = Tmr_obs.Metrics.counter "fsim.reroute_fallback"
 
-let reroute ~scratch c base ex bit =
-  let r = reroute ~scratch c base ex bit in
+let fault_delta ~scratch c base ex bit ~watch ~succ_off ~succ ~bel_of =
+  let r = fault_delta ~scratch c base ex bit ~watch ~succ_off ~succ ~bel_of in
   if Option.is_none r then Tmr_obs.Metrics.incr m_reroute_fallback;
   r

@@ -189,7 +189,7 @@ module Lanes = struct
       lor (r3
           land pick s0 s1 s2 s3 (lnot w12) (lnot w13) (lnot w14) (lnot w15))
 
-  (* Resolve over planes, with the scalar engine's pessimistic skew
+  (* Resolve over planes, with [Scalar]'s pessimistic skew
      rule folded in: a lane settles One only when every driver is
      definitely One now AND was definitely One last cycle (no driver
      transitioned); symmetrically for Zero; anything else is X.  The

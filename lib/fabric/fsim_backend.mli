@@ -6,8 +6,8 @@
     represented:
 
     - {!Scalar} carries one fault per simulator as a plain
-      {!Tmr_logic.Logic.t} — the representation of {!Fsim}'s full and
-      differential engines;
+      {!Tmr_logic.Logic.t} — the representation of {!Fsim}, the
+      simulator the rebuild oracle runs;
     - {!Lanes} packs up to {!Lanes.word_bits} faults per machine word
       as "possibility planes" — the representation of {!Fsim_batch}.
 
@@ -152,7 +152,7 @@ module Lanes : sig
     int ->
     unit
   (** Resolve [n] drivers given their current ([h]/[l]) and previous
-      ([lh]/[ll]) plane words, with the scalar engine's pessimistic
-      glitch rule folded in, into [dh.(i)]/[dl.(i)].  [n = 0] is X
-      (matching the scalar engine). *)
+      ([lh]/[ll]) plane words, with {!Scalar}'s pessimistic glitch
+      rule folded in, into [dh.(i)]/[dl.(i)].  [n = 0] is X (matching
+      {!Scalar}). *)
 end

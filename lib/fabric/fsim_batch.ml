@@ -3,23 +3,27 @@
    Packs up to [width] faults into the lanes of 32-bit "possibility
    plane" words ({!Fsim_backend.Lanes}) and runs ONE event-driven cone
    evaluation over the union of the lanes' fanout cones against the
-   shared baseline tape, instead of one scalar [Fsim.diff_run] per
-   fault.  Each lane's effective circuit is the base graph plus its
-   fault overlay ({!Fsim.delta}), held in per-node slots of [t] for the
-   run: truth-table / inversion / init / clock-enable cell patches
-   apply word-parallel through per-lane masks, and a LUT row rewired by
-   a lane is gathered into the pin words (that lane's pin bits read its
-   own inputs) before the one word-parallel LUT evaluation.  Rewired
-   resolve rows and appended resolve nodes are spliced per lane
-   (scalar evaluation of just that lane's bit).
+   shared baseline tape.  Each lane's effective circuit is the base
+   graph plus its fault overlay ({!Fsim.delta}), held in per-node slots
+   of [t] for the run: truth-table / inversion / init / clock-enable
+   cell patches apply word-parallel through per-lane masks, and a LUT
+   row rewired by a lane is gathered into the pin words (that lane's
+   pin bits read its own inputs) before the one word-parallel LUT
+   evaluation.  Rewired resolve rows and appended resolve nodes are
+   spliced per lane (scalar evaluation of just that lane's bit).  A
+   kind override (out_sel) makes a node registered in some lanes and
+   combinational in others: it is evaluated both ways and blended by
+   lane, and clocked in its register lanes.  A remapped watch position
+   is read from the lane's own node.
 
-   Verdicts are bit-identical to the scalar differential engine fault
-   by fault: the per-cycle plane values of a lane equal the values the
-   scalar engine computes for that fault (the union cone is a closed
-   superset of each lane's own cone, and nodes a fault does not reach
-   reproduce the tape exactly), the watched-output check runs at the
-   same point of the cycle, and the per-lane convergence early-exit
-   replays the same seed set under the same rules.
+   Verdicts are exact fault by fault: the per-cycle plane values of a
+   lane equal the values a simulator of that fault's circuit computes
+   (the union cone is a closed superset of each lane's own cone, and
+   nodes a fault does not reach reproduce the tape exactly), the
+   watched-output check runs at the same point of the cycle as a full
+   replay, and a lane leaves early only when it provably converged back
+   to the baseline (its cone equals the tape at a boundary and a replay
+   of its seeds reproduces the tape for every remaining cycle).
 
    The union graph may be cyclic: lane A's rewired row can read a node
    downstream of lane B's cone, a bridge can close a combinational loop
@@ -27,26 +31,25 @@
    SCCs.  The cyclic part is grouped into the SCCs of the union graph
    and each group settles by local sweeps.  A lane whose circuit is
    acyclic inside a group reaches its unique fixpoint from any start.
-   A lane's own cycles are Kleene-iterated, as the scalar engine
-   iterates a cyclic SCC: a set of cut nodes meets every such cycle;
-   when a group is dirty its cut lanes restart from X at the cuts, the
-   sweeps settle the rest with the cut bits held, and re-evaluating the
-   cuts and repeating until they stop moving is Kleene iteration on the
-   cut values.  Node evaluation is monotone in the information order
-   (X below Zero and One): Kleene LUT completion, [Logic.resolve], and
-   the glitch rule, whose [last] values stay fixed within a cycle.  So
+   A lane's own cycles are Kleene-iterated, as [Fsim.eval] iterates a
+   cyclic SCC: a set of cut nodes meets every such cycle; when a group
+   is dirty its cut lanes restart from X at the cuts, the sweeps settle
+   the rest with the cut bits held, and re-evaluating the cuts and
+   repeating until they stop moving is Kleene iteration on the cut
+   values.  Node evaluation is monotone in the information order (X
+   below Zero and One): Kleene LUT completion, [Logic.resolve], and the
+   glitch rule, whose [last] values stay fixed within a cycle.  So
    iteration from X reaches, in any order, the least fixpoint — the
-   value [Fsim.eval], [Fsim.diff_run] and the rebuild oracle compute.
-   A lane with a seed on a cycle never replay-converges, mirroring the
-   scalar engine's [no_replay].
+   value [Fsim.eval] on a rebuilt simulator computes.  A lane with a
+   seed on a cycle never replay-converges.
 
-   With forensics requested, each lane also gets the scalar engine's
-   divergence provenance ({!F.provenance}): a per-cycle word-parallel
-   fold of the divergence words into [ever], and once per lane after
-   the run a BFS over that lane's own effective graph for the cone,
-   the depths and the voter check.  Exact for the same reason the
-   verdicts are: a lane's divergence bits are the scalar engine's
-   divergence set, cycle by cycle. *)
+   With forensics requested, each lane also gets its divergence
+   provenance ({!F.provenance}): a per-cycle word-parallel fold of the
+   divergence words into [ever], and once per lane after the run a BFS
+   over that lane's own effective graph for the cone, the depths and
+   the voter check.  Exact for the same reason the verdicts are: a
+   lane's divergence bits are the nodes where its circuit left the
+   baseline, cycle by cycle. *)
 
 module Logic = Tmr_logic.Logic
 module Lanemask = Tmr_logic.Bitvec.Lanemask
@@ -64,7 +67,6 @@ type verdict = {
 type t = {
   base : F.t;
   view : F.view;
-  width : int;
   stride : int;  (* plane words per node, width / 32 *)
   csr_off : int array;
   csr_succ : int array;
@@ -106,6 +108,8 @@ type t = {
   mutable ov_ce : int array array;  (* clock-enable-frozen lanes, per sub *)
   mutable ov_qh : int array array;  (* flip-flop init planes, per sub *)
   mutable ov_ql : int array array;
+  mutable ov_reg : int array array;
+      (* registered lanes, per sub; [||] = the base kind in every lane *)
   mutable ov_rows : (int * int array) list array;  (* (lane, rewired row) *)
   mutable radj : int list array;  (* overlay readers *)
   mutable ovm : int array;
@@ -193,6 +197,7 @@ let ensure t n =
     t.ov_ce <- Array.make cap [||];
     t.ov_qh <- Array.make cap [||];
     t.ov_ql <- Array.make cap [||];
+    t.ov_reg <- Array.make cap [||];
     t.ov_rows <- Array.make cap [];
     t.radj <- Array.make cap [];
     t.ovm <- Array.make ps 0
@@ -207,9 +212,9 @@ let res_ensure t n =
     t.resll <- Array.make c 0
   end
 
-let create base cone ~width =
-  if width <> 32 && width <> 64 then
-    invalid_arg "Fsim_batch.create: width must be 32 or 64";
+let width = 64
+
+let create base cone =
   let v = F.view base in
   let csr_off, csr_succ = F.reader_csr base in
   let bel_of = F.bel_map cone base in
@@ -228,7 +233,6 @@ let create base cone ~width =
     {
       base;
       view = v;
-      width;
       stride;
       csr_off;
       csr_succ;
@@ -264,6 +268,7 @@ let create base cone ~width =
       ov_ce = [||];
       ov_qh = [||];
       ov_ql = [||];
+      ov_reg = [||];
       ov_rows = [||];
       radj = [||];
       ovm = [||];
@@ -302,7 +307,6 @@ let create base cone ~width =
   ensure t (bn + 64);
   t
 
-let width t = t.width
 let csr t = (t.csr_off, t.csr_succ)
 let bel_of t = t.bel_of
 let last_cone t = Array.sub t.last_cone 0 t.last_nm
@@ -311,6 +315,12 @@ type work = { evals : int; quiet : int; splices : int }
 
 let work t = { evals = t.n_evals; quiet = t.n_quiet; splices = t.n_splices }
 
+(* Whether node [u] replaces the current first-divergence pick [f]
+   ([-1] = none yet): smaller BFS depth from the seed set, then smaller
+   node id. *)
+let nearer_first depth u f =
+  f < 0 || depth.(u) < depth.(f) || (depth.(u) = depth.(f) && u < f)
+
 (* Index of the single set bit of [m] (an isolated power of two). *)
 let rec bit_index m i = if m land 1 = 1 then i else bit_index (m lsr 1) (i + 1)
 
@@ -318,7 +328,7 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
   let v = t.view in
   let bn = v.F.v_nnodes in
   let nlanes = Array.length lanes in
-  if nlanes = 0 || nlanes > t.width then
+  if nlanes = 0 || nlanes > width then
     invalid_arg "Fsim_batch.run: lane count out of range";
   if ndetect < 0 || ndetect > Array.length watch then
     invalid_arg "Fsim_batch.run: ndetect out of range";
@@ -359,7 +369,20 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
       (match d.F.dl_cell with
       | Some (node, _) when node < 0 || node >= bn ->
           invalid_arg "Fsim_batch.run: cell patch outside the base graph"
+      | Some (node, F.Cp_reg _)
+        when v.F.v_kind.(node) <> F.kind_bel_comb
+             && v.F.v_kind.(node) <> F.kind_bel_reg ->
+          invalid_arg "Fsim_batch.run: kind override on a non-bel node"
       | _ -> ());
+      Array.iter
+        (fun (wi, node) ->
+          if
+            wi < 0
+            || wi >= Array.length watch
+            || node < 0
+            || node >= bn + Array.length d.F.dl_extras
+          then invalid_arg "Fsim_batch.run: watch remap out of range")
+        d.F.dl_watch;
       Array.iter
         (fun (node, _) ->
           if node < 0 || node >= bn then
@@ -384,6 +407,10 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
   in
   let lane_cell = Array.make nlanes None in
   let lane_rows : (int * int array) list array = Array.make nlanes [] in
+  (* per lane: (watch position, node) the lane reads there instead of
+     the base watch node; per position and sub: the lanes that do *)
+  let lane_watch : (int * int) list array = Array.make nlanes [] in
+  let wmask = Array.make (max 1 (Array.length watch * ns)) 0 in
   let slot_of slots node init =
     if Array.length slots.(node) = 0 then begin
       slots.(node) <- init ();
@@ -405,6 +432,10 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
   let ce_of node =
     slot_of t.ov_ce node (fun () ->
         Array.make ns (if v.F.v_ce_frozen.(node) then fullw else 0))
+  in
+  let reg_of node =
+    slot_of t.ov_reg node (fun () ->
+        Array.make ns (if v.F.v_kind.(node) = F.kind_bel_reg then fullw else 0))
   in
   let qi_of node =
     let q = v.F.v_q_init.(node) in
@@ -444,7 +475,8 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
               let ah, al = qi_of node in
               set_lane ah sub m (Lanes.broadcast_h q <> 0);
               set_lane al sub m (Lanes.broadcast_l q <> 0)
-          | F.Cp_ce b -> set_lane (ce_of node) sub m b));
+          | F.Cp_ce b -> set_lane (ce_of node) sub m b
+          | F.Cp_reg r -> set_lane (reg_of node) sub m r));
       let remap p =
         if p < 0 then -1
         else if p < bn then p
@@ -465,15 +497,20 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
           ext_row.(uid - bn) <- rins;
           ext_lane.(uid - bn) <- li;
           Array.iter (fun p -> if p >= 0 then radj_add p uid) rins)
-        d.F.dl_extras)
+        d.F.dl_extras;
+      Array.iter
+        (fun (wi, node) ->
+          lane_watch.(li) <- (wi, remap node) :: lane_watch.(li);
+          wmask.((wi * ns) + sub) <- wmask.((wi * ns) + sub) lor m)
+        d.F.dl_watch)
     lanes;
-  (* the seed set each lane's scalar [diff_run] would get: the node
-     itself for [Seed_node]; for [Seed_derived], what really differs
-     from the base — the cell, rows that changed (a re-resolved row can
-     equal the base one) and every appended node — exactly the nodes
-     whose function differs from the base.  They root the union cone,
-     are woken every cycle, and drive the convergence replay, the
-     replay veto and the provenance BFS. *)
+  (* each lane's seed set: the node itself for [Seed_node]; for
+     [Seed_derived], what really differs from the base — the cell or
+     kind, rows that changed (a re-resolved row can equal the base one)
+     and every appended node — exactly the nodes whose function differs
+     from the base.  They root the union cone, are woken every cycle,
+     and drive the convergence replay, the replay veto and the
+     provenance BFS. *)
   let lane_sseeds =
     Array.mapi
       (fun li rule ->
@@ -490,6 +527,7 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
                   | F.Cp_inv iv -> iv <> v.F.v_inv.(u)
                   | F.Cp_qinit qi -> not (Logic.equal qi v.F.v_q_init.(u))
                   | F.Cp_ce b -> b <> v.F.v_ce_frozen.(u)
+                  | F.Cp_reg r -> r <> (v.F.v_kind.(u) = F.kind_bel_reg)
                 in
                 if differs then acc := [ u ]
             | None -> ());
@@ -547,12 +585,22 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
      edges.  Registers are sources, exactly as in the base engine's
      Tarjan ([dep] of a register is empty): their per-cycle value is
      the q planes, and their input row is read only at the clock
-     edge, after every combinational member settled.  A leftover is a
-     cycle in the UNION graph; the nodes involved are appended at the
-     end of the order and settled by extra evaluation sweeps, with
-     Kleene iteration wherever a lane's own circuit may be cyclic
-     (classified below). ---- *)
-  let is_reg u = u < bn && v.F.v_kind.(u) = F.kind_bel_reg in
+     edge, after every combinational member settled.  A node whose kind
+     some lane overrides is ordered as combinational, for the lanes that
+     read its pins now.  A leftover is a cycle in the UNION graph; the
+     nodes involved are appended at the end of the order and settled by
+     extra evaluation sweeps, with Kleene iteration wherever a lane's
+     own circuit may be cyclic (classified below). ---- *)
+  (* [mixed u]: some lane overrides [u]'s kind; [is_reg u]: a register
+     in every lane; [clocked u]: a register in some lane *)
+  let mixed u = u < bn && Array.length t.ov_reg.(u) > 0 in
+  let is_reg u = u < bn && v.F.v_kind.(u) = F.kind_bel_reg && not (mixed u) in
+  let clocked u = u < bn && (v.F.v_kind.(u) = F.kind_bel_reg || mixed u) in
+  let lane_reg li u =
+    match lane_cell.(li) with
+    | Some (n, F.Cp_reg r) when n = u -> r
+    | _ -> v.F.v_kind.(u) = F.kind_bel_reg
+  in
   for i = 0 to nm - 1 do
     let r = t.members.(i) in
     if is_reg r then t.indeg.(r) <- 0
@@ -596,7 +644,7 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
      reads; a register has none — its row is read at the clock) *)
   let eff_row_of li u =
     if u >= bn then ext_row.(u - bn)
-    else if v.F.v_kind.(u) = F.kind_bel_reg then [||]
+    else if lane_reg li u then [||]
     else
       match List.assoc_opt u lane_rows.(li) with
       | Some r -> r
@@ -606,10 +654,17 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
   let have_backedges = !ot < nm in
   let scc_starts = ref [||] in
   (* per leftover SCC: its Kleene cut nodes ([t.fz] holds their lanes);
-     per lane: some scalar seed lies on a cycle of its own circuit, so
-     it never replay-converges *)
+     per lane: some seed lies on a cycle of its own circuit, so it
+     never replay-converges *)
   let gcuts = ref [||] in
   let noreplay = Array.make nlanes false in
+  (* a watch position remapped to an appended node reads a value with no
+     tape behind it: that lane never converges early *)
+  Array.iteri
+    (fun li ws ->
+      if List.exists (fun (_, node) -> node >= bn) ws then
+        noreplay.(li) <- true)
+    lane_watch;
   if have_backedges then begin
     (* Append the leftover (union-cycle) nodes grouped by the SCCs of
        the leftover subgraph, dependencies first (successors = inputs,
@@ -738,15 +793,14 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
        Kleene iteration on the cut values alone.  Every node of a
        base-cyclic SCC is a cut for all lanes.  A lane's cycle outside
        the base cycles passes through one of its overlay edges, whose
-       target differs from the base and so is a scalar seed: its seeds
+       target differs from the base and so is a seed: its seeds
        that lie on a cycle of its circuit — found by a DFS from the seed
        over the lane's effective input edges (restricted to the seed's
        SCC, where any cycle through it lives) back to the seed itself —
-       are its cuts.  That is also the scalar engine's [no_replay] test,
-       a seed inside a cyclic SCC of the fault's simulator.  Outside the
-       base cycles every base edge runs forward in the SCC's order, so a
-       cycle holds a backward overlay edge, and only a seed with an own
-       input at or after it can close one. *)
+       are its cuts: a seed inside a cyclic SCC of the fault's circuit.
+       Outside the base cycles every base edge runs forward in the SCC's
+       order, so a cycle holds a backward overlay edge, and only a seed
+       with an own input at or after it can close one. *)
     let gbase = Bytes.make nscc '\000' in
     for i = kahn_len to nm - 1 do
       let u = t.order.(i) in
@@ -804,7 +858,7 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
   let nregs = ref 0 in
   for i = 0 to nm - 1 do
     let u = t.members.(i) in
-    if u < bn && v.F.v_kind.(u) = F.kind_bel_reg then begin
+    if clocked u then begin
       t.regs.(!nregs) <- u;
       incr nregs
     end
@@ -821,14 +875,14 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
         end)
   done;
   let nfrontier = !nfrontier in
-  (* per-lane scalar seeds, ordered for replay: the scalar replay
-     evaluates seeds in the fault's own cone order, but only DIRECT
-     seed->seed effective edges constrain it (non-seed inputs read the
-     tape).  Union positions respect lane edges everywhere except
-     inside the leftover set, so refine there with a stable seed-level
-     Kahn over each lane's direct effective edges (registers read their
-     row at the clock - no incoming edge).  A lane that replays has no
-     seed on a cycle, so the Kahn always completes. *)
+  (* per-lane seeds, ordered for replay: the replay evaluates seeds in
+     the fault's own cone order, but only DIRECT seed->seed effective
+     edges constrain it (non-seed inputs read the tape).  Union
+     positions respect lane edges everywhere except inside the leftover
+     set, so refine there with a stable seed-level Kahn over each lane's
+     direct effective edges (registers read their row at the clock - no
+     incoming edge).  A lane that replays has no seed on a cycle, so the
+     Kahn always completes. *)
   let lane_seed_arr =
     Array.mapi
       (fun li sl ->
@@ -871,8 +925,8 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
         end)
       lane_sseeds
   in
-  (* suspect watch indices: inside the union cone (the engine never
-     accepts watch-remapping faults, so there are no others) *)
+  (* suspect watch indices: inside the union cone (a lane that remaps a
+     position reads its own node there, checked per lane) *)
   let suspects = ref [] in
   Array.iteri
     (fun wi w ->
@@ -921,6 +975,12 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
   done;
   let tick0 = t.tick + 1 in
   t.tick <- tick0 + cycles + 2;
+  (* lanes of sub [s] in which the clocked node [r] is a register: its
+     state planes and [dq] mean nothing on the others *)
+  let reg_w r s =
+    let a = t.ov_reg.(r) in
+    if Array.length a > 0 then a.(s) else fullw
+  in
   for i = 0 to nregs - 1 do
     let r = t.regs.(i) in
     let b = r * stride in
@@ -935,12 +995,14 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
          t.qh.(b + s) <- hh;
          t.ql.(b + s) <- lw
        done);
-    (* initial register-state divergence (patched q-init) *)
+    (* initial register-state divergence (patched q-init, or a node
+       the lane made registered) *)
     let tv = F.tape_get_u tape 0 r in
     let nz = ref false in
     for s = 0 to ns - 1 do
       let d =
-        Lanes.mismatch ~h:t.qh.(b + s) ~l:t.ql.(b + s) tv land live.(s)
+        Lanes.mismatch ~h:t.qh.(b + s) ~l:t.ql.(b + s) tv
+        land live.(s) land reg_w r s
       in
       dq.(b + s) <- d;
       if d <> 0 then nz := true
@@ -963,7 +1025,7 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
     Array.of_list !acc
   in
   let nseednodes = Array.length seed_nodes in
-  (* ---- event scheme (mirrors the scalar engine's mark_readers).
+  (* ---- event scheme.
      [pu] is the marking node's topological position: marking a
      combinational member at or behind it is a union-graph back edge,
      so the current sweep must run again to settle it. ---- *)
@@ -971,10 +1033,13 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
   let mark1 s tick pu =
     if Bytes.get t.mark s <> '\000' then begin
       let k = if s < bn then v.F.v_kind.(s) else F.kind_resolve in
-      if k = F.kind_bel_reg then begin
+      if k = F.kind_bel_reg && not (mixed s) then begin
         if t.rdirty.(s) < tick then t.rdirty.(s) <- tick
       end
       else begin
+        (* a node of overridden kind re-latches in its register lanes
+           and re-evaluates in its combinational ones *)
+        if mixed s && t.rdirty.(s) < tick then t.rdirty.(s) <- tick;
         let tg = if k = F.kind_resolve then tick + 1 else tick in
         if t.dirty.(s) < tg then t.dirty.(s) <- tg;
         if t.pos.(s) <= pu then sweep_again := true
@@ -1374,7 +1439,24 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
       end
       else begin
         let k = v.F.v_kind.(u) in
-        if k = F.kind_bel_reg then begin
+        if mixed u then begin
+          (* the LUT in the combinational lanes, the state in the
+             registered ones *)
+          comb_planes u;
+          let b = u * stride in
+          let tv = F.tape_get_u tape !cur_c u in
+          let bh = Lanes.broadcast_h tv and bl = Lanes.broadcast_l tv in
+          let ra = t.ov_reg.(u) in
+          for s = 0 to ns - 1 do
+            let r = ra.(s) and d = dq.(b + s) in
+            let qh = (t.qh.(b + s) land d) lor (bh land lnot d)
+            and ql = (t.ql.(b + s) land d) lor (bl land lnot d) in
+            t.newh.(s) <- t.newh.(s) land lnot r lor (qh land r);
+            t.newl.(s) <- t.newl.(s) land lnot r lor (ql land r)
+          done;
+          commit u tick
+        end
+        else if k = F.kind_bel_reg then begin
           let b = u * stride in
           let tv = F.tape_get_u tape !cur_c u in
           let bh = Lanes.broadcast_h tv and bl = Lanes.broadcast_l tv in
@@ -1395,8 +1477,8 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
       end
     end
   in
-  (* ---- per-lane convergence replay (mirrors the scalar engine's
-     replay exactly, over the lane's effective circuit) ---- *)
+  (* ---- per-lane convergence replay over the lane's effective
+     circuit ---- *)
   let replay_converges li c =
     t.repoch <- t.repoch + 1;
     let ep = t.repoch in
@@ -1408,7 +1490,7 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
       t.rstamp.(s0) <- ep;
       t.rv.(s0) <- lane_v s0 sub bit;
       t.rvl.(s0) <- lane_lv s0 sub bit;
-      if s0 < bn && v.F.v_kind.(s0) = F.kind_bel_reg then
+      if s0 < bn && lane_reg li s0 then
         t.rq.(s0) <-
           (if dq.((s0 * stride) + sub) land (1 lsl bit) <> 0 then
              Lanes.lane
@@ -1446,8 +1528,8 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
     in
     let replay_eval cy s =
       let k = if s < bn then v.F.v_kind.(s) else F.kind_resolve in
-      if k = F.kind_bel_reg then t.rq.(s)
-      else if k = F.kind_bel_comb then replay_lut cy s
+      if s < bn && lane_reg li s then t.rq.(s)
+      else if k = F.kind_bel_comb || k = F.kind_bel_reg then replay_lut cy s
       else if k = F.kind_resolve then begin
         let ins = eff_row s in
         let len = Array.length ins in
@@ -1485,11 +1567,8 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
       if !ok then begin
         for i = 0 to nseeds - 1 do
           let s = seeds.(i) in
-          if
-            s < bn
-            && v.F.v_kind.(s) = F.kind_bel_reg
-            && not (eff_frozen li s)
-          then t.rq.(s) <- replay_lut cc s
+          if s < bn && lane_reg li s && not (eff_frozen li s) then
+            t.rq.(s) <- replay_lut cc s
         done;
         for i = 0 to nseeds - 1 do
           t.rvl.(seeds.(i)) <- t.rv.(seeds.(i))
@@ -1521,6 +1600,41 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
   let err_cy = Array.make nlanes (-1) in
   let conv_cy = Array.make nlanes (-1) in
   let det_cy = Array.make nlanes (-1) in
+  (* a watch mismatch of lane [li] at position [wi]: functional entries
+     ([wi < nfunc]) record the first error, trailing detection entries
+     the first disagreement flag.  The lane is decided — and leaves the
+     batch — once its functional verdict landed and no detection
+     verdict is still pending; with [ndetect = 0] it retires on its
+     first error *)
+  let note_watch li wi c =
+    (if wi < nfunc then begin
+       if err_cy.(li) < 0 then err_cy.(li) <- c
+     end
+     else if det_cy.(li) < 0 then det_cy.(li) <- c);
+    if err_cy.(li) >= 0 && (ndetect = 0 || det_cy.(li) >= 0) then begin
+      Lanemask.clear und li;
+      purge_lane li
+    end
+  in
+  (* after lane [li] converged at [c], its remapped positions keep
+     reading their old nodes, whose tape can still differ from the
+     golden expectation over the skipped cycles *)
+  let scan_remaps li c =
+    let c' = ref (c + 1) in
+    while (err_cy.(li) < 0 || (ndetect > 0 && det_cy.(li) < 0)) && !c' < cycles
+    do
+      List.iter
+        (fun (wi, node) ->
+          if not (Logic.equal (F.tape_get_u tape !c' node) expected.(!c').(wi))
+          then
+            if wi < nfunc then begin
+              if err_cy.(li) < 0 then err_cy.(li) <- !c'
+            end
+            else if det_cy.(li) < 0 then det_cy.(li) <- !c')
+        lane_watch.(li);
+      incr c'
+    done
+  in
   (* forensic scan state: [fresh] holds the lanes with no divergence
      yet, [first_cy]/[first_nodes] what each lane diverged at first *)
   let collect = voters <> None in
@@ -1601,11 +1715,7 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
        its state drift with no divergence event on the D cone) *)
     for i = 0 to nseednodes - 1 do
       let u = seed_nodes.(i) in
-      if
-        u < bn
-        && v.F.v_kind.(u) = F.kind_bel_reg
-        && t.rdirty.(u) < tick
-      then t.rdirty.(u) <- tick;
+      if clocked u && t.rdirty.(u) < tick then t.rdirty.(u) <- tick;
       if t.dirty.(u) < tick then t.dirty.(u) <- tick
     done;
     (* diverged nodes and their readers recompute too: their
@@ -1685,17 +1795,10 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
       done;
       freeze := false
     done;
-    (* forensic divergence scan, where the scalar engine scans: the
-       settled cycle, before decided lanes leave the batch *)
+    (* forensic divergence scan: the settled cycle, before decided
+       lanes leave the batch *)
     if collect then scan_divergence c;
-    (* watched-output check (before the clock, like the scalar
-       engine).  Functional entries ([wi < nfunc]) record the first
-       error; trailing detection entries record the first disagreement
-       flag.  A lane is decided — and leaves the batch — once its
-       functional verdict landed and no detection verdict is still
-       pending, mirroring the scalar engine's continue-past-error
-       rule; with [ndetect = 0] this degenerates to the historical
-       retire-on-first-error behaviour. *)
+    (* watched-output check, before the clock *)
     let exp = expected.(c) in
     for si = 0 to Array.length suspects - 1 do
       let wi = suspects.(si) in
@@ -1713,33 +1816,42 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
           ((Lanes.mismatch ~h:h.(b + s) ~l:l.(b + s) ev land d)
           lor (bm land lnot d))
           land Lanemask.word und s
+          land lnot wmask.((wi * ns) + s)
         in
         if mism <> 0 then begin
           let m = ref mism in
           while !m <> 0 do
             let lsb = !m land - !m in
-            let li = (s * 32) + bit_index lsb 0 in
-            (if wi < nfunc then begin
-               if err_cy.(li) < 0 then err_cy.(li) <- c
-             end
-             else if det_cy.(li) < 0 then det_cy.(li) <- c);
-            if err_cy.(li) >= 0 && (ndetect = 0 || det_cy.(li) >= 0)
-            then begin
-              Lanemask.clear und li;
-              purge_lane li
-            end;
+            note_watch ((s * 32) + bit_index lsb 0) wi c;
             m := !m land (!m - 1)
           done
         end
       done
     done;
+    (* remapped positions: the lane's own node, diverged or on the tape *)
+    Array.iteri
+      (fun li ws ->
+        List.iter
+          (fun (wi, node) ->
+            if
+              Lanemask.get und li
+              && not
+                   (Logic.equal
+                      (lane_v node (li lsr 5) (li land 31))
+                      exp.(wi))
+            then note_watch li wi c)
+          ws)
+      lane_watch;
     (* clock the cone registers.  A register clocks when divergence
        events reached its D cone ([rdirty]) or its state is already
        diverged ([dq], it may converge back); otherwise its next state
        tracks the tape exactly and no work is needed — the stored q
        planes go stale on undiverged lanes, which is fine because
        every read blends them through [dq].  The last cycle's next
-       state is never read, so the clock is skipped entirely. *)
+       state is never read, so the clock is skipped entirely.  A node
+       whose kind some lane overrides clocks in its register lanes
+       only, and never skips as frozen: where its base kind is
+       combinational, the tape it is compared against moves. *)
     if c < cycles - 1 then
       for i = 0 to nregs - 1 do
         let r = t.regs.(i) in
@@ -1751,7 +1863,7 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
         if t.rdirty.(r) >= tick || !dqnz then begin
           let fza = t.ov_ce.(r) in
           let basefz = v.F.v_ce_frozen.(r) in
-          if not (basefz && Array.length fza = 0) then begin
+          if mixed r || not (basefz && Array.length fza = 0) then begin
             comb_planes r;
             let tvq = F.tape_get_u tape c r in
             let tvn = F.tape_get_u tape (c + 1) r in
@@ -1770,7 +1882,9 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
               let keep_l = t.ql.(b + s) land od lor (kl land lnot od) in
               let nh = t.newh.(s) land lnot fzw lor (keep_h land fzw) in
               let nl = t.newl.(s) land lnot fzw lor (keep_l land fzw) in
-              let nd = Lanes.mismatch ~h:nh ~l:nl tvn land live.(s) in
+              let nd =
+                Lanes.mismatch ~h:nh ~l:nl tvn land live.(s) land reg_w r s
+              in
               t.qh.(b + s) <- nh;
               t.ql.(b + s) <- nl;
               if nd <> 0 || od <> 0 then mark := true;
@@ -1796,8 +1910,8 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
     nch := 0;
     (* per-lane convergence early-exit: a candidate lane has no
        diverged member ([mcnt]) and no diverged register state
-       ([dq]); the scalar replay rule then confirms it.  A lane with a
-       seed on a cycle never converges early, as in the scalar engine *)
+       ([dq]); the seed replay then confirms it.  A lane with a seed on
+       a cycle never converges early *)
     if c < cycles - 1 && not (Lanemask.is_empty und) then begin
       let cand = Array.init ns (fun s -> Lanemask.word und s) in
       for li = 0 to nlanes - 1 do
@@ -1829,20 +1943,22 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
             if replay_converges li c then begin
               conv_cy.(li) <- c;
               Lanemask.clear und li;
-              purge_lane li
+              purge_lane li;
+              scan_remaps li c
             end
           done
         done
     end;
     incr cy
   done;
-  (* ---- per-lane provenance: one BFS from the scalar engine's seed
-     set over the lane's own effective graph.  BFS reach and distances
-     do not depend on visiting order, so cone size and depths equal
-     the scalar engine's.  The base reader CSR alone walks that graph
-     exactly: every overlay edge ends at a seed (a rewired row that
-     differs from the base, or an appended node), already at depth 0,
-     and a rewired row equal to the base row keeps the base edges ---- *)
+  (* ---- per-lane provenance: one BFS from the lane's seed set over
+     its own effective graph (register pins included, so the cone
+     crosses register boundaries).  BFS reach and distances do not
+     depend on visiting order.  The base reader CSR alone walks that
+     graph exactly: every overlay edge ends at a seed (a rewired row
+     that differs from the base, or an appended node), already at
+     depth 0, a rewired row equal to the base row keeps the base
+     edges, and a kind override changes no edge ---- *)
   let provenance voters li =
     t.pv_epoch <- t.pv_epoch + 1;
     let ep = t.pv_epoch in
@@ -1882,7 +1998,7 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
       F.pv_diverged = !diverged;
       pv_first_node =
         List.fold_left
-          (fun f u -> if F.nearer_first depth u f then u else f)
+          (fun f u -> if nearer_first depth u f then u else f)
           (-1) first_nodes.(li);
       pv_first_cycle = first_cy.(li);
       pv_depth = !dmax;
@@ -1910,6 +2026,7 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
       t.ov_ce.(u) <- [||];
       t.ov_qh.(u) <- [||];
       t.ov_ql.(u) <- [||];
+      t.ov_reg.(u) <- [||];
       t.ov_rows.(u) <- [];
       t.radj.(u) <- [];
       Array.fill t.ovm (u * stride) stride 0)

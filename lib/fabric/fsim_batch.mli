@@ -1,35 +1,38 @@
-(** Bit-parallel batched differential fault simulation.
+(** Bit-parallel batched differential fault simulation: the campaign's
+    one fast engine.
 
     Packs up to 64 faults into the lanes of possibility-plane words
     ({!Fsim_backend.Lanes}) and runs one event-driven cone evaluation
     over the union of the lanes' fanout cones against the shared
-    baseline tape, instead of one scalar {!Fsim.diff_run} per fault.
-    Cell-content patches (truth table, pin inversion, flip-flop init,
-    clock-enable) apply word-parallel through per-lane masks, and a
-    rewired LUT row is gathered into the pin words of its lane before
-    the one word-parallel LUT evaluation; rewired resolve rows and
-    appended resolve nodes are spliced per lane.
+    baseline tape.  Cell-content patches (truth table, pin inversion,
+    flip-flop init, clock-enable) apply word-parallel through per-lane
+    masks, a rewired LUT row is gathered into the pin words of its lane
+    before the one word-parallel LUT evaluation, and rewired resolve
+    rows and appended resolve nodes are spliced per lane.  A lane can
+    also flip a node between combinational and registered (an out_sel
+    fault) and read a watch position from a node of its own.
 
-    Per-lane verdicts are bit-identical to the scalar differential
-    engine fault by fault: same first error cycle, same convergence
-    cycle, under the same pessimistic-glitch and seed-replay rules.
-    That includes lanes whose circuit is combinationally cyclic (a
-    bridge closing a loop, or a cone running through a cyclic SCC of
-    the base graph): those are Kleene-iterated inside the batch.
-    On request each lane also carries the scalar engine's forensic
-    divergence provenance, field for field. *)
+    Per-lane verdicts are exact: the same first error cycle, detection
+    cycle and watched behaviour a rebuild of the faulty configuration
+    replayed over the whole stimulus gives (the rebuild-every-fault
+    oracle, {!Fsim.build}).  That includes lanes whose circuit is
+    combinationally cyclic (a bridge closing a loop, a register turned
+    combinational inside its own feedback loop, or a cone running
+    through a cyclic SCC of the base graph): those are Kleene-iterated
+    inside the batch.  On request each lane also carries its forensic
+    divergence provenance. *)
 
 type t
 (** Per-worker batch context over one base simulator: the base reader
     CSR, the bel map and the plane/state arrays, reused across every
     batch the worker executes. *)
 
-val create : Fsim.t -> Fsim.cone -> width:int -> t
-(** [create base cone ~width] with [width] 32 or 64 (lanes per batch).
-    [base] is the worker's golden simulator; [cone] the snapshot its
-    build produced.  Raises [Invalid_argument] on any other width. *)
+val width : int
+(** Lanes per batch: 64. *)
 
-val width : t -> int
+val create : Fsim.t -> Fsim.cone -> t
+(** [create base cone]: [base] is the worker's golden simulator, [cone]
+    the snapshot its build produced. *)
 
 val csr : t -> int array * int array
 (** The base reader CSR [(off, succ)], for handing to
@@ -46,13 +49,9 @@ type verdict = {
       (** first cycle a trailing detection watch entry left its all-zero
           expectation, [-1] = never (always [-1] when [ndetect = 0]) *)
   bv_provenance : Fsim.provenance option;
-      (** with [?voters]: equal to what {!Fsim.diff_provenance}
-          reports after a forensic {!Fsim.diff_run} of the lane's fault;
-          [None] without *)
+      (** with [?voters]: the lane's divergence provenance; [None]
+          without *)
 }
-(** Exactly {!Fsim.diff_run}'s
-    [(first_error_cycle, converge_cycle, detect_cycle)] triple for the
-    lane's fault. *)
 
 val run :
   t ->
@@ -65,22 +64,27 @@ val run :
   unit ->
   verdict array
 (** [run t ~tape ~expected ~watch ~lanes ()] simulates all faults of
-    [lanes] (at most [width t]) in one batch against the baseline
-    [tape] and returns one verdict per lane.  Each lane is a
-    {!Fsim.patch_delta} or {!Fsim.fault_delta} overlay with the seed
-    rule its scalar {!Fsim.diff_run} would get ([Seed_node] for a
-    patch, [Seed_derived] for a reroute).  [watch] are the base
-    simulator's watch nodes and [expected.(cycle).(i)] the golden value
-    of [watch.(i)] — the same arrays a scalar {!Fsim.diff_run} of these
-    faults would receive.
+    [lanes] (one to {!width}) in one batch against the baseline [tape]
+    and returns one verdict per lane.  Each lane is a
+    {!Fsim.patch_delta} overlay seeded [Seed_node] (its
+    {!Fsim.patch_node}) or a {!Fsim.fault_delta} overlay seeded
+    [Seed_derived].  [watch] are the base simulator's watch nodes and
+    [expected.(cycle).(i)] the golden value of [watch.(i)]; a lane's
+    [dl_watch] entries name the node it reads at a position instead.
 
     [ndetect] marks the last [ndetect] entries of [watch] as in-circuit
-    detection flags with all-zero expected rows, exactly as in
-    {!Fsim.diff_run}: a lane whose functional verdict has landed keeps
-    simulating while a detection verdict is still pending, and vice
-    versa, so detection latency matches the scalar engine bit for bit.
-    Defaults to [0] (every watch entry functional — the historical
-    contract).
+    detection flags with all-zero expected rows: a lane whose
+    functional verdict has landed keeps simulating while a detection
+    verdict is still pending, and vice versa.  Defaults to [0] (every
+    watch entry functional).
+
+    A lane leaves the batch early once it provably converged back to the
+    baseline: its cone state equals the tape at a cycle boundary and a
+    replay of its seeds against the tape reproduces the tape for every
+    remaining cycle.  A lane with a seed on a cycle of its own circuit,
+    or a watch position read from an appended node, never converges
+    early.  Convergence changes only [bv_converge_cycle], never the
+    verdict.
 
     [voters] (per base node, ['\001'] = voter node) turns on per-lane
     provenance ([bv_provenance]): each cycle folds the lanes'
@@ -89,21 +93,18 @@ val run :
     the depths and the voter check.  Without it the per-cycle loop pays
     one boolean test.
 
-    Every lane runs in the batch and gets a verdict, cyclic ones
-    included: a bridge that closes a combinational loop, or a cone
-    through a cyclic SCC of the base graph.  Such loops are
-    Kleene-iterated inside the batch: cut nodes meeting every cycle
-    restart from X whenever their SCC of the union graph is dirty, and
-    rounds of sweeps run until the cuts stop moving.  Node evaluation is
-    monotone in the information order (X below Zero and One), so this
-    reaches the least fixpoint, which is what the scalar engine and the
-    rebuild oracle compute.  A lane with a seed on a cycle never
-    replay-converges, as in the scalar engine.
+    Combinational loops are Kleene-iterated inside the batch: cut nodes
+    meeting every cycle restart from X whenever their SCC of the union
+    graph is dirty, and rounds of sweeps run until the cuts stop
+    moving.  Node evaluation is monotone in the information order (X
+    below Zero and One), so this reaches the least fixpoint, which is
+    what {!Fsim.eval} on a rebuilt simulator computes.
 
     Raises [Invalid_argument] on a [Seed_node] lane whose overlay
-    rewires rows or appends nodes, or on overlay nodes outside the base
-    graph; [Failure] if a fixpoint iteration runs past its n + 1 bound
-    (a non-monotone node — a broken invariant, never a slow loop). *)
+    rewires rows or appends nodes, on overlay nodes or watch positions
+    out of range, or on a kind override of a non-bel node; [Failure] if
+    a fixpoint iteration runs past its n + 1 bound (a non-monotone node
+    — a broken invariant, never a slow loop). *)
 
 val last_cone : t -> int array
 (** The union cone of the last {!run}, in evaluation order (test

@@ -105,26 +105,19 @@ let utilization t =
       (Array.fold_left ( + ) 0 t.busy_ns + Array.fold_left ( + ) 0 t.setup_ns)
     /. (float_of_int t.workers *. float_of_int t.wall_ns)
 
-(* Per-plan-path fault latency: the four distributions are the engine's
-   cost model (silent ≈ ns, patch ≈ µs, reroute ≈ 10µs, rebuild ≈ ms) and
-   drift in any of them is a perf regression even when the mean hides it. *)
+(* Per-path fault latency: the three distributions are the engine's
+   cost model (silent ≈ ns, batch ≈ µs per lane, rebuild ≈ ms) and drift
+   in any of them is a perf regression even when the mean hides it.
+   The batch figure is amortised: batch wall time / lanes executed. *)
 let m_fault_silent = Tmr_obs.Metrics.histogram "campaign.fault_ns.silent"
-let m_fault_patch = Tmr_obs.Metrics.histogram "campaign.fault_ns.patch"
-let m_fault_reroute = Tmr_obs.Metrics.histogram "campaign.fault_ns.reroute"
 let m_fault_rebuild = Tmr_obs.Metrics.histogram "campaign.fault_ns.rebuild"
-let m_fault_diff = Tmr_obs.Metrics.histogram "campaign.fault_ns.diff"
-
-(* Amortised per-fault latency of the bit-parallel batch engine (batch
-   wall time / lanes executed), directly comparable to fault_ns.diff. *)
 let m_fault_batch = Tmr_obs.Metrics.histogram "campaign.fault_ns.batch"
 
-(* Batch-engine accounting: lanes executed word-parallel, the lane count
-   of each executed batch (occupancy — near the width when cone grouping
-   packs well), and faults that planned batchable but fell back to the
-   scalar engine (no derivable overlay). *)
+(* Batch-engine accounting: lanes executed word-parallel and the lane
+   count of each executed batch (occupancy — near the width when cone
+   grouping packs well). *)
 let m_batch_lanes = Tmr_obs.Metrics.counter "campaign.batch_lanes"
 let m_batch_occupancy = Tmr_obs.Metrics.histogram "campaign.batch_occupancy"
-let m_batch_scalar = Tmr_obs.Metrics.counter "campaign.batch_scalar"
 
 (* Batch-kernel work ({!Fsim_batch.work}), added once per batch:
    32-lane sub-words computed by the LUT/resolve kernel, LUT sub-words
@@ -134,9 +127,9 @@ let m_batch_evals = Tmr_obs.Metrics.counter "campaign.batch_evals"
 let m_batch_quiet = Tmr_obs.Metrics.counter "campaign.batch_quiet"
 let m_batch_splices = Tmr_obs.Metrics.counter "campaign.batch_splices"
 
-(* Cycle at which a differentially-simulated fault provably converged
-   back to the baseline; the distribution shows how much of the stimulus
-   the early exit saves. *)
+(* Cycle at which a batched fault provably converged back to the
+   baseline; the distribution shows how much of the stimulus the early
+   exit saves. *)
 let m_converge = Tmr_obs.Metrics.histogram "campaign.diff_converge_cycle"
 
 (* Latency-to-error distribution: at which stimulus cycle wrong-answer
@@ -158,13 +151,6 @@ let m_det_latency =
   Tmr_obs.Metrics.histogram "campaign.detection.latency_cycles"
 let m_busy = Tmr_obs.Metrics.counter "campaign.worker_busy_ns"
 let m_util = Tmr_obs.Metrics.gauge "campaign.worker_utilization"
-
-let fault_hist = function
-  | Fsim.Path_silent -> m_fault_silent
-  | Fsim.Path_patch -> m_fault_patch
-  | Fsim.Path_reroute -> m_fault_reroute
-  | Fsim.Path_rebuild -> m_fault_rebuild
-  | Fsim.Path_diff -> m_fault_diff
 
 let add_stats a b =
   {
@@ -249,11 +235,10 @@ type io = {
 (* A worker's simulator state: its own extract (flipped fault by fault)
    and workspace, the golden simulator built from them with its cone
    snapshot and resolved IO, and the fault-free baseline tape of the
-   differential engine. *)
+   batch engine (none when every fault rebuilds). *)
 type wstate = {
   w_ex : Extract.t;
   w_ws : Fsim.workspace;
-  w_scratch : Fsim.scratch;
   w_base : Fsim.t;
   w_cone : Fsim.cone;
   w_io : io;
@@ -293,8 +278,9 @@ let monitor_note m i wrong =
   done;
   Mutex.unlock m.mon_mutex
 
-(* Pool work units: one fault on the scalar engine, or a batch of fault
-   indices for the bit-parallel engine (at most [batch_width] of them). *)
+(* Pool work units: one fault that needs no simulation or a rebuild, or
+   a batch of fault indices for the bit-parallel engine (at most
+   {!Fsim_batch.width} of them). *)
 type unit_work =
   | Single of int
   | Batch of int array
@@ -317,24 +303,13 @@ let group_key dev db bit =
   | Bitdb.Pip p -> (4 * dev.Device.pip_dst.(p)) + 1
   | Bitdb.Pad_enable p | Bitdb.Pad_cfg (p, _) -> (4 * p) + 2
 
-let run ?progress ?workers ?(cone_skip = true) ?(diff = true)
-    ?(forensics = false) ?stop_at_ci ?(batch_width = 64) ~name ~impl ~golden
-    ~stimulus ~faults () =
-  if batch_width <> 0 && batch_width <> 32 && batch_width <> 64 then
-    invalid_arg "Campaign.run: batch_width must be 0, 32 or 64";
+let run ?progress ?workers ?(cone_skip = true) ?(forensics = false)
+    ?stop_at_ci ~name ~impl ~golden ~stimulus ~faults () =
   let workers =
     match workers with Some w -> max 1 w | None -> default_workers ()
   in
   (* a registered forensics sink implies collection, like tracing *)
   let forensics = forensics || Forensics.enabled () in
-  (* Sequential stopping needs per-fault completion order, so it forces
-     the scalar engine, as does running without the differential tape
-     or without fault planning.  Forensics batches: the batch engine
-     collects each lane's provenance itself. *)
-  let batch_width =
-    if stop_at_ci <> None || (not diff) || not cone_skip then 0
-    else batch_width
-  in
   let fattr =
     if forensics then
       Some
@@ -470,8 +445,8 @@ let run ?progress ?workers ?(cone_skip = true) ?(diff = true)
     (!error_cycle, !detect_cycle)
   in
   (* Golden output matrix flattened per cycle, in [watch_outputs] order:
-     the differential engine's cone-aware output check indexes it by
-     flat watch position. *)
+     the batch engine's cone-aware output check indexes it by flat watch
+     position. *)
   let expected_flat =
     let det_zeros = Array.make ndetect Logic.Zero in
     Array.init stimulus.cycles (fun c ->
@@ -541,7 +516,7 @@ let run ?progress ?workers ?(cone_skip = true) ?(diff = true)
     let cone = Fsim.snapshot_cone ws in
     let base_io = resolve_io base in
     let tape =
-      if diff then
+      if cone_skip then
         Some
           (Fsim.tape_create ~nnodes:(Fsim.num_nodes base)
              ~cycles:stimulus.cycles)
@@ -553,7 +528,6 @@ let run ?progress ?workers ?(cone_skip = true) ?(diff = true)
     {
       w_ex = ex;
       w_ws = ws;
-      w_scratch = Fsim.make_scratch ();
       w_base = base;
       w_cone = cone;
       w_io = base_io;
@@ -563,61 +537,77 @@ let run ?progress ?workers ?(cone_skip = true) ?(diff = true)
   (* Batch schedule: one planning pass over the (un-flipped) golden
      extract classifies every fault; patch- and reroute-planned faults
      group by {!group_key} and pack, in first-index order, into batches
-     of at most [batch_width] lanes.  Silent and rebuild faults — and
-     everything when batching is off — stay scalar singles.  The
-     schedule only affects which engine runs each fault, never its
-     verdict, so results are independent of it.  It plans on worker 0's
-     state, built up front: planning needs the golden extract and cone,
+     of at most {!Fsim_batch.width} lanes.  Silent and rebuild faults —
+     and everything on the rebuild oracle — stay singles.  Under
+     [stop_at_ci] the packing runs inside consecutive windows of
+     {!Fsim_batch.width} fault indices, so units complete close to
+     index order and the prefix monitor advances as they land.  The
+     schedule only decides how faults are grouped, never a verdict, so
+     results are independent of it.  It plans on worker 0's state,
+     built up front: planning needs the golden extract and cone,
      exactly what worker 0 uses next.  The campaign's wall clock covers
      that setup too, like every other worker's. *)
   let t_start = Tmr_obs.Clock.now_ns () in
   let state0, units =
-    if batch_width = 0 then (None, Array.init total (fun i -> Single i))
+    if not cone_skip then (None, Array.init total (fun i -> Single i))
     else
       Tmr_obs.Trace.with_span "batch_plan" (fun () ->
           let st = setup 0 in
           let pex = st.w_ex and pcone = st.w_cone in
-          let groups : (int, int list ref) Hashtbl.t = Hashtbl.create 1024 in
-          let order = ref [] in
-          let singles = ref [] in
-          for i = 0 to total - 1 do
-            match Fsim.plan_fault pcone pex faults.(i) with
-            | Fsim.Path_patch | Fsim.Path_reroute ->
-                let k = group_key dev db faults.(i) in
-                (match Hashtbl.find_opt groups k with
-                | Some g -> g := i :: !g
-                | None ->
-                    Hashtbl.add groups k (ref [ i ]);
-                    order := k :: !order)
-            | _ -> singles := i :: !singles
-          done;
           let units = ref [] in
-          let buf = Array.make batch_width 0 in
+          let buf = Array.make Fsim_batch.width 0 in
           let nbuf = ref 0 in
           let flush () =
-            if !nbuf = 1 then units := Single buf.(0) :: !units
-            else if !nbuf > 1 then
+            if !nbuf > 0 then
               units := Batch (Array.sub buf 0 !nbuf) :: !units;
             nbuf := 0
           in
-          (* pack neighbouring keys together: bel and wire indices are
-             spatially local, so adjacent keys drive overlapping fanout
-             cones and the batch engine walks a tighter union cone *)
-          List.iter
-            (fun k ->
-              List.iter
-                (fun i ->
-                  buf.(!nbuf) <- i;
-                  incr nbuf;
-                  if !nbuf = batch_width then flush ())
-                (List.rev !(Hashtbl.find groups k)))
-            (List.sort compare !order);
-          flush ();
-          List.iter (fun i -> units := Single i :: !units) !singles;
+          let pack lo hi =
+            let groups : (int, int list ref) Hashtbl.t = Hashtbl.create 1024 in
+            let order = ref [] in
+            let singles = ref [] in
+            for i = lo to hi - 1 do
+              match Fsim.plan_fault pcone pex faults.(i) with
+              | Fsim.Path_patch | Fsim.Path_reroute -> (
+                  let k = group_key dev db faults.(i) in
+                  match Hashtbl.find_opt groups k with
+                  | Some g -> g := i :: !g
+                  | None ->
+                      Hashtbl.add groups k (ref [ i ]);
+                      order := k :: !order)
+              | Fsim.Path_silent | Fsim.Path_rebuild ->
+                  singles := i :: !singles
+            done;
+            (* pack neighbouring keys together: bel and wire indices are
+               spatially local, so adjacent keys drive overlapping fanout
+               cones and the batch engine walks a tighter union cone *)
+            List.iter
+              (fun k ->
+                List.iter
+                  (fun i ->
+                    buf.(!nbuf) <- i;
+                    incr nbuf;
+                    if !nbuf = Fsim_batch.width then flush ())
+                  (List.rev !(Hashtbl.find groups k)))
+              (List.sort compare !order);
+            flush ();
+            List.iter
+              (fun i -> units := Single i :: !units)
+              (List.rev !singles)
+          in
+          let window =
+            if stop_at_ci = None then max 1 total else Fsim_batch.width
+          in
+          let lo = ref 0 in
+          while !lo < total do
+            pack !lo (min total (!lo + window));
+            lo := !lo + window
+          done;
           (Some st, Array.of_list (List.rev !units)))
   in
   (* fault-level completion count for the progress line — the pool only
-     counts units, whose sizes vary from 1 to [batch_width] faults *)
+     counts units, whose sizes vary from 1 to {!Fsim_batch.width}
+     faults *)
   let faults_done = Atomic.make 0 in
   let monitor =
     Option.map
@@ -635,25 +625,20 @@ let run ?progress ?workers ?(cone_skip = true) ?(diff = true)
   (* running wrong-answer count for the live progress line; display-only,
      so a moment of slack against [completed] is fine *)
   let wrong_live = Atomic.make 0 in
+  let record i r =
+    results.(i) <- r;
+    let is_wrong = r.outcome = Wrong_answer in
+    if is_wrong then ignore (Atomic.fetch_and_add wrong_live 1);
+    ignore (Atomic.fetch_and_add faults_done 1);
+    Option.iter (fun m -> monitor_note m i is_wrong) monitor
+  in
   let worker wid =
     let st =
       match state0 with Some st when wid = 0 -> st | _ -> setup wid
     in
     let t_setup = Tmr_obs.Clock.now_ns () in
-    let ex = st.w_ex and ws = st.w_ws and scratch = st.w_scratch in
+    let ex = st.w_ex and ws = st.w_ws in
     let base = st.w_base and cone = st.w_cone and base_io = st.w_io in
-    let tape = st.w_tape in
-    (* a derived simulator that kept the base IO tables resolves to the
-       same node arrays — reuse them without re-hashing *)
-    let io_for sim =
-      if sim == base || Fsim.same_io base sim then base_io
-      else resolve_io sim
-    in
-    (* separate diff scratches per plan path: patch faults run on [base]
-       whose successor CSR is then cached across the whole campaign,
-       instead of being evicted by every interleaved reroute *)
-    let dsc_patch = Fsim.make_dscratch () in
-    let dsc_reroute = Fsim.make_dscratch () in
     let base_watch =
       Array.concat (List.map fst base_io.io_outs @ base_io.io_dets)
     in
@@ -681,12 +666,11 @@ let run ?progress ?workers ?(cone_skip = true) ?(diff = true)
       end
     in
     (* The forensic record: structural attribution on every plan path;
-       divergence fields from the engine's provenance when the fault ran
-       differentially (scalar or batched — the records are equal).
-       [masked_at_voter]: the fault corrupted cone state yet stayed
-       silent, and some voter in its fanout cone never left the
-       baseline — the corruption was out-voted (as opposed to logically
-       masked before reaching any voter). *)
+       divergence fields from the batch engine's provenance when the
+       fault ran batched.  [masked_at_voter]: the fault corrupted cone
+       state yet stayed silent, and some voter in its fanout cone never
+       left the baseline — the corruption was out-voted (as opposed to
+       logically masked before reaching any voter). *)
     let forensic_of bit error_cycle prov =
       match fattr with
       | None -> None
@@ -719,142 +703,86 @@ let run ?progress ?workers ?(cone_skip = true) ?(diff = true)
         forensics = forensic_of bit error_cycle prov;
       }
     in
-    let scalar_prov dsc = Fsim.diff_provenance dsc ~voters:voter_nodes in
-    (* returns the result and the path the engine actually took (a failed
-       reroute executes as a rebuild and is reported as one) *)
-    let inject bit =
-      let plan =
-        if cone_skip then Fsim.plan_fault cone ex bit else Fsim.Path_rebuild
-      in
-      match plan with
-      | Fsim.Path_silent ->
-          bump (fun s -> { s with skipped = s.skipped + 1 });
-          (finish bit (-1), Fsim.Path_silent)
-      | Fsim.Path_diff -> assert false (* never planned *)
-      | Fsim.Path_patch ->
-          bump (fun s -> { s with patched = s.patched + 1 });
-          Extract.apply_bit_flip ex bit;
-          Fun.protect
-            ~finally:(fun () -> Extract.apply_bit_flip ex bit)
-            (fun () ->
-              match tape with
-              | Some tape ->
-                  bump (fun s -> { s with diffed = s.diffed + 1 });
-                  let seed = Fsim.patch_node cone ex bit in
-                  let err, cv, det =
-                    Fsim.with_patch cone base ex bit (fun sim ->
-                        Fsim.diff_run ~ndetect ~forensics ~scratch:dsc_patch
-                          ~tape ~base ~sim ~seeds:(Fsim.Seed_node seed)
-                          ~watch:base_watch ~base_watch
-                          ~expected:expected_flat ())
-                  in
-                  note_converge cv;
-                  ( finish ?prov:(scalar_prov dsc_patch) ~detect:det bit err,
-                    Fsim.Path_diff )
-              | None ->
-                  let err, det =
-                    Fsim.with_patch cone base ex bit (fun sim ->
-                        run_dut sim base_io)
-                  in
-                  (finish ~detect:det bit err, Fsim.Path_patch))
-      | Fsim.Path_reroute | Fsim.Path_rebuild ->
-          Extract.apply_bit_flip ex bit;
-          Fun.protect
-            ~finally:(fun () -> Extract.apply_bit_flip ex bit)
-            (fun () ->
-              let sim =
-                match plan with
-                | Fsim.Path_reroute -> Fsim.reroute ~scratch cone base ex bit
-                | _ -> None
-              in
-              match sim with
-              | Some sim -> (
-                  bump (fun s -> { s with rerouted = s.rerouted + 1 });
-                  match tape with
-                  | Some tape ->
-                      bump (fun s -> { s with diffed = s.diffed + 1 });
-                      let watch =
-                        if Fsim.same_io base sim then base_watch
-                        else Fsim.watch_nodes sim watch_outputs
-                      in
-                      let err, cv, det =
-                        Fsim.diff_run ~ndetect ~forensics ~scratch:dsc_reroute
-                          ~tape ~base ~sim ~seeds:Fsim.Seed_derived ~watch
-                          ~base_watch ~expected:expected_flat ()
-                      in
-                      note_converge cv;
-                      ( finish ?prov:(scalar_prov dsc_reroute) ~detect:det bit
-                          err,
-                        Fsim.Path_diff )
-                  | None ->
-                      let err, det = run_dut sim (io_for sim) in
-                      (finish ~detect:det bit err, Fsim.Path_reroute))
-              | None ->
-                  bump (fun s -> { s with rebuilt = s.rebuilt + 1 });
-                  let sim = Fsim.build ~ws ex ~watch_outputs in
-                  let err, det = run_dut sim (resolve_io sim) in
-                  (finish ~detect:det bit err, Fsim.Path_rebuild))
-    in
+    (* A single: a cone-silent fault classifies without simulating;
+       anything else — a plan-level rebuild, a reroute with no overlay,
+       every fault on the oracle — rebuilds the simulator from the
+       flipped extract and replays the whole stimulus. *)
     let do_fault i =
       let bit = faults.(i) in
       let t0 = Tmr_obs.Clock.now_ns () in
-      let r, path = inject bit in
+      let silent =
+        cone_skip && Fsim.plan_fault cone ex bit = Fsim.Path_silent
+      in
+      let r =
+        if silent then begin
+          bump (fun s -> { s with skipped = s.skipped + 1 });
+          finish bit (-1)
+        end
+        else begin
+          bump (fun s -> { s with rebuilt = s.rebuilt + 1 });
+          Extract.apply_bit_flip ex bit;
+          Fun.protect
+            ~finally:(fun () -> Extract.apply_bit_flip ex bit)
+            (fun () ->
+              let sim = Fsim.build ~ws ex ~watch_outputs in
+              let err, det = run_dut sim (resolve_io sim) in
+              finish ~detect:det bit err)
+        end
+      in
       let dt = Tmr_obs.Clock.now_ns () - t0 in
       busy_ns.(wid) <- busy_ns.(wid) + dt;
-      Tmr_obs.Metrics.observe (fault_hist path) dt;
+      Tmr_obs.Metrics.observe
+        (if silent then m_fault_silent else m_fault_rebuild)
+        dt;
       if Tmr_obs.Trace.enabled () then
         Tmr_obs.Trace.emit_complete
           ~args:
-            [ ("bit", string_of_int bit); ("path", Fsim.path_name path) ]
+            [
+              ("bit", string_of_int bit);
+              ("path", if silent then "silent" else "rebuild");
+            ]
           ~name:"fault" ~start_ns:t0 ~dur_ns:dt ();
-      results.(i) <- r;
-      let is_wrong = r.outcome = Wrong_answer in
-      if is_wrong then ignore (Atomic.fetch_and_add wrong_live 1);
-      ignore (Atomic.fetch_and_add faults_done 1);
-      Option.iter (fun m -> monitor_note m i is_wrong) monitor
+      record i r
     in
     let batcher =
-      if batch_width > 0 then
-        Some (Fsim_batch.create base cone ~width:batch_width)
-      else None
+      Option.map (fun tape -> (Fsim_batch.create base cone, tape)) st.w_tape
     in
-    (* One batch: derive each lane's structural overlay against the base
-       simulator (the extract is flipped only while the delta is taken),
-       run every derivable lane word-parallel, and fan the per-lane
-       verdicts back out as ordinary scalar-shaped results.  Lanes whose
-       circuit closes a combinational loop run in the batch too (Kleene
-       iteration, see {!Fsim_batch.run}); only lanes with no derivable
-       overlay fall back to the scalar engine, fault by fault. *)
+    let scratch = Fsim.make_scratch () in
+    (* One batch: derive each lane's overlay against the base simulator
+       (the extract is flipped only while the delta is taken), run every
+       lane word-parallel, and fan the per-lane verdicts back out as
+       ordinary results.  A reroute whose change reaches outside the
+       base cone has no overlay and rebuilds. *)
     let do_batch idxs =
-      match (batcher, tape) with
-      | Some bt, Some tape ->
+      match batcher with
+      | None -> Array.iter do_fault idxs
+      | Some (bt, tape) ->
           let t0 = Tmr_obs.Clock.now_ns () in
           let succ_off, succ = Fsim_batch.csr bt in
           let bel_of = Fsim_batch.bel_of bt in
           let n = Array.length idxs in
-          (* each lane is seeded the way its scalar diff run would be *)
           let lanes = Array.make n None in
           for j = 0 to n - 1 do
             let bit = faults.(idxs.(j)) in
-            match Fsim.plan_fault cone ex bit with
-            | (Fsim.Path_patch | Fsim.Path_reroute) as plan ->
-                Extract.apply_bit_flip ex bit;
-                Fun.protect
-                  ~finally:(fun () -> Extract.apply_bit_flip ex bit)
-                  (fun () ->
-                    match plan with
-                    | Fsim.Path_patch ->
-                        lanes.(j) <-
-                          Some
-                            ( plan,
-                              ( Fsim.Seed_node (Fsim.patch_node cone ex bit),
-                                Fsim.patch_delta cone ex bit ) )
-                    | _ ->
-                        Option.iter
-                          (fun d -> lanes.(j) <- Some (plan, (Fsim.Seed_derived, d)))
-                          (Fsim.fault_delta ~scratch cone base ex bit ~succ_off
-                             ~succ ~bel_of))
-            | _ -> ()
+            let plan = Fsim.plan_fault cone ex bit in
+            Extract.apply_bit_flip ex bit;
+            Fun.protect
+              ~finally:(fun () -> Extract.apply_bit_flip ex bit)
+              (fun () ->
+                match plan with
+                | Fsim.Path_patch ->
+                    lanes.(j) <-
+                      Some
+                        ( plan,
+                          ( Fsim.Seed_node (Fsim.patch_node cone ex bit),
+                            Fsim.patch_delta cone ex bit ) )
+                | Fsim.Path_reroute ->
+                    Option.iter
+                      (fun d ->
+                        lanes.(j) <- Some (plan, (Fsim.Seed_derived, d)))
+                      (Fsim.fault_delta ~scratch cone base ex bit
+                         ~watch:watch_outputs ~succ_off ~succ ~bel_of)
+                | Fsim.Path_silent | Fsim.Path_rebuild -> ())
           done;
           let lane_js =
             Array.of_seq
@@ -908,31 +836,21 @@ let run ?progress ?workers ?(cone_skip = true) ?(diff = true)
                     ~args:
                       [
                         ("bit", string_of_int faults.(i));
-                        ("path", Fsim.path_name Fsim.Path_diff);
+                        ("path", Fsim.path_name plan);
                       ]
                     ~name:"fault"
                     ~start_ns:(t0 + (k * per))
                     ~dur_ns:per ();
-                let r =
-                  finish ?prov:v.Fsim_batch.bv_provenance
-                    ~detect:v.Fsim_batch.bv_detect_cycle faults.(i)
-                    v.Fsim_batch.bv_error_cycle
-                in
-                results.(i) <- r;
-                if r.outcome = Wrong_answer then
-                  ignore (Atomic.fetch_and_add wrong_live 1);
-                ignore (Atomic.fetch_and_add faults_done 1))
+                record i
+                  (finish ?prov:v.Fsim_batch.bv_provenance
+                     ~detect:v.Fsim_batch.bv_detect_cycle faults.(i)
+                     v.Fsim_batch.bv_error_cycle))
               lane_js
           end
           else busy_ns.(wid) <- busy_ns.(wid) + (Tmr_obs.Clock.now_ns () - t0);
-          (* no derivable overlay: the scalar engine, fault by fault *)
           for j = 0 to n - 1 do
-            if lanes.(j) = None then begin
-              Tmr_obs.Metrics.incr m_batch_scalar;
-              do_fault idxs.(j)
-            end
+            if lanes.(j) = None then do_fault idxs.(j)
           done
-      | _ -> Array.iter do_fault idxs
     in
     setup_ns.(wid) <- setup_ns.(wid) + (Tmr_obs.Clock.now_ns () - t_setup);
     fun u ->

@@ -11,27 +11,24 @@
     Campaigns run on a {!Pool} of OCaml domains: each worker owns a
     private bitstream copy, extractor and simulator workspace, and writes
     its results into the shared array by fault index, so the result is
-    byte-identical to a sequential run regardless of scheduling.  Inside
-    each worker, cone-aware fast paths ({!Tmr_fabric.Fsim.plan_fault})
-    skip, patch or locally reroute faults instead of rebuilding the
-    simulator per fault; the fast paths are exact, so they change only the
-    throughput, never the results.
+    byte-identical to a sequential run regardless of scheduling.
 
-    On top of the fast paths, the differential engine (default) records
-    one fault-free baseline tape per worker and then simulates each patch
-    or reroute fault only inside the fanout cone of its faulted nodes
-    ({!Tmr_fabric.Fsim.diff_run}): non-cone inputs are replayed from the
-    tape, unchanged cone nodes are skipped event-driven, and a fault is
-    abandoned at the first cycle boundary where it provably converged
-    back to the baseline.  Also exact — bit-identical results, only
-    faster.
-
-    On top of the differential engine, the bit-parallel batch engine
-    ({!Tmr_fabric.Fsim_batch}, default on) packs up to 64 patch/reroute
-    faults with structurally close fanout cones into the bit lanes of
-    one word-parallel cone walk, amortising the event-driven evaluation
-    across the whole batch.  Still exact: per-fault verdicts are
-    bit-identical to the scalar engines. *)
+    There is one fast engine and one oracle.  The oracle rebuilds the
+    simulator from the flipped configuration for every fault and replays
+    the whole stimulus ([~cone_skip:false]).  The fast engine plans each
+    fault against the golden cone ({!Tmr_fabric.Fsim.plan_fault}): a flip
+    that provably cannot reach a watched output is classified silent
+    without simulating; a pad-enable flip on the cone rebuilds, as on the
+    oracle; every other flip becomes an overlay over the golden
+    simulator ({!Tmr_fabric.Fsim.patch_delta},
+    {!Tmr_fabric.Fsim.fault_delta}) and runs in the bit-parallel batch
+    engine ({!Tmr_fabric.Fsim_batch}).  That engine records one
+    fault-free baseline tape per worker, packs up to 64 faults with
+    structurally close fanout cones into the bit lanes of one
+    event-driven cone walk against the tape, and retires a lane at the
+    first cycle boundary where it provably converged back to the
+    baseline.  Per-fault results are byte-identical to the oracle's: the
+    engine changes only the throughput. *)
 
 type stimulus = {
   cycles : int;
@@ -74,19 +71,18 @@ val verdict_name : verdict -> string
 
 type engine_stats = {
   skipped : int;  (** classified [Silent] without building or simulating *)
-  patched : int;  (** simulated by patching the base simulator in place *)
-  rerouted : int;  (** simulated on a locally rewired copy of the base *)
+  patched : int;  (** batched as a cell-content overlay *)
+  rerouted : int;  (** batched as a local rewiring overlay *)
   rebuilt : int;  (** full per-fault simulator rebuild *)
   diffed : int;
-      (** patch/reroute faults executed on the differential engine
-          (subset of [patched + rerouted]) *)
+      (** faults simulated differentially against the baseline tape:
+          [patched + rerouted] *)
   converged : int;
       (** differential faults abandoned early after provably converging
           back to the baseline (subset of [diffed]) *)
   batched : int;
-      (** differential faults executed word-parallel by the bit-sliced
-          batch engine ({!Tmr_fabric.Fsim_batch}), rather than one
-          scalar diff each (subset of [diffed]) *)
+      (** faults executed word-parallel by the batch engine
+          ({!Tmr_fabric.Fsim_batch}); equal to [diffed] *)
 }
 
 type t = {
@@ -162,10 +158,8 @@ val run :
   ?progress:(progress -> unit) ->
   ?workers:int ->
   ?cone_skip:bool ->
-  ?diff:bool ->
   ?forensics:bool ->
   ?stop_at_ci:Tmr_obs.Stats.stop_rule ->
-  ?batch_width:int ->
   name:string ->
   impl:Tmr_pnr.Impl.t ->
   golden:Tmr_netlist.Netlist.t ->
@@ -173,49 +167,44 @@ val run :
   faults:int array ->
   unit ->
   t
-(** [workers] defaults to {!default_workers}; [cone_skip] (default [true])
-    enables the cone-aware fast paths — disabling it forces a full rebuild
-    per fault (the legacy engine, useful as a differential oracle).
-    [diff] (default [true]) runs patch/reroute faults on the differential
-    engine (baseline tape + cone-restricted event-driven evaluation +
-    convergence early-exit); disabling it replays the full DUT per fault.
+(** [workers] defaults to {!default_workers}.  [cone_skip] (default
+    [true]) runs the fast engine; [false] runs the rebuild-every-fault
+    oracle ([tmrtool]'s [--oracle]), whose per-fault results the fast
+    engine reproduces byte for byte.
+
+    The fast engine packs patch/reroute faults that share a structural
+    cone key (same LUT/FF bel, same pip destination wire) into batches
+    of up to {!Tmr_fabric.Fsim_batch.width} lanes; a fault with no
+    partner runs as a one-lane batch.  Faults whose rewiring closes a
+    combinational loop, or whose cone runs through a cyclic SCC of the
+    base graph, stay in the batch: the engine Kleene-iterates the
+    affected SCC for those lanes from X, and since node evaluation is
+    monotone in the information order this reaches the least fixpoint a
+    rebuild computes.  Only a reroute that reaches live resources the
+    golden cone never saw (an enabled pad, a registered or
+    support-bearing bel outside it) or closes a pure driver loop has no
+    overlay and rebuilds.
 
     [forensics] (default [false]) attaches a {!Forensics.t} record to
     every result: structural domain/partition attribution on all plan
-    paths, divergence observations on differentially-executed faults.  A
-    registered {!Forensics} sink implies collection; the records are then
-    also streamed as JSONL, in fault-index order, after the injection
-    loop finishes (so the file is deterministic for a fixed fault list).
-    Collection is read-only: outcomes are bit-identical with it on or
-    off.
+    paths, divergence provenance on batched faults (the oracle records
+    none).  A registered {!Forensics} sink implies collection; the
+    records are then also streamed as JSONL, in fault-index order, after
+    the injection loop finishes (so the file is deterministic for a
+    fixed fault list).  Collection is read-only: outcomes are
+    bit-identical with it on or off.
 
     [stop_at_ci] enables sequential stopping: the campaign terminates as
     soon as the Wilson CI of the wrong-answer rate over the completed
     fault *prefix* (in fault-index order) narrows to the rule's half
-    width.  The stop index is a pure function of the fault list — never
-    of worker count or scheduling — so a stopped campaign's [results]
-    are bit-identical to the same full campaign truncated at
-    [injected].  Workers finish in-flight chunks before draining; that
-    overshoot appears in [stats] and [busy_ns] but not in [results].
-
-    [batch_width] (default 64) packs patch/reroute faults that share a
-    structural cone key (same LUT/FF bel, same pip destination wire)
-    into lanes of the bit-parallel batch engine, up to [batch_width]
-    faults per machine word per cone walk; 0 (or [tmrtool]'s
-    [--no-batch]) disables batching and runs every differential fault
-    on the scalar engine.  Only 0, 32 and 64 are accepted
-    ([Invalid_argument] otherwise).  Batching is exact — per-fault
-    verdicts, and with [forensics] the forensic records, are equal to
-    the scalar engine's — and is forced off when it cannot be
-    ([stop_at_ci], [diff = false] or [cone_skip = false]).  Faults
-    whose rewiring closes a combinational loop, or whose cone runs
-    through a cyclic SCC of the base graph, stay in the batch: the
-    engine Kleene-iterates the affected SCC for those lanes from X,
-    and since node evaluation is monotone in the information order
-    this reaches the same least fixpoint the scalar engine computes.
-    Only a fault with no derivable overlay (an output-select flip, an
-    orphaned watch node, a bridge the overlay cannot express) runs on
-    the scalar engine instead.
+    width.  Batches are then packed inside consecutive windows of
+    {!Tmr_fabric.Fsim_batch.width} fault indices, so the prefix advances
+    as they complete.  The stop index is a pure function of the fault
+    list — never of worker count, packing or scheduling — so a stopped
+    campaign's [results] are bit-identical to the same full campaign
+    truncated at [injected].  Workers finish in-flight chunks before
+    draining; that overshoot appears in [stats] and [busy_ns] but not in
+    [results].
 
     [progress] is called with a {!progress} snapshot from worker
     domains, serialized and rate-limited by the pool.

@@ -6,7 +6,7 @@
     domains defeat the vote — is invisible in a Silent/Wrong_answer
     verdict.  This module maps each fault's structural footprint
     ({!Tmr_fabric.Footprint}) onto the TMR domains and voter partitions
-    of the implemented design, and folds in the differential engine's
+    of the implemented design, and folds in the batch engine's
     divergence observations, producing one explainable record per fault.
 
     Collection is read-only with respect to the simulation: campaign

@@ -84,19 +84,60 @@ let range_of_json j =
   | Some sh_id, Some sh_lo, Some sh_hi -> Ok { Shard.sh_id; sh_lo; sh_hi }
   | _ -> Error "range file missing id/lo/hi"
 
-(* ids present in a subdirectory; claim files parse the id prefix *)
+(* claim file name -> (id, pid) *)
+let parse_claim name =
+  match String.index_opt name '.' with
+  | Some dot -> (
+      let id = int_of_string_opt (String.sub name 0 dot) in
+      let rest = String.sub name dot (String.length name - dot) in
+      let pfx = ".pid-" and sfx = ".json" in
+      if
+        String.length rest > String.length pfx + String.length sfx
+        && String.sub rest 0 (String.length pfx) = pfx
+        && Filename.check_suffix rest sfx
+      then
+        let pid =
+          int_of_string_opt
+            (String.sub rest (String.length pfx)
+               (String.length rest - String.length pfx - String.length sfx))
+        in
+        match (id, pid) with
+        | Some id, Some pid -> Some (id, pid)
+        | _ -> None
+      else None)
+  | None -> None
+
+(* The shard id a file of subdirectory [sub] stands for, only when its
+   name has exactly that subdirectory's shape ([id_name], [claim_name],
+   [results_name]): a [write_file] tmp a killed worker left behind, or
+   any stray file, names no shard. *)
+let id_of_name sub name =
+  let prefix =
+    Option.bind (String.index_opt name '.') (fun dot ->
+        int_of_string_opt (String.sub name 0 dot))
+  in
+  match (sub, prefix) with
+  | "claims", _ -> (
+      match parse_claim name with
+      | Some (id, pid) when claim_name id pid = name -> Some id
+      | _ -> None)
+  | "results", Some id when results_name id = name -> Some id
+  | ("todo" | "done"), Some id when id_name id = name -> Some id
+  | _ -> None
+
 let ids_in t sub =
   Array.fold_left
     (fun acc name ->
-      match int_of_string_opt (String.sub name 0 (min 5 (String.length name))) with
-      | Some id when String.length name >= 5 -> id :: acc
-      | _ -> acc)
+      match id_of_name sub name with Some id -> id :: acc | None -> acc)
     []
     (Sys.readdir (path t [ sub ]))
 
+(* a results file without its done manifest is an unfinished shard:
+   pending, claimed and done ids are taken, results alone are not *)
 let seed t ranges =
   let taken =
-    List.concat_map (ids_in t) subdirs |> List.sort_uniq compare
+    List.concat_map (ids_in t) [ "todo"; "claims"; "done" ]
+    |> List.sort_uniq compare
   in
   let added = ref 0 in
   List.iter
@@ -156,29 +197,6 @@ let release t ~pid (r : Shard.range) =
       (path t [ "todo"; id_name r.Shard.sh_id ])
   with Unix.Unix_error (Unix.ENOENT, _, _) -> ()
 
-(* claim file name -> (id, pid) *)
-let parse_claim name =
-  match String.index_opt name '.' with
-  | Some dot -> (
-      let id = int_of_string_opt (String.sub name 0 dot) in
-      let rest = String.sub name dot (String.length name - dot) in
-      let pfx = ".pid-" and sfx = ".json" in
-      if
-        String.length rest > String.length pfx + String.length sfx
-        && String.sub rest 0 (String.length pfx) = pfx
-        && Filename.check_suffix rest sfx
-      then
-        let pid =
-          int_of_string_opt
-            (String.sub rest (String.length pfx)
-               (String.length rest - String.length pfx - String.length sfx))
-        in
-        match (id, pid) with
-        | Some id, Some pid -> Some (id, pid)
-        | _ -> None
-      else None)
-  | None -> None
-
 (* a zombie still answers kill(pid, 0) but will never complete its
    claim — when the parent died first (kill -9 of a whole process
    group) the worker can linger unreaped, so check its state too *)
@@ -222,8 +240,7 @@ let reclaim_orphans t =
 (* ------------------------------------------------------------------ *)
 (* Reading back. *)
 
-(* a manifest still being written shows up as its tmp file, which
-   carries the same id *)
+(* a manifest still being written (its tmp file) is not done yet *)
 let done_ids t = List.sort_uniq compare (ids_in t "done")
 
 let load_manifest t id =

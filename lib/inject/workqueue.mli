@@ -84,8 +84,9 @@ val reclaim_orphans : t -> int
 
 val done_ids : t -> int list
 (** Ids of the completed shards, ascending, read from the directory
-    listing alone.  A manifest whose write is still in flight is listed
-    too, and {!load_manifest} fails on it until the rename lands. *)
+    listing alone.  Only exact [NNNNN.json] names count: a manifest
+    whose write is still in flight (or whose writer was killed before
+    the rename) is its tmp file, and is not listed. *)
 
 val load_manifest : t -> int -> (Shard.manifest, string) result
 (** The manifest of one completed shard; [Error] names the file. *)

@@ -257,7 +257,6 @@ let fleet_counters =
     "campaign.batch_quiet";
     "campaign.batch_splices";
     "campaign.batch_lanes";
-    "campaign.batch_scalar";
     "campaign.detection.silent_correct";
     "campaign.detection.detected_corrected";
     "campaign.detection.detected_wrong";

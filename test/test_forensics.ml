@@ -268,10 +268,10 @@ let test_forensic_records_tmr () =
     (tmr.Campaign.wrong + std.Campaign.wrong)
     (after - before)
 
-(* --- provenance coverage: every fault the plan sends to a fast path runs
-   differentially and carries its divergence cone, bridges onto an
-   unused constant bel included; only plan-level rebuilds (pad enables)
-   lack provenance. --- *)
+(* --- provenance coverage: every fault the plan sends to the batch
+   engine carries its divergence cone, bridges onto an unused constant
+   bel included; only plan-level rebuilds (pad enables) lack
+   provenance. --- *)
 
 let test_fast_path_faults_have_provenance () =
   let ctx =
@@ -383,11 +383,14 @@ let test_jsonl_emission () =
   Sys.remove path;
   Sys.remove path2
 
-(* --- batched provenance: forensic campaigns on the batch engine record
-   exactly what the scalar engine records, fault by fault and byte for
-   byte in the JSONL stream — on a fault sample, and on every fault
-   whose rewiring puts a seed on a combinational loop (those lanes are
-   Kleene-iterated inside the batch) --- *)
+(* --- batched provenance: a lane's forensic record does not depend on
+   its batch.  The same faults packed by cone key (the default), inside
+   fault-index windows (a CI stop that never fires), or alone as
+   one-lane batches record the same provenance, fault by fault and byte
+   for byte in the JSONL stream — on a fault sample, and on every fault
+   whose overlay puts a seed on a combinational loop (those lanes are
+   Kleene-iterated inside the batch).  The rebuild oracle agrees on
+   every verdict and structural field and records no divergence. --- *)
 
 let pp_forensic ppf (r : Campaign.fault_result) =
   match r.Campaign.forensics with
@@ -404,7 +407,26 @@ let pp_forensic ppf (r : Campaign.fault_result) =
 
 let forensic_result = Alcotest.testable pp_forensic ( = )
 
-let test_batched_provenance_equals_scalar () =
+(* the record without its divergence fields: what the oracle records *)
+let structural_only (r : Campaign.fault_result) =
+  {
+    r with
+    Campaign.forensics =
+      Option.map
+        (fun f ->
+          {
+            f with
+            Forensics.masked_at_voter = false;
+            diverged = -1;
+            first_diverged_node = -1;
+            diverge_cycle = -1;
+            depth = -1;
+            cone_nodes = -1;
+          })
+        r.Campaign.forensics;
+  }
+
+let test_batched_provenance_packing () =
   let ctx =
     Context.create ~scale:Context.Reduced ~seed:2 ~faults_per_design:120 ()
   in
@@ -412,6 +434,7 @@ let test_batched_provenance_equals_scalar () =
     List.map (fun s -> (s, Tmr_core.Voter.Majority)) Partition.all_paper_designs
     @ [ (Partition.Medium_partition, Tmr_core.Voter.Detecting) ]
   in
+  let never = Tmr_obs.Stats.stop_rule ~half_width:1e-9 ~min_n:max_int () in
   let batched_total = ref 0 in
   List.iter
     (fun (strategy, voter) ->
@@ -420,62 +443,85 @@ let test_batched_provenance_equals_scalar () =
         Partition.name strategy
         ^ if voter = Tmr_core.Voter.Detecting then "/detecting" else ""
       in
-      let campaign ~workers ~batch_width jsonl =
+      let with_jsonl jsonl f =
         Option.iter Forensics.to_file jsonl;
         Fun.protect
           ~finally:(fun () -> if jsonl <> None then Forensics.close ())
-          (fun () ->
+          f
+      in
+      let campaign ?stop_at_ci ?cone_skip ~workers jsonl =
+        with_jsonl jsonl (fun () ->
             Option.get
-              (Runs.campaign_design ~workers ~forensics:true ~batch_width ctx
-                 run)
+              (Runs.campaign_design ~workers ~forensics:true ?stop_at_ci
+                 ?cone_skip ctx run)
                 .Runs.campaign)
       in
-      let scalar_jsonl = Filename.temp_file "forensics-scalar" ".jsonl" in
-      let batch_jsonl = Filename.temp_file "forensics-batch" ".jsonl" in
-      let scalar = campaign ~workers:2 ~batch_width:0 (Some scalar_jsonl) in
-      Alcotest.(check int) (name ^ ": scalar reference ran no batches") 0
-        scalar.Campaign.stats.Campaign.batched;
-      List.iter
-        (fun workers ->
-          List.iter
-            (fun width ->
-              let jsonl =
-                if workers = 2 && width = 64 then Some batch_jsonl else None
-              in
-              let b = campaign ~workers ~batch_width:width jsonl in
-              let label = Printf.sprintf "%s w%d width %d" name workers width in
-              Alcotest.(check bool) (label ^ ": lanes ran batched") true
-                (b.Campaign.stats.Campaign.batched > 0);
-              batched_total := !batched_total + b.Campaign.stats.Campaign.batched;
-              Alcotest.(check (array forensic_result))
-                (label ^ ": forensic records equal the scalar engine's")
-                scalar.Campaign.results b.Campaign.results)
-            [ 32; 64 ])
-        [ 1; 2 ];
+      let alone faults =
+        Array.map
+          (fun bit ->
+            (Campaign.run ~workers:1 ~forensics:true ~name ~impl:run.Runs.impl
+               ~golden:ctx.Context.golden_nl ~stimulus:ctx.Context.stimulus
+               ~faults:[| bit |] ())
+              .Campaign.results.(0))
+          faults
+      in
+      let packed_jsonl = Filename.temp_file "forensics-packed" ".jsonl" in
+      let windowed_jsonl = Filename.temp_file "forensics-windowed" ".jsonl" in
+      let packed = campaign ~workers:2 (Some packed_jsonl) in
+      let windowed =
+        campaign ~stop_at_ci:never ~workers:1 (Some windowed_jsonl)
+      in
+      Alcotest.(check bool) (name ^ ": lanes ran batched") true
+        (packed.Campaign.stats.Campaign.batched > 0);
+      batched_total := !batched_total + packed.Campaign.stats.Campaign.batched;
+      Alcotest.(check int) (name ^ ": the CI stop never fired") 120
+        windowed.Campaign.injected;
+      Alcotest.(check (array forensic_result))
+        (name ^ ": windowed packing records equal")
+        packed.Campaign.results windowed.Campaign.results;
       Alcotest.(check bool)
         (name ^ ": JSONL streams byte-identical") true
-        (read_file scalar_jsonl = read_file batch_jsonl);
+        (read_file packed_jsonl = read_file windowed_jsonl);
+      let first = Array.sub packed.Campaign.results 0 24 in
+      Alcotest.(check (array forensic_result))
+        (name ^ ": one-lane batches record equal")
+        first
+        (alone (Array.map (fun r -> r.Campaign.bit) first));
+      let oracle = campaign ~cone_skip:false ~workers:2 None in
+      Alcotest.(check (array forensic_result))
+        (name ^ ": the oracle agrees on verdicts and structure")
+        (Array.map structural_only packed.Campaign.results)
+        oracle.Campaign.results;
       let loop = (Loop_faults.find run).Loop_faults.loop in
-      let loop_campaign ~batch_width jsonl =
-        Forensics.to_file jsonl;
-        Fun.protect ~finally:Forensics.close (fun () ->
-            Campaign.run ~workers:1 ~forensics:true ~batch_width ~name
-              ~impl:run.Runs.impl ~golden:ctx.Context.golden_nl
-              ~stimulus:ctx.Context.stimulus ~faults:loop ())
+      let loop_campaign jsonl =
+        with_jsonl (Some jsonl) (fun () ->
+            Campaign.run ~workers:1 ~forensics:true ~name ~impl:run.Runs.impl
+              ~golden:ctx.Context.golden_nl ~stimulus:ctx.Context.stimulus
+              ~faults:loop ())
       in
-      let scalar = loop_campaign ~batch_width:0 scalar_jsonl in
-      let b = loop_campaign ~batch_width:64 batch_jsonl in
+      let b = loop_campaign packed_jsonl in
       Alcotest.(check int)
         (name ^ ": every loop-closing fault ran batched")
         (Array.length loop) b.Campaign.stats.Campaign.batched;
+      let w =
+        with_jsonl (Some windowed_jsonl) (fun () ->
+            Campaign.run ~workers:1 ~forensics:true ~stop_at_ci:never ~name
+              ~impl:run.Runs.impl ~golden:ctx.Context.golden_nl
+              ~stimulus:ctx.Context.stimulus ~faults:loop ())
+      in
       Alcotest.(check (array forensic_result))
-        (name ^ ": loop-closing faults: forensic records equal")
-        scalar.Campaign.results b.Campaign.results;
+        (name ^ ": loop-closing faults: windowed records equal")
+        b.Campaign.results w.Campaign.results;
       Alcotest.(check bool)
         (name ^ ": loop-closing faults: JSONL streams byte-identical") true
-        (read_file scalar_jsonl = read_file batch_jsonl);
-      Sys.remove scalar_jsonl;
-      Sys.remove batch_jsonl)
+        (read_file packed_jsonl = read_file windowed_jsonl);
+      let k = min 12 (Array.length loop) in
+      Alcotest.(check (array forensic_result))
+        (name ^ ": loop-closing faults: one-lane batches record equal")
+        (Array.sub b.Campaign.results 0 k)
+        (alone (Array.sub loop 0 k));
+      Sys.remove packed_jsonl;
+      Sys.remove windowed_jsonl)
     configs;
   Alcotest.(check bool) "batch engine exercised" true (!batched_total > 0)
 
@@ -506,7 +552,7 @@ let () =
         [ Alcotest.test_case "stream per fault" `Quick test_jsonl_emission ] );
       ( "batched",
         [
-          Alcotest.test_case "batched provenance equals scalar (6 designs)"
-            `Slow test_batched_provenance_equals_scalar;
+          Alcotest.test_case "provenance independent of packing"
+            `Slow test_batched_provenance_packing;
         ] );
     ]

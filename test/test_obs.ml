@@ -391,7 +391,7 @@ let test_trace_jsonl () =
   List.iter
     (fun p ->
       Alcotest.(check bool) "path tag valid" true
-        (List.mem p [ "silent"; "patch"; "reroute"; "rebuild"; "diff" ]))
+        (List.mem p [ "silent"; "patch"; "reroute"; "rebuild" ]))
     fault_paths;
   let s = campaign.Campaign.stats in
   Alcotest.(check int) "rebuild tags match engine stats"
@@ -451,7 +451,7 @@ let test_trace_jsonl () =
         | Some h -> acc + h.Metrics.count
         | None -> acc)
       0
-      [ "silent"; "patch"; "reroute"; "rebuild"; "diff"; "batch" ]
+      [ "silent"; "rebuild"; "batch" ]
   in
   Alcotest.(check bool) "per-path latency histograms cover every fault" true
     (total_latency >= campaign.Campaign.injected)

@@ -304,12 +304,12 @@ let test_workqueue_claims () =
   (match Workqueue.load_manifest wq 1 with
   | Ok m -> Alcotest.(check int) "manifest by id" 1 m.Shard.sm_id
   | Error e -> Alcotest.failf "load_manifest: %s" e);
-  (* a manifest mid-write is listed by its tmp file but not yet loadable *)
+  (* a manifest mid-write is its tmp file: not listed, not loadable *)
   let tmp =
     Filename.concat (Filename.concat (Workqueue.dir wq) "done") "00003.json.tmp.1"
   in
   Out_channel.with_open_bin tmp (fun oc -> output_string oc "{");
-  Alcotest.(check (list int)) "in-flight id listed" [ 1; 3 ] (Workqueue.done_ids wq);
+  Alcotest.(check (list int)) "in-flight id not listed" [ 1 ] (Workqueue.done_ids wq);
   (match Workqueue.load_manifest wq 3 with
   | Ok _ -> Alcotest.fail "in-flight manifest loaded"
   | Error _ -> ());
@@ -517,6 +517,38 @@ let test_resume_bit_identical () =
       Alcotest.(check int) "4 shard_done events total" 4 !shard_events;
       check_matches_plain "resumed merge" plain o.Service.o_campaign
 
+(* a worker killed between writing its manifest and renaming it leaves
+   [done/NNNNN.json.tmp.<pid>]: that file names no finished shard, so a
+   resume re-runs the shard and the merge stays byte-identical *)
+let test_resume_past_leftover_tmp () =
+  let ctx = Lazy.force ctx in
+  let run = Lazy.force run_p2 in
+  let job =
+    Service.job ~scale:Context.Reduced ~seed:2 ~faults:40 ~shards:4
+      Partition.Medium_partition
+  in
+  let dir = temp_dir "leftover" in
+  let merged () =
+    match Service.run_sharded ~notify:(fun _ -> ()) ~dir job ctx run with
+    | Error e -> Alcotest.failf "run_sharded: %s" e
+    | Ok (Service.Incomplete _) -> Alcotest.fail "unexpectedly incomplete"
+    | Ok (Service.Complete o) ->
+        ( o,
+          Array.to_list
+            (Array.mapi
+               (fun i r -> Shard.result_to_line ~index:i r)
+               o.Service.o_campaign.Campaign.results) )
+  in
+  let _, first = merged () in
+  let done_dir = Filename.concat dir "done" in
+  Sys.rename
+    (Filename.concat done_dir "00002.json")
+    (Filename.concat done_dir "00002.json.tmp.1");
+  let o, again = merged () in
+  Alcotest.(check int) "3 shards resumed" 3 o.Service.o_resumed;
+  Alcotest.(check int) "the leftover's shard re-ran" 1 o.Service.o_fresh;
+  Alcotest.(check (list string)) "merge byte-identical" first again
+
 (* two forked worker processes, same verdicts *)
 let test_procs2_bit_identical () =
   let ctx = Lazy.force ctx in
@@ -707,6 +739,8 @@ let () =
             test_sharded_equals_plain_all_designs;
           Alcotest.test_case "interrupt + resume, bit-identical" `Slow
             test_resume_bit_identical;
+          Alcotest.test_case "leftover manifest tmp re-runs its shard" `Slow
+            test_resume_past_leftover_tmp;
           Alcotest.test_case "2 forked procs, bit-identical" `Slow
             test_procs2_bit_identical;
           Alcotest.test_case "fingerprint guard + fresh" `Slow

@@ -634,7 +634,7 @@ let test_campaign_events_exact () =
   let run = Runs.implement_design ctx Partition.Medium_partition in
   let quiet =
     Option.get
-      (Runs.campaign_design ~workers:2 ~batch_width:32 ctx run).Runs.campaign
+      (Runs.campaign_design ~workers:2 ctx run).Runs.campaign
   in
   let path = Filename.temp_file "tmr_campaign_events" ".jsonl" in
   Events.to_file path;
@@ -643,8 +643,7 @@ let test_campaign_events_exact () =
       ~finally:(fun () -> Events.close ())
       (fun () ->
         Option.get
-          (Runs.campaign_design ~workers:2 ~batch_width:32 ctx run)
-            .Runs.campaign)
+          (Runs.campaign_design ~workers:2 ctx run).Runs.campaign)
   in
   Alcotest.(check bool) "verdicts bit-identical with events on" true
     (quiet.Campaign.results = live.Campaign.results);

@@ -108,18 +108,15 @@ let test_detecting_engine_invariance () =
     (fun strategy ->
       let name = Partition.name strategy ^ "/detecting" in
       let run = Runs.implement_design ~voter:Voter.Detecting ctx strategy in
-      let campaign ?(diff = true) ~batch_width () =
+      let campaign ~cone_skip =
         Option.get
-          (Runs.campaign_design ~workers:2 ~diff ~batch_width ctx run)
-            .Runs.campaign
+          (Runs.campaign_design ~workers:2 ~cone_skip ctx run).Runs.campaign
       in
-      let scalar = campaign ~batch_width:0 () in
-      let rebuild = campaign ~diff:false ~batch_width:0 () in
-      let batched = campaign ~batch_width:64 () in
-      check_same_results (name ^ ": scalar vs rebuild") scalar rebuild;
-      check_same_results (name ^ ": batched vs scalar") batched scalar;
-      check_taxonomy name scalar;
-      let dc = Campaign.detection_counts scalar in
+      let batched = campaign ~cone_skip:true in
+      let rebuild = campaign ~cone_skip:false in
+      check_same_results (name ^ ": engine vs rebuild oracle") batched rebuild;
+      check_taxonomy name batched;
+      let dc = Campaign.detection_counts batched in
       if strategy = Partition.Unprotected then begin
         (* no voters, so no detection logic: every fault is silent *)
         Alcotest.(check int) (name ^ ": no detected-corrected") 0
@@ -131,7 +128,7 @@ let test_detecting_engine_invariance () =
             Alcotest.(check int)
               (name ^ ": detect_cycle is -1 without voters")
               (-1) r.Campaign.detect_cycle)
-          scalar.Campaign.results
+          batched.Campaign.results
       end
       else if dc.Campaign.dc_detected_corrected + dc.Campaign.dc_detected_wrong
               > 0
@@ -149,7 +146,7 @@ let test_detecting_engine_invariance () =
               Alcotest.(check int)
                 (name ^ ": silent fault has no detect cycle")
                 (-1) r.Campaign.detect_cycle)
-        scalar.Campaign.results)
+        batched.Campaign.results)
     Partition.all_paper_designs;
   Alcotest.(check bool)
     "detection observed on at least one TMR design" true !saw_detection
@@ -165,8 +162,7 @@ let test_majority_reproduces_default () =
       let name = Partition.name strategy in
       let campaign run =
         Option.get
-          (Runs.campaign_design ~workers:2 ~batch_width:0 ctx run)
-            .Runs.campaign
+          (Runs.campaign_design ~workers:2 ctx run).Runs.campaign
       in
       let default_c = campaign (Runs.implement_design ctx strategy) in
       let majority_c =
@@ -202,7 +198,7 @@ let () =
       ( "taxonomy",
         [
           Alcotest.test_case
-            "detecting: batched == scalar == rebuild (5 designs)" `Slow
+            "detecting: engine == oracle (5 designs)" `Slow
             test_detecting_engine_invariance;
           Alcotest.test_case "majority == historical default (5 designs)"
             `Slow test_majority_reproduces_default;
