@@ -739,8 +739,6 @@ let () =
             test_sharded_equals_plain_all_designs;
           Alcotest.test_case "interrupt + resume, bit-identical" `Slow
             test_resume_bit_identical;
-          Alcotest.test_case "leftover manifest tmp re-runs its shard" `Slow
-            test_resume_past_leftover_tmp;
           Alcotest.test_case "2 forked procs, bit-identical" `Slow
             test_procs2_bit_identical;
           Alcotest.test_case "fingerprint guard + fresh" `Slow
@@ -749,6 +747,8 @@ let () =
             test_damaged_manifest_refused;
           Alcotest.test_case "exhaustive fault space" `Quick
             test_exhaustive_faults;
+          Alcotest.test_case "leftover manifest tmp re-runs its shard" `Slow
+            test_resume_past_leftover_tmp;
         ] );
       ( "store",
         [
