@@ -876,6 +876,25 @@ let explain_cmd =
     let cone = Fsim.snapshot_cone ws in
     let plan = Fsim.plan_fault cone ex bit in
     Printf.printf "  plan path    %s\n" (Fsim.path_name plan);
+    (* campaigns classify a vote-masked bit silent before planning it *)
+    let masked = Forensics.masked_domain a bit in
+    Printf.printf "  masking      %s\n"
+      (if masked >= 0 then
+         Printf.sprintf
+           "silent by the vote-masking proof: domain %d only, no voter \
+            (campaigns do not simulate it)"
+           masked
+       else if not a.Forensics.vote_masking then
+         "n/a: the design's voters do not qualify (one majority LUT over \
+          three domains each, no detection ports)"
+       else if st.Forensics.cross_domain then
+         "not proved: the footprint crosses domains"
+       else if st.Forensics.voter_touch then
+         "not proved: the footprint touches a voter"
+       else if st.Forensics.domain_mask = 0 then
+         "not proved: the footprint touches no domain's resources"
+       else "not proved: the footprint touches a pad or a used resource \
+             with no domain");
     let io_ins sim =
       List.map
         (fun (port, samples) ->
@@ -1028,6 +1047,12 @@ let explain_cmd =
         Printf.printf
           "  outcome      WRONG ANSWER, first at cycle %d (port %S bit %d)\n"
           c port i);
+    if masked >= 0 && !first_err >= 0 then
+      Printf.printf
+        "  !!! PROOF VIOLATED: the vote-masking proof classifies this bit \
+         silent, but the rebuilt fabric answers wrongly at cycle %d; \
+         campaigns report it silent\n"
+        !first_err;
     if ndetect > 0 then begin
       let fired =
         List.filter_map

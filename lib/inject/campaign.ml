@@ -310,12 +310,24 @@ let run ?progress ?workers ?(cone_skip = true) ?(forensics = false)
   in
   (* a registered forensics sink implies collection, like tracing *)
   let forensics = forensics || Forensics.enabled () in
-  let fattr =
-    if forensics then
+  (* Structural attribution feeds the forensic records and the
+     vote-masking proof ({!Forensics.masked_domain}): on a qualifying
+     design the planning pass classifies a fault confined to one domain,
+     touching no voter, as silent without simulating it.  The proof is
+     off on the oracle, which stays independent of it, and under
+     forensics, whose records need the simulated divergence. *)
+  let attrib =
+    if forensics || cone_skip then
       Some
         (Tmr_obs.Trace.with_span "forensics_attrib" (fun () ->
              Forensics.attrib_of_impl impl))
     else None
+  in
+  let fattr = if forensics then attrib else None in
+  let masking =
+    match attrib with
+    | Some a when a.Forensics.vote_masking && not forensics -> Some a
+    | _ -> None
   in
   let golden_ref =
     Tmr_obs.Trace.with_span "golden" (fun () -> golden_outputs golden stimulus)
@@ -493,6 +505,8 @@ let run ?progress ?workers ?(cone_skip = true) ?(forensics = false)
              (Option.value detail ~default:"no differing bit re-found"))
   in
   let total = Array.length faults in
+  (* faults the planning pass proved silent by the vote-masking proof *)
+  let masked = Bytes.make total '\000' in
   let dummy =
     { bit = -1; outcome = Silent; effect = Classify.Other_effect;
       first_error_cycle = -1; detect_cycle = -1; forensics = None }
@@ -538,7 +552,8 @@ let run ?progress ?workers ?(cone_skip = true) ?(forensics = false)
      extract classifies every fault; patch- and reroute-planned faults
      group by {!group_key} and pack, in first-index order, into batches
      of at most {!Fsim_batch.width} lanes.  Silent and rebuild faults —
-     and everything on the rebuild oracle — stay singles.  Under
+     and everything on the rebuild oracle — stay singles; a fault the
+     vote-masking proof classifies is silent before it is planned.  Under
      [stop_at_ci] the packing runs inside consecutive windows of
      {!Fsim_batch.width} fault indices, so units complete close to
      index order and the prefix monitor advances as they land.  The
@@ -567,9 +582,18 @@ let run ?progress ?workers ?(cone_skip = true) ?(forensics = false)
             let order = ref [] in
             let singles = ref [] in
             for i = lo to hi - 1 do
-              match Fsim.plan_fault pcone pex faults.(i) with
+              let bit = faults.(i) in
+              let proved =
+                match masking with
+                | Some a -> Forensics.masked_domain a bit >= 0
+                | None -> false
+              in
+              if proved then Bytes.set masked i '\001';
+              match
+                if proved then Fsim.Path_silent else Fsim.plan_fault pcone pex bit
+              with
               | Fsim.Path_patch | Fsim.Path_reroute -> (
-                  let k = group_key dev db faults.(i) in
+                  let k = group_key dev db bit in
                   match Hashtbl.find_opt groups k with
                   | Some g -> g := i :: !g
                   | None ->
@@ -703,15 +727,17 @@ let run ?progress ?workers ?(cone_skip = true) ?(forensics = false)
         forensics = forensic_of bit error_cycle prov;
       }
     in
-    (* A single: a cone-silent fault classifies without simulating;
-       anything else — a plan-level rebuild, a reroute with no overlay,
-       every fault on the oracle — rebuilds the simulator from the
-       flipped extract and replays the whole stimulus. *)
+    (* A single: a cone-silent or vote-masked fault classifies without
+       simulating; anything else — a plan-level rebuild, a reroute with no
+       overlay, every fault on the oracle — rebuilds the simulator from
+       the flipped extract and replays the whole stimulus. *)
     let do_fault i =
       let bit = faults.(i) in
       let t0 = Tmr_obs.Clock.now_ns () in
       let silent =
-        cone_skip && Fsim.plan_fault cone ex bit = Fsim.Path_silent
+        cone_skip
+        && (Bytes.get masked i <> '\000'
+           || Fsim.plan_fault cone ex bit = Fsim.Path_silent)
       in
       let r =
         if silent then begin

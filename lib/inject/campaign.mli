@@ -15,10 +15,13 @@
 
     There is one fast engine and one oracle.  The oracle rebuilds the
     simulator from the flipped configuration for every fault and replays
-    the whole stimulus ([~cone_skip:false]).  The fast engine plans each
-    fault against the golden cone ({!Tmr_fabric.Fsim.plan_fault}): a flip
-    that provably cannot reach a watched output is classified silent
-    without simulating; a pad-enable flip on the cone rebuilds, as on the
+    the whole stimulus ([~cone_skip:false]).  The fast engine first
+    applies the vote-masking proof ({!Forensics.masked_domain}): on a
+    majority-voted TMR design a flip confined to one redundancy domain,
+    touching no voter, is classified silent without simulating.  It
+    plans every other fault against the golden cone
+    ({!Tmr_fabric.Fsim.plan_fault}): a flip that provably cannot reach a
+    watched output is classified silent without simulating; a pad-enable flip on the cone rebuilds, as on the
     oracle; every other flip becomes an overlay over the golden
     simulator ({!Tmr_fabric.Fsim.patch_delta},
     {!Tmr_fabric.Fsim.fault_delta}) and runs in the bit-parallel batch
@@ -70,7 +73,9 @@ val verdict_of : fault_result -> verdict
 val verdict_name : verdict -> string
 
 type engine_stats = {
-  skipped : int;  (** classified [Silent] without building or simulating *)
+  skipped : int;
+      (** classified [Silent] without building or simulating: cone-silent
+          ([Path_silent]) or proved silent by the vote-masking proof *)
   patched : int;  (** batched as a cell-content overlay *)
   rerouted : int;  (** batched as a local rewiring overlay *)
   rebuilt : int;  (** full per-fault simulator rebuild *)
@@ -171,6 +176,15 @@ val run :
     [true]) runs the fast engine; [false] runs the rebuild-every-fault
     oracle ([tmrtool]'s [--oracle]), whose per-fault results the fast
     engine reproduces byte for byte.
+
+    The fast engine's planning pass first classifies every fault the
+    vote-masking proof covers ({!Forensics.masked_domain}: the design's
+    voters are each one majority LUT over three domains, it has no
+    detection ports, and the fault's footprint stays in one domain and
+    touches no voter, pad or domain-less used resource) as [Silent],
+    first error and detect cycle [-1], counted in [skipped].  The proof
+    is off on the oracle and when [forensics] is collected (those
+    records need the simulated divergence).
 
     The fast engine packs patch/reroute faults that share a structural
     cone key (same LUT/FF bel, same pip destination wire) into batches

@@ -12,11 +12,52 @@ type attrib = {
   wire_domain : int array;
   wire_part : int array;
   wire_voter : bool array;
+  wire_used : bool array;
   bel_domain : int array;
   bel_part : int array;
   bel_voter : bool array;
+  bel_used : bool array;
   part_names : string array;
+  vote_masking : bool;
 }
+
+(* The design half of the vote-masking proof (see [attrib]).  With it,
+   the only cells a fault confined to domain d can corrupt are domain
+   d's non-voter cells, and every voter reads at most one corrupted
+   input of three. *)
+let vote_masking nl =
+  let voters = ref 0 and ok = ref true in
+  Netlist.iter_cells nl (fun c ->
+      let fanins = Netlist.fanins nl c in
+      if Netlist.is_voter nl c then begin
+        incr voters;
+        match Netlist.kind nl c with
+        | Netlist.Lut { arity = 3; table }
+          when Tmr_netlist.Check.lut_is_maj3 table ->
+            let m =
+              Array.fold_left
+                (fun m f ->
+                  let d = Netlist.domain nl f in
+                  if d >= 0 then m lor (1 lsl d) else m)
+                0 fanins
+            in
+            if m <> 7 then ok := false
+        | _ -> ok := false
+      end
+      else
+        let d = Netlist.domain nl c in
+        Array.iter
+          (fun f ->
+            let df = Netlist.domain nl f in
+            if (not (Netlist.is_voter nl f)) && df >= 0 && df <> d then
+              ok := false)
+          fanins);
+  let outputs = Netlist.output_ports nl in
+  !ok && !voters > 0
+  && not
+       (List.exists
+          (fun p -> List.mem_assoc p outputs)
+          Tmr_core.Voter.detect_ports)
 
 let attrib_of_impl (impl : Impl.t) =
   let dev = impl.Impl.dev in
@@ -63,18 +104,21 @@ let attrib_of_impl (impl : Impl.t) =
           if v then wire_voter.(w) <- true)
         route.Route.net_wires.(i))
     pack.Pack.nets;
-  (* every placed site's bel belongs to the cells it realises *)
+  (* every placed site's bel belongs to the cells it realises: its domain
+     is theirs when they agree, -1 when they do not *)
   Array.iteri
     (fun s (site : Pack.site) ->
       let bel = place.Place.site_bel.(s) in
       let c = site.Pack.out_cell in
-      bel_domain.(bel) <- Netlist.domain mapped c;
+      let cells =
+        (c :: Option.to_list site.Pack.lut) @ Option.to_list site.Pack.ff
+      in
+      let d = Netlist.domain mapped c in
+      bel_domain.(bel) <-
+        (if List.for_all (fun x -> Netlist.domain mapped x = d) cells then d
+         else -1);
       bel_part.(bel) <- intern (Netlist.comp mapped c);
-      if
-        voter c
-        || (match site.Pack.lut with Some l -> voter l | None -> false)
-        || (match site.Pack.ff with Some f -> voter f | None -> false)
-      then bel_voter.(bel) <- true)
+      if List.exists voter cells then bel_voter.(bel) <- true)
     pack.Pack.sites;
   {
     dev;
@@ -82,10 +126,13 @@ let attrib_of_impl (impl : Impl.t) =
     wire_domain;
     wire_part;
     wire_voter;
+    wire_used = impl.Impl.bitgen.Tmr_pnr.Bitgen.used_wires;
     bel_domain;
     bel_part;
     bel_voter;
+    bel_used = impl.Impl.bitgen.Tmr_pnr.Bitgen.used_bels;
     part_names = Array.of_list (List.rev !names);
+    vote_masking = vote_masking mapped;
   }
 
 let part_name a p =
@@ -104,6 +151,14 @@ type t = {
   cone_nodes : int;
 }
 
+(* An unrouted input pin of a used bel stands for that bel: driving it
+   changes what the bel computes.  -1 for every other wire. *)
+let pin_bel a w =
+  if a.wire_used.(w) || a.dev.Device.wkind.(w) <> Device.BelIn then -1
+  else
+    let b = a.dev.Device.wire_bel.(w) in
+    if b >= 0 && a.bel_used.(b) then b else -1
+
 let structural a bit =
   let fp = Footprint.of_bit a.dev a.db bit in
   let mask = ref 0 in
@@ -111,18 +166,22 @@ let structural a bit =
   let parts = ref [] in
   let add_domain d = if d >= 0 then mask := !mask lor (1 lsl d) in
   let add_part p = if p >= 0 && not (List.mem p !parts) then parts := p :: !parts in
+  let add_bel b =
+    add_domain a.bel_domain.(b);
+    add_part a.bel_part.(b);
+    if a.bel_voter.(b) then voter := true
+  in
   let add_wire w =
-    add_domain a.wire_domain.(w);
-    add_part a.wire_part.(w);
-    if a.wire_voter.(w) then voter := true
+    let b = pin_bel a w in
+    if b >= 0 then add_bel b
+    else begin
+      add_domain a.wire_domain.(w);
+      add_part a.wire_part.(w);
+      if a.wire_voter.(w) then voter := true
+    end
   in
   Array.iter add_wire fp.Footprint.fp_wires;
-  Array.iter
-    (fun b ->
-      add_domain a.bel_domain.(b);
-      add_part a.bel_part.(b);
-      if a.bel_voter.(b) then voter := true)
-    fp.Footprint.fp_bels;
+  Array.iter add_bel fp.Footprint.fp_bels;
   Array.iter (fun pad -> add_wire a.dev.Device.pad_wire.(pad)) fp.Footprint.fp_pads;
   let m = !mask in
   let touched = (m land 1) + ((m lsr 1) land 1) + ((m lsr 2) land 1) in
@@ -138,6 +197,33 @@ let structural a bit =
     depth = -1;
     cone_nodes = -1;
   }
+
+(* The per-fault half of the vote-masking proof: the footprint touches a
+   used resource of exactly one domain d, no voter bel or net, no pad and
+   no used resource without a domain.  Unused resources drive nothing the
+   design reads, except an unrouted input pin of a used bel, which counts
+   as that bel. *)
+let masked_domain a bit =
+  if not a.vote_masking then -1
+  else
+    let fp = Footprint.of_bit a.dev a.db bit in
+    let mask = ref 0 and ok = ref (fp.Footprint.fp_pads = [||]) in
+    let touch d voter =
+      if voter || d < 0 then ok := false else mask := !mask lor (1 lsl d)
+    in
+    let bel b = if a.bel_used.(b) then touch a.bel_domain.(b) a.bel_voter.(b) in
+    Array.iter
+      (fun w ->
+        let b = pin_bel a w in
+        if b >= 0 then bel b
+        else if a.wire_used.(w) then touch a.wire_domain.(w) a.wire_voter.(w))
+      fp.Footprint.fp_wires;
+    Array.iter bel fp.Footprint.fp_bels;
+    match (!ok, !mask) with
+    | true, 1 -> 0
+    | true, 2 -> 1
+    | true, 4 -> 2
+    | _ -> -1
 
 (* ------------------------------------------------------------------ *)
 (* JSONL sink *)

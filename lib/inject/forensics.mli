@@ -20,10 +20,26 @@ type attrib = {
   wire_domain : int array;  (** device wire -> TMR domain, -1 unrouted/shared *)
   wire_part : int array;  (** device wire -> partition id, -1 none *)
   wire_voter : bool array;  (** wire carries a voter's output net *)
-  bel_domain : int array;  (** device bel -> TMR domain of the site's cells *)
+  wire_used : bool array;
+      (** wire is routed in some net or is a used pad's wire (the
+          implementation's own {!Tmr_pnr.Bitgen.t} array) *)
+  bel_domain : int array;
+      (** device bel -> TMR domain of the cells its site packs (LUT, FF,
+          output cell); -1 when they disagree *)
   bel_part : int array;
   bel_voter : bool array;  (** bel realises a majority-voter cell *)
+  bel_used : bool array;
+      (** a packed site is placed on the bel ({!Tmr_pnr.Bitgen.t}'s) *)
   part_names : string array;  (** partition id -> component label *)
+  vote_masking : bool;
+      (** the design qualifies for {!masked_domain}, read from the mapped
+          netlist: it has at least one voter, every voter cell is one LUT
+          computing 3-input majority over cells of three distinct
+          domains, it has no detection ports, and a non-voter cell reads,
+          besides voters, only cells of its own domain or of none.
+          Output cells have no domain, so every output is voted.
+          Majority TMR designs qualify; improved and detecting voters and
+          unprotected designs do not. *)
 }
 (** Domain/partition tags of every device resource the implementation
     uses, derived once per campaign from the netlist attributes
@@ -58,7 +74,17 @@ type t = {
 val structural : attrib -> int -> t
 (** Attribution of one configuration bit from its footprint alone: the
     divergence fields are unknown ([-1]/[false]) until a differential
-    run fills them in.  Valid on every plan path. *)
+    run fills them in.  An unrouted input pin of a used bel counts as
+    that bel.  Valid on every plan path. *)
+
+val masked_domain : attrib -> int -> int
+(** The vote-masking proof for one configuration bit: the TMR domain [d]
+    when the design qualifies ([vote_masking]) and the bit's footprint
+    holds a resource of domain [d], none of another domain, no voter bel
+    or voter net, no pad and no used resource without a domain (an
+    unrouted input pin of a used bel counts as that bel).  Such a flip
+    can corrupt only domain [d]'s logic, which every voter out-votes, so
+    the fault is silent with no detection.  [-1] otherwise. *)
 
 (** {1 JSONL sink}
 

@@ -13,3 +13,6 @@ val run : Netlist.t -> (unit, string list) result
     domain. *)
 
 val run_exn : Netlist.t -> unit
+
+val lut_is_maj3 : int -> bool
+(** The 3-input truth table computes majority. *)

@@ -2,10 +2,11 @@
    rebuild-every-fault oracle fault by fault — on every patchable bit of a
    hand-built datapath, on campaigns over all five paper designs, on the
    faults whose overlay changes a node's kind or a watched output, on the
-   loop-closing lanes, as a one-lane batch and under a CI stop — and
-   [tmrtool explain] reports what the campaign reports.  Also the
-   baseline tape: its packing and the fixpoint invariant the batch
-   kernel's quiet sub-words rest on. *)
+   loop-closing lanes, as a one-lane batch and under a CI stop — the
+   bits the vote-masking proof classifies silent are silent on the
+   oracle, and [tmrtool explain] reports what the campaign reports.
+   Also the baseline tape: its packing and the fixpoint invariant the
+   batch kernel's quiet sub-words rest on. *)
 
 module Logic = Tmr_logic.Logic
 module Srand = Tmr_logic.Srand
@@ -21,6 +22,7 @@ module Fsim = Tmr_fabric.Fsim
 module Fsim_batch = Tmr_fabric.Fsim_batch
 module Partition = Tmr_core.Partition
 module Campaign = Tmr_inject.Campaign
+module Forensics = Tmr_inject.Forensics
 module Context = Tmr_experiments.Context
 module Runs = Tmr_experiments.Runs
 
@@ -468,25 +470,61 @@ let design (strategy, voter) =
       Hashtbl.add design_runs (strategy, voter) r;
       r
 
-let campaign ?cone_skip (run : Runs.design_run) name faults =
+let campaign ?cone_skip ?forensics (run : Runs.design_run) name faults =
   let ctx = Lazy.force reduced_ctx in
-  Campaign.run ~workers:1 ?cone_skip ~name ~impl:run.Runs.impl
+  Campaign.run ~workers:1 ?cone_skip ?forensics ~name ~impl:run.Runs.impl
     ~golden:ctx.Context.golden_nl ~stimulus:ctx.Context.stimulus ~faults ()
+
+let strip (c : Campaign.t) =
+  Array.map
+    (fun (r : Campaign.fault_result) -> { r with Campaign.forensics = None })
+    c.Campaign.results
+
+(* [faults] on the engine twice and on the oracle: with the vote-masking
+   proof, every fault ran batched but the vote-masked ones, which were
+   skipped; with the proof off (forensics needs the simulated
+   divergence), every fault ran batched.  Both equal the oracle.
+   Returns the two engine campaigns. *)
+let check_kernel_coverage label (run : Runs.design_run) faults =
+  let e = campaign run label faults in
+  let a = Forensics.attrib_of_impl run.Runs.impl in
+  let kernel =
+    Array.fold_left
+      (fun n bit -> if Forensics.masked_domain a bit < 0 then n + 1 else n)
+      0 faults
+  in
+  let s = e.Campaign.stats in
+  Alcotest.(check (pair int int))
+    (label ^ ": batched all but the vote-masked, skipped those")
+    (kernel, Array.length faults - kernel)
+    (s.Campaign.batched, s.Campaign.skipped);
+  let all = campaign ~forensics:true run label faults in
+  Alcotest.(check int) (label ^ ": proof off: all of them batched")
+    (Array.length faults) all.Campaign.stats.Campaign.batched;
+  let oracle = campaign ~cone_skip:false run label faults in
+  check_same_results (label ^ ": engine vs oracle") e oracle;
+  Alcotest.(check (array result_testable))
+    (label ^ ": proof off: engine vs oracle")
+    oracle.Campaign.results (strip all);
+  (e, all)
 
 (* --- the faults the batch overlay learned last: out_sel flips (a kind
    override) and faults that re-resolve a watched output.  Every one of
    them has an overlay, and on all five designs each equals the oracle
    fault by fault.  The class sizes are pinned, so they cannot shrink
-   unnoticed --- *)
+   unnoticed.  The vote-masking proof takes many of them off the kernel
+   (on tmr_p3 and tmr_p3_nv every one that converged early), so the
+   early exits are pinned with the proof on and off --- *)
 
 let test_kind_and_watch_faults () =
+  (* class sizes, then lanes converged early with the proof on and off *)
   let pinned =
     [
-      ("standard", ((96, 119), 3));
-      ("tmr_p1", ((418, 188), 93));
-      ("tmr_p2", ((358, 156), 81));
-      ("tmr_p3", ((328, 165), 78));
-      ("tmr_p3_nv", ((298, 212), 75));
+      ("standard", ((96, 119), (3, 3)));
+      ("tmr_p1", ((418, 188), (15, 93)));
+      ("tmr_p2", ((358, 156), (3, 81)));
+      ("tmr_p3", ((328, 165), (0, 78)));
+      ("tmr_p3_nv", ((298, 212), (0, 75)));
     ]
   in
   let total_kind = ref 0 and total_watch = ref 0 in
@@ -505,16 +543,14 @@ let test_kind_and_watch_faults () =
       Alcotest.(check (pair int int)) (name ^ ": out_sel and watch-remap faults")
         counts (nk, nw);
       let faults = Array.append lf.Loop_faults.kind lf.Loop_faults.watch in
-      let e = campaign run name faults in
-      Alcotest.(check int) (name ^ ": all of them batched")
-        (Array.length faults) e.Campaign.stats.Campaign.batched;
+      let e, all = check_kernel_coverage name run faults in
       (* the early exit is exact but optional: pinning how many lanes
          take it guards the convergence rules of kind-overridden and
          remapped lanes, which no verdict shows *)
-      Alcotest.(check int) (name ^ ": converged early") converged
-        e.Campaign.stats.Campaign.converged;
-      check_same_results (name ^ ": engine vs oracle") e
-        (campaign ~cone_skip:false run name faults))
+      Alcotest.(check (pair int int)) (name ^ ": converged early, proof on/off")
+        converged
+        ( e.Campaign.stats.Campaign.converged,
+          all.Campaign.stats.Campaign.converged ))
     Partition.all_paper_designs;
   Alcotest.(check (pair int int)) "out_sel and watch-remap faults, all designs"
     (1498, 840) (!total_kind, !total_watch)
@@ -569,11 +605,7 @@ let test_constant_bridges () =
         (name ^ ": some faults bridge onto a constant node")
         true (bridges <> []);
       let faults = Array.of_list (List.filteri (fun i _ -> i < 64) bridges) in
-      let batched = campaign run name faults in
-      Alcotest.(check int) (name ^ ": bridges ran batched")
-        (Array.length faults) batched.Campaign.stats.Campaign.batched;
-      check_same_results (name ^ ": engine vs oracle") batched
-        (campaign ~cone_skip:false run name faults);
+      ignore (check_kernel_coverage (name ^ ": bridges") run faults);
       (* campaign level: the bridges, every planned rebuild and a sample
          of the rest; only the planned rebuilds rebuild *)
       let mixed =
@@ -610,14 +642,8 @@ let test_loop_closing_lanes () =
       let run, lf = design cfg in
       let loop = (Lazy.force lf).Loop_faults.loop in
       total := !total + Array.length loop;
-      if loop <> [||] then begin
-        let b = campaign run name loop in
-        Alcotest.(check int)
-          (name ^ ": every loop-closing fault ran batched")
-          (Array.length loop) b.Campaign.stats.Campaign.batched;
-        check_same_results (name ^ ": engine vs oracle") b
-          (campaign ~cone_skip:false run name loop)
-      end)
+      if loop <> [||] then
+        ignore (check_kernel_coverage (name ^ ": loop-closing faults") run loop))
     configs;
   Alcotest.(check bool) "loop-closing faults found" true (!total > 0)
 
@@ -727,6 +753,120 @@ let test_tape_fixpoint () =
     configs;
   Alcotest.(check bool) "cyclic-SCC nodes checked" true (!cyclic_checked > 0)
 
+(* --- the vote-masking proof: on a majority TMR design, a fault whose
+   footprint stays in one domain and touches no voter is silent.  A
+   campaign classifies those faults without simulating them, so here a
+   seeded sample of them runs on the rebuild oracle, on the paper
+   designs, on the tap-group partitions of examples/partition_sweep and
+   on random barrier subsets.  Every one is silent with no detection,
+   and the engine skips every one.  Designs the proof does not cover
+   (no voters, non-majority voters, detection ports) classify no bit.
+   The per-design proof-silent counts over the full essential list are
+   pinned --- *)
+
+(* voters on the boundaries of groups of [k] consecutive taps, as in
+   examples/partition_sweep *)
+let taps_strategy base k =
+  let group comp =
+    let block = Partition.block_group comp in
+    match
+      if String.starts_with ~prefix:"tap" block then
+        int_of_string_opt (String.sub block 3 (String.length block - 3))
+      else None
+    with
+    | Some tap -> Printf.sprintf "group%02d" (tap / k)
+    | None -> block
+  in
+  let barriers = Partition.boundary_cells ~group_of:group base in
+  Partition.Custom
+    ( Printf.sprintf "taps/%d" k,
+      {
+        Tmr_core.Tmr.barrier = (fun _ c -> barriers.(c));
+        vote_registers = true;
+        voter = Tmr_core.Voter.Majority;
+      } )
+
+(* a seeded random subset of the cells as barriers, with registers voted
+   or not *)
+let random_strategy base seed =
+  let rng = Srand.create seed in
+  let barriers = Array.init (Netlist.num_cells base) (fun _ -> Srand.int rng 3 = 0) in
+  Partition.Custom
+    ( Printf.sprintf "random/%d" seed,
+      {
+        Tmr_core.Tmr.barrier = (fun _ c -> barriers.(c));
+        vote_registers = Srand.bool rng;
+        voter = Tmr_core.Voter.Majority;
+      } )
+
+let test_vote_masking_proof () =
+  let ctx = Lazy.force reduced_ctx in
+  let base = Tmr_filter.Fir.build ctx.Context.params in
+  let majority s = (s, Tmr_core.Voter.Majority) in
+  (* design, proof-silent bits of its essential list *)
+  let pinned =
+    List.map majority Partition.all_paper_designs
+    @ [
+        (Partition.Medium_partition, Tmr_core.Voter.Improved);
+        (Partition.Medium_partition, Tmr_core.Voter.Detecting);
+      ]
+    @ List.map (fun k -> majority (taps_strategy base k)) [ 1; 2; 3 ]
+    @ List.map (fun seed -> majority (random_strategy base seed)) [ 1; 2; 3 ]
+  in
+  (* standard, tmr_p1 .. tmr_p3_nv; tmr_p2 improved and detecting;
+     taps/1..3 (k = 1 and 2 build the same design at reduced scale, k = 3
+     the tmr_p3 one, as the sweep's table shows); random/1..3 *)
+  let expected =
+    [ 0; 20863; 21330; 21203; 22857; 0; 0; 21330; 21330; 21203; 24557; 24297;
+      24976 ]
+  in
+  let counts =
+    List.map
+      (fun (strategy, voter) ->
+        let name =
+          Partition.name strategy ^ "/" ^ Tmr_core.Voter.name voter
+        in
+        let run = Runs.implement_design ~voter ctx strategy in
+        let essential = run.Runs.faultlist.Tmr_inject.Faultlist.bits in
+        let a = Forensics.attrib_of_impl run.Runs.impl in
+        let proved =
+          Array.of_seq
+            (Seq.filter
+               (fun bit -> Forensics.masked_domain a bit >= 0)
+               (Array.to_seq essential))
+        in
+        let n = Array.length proved in
+        Alcotest.(check bool) (name ^ ": the design qualifies iff bits are proved")
+          a.Forensics.vote_masking (n > 0);
+        if n > 0 then begin
+          Alcotest.(check bool) (name ^ ": at least 400 proved bits") true
+            (n >= 400);
+          let pick = Srand.sample (Srand.create 11) 400 n in
+          Array.sort compare pick;
+          let sample = Array.map (fun i -> proved.(i)) pick in
+          let oracle = campaign ~cone_skip:false run name sample in
+          Array.iter
+            (fun (r : Campaign.fault_result) ->
+              Alcotest.(check (pair int int))
+                (Printf.sprintf "%s: bit %d: oracle error and detect cycles"
+                   name r.Campaign.bit)
+                (-1, -1)
+                (r.Campaign.first_error_cycle, r.Campaign.detect_cycle))
+            oracle.Campaign.results;
+          let e = campaign run name sample in
+          Alcotest.(check (pair int int))
+            (name ^ ": the engine skipped every proved bit")
+            (400, 0)
+            (e.Campaign.stats.Campaign.skipped, e.Campaign.stats.Campaign.batched);
+          check_same_results (name ^ ": engine vs oracle") e oracle
+        end;
+        Printf.printf "%s: %d of %d essential bits proved silent\n" name n
+          (Array.length essential);
+        n)
+      pinned
+  in
+  Alcotest.(check (list int)) "proof-silent bits per design" expected counts
+
 (* --- sequential stopping packs batches inside fault-index windows: the
    stopped campaign is the full one truncated at its stop index, which
    is the one recorded before batching reached stopped campaigns --- *)
@@ -835,8 +975,32 @@ let test_explain () =
         (String.sub printed 0 (min (String.length printed) (String.length outcome)));
       Alcotest.(check string) (label ^ ": engine") engine (field lines "engine");
       Alcotest.(check bool) (label ^ ": divergence trace printed") true
-        (List.exists (String.starts_with ~prefix:"  cone ") lines))
-    [ pick Campaign.Wrong_answer; pick Campaign.Silent ]
+        (List.exists (String.starts_with ~prefix:"  cone ") lines);
+      Alcotest.(check bool) (label ^ ": not vote-masked") false
+        (String.starts_with ~prefix:"silent by" (field lines "masking")))
+    [ pick Campaign.Wrong_answer; pick Campaign.Silent ];
+  (* a bit the vote-masking proof classifies: explain says so, and its
+     rebuild agrees *)
+  let a = Forensics.attrib_of_impl impl in
+  let r =
+    Option.get
+      (Array.find_opt
+         (fun (r : Campaign.fault_result) ->
+           Forensics.masked_domain a r.Campaign.bit >= 0)
+         c.Campaign.results)
+  in
+  let lines = explain r.Campaign.bit in
+  let label = Printf.sprintf "bit %d" r.Campaign.bit in
+  Alcotest.(check bool) (label ^ ": masking") true
+    (String.starts_with
+       ~prefix:
+         (Printf.sprintf "silent by the vote-masking proof: domain %d only"
+            (Forensics.masked_domain a r.Campaign.bit))
+       (field lines "masking"));
+  Alcotest.(check string) (label ^ ": outcome")
+    "silent (all outputs match golden)" (field lines "outcome");
+  Alcotest.(check bool) (label ^ ": no violation line") false
+    (List.exists (String.starts_with ~prefix:"  !!!") lines)
 
 let () =
   Alcotest.run "tmr_engine"
@@ -865,6 +1029,8 @@ let () =
             test_ci_stop;
           Alcotest.test_case "remapped output read past convergence" `Quick
             test_remap_past_convergence;
+          Alcotest.test_case "vote-masked bits == oracle, silent" `Slow
+            test_vote_masking_proof;
         ] );
       ( "explain",
         [
