@@ -867,6 +867,69 @@ let test_vote_masking_proof () =
   in
   Alcotest.(check (list int)) "proof-silent bits per design" expected counts
 
+(* --- an unrouted input pin of a used bel counts as that bel: a pip
+   from a used wire onto such a pin is proved only when the wire and the
+   bel share a domain and neither is a voter, and [structural] reports
+   the bel's domain.  No essential bit is such a pip (the fault list
+   holds no buffered pip into an unused wire), so the rule is checked
+   over every pip of the device, and a sample of the pin pips the proof
+   does classify runs on the oracle --- *)
+
+let test_unrouted_pins () =
+  List.iter
+    (fun strategy ->
+      let name = Partition.name strategy in
+      let run, _ = design (strategy, Tmr_core.Voter.Majority) in
+      let impl = run.Runs.impl in
+      let dev = impl.Impl.dev in
+      let a = Forensics.attrib_of_impl impl in
+      let pin_bel w =
+        let b = dev.Device.wire_bel.(w) in
+        if
+          (not a.Forensics.wire_used.(w))
+          && dev.Device.wkind.(w) = Device.BelIn
+          && b >= 0 && a.Forensics.bel_used.(b)
+        then b
+        else -1
+      in
+      let blocked = ref 0 and proved = ref [] and bad = ref [] in
+      for pip = 0 to dev.Device.npips - 1 do
+        let s = dev.Device.pip_src.(pip) and d = dev.Device.pip_dst.(pip) in
+        let bel, other =
+          if pin_bel d >= 0 then (pin_bel d, s) else (pin_bel s, d)
+        in
+        if bel >= 0 && a.Forensics.wire_used.(other) then begin
+          let bit = Bitdb.pip_bit impl.Impl.db pip in
+          let dom = a.Forensics.wire_domain.(other) in
+          let same =
+            dom >= 0
+            && dom = a.Forensics.bel_domain.(bel)
+            && not (a.Forensics.bel_voter.(bel) || a.Forensics.wire_voter.(other))
+          in
+          if not same then incr blocked else proved := bit :: !proved;
+          let bd = a.Forensics.bel_domain.(bel) in
+          if
+            Forensics.masked_domain a bit <> (if same then dom else -1)
+            || bd >= 0
+               && (Forensics.structural a bit).Forensics.domain_mask
+                  land (1 lsl bd)
+                  = 0
+          then bad := pip :: !bad
+        end
+      done;
+      Alcotest.(check (list int))
+        (name ^ ": pin pips proved or attributed against the pin's bel") []
+        !bad;
+      Alcotest.(check bool) (name ^ ": the rule blocks some pin pips") true
+        (!blocked > 0);
+      let sample =
+        Array.of_list (List.filteri (fun i _ -> i < 64) (List.rev !proved))
+      in
+      let oracle = campaign ~cone_skip:false run name sample in
+      Alcotest.(check int) (name ^ ": proved pin pips are silent on the oracle")
+        0 oracle.Campaign.wrong)
+    (List.tl Partition.all_paper_designs)
+
 (* --- sequential stopping packs batches inside fault-index windows: the
    stopped campaign is the full one truncated at its stop index, which
    is the one recorded before batching reached stopped campaigns --- *)
@@ -1031,6 +1094,8 @@ let () =
             test_remap_past_convergence;
           Alcotest.test_case "vote-masked bits == oracle, silent" `Slow
             test_vote_masking_proof;
+          Alcotest.test_case "unrouted input pins count as their bel" `Slow
+            test_unrouted_pins;
         ] );
       ( "explain",
         [
