@@ -155,7 +155,7 @@ type crow = {
   cr_snap : Tmr_obs.Metrics.snapshot;
 }
 
-let measure_row ?(forensics = false) ?stop_at_ci ?(repeat = 1) ~name ~workers
+let measure_row ?(forensics = false) ?(repeat = 1) ~name ~workers
     ~cone_skip ctx run =
   (* level the field between rows: the sequential oracle leaves a major
      heap full of dead simulators that would slow later rows' GC; the
@@ -169,7 +169,7 @@ let measure_row ?(forensics = false) ?stop_at_ci ?(repeat = 1) ~name ~workers
     Tmr_obs.Metrics.reset ();
     let t0 = Unix.gettimeofday () in
     let r =
-      Runs.campaign_design ~workers ~cone_skip ~forensics ?stop_at_ci ctx run
+      Runs.campaign_design ~workers ~cone_skip ~forensics ctx run
     in
     let dt = Unix.gettimeofday () -. t0 in
     let snap = Tmr_obs.Metrics.snapshot () in
@@ -377,13 +377,6 @@ let campaign_bench ~distributed =
     measure_row ~repeat:3 ~forensics:true ~name:"parallel-diff-forensics"
       ~workers:parallel_workers ~cone_skip:true ctx run
   in
-  (* sequential stopping: same fault list, stop once the Wilson CI of the
-     wrong-answer rate narrows to ±1.5 percentage points *)
-  let stop_rule = Stats.stop_rule ~half_width:0.015 ~min_n:100 () in
-  let cstop =
-    measure_row ~repeat:3 ~stop_at_ci:stop_rule ~name:"ci-stop"
-      ~workers:parallel_workers ~cone_skip:true ctx run
-  in
   (* live telemetry cost: same batched configuration with every progress
      tick, batch dispatch and heartbeat appended to a JSONL sink.  Each
      event is one synchronous line write, and events are per batch and
@@ -434,21 +427,6 @@ let campaign_bench ~distributed =
   in
   let events_overhead = batched.cr_fps /. ev.cr_fps in
   let events_ok = ev.cr_fps >= 0.97 *. batched.cr_fps in
-  let ci_c = cstop.cr_c in
-  let ci_prefix_identical =
-    ci_c.Campaign.injected <= Array.length base.cr_c.Campaign.results
-    && ci_c.Campaign.results
-       = Array.sub base.cr_c.Campaign.results 0 ci_c.Campaign.injected
-  in
-  let ci = Campaign.ci ci_c in
-  let paper_rate =
-    match List.assoc_opt "tmr_p2" Tables.paper_table3 with
-    | Some (injected, wrong, _) -> float_of_int wrong /. float_of_int injected
-    | None -> nan
-  in
-  let paper_in_ci =
-    paper_rate >= ci.Stats.lo && paper_rate <= ci.Stats.hi
-  in
   let speedup = batched.cr_fps /. base.cr_fps in
   let skip_rate =
     float_of_int batched.cr_c.Campaign.stats.Campaign.skipped
@@ -516,13 +494,6 @@ let campaign_bench ~distributed =
      %d published, identical results: %b"
     events_overhead ev.cr_fps batched.cr_fps events_ok ev_published
     events_identical;
-  say
-    "  ci-stop: %d of %d faults, rate %.2f%% CI [%.2f%%, %.2f%%], paper \
-     tmr_p2 %.2f%% in CI: %b, prefix-identical: %b"
-    ci_c.Campaign.injected ci_c.Campaign.requested
-    (Campaign.wrong_percent ci_c)
-    (100. *. ci.Stats.lo) (100. *. ci.Stats.hi) (100. *. paper_rate)
-    paper_in_ci ci_prefix_identical;
   (* nest the snapshots under the top-level object's 2-space indent *)
   let indent_json snap =
     String.concat "\n  "
@@ -543,10 +514,6 @@ let campaign_bench ~distributed =
       \  \"skip_rate\": %.4f,\n\
       \  \"converge_rate\": %.4f,\n\
       \  \"identical_results\": %b,\n\
-      \  \"ci_stop\": { \"half_width\": %.4f, \"min_n\": %d, \"requested\": \
-       %d, \"injected\": %d, \"rate\": %.6f, \"ci_lo\": %.6f, \"ci_hi\": \
-       %.6f, \"paper_rate\": %.6f, \"paper_rate_in_ci\": %b, \
-       \"prefix_identical\": %b },\n\
       \  \"forensics\": { \"overhead\": %.3f, \"faults\": %d, \
        \"cross_domain\": %d, \"cross_domain_wrong\": %d, \
        \"multi_partition\": %d, \"voter_touch\": %d, \"diverged\": %d, \
@@ -562,12 +529,8 @@ let campaign_bench ~distributed =
       faults
       (String.concat ",\n"
          (List.map row_json
-            ([ base; batched; ev; forn ] @ Option.to_list det @ [ cstop ])))
+            ([ base; batched; ev; forn ] @ Option.to_list det)))
       speedup skip_rate converge_rate identical
-      stop_rule.Stats.sr_half_width stop_rule.Stats.sr_min_n
-      ci_c.Campaign.requested ci_c.Campaign.injected
-      (Campaign.wrong_percent ci_c /. 100.)
-      ci.Stats.lo ci.Stats.hi paper_rate paper_in_ci ci_prefix_identical
       forensics_overhead fs.Campaign.fs_faults fs.Campaign.fs_cross
       fs.Campaign.fs_cross_wrong fs.Campaign.fs_multi_part
       fs.Campaign.fs_voter_touch fs.Campaign.fs_diverged

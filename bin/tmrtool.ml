@@ -68,10 +68,24 @@ let design_conv =
 let scale_t =
   Arg.(value & opt scale_conv Context.Paper & info [ "scale" ] ~doc:"paper or reduced")
 
+(* Numeric options checked at parse time, so an out-of-range value is a
+   usage error naming the option rather than a crash further in. *)
+let checked conv ok what =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "%s is not %s" s what))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let positive_int = checked Arg.int (fun n -> n > 0) "a positive integer"
+
 let seed_t = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"random seed")
 
 let faults_t =
-  Arg.(value & opt int 1500 & info [ "faults" ] ~doc:"faults per design")
+  Arg.(
+    value & opt positive_int 1500 & info [ "faults" ] ~doc:"faults per design")
 
 let design_t =
   Arg.(
@@ -167,8 +181,8 @@ let events_file_t =
     & info [ "events" ] ~docv:"FILE"
         ~doc:
           "Stream live structured campaign events (started / progress / \
-           CI updates / worker heartbeats / batch dispatches / stopped) to \
-           $(docv) as JSONL, one whole line appended and flushed per \
+           worker heartbeats / batch dispatches / stopped) to $(docv) as \
+           JSONL, one whole line appended and flushed per \
            event, so the sequence numbers are dense and $(b,tmrtool watch \
            -f) $(docv) can tail the file live.  With $(b,--procs) > 1 \
            every worker spools its events beside the shard queue and the \
@@ -275,44 +289,19 @@ let engine_summary (c : Campaign.t) =
 (* --- campaign statistics options --- *)
 
 let confidence_t =
+  let level =
+    checked Arg.float (fun c -> c > 0. && c < 1.) "a level between 0 and 1"
+  in
   Arg.(
-    value & opt float 0.95
+    value & opt level 0.95
     & info [ "confidence" ] ~docv:"LEVEL"
         ~doc:
           "Confidence level for every interval and compatibility test \
            (0 < LEVEL < 1).")
 
-let stop_ci_t =
-  Arg.(
-    value
-    & opt (some float) None
-    & info [ "stop-ci" ] ~docv:"PTS"
-        ~doc:
-          "Stop each campaign as soon as the wrong-answer rate is known to \
-           ±$(docv) percentage points (Wilson CI half-width at the chosen \
-           confidence, evaluated over the completed fault prefix).  The \
-           kept results are bit-identical to the full campaign truncated \
-           at the stop index.")
-
-let stop_min_t =
-  Arg.(
-    value & opt int 100
-    & info [ "stop-min" ] ~docv:"N"
-        ~doc:"Never CI-stop before $(docv) faults (guards tiny-n flukes).")
-
-let stop_rule_of ~confidence ~stop_min = function
-  | None -> None
-  | Some pts when pts > 0.0 ->
-      Some
-        (Stats.stop_rule ~confidence ~min_n:stop_min ~half_width:(pts /. 100.)
-           ())
-  | Some pts ->
-      Printf.eprintf "tmrtool: --stop-ci must be positive, got %g\n" pts;
-      exit 2
-
 (* Progress with the running wrong-answer rate ± CI in the bar.  Returns
-   the callback (for [Runs.campaign_design ~progress]) and a flush to
-   close the bar of a CI-stopped campaign (which never reaches 100%). *)
+   the callback (for [Runs.campaign_design ~progress]) and a flush that
+   closes a bar left open (a campaign that never reported its total). *)
 let ci_progress ~confidence () =
   let cb, flush = Progress.callback_note () in
   let progress name (p : Campaign.progress) =
@@ -321,19 +310,6 @@ let ci_progress ~confidence () =
       else begin
         let n = p.Campaign.p_completed and k = p.Campaign.p_wrong in
         let i = Stats.wilson ~confidence ~n ~k () in
-        (* the CI the bar shows also goes on the event stream, so a
-           remote `tmrtool watch` renders the same numbers *)
-        if Tmr_obs.Events.enabled () then
-          Tmr_obs.Events.publish
-            (Tmr_obs.Events.Campaign_ci
-               {
-                 design = name;
-                 n;
-                 wrong = k;
-                 confidence;
-                 lo = i.Stats.lo;
-                 hi = i.Stats.hi;
-               });
         Printf.sprintf "wrong %.2f%% ±%.2f%%"
           (100.0 *. float_of_int k /. float_of_int n)
           (50.0 *. (i.Stats.hi -. i.Stats.lo))
@@ -371,15 +347,15 @@ let store_t =
            found there becomes the regression baseline; the current run is \
            appended after the comparison.")
 
-let report_campaign ~ctx ~confidence ~stop ~store ~out ~heatmap =
+let report_campaign ~ctx ~confidence ~store ~out ~heatmap =
   let progress, flush = ci_progress ~confidence () in
-  let runs = Runs.run_all ~progress ?workers:(jobs ()) ?stop_at_ci:stop ctx in
+  let runs = Runs.run_all ~progress ?workers:(jobs ()) ctx in
   flush ();
   (* history first: the freshly-saved manifests must not be their own
      baseline *)
   let history = Store.load_dir ~dir:store () in
   let manifests =
-    List.map (fun r -> Store.of_run ~confidence ?stop ctx r) runs
+    List.map (fun r -> Store.of_run ~confidence ctx r) runs
   in
   let report = Store.report_markdown ~confidence ~history manifests in
   List.iter
@@ -430,16 +406,14 @@ let report_cmd =
             "write the per-design ASCII injection-coverage heatmaps \
              (frame × offset device grid) to $(docv)")
   in
-  let run telem scale seed faults what store out heatmap confidence stop_ci
-      stop_min =
+  let run telem scale seed faults what store out heatmap confidence =
     with_telemetry telem @@ fun () ->
     match what with
     | "device" -> print_string (Reports.device_report (mk_ctx scale seed 0))
     | "memory" -> print_string (Reports.memory_report (mk_ctx scale seed 0))
     | "campaign" ->
-        let ctx = mk_ctx scale seed faults in
-        let stop = stop_rule_of ~confidence ~stop_min stop_ci in
-        report_campaign ~ctx ~confidence ~stop ~store ~out ~heatmap
+        report_campaign ~ctx:(mk_ctx scale seed faults) ~confidence ~store
+          ~out ~heatmap
     | other ->
         Printf.eprintf "unknown report %S (device|memory|campaign)\n" other;
         exit 2
@@ -452,7 +426,7 @@ let report_cmd =
           throughput checks)")
     Term.(
       const run $ telemetry_t $ scale_t $ seed_t $ faults_t $ what $ store_t
-      $ out_t $ heatmap_t $ confidence_t $ stop_ci_t $ stop_min_t)
+      $ out_t $ heatmap_t $ confidence_t)
 
 (* --- implement --- *)
 
@@ -506,7 +480,7 @@ let exhaustive_t =
 let shards_t =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some positive_int) None
     & info [ "shards" ] ~docv:"K"
         ~doc:
           "Plan the fault space as $(docv) checkpointable ranges (default \
@@ -516,7 +490,7 @@ let shards_t =
 
 let procs_t =
   Arg.(
-    value & opt int 1
+    value & opt positive_int 1
     & info [ "procs" ] ~docv:"P"
         ~doc:
           "Fork $(docv) worker processes that claim shards concurrently \
@@ -538,7 +512,7 @@ let shard_dir_t =
 let shard_limit_t =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some positive_int) None
     & info [ "shard-limit" ] ~docv:"N"
         ~doc:
           "Stop this invocation after claiming $(docv) shards (per process \
@@ -700,27 +674,18 @@ let inject_cmd =
         end
   in
   let run telem forensics scale seed faults design voter oracle json
-      confidence stop_ci stop_min store exhaustive shards procs shard_dir
-      shard_limit fresh merged_out =
+      confidence store exhaustive shards procs shard_dir shard_limit fresh
+      merged_out =
     let sharded =
       exhaustive || procs > 1 || shards <> None || shard_dir <> None
       || shard_limit <> None || merged_out <> None
     in
     (* fail fast on options the sharded engine cannot honour *)
-    if sharded then begin
-      if stop_ci <> None then begin
-        Printf.eprintf
-          "tmrtool: --stop-ci does not combine with sharded campaigns \
-           (merging needs full coverage of the fault space; exhaustive runs \
-           are exact and need no CI)\n";
-        exit 2
-      end;
-      if forensics <> None then begin
-        Printf.eprintf
-          "tmrtool: --forensics does not combine with sharded campaigns \
-           (per-shard result lines carry no forensic records)\n";
-        exit 2
-      end
+    if sharded && forensics <> None then begin
+      Printf.eprintf
+        "tmrtool: --forensics does not combine with sharded campaigns \
+         (per-shard result lines carry no forensic records)\n";
+      exit 2
     end;
     with_telemetry telem @@ fun () ->
     with_forensics forensics @@ fun () ->
@@ -731,11 +696,10 @@ let inject_cmd =
     else begin
       let ctx = mk_ctx scale seed faults in
       let r = Runs.implement_design ~voter ctx design in
-      let stop = stop_rule_of ~confidence ~stop_min stop_ci in
       let progress, flush = ci_progress ~confidence () in
       let r =
         Runs.campaign_design ~progress ?workers:(jobs ())
-          ~cone_skip:(not oracle) ?stop_at_ci:stop ctx r
+          ~cone_skip:(not oracle) ctx r
       in
       flush ();
       match r.Runs.campaign with
@@ -746,21 +710,15 @@ let inject_cmd =
               let _, _, events_spec = telem in
               let m =
                 Store.of_run ~confidence ~cone_skip:(not oracle)
-                  ~forensics:(forensics <> None) ?stop
-                  ?events_path:events_spec ctx r
+                  ~forensics:(forensics <> None) ?events_path:events_spec ctx r
               in
               Printf.eprintf "stored %s\n" (Store.save ~dir m))
             store;
           if json then print_endline (Campaign.summary_json c)
           else begin
-            Printf.printf "%s: injected %d%s, wrong answers %d (%s)\n"
+            Printf.printf "%s: injected %d, wrong answers %d (%s)\n"
               (Partition.paper_name design) c.Campaign.injected
-              (if c.Campaign.injected < c.Campaign.requested then
-                 Printf.sprintf " of %d requested (CI stop)"
-                   c.Campaign.requested
-               else "")
-              c.Campaign.wrong
-              (rate_ci_line ~confidence c);
+              c.Campaign.wrong (rate_ci_line ~confidence c);
             effect_table c;
             detection_summary voter c;
             engine_summary c
@@ -772,8 +730,8 @@ let inject_cmd =
     Term.(
       const run $ telemetry_t $ forensics_file_t $ scale_t $ seed_t $ faults_t
       $ design_t $ voter_t $ oracle_t $ json_t $ confidence_t
-      $ stop_ci_t $ stop_min_t $ inject_store_t $ exhaustive_t $ shards_t
-      $ procs_t $ shard_dir_t $ shard_limit_t $ fresh_t $ merged_out_t)
+      $ inject_store_t $ exhaustive_t $ shards_t $ procs_t $ shard_dir_t
+      $ shard_limit_t $ fresh_t $ merged_out_t)
 
 (* --- explain --- *)
 

@@ -34,7 +34,6 @@ val small : params
 (** A tiny device for unit tests (fast to build and route). *)
 
 val bels_per_tile : params -> int
-val num_tiles : params -> int
 val num_bels : params -> int
 
 val scaled : params -> rows:int -> cols:int -> params

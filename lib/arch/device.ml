@@ -474,11 +474,6 @@ let describe_wire t w =
 let pip_other t i w =
   if t.pip_src.(i) = w then t.pip_dst.(i) else t.pip_src.(i)
 
-let describe_pip t i =
-  Printf.sprintf "%s %s %s" (describe_wire t t.pip_src.(i))
-    (if t.pip_bidir.(i) then "<->" else "->")
-    (describe_wire t t.pip_dst.(i))
-
 let input_pads t =
   let out = ref [] in
   for pid = t.npads - 1 downto 0 do

@@ -59,7 +59,6 @@ val pip_other : t -> int -> int -> int
 (** [pip_other t pip w] is the endpoint of [pip] that is not [w]. *)
 
 val describe_wire : t -> int -> string
-val describe_pip : t -> int -> string
 
 val input_pads : t -> int array
 val output_pads : t -> int array

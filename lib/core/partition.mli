@@ -47,12 +47,6 @@ val component_group : string -> string
 val block_group : string -> string
 (** First ["/"]-separated segment (tap-block granularity). *)
 
-val spec_for :
-  ?voter:Voter.variant -> Tmr_netlist.Netlist.t -> strategy -> Tmr.spec option
-(** [None] for {!Unprotected}.  [voter] (default {!Voter.Majority})
-    selects the voter microarchitecture for the built-in strategies; a
-    {!Custom} spec keeps its own voter unless explicitly overridden. *)
-
 val protect :
   ?voter:Voter.variant ->
   Tmr_netlist.Netlist.t ->

@@ -30,7 +30,7 @@ let implement_design ?(voter = Tmr_core.Voter.Majority) (ctx : Context.t)
     campaign = None;
   }
 
-let campaign_design ?progress ?workers ?cone_skip ?forensics ?stop_at_ci
+let campaign_design ?progress ?workers ?cone_skip ?forensics
     (ctx : Context.t) run =
   let name = Partition.name run.strategy in
   let faults =
@@ -39,16 +39,16 @@ let campaign_design ?progress ?workers ?cone_skip ?forensics ?stop_at_ci
   in
   let progress_cb = Option.map (fun f p -> f name p) progress in
   let campaign =
-    Campaign.run ?progress:progress_cb ?workers ?cone_skip ?forensics
-      ?stop_at_ci ~name ~impl:run.impl
-      ~golden:ctx.Context.golden_nl ~stimulus:ctx.Context.stimulus ~faults ()
+    Campaign.run ?progress:progress_cb ?workers ?cone_skip ?forensics ~name
+      ~impl:run.impl ~golden:ctx.Context.golden_nl
+      ~stimulus:ctx.Context.stimulus ~faults ()
   in
   { run with campaign = Some campaign }
 
-let run_all ?progress ?workers ?forensics ?stop_at_ci ?voter ctx =
+let run_all ?progress ?workers ?forensics ?voter ctx =
   List.map
     (fun strategy ->
-      campaign_design ?progress ?workers ?forensics ?stop_at_ci ctx
+      campaign_design ?progress ?workers ?forensics ctx
         (implement_design ?voter ctx strategy))
     Partition.all_paper_designs
 

@@ -25,7 +25,6 @@ val campaign_design :
   ?workers:int ->
   ?cone_skip:bool ->
   ?forensics:bool ->
-  ?stop_at_ci:Tmr_obs.Stats.stop_rule ->
   Context.t ->
   design_run ->
   design_run
@@ -38,7 +37,6 @@ val run_all :
   ?progress:(string -> Tmr_inject.Campaign.progress -> unit) ->
   ?workers:int ->
   ?forensics:bool ->
-  ?stop_at_ci:Tmr_obs.Stats.stop_rule ->
   ?voter:Tmr_core.Voter.variant ->
   Context.t ->
   design_run list

@@ -43,10 +43,6 @@ val job_name : job -> string
     the [job] field of every event origin and the natural per-job queue
     directory name. *)
 
-val job_to_json : job -> Tmr_obs.Json.t
-(** The job spec as written to the queue's [job.json] (and hashed into
-    {!fingerprint}). *)
-
 val faults_of : Context.t -> Runs.design_run -> job -> int array
 (** The job's fault-index space: the full essential-bit list when
     exhaustive, otherwise the usual deterministic sample. *)

@@ -23,7 +23,6 @@ type manifest = {
   m_workers : int;
   m_cone_skip : bool;
   m_forensics : bool;
-  m_stop : Stats.stop_rule option;
   m_exhaustive : bool;
   m_requested : int;
   m_injected : int;
@@ -75,7 +74,7 @@ let version_string () =
   Printf.sprintf "tmrtool %s (git %s)" tool_version (Lazy.force git_commit)
 
 let of_run ?(confidence = 0.95) ?(cone_skip = true) ?(forensics = false)
-    ?stop ?(exhaustive = false) ?events_path ?(spools = []) (ctx : Context.t)
+    ?(exhaustive = false) ?events_path ?(spools = []) (ctx : Context.t)
     (run : Runs.design_run) =
   let c =
     match run.Runs.campaign with
@@ -113,7 +112,6 @@ let of_run ?(confidence = 0.95) ?(cone_skip = true) ?(forensics = false)
     m_workers = c.Campaign.workers;
     m_cone_skip = cone_skip;
     m_forensics = forensics;
-    m_stop = stop;
     m_exhaustive = exhaustive;
     m_requested = c.Campaign.requested;
     m_injected = c.Campaign.injected;
@@ -181,16 +179,6 @@ let to_json m =
       ("workers", int m.m_workers);
       ("cone_skip", Json.Bool m.m_cone_skip);
       ("forensics", Json.Bool m.m_forensics);
-      ( "stop",
-        match m.m_stop with
-        | None -> Json.Null
-        | Some r ->
-            Json.Obj
-              [
-                ("confidence", num r.Stats.sr_confidence);
-                ("half_width", num r.Stats.sr_half_width);
-                ("min_n", int r.Stats.sr_min_n);
-              ] );
       ("exhaustive", Json.Bool m.m_exhaustive);
       ("requested", int m.m_requested);
       ("injected", int m.m_injected);
@@ -246,20 +234,6 @@ let of_json j =
   let* wall_ns = require "wall_ns" (int "wall_ns") in
   let* utilization = require "utilization" (num "utilization") in
   let* digest = require "metrics_digest" (str "metrics_digest") in
-  let stop =
-    match Json.member "stop" j with
-    | Some (Json.Obj _ as s) -> (
-        match
-          ( Option.bind (Json.member "confidence" s) Json.num,
-            Option.bind (Json.member "half_width" s) Json.num,
-            Option.bind (Json.member "min_n" s) Json.int )
-        with
-        | Some c, Some hw, Some mn ->
-            Some
-              { Stats.sr_confidence = c; sr_half_width = hw; sr_min_n = mn }
-        | _ -> None)
-    | _ -> None
-  in
   Ok
     {
       m_design = design;
@@ -294,7 +268,6 @@ let of_json j =
       m_workers = workers;
       m_cone_skip = cone_skip;
       m_forensics = forensics;
-      m_stop = stop;
       (* absent in manifests written by older tool versions *)
       m_exhaustive = Option.value ~default:false (bool "exhaustive");
       m_requested = requested;
@@ -515,15 +488,10 @@ let report_markdown ?(confidence = 0.95) ?(throughput_drop = 0.30) ~history
               verdict,
               tput )
       in
-      let n_str =
-        if m.m_injected < m.m_requested then
-          Printf.sprintf "%d (of %d, CI stop)" m.m_injected m.m_requested
-        else string_of_int m.m_injected
-      in
       Buffer.add_string b
-        (Printf.sprintf "| %s | %s | %d | %.2f%% | %s | %s | %s | %s | %s |\n"
-           m.m_design n_str m.m_wrong (pct m.m_rate) ci_str base_str z_str
-           verdict tput))
+        (Printf.sprintf "| %s | %d | %d | %.2f%% | %s | %s | %s | %s | %s |\n"
+           m.m_design m.m_injected m.m_wrong (pct m.m_rate) ci_str base_str
+           z_str verdict tput))
     currents;
   Buffer.add_char b '\n';
   List.iter

@@ -7,10 +7,6 @@
     design's latest stored baseline, rates compared by CI overlap plus a
     two-proportion z test, throughput by relative faults/s drop. *)
 
-val tool_version : string
-(** The version stamped into every manifest (and printed by
-    [tmrtool --version]). *)
-
 val version_string : unit -> string
 (** ["tmrtool <version> (git <short-hash>)"] — the manifest identity
     fields as one line, for [--version] and service job logs. *)
@@ -45,7 +41,6 @@ type manifest = {
   m_workers : int;
   m_cone_skip : bool;  (** [false]: the run used the rebuild oracle *)
   m_forensics : bool;
-  m_stop : Tmr_obs.Stats.stop_rule option;  (** CI stop, when used *)
   m_exhaustive : bool;
       (** the run covered the design's {e entire} essential-bit space —
           [m_rate] is exact and the CI fields are vestigial *)
@@ -86,7 +81,6 @@ val of_run :
   ?confidence:float ->
   ?cone_skip:bool ->
   ?forensics:bool ->
-  ?stop:Tmr_obs.Stats.stop_rule ->
   ?exhaustive:bool ->
   ?events_path:string ->
   ?spools:spool_ref list ->

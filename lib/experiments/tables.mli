@@ -45,9 +45,5 @@ val tables_json : Context.t -> Runs.design_run list -> string
     extended with slices, estimated MHz, DUT bits by class, the paper's
     Table 3 row and the injection-coverage record. *)
 
-val paper_table2 : (string * (int * int * int * int * int)) list
-(** The paper's Table 2 rows: design -> (slices, routing bits, LUT bits,
-    FF bits, MHz). *)
-
 val paper_table3 : (string * (int * int * float)) list
 (** The paper's Table 3 rows: design -> (injected, wrong, percent). *)

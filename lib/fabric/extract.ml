@@ -76,18 +76,6 @@ let device t = t.dev
 let database t = t.db
 let bit_is_set t a = Bitstream.get t.bs a
 
-let fanouts t w =
-  (* ON buffered pips out of [w], as destination wires *)
-  let out = t.dev.Device.wire_out.(w) in
-  let acc = ref [] in
-  Array.iter
-    (fun p ->
-      if (not t.dev.Device.pip_bidir.(p)) && t.dev.Device.pip_src.(p) = w then
-        if Bitstream.get t.bs (Bitdb.pip_bit t.db p) then
-          acc := t.dev.Device.pip_dst.(p) :: !acc)
-    out;
-  !acc
-
 let apply_bit_flip t a =
   Bitstream.flip t.bs a;
   let now = Bitstream.get t.bs a in

@@ -25,11 +25,6 @@ val database : t -> Tmr_arch.Bitdb.t
 val bit_is_set : t -> int -> bool
 (** Current state of one configuration bit in the captured image. *)
 
-val fanouts : t -> int -> int list
-(** Destination wires of ON buffered pips leaving the given wire — the
-    forward counterpart of {!drivers}, computed on demand from the device
-    adjacency. *)
-
 val apply_bit_flip : t -> int -> unit
 (** Flip one configuration bit and update the derived state. *)
 

@@ -649,38 +649,6 @@ let snapshot_cone ws =
 let cone_marked c w = Bytes.get c.c_marked w <> '\000'
 let cone_node_of_bel c b = c.c_bel_node.(b)
 
-let cone_wire_count c =
-  let n = ref 0 in
-  Bytes.iter (fun ch -> if ch <> '\000' then incr n) c.c_marked;
-  !n
-
-let cone_bel_count c = Array.length c.c_bels
-
-let cone_touches_bit c ex bit =
-  let dev = Extract.device ex in
-  let db = Extract.database ex in
-  match Bitdb.resource db bit with
-  | Bitdb.Pip p ->
-      cone_marked c dev.Device.pip_src.(p)
-      || cone_marked c dev.Device.pip_dst.(p)
-  | Bitdb.Lut_bit (b, _)
-  | Bitdb.Ff_init b
-  | Bitdb.Out_sel b
-  | Bitdb.Ce_inv b
-  | Bitdb.Sr_inv b
-  | Bitdb.In_inv (b, _) ->
-      c.c_bel_node.(b) >= 0
-  | Bitdb.Pad_enable pad -> cone_marked c dev.Device.pad_wire.(pad)
-  | Bitdb.Pad_cfg _ -> false
-
-let cone_frames c ex =
-  let db = Extract.database ex in
-  let frames = Array.make (Bitdb.num_frames db) false in
-  for bit = 0 to Bitdb.num_bits db - 1 do
-    if cone_touches_bit c ex bit then frames.(Bitdb.frame_of_bit db bit) <- true
-  done;
-  frames
-
 (* ------------------------------------------------------------------ *)
 (* Per-fault planning: how cheaply can one bit flip be simulated?      *)
 
@@ -1075,8 +1043,6 @@ let view t =
     v_scc_cyclic = t.scc_cyclic;
   }
 
-let kind_constx = k_constx
-let kind_pad = k_pad
 let kind_bel_comb = k_bel_comb
 let kind_bel_reg = k_bel_reg
 let kind_resolve = k_resolve

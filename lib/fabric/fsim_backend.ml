@@ -1,15 +1,5 @@
 module Logic = Tmr_logic.Logic
 
-module type S = sig
-  type t
-
-  val x : t
-  val zero : t
-  val one : t
-  val broadcast : Logic.t -> t
-  val equal : t -> t -> bool
-end
-
 (* ------------------------------------------------------------------ *)
 (* Scalar: one fault per simulator, values are plain [Logic.t].
 
@@ -20,14 +10,6 @@ end
    helpers are top-level functions threading plain integers. *)
 
 module Scalar = struct
-  type t = Logic.t
-
-  let x = Logic.X
-  let zero = Logic.Zero
-  let one = Logic.One
-  let broadcast v = v
-  let equal = Logic.equal
-
   (* 2-bit packed codes: the baseline-tape representation. *)
   let logic_code = function Logic.Zero -> 0 | Logic.One -> 1 | Logic.X -> 2
 
@@ -80,8 +62,6 @@ module Scalar = struct
     else resolve_glitch last ins (i + 1) len v
 end
 
-module Check_scalar : S with type t = Logic.t = Scalar
-
 (* ------------------------------------------------------------------ *)
 (* Lanes: up to [word_bits] faults per machine word as possibility
    planes.  A node's packed sample is a pair of plane words (H, L):
@@ -91,21 +71,8 @@ module Check_scalar : S with type t = Logic.t = Scalar
    algebra, evaluating every lane of a word at once. *)
 
 module Lanes = struct
-  type t = { h : int; l : int }
-
   let word_bits = 32
   let full = 0xffffffff
-
-  let x = { h = full; l = full }
-  let zero = { h = 0; l = full }
-  let one = { h = full; l = 0 }
-
-  let broadcast = function
-    | Logic.Zero -> zero
-    | Logic.One -> one
-    | Logic.X -> x
-
-  let equal a b = a.h = b.h && a.l = b.l
 
   (* Split plane words of a scalar value, for callers that keep H and L
      in separate flat arrays rather than as pairs. *)
@@ -209,5 +176,3 @@ module Lanes = struct
       dl.(i) <- full land lnot !one_ng
     end
 end
-
-module Check_lanes : S with type t = Lanes.t = Lanes

@@ -9,46 +9,19 @@
       {!Tmr_logic.Logic.t} — the representation of {!Fsim}, the
       simulator the rebuild oracle runs;
     - {!Lanes} packs up to {!Lanes.word_bits} faults per machine word
-      as "possibility planes" — the representation of {!Fsim_batch}.
-
-    Both satisfy {!S}; the engines use the wider concrete interfaces
-    below. *)
-
-module type S = sig
-  type t
-  (** One packed signal sample (every lane's value of one node). *)
-
-  val x : t
-  val zero : t
-  val one : t
-
-  val broadcast : Tmr_logic.Logic.t -> t
-  (** The sample carrying the scalar value in every lane. *)
-
-  val equal : t -> t -> bool
-end
+      as "possibility planes" — the representation of {!Fsim_batch}. *)
 
 module Scalar : sig
-  include S with type t = Tmr_logic.Logic.t
-
   val logic_code : Tmr_logic.Logic.t -> int
   (** 2-bit packed code (Zero 0, One 1, X 2) — the baseline-tape
       representation. *)
 
   val code_logic : int -> Tmr_logic.Logic.t
 
-  val lut_scan :
-    Tmr_logic.Logic.t array -> int array -> int -> int -> int -> int
-  (** [lut_scan values pins inv j acc] scans pins [j..3], packing the
-      LUT index of the defined pins into bits 0-3 of [acc] and a mask
-      of X pins into bits 4-7.  Unused pins ([< 0]) are skipped. *)
-
-  val lut_x_const : int -> int -> int -> int -> int -> bool
-  (** [lut_x_const table idx xmask s first]: is the table bit equal to
-      [first] for every completion [s] of the X pins? *)
-
   val lut_of_acc : int -> int -> Tmr_logic.Logic.t
-  (** Finish a {!lut_scan} accumulator against a truth table. *)
+  (** [lut_of_acc table acc] finishes a pin-scan accumulator against a
+      truth table: [acc] packs the LUT index of the defined pins into
+      bits 0-3 and a mask of X pins into bits 4-7. *)
 
   val lut_eval :
     values:Tmr_logic.Logic.t array ->
@@ -79,15 +52,9 @@ module Scalar : sig
 end
 
 module Lanes : sig
-  type t = { h : int; l : int }
-  (** Plane words: lane [i] is One on [(1,0)], Zero on [(0,1)], X on
-      [(1,1)]; [(0,0)] is unreachable. *)
-
-  val x : t
-  val zero : t
-  val one : t
-  val broadcast : Tmr_logic.Logic.t -> t
-  val equal : t -> t -> bool
+  (** A node's sample is a pair of plane words [(h, l)]: lane [i] is One
+      on [(1,0)], Zero on [(0,1)], X on [(1,1)]; [(0,0)] is
+      unreachable. *)
 
   val word_bits : int
   (** 32 — plane words stay immediate integers everywhere, and two of
@@ -112,7 +79,7 @@ module Lanes : sig
   (** Plane words of one LUT pin: the value planes [h]/[l] read
       inverted on the lanes of [im] and as constant Zero on the lanes
       of [unused] (an unused pin contributes index bit 0, whatever its
-      inversion bit, as {!Scalar.lut_scan} skips it). *)
+      inversion bit, as the scalar pin scan skips it). *)
 
   val lut_table :
     ph:int array ->

@@ -6,8 +6,6 @@ type t = {
 let create params =
   { params; delay = Array.make (Array.length params.Fir.coeffs - 1) 0 }
 
-let reset t = Array.fill t.delay 0 (Array.length t.delay) 0
-
 let wrap width v =
   let m = 1 lsl width in
   let r = v land (m - 1) in
@@ -30,5 +28,4 @@ let step t x =
 
 let run params inputs =
   let t = create params in
-  reset t;
   Array.map (step t) inputs

@@ -2,18 +2,9 @@
     paper's fault-injection system, §4 (a copy of the DUT without TMR).
 
     Semantics match the netlist exactly: the output sample for an input is
-    the combinational response before the clock edge; {!step} returns it
-    and then shifts the delay line.  All arithmetic wraps at [acc_width]
-    bits. *)
-
-type t
-
-val create : Fir.params -> t
-val reset : t -> unit
-
-val step : t -> int -> int
-(** [step t x] = filter output for this cycle, then advances the delay
-    line. *)
+    the combinational response before the clock edge, after which the
+    delay line shifts.  All arithmetic wraps at [acc_width] bits. *)
 
 val run : Fir.params -> int array -> int array
-(** Whole-sequence convenience: reset, then map {!step}. *)
+(** The filter's output for each input sample, from a zeroed delay
+    line. *)

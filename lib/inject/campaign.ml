@@ -46,12 +46,6 @@ let verdict_of r =
   | Wrong_answer, true -> Detected_wrong
   | Wrong_answer, false -> Silent_wrong
 
-let verdict_name = function
-  | Silent_correct -> "silent_correct"
-  | Detected_corrected -> "detected_corrected"
-  | Detected_wrong -> "detected_wrong"
-  | Silent_wrong -> "silent_wrong"
-
 type engine_stats = {
   skipped : int;
   patched : int;
@@ -245,39 +239,6 @@ type wstate = {
   w_tape : Fsim.tape option;
 }
 
-(* Sequential-stopping monitor.  Results land in arbitrary order, but the
-   stopping decision must be a function of the fault *prefix* in index
-   order, or the stop point would depend on scheduling.  So: a flag per
-   fault, a prefix cursor advanced under a mutex one index at a time, and
-   the CI test evaluated at every prefix length exactly once.  The first
-   prefix length that satisfies the rule becomes the stop index — the
-   same number a sequential run would compute. *)
-type monitor = {
-  mon_mutex : Mutex.t;
-  mon_flags : Bytes.t;  (* '\000' pending, '\001' silent, '\002' wrong *)
-  mutable mon_prefix : int;  (* completed prefix length *)
-  mutable mon_wrong : int;  (* wrong answers within the prefix *)
-  mon_stop : int Atomic.t;  (* stop index; max_int = keep going *)
-  mon_rule : Tmr_obs.Stats.stop_rule;
-}
-
-let monitor_note m i wrong =
-  Mutex.lock m.mon_mutex;
-  Bytes.set m.mon_flags i (if wrong then '\002' else '\001');
-  let total = Bytes.length m.mon_flags in
-  while
-    m.mon_prefix < total && Bytes.get m.mon_flags m.mon_prefix <> '\000'
-  do
-    if Bytes.get m.mon_flags m.mon_prefix = '\002' then
-      m.mon_wrong <- m.mon_wrong + 1;
-    m.mon_prefix <- m.mon_prefix + 1;
-    if
-      Atomic.get m.mon_stop = max_int
-      && Tmr_obs.Stats.should_stop m.mon_rule ~n:m.mon_prefix ~k:m.mon_wrong
-    then Atomic.set m.mon_stop m.mon_prefix
-  done;
-  Mutex.unlock m.mon_mutex
-
 (* Pool work units: one fault that needs no simulation or a rebuild, or
    a batch of fault indices for the bit-parallel engine (at most
    {!Fsim_batch.width} of them). *)
@@ -303,8 +264,8 @@ let group_key dev db bit =
   | Bitdb.Pip p -> (4 * dev.Device.pip_dst.(p)) + 1
   | Bitdb.Pad_enable p | Bitdb.Pad_cfg (p, _) -> (4 * p) + 2
 
-let run ?progress ?workers ?(cone_skip = true) ?(forensics = false)
-    ?stop_at_ci ~name ~impl ~golden ~stimulus ~faults () =
+let run ?progress ?workers ?(cone_skip = true) ?(forensics = false) ~name
+    ~impl ~golden ~stimulus ~faults () =
   let workers =
     match workers with Some w -> max 1 w | None -> default_workers ()
   in
@@ -553,10 +514,7 @@ let run ?progress ?workers ?(cone_skip = true) ?(forensics = false)
      group by {!group_key} and pack, in first-index order, into batches
      of at most {!Fsim_batch.width} lanes.  Silent and rebuild faults —
      and everything on the rebuild oracle — stay singles; a fault the
-     vote-masking proof classifies is silent before it is planned.  Under
-     [stop_at_ci] the packing runs inside consecutive windows of
-     {!Fsim_batch.width} fault indices, so units complete close to
-     index order and the prefix monitor advances as they land.  The
+     vote-masking proof classifies is silent before it is planned.  The
      schedule only decides how faults are grouped, never a verdict, so
      results are independent of it.  It plans on worker 0's state,
      built up front: planning needs the golden extract and cone,
@@ -569,92 +527,59 @@ let run ?progress ?workers ?(cone_skip = true) ?(forensics = false)
       Tmr_obs.Trace.with_span "batch_plan" (fun () ->
           let st = setup 0 in
           let pex = st.w_ex and pcone = st.w_cone in
-          let units = ref [] in
-          let buf = Array.make Fsim_batch.width 0 in
-          let nbuf = ref 0 in
-          let flush () =
-            if !nbuf > 0 then
-              units := Batch (Array.sub buf 0 !nbuf) :: !units;
-            nbuf := 0
-          in
-          let pack lo hi =
-            let groups : (int, int list ref) Hashtbl.t = Hashtbl.create 1024 in
-            let order = ref [] in
-            let singles = ref [] in
-            for i = lo to hi - 1 do
-              let bit = faults.(i) in
-              let proved =
-                match masking with
-                | Some a -> Forensics.masked_domain a bit >= 0
-                | None -> false
-              in
-              if proved then Bytes.set masked i '\001';
-              match
-                if proved then Fsim.Path_silent else Fsim.plan_fault pcone pex bit
-              with
-              | Fsim.Path_patch | Fsim.Path_reroute -> (
-                  let k = group_key dev db bit in
-                  match Hashtbl.find_opt groups k with
-                  | Some g -> g := i :: !g
-                  | None ->
-                      Hashtbl.add groups k (ref [ i ]);
-                      order := k :: !order)
-              | Fsim.Path_silent | Fsim.Path_rebuild ->
-                  singles := i :: !singles
-            done;
-            (* pack neighbouring keys together: bel and wire indices are
-               spatially local, so adjacent keys drive overlapping fanout
-               cones and the batch engine walks a tighter union cone *)
-            List.iter
-              (fun k ->
-                List.iter
-                  (fun i ->
-                    buf.(!nbuf) <- i;
-                    incr nbuf;
-                    if !nbuf = Fsim_batch.width then flush ())
-                  (List.rev !(Hashtbl.find groups k)))
-              (List.sort compare !order);
-            flush ();
-            List.iter
-              (fun i -> units := Single i :: !units)
-              (List.rev !singles)
-          in
-          let window =
-            if stop_at_ci = None then max 1 total else Fsim_batch.width
-          in
-          let lo = ref 0 in
-          while !lo < total do
-            pack !lo (min total (!lo + window));
-            lo := !lo + window
+          let groups : (int, int list ref) Hashtbl.t = Hashtbl.create 1024 in
+          let order = ref [] in
+          let singles = ref [] in
+          for i = 0 to total - 1 do
+            let bit = faults.(i) in
+            let proved =
+              match masking with
+              | Some a -> Forensics.masked_domain a bit >= 0
+              | None -> false
+            in
+            if proved then Bytes.set masked i '\001';
+            match
+              if proved then Fsim.Path_silent else Fsim.plan_fault pcone pex bit
+            with
+            | Fsim.Path_patch | Fsim.Path_reroute -> (
+                let k = group_key dev db bit in
+                match Hashtbl.find_opt groups k with
+                | Some g -> g := i :: !g
+                | None ->
+                    Hashtbl.add groups k (ref [ i ]);
+                    order := k :: !order)
+            | Fsim.Path_silent | Fsim.Path_rebuild -> singles := i :: !singles
           done;
-          (Some st, Array.of_list (List.rev !units)))
+          (* pack neighbouring keys together: bel and wire indices are
+             spatially local, so adjacent keys drive overlapping fanout
+             cones and the batch engine walks a tighter union cone *)
+          let lanes =
+            Array.of_list
+              (List.concat_map
+                 (fun k -> List.rev !(Hashtbl.find groups k))
+                 (List.sort compare !order))
+          in
+          let w = Fsim_batch.width and n = Array.length lanes in
+          let batches =
+            Array.init ((n + w - 1) / w) (fun b ->
+                Batch (Array.sub lanes (b * w) (min w (n - (b * w)))))
+          in
+          let singles =
+            Array.of_list (List.rev_map (fun i -> Single i) !singles)
+          in
+          (Some st, Array.append batches singles))
   in
   (* fault-level completion count for the progress line — the pool only
      counts units, whose sizes vary from 1 to {!Fsim_batch.width}
      faults *)
   let faults_done = Atomic.make 0 in
-  let monitor =
-    Option.map
-      (fun rule ->
-        {
-          mon_mutex = Mutex.create ();
-          mon_flags = Bytes.make total '\000';
-          mon_prefix = 0;
-          mon_wrong = 0;
-          mon_stop = Atomic.make max_int;
-          mon_rule = rule;
-        })
-      stop_at_ci
-  in
   (* running wrong-answer count for the live progress line; display-only,
      so a moment of slack against [completed] is fine *)
   let wrong_live = Atomic.make 0 in
   let record i r =
     results.(i) <- r;
-    let is_wrong = r.outcome = Wrong_answer in
-    if is_wrong then ignore (Atomic.fetch_and_add wrong_live 1);
-    ignore (Atomic.fetch_and_add faults_done 1);
-    Option.iter (fun m -> monitor_note m i is_wrong) monitor
+    if r.outcome = Wrong_answer then ignore (Atomic.fetch_and_add wrong_live 1);
+    ignore (Atomic.fetch_and_add faults_done 1)
   in
   let worker wid =
     let st =
@@ -903,11 +828,6 @@ let run ?progress ?workers ?(cone_skip = true) ?(forensics = false)
               f { p_completed = completed; p_total = total; p_wrong = wrong }
           | None -> ())
   in
-  let should_stop =
-    Option.map
-      (fun m () -> Atomic.get m.mon_stop < max_int)
-      monitor
-  in
   if emit_events then
     Tmr_obs.Events.publish
       (Tmr_obs.Events.Campaign_started
@@ -921,8 +841,8 @@ let run ?progress ?workers ?(cone_skip = true) ?(forensics = false)
       ]
     "campaign"
     (fun () ->
-      Pool.run ?progress:pool_progress ?should_stop ~workers
-        ~total:(Array.length units) worker);
+      Pool.run ?progress:pool_progress ~workers ~total:(Array.length units)
+        worker);
   let wall_ns = Tmr_obs.Clock.now_ns () - t_start in
   let busy_total = Array.fold_left ( + ) 0 busy_ns in
   let setup_total = Array.fold_left ( + ) 0 setup_ns in
@@ -933,28 +853,14 @@ let run ?progress ?workers ?(cone_skip = true) ?(forensics = false)
        /. (float_of_int workers *. float_of_int wall_ns)
      else 0.0);
   let stats = Array.fold_left add_stats no_stats stats_per_worker in
-  (* CI stop: keep exactly the prefix that triggered the rule.  Chunks in
-     flight at the stop may have completed faults past the index (that
-     work shows in [stats]/[busy_ns]), but the kept results are the
-     index-order prefix — bit-identical to a full campaign truncated at
-     the same point, whatever the scheduling. *)
-  let effective =
-    match monitor with
-    | Some m when Atomic.get m.mon_stop < max_int -> Atomic.get m.mon_stop
-    | _ -> total
-  in
-  let results =
-    if effective < total then Array.sub results 0 effective else results
-  in
   let wrong =
     Array.fold_left
       (fun acc r -> if r.outcome = Wrong_answer then acc + 1 else acc)
       0 results
   in
-  (* Verdict accounting over the kept prefix, aggregated post-hoc in the
-     main thread: deterministic for a fixed fault list (workers racing
-     atomic counters past a CI stop would overcount), and only on
-     designs that actually carry detection logic.  Detection latency is
+  (* Verdict accounting, aggregated post-hoc in the main thread from the
+     results array, and only on designs that actually carry detection
+     logic.  Detection latency is
      measured from the fault's first recorded internal divergence (the
      forensic provenance) when available, else from injection. *)
   if ndetect > 0 then begin
@@ -1006,7 +912,7 @@ let run ?progress ?workers ?(cone_skip = true) ?(forensics = false)
          });
     Tmr_obs.Events.publish
       (Tmr_obs.Events.Campaign_stopped
-         { design = name; requested = total; injected = effective; wrong; wall_ns })
+         { design = name; requested = total; injected = total; wrong; wall_ns })
   end;
   (* stream the forensic records post-hoc in fault-index order: workers
      never write the sink, so the file is deterministic for a fixed
@@ -1024,7 +930,7 @@ let run ?progress ?workers ?(cone_skip = true) ?(forensics = false)
           | None -> ())
         results
   | _ -> ());
-  { design = name; requested = total; injected = effective; wrong; results;
+  { design = name; requested = total; injected = total; wrong; results;
     workers; stats; wall_ns; busy_ns; setup_ns }
 
 let wrong_percent t =

@@ -70,7 +70,6 @@ type verdict =
   | Silent_wrong  (** output wrong, no flag — SDC *)
 
 val verdict_of : fault_result -> verdict
-val verdict_name : verdict -> string
 
 type engine_stats = {
   skipped : int;
@@ -94,14 +93,12 @@ type t = {
   design : string;
   requested : int;  (** length of the fault list the campaign was given *)
   injected : int;
-      (** faults whose results were kept: [requested], or the CI stop
-          index when [?stop_at_ci] fired ([= Array.length results]) *)
+      (** faults injected ([= Array.length results]); always equal to
+          [requested] — both are kept for readers of either name *)
   wrong : int;
   results : fault_result array;
   workers : int;  (** worker count the campaign actually used *)
-  stats : engine_stats;
-      (** covers all work the engine performed — on a CI-stopped campaign
-          that can exceed [injected] (in-flight chunks past the stop) *)
+  stats : engine_stats;  (** work the engine performed, by plan path *)
   wall_ns : int;
       (** wall-clock time of the injection loop, every worker's setup
           included (worker 0's is built before batch planning, which
@@ -143,9 +140,6 @@ val inject_utilization : t -> float
     relative to the fixed per-worker setup, so read it as an engine
     speed signal, not as idle workers. *)
 
-val default_workers : unit -> int
-(** [Domain.recommended_domain_count () - 1], at least 1. *)
-
 val dut_input_wires : Tmr_pnr.Impl.t -> string -> int array list
 (** Physical PadIn wires for a base input port: one wire set on an
     unprotected design, three (one per redundancy domain) on a TMR one. *)
@@ -164,7 +158,6 @@ val run :
   ?workers:int ->
   ?cone_skip:bool ->
   ?forensics:bool ->
-  ?stop_at_ci:Tmr_obs.Stats.stop_rule ->
   name:string ->
   impl:Tmr_pnr.Impl.t ->
   golden:Tmr_netlist.Netlist.t ->
@@ -172,10 +165,10 @@ val run :
   faults:int array ->
   unit ->
   t
-(** [workers] defaults to {!default_workers}.  [cone_skip] (default
-    [true]) runs the fast engine; [false] runs the rebuild-every-fault
-    oracle ([tmrtool]'s [--oracle]), whose per-fault results the fast
-    engine reproduces byte for byte.
+(** [workers] defaults to [Domain.recommended_domain_count () - 1], at
+    least 1.  [cone_skip] (default [true]) runs the fast engine; [false]
+    runs the rebuild-every-fault oracle ([tmrtool]'s [--oracle]), whose
+    per-fault results the fast engine reproduces byte for byte.
 
     The fast engine's planning pass first classifies every fault the
     vote-masking proof covers ({!Forensics.masked_domain}: the design's
@@ -207,18 +200,6 @@ val run :
     the injection loop finishes (so the file is deterministic for a
     fixed fault list).  Collection is read-only: outcomes are
     bit-identical with it on or off.
-
-    [stop_at_ci] enables sequential stopping: the campaign terminates as
-    soon as the Wilson CI of the wrong-answer rate over the completed
-    fault *prefix* (in fault-index order) narrows to the rule's half
-    width.  Batches are then packed inside consecutive windows of
-    {!Tmr_fabric.Fsim_batch.width} fault indices, so the prefix advances
-    as they complete.  The stop index is a pure function of the fault
-    list — never of worker count, packing or scheduling — so a stopped
-    campaign's [results] are bit-identical to the same full campaign
-    truncated at [injected].  Workers finish in-flight chunks before
-    draining; that overshoot appears in [stats] and [busy_ns] but not in
-    [results].
 
     [progress] is called with a {!progress} snapshot from worker
     domains, serialized and rate-limited by the pool.

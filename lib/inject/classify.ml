@@ -56,8 +56,6 @@ let name = function
   | Conflict_effect -> "Conflict"
   | Other_effect -> "Others"
 
-let paper_row = name
-
 let all =
   [ Lut_effect; Mux_effect; Init_effect; Open_effect; Bridge_effect;
     Antenna_effect; Conflict_effect; Other_effect ]

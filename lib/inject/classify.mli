@@ -39,5 +39,3 @@ val all : effect list
 
 val of_name : string -> effect option
 (** Inverse of {!name} — shard result files store effects by name. *)
-
-val paper_row : effect -> string

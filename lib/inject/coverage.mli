@@ -32,9 +32,8 @@ type t = {
 }
 
 val of_faults : db:Tmr_arch.Bitdb.t -> faultlist:Faultlist.t -> faults:int array -> t
-(** [faults] is the campaign's injected sample (possibly truncated by a
-    CI stop); duplicates count once toward the distinct totals and the
-    grids. *)
+(** [faults] is the campaign's injected sample; duplicates count once
+    toward the distinct totals and the grids. *)
 
 val to_json : t -> Tmr_obs.Json.t
 (** Full coverage record: totals, per-class table, both grids. *)

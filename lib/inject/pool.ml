@@ -33,7 +33,6 @@ type shared = {
   workers : int;
   milestone : int;  (* report progress at most every this many items *)
   progress : (int -> int -> unit) option;
-  should_stop : (unit -> bool) option;
 }
 
 let locked s f =
@@ -42,14 +41,11 @@ let locked s f =
 
 let m_chunks = Tmr_obs.Metrics.counter "pool.chunks"
 
-(* Claim the next chunk, or None when done/cancelled/stopped.  The stop
-   predicate runs outside the mutex: it is a monotone flag (once true,
-   forever true), so the worst a race costs is one extra chunk. *)
+(* Claim the next chunk, or None when done or cancelled. *)
 let claim s =
-  let stopped = match s.should_stop with Some f -> f () | None -> false in
   let r =
     locked s (fun () ->
-        if stopped || s.failure <> None || s.next >= s.total then None
+        if s.failure <> None || s.next >= s.total then None
         else begin
           let lo = s.next in
           let remaining = s.total - lo in
@@ -124,7 +120,7 @@ let worker_loop s wid body =
   done;
   beat ~force:true (Tmr_obs.Clock.now_ns ())
 
-let run ?progress ?should_stop ?(chunk = 16) ~workers ~total body =
+let run ?progress ?(chunk = 16) ~workers ~total body =
   if total < 0 then invalid_arg "Pool.run: negative total";
   if workers < 1 then invalid_arg "Pool.run: needs at least one worker";
   if chunk < 1 then invalid_arg "Pool.run: chunk must be positive";
@@ -140,7 +136,6 @@ let run ?progress ?should_stop ?(chunk = 16) ~workers ~total body =
       workers;
       milestone = max 1 (min chunk (total / 100));
       progress;
-      should_stop;
     }
   in
   if workers = 1 || total <= chunk then

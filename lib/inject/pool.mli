@@ -9,7 +9,6 @@
 
 val run :
   ?progress:(int -> int -> unit) ->
-  ?should_stop:(unit -> bool) ->
   ?chunk:int ->
   workers:int ->
   total:int ->
@@ -26,16 +25,10 @@ val run :
     mutex and rate-limited to at most one call per ~1% of [total] (plus a
     final tick at the end state).  It must not raise.
 
-    [should_stop] is polled before each chunk claim (outside the mutex);
-    once it returns true no further chunks are handed out and workers
-    drain.  The predicate must be monotone — once true, always true.
-    In-flight chunks still finish, so more items than strictly necessary
-    may complete; the caller decides which prefix of results to keep.
-
     [chunk] (default 16) is the {e maximum} number of consecutive items
     claimed at a time.  Actual claims shrink with the remaining work —
     roughly [remaining / (workers * 8)], at least 1 — so short campaigns
-    and the tail of long (or early-stopped) ones stay load-balanced
+    and the tail of long ones stay load-balanced
     instead of one worker dragging a final oversized chunk alone.
 
     If a worker raises, the pool stops handing out work, joins every

@@ -5,15 +5,10 @@ type t = {
 
 let mask w = (1 lsl w) - 1
 
-let width t = t.w
-
 let create ~width v =
   if width < 1 || width > 62 then
     invalid_arg (Printf.sprintf "Bitvec.create: width %d out of [1,62]" width);
   { w = width; v = v land mask width }
-
-let zero ~width = create ~width 0
-let one ~width = create ~width 1
 
 let to_unsigned t = t.v
 
@@ -76,8 +71,6 @@ let bits t = List.init t.w (fun i -> bit t i)
 
 let to_string t = String.init t.w (fun i -> if bit t (t.w - 1 - i) then '1' else '0')
 
-let pp ppf t = Format.pp_print_string ppf (to_string t)
-
 module Lanemask = struct
   (* 32 bits per array word so a mask word always fits the tagged-int
      range on every platform the batch engine targets; the tail word
@@ -120,8 +113,6 @@ module Lanemask = struct
     check t i "clear";
     let w = i lsr 5 in
     t.words.(w) <- t.words.(w) land lnot (1 lsl (i land 31))
-
-  let clear_all t = Array.fill t.words 0 (Array.length t.words) 0
 
   let set_all t =
     for w = 0 to Array.length t.words - 1 do

@@ -6,14 +6,9 @@
 
 type t
 
-val width : t -> int
-
 val create : width:int -> int -> t
 (** [create ~width v] truncates [v] to [width] bits.  [width] must be in
     [1, 62]. *)
-
-val zero : width:int -> t
-val one : width:int -> t
 
 val to_unsigned : t -> int
 (** Value read as an unsigned [width]-bit integer. *)
@@ -59,8 +54,6 @@ val bits : t -> bool list
 val to_string : t -> string
 (** Binary, MSB first. *)
 
-val pp : Format.formatter -> t -> unit
-
 (** Mutable fixed-length bitsets over 32-bit array words.
 
     Used by the bit-parallel batched fault simulator to track per-lane
@@ -72,9 +65,6 @@ val pp : Format.formatter -> t -> unit
 module Lanemask : sig
   type t
 
-  val bits_per_word : int
-  (** 32: mask words stay immediate integers on every platform. *)
-
   val create : int -> t
   (** [create n] is an all-clear mask of [n >= 1] lanes. *)
 
@@ -85,7 +75,6 @@ module Lanemask : sig
   val set : t -> int -> unit
   val clear : t -> int -> unit
   val set_all : t -> unit
-  val clear_all : t -> unit
 
   val word : t -> int -> int
   (** Raw 32-bit word [w]; bits beyond [length] are always zero. *)

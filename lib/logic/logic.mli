@@ -18,8 +18,6 @@ val of_bool : bool -> t
 val to_bool_opt : t -> bool option
 (** [to_bool_opt v] is [Some b] for a defined value, [None] for {!X}. *)
 
-val is_x : t -> bool
-
 val logic_not : t -> t
 
 val ( &&& ) : t -> t -> t

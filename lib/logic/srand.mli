@@ -13,8 +13,6 @@ val create : int -> t
 val split : t -> t
 (** A statistically independent child stream; the parent advances. *)
 
-val bits64 : t -> int64
-
 val int : t -> int -> int
 (** [int t bound] is uniform in [0, bound).  [bound] must be positive. *)
 

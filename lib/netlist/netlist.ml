@@ -116,7 +116,6 @@ let set_fanin t c i src =
 let name t c = check_id t c; t.names.(c)
 let comp t c = check_id t c; t.comps.(c)
 let domain t c = check_id t c; t.domains.(c)
-let set_domain t c d = check_id t c; t.domains.(c) <- d
 let is_voter t c = check_id t c; t.voters.(c)
 
 let set_comp t label = t.ambient_comp <- label

@@ -53,7 +53,6 @@ val set_fanin : t -> id -> int -> id -> unit
 val name : t -> id -> string
 val comp : t -> id -> string
 val domain : t -> id -> int
-val set_domain : t -> id -> int -> unit
 val is_voter : t -> id -> bool
 
 val set_comp : t -> string -> unit
@@ -61,9 +60,6 @@ val set_comp : t -> string -> unit
 
 val with_comp : t -> string -> (unit -> 'a) -> 'a
 (** Runs the function with the ambient component label temporarily set. *)
-
-val arity_of_kind : kind -> int
-(** Expected fanin count; [-1] for {!Input} and {!Const} (zero fanins). *)
 
 (** {1 Ports}
 

@@ -150,4 +150,3 @@ let sample t =
   tick t.w
 
 let to_string t = writer_to_string t.w
-let save t path = writer_save t.w path

@@ -20,13 +20,10 @@ val add_signal : writer -> label:string -> width:int -> sig_id
 val set : writer -> sig_id -> Tmr_logic.Logic.t array -> unit
 (** Set the signal's current value (length must match the width). *)
 
-val set_bit : writer -> sig_id -> int -> Tmr_logic.Logic.t -> unit
-
 val tick : writer -> unit
 (** Close the current cycle: emit the change block of every signal whose
     value differs from the previously emitted one. *)
 
-val writer_to_string : writer -> string
 val writer_save : writer -> string -> unit
 
 (** {1 Netlist-simulation tracer} *)
@@ -45,5 +42,3 @@ val sample : t -> unit
 
 val to_string : t -> string
 (** Render the full VCD document (header + value changes). *)
-
-val save : t -> string -> unit

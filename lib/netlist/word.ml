@@ -2,8 +2,6 @@ module Logic = Tmr_logic.Logic
 
 type word = Netlist.id array
 
-let width = Array.length
-
 let input t port_name ~width =
   let bits =
     Array.init width (fun i ->
@@ -143,9 +141,3 @@ let reg t ?(init = 0) w =
       let init_bit = Logic.of_bool ((init asr i) land 1 = 1) in
       Netlist.add_cell t (Netlist.Ff init_bit) ~fanins:[| d |])
     w
-
-let maj3 t ?(voter = false) ?(domain = -1) a b c =
-  if Array.length a <> Array.length b || Array.length b <> Array.length c then
-    invalid_arg "Word.maj3: width mismatch";
-  Array.init (Array.length a) (fun i ->
-      Netlist.add_cell t ~voter ~domain Netlist.Maj3 ~fanins:[| a.(i); b.(i); c.(i) |])

@@ -7,8 +7,6 @@
 
 type word = Netlist.id array
 
-val width : word -> int
-
 val input : Netlist.t -> string -> width:int -> word
 (** Fresh primary input port. *)
 
@@ -27,14 +25,10 @@ val add : Netlist.t -> word -> word -> word
 (** Ripple-carry addition; operands must share a width, result keeps it. *)
 
 val sub : Netlist.t -> word -> word -> word
-val neg : Netlist.t -> word -> word
 
 val resize : Netlist.t -> word -> width:int -> word
 (** Sign-extending or truncating resize.  Extension reuses the sign bit net
     and adds no cells. *)
-
-val shift_left_const : Netlist.t -> word -> int -> word
-(** Logical left shift by a constant, width preserved. *)
 
 val mul_const : Netlist.t -> word -> int -> width:int -> word
 (** [mul_const t a c ~width] is the signed product [a * c] computed by a
@@ -54,6 +48,3 @@ val eq : Netlist.t -> word -> word -> Netlist.id
 val reg : Netlist.t -> ?init:int -> word -> word
 (** Register every bit through a D flip-flop.  [init] is the power-up /
     configuration-load value (default 0). *)
-
-val maj3 : Netlist.t -> ?voter:bool -> ?domain:int -> word -> word -> word -> word
-(** Per-bit majority vote of three equal-width words. *)

@@ -6,14 +6,6 @@ type event =
       total : int;
       wrong : int;
     }
-  | Campaign_ci of {
-      design : string;
-      n : int;
-      wrong : int;
-      confidence : float;
-      lo : float;
-      hi : float;
-    }
   | Campaign_stopped of {
       design : string;
       requested : int;
@@ -58,7 +50,6 @@ type event =
 let type_name = function
   | Campaign_started _ -> "campaign_started"
   | Campaign_progress _ -> "campaign_progress"
-  | Campaign_ci _ -> "campaign_ci"
   | Campaign_stopped _ -> "campaign_stopped"
   | Campaign_detection _ -> "campaign_detection"
   | Batch_dispatched _ -> "batch_dispatched"
@@ -75,7 +66,6 @@ let payload_of ev =
   Buffer.add_string b (Printf.sprintf ",\"type\":%S" (type_name ev));
   let str k v = Buffer.add_string b (Printf.sprintf ",\"%s\":\"%s\"" k (Jsonl.escape v)) in
   let int k v = Buffer.add_string b (Printf.sprintf ",\"%s\":%d" k v) in
-  let flt k v = Buffer.add_string b (Printf.sprintf ",\"%s\":%.6f" k v) in
   (match ev with
   | Campaign_started { design; faults; workers } ->
       str "design" design;
@@ -86,13 +76,6 @@ let payload_of ev =
       int "completed" completed;
       int "total" total;
       int "wrong" wrong
-  | Campaign_ci { design; n; wrong; confidence; lo; hi } ->
-      str "design" design;
-      int "n" n;
-      int "wrong" wrong;
-      flt "confidence" confidence;
-      flt "lo" lo;
-      flt "hi" hi
   | Campaign_stopped { design; requested; injected; wrong; wall_ns } ->
       str "design" design;
       int "requested" requested;
@@ -260,7 +243,6 @@ let parse_tree line =
   in
   let int_f = field j "an int" Json.int in
   let str_f = field j "a string" Json.str in
-  let flt_f = field j "a number" Json.num in
   let* seq = int_f "seq" in
   let* ts = int_f "ts_ns" in
   let* ty = str_f "type" in
@@ -277,14 +259,6 @@ let parse_tree line =
         let* total = int_f "total" in
         let* wrong = int_f "wrong" in
         Ok (Campaign_progress { design; completed; total; wrong })
-    | "campaign_ci" ->
-        let* design = str_f "design" in
-        let* n = int_f "n" in
-        let* wrong = int_f "wrong" in
-        let* confidence = flt_f "confidence" in
-        let* lo = flt_f "lo" in
-        let* hi = flt_f "hi" in
-        Ok (Campaign_ci { design; n; wrong; confidence; lo; hi })
     | "campaign_stopped" ->
         let* design = str_f "design" in
         let* requested = int_f "requested" in

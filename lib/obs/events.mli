@@ -24,14 +24,6 @@ type event =
       total : int;
       wrong : int;
     }
-  | Campaign_ci of {
-      design : string;
-      n : int;
-      wrong : int;
-      confidence : float;
-      lo : float;
-      hi : float;
-    }
   | Campaign_stopped of {
       design : string;
       requested : int;
@@ -39,6 +31,9 @@ type event =
       wrong : int;
       wall_ns : int;
     }
+      (** a finished campaign's final counts; [requested] and [injected]
+          are always equal (every requested fault is injected) and both
+          stay for readers of either name *)
   | Campaign_detection of {
       design : string;
       silent_correct : int;

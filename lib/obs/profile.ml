@@ -233,7 +233,8 @@ let npids t =
   List.map (fun ((p, _), _) -> p) t.top_level
   |> List.sort_uniq compare |> List.length
 
-let timeline ?(width = 60) t =
+let timeline t =
+  let width = 60 in
   let b = Buffer.create 1024 in
   let span = Float.max eps (t.t1 -. t.t0) in
   let bucket_us = span /. float_of_int width in

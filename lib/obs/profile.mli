@@ -39,12 +39,6 @@ val span_table : t -> string
     total/self time, share of total self time, and mean/min/max span
     duration. *)
 
-val timeline : ?width:int -> t -> string
-(** Per-lane utilization timeline over the trace's wall-clock span,
-    [width] buckets (default 60), one row per [(pid, tid)] lane,
-    darker = busier, with the overall busy fraction per lane.  Rows
-    carry the pid only when the trace spans several processes. *)
-
 val collapsed : t -> string
 (** Collapsed stacks: one [path;to;span <count>] line per distinct
     stack, where the count is the stack's total self time in integer
@@ -52,4 +46,7 @@ val collapsed : t -> string
     self time rounds to zero are kept at 1 µs so they stay visible. *)
 
 val report : t -> string
-(** Header (spans, tids, wall-clock) + {!span_table} + {!timeline}. *)
+(** Header (spans, tids, wall-clock) + {!span_table} + a per-lane
+    utilization timeline over the trace's wall-clock span: 60 buckets,
+    one row per [(pid, tid)] lane, darker = busier, with the overall
+    busy fraction per lane. *)

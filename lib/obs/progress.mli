@@ -5,26 +5,6 @@
     log it prints one full line per ~10% step instead.  Rate and ETA
     come from the monotonic clock. *)
 
-type t
-
-val create : ?out:out_channel -> label:string -> total:int -> unit -> t
-(** [out] defaults to [stderr]. *)
-
-val update : t -> int -> unit
-(** [update t done_] renders [done_]/total.  Monotone in [done_];
-    rate-limited internally, so callers may invoke it as often as they
-    like. *)
-
-val set_note : t -> string -> unit
-(** Free-form suffix appended to the rendered line (after the ETA) —
-    the campaign progress uses it for the running wrong-answer rate
-    ± CI.  Empty string removes it. *)
-
-val finish : ?at:int -> t -> unit
-(** Render the final state and release the line (newline on a TTY).
-    [at] overrides the final count (default [total]) — for campaigns
-    stopped early by a CI rule.  Idempotent. *)
-
 val callback : ?out:out_channel -> unit -> string -> int -> int -> unit
 (** A labelled progress callback compatible with
     [Tmr_experiments.Runs.campaign_design ~progress].  Renders one bar
@@ -38,6 +18,5 @@ val callback_note :
   (string -> string -> int -> int -> unit) * (unit -> unit)
 (** Like {!callback} with a per-update note: the first component is
     called as [cb label note done_ total].  The second finishes the
-    current bar at its last seen count — call it after a campaign that
-    may have stopped early (a CI stop never delivers [done_ = total], so
-    the bar would otherwise hold the line open). *)
+    current bar at its last seen count — call it after the campaigns,
+    so a bar that never saw its total does not hold the line open. *)

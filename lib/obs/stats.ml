@@ -77,109 +77,6 @@ let wilson ?(confidence = 0.95) ~n ~k () =
     }
   end
 
-(* ---- Clopper–Pearson via the regularized incomplete beta ------------ *)
-
-(* Lanczos approximation, g = 7, n = 9 (Numerical Recipes coefficients). *)
-let ln_gamma x =
-  let cof =
-    [| 57.1562356658629235; -59.5979603554754912; 14.1360979747417471;
-       -0.491913816097620199; 0.339946499848118887e-4; 0.465236289270485756e-4;
-       -0.983744753048795646e-4; 0.158088703224912494e-3;
-       -0.210264441724104883e-3; 0.217439618115212643e-3;
-       -0.164318106536763890e-3; 0.844182239838527433e-4;
-       -0.261908384015814087e-4; 0.368991826595316234e-5 |]
-  in
-  let y = ref x in
-  let tmp = x +. 5.24218750000000000 in
-  let tmp = ((x +. 0.5) *. log tmp) -. tmp in
-  let ser = ref 0.999999999999997092 in
-  for j = 0 to Array.length cof - 1 do
-    y := !y +. 1.;
-    ser := !ser +. (cof.(j) /. !y)
-  done;
-  tmp +. log (2.5066282746310005 *. !ser /. x)
-
-(* Continued-fraction evaluation of the incomplete beta (NR betacf). *)
-let betacf a b x =
-  let maxit = 200 in
-  let eps = 3e-12 in
-  let fpmin = 1e-300 in
-  let qab = a +. b and qap = a +. 1. and qam = a -. 1. in
-  let c = ref 1. in
-  let d = ref (1. -. (qab *. x /. qap)) in
-  if Float.abs !d < fpmin then d := fpmin;
-  d := 1. /. !d;
-  let h = ref !d in
-  (try
-     for m = 1 to maxit do
-       let mf = float_of_int m in
-       let m2 = 2. *. mf in
-       let aa = mf *. (b -. mf) *. x /. ((qam +. m2) *. (a +. m2)) in
-       d := 1. +. (aa *. !d);
-       if Float.abs !d < fpmin then d := fpmin;
-       c := 1. +. (aa /. !c);
-       if Float.abs !c < fpmin then c := fpmin;
-       d := 1. /. !d;
-       h := !h *. !d *. !c;
-       let aa =
-         -.(a +. mf) *. (qab +. mf) *. x /. ((a +. m2) *. (qap +. m2))
-       in
-       d := 1. +. (aa *. !d);
-       if Float.abs !d < fpmin then d := fpmin;
-       c := 1. +. (aa /. !c);
-       if Float.abs !c < fpmin then c := fpmin;
-       d := 1. /. !d;
-       let del = !d *. !c in
-       h := !h *. del;
-       if Float.abs (del -. 1.) < eps then raise Exit
-     done
-   with Exit -> ());
-  !h
-
-(* Regularized incomplete beta I_x(a, b). *)
-let betai a b x =
-  if x <= 0. then 0.
-  else if x >= 1. then 1.
-  else begin
-    let bt =
-      exp
-        (ln_gamma (a +. b) -. ln_gamma a -. ln_gamma b
-        +. (a *. log x)
-        +. (b *. log (1. -. x)))
-    in
-    if x < (a +. 1.) /. (a +. b +. 2.) then bt *. betacf a b x /. a
-    else 1. -. (bt *. betacf b a (1. -. x) /. b)
-  end
-
-(* Invert I_x(a, b) = p by bisection — robust and plenty fast for the few
-   calls per campaign. *)
-let betai_inv a b p =
-  if p <= 0. then 0.
-  else if p >= 1. then 1.
-  else begin
-    let lo = ref 0. and hi = ref 1. in
-    for _ = 1 to 100 do
-      let mid = 0.5 *. (!lo +. !hi) in
-      if betai a b mid < p then lo := mid else hi := mid
-    done;
-    0.5 *. (!lo +. !hi)
-  end
-
-let clopper_pearson ?(confidence = 0.95) ~n ~k () =
-  if n <= 0 then { lo = 0.; hi = 1. }
-  else begin
-    let alpha = 1. -. confidence in
-    let nf = float_of_int n and kf = float_of_int k in
-    let lo =
-      if k <= 0 then 0. else betai_inv kf (nf -. kf +. 1.) (alpha /. 2.)
-    in
-    let hi =
-      if k >= n then 1.
-      else betai_inv (kf +. 1.) (nf -. kf) (1. -. (alpha /. 2.))
-    in
-    { lo = clamp01 lo; hi = clamp01 hi }
-  end
-
 (* ---- comparisons ---------------------------------------------------- *)
 
 let overlap a b = a.lo <= b.hi && b.lo <= a.hi
@@ -201,22 +98,3 @@ let compatible ?(confidence = 0.95) ~n1 ~k1 ~n2 ~k2 () =
   let i2 = wilson ~confidence ~n:n2 ~k:k2 () in
   let z = two_proportion_z ~n1 ~k1 ~n2 ~k2 in
   overlap i1 i2 && Float.abs z < z_of confidence
-
-(* ---- sequential stopping -------------------------------------------- *)
-
-type stop_rule = {
-  sr_confidence : float;
-  sr_half_width : float;
-  sr_min_n : int;
-}
-
-let stop_rule ?(confidence = 0.95) ?(min_n = 100) ~half_width () =
-  if not (half_width > 0.) then
-    invalid_arg "Stats.stop_rule: half_width must be positive";
-  { sr_confidence = confidence; sr_half_width = half_width; sr_min_n = min_n }
-
-let should_stop r ~n ~k =
-  n >= r.sr_min_n
-  &&
-  let i = wilson ~confidence:r.sr_confidence ~n ~k () in
-  (i.hi -. i.lo) /. 2. <= r.sr_half_width

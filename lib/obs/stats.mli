@@ -1,5 +1,5 @@
-(** Campaign statistics: binomial confidence intervals, two-campaign
-    compatibility tests, and the CI-width sequential stopping rule.
+(** Campaign statistics: binomial confidence intervals and two-campaign
+    compatibility tests.
 
     A fault-injection campaign estimates a wrong-answer {e rate} from [k]
     wrong answers in [n] injected faults — a binomial proportion.  The
@@ -34,11 +34,6 @@ val wilson : ?confidence:float -> n:int -> k:int -> unit -> interval
     needs: a TMR design with zero observed wrong answers still gets a
     finite upper bound.  [n <= 0] yields the vacuous [0, 1]. *)
 
-val clopper_pearson : ?confidence:float -> n:int -> k:int -> unit -> interval
-(** Exact (conservative) Clopper–Pearson interval, via the regularized
-    incomplete beta function.  Always at least as wide as {!wilson};
-    guaranteed coverage at any [n].  [n <= 0] yields [0, 1]. *)
-
 val overlap : interval -> interval -> bool
 
 val two_proportion_z : n1:int -> k1:int -> n2:int -> k2:int -> float
@@ -56,23 +51,3 @@ val compatible :
     overlap {e and} the two-proportion z statistic stays below the
     critical value — the conjunction is stricter than either test alone
     and is what the regression report uses. *)
-
-(** {1 Sequential stopping} *)
-
-type stop_rule = {
-  sr_confidence : float;  (** CI confidence level, e.g. 0.95 *)
-  sr_half_width : float;
-      (** target CI half-width on the rate, as a fraction (0.005 = ±0.5
-          percentage points) *)
-  sr_min_n : int;  (** never stop before this many faults *)
-}
-(** Stop a campaign once the wrong-answer rate is known to ± half-width:
-    checked against the Wilson interval over the injected prefix. *)
-
-val stop_rule :
-  ?confidence:float -> ?min_n:int -> half_width:float -> unit -> stop_rule
-(** Defaults: 95 % confidence, [min_n] 100. *)
-
-val should_stop : stop_rule -> n:int -> k:int -> bool
-(** [should_stop rule ~n ~k]: has the Wilson CI of [k]/[n] shrunk to the
-    requested half-width (and [n >= sr_min_n])? *)

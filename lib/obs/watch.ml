@@ -8,7 +8,6 @@ type campaign = {
   mutable c_stopped : bool;
   mutable c_requested : int;
   mutable c_wall_ns : int;
-  mutable c_ci : (float * float * float) option;  (* confidence, lo, hi *)
   mutable c_batches : int;
   mutable c_lanes : int;
   mutable c_plan : (int * int * int * int * int * int * int) option;
@@ -87,7 +86,6 @@ let campaign_of t design =
           c_stopped = false;
           c_requested = 0;
           c_wall_ns = 0;
-          c_ci = None;
           c_batches = 0;
           c_lanes = 0;
           c_plan = None;
@@ -187,14 +185,10 @@ let feed t (p : Events.parsed) =
           ignore total
       | None ->
           c.c_total <- total;
-          (* late progress ticks from chunks in flight at a CI stop may
-             read lower than the final count; progress is monotone *)
+          (* progress is monotone: a tick read before a later one was
+             published keeps the higher count *)
           if completed > c.c_completed then c.c_completed <- completed;
           if wrong > c.c_wrong then c.c_wrong <- wrong)
-  | Events.Campaign_ci { design; n = _; wrong = _; confidence; lo; hi } ->
-      let c = campaign_of t design in
-      if origin = None then c.c_ci <- Some (confidence, lo, hi);
-      c.c_last_ts <- ts
   | Events.Campaign_stopped { design; requested; injected; wrong; wall_ns }
     -> (
       let c = campaign_of t design in
@@ -215,9 +209,7 @@ let feed t (p : Events.parsed) =
       | None ->
           c.c_stopped <- true;
           c.c_requested <- requested;
-          (* the final verdict counts are authoritative: a CI-stopped run
-             keeps only the triggering prefix, which can be smaller than
-             the faults completed by chunks still in flight *)
+          (* the final verdict counts are authoritative *)
           c.c_completed <- injected;
           c.c_wrong <- wrong;
           c.c_wall_ns <- wall_ns)
@@ -332,26 +324,19 @@ let render ?(confidence = 0.95) ?worker_timeout t =
       in
       let rate = rate_of c n in
       let status =
-        if c.c_stopped then
-          if c.c_completed < c.c_requested then "stopped early" else "done"
+        if c.c_stopped then "done"
         else if rate > 0.0 then
           Printf.sprintf "eta %.0fs" (float_of_int (c.c_total - n) /. rate)
         else "starting"
       in
-      let ci =
-        match (c.c_stopped, c.c_ci) with
-        | false, Some (_, lo, hi) -> (lo, hi)
-        | _ ->
-            let i = Stats.wilson ~confidence ~n ~k () in
-            (i.Stats.lo, i.Stats.hi)
-      in
+      let ci = Stats.wilson ~confidence ~n ~k () in
       let pct = if n = 0 then 0.0 else 100.0 *. float_of_int k /. float_of_int n in
       Buffer.add_string b
         (Printf.sprintf "%-12s [%s] %6d/%-6d %6.1f/s  wrong %d (%.2f%% [%.2f%%, %.2f%%])  %s\n"
            design
            (bar 20 frac)
            n c.c_total rate k pct
-           (100.0 *. fst ci) (100.0 *. snd ci)
+           (100.0 *. ci.Stats.lo) (100.0 *. ci.Stats.hi)
            status);
       (match c.c_plan with
       | Some (silent, patched, rerouted, rebuilt, diffed, converged, _) ->

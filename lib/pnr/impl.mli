@@ -16,17 +16,6 @@ type t = {
   seed : int;
 }
 
-val implement :
-  ?seed:int ->
-  ?moves_per_site:int ->
-  ?floorplan:Place.floorplan ->
-  ?max_route_iters:int ->
-  Tmr_arch.Device.t ->
-  Tmr_arch.Bitdb.t ->
-  Tmr_netlist.Netlist.t ->
-  (t, string) result
-(** The input netlist is the gate-level design (pre-techmap). *)
-
 val implement_exn :
   ?seed:int ->
   ?moves_per_site:int ->
@@ -36,6 +25,9 @@ val implement_exn :
   Tmr_arch.Bitdb.t ->
   Tmr_netlist.Netlist.t ->
   t
+(** The input netlist is the gate-level design (pre-techmap).  Raises
+    [Failure] naming the reason when the design fails its check or a
+    phase cannot complete. *)
 
 val route_digest : t -> string
 (** Hex MD5 over everything the router returned ([net_pips], [net_wires],

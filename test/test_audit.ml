@@ -2,7 +2,8 @@
    its name appears in a test, a CI step or a report (the tmrtool
    engine summary, the watch dashboard, the bench harness).  A metric
    or event that nothing reads is cost without a purpose, so adding one
-   without a consumer fails here. *)
+   without a consumer fails here.  Likewise every [val] of a library
+   interface has a reader outside its own implementation. *)
 
 module Metrics = Tmr_obs.Metrics
 
@@ -113,6 +114,205 @@ let test_events () =
   in
   Alcotest.(check (list string)) "events without a consumer" [] orphans
 
+(* ------------------------------------------------------------------ *)
+(* Exports: every [val] in [lib/*/*.mli] is read outside its own [.ml]
+   — by another library module, the CLI, a bench harness, an example or
+   a test — as [Module.name], through a [module X = ...Module] alias, or
+   by name under [open Module] / [Module.( )].  A val only its own
+   module reads belongs in the [.ml] alone; one nothing reads is dead.
+   Comments do not count as readers. *)
+
+let is_ident_char = function
+  | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '\'' -> true
+  | _ -> false
+
+(* the text with (nested) comments blanked; string and character
+   literals are skipped whole, so a quote or paren inside one does not
+   open or close anything *)
+let strip_comments s =
+  let n = String.length s in
+  let b = Buffer.create n in
+  let keep depth i j =
+    if depth = 0 then Buffer.add_string b (String.sub s i (j - i))
+  in
+  let rec go i depth =
+    if i >= n then ()
+    else if s.[i] = '"' then begin
+      let j = ref (i + 1) in
+      while !j < n && s.[!j] <> '"' do
+        j := !j + if s.[!j] = '\\' then 2 else 1
+      done;
+      let j = min n (!j + 1) in
+      keep depth i j;
+      go j depth
+    end
+    else if s.[i] = '\'' && i + 2 < n && s.[i + 2] = '\'' then (
+      keep depth i (i + 3);
+      go (i + 3) depth)
+    else if s.[i] = '\'' && i + 3 < n && s.[i + 1] = '\\' && s.[i + 3] = '\''
+    then (
+      keep depth i (i + 4);
+      go (i + 4) depth)
+    else if i + 1 < n && s.[i] = '(' && s.[i + 1] = '*' then
+      go (i + 2) (depth + 1)
+    else if depth > 0 && i + 1 < n && s.[i] = '*' && s.[i + 1] = ')' then
+      go (i + 2) (depth - 1)
+    else begin
+      if depth = 0 || s.[i] = '\n' then Buffer.add_char b s.[i];
+      go (i + 1) depth
+    end
+  in
+  go 0 0;
+  Buffer.contents b
+
+(* Tokens: dotted identifier paths as component lists, and every other
+   non-blank character as a one-character symbol. *)
+type token = Path of string list | Sym of char
+
+let tokens s =
+  let s = strip_comments s in
+  let n = String.length s in
+  let ident i =
+    let j = ref i in
+    while !j < n && is_ident_char s.[!j] do incr j done;
+    !j
+  in
+  let starts_ident i =
+    i < n && match s.[i] with 'a' .. 'z' | 'A' .. 'Z' | '_' -> true | _ -> false
+  in
+  let rec path i comps =
+    let j = ident i in
+    let comps = String.sub s i (j - i) :: comps in
+    if j < n && s.[j] = '.' && starts_ident (j + 1) then path (j + 1) comps
+    else (j, List.rev comps)
+  in
+  let rec go i acc =
+    if i >= n then List.rev acc
+    else if starts_ident i then
+      let j, comps = path i [] in
+      go j (Path comps :: acc)
+    else
+      match s.[i] with
+      | ' ' | '\t' | '\n' | '\r' -> go (i + 1) acc
+      | '0' .. '9' -> go (ident i) acc
+      | c -> go (i + 1) (Sym c :: acc)
+  in
+  go 0 []
+
+let is_module_name s =
+  s <> "" && Char.uppercase_ascii s.[0] = s.[0] && s.[0] <> '_'
+
+let last l = List.nth l (List.length l - 1)
+
+(* What one reader file names: qualified [Q.name] pairs, local aliases
+   [X -> Q], opened modules and every bare identifier. *)
+type reads = {
+  qualified : (string * string, unit) Hashtbl.t;
+  aliases : (string * string) list;
+  opened : string list;
+  idents : (string, unit) Hashtbl.t;
+}
+
+let reads_of text =
+  let qualified = Hashtbl.create 1024 and idents = Hashtbl.create 1024 in
+  let aliases = ref [] and opened = ref [] in
+  let rec scan = function
+    | [] -> ()
+    | Path [ "module" ] :: Path [ x ] :: Sym '=' :: Path p :: rest ->
+        aliases := (x, last p) :: !aliases;
+        scan (Path p :: rest)
+    | Path [ "open" ] :: Sym '!' :: Path p :: rest
+    | Path [ "open" ] :: Path p :: rest ->
+        opened := last p :: !opened;
+        scan rest
+    | Path p :: Sym '.' :: Sym '(' :: rest ->
+        opened := last p :: !opened;
+        scan (Sym '(' :: rest)
+    | Path p :: rest ->
+        List.iter (fun c -> Hashtbl.replace idents c ()) p;
+        let rec pairs = function
+          | q :: (name :: _ as tl) ->
+              if is_module_name q then Hashtbl.replace qualified (q, name) ();
+              pairs tl
+          | _ -> ()
+        in
+        pairs p;
+        scan rest
+    | Sym _ :: rest -> scan rest
+  in
+  scan (tokens text);
+  { qualified; aliases = !aliases; opened = !opened; idents }
+
+(* The vals of one interface as [(qualifier, name)]: the module itself,
+   or the innermost [module N : sig ... end]; members of a [module type]
+   are a signature, not values, and are skipped. *)
+let vals_of ~modname text =
+  let rec scan stack acc = function
+    | [] -> List.rev acc
+    | Path [ "module" ] :: Path [ "type" ] :: Path [ _ ] :: Sym '='
+      :: Path [ "sig" ] :: rest ->
+        scan ("" :: stack) acc rest
+    | Path [ "module" ] :: Path [ n ] :: Sym ':' :: Path [ "sig" ] :: rest ->
+        scan (n :: stack) acc rest
+    | Path [ "end" ] :: rest when List.length stack > 1 ->
+        scan (List.tl stack) acc rest
+    | Path [ "val" ] :: Path [ name ] :: rest when List.hd stack <> "" ->
+        scan stack ((List.hd stack, name) :: acc) rest
+    | _ :: rest -> scan stack acc rest
+  in
+  scan [ modname ] [] (tokens text)
+
+let read_by r (q, name) =
+  Hashtbl.mem r.qualified (q, name)
+  || List.exists
+       (fun (x, target) -> target = q && Hashtbl.mem r.qualified (x, name))
+       r.aliases
+  || (List.mem q r.opened && Hashtbl.mem r.idents name)
+
+let source_files dir suffixes =
+  let dir = src dir in
+  Sys.readdir dir |> Array.to_list |> List.sort compare
+  |> List.filter (fun f ->
+         List.exists (fun s -> Filename.check_suffix f s) suffixes)
+  |> List.map (Filename.concat dir)
+
+let test_exports () =
+  let lib_dirs =
+    Sys.readdir (src "../lib") |> Array.to_list |> List.sort compare
+    |> List.filter (fun d ->
+           d.[0] <> '.' && Sys.is_directory (src (Filename.concat "../lib" d)))
+    |> List.map (Filename.concat "../lib")
+  in
+  let interfaces =
+    List.concat_map (fun d -> source_files d [ ".mli" ]) lib_dirs
+  in
+  let readers =
+    List.concat_map
+      (fun d -> source_files d [ ".ml" ])
+      (lib_dirs @ [ "../bin"; "../bench"; "../e2ebench"; "../examples"; "." ])
+    |> List.map (fun f -> (f, reads_of (read f)))
+  in
+  Alcotest.(check bool) "interfaces found" true (List.length interfaces > 30);
+  let unread =
+    List.concat_map
+      (fun mli ->
+        let own = Filename.remove_extension mli ^ ".ml" in
+        let modname =
+          String.capitalize_ascii
+            (Filename.remove_extension (Filename.basename mli))
+        in
+        vals_of ~modname (read mli)
+        |> List.filter (fun v ->
+               not
+                 (List.exists
+                    (fun (f, r) -> f <> own && read_by r v)
+                    readers))
+        |> List.map (fun (q, name) ->
+               Printf.sprintf "%s: %s.%s" (Filename.basename mli) q name))
+      interfaces
+  in
+  Alcotest.(check (list string)) "vals no other module reads" [] unread
+
 let () =
   Alcotest.run "audit"
     [
@@ -121,4 +321,7 @@ let () =
           Alcotest.test_case "every metric is read" `Quick test_metrics;
           Alcotest.test_case "every event is read" `Quick test_events;
         ] );
+      ( "exports",
+        [ Alcotest.test_case "every val is read outside its module" `Quick
+            test_exports ] );
     ]

@@ -2,7 +2,7 @@
    rebuild-every-fault oracle fault by fault — on every patchable bit of a
    hand-built datapath, on campaigns over all five paper designs, on the
    faults whose overlay changes a node's kind or a watched output, on the
-   loop-closing lanes, as a one-lane batch and under a CI stop — the
+   loop-closing lanes and as a one-lane batch — the
    bits the vote-masking proof classifies silent are silent on the
    oracle, and [tmrtool explain] reports what the campaign reports.
    Also the baseline tape: its packing and the fixpoint invariant the
@@ -930,34 +930,6 @@ let test_unrouted_pins () =
         0 oracle.Campaign.wrong)
     (List.tl Partition.all_paper_designs)
 
-(* --- sequential stopping packs batches inside fault-index windows: the
-   stopped campaign is the full one truncated at its stop index, which
-   is the one recorded before batching reached stopped campaigns --- *)
-
-let test_ci_stop () =
-  let ctx =
-    Context.create ~scale:Context.Reduced ~seed:1 ~faults_per_design:2000 ()
-  in
-  let run = Runs.implement_design ctx Partition.Medium_partition in
-  let rule = Tmr_obs.Stats.stop_rule ~half_width:0.01 ~min_n:50 () in
-  let full = Option.get (Runs.campaign_design ~workers:2 ctx run).Runs.campaign in
-  List.iter
-    (fun workers ->
-      let label = Printf.sprintf "w%d" workers in
-      let stopped =
-        Option.get
-          (Runs.campaign_design ~workers ~stop_at_ci:rule ctx run).Runs.campaign
-      in
-      Alcotest.(check int) (label ^ ": stop index") 1567
-        stopped.Campaign.injected;
-      Alcotest.(check bool) (label ^ ": stopped campaigns batch") true
-        (stopped.Campaign.stats.Campaign.batched > 0);
-      Alcotest.(check (array result_testable))
-        (label ^ ": the full campaign truncated at the stop")
-        (Array.sub full.Campaign.results 0 stopped.Campaign.injected)
-        stopped.Campaign.results)
-    [ 1; 2 ]
-
 (* --- [tmrtool explain --bit] prints the campaign's verdict: the
    outcome and first error cycle of its rebuilt replay, and the same
    from its one-lane batch, for one wrong and one silent bit of reduced
@@ -1088,8 +1060,6 @@ let () =
             `Slow test_loop_closing_lanes;
           Alcotest.test_case "tape is the base circuit's fixpoint" `Quick
             test_tape_fixpoint;
-          Alcotest.test_case "CI stop: windowed batches, pinned stop" `Slow
-            test_ci_stop;
           Alcotest.test_case "remapped output read past convergence" `Quick
             test_remap_past_convergence;
           Alcotest.test_case "vote-masked bits == oracle, silent" `Slow

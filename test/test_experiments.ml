@@ -149,6 +149,52 @@ let test_ablation_renders () =
   let sc = Ablation.scrub c in
   Alcotest.(check bool) "scrub table" true (contains sc "upsets")
 
+(* Out-of-range numbers on the command line are usage errors: the
+   built [tmrtool] rejects them while parsing (Cmdliner's exit 124, a
+   one-line message naming the option), before any work starts. *)
+
+let tmrtool =
+  Filename.concat (Filename.dirname Sys.executable_name) "../bin/tmrtool.exe"
+
+let test_cli_rejects_out_of_range () =
+  let inject args =
+    "inject" :: "--scale" :: "reduced" :: "--design" :: "standard" :: args
+  in
+  List.iter
+    (fun (option, args) ->
+      let argv = Array.of_list (tmrtool :: args) in
+      let out, inp, err = Unix.open_process_args_full tmrtool argv [||] in
+      close_out inp;
+      let stdout = In_channel.input_all out in
+      let stderr = In_channel.input_all err in
+      let status = Unix.close_process_full (out, inp, err) in
+      let cmd = String.concat " " args in
+      Alcotest.(check bool)
+        (cmd ^ ": usage error (exit 124)")
+        true
+        (status = Unix.WEXITED 124);
+      Alcotest.(check bool)
+        (cmd ^ ": no internal error")
+        false
+        (contains (stdout ^ stderr) "internal error");
+      Alcotest.(check bool)
+        (cmd ^ ": the message names " ^ option)
+        true
+        (contains stderr ("option '" ^ option ^ "'")))
+    [
+      ("--confidence", inject [ "--faults"; "50"; "--confidence"; "1.5" ]);
+      ("--confidence", inject [ "--faults"; "50"; "--confidence"; "0" ]);
+      ( "--confidence",
+        [ "report"; "campaign"; "--scale"; "reduced"; "--confidence"; "1" ] );
+      ("--confidence", [ "watch"; "--confidence=-0.5"; "/dev/null" ]);
+      ("--shards", inject [ "--exhaustive"; "--shards"; "0" ]);
+      ("--shards", inject [ "--exhaustive"; "--shards=-3" ]);
+      ("--procs", inject [ "--exhaustive"; "--procs=-2" ]);
+      ("--shard-limit", inject [ "--exhaustive"; "--shard-limit"; "0" ]);
+      ("--faults", inject [ "--faults=-5" ]);
+      ("--faults", inject [ "--faults"; "0" ]);
+    ]
+
 let () =
   Alcotest.run "tmr_experiments"
     [
@@ -165,5 +211,10 @@ let () =
           Alcotest.test_case "fig 1/3 short experiments" `Quick
             test_short_experiment_direction;
           Alcotest.test_case "ablations render" `Quick test_ablation_renders;
+        ] );
+      ( "cli",
+        [
+          Alcotest.test_case "out-of-range numbers are usage errors" `Quick
+            test_cli_rejects_out_of_range;
         ] );
     ]

@@ -318,8 +318,6 @@ let test_fast_path_faults_have_provenance () =
 
 (* --- JSONL sink --- *)
 
-let read_file path = In_channel.with_open_bin path In_channel.input_all
-
 let read_lines path =
   let ic = open_in path in
   let rec go acc =
@@ -384,10 +382,10 @@ let test_jsonl_emission () =
   Sys.remove path2
 
 (* --- batched provenance: a lane's forensic record does not depend on
-   its batch.  The same faults packed by cone key (the default), inside
-   fault-index windows (a CI stop that never fires), or alone as
-   one-lane batches record the same provenance, fault by fault and byte
-   for byte in the JSONL stream — on a fault sample, and on every fault
+   its batch.  The same faults packed by cone key (the default), packed
+   in reversed order (so lanes pair differently), or alone as one-lane
+   batches record the same provenance, fault by fault and byte for byte
+   in the JSONL stream — on a fault sample, and on every fault
    whose overlay puts a seed on a combinational loop (those lanes are
    Kleene-iterated inside the batch).  The rebuild oracle agrees on
    every verdict and structural field and records no divergence. --- *)
@@ -434,7 +432,6 @@ let test_batched_provenance_packing () =
     List.map (fun s -> (s, Tmr_core.Voter.Majority)) Partition.all_paper_designs
     @ [ (Partition.Medium_partition, Tmr_core.Voter.Detecting) ]
   in
-  let never = Tmr_obs.Stats.stop_rule ~half_width:1e-9 ~min_n:max_int () in
   let batched_total = ref 0 in
   List.iter
     (fun (strategy, voter) ->
@@ -449,12 +446,30 @@ let test_batched_provenance_packing () =
           ~finally:(fun () -> if jsonl <> None then Forensics.close ())
           f
       in
-      let campaign ?stop_at_ci ?cone_skip ~workers jsonl =
+      let campaign ?cone_skip ~workers jsonl =
         with_jsonl jsonl (fun () ->
             Option.get
-              (Runs.campaign_design ~workers ~forensics:true ?stop_at_ci
-                 ?cone_skip ctx run)
+              (Runs.campaign_design ~workers ~forensics:true ?cone_skip ctx
+                 run)
                 .Runs.campaign)
+      in
+      (* the faults in reversed order, results mapped back to the
+         original fault indices; named as [Runs] names the packed run,
+         since the design name is part of every JSONL record *)
+      let reversed faults jsonl =
+        let n = Array.length faults in
+        let c =
+          with_jsonl (Some jsonl) (fun () ->
+              Campaign.run ~workers:1 ~forensics:true
+                ~name:(Partition.name strategy) ~impl:run.Runs.impl
+                ~golden:ctx.Context.golden_nl ~stimulus:ctx.Context.stimulus
+                ~faults:(Array.init n (fun i -> faults.(n - 1 - i)))
+                ())
+        in
+        Array.init n (fun i -> c.Campaign.results.(n - 1 - i))
+      in
+      let bits (c : Campaign.t) =
+        Array.map (fun r -> r.Campaign.bit) c.Campaign.results
       in
       let alone faults =
         Array.map
@@ -466,22 +481,19 @@ let test_batched_provenance_packing () =
           faults
       in
       let packed_jsonl = Filename.temp_file "forensics-packed" ".jsonl" in
-      let windowed_jsonl = Filename.temp_file "forensics-windowed" ".jsonl" in
+      let reversed_jsonl = Filename.temp_file "forensics-reversed" ".jsonl" in
       let packed = campaign ~workers:2 (Some packed_jsonl) in
-      let windowed =
-        campaign ~stop_at_ci:never ~workers:1 (Some windowed_jsonl)
-      in
+      let rev_results = reversed (bits packed) reversed_jsonl in
       Alcotest.(check bool) (name ^ ": lanes ran batched") true
         (packed.Campaign.stats.Campaign.batched > 0);
       batched_total := !batched_total + packed.Campaign.stats.Campaign.batched;
-      Alcotest.(check int) (name ^ ": the CI stop never fired") 120
-        windowed.Campaign.injected;
       Alcotest.(check (array forensic_result))
-        (name ^ ": windowed packing records equal")
-        packed.Campaign.results windowed.Campaign.results;
-      Alcotest.(check bool)
-        (name ^ ": JSONL streams byte-identical") true
-        (read_file packed_jsonl = read_file windowed_jsonl);
+        (name ^ ": reversed packing records equal")
+        packed.Campaign.results rev_results;
+      Alcotest.(check (list string))
+        (name ^ ": JSONL records byte-identical")
+        (read_lines packed_jsonl)
+        (List.rev (read_lines reversed_jsonl));
       let first = Array.sub packed.Campaign.results 0 24 in
       Alcotest.(check (array forensic_result))
         (name ^ ": one-lane batches record equal")
@@ -495,7 +507,8 @@ let test_batched_provenance_packing () =
       let loop = (Loop_faults.find run).Loop_faults.loop in
       let loop_campaign jsonl =
         with_jsonl (Some jsonl) (fun () ->
-            Campaign.run ~workers:1 ~forensics:true ~name ~impl:run.Runs.impl
+            Campaign.run ~workers:1 ~forensics:true
+              ~name:(Partition.name strategy) ~impl:run.Runs.impl
               ~golden:ctx.Context.golden_nl ~stimulus:ctx.Context.stimulus
               ~faults:loop ())
       in
@@ -503,25 +516,21 @@ let test_batched_provenance_packing () =
       Alcotest.(check int)
         (name ^ ": every loop-closing fault ran batched")
         (Array.length loop) b.Campaign.stats.Campaign.batched;
-      let w =
-        with_jsonl (Some windowed_jsonl) (fun () ->
-            Campaign.run ~workers:1 ~forensics:true ~stop_at_ci:never ~name
-              ~impl:run.Runs.impl ~golden:ctx.Context.golden_nl
-              ~stimulus:ctx.Context.stimulus ~faults:loop ())
-      in
+      let w = reversed loop reversed_jsonl in
       Alcotest.(check (array forensic_result))
-        (name ^ ": loop-closing faults: windowed records equal")
-        b.Campaign.results w.Campaign.results;
-      Alcotest.(check bool)
-        (name ^ ": loop-closing faults: JSONL streams byte-identical") true
-        (read_file packed_jsonl = read_file windowed_jsonl);
+        (name ^ ": loop-closing faults: reversed packing records equal")
+        b.Campaign.results w;
+      Alcotest.(check (list string))
+        (name ^ ": loop-closing faults: JSONL records byte-identical")
+        (read_lines packed_jsonl)
+        (List.rev (read_lines reversed_jsonl));
       let k = min 12 (Array.length loop) in
       Alcotest.(check (array forensic_result))
         (name ^ ": loop-closing faults: one-lane batches record equal")
         (Array.sub b.Campaign.results 0 k)
         (alone (Array.sub loop 0 k));
       Sys.remove packed_jsonl;
-      Sys.remove windowed_jsonl)
+      Sys.remove reversed_jsonl)
     configs;
   Alcotest.(check bool) "batch engine exercised" true (!batched_total > 0)
 

@@ -81,15 +81,6 @@ let all_events =
     Events.Campaign_started { design = "tmr_p2"; faults = 150; workers = 4 };
     Events.Campaign_progress
       { design = "tmr_p2"; completed = 50; total = 150; wrong = 2 };
-    Events.Campaign_ci
-      {
-        design = "tmr_p2";
-        n = 100;
-        wrong = 3;
-        confidence = 0.95;
-        lo = 0.0103;
-        hi = 0.0851;
-      };
     Events.Campaign_stopped
       {
         design = "tmr_p2";
