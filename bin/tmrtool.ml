@@ -331,9 +331,10 @@ let jobs () =
   | None -> None
   | Some v -> (
       match int_of_string_opt v with
-      | Some n -> Some n
-      | None ->
-          Printf.eprintf "tmrtool: TMR_JOBS must be an integer, got %S\n" v;
+      | Some n when n >= 1 -> Some n
+      | Some _ | None ->
+          Printf.eprintf "tmrtool: TMR_JOBS must be a positive integer, got %S\n"
+            v;
           exit 2)
 
 (* --- report --- *)

@@ -86,6 +86,11 @@ let no_stats =
     batched = 0;
   }
 
+(* [sum busy_ns / (workers * wall_ns)]: injection work only, setup
+   excluded ([summary_json]'s [inject_utilization]).  On the batched
+   engine it tracks how small the per-fault work got next to the fixed
+   per-worker setup, so read it as an engine speed signal, not as idle
+   workers. *)
 let inject_utilization t =
   if t.wall_ns <= 0 || t.workers <= 0 then 0.0
   else

@@ -133,13 +133,6 @@ val utilization : t -> float
     one-time setup and injection work.  The remainder is claim
     contention plus pool ramp-down. *)
 
-val inject_utilization : t -> float
-(** [sum busy_ns / (workers * wall_ns)] — injection work only, setup
-    excluded.  This is what {!utilization} used to report; on the
-    batched engine it is dominated by how small the per-fault work got
-    relative to the fixed per-worker setup, so read it as an engine
-    speed signal, not as idle workers. *)
-
 val dut_input_wires : Tmr_pnr.Impl.t -> string -> int array list
 (** Physical PadIn wires for a base input port: one wire set on an
     unprotected design, three (one per redundancy domain) on a TMR one. *)

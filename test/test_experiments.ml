@@ -151,36 +151,50 @@ let test_ablation_renders () =
 
 (* Out-of-range numbers on the command line are usage errors: the
    built [tmrtool] rejects them while parsing (Cmdliner's exit 124, a
-   one-line message naming the option), before any work starts. *)
+   one-line message naming the option), before any work starts.  A
+   non-positive [TMR_JOBS] or [TMR_FAULTS] is rejected the same way by
+   [tmrtool] and the bench harness, with exit 2 and a line naming the
+   variable. *)
 
-let tmrtool =
-  Filename.concat (Filename.dirname Sys.executable_name) "../bin/tmrtool.exe"
+let built name =
+  Filename.concat (Filename.dirname Sys.executable_name) name
+
+let tmrtool = built "../bin/tmrtool.exe"
+let bench = built "../bench/main.exe"
 
 let test_cli_rejects_out_of_range () =
   let inject args =
     "inject" :: "--scale" :: "reduced" :: "--design" :: "standard" :: args
   in
+  let run ~prog ~env ~code ~names args =
+    let argv = Array.of_list (prog :: args) in
+    let out, inp, err =
+      Unix.open_process_args_full prog argv (Array.of_list env)
+    in
+    close_out inp;
+    let stdout = In_channel.input_all out in
+    let stderr = In_channel.input_all err in
+    let status = Unix.close_process_full (out, inp, err) in
+    let cmd =
+      String.concat " " (env @ [ Filename.basename prog ] @ args)
+    in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: exit %d" cmd code)
+      true
+      (status = Unix.WEXITED code);
+    Alcotest.(check bool)
+      (cmd ^ ": no internal error")
+      false
+      (contains (stdout ^ stderr) "internal error");
+    Alcotest.(check bool)
+      (cmd ^ ": the message names " ^ names)
+      true (contains stderr names)
+  in
   List.iter
     (fun (option, args) ->
-      let argv = Array.of_list (tmrtool :: args) in
-      let out, inp, err = Unix.open_process_args_full tmrtool argv [||] in
-      close_out inp;
-      let stdout = In_channel.input_all out in
-      let stderr = In_channel.input_all err in
-      let status = Unix.close_process_full (out, inp, err) in
-      let cmd = String.concat " " args in
-      Alcotest.(check bool)
-        (cmd ^ ": usage error (exit 124)")
-        true
-        (status = Unix.WEXITED 124);
-      Alcotest.(check bool)
-        (cmd ^ ": no internal error")
-        false
-        (contains (stdout ^ stderr) "internal error");
-      Alcotest.(check bool)
-        (cmd ^ ": the message names " ^ option)
-        true
-        (contains stderr ("option '" ^ option ^ "'")))
+      run ~prog:tmrtool ~env:[] ~code:124
+        ~names:("option '" ^ option ^ "'")
+        args)
     [
       ("--confidence", inject [ "--faults"; "50"; "--confidence"; "1.5" ]);
       ("--confidence", inject [ "--faults"; "50"; "--confidence"; "0" ]);
@@ -193,6 +207,16 @@ let test_cli_rejects_out_of_range () =
       ("--shard-limit", inject [ "--exhaustive"; "--shard-limit"; "0" ]);
       ("--faults", inject [ "--faults=-5" ]);
       ("--faults", inject [ "--faults"; "0" ]);
+    ];
+  List.iter
+    (fun (prog, var, value, args) ->
+      run ~prog ~env:[ var ^ "=" ^ value ] ~code:2 ~names:var args)
+    [
+      (tmrtool, "TMR_JOBS", "0", inject [ "--faults"; "20" ]);
+      (tmrtool, "TMR_JOBS", "-3", inject [ "--faults"; "20" ]);
+      (bench, "TMR_JOBS", "0", [ "reduced"; "table3" ]);
+      (bench, "TMR_FAULTS", "-5", [ "reduced"; "table3" ]);
+      (bench, "TMR_FAULTS", "0", [ "reduced"; "table3" ]);
     ]
 
 let () =

@@ -549,7 +549,8 @@ let test_resume_past_leftover_tmp () =
   Alcotest.(check int) "the leftover's shard re-ran" 1 o.Service.o_fresh;
   Alcotest.(check (list string)) "merge byte-identical" first again
 
-(* two forked worker processes, same verdicts *)
+(* two and three forked worker processes, same verdicts; three
+   processes claim the 4 shards unevenly *)
 let test_procs2_bit_identical () =
   let ctx = Lazy.force ctx in
   let run = Lazy.force run_p2 in
@@ -560,17 +561,23 @@ let test_procs2_bit_identical () =
     Service.job ~scale:Context.Reduced ~seed:2 ~faults:40 ~shards:4
       Partition.Medium_partition
   in
-  match
-    Service.run_sharded ~procs:2
-      ~notify:(fun _ -> ())
-      ~dir:(temp_dir "procs2") job ctx run
-  with
-  | Error e -> Alcotest.failf "procs=2: %s" e
-  | Ok (Service.Incomplete _) -> Alcotest.fail "procs=2 incomplete"
-  | Ok (Service.Complete o) ->
-      Alcotest.(check int) "merged campaign reports 2 workers" 2
-        o.Service.o_campaign.Campaign.workers;
-      check_matches_plain "procs=2 merge" plain o.Service.o_campaign
+  List.iter
+    (fun procs ->
+      let label = Printf.sprintf "procs=%d" procs in
+      match
+        Service.run_sharded ~procs
+          ~notify:(fun _ -> ())
+          ~dir:(temp_dir (Printf.sprintf "procs%d" procs))
+          job ctx run
+      with
+      | Error e -> Alcotest.failf "%s: %s" label e
+      | Ok (Service.Incomplete _) -> Alcotest.failf "%s incomplete" label
+      | Ok (Service.Complete o) ->
+          Alcotest.(check int)
+            (Printf.sprintf "merged campaign reports %d workers" procs)
+            procs o.Service.o_campaign.Campaign.workers;
+          check_matches_plain (label ^ " merge") plain o.Service.o_campaign)
+    [ 2; 3 ]
 
 (* a queue directory belonging to a different job is refused — unless
    [fresh] wipes it *)
