@@ -1,4 +1,4 @@
-(* Benchmark harness: regenerates every table and figure of the paper.
+(* Experiment harness: regenerates every table and figure of the paper.
 
    Usage:
      dune exec bench/main.exe                    # everything, paper scale

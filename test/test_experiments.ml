@@ -152,9 +152,8 @@ let test_ablation_renders () =
 (* Out-of-range numbers on the command line are usage errors: the
    built [tmrtool] rejects them while parsing (Cmdliner's exit 124, a
    one-line message naming the option), before any work starts.  A
-   non-positive [TMR_JOBS] or [TMR_FAULTS] is rejected the same way by
-   [tmrtool] and the bench harness, with exit 2 and a line naming the
-   variable. *)
+   non-positive [TMR_JOBS] (tmrtool, bench) or [TMR_FAULTS] (bench)
+   exits 2 with a line naming the variable. *)
 
 let built name =
   Filename.concat (Filename.dirname Sys.executable_name) name
