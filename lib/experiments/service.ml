@@ -242,12 +242,21 @@ let run_sharded ?(procs = 1) ?shard_limit ?(fresh = false)
     try Metrics.write_file file with Sys_error _ -> ()
   in
   (* One claimed range at a time: simulate it as an ordinary (domain
-     pooled) campaign over the sub-list, persist, claim the next.
-     [metrics_file] (workers only) re-snapshots the registry at every
-     shard boundary, so a killed worker's finished shards still count
-     when the parent folds the file. *)
-  let claim_loop ?metrics_file ~quiet () =
+     pooled) campaign over the sub-list, persist, claim the next.  Every
+     shard a process claims runs on one campaign session, built on the
+     first claim — in the forked worker, never before the fork — and
+     dropped when the loop ends.  [metrics_file] (workers only)
+     re-snapshots the registry at every shard boundary, so a killed
+     worker's finished shards still count when the parent folds the
+     file; [on_done] runs once each shard is persisted. *)
+  let claim_loop ?metrics_file ?(on_done = ignore) ~quiet () =
     let pid = Unix.getpid () in
+    let session =
+      lazy
+        (Campaign.session ~workers:j.j_workers ~cone_skip:j.j_cone_skip ~name
+           ~impl:run.Runs.impl ~golden:ctx.Context.golden_nl
+           ~stimulus:ctx.Context.stimulus ())
+    in
     let claimed = ref 0 in
     let continue = ref true in
     while !continue && !claimed < limit do
@@ -256,23 +265,13 @@ let run_sharded ?(procs = 1) ?shard_limit ?(fresh = false)
       | Some r ->
           let sub = Array.sub faults r.Shard.sh_lo (r.Shard.sh_hi - r.Shard.sh_lo) in
           Events.set_shard r.Shard.sh_id;
-          let c =
-            Campaign.run ~workers:j.j_workers ~cone_skip:j.j_cone_skip ~name
-              ~impl:run.Runs.impl
-              ~golden:ctx.Context.golden_nl ~stimulus:ctx.Context.stimulus
-              ~faults:sub ()
-          in
+          let c = Campaign.run_session (Lazy.force session) ~faults:sub in
           Events.set_shard (-1);
-          let lines =
-            Array.to_list
-              (Array.mapi
-                 (fun i res -> Shard.result_to_line ~index:(r.Shard.sh_lo + i) res)
-                 c.Campaign.results)
-          in
           let m = Shard.manifest_of_campaign r ~fingerprint:fp ~owner:pid c in
-          Workqueue.complete wq ~pid r ~lines ~manifest:m;
+          Workqueue.complete wq ~pid r ~results:c.Campaign.results ~manifest:m;
           incr claimed;
           Option.iter snapshot_metrics metrics_file;
+          on_done ();
           if not quiet then
             notify
               (Events.Shard_done
@@ -317,10 +316,16 @@ let run_sharded ?(procs = 1) ?shard_limit ?(fresh = false)
              Workqueue.trace_path wq ~worker:w;
            ])
        worker_ids;
+     (* Each child writes one byte into this pipe per shard it
+        completes; the parent blocks on the read end, relays on every
+        wake-up and reaps once all write ends are closed (EOF: every
+        child exited). *)
+     let done_rd, done_wr = Unix.pipe ~cloexec:true () in
      (* Fork the workers *after* the implementation and fault list exist:
         children inherit the built device, bitstream and golden netlist
         by copy-on-write instead of re-running the CAD flow per process.
-        Each child talks to the world only through the queue directory. *)
+        Each child talks to the world only through the queue directory
+        and the pipe. *)
      let children =
        List.map
          (fun worker ->
@@ -330,13 +335,21 @@ let run_sharded ?(procs = 1) ?shard_limit ?(fresh = false)
                   parent: disown both before anything else *)
                Events.detach ();
                Trace.detach ();
+               Unix.close done_rd;
                (* inherited handlers belong to the parent (they flush
                   the parent's sinks); default dispositions are correct
                   here — spool writes are line-atomic and flushed, so
                   dying on SIGTERM/SIGINT leaves no torn line and the
-                  claim is reclaimed *)
+                  claim is reclaimed.  A worker whose parent died keeps
+                  going: the wake-up byte then fails with EPIPE, which
+                  is ignored. *)
                Sys.set_signal Sys.sigterm Sys.Signal_default;
                Sys.set_signal Sys.sigint Sys.Signal_default;
+               Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+               let on_done () =
+                 try ignore (Unix.write_substring done_wr "." 0 1)
+                 with Unix.Unix_error _ -> ()
+               in
                (* the registry copied at fork holds the parent's counts;
                   the parent folds this worker's snapshot back in, so
                   the worker must count only its own work *)
@@ -351,7 +364,7 @@ let run_sharded ?(procs = 1) ?shard_limit ?(fresh = false)
                let metrics_file = Workqueue.metrics_path wq ~worker in
                let code =
                  try
-                   claim_loop ~metrics_file ~quiet:true ();
+                   claim_loop ~metrics_file ~on_done ~quiet:true ();
                    0
                  with e ->
                    Printf.eprintf "shard worker %d: %s\n%!" (Unix.getpid ())
@@ -367,6 +380,7 @@ let run_sharded ?(procs = 1) ?shard_limit ?(fresh = false)
            | pid -> pid)
          worker_ids
      in
+     Unix.close done_wr;
      (* Fleet totals: once the workers are reaped, add each one's final
         snapshot into this process's registry, so --metrics and the
         store's metrics digest count the fleet's work.  Exactly once,
@@ -460,20 +474,34 @@ let run_sharded ?(procs = 1) ?shard_limit ?(fresh = false)
          stop_tailer ();
          fold_worker_metrics ());
      Fun.protect
-       ~finally:(fun () -> Atomic.set interrupt_hook (fun () -> ()))
+       ~finally:(fun () ->
+         Atomic.set interrupt_hook (fun () -> ());
+         Unix.close done_rd)
        (fun () ->
-         while !remaining <> [] do
-           remaining :=
-             List.filter
-               (fun pid ->
-                 match Unix.waitpid [ Unix.WNOHANG ] pid with
-                 | 0, _ -> true
-                 | _ -> false
-                 | exception Unix.Unix_error (Unix.ECHILD, _, _) -> false)
-               !remaining;
-           relay ();
-           if !remaining <> [] then Unix.sleepf 0.02
-         done;
+         let buf = Bytes.create 64 in
+         let rec wait () =
+           match Unix.select [ done_rd ] [] [] (-1.0) with
+           | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait ()
+           | _ -> (
+               match Unix.read done_rd buf 0 (Bytes.length buf) with
+               | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait ()
+               | 0 -> ()
+               | _ ->
+                   relay ();
+                   wait ())
+         in
+         wait ();
+         List.iter
+           (fun pid ->
+             let rec reap () =
+               match Unix.waitpid [] pid with
+               | _ -> ()
+               | exception Unix.Unix_error (Unix.EINTR, _, _) -> reap ()
+               | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
+             in
+             reap ())
+           !remaining;
+         remaining := [];
          stop_tailer ();
          relay ();
          fold_worker_metrics ());

@@ -231,46 +231,43 @@ type io = {
          expected all-zero on the fault-free device *)
 }
 
-(* A worker's simulator state: its own extract (flipped fault by fault)
-   and workspace, the golden simulator built from them with its cone
-   snapshot and resolved IO, and the fault-free baseline tape of the
-   batch engine (none when every fault rebuilds). *)
+(* A worker's simulator state, built on its first use in a session and
+   kept for every later run: its own extract (flipped fault by fault and
+   restored), workspace, the golden simulator built from them with its
+   cone snapshot, the base watch nodes, the voter nodes
+   of the masked-at-voter verdict, the batch context with the fault-free
+   baseline tape (none on the oracle), and the overlay scratch. *)
 type wstate = {
   w_ex : Extract.t;
   w_ws : Fsim.workspace;
   w_base : Fsim.t;
   w_cone : Fsim.cone;
-  w_io : io;
-  w_tape : Fsim.tape option;
+  w_watch : int array;
+  w_voters : Bytes.t;
+  w_batch : (Fsim_batch.t * Fsim.tape) option;
+  w_scratch : Fsim.scratch;
 }
 
-(* Pool work units: one fault that needs no simulation or a rebuild, or
-   a batch of fault indices for the bit-parallel engine (at most
-   {!Fsim_batch.width} of them). *)
-type unit_work =
-  | Single of int
-  | Batch of int array
+type session = {
+  s_name : string;
+  s_impl : Impl.t;
+  s_workers : int;
+  s_cone_skip : bool;
+  s_fattr : Forensics.attrib option;  (* forensic records collected *)
+  s_masking : Forensics.attrib option;  (* vote-masking proof applies *)
+  s_cycles : int;
+  s_input_map : (int array list * int array) list;
+  s_output_map : (string * int array * Logic.t array array) list;
+  s_detect_map : (string * int array) list;
+  s_ndetect : int;
+  s_watch_outputs : int array;
+  s_expected : Logic.t array array;
+  s_golden_ex : Extract.t;
+  s_states : wstate option array;  (* per worker id, built lazily *)
+}
 
-(* Structural grouping key for batch packing: faults whose fanout cones
-   are likely to coincide share a key, so their union cone (what the
-   batch engine actually walks) stays close to each individual cone.
-   Config bits of one LUT/FF bel share that bel; routing bits share the
-   destination wire of the pip they control.  Grouping is an efficiency
-   heuristic only — correctness never depends on it, since the batch
-   engine evaluates the union cone exactly. *)
-let group_key dev db bit =
-  match Bitdb.resource db bit with
-  | Bitdb.Lut_bit (b, _)
-  | Bitdb.Ff_init b
-  | Bitdb.Out_sel b
-  | Bitdb.Ce_inv b
-  | Bitdb.Sr_inv b
-  | Bitdb.In_inv (b, _) -> (4 * b) + 0
-  | Bitdb.Pip p -> (4 * dev.Device.pip_dst.(p)) + 1
-  | Bitdb.Pad_enable p | Bitdb.Pad_cfg (p, _) -> (4 * p) + 2
-
-let run ?progress ?workers ?(cone_skip = true) ?(forensics = false) ~name
-    ~impl ~golden ~stimulus ~faults () =
+let session ?workers ?(cone_skip = true) ?(forensics = false) ~name ~impl
+    ~golden ~stimulus () =
   let workers =
     match workers with Some w -> max 1 w | None -> default_workers ()
   in
@@ -288,12 +285,6 @@ let run ?progress ?workers ?(cone_skip = true) ?(forensics = false) ~name
         (Tmr_obs.Trace.with_span "forensics_attrib" (fun () ->
              Forensics.attrib_of_impl impl))
     else None
-  in
-  let fattr = if forensics then attrib else None in
-  let masking =
-    match attrib with
-    | Some a when a.Forensics.vote_masking && not forensics -> Some a
-    | _ -> None
   in
   let golden_ref =
     Tmr_obs.Trace.with_span "golden" (fun () -> golden_outputs golden stimulus)
@@ -328,148 +319,366 @@ let run ?progress ?workers ?(cone_skip = true) ?(forensics = false) ~name
   let ndetect =
     List.fold_left (fun n (_, w) -> n + Array.length w) 0 detect_map
   in
-  let watch_outputs =
-    Array.concat
-      (List.map (fun (_, wires, _) -> wires) output_map
-      @ List.map snd detect_map)
-  in
-  let dev = impl.Impl.dev and db = impl.Impl.db in
-  let golden_bits = impl.Impl.bitgen.Tmr_pnr.Bitgen.bitstream in
-  (* Scan the image once; workers clone the derived state ({!Extract.copy})
-     instead of re-extracting 1.4M bits each. *)
-  let golden_ex =
-    Tmr_obs.Trace.with_span "extract" (fun () ->
-        Extract.create dev db (Bitstream.copy golden_bits))
-  in
-  let new_extract () = Extract.copy golden_ex in
-  let resolve_io sim =
-    {
-      io_ins =
-        List.map
-          (fun (wire_sets, samples) ->
-            (List.map (Fsim.pad_nodes sim) wire_sets, samples))
-          input_map;
-      io_outs =
-        List.map
-          (fun (_, wires, matrix) -> (Fsim.watch_nodes sim wires, matrix))
-          output_map;
-      io_dets =
-        List.map (fun (_, wires) -> Fsim.watch_nodes sim wires) detect_map;
-    }
-  in
-  let drive sim io c =
-    List.iter
-      (fun (node_sets, samples) ->
-        let v = samples.(c) in
-        List.iter
-          (fun nodes ->
-            Array.iteri
-              (fun i n ->
-                Fsim.set_node sim n (Logic.of_bool ((v asr i) land 1 = 1)))
-              nodes)
-          node_sets)
-      io.io_ins
-  in
-  (* Run the DUT through the stimulus; return the first cycle where any
-     functional output bit disagrees with the golden reference (or -1)
-     paired with the first cycle an in-circuit detection flag left zero
-     (or -1).  With detection flags present the run continues past a
-     functional error until the flag verdict also resolves — detection
-     latency is an observable, not a side effect of when we stopped.
-     With [tape], every node's settled value of every cycle is recorded
-     on the way: a fault-free DUT runs every cycle, so its tape is
-     complete. *)
-  let run_dut ?tape sim io =
-    Fsim.reset sim;
-    let error_cycle = ref (-1) in
-    let detect_cycle = ref (-1) in
-    let det_pending () = io.io_dets <> [] && !detect_cycle < 0 in
-    let cycle = ref 0 in
-    while (!error_cycle < 0 || det_pending ()) && !cycle < stimulus.cycles do
-      let c = !cycle in
-      drive sim io c;
-      Fsim.eval sim;
-      (match tape with
-      | Some tp -> Fsim.tape_record tp sim ~cycle:c
-      | None -> ());
-      if !error_cycle < 0 then begin
-        let ok =
-          List.for_all
-            (fun (nodes, matrix) ->
-              let expected = matrix.(c) in
-              let n = Array.length nodes in
-              let rec check i =
-                i >= n
-                || (Logic.equal (Fsim.node_value sim nodes.(i)) expected.(i)
-                    && check (i + 1))
-              in
-              check 0)
-            io.io_outs
-        in
-        if not ok then error_cycle := c
-      end;
-      if det_pending () then begin
-        let fired =
-          List.exists
-            (Array.exists (fun n1 ->
-                 not (Logic.equal (Fsim.node_value sim n1) Logic.Zero)))
-            io.io_dets
-        in
-        if fired then detect_cycle := c
-      end;
-      if !error_cycle < 0 || det_pending () then Fsim.clock sim;
-      incr cycle
-    done;
-    (!error_cycle, !detect_cycle)
-  in
   (* Golden output matrix flattened per cycle, in [watch_outputs] order:
      the batch engine's cone-aware output check indexes it by flat watch
      position. *)
-  let expected_flat =
+  let expected =
     let det_zeros = Array.make ndetect Logic.Zero in
     Array.init stimulus.cycles (fun c ->
         Array.concat
           (List.map (fun (_, _, m) -> m.(c)) output_map @ [ det_zeros ]))
   in
-  (* baseline: the un-faulted DUT must match the golden device *)
-  let check_baseline ?tape sim io =
-    match run_dut ?tape sim io with
-    | -1, -1 -> ()
-    | -1, d ->
-        failwith
-          (Printf.sprintf
-             "Campaign %s: fault-free DUT raises an in-circuit detection \
-              flag at cycle %d"
-             name d)
-    | c, _ ->
-        (* pinpoint the first disagreeing output bit for the message *)
-        let detail =
-          List.find_map
-            (fun (port, wires, matrix) ->
-              let expected = matrix.(c) in
-              let n = Array.length wires in
-              let rec scan i =
-                if i >= n then None
-                else
-                  let got = Fsim.read sim wires.(i) in
-                  if not (Logic.equal got expected.(i)) then
-                    Some
-                      (Printf.sprintf "port %S bit %d: expected %c, got %c"
-                         port i
-                         (Logic.to_char expected.(i))
-                         (Logic.to_char got))
-                  else scan (i + 1)
-              in
-              scan 0)
-            output_map
-        in
-        failwith
-          (Printf.sprintf
-             "Campaign %s: fault-free DUT disagrees with golden device at \
-              cycle %d (%s)"
-             name c
-             (Option.value detail ~default:"no differing bit re-found"))
+  (* Scan the image once; workers clone the derived state ({!Extract.copy})
+     instead of re-extracting 1.4M bits each. *)
+  let golden_ex =
+    Tmr_obs.Trace.with_span "extract" (fun () ->
+        Extract.create impl.Impl.dev impl.Impl.db
+          (Bitstream.copy impl.Impl.bitgen.Tmr_pnr.Bitgen.bitstream))
   in
+  {
+    s_name = name;
+    s_impl = impl;
+    s_workers = workers;
+    s_cone_skip = cone_skip;
+    s_fattr = (if forensics then attrib else None);
+    s_masking =
+      (match attrib with
+      | Some a when a.Forensics.vote_masking && not forensics -> Some a
+      | _ -> None);
+    s_cycles = stimulus.cycles;
+    s_input_map = input_map;
+    s_output_map = output_map;
+    s_detect_map = detect_map;
+    s_ndetect = ndetect;
+    s_watch_outputs =
+      Array.concat
+        (List.map (fun (_, wires, _) -> wires) output_map
+        @ List.map snd detect_map);
+    s_expected = expected;
+    s_golden_ex = golden_ex;
+    s_states = Array.make workers None;
+  }
+
+let resolve_io s sim =
+  {
+    io_ins =
+      List.map
+        (fun (wire_sets, samples) ->
+          (List.map (Fsim.pad_nodes sim) wire_sets, samples))
+        s.s_input_map;
+    io_outs =
+      List.map
+        (fun (_, wires, matrix) -> (Fsim.watch_nodes sim wires, matrix))
+        s.s_output_map;
+    io_dets =
+      List.map (fun (_, wires) -> Fsim.watch_nodes sim wires) s.s_detect_map;
+  }
+
+let drive sim io c =
+  List.iter
+    (fun (node_sets, samples) ->
+      let v = samples.(c) in
+      List.iter
+        (fun nodes ->
+          Array.iteri
+            (fun i n -> Fsim.set_node sim n (Logic.of_bool ((v asr i) land 1 = 1)))
+            nodes)
+        node_sets)
+    io.io_ins
+
+(* Run the DUT through the stimulus; return the first cycle where any
+   functional output bit disagrees with the golden reference (or -1)
+   paired with the first cycle an in-circuit detection flag left zero
+   (or -1).  With detection flags present the run continues past a
+   functional error until the flag verdict also resolves — detection
+   latency is an observable, not a side effect of when we stopped.
+   With [tape], every node's settled value of every cycle is recorded
+   on the way: a fault-free DUT runs every cycle, so its tape is
+   complete. *)
+let run_dut s ?tape sim io =
+  Fsim.reset sim;
+  let error_cycle = ref (-1) in
+  let detect_cycle = ref (-1) in
+  let det_pending () = io.io_dets <> [] && !detect_cycle < 0 in
+  let cycle = ref 0 in
+  while (!error_cycle < 0 || det_pending ()) && !cycle < s.s_cycles do
+    let c = !cycle in
+    drive sim io c;
+    Fsim.eval sim;
+    (match tape with
+    | Some tp -> Fsim.tape_record tp sim ~cycle:c
+    | None -> ());
+    if !error_cycle < 0 then begin
+      let ok =
+        List.for_all
+          (fun (nodes, matrix) ->
+            let expected = matrix.(c) in
+            let n = Array.length nodes in
+            let rec check i =
+              i >= n
+              || (Logic.equal (Fsim.node_value sim nodes.(i)) expected.(i)
+                  && check (i + 1))
+            in
+            check 0)
+          io.io_outs
+      in
+      if not ok then error_cycle := c
+    end;
+    if det_pending () then begin
+      let fired =
+        List.exists
+          (Array.exists (fun n1 ->
+               not (Logic.equal (Fsim.node_value sim n1) Logic.Zero)))
+          io.io_dets
+      in
+      if fired then detect_cycle := c
+    end;
+    if !error_cycle < 0 || det_pending () then Fsim.clock sim;
+    incr cycle
+  done;
+  (!error_cycle, !detect_cycle)
+
+(* baseline: the un-faulted DUT must match the golden device *)
+let check_baseline s ?tape sim io =
+  match run_dut s ?tape sim io with
+  | -1, -1 -> ()
+  | -1, d ->
+      failwith
+        (Printf.sprintf
+           "Campaign %s: fault-free DUT raises an in-circuit detection flag \
+            at cycle %d"
+           s.s_name d)
+  | c, _ ->
+      (* pinpoint the first disagreeing output bit for the message *)
+      let detail =
+        List.find_map
+          (fun (port, wires, matrix) ->
+            let expected = matrix.(c) in
+            let n = Array.length wires in
+            let rec scan i =
+              if i >= n then None
+              else
+                let got = Fsim.read sim wires.(i) in
+                if not (Logic.equal got expected.(i)) then
+                  Some
+                    (Printf.sprintf "port %S bit %d: expected %c, got %c" port
+                       i
+                       (Logic.to_char expected.(i))
+                       (Logic.to_char got))
+                else scan (i + 1)
+            in
+            scan 0)
+          s.s_output_map
+      in
+      failwith
+        (Printf.sprintf
+           "Campaign %s: fault-free DUT disagrees with golden device at cycle \
+            %d (%s)"
+           s.s_name c
+           (Option.value detail ~default:"no differing bit re-found"))
+
+(* Worker-local simulator state: own extract, own workspace, plus the
+   golden cone snapshot for the fast paths.  One fault-free pass records
+   the baseline tape (amortised over every fault the worker runs in the
+   session); worker 0's pass also checks the DUT against the golden
+   device. *)
+let build_state s wid =
+  let ex = Extract.copy s.s_golden_ex in
+  let ws = Fsim.make_workspace s.s_impl.Impl.dev in
+  let base = Fsim.build ~ws ex ~watch_outputs:s.s_watch_outputs in
+  let cone = Fsim.snapshot_cone ws in
+  let io = resolve_io s base in
+  let tape =
+    if s.s_cone_skip then
+      Some (Fsim.tape_create ~nnodes:(Fsim.num_nodes base) ~cycles:s.s_cycles)
+    else None
+  in
+  if wid = 0 then check_baseline s ?tape base io
+  else if tape <> None then ignore (run_dut s ?tape base io);
+  (* voter bels of the golden cone as simulation nodes, for the
+     masked-at-voter verdict *)
+  let voters =
+    match s.s_fattr with
+    | None -> Bytes.empty
+    | Some a ->
+        let nb = Bytes.make (Fsim.num_nodes base) '\000' in
+        Array.iteri
+          (fun bel isv ->
+            if isv then begin
+              let n = Fsim.cone_node_of_bel cone bel in
+              if n >= 0 && n < Bytes.length nb then Bytes.set nb n '\001'
+            end)
+          a.Forensics.bel_voter;
+        nb
+  in
+  {
+    w_ex = ex;
+    w_ws = ws;
+    w_base = base;
+    w_cone = cone;
+    w_watch = Array.concat (List.map fst io.io_outs @ io.io_dets);
+    w_voters = voters;
+    w_batch = Option.map (fun tape -> (Fsim_batch.create base cone, tape)) tape;
+    w_scratch = Fsim.make_scratch ();
+  }
+
+(* Worker [wid]'s state, built on first use; the build counts as that
+   run's setup time.  Each slot is written by the worker that owns it,
+   and [Pool.run] joins its domains before returning. *)
+let state s ~setup_ns wid =
+  match s.s_states.(wid) with
+  | Some st -> st
+  | None ->
+      let t0 = Tmr_obs.Clock.now_ns () in
+      let st = build_state s wid in
+      s.s_states.(wid) <- Some st;
+      setup_ns.(wid) <- setup_ns.(wid) + (Tmr_obs.Clock.now_ns () - t0);
+      st
+
+(* Pool work units: one fault that needs no simulation or a rebuild, or
+   a batch for the bit-parallel engine: at most {!Fsim_batch.width}
+   lanes, each an overlay derived by the planning pass ({!pack_lane})
+   together with the fault indices it stands for — the first fault with
+   that overlay, then the faults collapsed onto it. *)
+type unit_work =
+  | Single of int
+  | Batch of {
+      lanes : string array;
+      lane_faults : int array array;
+    }
+
+(* Structural grouping key for batch packing: faults whose fanout cones
+   are likely to coincide share a key, so their union cone (what the
+   batch engine actually walks) stays close to each individual cone.
+   Config bits of one LUT/FF bel share that bel; routing bits share the
+   destination wire of the pip they control.  Grouping is an efficiency
+   heuristic only — correctness never depends on it, since the batch
+   engine evaluates the union cone exactly. *)
+let group_key dev db bit =
+  match Bitdb.resource db bit with
+  | Bitdb.Lut_bit (b, _)
+  | Bitdb.Ff_init b
+  | Bitdb.Out_sel b
+  | Bitdb.Ce_inv b
+  | Bitdb.Sr_inv b
+  | Bitdb.In_inv (b, _) -> (4 * b) + 0
+  | Bitdb.Pip p -> (4 * dev.Device.pip_dst.(p)) + 1
+  | Bitdb.Pad_enable p | Bitdb.Pad_cfg (p, _) -> (4 * p) + 2
+
+(* A planned lane in canonical form — rows in node order, appended
+   nodes without their resolution wires (which {!Fsim_batch.run} never
+   reads) — marshalled.  Marshalling plain data without sharing is
+   injective, so the string is the collapsing key: two lanes with one
+   packing describe the same effective circuit, on which the batch
+   engine computes one verdict, one set of cycles and one provenance.
+   It is also what a batch unit holds until it runs, in well under half
+   the memory of the structured overlay. *)
+let pack_lane (seeds, (d : Fsim.delta)) =
+  let rows = Array.copy d.Fsim.dl_rows in
+  Array.sort (fun (a, _) (b, _) -> Int.compare a b) rows;
+  let extras = Array.map (fun (ins, _) -> (ins, [||])) d.Fsim.dl_extras in
+  Marshal.to_string
+    ((seeds, { d with Fsim.dl_rows = rows; dl_extras = extras })
+      : Fsim.dseeds * Fsim.delta)
+    [ Marshal.No_sharing ]
+
+let unpack_lane s : Fsim.dseeds * Fsim.delta = Marshal.from_string s 0
+
+(* Batch schedule: one planning pass over worker 0's (un-flipped)
+   extract classifies every fault — a fault the vote-masking proof
+   covers is silent before it is planned — and derives the overlay of
+   each patch- and reroute-planned fault, once.  A fault whose overlay
+   equals an earlier fault's collapses onto it (it rides in that lane
+   and copies its verdict); the first fault of each overlay groups by
+   {!group_key} and packs, in first-index order, into batches of at most
+   {!Fsim_batch.width} lanes.  Silent faults, plan-level rebuilds and
+   reroutes with no overlay stay singles.  The schedule decides how
+   faults are grouped, never a verdict, so results are independent of
+   it. *)
+let plan s st faults masked =
+  let total = Array.length faults in
+  let dev = s.s_impl.Impl.dev and db = s.s_impl.Impl.db in
+  let ex = st.w_ex and cone = st.w_cone in
+  let bt, _ = Option.get st.w_batch in
+  let succ_off, succ = Fsim_batch.csr bt in
+  let bel_of = Fsim_batch.bel_of bt in
+  (* the extract is flipped only while the overlay is taken *)
+  let derive bit path =
+    Extract.apply_bit_flip ex bit;
+    Fun.protect
+      ~finally:(fun () -> Extract.apply_bit_flip ex bit)
+      (fun () ->
+        match path with
+        | Fsim.Path_patch ->
+            Some
+              ( Fsim.Seed_node (Fsim.patch_node cone ex bit),
+                Fsim.patch_delta cone ex bit )
+        | _ ->
+            Option.map
+              (fun d -> (Fsim.Seed_derived, d))
+              (Fsim.fault_delta ~scratch:st.w_scratch cone st.w_base ex bit
+                 ~watch:s.s_watch_outputs ~succ_off ~succ ~bel_of))
+  in
+  let first_of_key : (string, int) Hashtbl.t = Hashtbl.create 1024 in
+  let overlay = Array.make total "" in
+  let members = Array.make total [] in
+  let groups : (int, int list ref) Hashtbl.t = Hashtbl.create 1024 in
+  let order = ref [] in
+  let singles = ref [] in
+  for i = 0 to total - 1 do
+    let bit = faults.(i) in
+    let proved =
+      match s.s_masking with
+      | Some a -> Forensics.masked_domain a bit >= 0
+      | None -> false
+    in
+    if proved then Bytes.set masked i '\001';
+    match if proved then Fsim.Path_silent else Fsim.plan_fault cone ex bit with
+    | (Fsim.Path_patch | Fsim.Path_reroute) as path -> (
+        match derive bit path with
+        | None -> singles := i :: !singles
+        | Some lane -> (
+            let key = pack_lane lane in
+            match Hashtbl.find_opt first_of_key key with
+            | Some f -> members.(f) <- i :: members.(f)
+            | None -> (
+                Hashtbl.add first_of_key key i;
+                overlay.(i) <- key;
+                let k = group_key dev db bit in
+                match Hashtbl.find_opt groups k with
+                | Some g -> g := i :: !g
+                | None ->
+                    Hashtbl.add groups k (ref [ i ]);
+                    order := k :: !order)))
+    | Fsim.Path_silent | Fsim.Path_rebuild -> singles := i :: !singles
+  done;
+  (* pack neighbouring keys together: bel and wire indices are spatially
+     local, so adjacent keys drive overlapping fanout cones and the batch
+     engine walks a tighter union cone *)
+  let firsts =
+    Array.of_list
+      (List.concat_map
+         (fun k -> List.rev !(Hashtbl.find groups k))
+         (List.sort compare !order))
+  in
+  let w = Fsim_batch.width and n = Array.length firsts in
+  let batches =
+    Array.init ((n + w - 1) / w) (fun b ->
+        let idxs = Array.sub firsts (b * w) (min w (n - (b * w))) in
+        Batch
+          {
+            lanes = Array.map (fun i -> overlay.(i)) idxs;
+            lane_faults =
+              Array.map (fun i -> Array.of_list (i :: List.rev members.(i))) idxs;
+          })
+  in
+  Array.append batches
+    (Array.of_list (List.rev_map (fun i -> Single i) !singles))
+
+let run_session ?progress s ~faults =
+  let name = s.s_name and impl = s.s_impl and workers = s.s_workers in
+  let cone_skip = s.s_cone_skip and fattr = s.s_fattr in
+  let ndetect = s.s_ndetect in
   let total = Array.length faults in
   (* faults the planning pass proved silent by the vote-masking proof *)
   let masked = Bytes.make total '\000' in
@@ -483,96 +692,21 @@ let run ?progress ?workers ?(cone_skip = true) ?(forensics = false) ~name
      owner only, and Domain.join publishes it to the caller *)
   let busy_ns = Array.make workers 0 in
   let setup_ns = Array.make workers 0 in
-  (* Worker-local simulator state: own bitstream copy, own extract, own
-     workspace, plus the golden cone snapshot for the fast paths.  One
-     fault-free pass per worker records the baseline tape (amortised
-     over all its faults); worker 0's pass also checks the DUT against
-     the golden device. *)
-  let setup wid =
-    let t0 = Tmr_obs.Clock.now_ns () in
-    let ex = new_extract () in
-    let ws = Fsim.make_workspace dev in
-    let base = Fsim.build ~ws ex ~watch_outputs in
-    let cone = Fsim.snapshot_cone ws in
-    let base_io = resolve_io base in
-    let tape =
-      if cone_skip then
-        Some
-          (Fsim.tape_create ~nnodes:(Fsim.num_nodes base)
-             ~cycles:stimulus.cycles)
-      else None
-    in
-    if wid = 0 then check_baseline ?tape base base_io
-    else if tape <> None then ignore (run_dut ?tape base base_io);
-    setup_ns.(wid) <- setup_ns.(wid) + (Tmr_obs.Clock.now_ns () - t0);
-    {
-      w_ex = ex;
-      w_ws = ws;
-      w_base = base;
-      w_cone = cone;
-      w_io = base_io;
-      w_tape = tape;
-    }
-  in
-  (* Batch schedule: one planning pass over the (un-flipped) golden
-     extract classifies every fault; patch- and reroute-planned faults
-     group by {!group_key} and pack, in first-index order, into batches
-     of at most {!Fsim_batch.width} lanes.  Silent and rebuild faults —
-     and everything on the rebuild oracle — stay singles; a fault the
-     vote-masking proof classifies is silent before it is planned.  The
-     schedule only decides how faults are grouped, never a verdict, so
-     results are independent of it.  It plans on worker 0's state,
-     built up front: planning needs the golden extract and cone,
-     exactly what worker 0 uses next.  The campaign's wall clock covers
-     that setup too, like every other worker's. *)
+  (* The planning pass runs on worker 0's state: it needs the golden
+     extract and cone, exactly what worker 0 uses next.  The campaign's
+     wall clock covers that state's build too, when this run builds it,
+     like every other worker's.  Planning derives the overlays the
+     batches run, so it counts as worker 0's injection time. *)
   let t_start = Tmr_obs.Clock.now_ns () in
-  let state0, units =
-    if not cone_skip then (None, Array.init total (fun i -> Single i))
+  let units =
+    if not cone_skip then Array.init total (fun i -> Single i)
     else
       Tmr_obs.Trace.with_span "batch_plan" (fun () ->
-          let st = setup 0 in
-          let pex = st.w_ex and pcone = st.w_cone in
-          let groups : (int, int list ref) Hashtbl.t = Hashtbl.create 1024 in
-          let order = ref [] in
-          let singles = ref [] in
-          for i = 0 to total - 1 do
-            let bit = faults.(i) in
-            let proved =
-              match masking with
-              | Some a -> Forensics.masked_domain a bit >= 0
-              | None -> false
-            in
-            if proved then Bytes.set masked i '\001';
-            match
-              if proved then Fsim.Path_silent else Fsim.plan_fault pcone pex bit
-            with
-            | Fsim.Path_patch | Fsim.Path_reroute -> (
-                let k = group_key dev db bit in
-                match Hashtbl.find_opt groups k with
-                | Some g -> g := i :: !g
-                | None ->
-                    Hashtbl.add groups k (ref [ i ]);
-                    order := k :: !order)
-            | Fsim.Path_silent | Fsim.Path_rebuild -> singles := i :: !singles
-          done;
-          (* pack neighbouring keys together: bel and wire indices are
-             spatially local, so adjacent keys drive overlapping fanout
-             cones and the batch engine walks a tighter union cone *)
-          let lanes =
-            Array.of_list
-              (List.concat_map
-                 (fun k -> List.rev !(Hashtbl.find groups k))
-                 (List.sort compare !order))
-          in
-          let w = Fsim_batch.width and n = Array.length lanes in
-          let batches =
-            Array.init ((n + w - 1) / w) (fun b ->
-                Batch (Array.sub lanes (b * w) (min w (n - (b * w)))))
-          in
-          let singles =
-            Array.of_list (List.rev_map (fun i -> Single i) !singles)
-          in
-          (Some st, Array.append batches singles))
+          let st = state s ~setup_ns 0 in
+          let t0 = Tmr_obs.Clock.now_ns () in
+          let units = plan s st faults masked in
+          busy_ns.(0) <- busy_ns.(0) + (Tmr_obs.Clock.now_ns () - t0);
+          units)
   in
   (* fault-level completion count for the progress line — the pool only
      counts units, whose sizes vary from 1 to {!Fsim_batch.width}
@@ -587,31 +721,9 @@ let run ?progress ?workers ?(cone_skip = true) ?(forensics = false) ~name
     ignore (Atomic.fetch_and_add faults_done 1)
   in
   let worker wid =
-    let st =
-      match state0 with Some st when wid = 0 -> st | _ -> setup wid
-    in
+    let st = state s ~setup_ns wid in
     let t_setup = Tmr_obs.Clock.now_ns () in
-    let ex = st.w_ex and ws = st.w_ws in
-    let base = st.w_base and cone = st.w_cone and base_io = st.w_io in
-    let base_watch =
-      Array.concat (List.map fst base_io.io_outs @ base_io.io_dets)
-    in
-    (* voter bels of the golden cone as simulation nodes, for the
-       masked-at-voter verdict *)
-    let voter_nodes =
-      match fattr with
-      | None -> Bytes.empty
-      | Some a ->
-          let nb = Bytes.make (Fsim.num_nodes base) '\000' in
-          Array.iteri
-            (fun bel isv ->
-              if isv then begin
-                let n = Fsim.cone_node_of_bel cone bel in
-                if n >= 0 && n < Bytes.length nb then Bytes.set nb n '\001'
-              end)
-            a.Forensics.bel_voter;
-          nb
-    in
+    let ex = st.w_ex and ws = st.w_ws and cone = st.w_cone in
     let bump f = stats_per_worker.(wid) <- f stats_per_worker.(wid) in
     let note_converge cv =
       if cv >= 0 then begin
@@ -680,8 +792,8 @@ let run ?progress ?workers ?(cone_skip = true) ?(forensics = false) ~name
           Fun.protect
             ~finally:(fun () -> Extract.apply_bit_flip ex bit)
             (fun () ->
-              let sim = Fsim.build ~ws ex ~watch_outputs in
-              let err, det = run_dut sim (resolve_io sim) in
+              let sim = Fsim.build ~ws ex ~watch_outputs:s.s_watch_outputs in
+              let err, det = run_dut s sim (resolve_io s sim) in
               finish ~detect:det bit err)
         end
       in
@@ -700,119 +812,87 @@ let run ?progress ?workers ?(cone_skip = true) ?(forensics = false) ~name
           ~name:"fault" ~start_ns:t0 ~dur_ns:dt ();
       record i r
     in
-    let batcher =
-      Option.map (fun tape -> (Fsim_batch.create base cone, tape)) st.w_tape
-    in
-    let scratch = Fsim.make_scratch () in
-    (* One batch: derive each lane's overlay against the base simulator
-       (the extract is flipped only while the delta is taken), run every
-       lane word-parallel, and fan the per-lane verdicts back out as
-       ordinary results.  A reroute whose change reaches outside the
-       base cone has no overlay and rebuilds. *)
-    let do_batch idxs =
-      match batcher with
-      | None -> Array.iter do_fault idxs
-      | Some (bt, tape) ->
-          let t0 = Tmr_obs.Clock.now_ns () in
-          let succ_off, succ = Fsim_batch.csr bt in
-          let bel_of = Fsim_batch.bel_of bt in
-          let n = Array.length idxs in
-          let lanes = Array.make n None in
-          for j = 0 to n - 1 do
-            let bit = faults.(idxs.(j)) in
-            let plan = Fsim.plan_fault cone ex bit in
-            Extract.apply_bit_flip ex bit;
-            Fun.protect
-              ~finally:(fun () -> Extract.apply_bit_flip ex bit)
-              (fun () ->
-                match plan with
-                | Fsim.Path_patch ->
-                    lanes.(j) <-
-                      Some
-                        ( plan,
-                          ( Fsim.Seed_node (Fsim.patch_node cone ex bit),
-                            Fsim.patch_delta cone ex bit ) )
-                | Fsim.Path_reroute ->
-                    Option.iter
-                      (fun d ->
-                        lanes.(j) <- Some (plan, (Fsim.Seed_derived, d)))
-                      (Fsim.fault_delta ~scratch cone base ex bit
-                         ~watch:watch_outputs ~succ_off ~succ ~bel_of)
-                | Fsim.Path_silent | Fsim.Path_rebuild -> ())
-          done;
-          let lane_js =
-            Array.of_seq
-              (Seq.filter (fun j -> lanes.(j) <> None) (Seq.init n Fun.id))
+    (* One batch: run every lane word-parallel and fan each lane's
+       verdict out to the faults it stands for.  The kernel counters
+       count executed lanes; plan-path stats, convergence and the
+       per-fault trace spans count every fault, so they read as if each
+       had run alone. *)
+    let do_batch packed lane_faults =
+      let bt, tape = Option.get st.w_batch in
+      let t0 = Tmr_obs.Clock.now_ns () in
+      let lanes = Array.map unpack_lane packed in
+      let vs =
+        Fsim_batch.run bt ~ndetect
+          ?voters:(Option.map (fun _ -> st.w_voters) fattr)
+          ~tape ~expected:s.s_expected ~watch:st.w_watch ~lanes ()
+      in
+      let dt = Tmr_obs.Clock.now_ns () - t0 in
+      busy_ns.(wid) <- busy_ns.(wid) + dt;
+      let nl = Array.length lanes in
+      let w = Fsim_batch.work bt in
+      Tmr_obs.Metrics.incr ~by:w.Fsim_batch.evals m_batch_evals;
+      Tmr_obs.Metrics.incr ~by:w.Fsim_batch.quiet m_batch_quiet;
+      Tmr_obs.Metrics.incr ~by:w.Fsim_batch.splices m_batch_splices;
+      Tmr_obs.Metrics.incr ~by:nl m_batch_lanes;
+      Tmr_obs.Metrics.observe m_batch_occupancy nl;
+      if Tmr_obs.Events.enabled () then
+        Tmr_obs.Events.publish
+          (Tmr_obs.Events.Batch_dispatched { design = name; lanes = nl });
+      if Tmr_obs.Trace.enabled () then
+        Tmr_obs.Trace.emit_complete
+          ~args:[ ("lanes", string_of_int nl) ]
+          ~name:"batch" ~start_ns:t0 ~dur_ns:dt ();
+      let per_lane = dt / nl in
+      let per_fault =
+        dt / Array.fold_left (fun n f -> n + Array.length f) 0 lane_faults
+      in
+      (* each fault still gets its own trace span: the batch interval
+         is sliced into adjacent child spans, one per fault, so
+         per-fault spans nest inside "batch" and tooling that counts
+         faults keeps working *)
+      let k = ref 0 in
+      Array.iteri
+        (fun li idxs ->
+          let v = vs.(li) in
+          let path =
+            match fst lanes.(li) with
+            | Fsim.Seed_node _ -> Fsim.Path_patch
+            | Fsim.Seed_derived -> Fsim.Path_reroute
           in
-          let nl = Array.length lane_js in
-          if nl > 0 then begin
-            let vs =
-              Fsim_batch.run bt ~ndetect
-                ?voters:(Option.map (fun _ -> voter_nodes) fattr)
-                ~tape ~expected:expected_flat ~watch:base_watch
-                ~lanes:(Array.map (fun j -> snd (Option.get lanes.(j))) lane_js)
-                ()
-            in
-            let dt = Tmr_obs.Clock.now_ns () - t0 in
-            busy_ns.(wid) <- busy_ns.(wid) + dt;
-            let w = Fsim_batch.work bt in
-            Tmr_obs.Metrics.incr ~by:w.Fsim_batch.evals m_batch_evals;
-            Tmr_obs.Metrics.incr ~by:w.Fsim_batch.quiet m_batch_quiet;
-            Tmr_obs.Metrics.incr ~by:w.Fsim_batch.splices m_batch_splices;
-            Tmr_obs.Metrics.incr ~by:nl m_batch_lanes;
-            Tmr_obs.Metrics.observe m_batch_occupancy nl;
-            if Tmr_obs.Events.enabled () then
-              Tmr_obs.Events.publish
-                (Tmr_obs.Events.Batch_dispatched { design = name; lanes = nl });
-            if Tmr_obs.Trace.enabled () then
-              Tmr_obs.Trace.emit_complete
-                ~args:[ ("lanes", string_of_int nl) ]
-                ~name:"batch" ~start_ns:t0 ~dur_ns:dt ();
-            let per = dt / nl in
-            (* each consumer-visible fault still gets its own trace
-               span: the batch interval is sliced into [nl] adjacent
-               child spans, so per-fault spans nest inside "batch" and
-               tooling that counts faults keeps working *)
-            Array.iteri
-              (fun k j ->
-                let v = vs.(k) in
-                let i = idxs.(j) in
-                let plan, _ = Option.get lanes.(j) in
-                bump (fun s ->
-                    let s =
-                      match plan with
-                      | Fsim.Path_patch -> { s with patched = s.patched + 1 }
-                      | _ -> { s with rerouted = s.rerouted + 1 }
-                    in
-                    { s with diffed = s.diffed + 1; batched = s.batched + 1 });
-                note_converge v.Fsim_batch.bv_converge_cycle;
-                Tmr_obs.Metrics.observe m_fault_batch per;
-                if Tmr_obs.Trace.enabled () then
-                  Tmr_obs.Trace.emit_complete
-                    ~args:
-                      [
-                        ("bit", string_of_int faults.(i));
-                        ("path", Fsim.path_name plan);
-                      ]
-                    ~name:"fault"
-                    ~start_ns:(t0 + (k * per))
-                    ~dur_ns:per ();
-                record i
-                  (finish ?prov:v.Fsim_batch.bv_provenance
-                     ~detect:v.Fsim_batch.bv_detect_cycle faults.(i)
-                     v.Fsim_batch.bv_error_cycle))
-              lane_js
-          end
-          else busy_ns.(wid) <- busy_ns.(wid) + (Tmr_obs.Clock.now_ns () - t0);
-          for j = 0 to n - 1 do
-            if lanes.(j) = None then do_fault idxs.(j)
-          done
+          Tmr_obs.Metrics.observe m_fault_batch per_lane;
+          Array.iter
+            (fun i ->
+              bump (fun s ->
+                  let s =
+                    match path with
+                    | Fsim.Path_patch -> { s with patched = s.patched + 1 }
+                    | _ -> { s with rerouted = s.rerouted + 1 }
+                  in
+                  { s with diffed = s.diffed + 1; batched = s.batched + 1 });
+              note_converge v.Fsim_batch.bv_converge_cycle;
+              if Tmr_obs.Trace.enabled () then
+                Tmr_obs.Trace.emit_complete
+                  ~args:
+                    [
+                      ("bit", string_of_int faults.(i));
+                      ("path", Fsim.path_name path);
+                    ]
+                  ~name:"fault"
+                  ~start_ns:(t0 + (!k * per_fault))
+                  ~dur_ns:per_fault ();
+              incr k;
+              record i
+                (finish ?prov:v.Fsim_batch.bv_provenance
+                   ~detect:v.Fsim_batch.bv_detect_cycle faults.(i)
+                   v.Fsim_batch.bv_error_cycle))
+            idxs)
+        lane_faults
     in
     setup_ns.(wid) <- setup_ns.(wid) + (Tmr_obs.Clock.now_ns () - t_setup);
     fun u ->
       match units.(u) with
       | Single i -> do_fault i
-      | Batch idxs -> do_batch idxs
+      | Batch { lanes; lane_faults } -> do_batch lanes lane_faults
   in
   (* Snapshot the event-bus state once: a sink installed mid-run would
      otherwise see a campaign with no start event. *)
@@ -937,6 +1017,13 @@ let run ?progress ?workers ?(cone_skip = true) ?(forensics = false) ~name
   | _ -> ());
   { design = name; requested = total; injected = total; wrong; results;
     workers; stats; wall_ns; busy_ns; setup_ns }
+
+
+let run ?progress ?workers ?cone_skip ?forensics ~name ~impl ~golden ~stimulus
+    ~faults () =
+  run_session ?progress
+    (session ?workers ?cone_skip ?forensics ~name ~impl ~golden ~stimulus ())
+    ~faults
 
 let wrong_percent t =
   if t.injected = 0 then 0.0

@@ -100,16 +100,20 @@ type t = {
   workers : int;  (** worker count the campaign actually used *)
   stats : engine_stats;  (** work the engine performed, by plan path *)
   wall_ns : int;
-      (** wall-clock time of the injection loop, every worker's setup
-          included (worker 0's is built before batch planning, which
-          runs on it) *)
+      (** wall-clock time of the injection loop, including the setup of
+          every worker whose state this run built (worker 0's is built
+          before batch planning, which runs on it) *)
   busy_ns : int array;
-      (** per-worker time spent injecting (length [workers]); the gap to
+      (** per-worker time spent injecting (length [workers]), worker 0's
+          including the planning pass that derives the batched faults'
+          overlays; the gap to
           [workers * wall_ns] is per-worker setup ({!field-setup_ns}),
           claim contention and pool ramp-down *)
   setup_ns : int array;
       (** per-worker one-time initialisation (bitstream clone, simulator
-          build, baseline tape, batch engine) before the first fault.
+          build, baseline tape, batch engine) before the first fault;
+          near zero for a worker whose state an earlier run of the same
+          {!session} built.
           Counted separately from [busy_ns] so the injection throughput
           stays comparable across engines, but included in
           {!utilization} — on fast engines the setup dominates the
@@ -175,7 +179,12 @@ val run :
     The fast engine packs patch/reroute faults that share a structural
     cone key (same LUT/FF bel, same pip destination wire) into batches
     of up to {!Tmr_fabric.Fsim_batch.width} lanes; a fault with no
-    partner runs as a one-lane batch.  Faults whose rewiring closes a
+    partner runs as a one-lane batch.  The planning pass derives each
+    such fault's overlay once, and faults whose overlays are equal
+    (the same effective circuit) share one lane: the later ones copy the
+    first one's outcome, cycles and provenance, while [effect] and the
+    structural forensic fields stay their own.  [stats] count every
+    fault under its own plan path either way.  Faults whose rewiring closes a
     combinational loop, or whose cone runs through a cyclic SCC of the
     base graph, stay in the batch: the engine Kleene-iterates the
     affected SCC for those lanes from X, and since node evaluation is
@@ -200,6 +209,39 @@ val run :
     Raises [Failure] if the un-faulted DUT does not match the golden
     device (an implementation-flow bug, not a fault); the message names
     the first disagreeing port, bit and expected/actual values. *)
+
+(** {1 Sessions}
+
+    A session holds everything a campaign builds that does not depend on
+    the fault list: the structural attribution, the golden outputs, the
+    IO maps, the expected output matrix, the golden extract and, built
+    on a worker's first use, that worker's state (extract copy,
+    workspace, golden simulator, cone, baseline tape checked against the
+    golden device, batch context, scratch).  Running many fault lists
+    through one session pays for that once; {!run} is a session used
+    once.  Results never depend on what the session ran before. *)
+
+type session
+
+val session :
+  ?workers:int ->
+  ?cone_skip:bool ->
+  ?forensics:bool ->
+  name:string ->
+  impl:Tmr_pnr.Impl.t ->
+  golden:Tmr_netlist.Netlist.t ->
+  stimulus:stimulus ->
+  unit ->
+  session
+(** The arguments mean what they mean for {!run}; a registered
+    {!Forensics} sink implies [forensics] when the session is made.
+    Worker states are built lazily, so the DUT check of {!run} fails on
+    the session's first {!run_session}. *)
+
+val run_session : ?progress:(progress -> unit) -> session -> faults:int array -> t
+(** [run] over [faults] with the session's fault-independent state.
+    Byte-identical to {!run} with the session's arguments.  Runs of one
+    session must not overlap. *)
 
 val wrong_percent : t -> float
 

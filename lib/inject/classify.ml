@@ -60,4 +60,3 @@ let all =
   [ Lut_effect; Mux_effect; Init_effect; Open_effect; Bridge_effect;
     Antenna_effect; Conflict_effect; Other_effect ]
 
-let of_name s = List.find_opt (fun e -> name e = s) all

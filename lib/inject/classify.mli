@@ -37,5 +37,3 @@ val all : effect list
 (** Table 4 row order: LUT, MUX, Initialization, Open, Bridge,
     Input-Antenna, Conflict, Others. *)
 
-val of_name : string -> effect option
-(** Inverse of {!name} — shard result files store effects by name. *)

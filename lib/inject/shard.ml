@@ -25,19 +25,164 @@ let ranges_missing ~total ~done_ids ~shards =
 (* ------------------------------------------------------------------ *)
 (* Per-fault result lines.  One compact JSON object per fault; the
    concatenation over all shards in index order is the canonical result
-   stream the CI byte-diffs across process counts. *)
+   stream the CI byte-diffs across process counts.  The encoder writes
+   straight into a buffer and the decoder scans exactly that shape in
+   place: the lines are the bulk of what a sharded run writes and reads
+   back. *)
 
 let outcome_name = function
   | Campaign.Silent -> "silent"
   | Campaign.Wrong_answer -> "wrong_answer"
 
-let result_to_line ~index (r : Campaign.fault_result) =
-  Printf.sprintf
-    "{\"index\":%d,\"bit\":%d,\"outcome\":\"%s\",\"effect\":\"%s\",\"first_error_cycle\":%d,\"detect_cycle\":%d}"
-    index r.Campaign.bit
-    (outcome_name r.Campaign.outcome)
-    (Tmr_obs.Jsonl.escape (Classify.name r.Campaign.effect))
-    r.Campaign.first_error_cycle r.Campaign.detect_cycle
+(* decimal digits of [n], as [string_of_int] writes them *)
+let rec add_int b n =
+  if n < 0 then
+    if n = min_int then Buffer.add_string b (string_of_int n)
+    else begin
+      Buffer.add_char b '-';
+      add_int b (-n)
+    end
+  else begin
+    if n >= 10 then add_int b (n / 10);
+    Buffer.add_char b (Char.unsafe_chr (48 + (n mod 10)))
+  end
+
+let add_result_line b ~index (r : Campaign.fault_result) =
+  Buffer.add_string b "{\"index\":";
+  add_int b index;
+  Buffer.add_string b ",\"bit\":";
+  add_int b r.Campaign.bit;
+  Buffer.add_string b ",\"outcome\":\"";
+  Buffer.add_string b (outcome_name r.Campaign.outcome);
+  Buffer.add_string b "\",\"effect\":\"";
+  Buffer.add_string b (Classify.name r.Campaign.effect);
+  Buffer.add_string b "\",\"first_error_cycle\":";
+  add_int b r.Campaign.first_error_cycle;
+  Buffer.add_string b ",\"detect_cycle\":";
+  add_int b r.Campaign.detect_cycle;
+  Buffer.add_char b '}'
+
+let result_to_line ~index r =
+  let b = Buffer.create 128 in
+  add_result_line b ~index r;
+  Buffer.contents b
+
+exception Bad_line of string
+
+(* placeholder of the arrays results are read or merged into *)
+let no_result =
+  {
+    Campaign.bit = -1;
+    outcome = Campaign.Silent;
+    effect = Classify.Other_effect;
+    first_error_cycle = -1;
+    detect_cycle = -1;
+    forensics = None;
+  }
+
+let outcome_tokens =
+  List.map
+    (fun o -> ("\"" ^ outcome_name o ^ "\"", o))
+    [ Campaign.Silent; Campaign.Wrong_answer ]
+
+let effect_tokens =
+  List.map (fun e -> ("\"" ^ Classify.name e ^ "\"", e)) Classify.all
+
+(* One result line: the bytes [pos, stop) of [s], fields in the written
+   order with nothing between them.  Raises [Bad_line]. *)
+let scan_result s pos stop =
+  let p = ref pos in
+  let bad fmt =
+    Printf.ksprintf (fun m -> raise (Bad_line m)) ("byte %d: " ^^ fmt)
+      (!p - pos)
+  in
+  let at lit =
+    let n = String.length lit in
+    !p + n <= stop
+    &&
+    let rec same k = k = n || (s.[!p + k] = lit.[k] && same (k + 1)) in
+    same 0
+  in
+  let expect lit =
+    if at lit then p := !p + String.length lit else bad "expected %S" lit
+  in
+  let token what tokens =
+    match List.find_opt (fun (lit, _) -> at lit) tokens with
+    | Some (lit, v) ->
+        p := !p + String.length lit;
+        v
+    | None -> bad "unknown %s" what
+  in
+  (* [-]digits, no leading zero, no "-0", within [min_int, max_int];
+     accumulated negatively so that [min_int] fits *)
+  let int () =
+    let neg = !p < stop && s.[!p] = '-' in
+    if neg then incr p;
+    let first = !p in
+    let acc = ref 0 in
+    while !p < stop && s.[!p] >= '0' && s.[!p] <= '9' do
+      let d = Char.code s.[!p] - 48 in
+      if !acc < (min_int + d) / 10 then bad "integer overflow";
+      acc := (!acc * 10) - d;
+      incr p
+    done;
+    let len = !p - first in
+    if len = 0 then bad "expected a decimal integer"
+    else if len > 1 && s.[first] = '0' then bad "leading zero"
+    else if neg then (if !acc = 0 then bad "negative zero" else !acc)
+    else if !acc = min_int then bad "integer overflow"
+    else - !acc
+  in
+  expect "{\"index\":";
+  let index = int () in
+  expect ",\"bit\":";
+  let bit = int () in
+  expect ",\"outcome\":";
+  let outcome = token "outcome" outcome_tokens in
+  expect ",\"effect\":";
+  let effect = token "effect" effect_tokens in
+  expect ",\"first_error_cycle\":";
+  let first_error_cycle = int () in
+  expect ",\"detect_cycle\":";
+  let detect_cycle = int () in
+  expect "}";
+  if !p <> stop then bad "trailing bytes";
+  ( index,
+    {
+      Campaign.bit;
+      outcome;
+      effect;
+      first_error_cycle;
+      detect_cycle;
+      forensics = None;
+    } )
+
+let result_of_line line =
+  match scan_result line 0 (String.length line) with
+  | r -> Ok r
+  | exception Bad_line e -> Error e
+
+let results_of_bytes buf ~len:n =
+  (* scanned in place; nothing below writes [buf] *)
+  let body = Bytes.unsafe_to_string buf in
+  let lines = ref 0 in
+  for i = 0 to n - 1 do
+    if body.[i] = '\n' then incr lines
+  done;
+  if n > 0 && body.[n - 1] <> '\n' then Error "last line has no newline"
+  else
+    let out = Array.make !lines (0, no_result) in
+    let rec go k pos =
+      if k = !lines then Ok out
+      else
+        let stop = String.index_from body pos '\n' in
+        match scan_result body pos stop with
+        | r ->
+            out.(k) <- r;
+            go (k + 1) (stop + 1)
+        | exception Bad_line e -> Error (Printf.sprintf "line %d: %s" (k + 1) e)
+    in
+    go 0 0
 
 let ( let* ) r f = Result.bind r f
 
@@ -45,40 +190,6 @@ let field name conv j =
   match Option.bind (Json.member name j) conv with
   | Some v -> Ok v
   | None -> Error (Printf.sprintf "missing or ill-typed field %S" name)
-
-let result_of_line line =
-  let* j = Json.parse line in
-  let* index = field "index" Json.int j in
-  let* bit = field "bit" Json.int j in
-  let* outcome_s = field "outcome" Json.str j in
-  let* effect_s = field "effect" Json.str j in
-  let* first_error_cycle = field "first_error_cycle" Json.int j in
-  (* absent on result lines written before the detection taxonomy
-     existed: resumed campaigns keep their old spools readable *)
-  let detect_cycle =
-    Option.value ~default:(-1) (Option.bind (Json.member "detect_cycle" j) Json.int)
-  in
-  let* outcome =
-    match outcome_s with
-    | "silent" -> Ok Campaign.Silent
-    | "wrong_answer" -> Ok Campaign.Wrong_answer
-    | s -> Error (Printf.sprintf "unknown outcome %S" s)
-  in
-  let* effect =
-    match Classify.of_name effect_s with
-    | Some e -> Ok e
-    | None -> Error (Printf.sprintf "unknown effect %S" effect_s)
-  in
-  Ok
-    ( index,
-      {
-        Campaign.bit;
-        outcome;
-        effect;
-        first_error_cycle;
-        detect_cycle;
-        forensics = None;
-      } )
 
 (* ------------------------------------------------------------------ *)
 (* Shard manifests. *)
@@ -227,17 +338,7 @@ let merge ~design ~total ~procs ~wall_ns shards =
       fail "shards cover [0,%d) of %d faults" edge total
     else Ok ()
   in
-  let dummy =
-    {
-      Campaign.bit = -1;
-      outcome = Campaign.Silent;
-      effect = Classify.Other_effect;
-      first_error_cycle = -1;
-      detect_cycle = -1;
-      forensics = None;
-    }
-  in
-  let results = Array.make total dummy in
+  let results = Array.make total no_result in
   let filled = Bytes.make total '\000' in
   let place m (i, r) =
     if i < m.sm_lo || i >= m.sm_hi then

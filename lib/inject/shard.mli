@@ -38,12 +38,34 @@ val ranges_missing : total:int -> done_ids:(int -> bool) -> shards:int -> range 
     One compact JSON object per fault, in fault-index order within each
     shard.  Concatenating the shard files in shard order yields the
     canonical campaign result stream, byte-identical however the work
-    was split. *)
+    was split.  A line has exactly this shape, with no whitespace:
+
+    {v
+{"index":I,"bit":I,"outcome":O,"effect":E,"first_error_cycle":I,"detect_cycle":I}
+    v}
+
+    where each [I] is a decimal integer as [string_of_int] writes it
+    (an optional [-], no leading zero, no [+], no exponent, within
+    [min_int .. max_int]), [O] is ["silent"] or ["wrong_answer"] and [E]
+    one of the eight {!Classify.name}s, unescaped.  The reader accepts
+    that shape and nothing else: any other line, including one without
+    [detect_cycle], with reordered fields or with trailing bytes, is an
+    [Error].  So every line it accepts re-encodes to itself. *)
+
+val add_result_line : Buffer.t -> index:int -> Campaign.fault_result -> unit
+(** Append one line, without its newline. *)
 
 val result_to_line : index:int -> Campaign.fault_result -> string
+
 val result_of_line : string -> (int * Campaign.fault_result, string) result
 (** Round-trips everything except [forensics] (sharded runs do not
     collect forensic records; the field comes back [None]). *)
+
+val results_of_bytes :
+  Bytes.t -> len:int -> ((int * Campaign.fault_result) array, string) result
+(** Every line of a results file body — the first [len] bytes of the
+    buffer, each line ended by a newline — in file order; the first bad
+    line is an [Error] naming its line number. *)
 
 (** {1 Shard manifests} *)
 

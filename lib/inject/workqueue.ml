@@ -1,6 +1,12 @@
 module Json = Tmr_obs.Json
 
-type t = { root : string }
+(* [rbuf] is the buffer results files are read into, reused from shard
+   to shard: a fresh string per shard is one large major-heap block
+   each, and the merge reads them back to back *)
+type t = {
+  root : string;
+  mutable rbuf : Bytes.t;
+}
 
 let dir t = t.root
 
@@ -18,7 +24,7 @@ let mkdir_p path =
 let create ~dir =
   mkdir_p dir;
   List.iter (fun d -> mkdir_p (Filename.concat dir d)) subdirs;
-  { root = dir }
+  { root = dir; rbuf = Bytes.empty }
 
 let path t parts = List.fold_left Filename.concat t.root parts
 let id_name id = Printf.sprintf "%05d.json" id
@@ -39,12 +45,14 @@ let trace_path t ~worker =
   Filename.concat t.root (Printf.sprintf "trace-w%d.jsonl" worker)
 
 (* Atomic whole-file write: tmp in the same directory, then rename. *)
-let write_file ~final body =
+let write_with ~final write =
   let tmp = final ^ ".tmp." ^ string_of_int (Unix.getpid ()) in
   let oc = open_out tmp in
-  Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () ->
-      output_string oc body);
+  Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> write oc);
   Sys.rename tmp final
+
+let write_file ~final body =
+  write_with ~final (fun oc -> output_string oc body)
 
 let read_file p =
   let ic = open_in_bin p in
@@ -171,16 +179,16 @@ let claim t ~pid =
   in
   try_ids (List.sort compare (ids_in t "todo"))
 
-let complete t ~pid (r : Shard.range) ~lines ~manifest =
-  let b = Buffer.create 4096 in
-  List.iter
-    (fun l ->
-      Buffer.add_string b l;
+let complete t ~pid (r : Shard.range) ~results ~manifest =
+  let b = Buffer.create (128 * Array.length results) in
+  Array.iteri
+    (fun i res ->
+      Shard.add_result_line b ~index:(r.Shard.sh_lo + i) res;
       Buffer.add_char b '\n')
-    lines;
-  write_file
+    results;
+  write_with
     ~final:(path t [ "results"; results_name r.Shard.sh_id ])
-    (Buffer.contents b);
+    (fun oc -> Buffer.output_buffer oc b);
   write_file
     ~final:(path t [ "done"; id_name r.Shard.sh_id ])
     (Json.to_string (Shard.manifest_to_json manifest) ^ "\n");
@@ -262,20 +270,24 @@ let load_done t =
 
 let read_results t (m : Shard.manifest) =
   let p = path t [ "results"; results_name m.Shard.sm_id ] in
-  match read_file p with
+  match
+    let ic = open_in_bin p in
+    Fun.protect
+      ~finally:(fun () -> close_in_noerr ic)
+      (fun () ->
+        let n = in_channel_length ic in
+        (* shards differ in size by a few lines: room for twice the
+           first one spares the rest a reallocation *)
+        if Bytes.length t.rbuf < n then t.rbuf <- Bytes.create (2 * n);
+        really_input ic t.rbuf 0 n;
+        n)
+  with
   | exception Sys_error e -> Error e
-  | body ->
-      let lines =
-        String.split_on_char '\n' body |> List.filter (fun l -> l <> "")
-      in
-      let rec go acc = function
-        | [] -> Ok (Array.of_list (List.rev acc))
-        | l :: rest -> (
-            match Shard.result_of_line l with
-            | Ok r -> go (r :: acc) rest
-            | Error e -> Error (Printf.sprintf "%s: %s" p e))
-      in
-      Result.bind (go [] lines) (fun rs ->
+  | exception End_of_file -> Error (p ^ ": truncated while reading")
+  | len -> (
+      match Shard.results_of_bytes t.rbuf ~len with
+      | Error e -> Error (Printf.sprintf "%s: %s" p e)
+      | Ok rs ->
           let expect = m.Shard.sm_hi - m.Shard.sm_lo in
           if Array.length rs <> expect then
             Error

@@ -65,12 +65,13 @@ val complete :
   t ->
   pid:int ->
   Shard.range ->
-  lines:string list ->
+  results:Campaign.fault_result array ->
   manifest:Shard.manifest ->
   unit
-(** Persist a finished shard: its result [lines] (in fault-index order,
-    one per fault) as [results/<id>.jsonl], then its manifest as
-    [done/<id>.json], each via tmp + rename, then drop the claim. *)
+(** Persist a finished shard: its [results] (one per fault of the range,
+    in fault-index order) as the result lines of [results/<id>.jsonl],
+    encoded into one buffer, then its manifest as [done/<id>.json], each
+    via tmp + rename, then drop the claim. *)
 
 val release : t -> pid:int -> Shard.range -> unit
 (** Put a claimed range back into [todo/] (orderly shutdown). *)
@@ -98,8 +99,10 @@ val load_done : t -> (Shard.manifest list, string) result
 
 val read_results :
   t -> Shard.manifest -> ((int * Campaign.fault_result) array, string) result
-(** The per-fault results of one completed shard, in file order.  Checks
-    the count against the manifest's range. *)
+(** The per-fault results of one completed shard, in file order, read
+    into the queue's one reusable buffer and scanned in place with
+    {!Shard.results_of_bytes}.  Checks the count against the manifest's
+    range.  Not reentrant on one [t]. *)
 
 val pending : t -> int
 (** Ranges still in [todo/] plus live claims. *)

@@ -427,19 +427,34 @@ let test_baseline_check () =
       inputs = [ ("a", Array.init 8 (fun i -> i + 1)); ("b", Array.make 8 2) ];
     }
   in
+  let golden = build_datapath ~k:5 () in
+  let expect label run =
+    match run () with
+    | _ -> Alcotest.failf "%s: the faulty baseline passed" label
+    | exception Failure msg ->
+        Alcotest.(check string) label
+          "Campaign dp: fault-free DUT disagrees with golden device at cycle \
+           1 (port \"r\" bit 3: expected 1, got 0)"
+          msg
+  in
   List.iter
     (fun cone_skip ->
       let label = Printf.sprintf "cone_skip %b" cone_skip in
-      match
-        Campaign.run ~workers:1 ~cone_skip ~name:"dp" ~impl
-          ~golden:(build_datapath ~k:5 ()) ~stimulus ~faults:[| 0 |] ()
-      with
-      | _ -> Alcotest.failf "%s: the faulty baseline passed" label
-      | exception Failure msg ->
-          Alcotest.(check string) label
-            "Campaign dp: fault-free DUT disagrees with golden device at \
-             cycle 1 (port \"r\" bit 3: expected 1, got 0)"
-            msg)
+      expect label (fun () ->
+          Campaign.run ~workers:1 ~cone_skip ~name:"dp" ~impl ~golden
+            ~stimulus ~faults:[| 0 |] ());
+      (* a session checks on its first run; a failed check keeps no
+         state, so the next run fails the same way *)
+      let session =
+        Campaign.session ~workers:1 ~cone_skip ~name:"dp" ~impl ~golden
+          ~stimulus ()
+      in
+      List.iter
+        (fun k ->
+          expect
+            (Printf.sprintf "%s, session run %d" label k)
+            (fun () -> Campaign.run_session session ~faults:[| 0 |]))
+        [ 1; 2 ])
     [ true; false ]
 
 (* design runs and their fault classes, shared by the tests below *)
@@ -867,6 +882,115 @@ let test_vote_masking_proof () =
   in
   Alcotest.(check (list int)) "proof-silent bits per design" expected counts
 
+(* --- in-shard fault collapsing: faults whose overlays are equal share
+   one lane and copy its verdict.  The collapsed faults are found here
+   apart from the campaign's planner: every essential bit it would
+   batch (planned patch or reroute, not vote-masked, with an overlay),
+   its overlay derived on a fresh extract and compared structurally —
+   rows in node order, appended nodes without their resolution wires.
+   Every one-shard exhaustive campaign batches exactly those faults
+   beyond its executed lanes, whose counts are pinned, and a seeded
+   sample of the collapsed faults equals the oracle --- *)
+
+let collapsed_faults (run : Runs.design_run) faults =
+  let ctx = Lazy.force reduced_ctx in
+  let impl = run.Runs.impl in
+  let ex =
+    Extract.create impl.Impl.dev impl.Impl.db
+      (Bitstream.copy impl.Impl.bitgen.Tmr_pnr.Bitgen.bitstream)
+  in
+  let ws = Fsim.make_workspace impl.Impl.dev in
+  let watch =
+    Array.concat
+      (List.map
+         (fun (port, _) -> Campaign.dut_output_wires impl port)
+         (Netlist.output_ports ctx.Context.golden_nl))
+  in
+  let base = Fsim.build ~ws ex ~watch_outputs:watch in
+  let cone = Fsim.snapshot_cone ws in
+  let bt = Fsim_batch.create base cone in
+  let succ_off, succ = Fsim_batch.csr bt in
+  let bel_of = Fsim_batch.bel_of bt in
+  let scratch = Fsim.make_scratch () in
+  let a = Forensics.attrib_of_impl impl in
+  let seen = Hashtbl.create 4096 in
+  let collapsed = ref [] in
+  Array.iteri
+    (fun i bit ->
+      let masked = a.Forensics.vote_masking && Forensics.masked_domain a bit >= 0 in
+      match Fsim.plan_fault cone ex bit with
+      | (Fsim.Path_patch | Fsim.Path_reroute) as path when not masked -> (
+          Extract.apply_bit_flip ex bit;
+          let lane =
+            if path = Fsim.Path_patch then
+              Some
+                ( Fsim.Seed_node (Fsim.patch_node cone ex bit),
+                  Fsim.patch_delta cone ex bit )
+            else
+              Option.map
+                (fun d -> (Fsim.Seed_derived, d))
+                (Fsim.fault_delta ~scratch cone base ex bit ~watch ~succ_off
+                   ~succ ~bel_of)
+          in
+          Extract.apply_bit_flip ex bit;
+          match lane with
+          | None -> ()
+          | Some (seeds, d) ->
+              let rows = Array.copy d.Fsim.dl_rows in
+              Array.sort (fun (u, _) (v, _) -> compare u v) rows;
+              let key =
+                ( seeds,
+                  d.Fsim.dl_cell,
+                  rows,
+                  Array.map fst d.Fsim.dl_extras,
+                  d.Fsim.dl_watch )
+              in
+              if Hashtbl.mem seen key then collapsed := i :: !collapsed
+              else Hashtbl.add seen key ())
+      | _ -> ())
+    faults;
+  Array.of_list (List.rev !collapsed)
+
+let test_collapsing () =
+  let lanes_run () =
+    Option.value ~default:0
+      (List.assoc_opt "campaign.batch_lanes"
+         (Tmr_obs.Metrics.snapshot ()).Tmr_obs.Metrics.counters)
+  in
+  let lanes =
+    List.map
+      (fun strategy ->
+        let name = Partition.name strategy in
+        let run, _ = design (strategy, Tmr_core.Voter.Majority) in
+        let faults = run.Runs.faultlist.Tmr_inject.Faultlist.bits in
+        let before = lanes_run () in
+        let e = campaign run name faults in
+        let lanes = lanes_run () - before in
+        let collapsed = collapsed_faults run faults in
+        let n = Array.length collapsed in
+        Alcotest.(check int)
+          (name ^ ": batched beyond the lanes = collapsed faults")
+          (e.Campaign.stats.Campaign.batched - lanes)
+          n;
+        let pick = Srand.sample (Srand.create 29) (min 120 n) n in
+        Array.sort compare pick;
+        let idx = Array.map (fun k -> collapsed.(k)) pick in
+        let oracle =
+          campaign ~cone_skip:false run name (Array.map (fun i -> faults.(i)) idx)
+        in
+        Alcotest.(check (array result_testable))
+          (name ^ ": collapsed faults == oracle")
+          oracle.Campaign.results
+          (Array.map (fun i -> e.Campaign.results.(i)) idx);
+        Printf.printf "%s: %d lanes for %d batched faults (%d collapsed)\n"
+          name lanes e.Campaign.stats.Campaign.batched n;
+        lanes)
+      Partition.all_paper_designs
+  in
+  Alcotest.(check (list int)) "kernel lanes per design"
+    [ 3203; 9311; 5422; 4120; 1201 ]
+    lanes
+
 (* --- an unrouted input pin of a used bel counts as that bel: a pip
    from a used wire onto such a pin is proved only when the wire and the
    bel share a domain and neither is a voter, and [structural] reports
@@ -1066,6 +1190,8 @@ let () =
             test_vote_masking_proof;
           Alcotest.test_case "unrouted input pins count as their bel" `Slow
             test_unrouted_pins;
+          Alcotest.test_case "collapsed faults == oracle, lanes pinned" `Slow
+            test_collapsing;
         ] );
       ( "explain",
         [

@@ -105,6 +105,138 @@ let test_result_line_roundtrip () =
         ])
     Classify.all
 
+(* The line format as the encoder once wrote it, through Printf: the
+   buffer encoder must reproduce these bytes exactly. *)
+let printf_line ~index (r : Campaign.fault_result) =
+  Printf.sprintf
+    "{\"index\":%d,\"bit\":%d,\"outcome\":\"%s\",\"effect\":\"%s\",\"first_error_cycle\":%d,\"detect_cycle\":%d}"
+    index r.Campaign.bit
+    (match r.Campaign.outcome with
+    | Campaign.Silent -> "silent"
+    | Campaign.Wrong_answer -> "wrong_answer")
+    (Tmr_obs.Jsonl.escape (Classify.name r.Campaign.effect))
+    r.Campaign.first_error_cycle r.Campaign.detect_cycle
+
+let test_result_line_encoder () =
+  let ints =
+    [ 0; 1; -1; 9; 10; -10; 99; 4242; -4242; 123456789; max_int; min_int;
+      -max_int ]
+  in
+  List.iter
+    (fun effect ->
+      List.iter
+        (fun outcome ->
+          List.iter
+            (fun a ->
+              List.iter
+                (fun b ->
+                  let r =
+                    {
+                      Campaign.bit = b;
+                      outcome;
+                      effect;
+                      first_error_cycle = a;
+                      detect_cycle = b;
+                      forensics = None;
+                    }
+                  in
+                  let line = Shard.result_to_line ~index:a r in
+                  Alcotest.(check string) "encoder == Printf format"
+                    (printf_line ~index:a r) line;
+                  match Shard.result_of_line line with
+                  | Ok (i, r') when i = a && r' = r -> ()
+                  | Ok _ -> Alcotest.failf "%s decodes to another result" line
+                  | Error e -> Alcotest.failf "%s rejected: %s" line e)
+                ints)
+            ints)
+        [ Campaign.Silent; Campaign.Wrong_answer ])
+    Classify.all
+
+(* The reader accepts the written shape and nothing else. *)
+let test_result_line_rejects () =
+  let good =
+    "{\"index\":1,\"bit\":2,\"outcome\":\"silent\",\"effect\":\"LUT\",\"first_error_cycle\":-1,\"detect_cycle\":-1}"
+  in
+  (match Shard.result_of_line good with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "the written shape is rejected: %s" e);
+  let replace ~sub ~by =
+    let i =
+      let n = String.length sub in
+      let rec find i =
+        if String.sub good i n = sub then i else find (i + 1)
+      in
+      find 0
+    in
+    String.sub good 0 i ^ by
+    ^ String.sub good (i + String.length sub)
+        (String.length good - i - String.length sub)
+  in
+  List.iter
+    (fun (what, line) ->
+      match Shard.result_of_line line with
+      | Ok _ -> Alcotest.failf "%s accepted: %s" what line
+      | Error _ -> ())
+    [
+      ("missing detect_cycle", replace ~sub:",\"detect_cycle\":-1" ~by:"");
+      ( "reordered fields",
+        replace ~sub:"\"index\":1,\"bit\":2" ~by:"\"bit\":2,\"index\":1" );
+      ("space after a colon", replace ~sub:"\"bit\":2" ~by:"\"bit\": 2");
+      ("leading space", " " ^ good);
+      ("trailing space", good ^ " ");
+      ("newline", good ^ "\n");
+      ("exponent", replace ~sub:"\"bit\":2" ~by:"\"bit\":1e3");
+      ("plus sign", replace ~sub:"\"bit\":2" ~by:"\"bit\":+5");
+      ("leading zero", replace ~sub:"\"bit\":2" ~by:"\"bit\":02");
+      ("negative zero", replace ~sub:"\"bit\":2" ~by:"\"bit\":-0");
+      ("fraction", replace ~sub:"\"bit\":2" ~by:"\"bit\":2.0");
+      ("quoted int", replace ~sub:"\"bit\":2" ~by:"\"bit\":\"2\"");
+      ( "overflow past max_int",
+        replace ~sub:"\"bit\":2" ~by:"\"bit\":4611686018427387904" );
+      ( "overflow past min_int",
+        replace ~sub:"\"bit\":2" ~by:"\"bit\":-4611686018427387905" );
+      ( "overflow, many digits",
+        replace ~sub:"\"bit\":2" ~by:"\"bit\":99999999999999999999999" );
+      ("trailing bytes", good ^ "x");
+      ("second object", good ^ good);
+      ("escaped effect name", replace ~sub:"\"LUT\"" ~by:"\"\\u004cUT\"");
+      ("unknown effect", replace ~sub:"\"LUT\"" ~by:"\"LUTS\"");
+      ("unknown outcome", replace ~sub:"\"silent\"" ~by:"\"quiet\"");
+      ("extra field", replace ~sub:"}" ~by:",\"x\":1}");
+      ("truncated", String.sub good 0 (String.length good - 1));
+      ("empty", "");
+    ];
+  (* a results file is lines, each ended by a newline *)
+  let body = good ^ "\n" ^ good ^ "\n" in
+  let of_body body =
+    Shard.results_of_bytes (Bytes.of_string body) ~len:(String.length body)
+  in
+  (match of_body body with
+  | Ok rs -> Alcotest.(check int) "two lines read" 2 (Array.length rs)
+  | Error e -> Alcotest.failf "body rejected: %s" e);
+  (* a reused buffer holds stale bytes past the body *)
+  (match
+     Shard.results_of_bytes
+       (Bytes.of_string (body ^ "stale"))
+       ~len:(String.length body)
+   with
+  | Ok rs -> Alcotest.(check int) "stale tail ignored" 2 (Array.length rs)
+  | Error e -> Alcotest.failf "stale tail read: %s" e);
+  List.iter
+    (fun (what, body, needle) ->
+      match of_body body with
+      | Ok _ -> Alcotest.failf "%s accepted" what
+      | Error e ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %S names %S" what e needle)
+            true
+            (String.starts_with ~prefix:needle e))
+    [
+      ("missing final newline", good ^ "\n" ^ good, "last line");
+      ("blank line", good ^ "\n\n" ^ good ^ "\n", "line 2:");
+      ("bad second line", good ^ "\n" ^ good ^ " \n", "line 2:");
+    ]
+
 let test_manifest_roundtrip () =
   let m =
     {
@@ -208,6 +340,16 @@ let shard_fuzz_corpus =
      in
      Array.of_list (manifest :: results))
 
+(* every line the reader accepts is one the encoder writes *)
+let qcheck_accepted_lines_reencode =
+  QCheck.Test.make ~count:3000
+    ~name:"accepted result lines re-encode to themselves" Fuzz.input
+    (fun input ->
+      let text = Fuzz.mutate (Lazy.force shard_fuzz_corpus) input in
+      match Shard.result_of_line text with
+      | Ok (index, r) -> Shard.result_to_line ~index r = text
+      | Error _ -> true)
+
 let qcheck_mutated_shard_files_fail_closed =
   QCheck.Test.make ~count:3000
     ~name:"mutated result lines and manifests fail closed" Fuzz.input
@@ -244,19 +386,18 @@ let mk_manifest (r : Shard.range) =
     sm_fingerprint = "fp";
   }
 
-let lines_of (r : Shard.range) =
-  List.init
+let results_of (r : Shard.range) =
+  Array.init
     (r.Shard.sh_hi - r.Shard.sh_lo)
     (fun i ->
-      Shard.result_to_line ~index:(r.Shard.sh_lo + i)
-        {
-          Campaign.bit = 100 + r.Shard.sh_lo + i;
-          outcome = Campaign.Silent;
-          effect = Classify.Other_effect;
-          first_error_cycle = -1;
-          detect_cycle = -1;
-          forensics = None;
-        })
+      {
+        Campaign.bit = 100 + r.Shard.sh_lo + i;
+        outcome = Campaign.Silent;
+        effect = Classify.Other_effect;
+        first_error_cycle = -1;
+        detect_cycle = -1;
+        forensics = None;
+      })
 
 (* a pid guaranteed dead: fork a child that exits immediately *)
 let dead_pid () =
@@ -288,7 +429,8 @@ let test_workqueue_claims () =
   let r0' = Option.get (Workqueue.claim wq ~pid) in
   Alcotest.(check int) "released range comes back" 0 r0'.Shard.sh_id;
   (* complete persists results + manifest and drops the claim *)
-  Workqueue.complete wq ~pid r1 ~lines:(lines_of r1) ~manifest:(mk_manifest r1);
+  Workqueue.complete wq ~pid r1 ~results:(results_of r1)
+    ~manifest:(mk_manifest r1);
   Alcotest.(check int) "one less pending" 3 (Workqueue.pending wq);
   (match Workqueue.load_done wq with
   | Ok [ m ] ->
@@ -296,7 +438,12 @@ let test_workqueue_claims () =
       (match Workqueue.read_results wq m with
       | Ok rs ->
           Alcotest.(check int) "results count" (m.Shard.sm_hi - m.Shard.sm_lo)
-            (Array.length rs)
+            (Array.length rs);
+          Alcotest.(check bool) "results read back at their indices" true
+            (rs
+            = Array.mapi
+                (fun i r -> (m.Shard.sm_lo + i, r))
+                (results_of r1))
       | Error e -> Alcotest.failf "read_results: %s" e)
   | Ok ms -> Alcotest.failf "expected 1 done manifest, got %d" (List.length ms)
   | Error e -> Alcotest.failf "load_done: %s" e);
@@ -482,6 +629,57 @@ let test_sharded_equals_plain_all_designs () =
           Alcotest.(check int) "all shards fresh" 4 o.Service.o_fresh;
           check_matches_plain (Partition.name strategy) plain
             o.Service.o_campaign)
+    Partition.all_paper_designs
+
+(* Every shard a worker process claims runs on one campaign session,
+   so a shard runs on worker state earlier shards used.  The exhaustive
+   list of each design as 16 shards through one session, last shard
+   first (a shard's rebuild singles, which build on the worker's
+   workspace, then precede the next shard's batches), at 1 and 2
+   workers, equals a fresh campaign per shard and the unsharded
+   campaign, fault by fault and in plan-path stats. *)
+let test_session_reuse () =
+  let ctx = Lazy.force ctx in
+  List.iter
+    (fun strategy ->
+      let name = Partition.name strategy in
+      let run = Runs.implement_design ctx strategy in
+      let faults = run.Runs.faultlist.Tmr_inject.Faultlist.bits in
+      let fresh faults =
+        Campaign.run ~workers:1 ~name ~impl:run.Runs.impl
+          ~golden:ctx.Context.golden_nl ~stimulus:ctx.Context.stimulus ~faults
+          ()
+      in
+      let whole = fresh faults in
+      Alcotest.(check bool) (name ^ ": some faults rebuild") true
+        (whole.Campaign.stats.Campaign.rebuilt > 0);
+      let shards = Shard.plan ~total:(Array.length faults) ~shards:16 in
+      let sub (r : Shard.range) =
+        Array.sub faults r.Shard.sh_lo (r.Shard.sh_hi - r.Shard.sh_lo)
+      in
+      let per_shard = Array.map (fun r -> fresh (sub r)) shards in
+      Alcotest.(check (array result_testable))
+        (name ^ ": fresh shards == unsharded")
+        whole.Campaign.results
+        (Array.concat
+           (Array.to_list
+              (Array.map (fun (c : Campaign.t) -> c.Campaign.results) per_shard)));
+      List.iter
+        (fun workers ->
+          let session =
+            Campaign.session ~workers ~name ~impl:run.Runs.impl
+              ~golden:ctx.Context.golden_nl ~stimulus:ctx.Context.stimulus ()
+          in
+          for k = Array.length shards - 1 downto 0 do
+            let c = Campaign.run_session session ~faults:(sub shards.(k)) in
+            let label = Printf.sprintf "%s w%d shard %d" name workers k in
+            Alcotest.(check (array result_testable))
+              (label ^ ": reused session == fresh")
+              per_shard.(k).Campaign.results c.Campaign.results;
+            Alcotest.(check bool) (label ^ ": plan-path stats") true
+              (per_shard.(k).Campaign.stats = c.Campaign.stats)
+          done)
+        [ 1; 2 ])
     Partition.all_paper_designs
 
 (* interrupt after 2 of 4 shards, resume in a second invocation: the
@@ -727,6 +925,11 @@ let () =
           Alcotest.test_case "shard/job events roundtrip" `Quick
             test_shard_events_roundtrip;
           QCheck_alcotest.to_alcotest qcheck_mutated_shard_files_fail_closed;
+          QCheck_alcotest.to_alcotest qcheck_accepted_lines_reencode;
+          Alcotest.test_case "result line encoder == Printf format" `Quick
+            test_result_line_encoder;
+          Alcotest.test_case "result line reader rejects" `Quick
+            test_result_line_rejects;
         ] );
       ( "merge",
         [
@@ -756,6 +959,8 @@ let () =
             test_exhaustive_faults;
           Alcotest.test_case "leftover manifest tmp re-runs its shard" `Slow
             test_resume_past_leftover_tmp;
+          Alcotest.test_case "one session, reversed shards == fresh" `Slow
+            test_session_reuse;
         ] );
       ( "store",
         [
