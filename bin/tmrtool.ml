@@ -1,7 +1,8 @@
 (* tmrtool — command-line driver for the TMR voter-partition study.
 
    Subcommands:
-     report     device / memory composition; campaign regression report
+     report     device / memory composition, Table 1, Figs. 1-4, ablations;
+                campaign regression report
      implement  run one filter version through the CAD flow
      inject     fault-injection campaign on one design
      explain    forensic deep-dive of one fault bit
@@ -13,6 +14,8 @@ module Context = Tmr_experiments.Context
 module Runs = Tmr_experiments.Runs
 module Tables = Tmr_experiments.Tables
 module Reports = Tmr_experiments.Reports
+module Figures = Tmr_experiments.Figures
+module Ablation = Tmr_experiments.Ablation
 module Store = Tmr_experiments.Store
 module Service = Tmr_experiments.Service
 module Shard = Tmr_inject.Shard
@@ -348,9 +351,13 @@ let store_t =
            found there becomes the regression baseline; the current run is \
            appended after the comparison.")
 
-let report_campaign ~ctx ~confidence ~store ~out ~heatmap =
+let report_campaign ~confidence ~store ~out ~heatmap ctx impl =
   let progress, flush = ci_progress ~confidence () in
-  let runs = Runs.run_all ~progress ?workers:(jobs ()) ctx in
+  let runs =
+    List.map
+      (fun s -> Runs.campaign_design ~progress ?workers:(jobs ()) ctx (impl s))
+      Partition.all_paper_designs
+  in
   flush ();
   (* history first: the freshly-saved manifests must not be their own
      baseline *)
@@ -385,11 +392,40 @@ let report_campaign ~ctx ~confidence ~store ~out ~heatmap =
       close_out oc;
       Printf.eprintf "wrote %s\n" path
 
+(* Every experiment [report] runs, by name.  Each prints its text block
+   from the shared context and the five implemented designs, looked up
+   by strategy; the designs are built on first use, once per call. *)
+let experiments ~campaign =
+  let text f ctx impl = print_string (f ctx impl) in
+  let medium = Partition.Medium_partition
+  and unpartitioned = Partition.Min_partition_nv in
+  [
+    ("device", text (fun ctx _ -> Reports.device_report ctx));
+    ("memory", text (fun ctx _ -> Reports.memory_report ctx));
+    ("campaign", campaign);
+    ("table1", text (fun ctx impl -> Tables.table1 ctx (impl medium)));
+    ("fig1", text (fun ctx impl -> Figures.fig1 ctx (impl unpartitioned)));
+    ("fig2", text (fun ctx _ -> Figures.fig2 ctx));
+    ( "fig3",
+      text (fun ctx impl ->
+          Figures.fig3 ctx (impl unpartitioned) (impl medium)) );
+    ( "fig4",
+      text (fun _ impl ->
+          Figures.fig4 (List.map impl Partition.all_paper_designs)) );
+    ("ablation", text (fun ctx _ -> Ablation.floorplan ctx medium));
+    ("scrub", text (fun ctx _ -> Ablation.scrub ctx));
+  ]
+
 let report_cmd =
   let what =
     Arg.(
-      value & pos 0 string "device"
-      & info [] ~docv:"WHAT" ~doc:"device, memory or campaign")
+      value
+      & pos_all string [ "device" ]
+      & info [] ~docv:"WHAT"
+          ~doc:
+            "one or more of device, memory, campaign, table1, fig1, fig2, \
+             fig3, fig4, ablation and scrub, printed in the order given \
+             (default: device)")
   in
   let out_t =
     Arg.(
@@ -407,24 +443,43 @@ let report_cmd =
             "write the per-design ASCII injection-coverage heatmaps \
              (frame × offset device grid) to $(docv)")
   in
-  let run telem scale seed faults what store out heatmap confidence =
+  let run telem scale seed faults whats store out heatmap confidence =
     with_telemetry telem @@ fun () ->
-    match what with
-    | "device" -> print_string (Reports.device_report (mk_ctx scale seed 0))
-    | "memory" -> print_string (Reports.memory_report (mk_ctx scale seed 0))
-    | "campaign" ->
-        report_campaign ~ctx:(mk_ctx scale seed faults) ~confidence ~store
-          ~out ~heatmap
-    | other ->
-        Printf.eprintf "unknown report %S (device|memory|campaign)\n" other;
-        exit 2
+    let known =
+      experiments
+        ~campaign:(report_campaign ~confidence ~store ~out ~heatmap)
+    in
+    let chosen =
+      List.map
+        (fun what ->
+          match List.assoc_opt what known with
+          | Some f -> f
+          | None ->
+              Printf.eprintf "unknown report %S (%s)\n" what
+                (String.concat "|" (List.map fst known));
+              exit 2)
+        whats
+    in
+    let ctx = mk_ctx scale seed faults in
+    let impls =
+      lazy (List.map (Runs.implement_design ctx) Partition.all_paper_designs)
+    in
+    let impl s =
+      List.find (fun r -> r.Runs.strategy = s) (Lazy.force impls)
+    in
+    List.iteri
+      (fun i f ->
+        if i > 0 then print_newline ();
+        f ctx impl)
+      chosen
   in
   Cmd.v
     (Cmd.info "report"
        ~doc:
-         "device / memory composition reports; campaign regression report \
-          (all five designs vs. the stored history, with CIs, coverage and \
-          throughput checks)")
+         "the paper experiments outside Tables 2-4: device and memory \
+          composition, Table 1, Figs. 1-4, the floorplan and scrub \
+          ablations; and the campaign regression report (all five designs \
+          vs. the stored history, with CIs, coverage and throughput checks)")
     Term.(
       const run $ telemetry_t $ scale_t $ seed_t $ faults_t $ what $ store_t
       $ out_t $ heatmap_t $ confidence_t)

@@ -53,9 +53,3 @@ let num_tiles p = p.rows * p.cols
 let num_bels p = num_tiles p * bels_per_tile p
 
 let scaled p ~rows ~cols = { p with rows; cols }
-
-let pp ppf p =
-  Format.fprintf ppf
-    "%dx%d CLBs, %d bels/tile (%d LUT4+FF), channels %ds+%dd+%dl, frame %d b"
-    p.rows p.cols (bels_per_tile p) (num_bels p) p.ch_singles p.ch_doubles
-    p.ch_longs p.frame_bits

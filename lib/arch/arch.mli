@@ -38,5 +38,3 @@ val num_bels : params -> int
 
 val scaled : params -> rows:int -> cols:int -> params
 (** Same fabric style at a different array size. *)
-
-val pp : Format.formatter -> params -> unit

@@ -47,52 +47,3 @@ let to_hex t =
   let buf = Buffer.create (2 * Bytes.length t.data) in
   Bytes.iter (fun b -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code b))) t.data;
   Buffer.contents buf
-
-let of_hex ~nbits text =
-  let compact = String.concat "" (String.split_on_char '\n' text) in
-  let compact = String.concat "" (String.split_on_char ' ' compact) in
-  let t = create ~nbits in
-  let expected = Bytes.length t.data in
-  if String.length compact <> 2 * expected then
-    Error
-      (Printf.sprintf "hex image has %d bytes, expected %d"
-         (String.length compact / 2) expected)
-  else begin
-    let bad = ref None in
-    for i = 0 to expected - 1 do
-      match int_of_string_opt ("0x" ^ String.sub compact (2 * i) 2) with
-      | Some v -> Bytes.set t.data i (Char.chr v)
-      | None -> if !bad = None then bad := Some i
-    done;
-    match !bad with
-    | Some i -> Error (Printf.sprintf "bad hex at byte %d" i)
-    | None -> Ok t
-  end
-
-let save t path =
-  let oc = open_out path in
-  Printf.fprintf oc "tmrbits %d\n" t.nbits;
-  (* wrap at 64 hex chars for readability *)
-  let hex = to_hex t in
-  let n = String.length hex in
-  let rec dump i =
-    if i < n then begin
-      output_string oc (String.sub hex i (min 64 (n - i)));
-      output_char oc '\n';
-      dump (i + 64)
-    end
-  in
-  dump 0;
-  close_out oc
-
-let load path =
-  let ic = open_in path in
-  let header = input_line ic in
-  let rest = really_input_string ic (in_channel_length ic - String.length header - 1) in
-  close_in ic;
-  match String.split_on_char ' ' header with
-  | [ "tmrbits"; n ] -> (
-      match int_of_string_opt n with
-      | Some nbits -> of_hex ~nbits rest
-      | None -> Error "bad bit count in header")
-  | _ -> Error "bad header"

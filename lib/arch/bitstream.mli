@@ -22,11 +22,3 @@ val diff : t -> t -> int list
 
 val to_hex : t -> string
 (** Hex dump, two characters per byte, LSB-first bit order within bytes. *)
-
-val of_hex : nbits:int -> string -> (t, string) result
-(** Inverse of {!to_hex}; whitespace is ignored. *)
-
-val save : t -> string -> unit
-(** Write [nbits] and the hex image to a file. *)
-
-val load : string -> (t, string) result

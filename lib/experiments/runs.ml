@@ -45,13 +45,6 @@ let campaign_design ?progress ?workers ?cone_skip ?forensics
   in
   { run with campaign = Some campaign }
 
-let run_all ?progress ?workers ?forensics ?voter ctx =
-  List.map
-    (fun strategy ->
-      campaign_design ?progress ?workers ?forensics ctx
-        (implement_design ?voter ctx strategy))
-    Partition.all_paper_designs
-
 let coverage_of run =
   match run.campaign with
   | None -> None

@@ -33,15 +33,6 @@ val campaign_design :
     progress snapshot (completed / total / running wrong count); the
     engine options are forwarded to {!Tmr_inject.Campaign.run}. *)
 
-val run_all :
-  ?progress:(string -> Tmr_inject.Campaign.progress -> unit) ->
-  ?workers:int ->
-  ?forensics:bool ->
-  ?voter:Tmr_core.Voter.variant ->
-  Context.t ->
-  design_run list
-(** The five paper designs, implemented and injected. *)
-
 val coverage_of : design_run -> Tmr_inject.Coverage.t option
 (** Injection coverage of the run's campaign against its fault list;
     [None] when only implemented. *)

@@ -264,10 +264,12 @@ type session = {
   s_expected : Logic.t array array;
   s_golden_ex : Extract.t;
   s_states : wstate option array;  (* per worker id, built lazily *)
+  mutable s_build_ns : int;  (* session build not yet counted by a run *)
 }
 
 let session ?workers ?(cone_skip = true) ?(forensics = false) ~name ~impl
     ~golden ~stimulus () =
+  let t0 = Tmr_obs.Clock.now_ns () in
   let workers =
     match workers with Some w -> max 1 w | None -> default_workers ()
   in
@@ -357,6 +359,7 @@ let session ?workers ?(cone_skip = true) ?(forensics = false) ~name ~impl
     s_expected = expected;
     s_golden_ex = golden_ex;
     s_states = Array.make workers None;
+    s_build_ns = Tmr_obs.Clock.now_ns () - t0;
   }
 
 let resolve_io s sim =
@@ -692,12 +695,17 @@ let run_session ?progress s ~faults =
      owner only, and Domain.join publishes it to the caller *)
   let busy_ns = Array.make workers 0 in
   let setup_ns = Array.make workers 0 in
+  (* The session's own build counts as worker 0's setup of the run that
+     first uses it, and the wall clock starts where that build did, so
+     utilization stays within 1. *)
+  setup_ns.(0) <- s.s_build_ns;
+  s.s_build_ns <- 0;
   (* The planning pass runs on worker 0's state: it needs the golden
      extract and cone, exactly what worker 0 uses next.  The campaign's
      wall clock covers that state's build too, when this run builds it,
      like every other worker's.  Planning derives the overlays the
      batches run, so it counts as worker 0's injection time. *)
-  let t_start = Tmr_obs.Clock.now_ns () in
+  let t_start = Tmr_obs.Clock.now_ns () - setup_ns.(0) in
   let units =
     if not cone_skip then Array.init total (fun i -> Single i)
     else

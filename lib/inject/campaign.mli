@@ -102,7 +102,8 @@ type t = {
   wall_ns : int;
       (** wall-clock time of the injection loop, including the setup of
           every worker whose state this run built (worker 0's is built
-          before batch planning, which runs on it) *)
+          before batch planning, which runs on it) and, on a session's
+          first run, the session's own build *)
   busy_ns : int array;
       (** per-worker time spent injecting (length [workers]), worker 0's
           including the planning pass that derives the batched faults'
@@ -113,7 +114,9 @@ type t = {
       (** per-worker one-time initialisation (bitstream clone, simulator
           build, baseline tape, batch engine) before the first fault;
           near zero for a worker whose state an earlier run of the same
-          {!session} built.
+          {!session} built.  Worker 0's entry of a session's first run
+          also holds the {!session} build (attribution, golden outputs,
+          golden extract).
           Counted separately from [busy_ns] so the injection throughput
           stays comparable across engines, but included in
           {!utilization} — on fast engines the setup dominates the

@@ -198,13 +198,6 @@ let complete t ~pid (r : Shard.range) ~results ~manifest =
   try Sys.remove (path t [ "claims"; claim_name r.Shard.sh_id pid ])
   with Sys_error _ -> ()
 
-let release t ~pid (r : Shard.range) =
-  try
-    Unix.rename
-      (path t [ "claims"; claim_name r.Shard.sh_id pid ])
-      (path t [ "todo"; id_name r.Shard.sh_id ])
-  with Unix.Unix_error (Unix.ENOENT, _, _) -> ()
-
 (* a zombie still answers kill(pid, 0) but will never complete its
    claim — when the parent died first (kill -9 of a whole process
    group) the worker can linger unreaped, so check its state too *)

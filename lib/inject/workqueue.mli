@@ -73,9 +73,6 @@ val complete :
     encoded into one buffer, then its manifest as [done/<id>.json], each
     via tmp + rename, then drop the claim. *)
 
-val release : t -> pid:int -> Shard.range -> unit
-(** Put a claimed range back into [todo/] (orderly shutdown). *)
-
 val reclaim_orphans : t -> int
 (** Move every claim whose owner process is dead back into [todo/];
     returns how many were reclaimed.  Claims owned by live processes

@@ -1,7 +1,7 @@
 (** Plain-text table rendering for experiment reports.
 
-    Used by the benchmark harness and the CLI to print reproductions of the
-    paper's tables in aligned, greppable form. *)
+    Used by the experiment reports to print reproductions of the paper's
+    tables in aligned, greppable form. *)
 
 type align =
   | Left

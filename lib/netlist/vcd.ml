@@ -20,9 +20,9 @@ let sanitize label =
     label
 
 (* ------------------------------------------------------------------ *)
-(* Generic writer: signals hold caller-supplied Logic values; [tick]
-   renders the change block of one cycle.  The Netsim-backed tracer below
-   and fabric-level waveform dumps (tmrtool explain) both sit on top. *)
+(* Signals hold caller-supplied Logic values; [tick] renders the change
+   block of one cycle.  Fabric-level waveform dumps (tmrtool explain)
+   sit on top. *)
 
 type sig_id = int
 
@@ -65,10 +65,6 @@ let set w id values =
   if Array.length values <> Array.length s.w_cur then
     invalid_arg "Vcd.set: width mismatch";
   Array.blit values 0 s.w_cur 0 (Array.length values)
-
-let set_bit w id i v =
-  let s = nth_signal w id in
-  s.w_cur.(i) <- v
 
 let value_string s =
   (* VCD bit strings are MSB first *)
@@ -116,37 +112,3 @@ let writer_save w path =
   let oc = open_out path in
   output_string oc (writer_to_string w);
   close_out oc
-
-(* ------------------------------------------------------------------ *)
-(* Netsim-backed tracer *)
-
-type t = {
-  sim : Netsim.t;
-  w : writer;
-  mutable cells : (sig_id * Netlist.id array) list;  (* reversed *)
-}
-
-let create sim nl =
-  let t = { sim; w = writer (); cells = [] } in
-  let add label cells =
-    let id = add_signal t.w ~label ~width:(Array.length cells) in
-    t.cells <- (id, cells) :: t.cells
-  in
-  List.iter (fun (port, bits) -> add port bits) (Netlist.input_ports nl);
-  List.iter (fun (port, bits) -> add port bits) (Netlist.output_ports nl);
-  t
-
-let watch_cell t ~label cell =
-  let id = add_signal t.w ~label ~width:1 in
-  t.cells <- (id, [| cell |]) :: t.cells
-
-let sample t =
-  List.iter
-    (fun (id, cells) ->
-      Array.iteri
-        (fun i c -> set_bit t.w id i (Netsim.value t.sim c))
-        cells)
-    t.cells;
-  tick t.w
-
-let to_string t = writer_to_string t.w

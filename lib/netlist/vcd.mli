@@ -1,12 +1,9 @@
 (** Value-change-dump (VCD) trace writer.
 
     One timescale unit per clock cycle; X values are emitted as VCD [x].
-    Two layers: a generic {!writer} fed arbitrary {!Tmr_logic.Logic}
-    values (used by [tmrtool explain] to dump fabric-level faulty-run
-    waveforms), and a {!Netsim}-backed tracer on top that records the
-    port values of a netlist simulation for GTKWave & co. *)
-
-(** {1 Generic writer} *)
+    A {!writer} is fed arbitrary {!Tmr_logic.Logic} values; [tmrtool
+    explain] uses it to dump fabric-level faulty-run waveforms for
+    GTKWave & co. *)
 
 type writer
 type sig_id
@@ -25,20 +22,3 @@ val tick : writer -> unit
     value differs from the previously emitted one. *)
 
 val writer_save : writer -> string -> unit
-
-(** {1 Netlist-simulation tracer} *)
-
-type t
-
-val create : Netsim.t -> Netlist.t -> t
-(** Traces every input and output port of the netlist. *)
-
-val watch_cell : t -> label:string -> Netlist.id -> unit
-(** Additionally trace one internal net (e.g. a flip-flop under SEU
-    attack).  Must be called before the first {!sample}. *)
-
-val sample : t -> unit
-(** Record the current simulator values as the next cycle. *)
-
-val to_string : t -> string
-(** Render the full VCD document (header + value changes). *)

@@ -1,6 +1,6 @@
 (* Every registered metric and every [Events] variant has a consumer:
    its name appears in a test, a CI step or a report (the tmrtool
-   engine summary, the watch dashboard, the bench harness).  A metric
+   engine summary, the watch dashboard).  A metric
    or event that nothing reads is cost without a purpose, so adding one
    without a consumer fails here.  Likewise every [val] of a library
    interface has a reader outside its own implementation. *)
@@ -33,7 +33,6 @@ let consumers =
        @ [
            "../.github/workflows/ci.yml";
            "../bin/tmrtool.ml";
-           "../bench/main.ml";
            "../lib/obs/watch.ml";
          ]))
 
@@ -116,7 +115,7 @@ let test_events () =
 
 (* ------------------------------------------------------------------ *)
 (* Exports: every [val] in [lib/*/*.mli] is read outside its own [.ml]
-   — by another library module, the CLI, a bench harness, an example or
+   — by another library module, the CLI, the e2e benchmark, an example or
    a test — as [Module.name], through a [module X = ...Module] alias, or
    by name under [open Module] / [Module.( )].  A val only its own
    module reads belongs in the [.ml] alone; one nothing reads is dead.
@@ -289,7 +288,7 @@ let test_exports () =
   let readers =
     List.concat_map
       (fun d -> source_files d [ ".ml" ])
-      (lib_dirs @ [ "../bin"; "../bench"; "../e2ebench"; "../examples"; "." ])
+      (lib_dirs @ [ "../bin"; "../e2ebench"; "../examples"; "." ])
     |> List.map (fun f -> (f, reads_of (read f)))
   in
   Alcotest.(check bool) "interfaces found" true (List.length interfaces > 30);

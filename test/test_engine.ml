@@ -991,6 +991,52 @@ let test_collapsing () =
     [ 3203; 9311; 5422; 4120; 1201 ]
     lanes
 
+(* --- a session's build (attribution, golden outputs, extract) is
+   setup time of the first run on it: worker 0's setup holds it and the
+   wall clock covers it, so utilization stays within 1; a later run on
+   the same session builds nothing --- *)
+
+let test_session_accounting () =
+  let ctx = Lazy.force reduced_ctx in
+  let run, _ = design (Partition.Medium_partition, Tmr_core.Voter.Majority) in
+  let faults = Array.sub run.Runs.faultlist.Tmr_inject.Faultlist.bits 0 200 in
+  let t0 = Tmr_obs.Clock.now_ns () in
+  let s =
+    Campaign.session ~workers:1 ~name:"tmr_p2" ~impl:run.Runs.impl
+      ~golden:ctx.Context.golden_nl ~stimulus:ctx.Context.stimulus ()
+  in
+  let build_ns = Tmr_obs.Clock.now_ns () - t0 in
+  let t1 = Tmr_obs.Clock.now_ns () in
+  let first = Campaign.run_session s ~faults in
+  let first_ns = Tmr_obs.Clock.now_ns () - t1 in
+  let second = Campaign.run_session s ~faults in
+  Alcotest.(check bool)
+    (Printf.sprintf "first run's setup %d ns holds the %d ns session build"
+       first.Campaign.setup_ns.(0) build_ns)
+    true
+    (first.Campaign.setup_ns.(0) >= build_ns);
+  (* the build precedes the call, so only a wall clock that counts it
+     outlasts the call *)
+  Alcotest.(check bool)
+    (Printf.sprintf "first run's wall %d ns outlasts its %d ns call"
+       first.Campaign.wall_ns first_ns)
+    true
+    (first.Campaign.wall_ns > first_ns);
+  Alcotest.(check bool)
+    (Printf.sprintf "second run's setup %d ns holds no session build"
+       second.Campaign.setup_ns.(0))
+    true
+    (second.Campaign.setup_ns.(0) < build_ns);
+  List.iter
+    (fun (label, c) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s run: utilization %.3f <= 1" label
+           (Campaign.utilization c))
+        true
+        (Campaign.utilization c <= 1.0))
+    [ ("first", first); ("second", second) ];
+  check_same_results "second run == first" first second
+
 (* --- an unrouted input pin of a used bel counts as that bel: a pip
    from a used wire onto such a pin is proved only when the wire and the
    bel share a domain and neither is a voter, and [structural] reports
@@ -1192,6 +1238,8 @@ let () =
             test_unrouted_pins;
           Alcotest.test_case "collapsed faults == oracle, lanes pinned" `Slow
             test_collapsing;
+          Alcotest.test_case "session build counts as first-run setup" `Quick
+            test_session_accounting;
         ] );
       ( "explain",
         [

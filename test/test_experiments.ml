@@ -152,30 +152,27 @@ let test_ablation_renders () =
 (* Out-of-range numbers on the command line are usage errors: the
    built [tmrtool] rejects them while parsing (Cmdliner's exit 124, a
    one-line message naming the option), before any work starts.  A
-   non-positive [TMR_JOBS] (tmrtool, bench) or [TMR_FAULTS] (bench)
-   exits 2 with a line naming the variable. *)
+   non-positive [TMR_JOBS] exits 2 with a line naming the variable, and
+   so does an unknown [report] name, naming the report. *)
 
-let built name =
-  Filename.concat (Filename.dirname Sys.executable_name) name
-
-let tmrtool = built "../bin/tmrtool.exe"
-let bench = built "../bench/main.exe"
+let tmrtool =
+  Filename.concat (Filename.dirname Sys.executable_name) "../bin/tmrtool.exe"
 
 let test_cli_rejects_out_of_range () =
   let inject args =
     "inject" :: "--scale" :: "reduced" :: "--design" :: "standard" :: args
   in
-  let run ~prog ~env ~code ~names args =
-    let argv = Array.of_list (prog :: args) in
+  let run ~env ~code ~names args =
+    let argv = Array.of_list (tmrtool :: args) in
     let out, inp, err =
-      Unix.open_process_args_full prog argv (Array.of_list env)
+      Unix.open_process_args_full tmrtool argv (Array.of_list env)
     in
     close_out inp;
     let stdout = In_channel.input_all out in
     let stderr = In_channel.input_all err in
     let status = Unix.close_process_full (out, inp, err) in
     let cmd =
-      String.concat " " (env @ [ Filename.basename prog ] @ args)
+      String.concat " " (env @ [ Filename.basename tmrtool ] @ args)
     in
     Alcotest.(check bool)
       (Printf.sprintf "%s: exit %d" cmd code)
@@ -191,7 +188,7 @@ let test_cli_rejects_out_of_range () =
   in
   List.iter
     (fun (option, args) ->
-      run ~prog:tmrtool ~env:[] ~code:124
+      run ~env:[] ~code:124
         ~names:("option '" ^ option ^ "'")
         args)
     [
@@ -208,15 +205,12 @@ let test_cli_rejects_out_of_range () =
       ("--faults", inject [ "--faults"; "0" ]);
     ];
   List.iter
-    (fun (prog, var, value, args) ->
-      run ~prog ~env:[ var ^ "=" ^ value ] ~code:2 ~names:var args)
-    [
-      (tmrtool, "TMR_JOBS", "0", inject [ "--faults"; "20" ]);
-      (tmrtool, "TMR_JOBS", "-3", inject [ "--faults"; "20" ]);
-      (bench, "TMR_JOBS", "0", [ "reduced"; "table3" ]);
-      (bench, "TMR_FAULTS", "-5", [ "reduced"; "table3" ]);
-      (bench, "TMR_FAULTS", "0", [ "reduced"; "table3" ]);
-    ]
+    (fun value ->
+      run ~env:[ "TMR_JOBS=" ^ value ] ~code:2 ~names:"TMR_JOBS"
+        (inject [ "--faults"; "20" ]))
+    [ "0"; "-3" ];
+  run ~env:[] ~code:2 ~names:"\"nosuch\""
+    [ "report"; "--scale"; "reduced"; "device"; "nosuch" ]
 
 let () =
   Alcotest.run "tmr_experiments"

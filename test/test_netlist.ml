@@ -359,37 +359,51 @@ let test_bad_fanin_rejected () =
      with Invalid_argument _ -> true)
 
 let test_vcd_dump () =
+  let module Vcd = Tmr_netlist.Vcd in
   let nl = build_datapath_for_level () in
   let sim = Netsim.create nl in
   Netsim.reset sim;
-  let vcd = Tmr_netlist.Vcd.create sim nl in
-  (* trace one flip-flop too *)
+  let w = Vcd.writer () in
+  (* every port, and one flip-flop too *)
   let ff = ref (-1) in
   Netlist.iter_cells nl (fun c ->
       match Netlist.kind nl c with
       | Netlist.Ff _ when !ff < 0 -> ff := c
       | _ -> ());
-  Tmr_netlist.Vcd.watch_cell vcd ~label:"r0" !ff;
+  let traced =
+    List.map
+      (fun (label, cells) ->
+        (Vcd.add_signal w ~label ~width:(Array.length cells), cells))
+      (Netlist.input_ports nl @ Netlist.output_ports nl @ [ ("r0", [| !ff |]) ])
+  in
   List.iter
     (fun (a, b) ->
       Netsim.set_input sim "a" a;
       Netsim.set_input sim "b" b;
       Netsim.eval sim;
-      Tmr_netlist.Vcd.sample vcd;
+      List.iter
+        (fun (id, cells) -> Vcd.set w id (Array.map (Netsim.value sim) cells))
+        traced;
+      Vcd.tick w;
       Netsim.clock sim)
     [ (1, 2); (3, 4); (3, 4); (0, 0) ];
-  let text = Tmr_netlist.Vcd.to_string vcd in
+  let path = Filename.temp_file "tmr" ".vcd" in
+  Vcd.writer_save w path;
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
   let has needle =
     let nh = String.length text and nn = String.length needle in
     let rec go i = i + nn <= nh && (String.sub text i nn = needle || go (i + 1)) in
     go 0
   in
   Alcotest.(check bool) "header" true (has "$enddefinitions");
-  Alcotest.(check bool) "declares ports" true (has "$var wire 4");
-  Alcotest.(check bool) "declares watch" true (has " r0 ");
+  Alcotest.(check bool) "declares ports" true (has "$var wire 4 ! a $end");
+  Alcotest.(check bool) "declares watch" true (has "$var wire 1 $ r0 $end");
+  Alcotest.(check bool) "first cycle, MSB first" true (has "#0\nb0001 !\nb0010 \"\n");
   Alcotest.(check bool) "four cycles" true (has "#3");
-  (* unchanged cycle 2 emits only the timestamp: the b/a vectors repeat *)
-  Alcotest.(check bool) "timestamps ordered" true (has "#0" && has "#1")
+  (* the repeated inputs of cycle 2 emit no change of a or b *)
+  Alcotest.(check bool) "unchanged vectors not re-emitted" false
+    (has "#2\nb0011 !")
 
 let () =
   Alcotest.run "tmr_netlist"
