@@ -1,10 +1,10 @@
 (* tmrtool — command-line driver for the TMR voter-partition study.
 
    Subcommands:
-     report     device / memory composition, Table 1, Figs. 1-4, ablations;
-                campaign regression report
+     report     device / memory composition, Table 1, Figs. 1-4, ablations
      implement  run one filter version through the CAD flow
-     inject     fault-injection campaign on one design
+     inject     fault-injection campaign on one design (--store: its
+                fault-dictionary entry)
      explain    forensic deep-dive of one fault bit
      tables     regenerate the paper's Tables 2/3/4 (+ forensics) *)
 
@@ -25,7 +25,6 @@ module Impl = Tmr_pnr.Impl
 module Campaign = Tmr_inject.Campaign
 module Classify = Tmr_inject.Classify
 module Forensics = Tmr_inject.Forensics
-module Coverage = Tmr_inject.Coverage
 module Metrics = Tmr_obs.Metrics
 module Stats = Tmr_obs.Stats
 module Trace = Tmr_obs.Trace
@@ -342,67 +341,16 @@ let jobs () =
 
 (* --- report --- *)
 
-let store_t =
-  Arg.(
-    value & opt string ".tmr-runs"
-    & info [ "store" ] ~docv:"DIR"
-        ~doc:
-          "Run-store directory: one JSON manifest per campaign.  History \
-           found there becomes the regression baseline; the current run is \
-           appended after the comparison.")
-
-let report_campaign ~confidence ~store ~out ~heatmap ctx impl =
-  let progress, flush = ci_progress ~confidence () in
-  let runs =
-    List.map
-      (fun s -> Runs.campaign_design ~progress ?workers:(jobs ()) ctx (impl s))
-      Partition.all_paper_designs
-  in
-  flush ();
-  (* history first: the freshly-saved manifests must not be their own
-     baseline *)
-  let history = Store.load_dir ~dir:store () in
-  let manifests =
-    List.map (fun r -> Store.of_run ~confidence ctx r) runs
-  in
-  let report = Store.report_markdown ~confidence ~history manifests in
-  List.iter
-    (fun m -> Printf.eprintf "stored %s\n" (Store.save ~dir:store m))
-    manifests;
-  (match out with
-  | None -> print_string report
-  | Some path ->
-      let oc = open_out path in
-      output_string oc report;
-      close_out oc;
-      Printf.eprintf "wrote %s\n" path);
-  match heatmap with
-  | None -> ()
-  | Some path ->
-      let oc = open_out path in
-      List.iter
-        (fun (r : Runs.design_run) ->
-          match Runs.coverage_of r with
-          | None -> ()
-          | Some cov ->
-              output_string oc (Partition.name r.Runs.strategy ^ "\n");
-              output_string oc (Coverage.heatmap cov);
-              output_char oc '\n')
-        runs;
-      close_out oc;
-      Printf.eprintf "wrote %s\n" path
-
 (* Every experiment [report] runs, by name.  Each prints its text block
    from the shared context and the five implemented designs, looked up
    by strategy; the designs are built on first use, once per call. *)
-let experiments ~campaign =
+let experiments =
   let text f ctx impl = print_string (f ctx impl) in
   let medium = Partition.Medium_partition
   and unpartitioned = Partition.Min_partition_nv in
   [
     ("device", text (fun ctx _ -> Reports.device_report ctx));
     ("memory", text (fun ctx _ -> Reports.memory_report ctx));
-    ("campaign", campaign);
     ("table1", text (fun ctx impl -> Tables.table1 ctx (impl medium)));
     ("fig1", text (fun ctx impl -> Figures.fig1 ctx (impl unpartitioned)));
     ("fig2", text (fun ctx _ -> Figures.fig2 ctx));
@@ -423,40 +371,20 @@ let report_cmd =
       & pos_all string [ "device" ]
       & info [] ~docv:"WHAT"
           ~doc:
-            "one or more of device, memory, campaign, table1, fig1, fig2, \
-             fig3, fig4, ablation and scrub, printed in the order given \
-             (default: device)")
+            "one or more of device, memory, table1, fig1, fig2, fig3, fig4, \
+             ablation and scrub, printed in the order given (default: \
+             device)")
   in
-  let out_t =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~docv:"FILE"
-          ~doc:"write the campaign markdown report to $(docv) instead of stdout")
-  in
-  let heatmap_t =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "heatmap" ] ~docv:"FILE"
-          ~doc:
-            "write the per-design ASCII injection-coverage heatmaps \
-             (frame × offset device grid) to $(docv)")
-  in
-  let run telem scale seed faults whats store out heatmap confidence =
+  let run telem scale seed faults whats =
     with_telemetry telem @@ fun () ->
-    let known =
-      experiments
-        ~campaign:(report_campaign ~confidence ~store ~out ~heatmap)
-    in
     let chosen =
       List.map
         (fun what ->
-          match List.assoc_opt what known with
+          match List.assoc_opt what experiments with
           | Some f -> f
           | None ->
               Printf.eprintf "unknown report %S (%s)\n" what
-                (String.concat "|" (List.map fst known));
+                (String.concat "|" (List.map fst experiments));
               exit 2)
         whats
     in
@@ -478,11 +406,8 @@ let report_cmd =
        ~doc:
          "the paper experiments outside Tables 2-4: device and memory \
           composition, Table 1, Figs. 1-4, the floorplan and scrub \
-          ablations; and the campaign regression report (all five designs \
-          vs. the stored history, with CIs, coverage and throughput checks)")
-    Term.(
-      const run $ telemetry_t $ scale_t $ seed_t $ faults_t $ what $ store_t
-      $ out_t $ heatmap_t $ confidence_t)
+          ablations")
+    Term.(const run $ telemetry_t $ scale_t $ seed_t $ faults_t $ what)
 
 (* --- implement --- *)
 
@@ -636,10 +561,14 @@ let inject_cmd =
       value
       & opt (some string) None
       & info [ "store" ] ~docv:"DIR"
-          ~doc:"append this campaign's manifest to the run store at $(docv)")
+          ~doc:
+            "write this campaign's fault-dictionary entry into $(docv): \
+             counts, verdict classes, a digest of the per-bit verdicts and \
+             the wrong-answer bits, one file per job (a rerun overwrites \
+             it)")
   in
   (* inject via the shard engine: plan → (resume) → claim → merge *)
-  let run_sharded_inject ~telem ~confidence ~scale ~seed ~faults ~design
+  let run_sharded_inject ~confidence ~scale ~seed ~faults ~design
       ~voter ~oracle ~json ~store ~exhaustive ~shards ~procs ~shard_dir
       ~shard_limit ~fresh ~merged_out =
     let ctx = mk_ctx scale seed faults in
@@ -691,24 +620,10 @@ let inject_cmd =
           merged_out;
         Option.iter
           (fun dir ->
-            let _, _, events_spec = telem in
-            let spools =
-              List.map
-                (fun (s : Service.spool_info) ->
-                  {
-                    Store.sr_worker = s.Service.sp_worker;
-                    sr_path = s.Service.sp_path;
-                    sr_events = s.Service.sp_events;
-                    sr_gaps = s.Service.sp_gaps;
-                  })
-                o.Service.o_spools
+            let e =
+              Store.of_run ~exhaustive ctx { r with Runs.campaign = Some c }
             in
-            let m =
-              Store.of_run ~confidence ~cone_skip:(not oracle) ~exhaustive
-                ?events_path:events_spec ~spools ctx
-                { r with Runs.campaign = Some c }
-            in
-            Printf.eprintf "stored %s\n" (Store.save ~dir m))
+            Printf.eprintf "stored %s\n" (Store.save ~dir e))
           store;
         if json then print_endline (Service.summary_json job st)
         else begin
@@ -746,7 +661,7 @@ let inject_cmd =
     with_telemetry telem @@ fun () ->
     with_forensics forensics @@ fun () ->
     if sharded then
-      run_sharded_inject ~telem ~confidence ~scale ~seed ~faults ~design
+      run_sharded_inject ~confidence ~scale ~seed ~faults ~design
         ~voter ~oracle ~json ~store ~exhaustive ~shards ~procs ~shard_dir
         ~shard_limit ~fresh ~merged_out
     else begin
@@ -763,12 +678,7 @@ let inject_cmd =
       | Some c ->
           Option.iter
             (fun dir ->
-              let _, _, events_spec = telem in
-              let m =
-                Store.of_run ~confidence ~cone_skip:(not oracle)
-                  ~forensics:(forensics <> None) ?events_path:events_spec ctx r
-              in
-              Printf.eprintf "stored %s\n" (Store.save ~dir m))
+              Printf.eprintf "stored %s\n" (Store.save ~dir (Store.of_run ctx r)))
             store;
           if json then print_endline (Campaign.summary_json c)
           else begin

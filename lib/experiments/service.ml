@@ -50,6 +50,9 @@ let job_name j =
     | Tmr_core.Voter.Majority -> ""
     | v -> "-" ^ Tmr_core.Voter.name v)
 
+(* The fingerprinted spec: what the shard ranges and verdicts depend on.  The
+   domain-worker count is left out — verdicts are byte-identical across
+   worker counts, so a run interrupted at one count resumes at another. *)
 let job_to_json j =
   let int n = Json.Num (float_of_int n) in
   Json.Obj
@@ -60,7 +63,6 @@ let job_to_json j =
       ("faults", int j.j_faults);
       ("exhaustive", Json.Bool j.j_exhaustive);
       ("shards", int j.j_shards);
-      ("workers", int j.j_workers);
       ("cone_skip", Json.Bool j.j_cone_skip);
       ("voter", Json.Str (Tmr_core.Voter.name j.j_voter));
     ]
@@ -79,18 +81,10 @@ let fingerprint j faults =
     faults;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-type spool_info = {
-  sp_worker : int;
-  sp_path : string;
-  sp_events : int;  (* worker-local events relayed onto the parent stream *)
-  sp_gaps : int;  (* worker-local sequence numbers never seen *)
-}
-
 type outcome = {
   o_campaign : Campaign.t;
   o_resumed : int;
   o_fresh : int;
-  o_spools : spool_info list;
 }
 
 type status =
@@ -113,17 +107,11 @@ let interrupt () = (Atomic.get interrupt_hook) ()
    [Events.input_whole_line]: a line whose newline has not landed is left
    for the next tick, and one torn by SIGKILL is never relayed. *)
 type tail = {
-  tl_worker : int;
   tl_path : string;
   mutable tl_ic : in_channel option;
-  mutable tl_next : int;  (* next expected worker-local seq *)
-  mutable tl_gaps : int;
-  mutable tl_events : int;
 }
 
-let make_tail worker path =
-  { tl_worker = worker; tl_path = path; tl_ic = None; tl_next = 0;
-    tl_gaps = 0; tl_events = 0 }
+let make_tail path = { tl_path = path; tl_ic = None }
 
 let drain_tail t =
   (match t.tl_ic with
@@ -140,13 +128,7 @@ let drain_tail t =
         | None -> continue := false
         | Some line -> (
             match Events.respool_line line with
-            | Some (oseq, payload) ->
-                (* gap accounting per origin: worker seqs are dense, so
-                   a jump is an exact record of lines lost at the source *)
-                if oseq > t.tl_next then t.tl_gaps <- t.tl_gaps + (oseq - t.tl_next);
-                if oseq >= t.tl_next then t.tl_next <- oseq + 1;
-                t.tl_events <- t.tl_events + 1;
-                Events.publish_payload payload
+            | Some (_, payload) -> Events.publish_payload payload
             | None -> ())
       done
 
@@ -290,7 +272,6 @@ let run_sharded ?(procs = 1) ?shard_limit ?(fresh = false)
      campaign record from the per-shard campaigns relayed out of the
      workers (those carry an origin). *)
   notify (Events.Campaign_started { design = name; faults = total; workers = procs });
-  let spools = ref [] in
   (if procs <= 1 then begin
      (* Even single-process sharded runs stamp their shard-local events
         with an origin (worker 0 = the parent itself), so a watcher
@@ -382,9 +363,9 @@ let run_sharded ?(procs = 1) ?shard_limit ?(fresh = false)
      in
      Unix.close done_wr;
      (* Fleet totals: once the workers are reaped, add each one's final
-        snapshot into this process's registry, so --metrics and the
-        store's metrics digest count the fleet's work.  Exactly once,
-        whether the run ends normally or through the SIGINT hook. *)
+        snapshot into this process's registry, so --metrics counts the
+        fleet's work.  Exactly once, whether the run ends normally or
+        through the SIGINT hook. *)
      let folded = Atomic.make false in
      let fold_worker_metrics () =
        if not (Atomic.exchange folded true) then
@@ -405,7 +386,7 @@ let run_sharded ?(procs = 1) ?shard_limit ?(fresh = false)
         through the one sink lock, so the merged [seq] is dense. *)
      let tails =
        if events_on then
-         List.map (fun w -> make_tail w (Workqueue.spool_path wq ~worker:w))
+         List.map (fun w -> make_tail (Workqueue.spool_path wq ~worker:w))
            worker_ids
        else []
      in
@@ -505,16 +486,6 @@ let run_sharded ?(procs = 1) ?shard_limit ?(fresh = false)
          stop_tailer ();
          relay ();
          fold_worker_metrics ());
-     spools :=
-       List.map
-         (fun t ->
-           {
-             sp_worker = t.tl_worker;
-             sp_path = t.tl_path;
-             sp_events = t.tl_events;
-             sp_gaps = t.tl_gaps;
-           })
-         tails;
      (* stitch the workers' trace files into the parent's sink so one
         [tmrtool profile] renders the whole fleet; pid fields survive
         verbatim, so lanes stay per-process *)
@@ -585,7 +556,6 @@ let run_sharded ?(procs = 1) ?shard_limit ?(fresh = false)
            o_campaign = merged;
            o_resumed = List.length done0;
            o_fresh = Array.length plan - List.length done0;
-           o_spools = !spools;
          })
 
 let summary_json j status =

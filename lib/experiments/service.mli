@@ -23,7 +23,9 @@ type job = {
       (** inject the design's {e entire} essential-bit list — the exact,
           CI-free wrong-answer rate of the paper's Table 3 argument *)
   j_shards : int;  (** checkpointable ranges to plan *)
-  j_workers : int;  (** domain workers per process *)
+  j_workers : int;
+      (** domain workers per process; not part of the fingerprint, since
+          verdicts do not depend on it *)
   j_cone_skip : bool;
       (** [false]: every fault on the rebuild oracle ([--oracle]) *)
   j_voter : Tmr_core.Voter.variant;
@@ -48,28 +50,16 @@ val faults_of : Context.t -> Runs.design_run -> job -> int array
     exhaustive, otherwise the usual deterministic sample. *)
 
 val fingerprint : job -> int array -> string
-(** Digest of the job spec plus its resolved fault list.  Stored in the
-    queue's [job.json] and in every shard manifest; a resume whose
-    recomputed fingerprint differs refuses to mix results. *)
-
-type spool_info = {
-  sp_worker : int;  (** worker slot (1-based; 0 is the parent) *)
-  sp_path : string;  (** the worker's [events-w<K>.jsonl] spool file *)
-  sp_events : int;
-      (** worker-local events relayed onto the parent's stream — the
-          spool's origin sequence range is [0 .. sp_events + sp_gaps - 1] *)
-  sp_gaps : int;  (** origin sequence numbers never observed *)
-}
-(** Per-worker spool accounting from a forked run with events enabled. *)
+(** Digest of the job spec (without [j_workers]) plus its resolved fault
+    list.  Stored in the queue's [job.json] and in every shard manifest;
+    a resume whose recomputed fingerprint differs refuses to mix
+    results. *)
 
 type outcome = {
   o_campaign : Tmr_inject.Campaign.t;
       (** merged result, bit-identical to a single-process run *)
   o_resumed : int;  (** shards reused from manifests of a previous run *)
   o_fresh : int;  (** shards simulated by this invocation *)
-  o_spools : spool_info list;
-      (** one entry per forked worker when events were on; empty
-          otherwise *)
 }
 
 type status =
@@ -119,9 +109,8 @@ val run_sharded :
     also publishes origin-less fleet-level [Campaign_started] /
     [Campaign_stopped] events around the whole sharded campaign.
 
-    The per-worker spool accounting is returned in
-    [o_spools]; {!interrupt} (wired to the host's SIGINT handler)
-    terminates and reaps live children and drains their spool tails.
+    {!interrupt} (wired to the host's SIGINT handler) terminates and
+    reaps live children and drains their spool tails.
 
     [shard_limit] stops this invocation after claiming that many ranges
     (per process when forked) — deterministic interruption for tests,

@@ -131,30 +131,3 @@ let to_json t =
             ("injected", grid t.grid_injected);
           ] );
     ]
-
-let heatmap t =
-  let b = Buffer.create ((t.rows + 3) * (t.cols + 8)) in
-  Buffer.add_string b
-    (Printf.sprintf
-       "injected/essential bit density, %d frames x %d bits/frame (%d x %d cells)\n"
-       t.frames t.frame_bits t.rows t.cols);
-  Buffer.add_string b ("  +" ^ String.make t.cols '-' ^ "+\n");
-  for r = 0 to t.rows - 1 do
-    Buffer.add_string b "  |";
-    for c = 0 to t.cols - 1 do
-      let e = t.grid_essential.(r).(c) in
-      let i = t.grid_injected.(r).(c) in
-      let ch =
-        if e = 0 then ' '
-        else if i = 0 then '.'
-        else if i >= e then '#'
-        else Char.chr (Char.code '1' + min 8 (i * 10 / e))
-      in
-      Buffer.add_char b ch
-    done;
-    Buffer.add_string b "|\n"
-  done;
-  Buffer.add_string b ("  +" ^ String.make t.cols '-' ^ "+\n");
-  Buffer.add_string b
-    "  ' ' outside fault list  '.' uninjected  '1'-'9' injected decile  '#' full\n";
-  Buffer.contents b

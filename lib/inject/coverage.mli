@@ -7,8 +7,8 @@
     respected — the paper's §2 split (82.9 % routing / 7.4 % LUT /
     6.36 % customization / 0.46 % flip-flop) is the reference frame — so
     this module reports, per resource class: device bits, essential
-    bits, and distinct injected bits; plus a frame × offset device-grid
-    heatmap of essential vs. injected bit density for the eye. *)
+    bits, and distinct injected bits; plus a frame × offset device grid
+    of essential vs. injected bit counts ([tmrtool tables --json]). *)
 
 type class_cov = {
   cc_class : Tmr_arch.Bitdb.bit_class;
@@ -25,8 +25,8 @@ type t = {
   injected : int;  (** faults injected (with multiplicity) *)
   injected_distinct : int;
   classes : class_cov list;  (** routing, LUT, customization, FF order *)
-  rows : int;  (** heatmap rows (frame-offset buckets) *)
-  cols : int;  (** heatmap columns (frame buckets) *)
+  rows : int;  (** grid rows (frame-offset buckets) *)
+  cols : int;  (** grid columns (frame buckets) *)
   grid_essential : int array array;  (** [rows][cols] essential-bit counts *)
   grid_injected : int array array;  (** [rows][cols] distinct injected bits *)
 }
@@ -37,9 +37,3 @@ val of_faults : db:Tmr_arch.Bitdb.t -> faultlist:Faultlist.t -> faults:int array
 
 val to_json : t -> Tmr_obs.Json.t
 (** Full coverage record: totals, per-class table, both grids. *)
-
-val heatmap : t -> string
-(** ASCII device grid, one character per (offset-bucket, frame-bucket)
-    cell: [' '] no essential bits, ['.'] essential but nothing injected,
-    ['1'..'9'] injected decile of the cell's essential bits, ['#'] every
-    essential bit hit. *)

@@ -182,13 +182,12 @@ let stamped_payload ev =
    never waits on a buffer. *)
 let sink = Jsonl.make ()
 
-(* the next seq; survives [close] so manifests written after teardown
-   can still record the final sequence number *)
+(* the next seq; survives [close], so [published] still counts a
+   closed stream's events *)
 let next_seq = Atomic.make 0
 
 let enabled () = Jsonl.enabled sink
 let published () = Atomic.get next_seq
-let last_seq () = Atomic.get next_seq - 1
 
 (* seq and ts are taken under the lock that orders the lines, so
    timestamp order matches sequence order *)

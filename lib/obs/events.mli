@@ -141,11 +141,6 @@ val detach : unit -> unit
 val published : unit -> int
 (** Events written to the current (or last) stream. *)
 
-val last_seq : unit -> int
-(** Highest sequence number assigned, or [-1] when none.  Survives
-    {!close}, so a run manifest can record the final sequence number
-    after teardown. *)
-
 val type_name : event -> string
 (** The [type] field value, e.g. ["campaign_progress"]. *)
 

@@ -76,25 +76,3 @@ let wilson ?(confidence = 0.95) ~n ~k () =
       hi = clamp01 ((centre +. spread) /. denom);
     }
   end
-
-(* ---- comparisons ---------------------------------------------------- *)
-
-let overlap a b = a.lo <= b.hi && b.lo <= a.hi
-
-let two_proportion_z ~n1 ~k1 ~n2 ~k2 =
-  if n1 <= 0 || n2 <= 0 then 0.
-  else begin
-    let n1f = float_of_int n1 and n2f = float_of_int n2 in
-    let p1 = float_of_int k1 /. n1f and p2 = float_of_int k2 /. n2f in
-    let pool = float_of_int (k1 + k2) /. (n1f +. n2f) in
-    let var = pool *. (1. -. pool) *. ((1. /. n1f) +. (1. /. n2f)) in
-    if var <= 0. then 0. else (p1 -. p2) /. sqrt var
-  end
-
-let p_value z = Float.erfc (Float.abs z /. Float.sqrt 2.0)
-
-let compatible ?(confidence = 0.95) ~n1 ~k1 ~n2 ~k2 () =
-  let i1 = wilson ~confidence ~n:n1 ~k:k1 () in
-  let i2 = wilson ~confidence ~n:n2 ~k:k2 () in
-  let z = two_proportion_z ~n1 ~k1 ~n2 ~k2 in
-  overlap i1 i2 && Float.abs z < z_of confidence

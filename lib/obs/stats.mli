@@ -1,11 +1,10 @@
-(** Campaign statistics: binomial confidence intervals and two-campaign
-    compatibility tests.
+(** Campaign statistics: binomial confidence intervals.
 
     A fault-injection campaign estimates a wrong-answer {e rate} from [k]
     wrong answers in [n] injected faults — a binomial proportion.  The
     paper's Table 3 rates (97.10 / 4.03 / 0.98 / 1.56 / 12.60 %) are
     point estimates of exactly this kind; everything here exists to say
-    how much those points can be trusted and whether two of them differ.
+    how much a sampled one can be trusted.
 
     All functions are pure, allocation-light and domain-safe. *)
 
@@ -33,21 +32,3 @@ val wilson : ?confidence:float -> n:int -> k:int -> unit -> interval
     Never degenerate at [k = 0] or [k = n], which is what a campaign
     needs: a TMR design with zero observed wrong answers still gets a
     finite upper bound.  [n <= 0] yields the vacuous [0, 1]. *)
-
-val overlap : interval -> interval -> bool
-
-val two_proportion_z : n1:int -> k1:int -> n2:int -> k2:int -> float
-(** Two-proportion z statistic with pooled variance: positive when
-    campaign 1's rate is higher.  0 when either [n] is non-positive or
-    the pooled variance vanishes (both rates 0 or both 1). *)
-
-val p_value : float -> float
-(** Two-sided p-value of a z statistic. *)
-
-val compatible :
-  ?confidence:float -> n1:int -> k1:int -> n2:int -> k2:int -> unit -> bool
-(** Are two campaigns' wrong-answer rates statistically compatible at the
-    given confidence (default 95 %)?  True iff their Wilson intervals
-    overlap {e and} the two-proportion z statistic stays below the
-    critical value — the conjunction is stricter than either test alone
-    and is what the regression report uses. *)

@@ -182,14 +182,27 @@ let test_fleet_stream_all_designs () =
         true
         (quiet.Service.o_campaign.Campaign.results
         = live.Service.o_campaign.Campaign.results);
-      (* every spool was fully relayed *)
-      List.iter
-        (fun (s : Service.spool_info) ->
-          Alcotest.(check int)
-            (Printf.sprintf "%s: w%d spool gap-free" dname s.Service.sp_worker)
-            0 s.Service.sp_gaps)
-        live.Service.o_spools;
       let parsed = List.map parse_exn (read_lines stream) in
+      (* every spool was fully relayed: each origin's worker-local seqs
+         run dense from 0 on the merged stream *)
+      let oseqs = Hashtbl.create 4 in
+      List.iter
+        (fun p ->
+          Option.iter
+            (fun o ->
+              Hashtbl.replace oseqs o.Events.o_pid
+                (o.Events.o_seq
+                :: Option.value ~default:[]
+                     (Hashtbl.find_opt oseqs o.Events.o_pid)))
+            p.Events.p_origin)
+        parsed;
+      Hashtbl.iter
+        (fun pid seqs ->
+          Alcotest.(check (list int))
+            (Printf.sprintf "%s: pid %d spool gap-free" dname pid)
+            (List.init (List.length seqs) Fun.id)
+            (List.sort compare seqs))
+        oseqs;
       (* the merged stream really is a fleet: worker events from child
          pids, stamped with the job id *)
       let child_pids =

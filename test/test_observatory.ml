@@ -1,6 +1,6 @@
 (* Campaign observatory: Stats numerics against reference values, the
-   small JSON codec, injection-coverage invariants, the persistent run
-   store with its regression report. *)
+   small JSON codec, injection-coverage invariants, and the fault
+   dictionary's entry and file. *)
 
 module Stats = Tmr_obs.Stats
 module Json = Tmr_obs.Json
@@ -10,11 +10,6 @@ module Context = Tmr_experiments.Context
 module Runs = Tmr_experiments.Runs
 module Store = Tmr_experiments.Store
 module Partition = Tmr_core.Partition
-
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  nn = 0 || go 0
 
 (* ------------------------------------------------------------------ *)
 (* Stats: every number below is a published reference value *)
@@ -56,25 +51,6 @@ let test_wilson () =
   let w n = let i = Stats.wilson ~n ~k:(n / 10) () in i.Stats.hi -. i.Stats.lo in
   Alcotest.(check bool) "width monotone in n" true
     (w 100 > w 1000 && w 1000 > w 10000)
-
-let test_compatibility () =
-  check_f "two-proportion z" 1e-3 (-1.9803)
-    (Stats.two_proportion_z ~n1:100 ~k1:10 ~n2:100 ~k2:20);
-  check_f "z symmetric" 1e-9 0.0
-    (Stats.two_proportion_z ~n1:100 ~k1:10 ~n2:100 ~k2:20
-     +. Stats.two_proportion_z ~n1:100 ~k1:20 ~n2:100 ~k2:10);
-  check_f "p-value of 1.96" 1e-3 0.0500 (Stats.p_value 1.96);
-  check_f "degenerate z" 1e-9 0.0
-    (Stats.two_proportion_z ~n1:100 ~k1:0 ~n2:100 ~k2:0);
-  Alcotest.(check bool) "close rates compatible" true
-    (Stats.compatible ~n1:1000 ~k1:100 ~n2:1000 ~k2:110 ());
-  Alcotest.(check bool) "distant rates incompatible" false
-    (Stats.compatible ~n1:1000 ~k1:100 ~n2:1000 ~k2:200 ());
-  Alcotest.(check bool) "overlap symmetric" true
-    (Stats.overlap { Stats.lo = 0.1; hi = 0.3 } { Stats.lo = 0.25; hi = 0.5 }
-     && Stats.overlap { Stats.lo = 0.25; hi = 0.5 } { Stats.lo = 0.1; hi = 0.3 });
-  Alcotest.(check bool) "disjoint intervals" false
-    (Stats.overlap { Stats.lo = 0.1; hi = 0.2 } { Stats.lo = 0.3; hi = 0.5 })
 
 (* ------------------------------------------------------------------ *)
 (* JSON codec *)
@@ -151,15 +127,10 @@ let test_coverage_invariants () =
     (geti "injected_distinct");
   (match Option.map Json.arr (Json.member "classes" j) with
   | Some l -> Alcotest.(check int) "four classes" 4 (List.length l)
-  | None -> Alcotest.fail "classes missing");
-  (* ASCII heatmap: one row per grid row plus borders and the legend *)
-  let hm = Coverage.heatmap cov in
-  Alcotest.(check int) "heatmap line count" (cov.Coverage.rows + 4)
-    (List.length (String.split_on_char '\n' (String.trim hm)));
-  Alcotest.(check bool) "heatmap legend" true (contains hm "uninjected")
+  | None -> Alcotest.fail "classes missing")
 
 (* ------------------------------------------------------------------ *)
-(* Run store and regression report *)
+(* Fault dictionary *)
 
 let with_temp_dir f =
   let dir =
@@ -176,105 +147,106 @@ let with_temp_dir f =
       end)
     (fun () -> f dir)
 
-let test_store_roundtrip () =
+(* The digest as documented, from the whole record string: one 18-byte
+   little-endian record per fault (bit int64, outcome byte, effect byte
+   = position in [Classify.all], first-error and detect cycles int32),
+   hashed as a chain of MD5s over chunks of 3,640 records (64 KiB),
+   seeded with 16 zero bytes, the last (possibly empty) chunk
+   included. *)
+let reference_digest (results : Campaign.fault_result array) =
+  let effect_code e =
+    let rec go i = function
+      | x :: _ when x = e -> i
+      | _ :: rest -> go (i + 1) rest
+      | [] -> assert false
+    in
+    go 0 Tmr_inject.Classify.all
+  in
+  let text =
+    String.concat ""
+      (Array.to_list
+         (Array.map
+            (fun (r : Campaign.fault_result) ->
+              let b = Bytes.create 18 in
+              Bytes.set_int64_le b 0 (Int64.of_int r.Campaign.bit);
+              Bytes.set_uint8 b 8
+                (if r.Campaign.outcome = Campaign.Wrong_answer then 1 else 0);
+              Bytes.set_uint8 b 9 (effect_code r.Campaign.effect);
+              Bytes.set_int32_le b 10 (Int32.of_int r.Campaign.first_error_cycle);
+              Bytes.set_int32_le b 14 (Int32.of_int r.Campaign.detect_cycle);
+              Bytes.to_string b)
+            results))
+  in
+  let chunk = 3640 * 18 in
+  let rec go state pos =
+    let len = min chunk (String.length text - pos) in
+    let state = Digest.string (state ^ String.sub text pos len) in
+    if len = chunk then go state (pos + chunk) else state
+  in
+  Digest.to_hex (go (String.make 16 '\000') 0)
+
+let test_store_entry () =
   let c = Lazy.force ctx in
   let run = Lazy.force p2_run in
-  let m = Store.of_run c run in
-  Alcotest.(check string) "design" "tmr_p2" m.Store.m_design;
-  Alcotest.(check string) "scale" "reduced" m.Store.m_scale;
-  Alcotest.(check int) "injected" 200 m.Store.m_injected;
-  Alcotest.(check int) "digest is md5 hex" 32
-    (String.length m.Store.m_metrics_digest);
-  (* to_json / of_json is the identity on the record *)
-  (match Store.of_json (Json.parse_exn (Json.to_string (Store.to_json m))) with
-  | Ok m' -> Alcotest.(check bool) "manifest roundtrips" true (m = m')
-  | Error e -> Alcotest.failf "of_json failed: %s" e);
-  (match Store.of_json (Json.parse_exn {|{"design": "x"}|}) with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "incomplete manifest accepted");
+  let camp = Option.get run.Runs.campaign in
+  let e = Store.of_run c run in
+  Alcotest.(check string) "design" "tmr_p2" e.Store.e_design;
+  Alcotest.(check string) "scale" "reduced" e.Store.e_scale;
+  Alcotest.(check int) "seed" 3 e.Store.e_seed;
+  Alcotest.(check string) "voter" "majority" e.Store.e_voter;
+  Alcotest.(check bool) "sampled" false e.Store.e_exhaustive;
+  Alcotest.(check int) "faults" 200 e.Store.e_faults;
+  Alcotest.(check int) "wrong" camp.Campaign.wrong e.Store.e_wrong;
+  let v = e.Store.e_verdicts in
+  Alcotest.(check int) "verdict classes partition the faults" 200
+    (v.Campaign.dc_silent_correct + v.Campaign.dc_detected_corrected
+   + v.Campaign.dc_detected_wrong + v.Campaign.dc_silent_wrong);
+  Alcotest.(check int) "effects partition the wrong answers" e.Store.e_wrong
+    (List.fold_left (fun acc (_, n) -> acc + n) 0 e.Store.e_wrong_by_effect);
+  Alcotest.(check int) "one wrong bit per wrong answer" e.Store.e_wrong
+    (Array.length e.Store.e_wrong_bits);
+  Alcotest.(check bool) "wrong bits sorted" true
+    (Array.to_list e.Store.e_wrong_bits
+    = List.sort compare (Array.to_list e.Store.e_wrong_bits));
+  Alcotest.(check string) "digest of one chunk"
+    (reference_digest camp.Campaign.results)
+    e.Store.e_digest;
+  (* past one chunk, and exactly two chunks *)
+  List.iter
+    (fun n ->
+      let many = Array.init n (fun i -> camp.Campaign.results.(i mod 200)) in
+      let big =
+        Store.of_run c
+          { run with Runs.campaign = Some { camp with Campaign.results = many } }
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "digest over %d faults" n)
+        (reference_digest many) big.Store.e_digest)
+    [ 10_000; 7280 ];
   with_temp_dir (fun dir ->
-      let p1 = Store.save ~dir m in
-      Alcotest.(check bool) "save path inside dir" true
-        (contains p1 "tmr_p2-seed3-");
-      let m2 = { m with Store.m_created = m.Store.m_created +. 5.0 } in
-      ignore (Store.save ~dir m2);
-      match Store.load_dir ~dir () with
-      | [ a; b ] ->
-          Alcotest.(check bool) "oldest first" true
-            (a.Store.m_created < b.Store.m_created);
-          Alcotest.(check bool) "baseline is the latest" true
-            (Store.baseline_for ~history:[ a; b ] m = Some b)
-      | l -> Alcotest.failf "expected 2 manifests, loaded %d" (List.length l));
-  Alcotest.(check (list pass)) "missing dir is empty history" []
-    (Store.load_dir ~dir:"/nonexistent/tmr-store" ())
-
-(* Manifests written while campaigns could stop at a CI width carry a
-   "stop" object; the store still loads them, field ignored. *)
-let test_store_legacy_stop () =
-  let m = Store.of_run (Lazy.force ctx) (Lazy.force p2_run) in
-  let legacy =
-    match Store.to_json m with
-    | Json.Obj fields ->
-        Json.Obj
-          (fields
-          @ [
-              ( "stop",
-                Json.Obj
-                  [
-                    ("confidence", Json.Num 0.95);
-                    ("half_width", Json.Num 0.03);
-                    ("min_n", Json.Num 50.);
-                  ] );
-            ])
-    | _ -> Alcotest.fail "manifest is not a JSON object"
-  in
-  with_temp_dir (fun dir ->
-      Sys.mkdir dir 0o755;
-      let oc = open_out (Filename.concat dir "legacy.json") in
-      output_string oc (Json.to_string legacy);
-      close_out oc;
-      match Store.load_dir ~warn:(Alcotest.failf "warning: %s") ~dir () with
-      | [ m' ] -> Alcotest.(check bool) "loads unchanged" true (m = m')
-      | l -> Alcotest.failf "expected 1 manifest, loaded %d" (List.length l))
-
-let test_report_verdicts () =
-  let c = Lazy.force ctx in
-  let p2 = Store.of_run c (Lazy.force p2_run) in
-  let standard =
-    Store.of_run c
-      (Runs.campaign_design ~workers:1 c
-         (Runs.implement_design c Partition.Unprotected))
-  in
-  (* no history: everything is new *)
-  let fresh = Store.report_markdown ~history:[] [ p2 ] in
-  Alcotest.(check bool) "no baseline -> new" true (contains fresh "| new |");
-  Alcotest.(check bool) "rate has a CI" true (contains fresh "%] |");
-  (* same campaign re-observed: compatible with itself *)
-  let again = Store.report_markdown ~history:[ p2 ] [ p2 ] in
-  Alcotest.(check bool) "self-compare compatible" true
-    (contains again "compatible");
-  Alcotest.(check bool) "no spurious regression" false
-    (contains again "regression");
-  (* a deliberately degraded design: the unprotected campaign's counts
-     masquerading as tmr_p2 must be flagged against the tmr_p2 baseline *)
-  let degraded = { standard with Store.m_design = p2.Store.m_design } in
-  let reg = Store.report_markdown ~history:[ p2 ] [ degraded ] in
-  Alcotest.(check bool) "degraded flagged as regression" true
-    (contains reg "**regression**");
-  (* and the mirror image reads as an improvement *)
-  let imp =
-    Store.report_markdown ~history:[ degraded ] [ p2 ]
-  in
-  Alcotest.(check bool) "recovery flagged as improvement" true
-    (contains imp "improvement");
-  (* throughput collapse is called out even when rates agree *)
-  let slow = { p2 with Store.m_faults_per_sec = p2.Store.m_faults_per_sec /. 10. } in
-  let thr = Store.report_markdown ~history:[ p2 ] [ slow ] in
-  Alcotest.(check bool) "throughput regression noted" true
-    (contains thr "throughput regression");
-  (* coverage section renders the per-class cells *)
-  Alcotest.(check bool) "coverage section" true
-    (contains fresh "## Injection coverage")
+      let path = Store.save ~dir e in
+      Alcotest.(check string) "file named after the job"
+        (Filename.concat dir "tmr_p2-reduced-seed3-200-majority.json")
+        path;
+      let first = In_channel.with_open_bin path In_channel.input_all in
+      let again = Store.save ~dir e in
+      Alcotest.(check string) "a rerun overwrites its own file" path again;
+      Alcotest.(check (list string)) "nothing else in the directory"
+        [ Filename.basename path ]
+        (Array.to_list (Sys.readdir dir));
+      Alcotest.(check string) "same bytes" first
+        (In_channel.with_open_bin path In_channel.input_all);
+      match Json.parse first with
+      | Error msg -> Alcotest.failf "entry file does not parse: %s" msg
+      | Ok (Json.Obj fields as j) ->
+          Alcotest.(check (option int)) "faults field" (Some 200)
+            (Option.bind (Json.member "faults" j) Json.int);
+          Alcotest.(check (list string)) "provenance last"
+            [ "tool_version"; "git_commit" ]
+            (List.filteri
+               (fun i _ -> i >= List.length fields - 2)
+               (List.map fst fields))
+      | Ok _ -> Alcotest.fail "entry file is not an object")
 
 let () =
   Alcotest.run "tmr_observatory"
@@ -283,7 +255,6 @@ let () =
         [
           Alcotest.test_case "normal quantile/cdf" `Quick test_normal;
           Alcotest.test_case "wilson interval" `Quick test_wilson;
-          Alcotest.test_case "compatibility tests" `Quick test_compatibility;
         ] );
       ( "json",
         [ Alcotest.test_case "parse/print roundtrip" `Quick test_json_roundtrip ]
@@ -295,10 +266,7 @@ let () =
         ] );
       ( "store",
         [
-          Alcotest.test_case "manifest roundtrip and history" `Slow
-            test_store_roundtrip;
-          Alcotest.test_case "report verdicts" `Slow test_report_verdicts;
-          Alcotest.test_case "manifest with a stop object loads" `Slow
-            test_store_legacy_stop;
+          Alcotest.test_case "entry fields, digest and file" `Slow
+            test_store_entry;
         ] );
     ]

@@ -711,6 +711,34 @@ let test_resume_bit_identical () =
       Alcotest.(check int) "4 shard_done events total" 4 !shard_events;
       check_matches_plain "resumed merge" plain o.Service.o_campaign
 
+(* verdicts do not depend on the domain-worker count, so neither does
+   the job fingerprint: a run interrupted at 2 workers resumes at 1 *)
+let test_resume_other_worker_count () =
+  let ctx = Lazy.force ctx in
+  let run = Lazy.force run_p2 in
+  let plain =
+    Option.get (Runs.campaign_design ~workers:1 ctx run).Runs.campaign
+  in
+  let job workers =
+    Service.job ~scale:Context.Reduced ~seed:2 ~faults:40 ~shards:4 ~workers
+      Partition.Medium_partition
+  in
+  let dir = temp_dir "workers" in
+  (match
+     Service.run_sharded ~shard_limit:2 ~notify:(fun _ -> ()) ~dir (job 2) ctx
+       run
+   with
+  | Ok (Service.Incomplete { done_shards; _ }) ->
+      Alcotest.(check int) "2 shards done at 2 workers" 2 done_shards
+  | Ok (Service.Complete _) -> Alcotest.fail "shard limit ignored"
+  | Error e -> Alcotest.failf "interrupted run: %s" e);
+  match Service.run_sharded ~notify:(fun _ -> ()) ~dir (job 1) ctx run with
+  | Error e -> Alcotest.failf "resume at 1 worker: %s" e
+  | Ok (Service.Incomplete _) -> Alcotest.fail "resume left work behind"
+  | Ok (Service.Complete o) ->
+      Alcotest.(check int) "2 shards resumed" 2 o.Service.o_resumed;
+      check_matches_plain "resumed at 1 worker" plain o.Service.o_campaign
+
 (* a worker killed between writing its manifest and renaming it leaves
    [done/NNNNN.json.tmp.<pid>]: that file names no finished shard, so a
    resume re-runs the shard and the merge stays byte-identical *)
@@ -873,35 +901,66 @@ let test_exhaustive_faults () =
   Alcotest.(check string) "exhaustive job name"
     "tmr_p2-reduced-seed2-exhaustive" (Service.job_name j2)
 
-(* --- store hardening rides along -------------------------------------- *)
+(* --- fault dictionary --------------------------------------------------- *)
 
-let write_file path body =
-  let oc = open_out path in
-  output_string oc body;
-  close_out oc
+let entry_bytes (e : Store.entry) =
+  let dir = temp_dir "entry" in
+  let path = Store.save ~dir e in
+  let body = In_channel.with_open_bin path In_channel.input_all in
+  ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir)));
+  body
 
-let test_store_load_dir_corrupt () =
+(* The dictionary entry depends on the verdicts alone: a plain campaign
+   and the sharded engine at one and two processes write the same bytes,
+   and one flipped verdict changes both the digest and the wrong list. *)
+let test_entry_independent_of_run_path () =
   let ctx = Lazy.force ctx in
-  let r = Runs.campaign_design ~workers:1 ctx (Lazy.force run_p2) in
-  let dir = temp_dir "store" in
-  let m = Store.of_run ~confidence:0.95 ~exhaustive:true ctx r in
-  ignore (Store.save ~dir m);
-  (* one syntactically broken file, one truncated mid-object, one that
-     parses but is not a manifest *)
-  write_file (Filename.concat dir "aa-corrupt.json") "not json at all";
-  write_file (Filename.concat dir "bb-truncated.json")
-    "{\"design\":\"tmr_p2\",\"seed\":2,\"scale\":\"red";
-  write_file (Filename.concat dir "cc-wrong-shape.json") "{\"hello\":1}";
-  let warned = ref [] in
-  let ms = Store.load_dir ~warn:(fun s -> warned := s :: !warned) ~dir () in
-  Alcotest.(check int) "only the valid manifest survives" 1 (List.length ms);
-  Alcotest.(check int) "each bad file warned once" 3 (List.length !warned);
-  let m' = List.hd ms in
-  Alcotest.(check bool) "exhaustive flag survives the roundtrip" true
-    m'.Store.m_exhaustive;
-  (* the default warn printer must not raise either *)
-  let ms' = Store.load_dir ~dir () in
-  Alcotest.(check int) "default warn skips too" 1 (List.length ms')
+  let run = Lazy.force run_p2 in
+  let job =
+    Service.job ~scale:Context.Reduced ~seed:2 ~faults:40 ~shards:4
+      Partition.Medium_partition
+  in
+  let plain =
+    Campaign.run ~workers:1 ~name:"tmr_p2" ~impl:run.Runs.impl
+      ~golden:ctx.Context.golden_nl ~stimulus:ctx.Context.stimulus
+      ~faults:(Service.faults_of ctx run job) ()
+  in
+  let entry c = Store.of_run ctx { run with Runs.campaign = Some c } in
+  let want = entry_bytes (entry plain) in
+  List.iter
+    (fun procs ->
+      match
+        Service.run_sharded ~procs
+          ~notify:(fun _ -> ())
+          ~dir:(temp_dir (Printf.sprintf "entry-procs%d" procs))
+          job ctx run
+      with
+      | Ok (Service.Complete o) ->
+          Alcotest.(check string)
+            (Printf.sprintf "procs=%d entry == plain entry" procs)
+            want
+            (entry_bytes (entry o.Service.o_campaign))
+      | Ok (Service.Incomplete _) -> Alcotest.fail "unexpectedly incomplete"
+      | Error e -> Alcotest.failf "procs=%d: %s" procs e)
+    [ 1; 2 ];
+  let base = entry plain in
+  let flipped =
+    let results = Array.copy plain.Campaign.results in
+    let r = results.(7) in
+    results.(7) <-
+      {
+        r with
+        Campaign.outcome =
+          (match r.Campaign.outcome with
+          | Campaign.Silent -> Campaign.Wrong_answer
+          | Campaign.Wrong_answer -> Campaign.Silent);
+      };
+    entry { plain with Campaign.results }
+  in
+  Alcotest.(check bool) "a flipped verdict changes the digest" false
+    (base.Store.e_digest = flipped.Store.e_digest);
+  Alcotest.(check bool) "a flipped verdict changes the wrong list" false
+    (base.Store.e_wrong_bits = flipped.Store.e_wrong_bits)
 
 let () =
   Alcotest.run "shard"
@@ -939,12 +998,21 @@ let () =
             test_workqueue_claims;
           Alcotest.test_case "orphan reclaim" `Quick test_workqueue_reclaim;
         ] );
+      (* forks, so it runs before "equivalence" spawns worker domains:
+         OCaml 5 refuses [Unix.fork] once a domain was spawned *)
+      ( "store",
+        [
+          Alcotest.test_case "entry independent of the run path" `Slow
+            test_entry_independent_of_run_path;
+        ] );
       ( "equivalence",
         [
           Alcotest.test_case "sharded == plain, all designs" `Slow
             test_sharded_equals_plain_all_designs;
           Alcotest.test_case "interrupt + resume, bit-identical" `Slow
             test_resume_bit_identical;
+          Alcotest.test_case "resume at another worker count, bit-identical"
+            `Slow test_resume_other_worker_count;
           Alcotest.test_case "2 forked procs, bit-identical" `Slow
             test_procs2_bit_identical;
           Alcotest.test_case "fingerprint guard + fresh" `Slow
@@ -957,10 +1025,5 @@ let () =
             test_resume_past_leftover_tmp;
           Alcotest.test_case "one session, reversed shards == fresh" `Slow
             test_session_reuse;
-        ] );
-      ( "store",
-        [
-          Alcotest.test_case "load_dir skips corrupt manifests" `Quick
-            test_store_load_dir_corrupt;
         ] );
     ]

@@ -130,9 +130,6 @@ let test_event_roundtrip () =
     all_events parsed;
   Alcotest.(check int) "published counts all" (List.length all_events)
     (Events.published ());
-  Alcotest.(check int) "last_seq survives close"
-    (List.length all_events - 1)
-    (Events.last_seq ());
   Sys.remove path
 
 let test_render_parse_inverse () =
