@@ -1011,8 +1011,6 @@ let () =
             test_sharded_equals_plain_all_designs;
           Alcotest.test_case "interrupt + resume, bit-identical" `Slow
             test_resume_bit_identical;
-          Alcotest.test_case "resume at another worker count, bit-identical"
-            `Slow test_resume_other_worker_count;
           Alcotest.test_case "2 forked procs, bit-identical" `Slow
             test_procs2_bit_identical;
           Alcotest.test_case "fingerprint guard + fresh" `Slow
@@ -1025,5 +1023,7 @@ let () =
             test_resume_past_leftover_tmp;
           Alcotest.test_case "one session, reversed shards == fresh" `Slow
             test_session_reuse;
+          Alcotest.test_case "resume at another worker count, bit-identical"
+            `Slow test_resume_other_worker_count;
         ] );
     ]
