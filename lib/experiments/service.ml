@@ -308,6 +308,7 @@ let run_sharded ?(procs = 1) ?shard_limit ?(fresh = false)
         Each child talks to the world only through the queue directory
         and the pipe. *)
      let children =
+       Trace.with_span "shard_fork" @@ fun () ->
        List.map
          (fun worker ->
            match Unix.fork () with
@@ -454,38 +455,39 @@ let run_sharded ?(procs = 1) ?shard_limit ?(fresh = false)
            !remaining;
          stop_tailer ();
          fold_worker_metrics ());
-     Fun.protect
-       ~finally:(fun () ->
-         Atomic.set interrupt_hook (fun () -> ());
-         Unix.close done_rd)
-       (fun () ->
-         let buf = Bytes.create 64 in
-         let rec wait () =
-           match Unix.select [ done_rd ] [] [] (-1.0) with
-           | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait ()
-           | _ -> (
-               match Unix.read done_rd buf 0 (Bytes.length buf) with
-               | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait ()
-               | 0 -> ()
-               | _ ->
-                   relay ();
-                   wait ())
-         in
-         wait ();
-         List.iter
-           (fun pid ->
-             let rec reap () =
-               match Unix.waitpid [] pid with
-               | _ -> ()
-               | exception Unix.Unix_error (Unix.EINTR, _, _) -> reap ()
-               | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
-             in
-             reap ())
-           !remaining;
-         remaining := [];
-         stop_tailer ();
-         relay ();
-         fold_worker_metrics ());
+     Trace.with_span "shard_wait" (fun () ->
+       Fun.protect
+         ~finally:(fun () ->
+           Atomic.set interrupt_hook (fun () -> ());
+           Unix.close done_rd)
+         (fun () ->
+           let buf = Bytes.create 64 in
+           let rec wait () =
+             match Unix.select [ done_rd ] [] [] (-1.0) with
+             | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait ()
+             | _ -> (
+                 match Unix.read done_rd buf 0 (Bytes.length buf) with
+                 | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait ()
+                 | 0 -> ()
+                 | _ ->
+                     relay ();
+                     wait ())
+           in
+           wait ();
+           List.iter
+             (fun pid ->
+               let rec reap () =
+                 match Unix.waitpid [] pid with
+                 | _ -> ()
+                 | exception Unix.Unix_error (Unix.EINTR, _, _) -> reap ()
+                 | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
+               in
+               reap ())
+             !remaining;
+           remaining := [];
+           stop_tailer ();
+           relay ();
+           fold_worker_metrics ()));
      (* stitch the workers' trace files into the parent's sink so one
         [tmrtool profile] renders the whole fleet; pid fields survive
         verbatim, so lanes stay per-process *)
@@ -510,53 +512,58 @@ let run_sharded ?(procs = 1) ?shard_limit ?(fresh = false)
          worker_ids
    end);
   let wall_ns = Clock.now_ns () - t0 in
-  let* dones = Workqueue.load_done wq in
-  let* () =
-    match List.find_opt (fun m -> m.Shard.sm_fingerprint <> fp) dones with
-    | Some m ->
-        Error
-          (Printf.sprintf "done shard %d has a foreign fingerprint"
-             m.Shard.sm_id)
-    | None -> Ok ()
-  in
-  if List.length dones < Array.length plan then
-    Ok
-      (Incomplete
-         {
-           done_shards = List.length dones;
-           pending_shards = Workqueue.pending wq;
-         })
-  else
-    let* shards =
-      List.fold_left
-        (fun acc m ->
-          let* acc = acc in
-          let* rs = Workqueue.read_results wq m in
-          Ok ((m, rs) :: acc))
-        (Ok []) dones
+  let* merged =
+    Trace.with_span "shard_merge" @@ fun () ->
+    let* dones = Workqueue.load_done wq in
+    let* () =
+      match List.find_opt (fun m -> m.Shard.sm_fingerprint <> fp) dones with
+      | Some m ->
+          Error
+            (Printf.sprintf "done shard %d has a foreign fingerprint"
+               m.Shard.sm_id)
+      | None -> Ok ()
     in
-    let* merged =
+    if List.length dones < Array.length plan then Ok (Either.Left dones)
+    else
+      let* shards =
+        List.fold_left
+          (fun acc m ->
+            let* acc = acc in
+            let* rs = Workqueue.read_results wq m in
+            Ok ((m, rs) :: acc))
+          (Ok []) dones
+      in
       Shard.merge ~design:name ~total ~procs ~wall_ns shards
+      |> Result.map Either.right
       |> Result.map_error (Printf.sprintf "shard dir %s: %s" dir)
-    in
-    (* origin-less, hence authoritative for watchers: the merged fleet
-       totals, not any single shard's *)
-    notify
-      (Events.Campaign_stopped
-         {
-           design = name;
-           requested = total;
-           injected = merged.Campaign.injected;
-           wrong = merged.Campaign.wrong;
-           wall_ns;
-         });
-    Ok
-      (Complete
-         {
-           o_campaign = merged;
-           o_resumed = List.length done0;
-           o_fresh = Array.length plan - List.length done0;
-         })
+  in
+  match merged with
+  | Either.Left dones ->
+      Ok
+        (Incomplete
+           {
+             done_shards = List.length dones;
+             pending_shards = Workqueue.pending wq;
+           })
+  | Either.Right merged ->
+      (* origin-less, hence authoritative for watchers: the merged fleet
+         totals, not any single shard's *)
+      notify
+        (Events.Campaign_stopped
+           {
+             design = name;
+             requested = total;
+             injected = merged.Campaign.injected;
+             wrong = merged.Campaign.wrong;
+             wall_ns;
+           });
+      Ok
+        (Complete
+           {
+             o_campaign = merged;
+             o_resumed = List.length done0;
+             o_fresh = Array.length plan - List.length done0;
+           })
 
 let summary_json j status =
   let name = job_name j in

@@ -24,11 +24,16 @@ let scale_name = function
 
 let tool_version = "0.10.0"
 
-(* Best-effort: runs from a tarball or without git still get entries *)
+(* Best-effort: runs from a tarball or without git still get entries.
+   An uncommitted tree is not the commit it started from: [--dirty]
+   marks it. *)
 let git_commit =
   lazy
     (try
-       let ic = Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" in
+       let ic =
+         Unix.open_process_in
+           "git describe --always --dirty --abbrev=7 2>/dev/null"
+       in
        let line = try input_line ic with End_of_file -> "" in
        match Unix.close_process_in ic with
        | Unix.WEXITED 0 when line <> "" -> line

@@ -10,8 +10,8 @@
     is the exact regression check. *)
 
 val version_string : unit -> string
-(** ["tmrtool <version> (git <short-hash>)"] — the provenance fields as
-    one line, for [--version] and the benchmark summary. *)
+(** ["tmrtool <version> (git <commit>)"] — the provenance fields as one
+    line, for [--version] and the benchmark summary. *)
 
 type entry = {
   e_design : string;  (** strategy name, e.g. ["tmr_p2"] *)
@@ -36,7 +36,10 @@ type entry = {
       (** the wrong-answer bits, sorted ascending (a bit sampled twice
           appears twice); its length is [e_wrong] *)
   e_tool_version : string;
-  e_git_commit : string;  (** short hash, or ["unknown"] outside a checkout *)
+  e_git_commit : string;
+      (** [git describe --always --dirty]: the short hash, suffixed
+          ["-dirty"] when the tree had uncommitted changes, or
+          ["unknown"] outside a checkout *)
 }
 
 val of_run :

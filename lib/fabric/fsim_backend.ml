@@ -99,9 +99,6 @@ module Lanes = struct
   let[@inline] pick s0 s1 s2 s3 w0 w1 w2 w3 =
     s0 land w0 lor (s1 land w1) lor (s2 land w2) lor (s3 land w3)
 
-  (* Leaf word of minterm [m] of a truth table shared by every lane. *)
-  let[@inline] leaf table m = -((table lsr m) land 1)
-
   (* LUT over planes, as a two-level Shannon expansion: the minterm
      selector factors into a pin-0/1 selector [s] times a pin-2/3
      selector [r], so each plane is an OR over the four [r] of an OR
@@ -110,24 +107,71 @@ module Lanes = struct
      iff some 0-minterm is; both at once is X — literally Kleene
      completion over the X pins, which is what the scalar
      [lut_x_const] submask walk computes one completion at a time.
-     [ph]/[pl] hold the four pin words ({!pin_h}/{!pin_l}), every word
-     within [full]; the result lands in [dh.(i)]/[dl.(i)]. *)
-  let lut_table ~ph ~pl ~table ~dh ~dl i =
-    let s0 = pl.(0) land pl.(1) and s1 = ph.(0) land pl.(1) in
-    let s2 = pl.(0) land ph.(1) and s3 = ph.(0) land ph.(1) in
-    let r0 = pl.(2) land pl.(3) and r1 = ph.(2) land pl.(3) in
-    let r2 = pl.(2) land ph.(3) and r3 = ph.(2) land ph.(3) in
-    let t = table and f = lnot table in
+     With one table for every lane, the inner OR of group [k] is the
+     OR of the [s] its nibble [n_k] selects for the H plane, and of
+     those [15 - n_k] selects for the L plane: [sc] holds the ORs of all
+     sixteen subsets, indexed by nibble.  [(h0, l0) .. (h3, l3)] are the
+     four pin words ({!pin_h}/{!pin_l}), every word within [full]; the
+     result lands in [dh.(i)]/[dl.(i)]. *)
+  let[@inline] lut_into (sc : int array) table h0 l0 h1 l1 h2 l2 h3 l3
+      (dh : int array) (dl : int array) i =
+    let s0 = l0 land l1 and s1 = h0 land l1 in
+    let s2 = l0 land h1 and s3 = h0 land h1 in
+    let r0 = l2 land l3 and r1 = h2 land l3 in
+    let r2 = l2 land h3 and r3 = h2 land h3 in
+    let s01 = s0 lor s1 and s23 = s2 lor s3 in
+    Array.unsafe_set sc 0 0;
+    Array.unsafe_set sc 1 s0;
+    Array.unsafe_set sc 2 s1;
+    Array.unsafe_set sc 3 s01;
+    Array.unsafe_set sc 4 s2;
+    Array.unsafe_set sc 5 (s0 lor s2);
+    Array.unsafe_set sc 6 (s1 lor s2);
+    Array.unsafe_set sc 7 (s01 lor s2);
+    Array.unsafe_set sc 8 s3;
+    Array.unsafe_set sc 9 (s0 lor s3);
+    Array.unsafe_set sc 10 (s1 lor s3);
+    Array.unsafe_set sc 11 (s01 lor s3);
+    Array.unsafe_set sc 12 s23;
+    Array.unsafe_set sc 13 (s0 lor s23);
+    Array.unsafe_set sc 14 (s1 lor s23);
+    Array.unsafe_set sc 15 (s01 lor s23);
+    let n0 = table land 15 and n1 = (table lsr 4) land 15 in
+    let n2 = (table lsr 8) land 15 and n3 = (table lsr 12) land 15 in
     dh.(i) <-
-      r0 land pick s0 s1 s2 s3 (leaf t 0) (leaf t 1) (leaf t 2) (leaf t 3)
-      lor (r1 land pick s0 s1 s2 s3 (leaf t 4) (leaf t 5) (leaf t 6) (leaf t 7))
-      lor (r2 land pick s0 s1 s2 s3 (leaf t 8) (leaf t 9) (leaf t 10) (leaf t 11))
-      lor (r3 land pick s0 s1 s2 s3 (leaf t 12) (leaf t 13) (leaf t 14) (leaf t 15));
+      r0 land Array.unsafe_get sc n0
+      lor (r1 land Array.unsafe_get sc n1)
+      lor (r2 land Array.unsafe_get sc n2)
+      lor (r3 land Array.unsafe_get sc n3);
     dl.(i) <-
-      r0 land pick s0 s1 s2 s3 (leaf f 0) (leaf f 1) (leaf f 2) (leaf f 3)
-      lor (r1 land pick s0 s1 s2 s3 (leaf f 4) (leaf f 5) (leaf f 6) (leaf f 7))
-      lor (r2 land pick s0 s1 s2 s3 (leaf f 8) (leaf f 9) (leaf f 10) (leaf f 11))
-      lor (r3 land pick s0 s1 s2 s3 (leaf f 12) (leaf f 13) (leaf f 14) (leaf f 15))
+      r0 land Array.unsafe_get sc (15 - n0)
+      lor (r1 land Array.unsafe_get sc (15 - n1))
+      lor (r2 land Array.unsafe_get sc (15 - n2))
+      lor (r3 land Array.unsafe_get sc (15 - n3))
+
+  let check_scratch sc =
+    if Array.length sc < 16 then invalid_arg "Lanes: LUT scratch under 16 words"
+
+  let lut_words sc table h0 l0 h1 l1 h2 l2 h3 l3 dh dl i =
+    check_scratch sc;
+    lut_into sc table h0 l0 h1 l1 h2 l2 h3 l3 dh dl i
+
+  (* Reading pin [j] inverted swaps its planes, which selects minterm
+     [m lxor 2^j] wherever [m] was selected: the table permuted by the
+     inversion bits. *)
+  let fold_inversion ~table ~inv =
+    let t = ref 0 in
+    for m = 0 to 15 do
+      t := !t lor (((table lsr (m lxor inv)) land 1) lsl m)
+    done;
+    !t
+
+  let lut_node sc ~table ~h ~l p0 p1 p2 p3 n ~dh ~dl o =
+    check_scratch sc;
+    for s = 0 to n - 1 do
+      lut_into sc table h.(p0 + s) l.(p0 + s) h.(p1 + s) l.(p1 + s)
+        h.(p2 + s) l.(p2 + s) h.(p3 + s) l.(p3 + s) dh dl (o + s)
+    done
 
   (* The same over per-lane truth tables: [leaves.(at + m)] is the mask
      of lanes whose table has minterm [m] set. *)

@@ -81,20 +81,54 @@ module Lanes : sig
       of [unused] (an unused pin contributes index bit 0, whatever its
       inversion bit, as the scalar pin scan skips it). *)
 
-  val lut_table :
-    ph:int array ->
-    pl:int array ->
+  val lut_words :
+    int array ->
+    int ->
+    int ->
+    int ->
+    int ->
+    int ->
+    int ->
+    int ->
+    int ->
+    int ->
+    int array ->
+    int array ->
+    int ->
+    unit
+  (** [lut_words sc table h0 l0 h1 l1 h2 l2 h3 l3 dh dl i] evaluates a
+      LUT whose truth table [table] is shared by every lane and stores
+      the result planes in [dh.(i)]/[dl.(i)]; allocation-free.
+      [(h0, l0) .. (h3, l3)]: the four pin words from {!pin_h}/{!pin_l},
+      each within {!full}; [sc]: a scratch of at least 16 words.
+      Equals {!Scalar.lut_eval} (including Kleene completion over X
+      pins) lane by lane. *)
+
+  val fold_inversion : table:int -> inv:int -> int
+  (** The truth table that reads uninverted pins as [table] reads pins
+      inverted by [inv] (bit [j] = pin [j]): a LUT of every lane that
+      inverts the same pins evaluates as {!lut_node} of the folded
+      table. *)
+
+  val lut_node :
+    int array ->
     table:int ->
+    h:int array ->
+    l:int array ->
+    int ->
+    int ->
+    int ->
+    int ->
+    int ->
     dh:int array ->
     dl:int array ->
     int ->
     unit
-  (** [lut_table ~ph ~pl ~table ~dh ~dl i] evaluates a LUT whose truth
-      table [table] is shared by every lane and stores the result planes
-      in [dh.(i)]/[dl.(i)]; allocation-free.  [ph]/[pl]: the four pin
-      words from {!pin_h}/{!pin_l}, each within {!full}.  Equals
-      {!Scalar.lut_eval} (including Kleene completion over X pins) lane
-      by lane. *)
+  (** [lut_node sc ~table ~h ~l p0 p1 p2 p3 n ~dh ~dl o] evaluates one
+      LUT node over [n] sub-words of flat plane arrays: pin [j] reads
+      [h.(pj + s)]/[l.(pj + s)], uninverted, and sub-word [s] of the
+      result lands in [dh.(o + s)]/[dl.(o + s)].  Each sub-word is
+      {!lut_words} of those pin words. *)
 
   val lut_leaves :
     ph:int array ->
@@ -105,7 +139,8 @@ module Lanes : sig
     dl:int array ->
     int ->
     unit
-  (** {!lut_table} over per-lane truth tables: [leaves.(at + m)] is the
+  (** {!lut_words} over per-lane truth tables, the pin words in
+      [ph.(0..3)]/[pl.(0..3)]: [leaves.(at + m)] is the
       mask of lanes whose table has minterm [m] set. *)
 
   val resolve_planes :

@@ -1,9 +1,16 @@
 (* Bit-parallel batched differential fault simulation.
 
    Packs up to [width] faults into the lanes of 32-bit "possibility
-   plane" words ({!Fsim_backend.Lanes}) and runs ONE event-driven cone
-   evaluation over the union of the lanes' fanout cones against the
-   shared baseline tape.  Each lane's effective circuit is the base
+   plane" words ({!Fsim_backend.Lanes}) and runs ONE dense evaluation of
+   the union of the lanes' fanout cones against the shared baseline
+   tape.  Once per batch the union cone is compiled into a program over
+   local indices (members in evaluation order, then the frontier of
+   non-members they read): flat pin, kind, table and resolve-row
+   arrays.  Every cycle loads the frontier's tape values, sweeps the
+   acyclic members once in order and settles each union SCC to its
+   fixpoint; every member holds its full value in every lane, and a
+   lane's divergence is its planes against the tape.  Each lane's
+   effective circuit is the base
    graph plus its fault overlay ({!Fsim.delta}), held in per-node slots
    of [t] for the run: truth-table / inversion / init / clock-enable
    cell patches apply word-parallel through per-lane masks, and a LUT
@@ -32,13 +39,13 @@
    and each group settles by local sweeps.  A lane whose circuit is
    acyclic inside a group reaches its unique fixpoint from any start.
    A lane's own cycles are Kleene-iterated, as [Fsim.eval] iterates a
-   cyclic SCC: a set of cut nodes meets every such cycle; when a group
-   is dirty its cut lanes restart from X at the cuts, the sweeps settle
-   the rest with the cut bits held, and re-evaluating the cuts and
-   repeating until they stop moving is Kleene iteration on the cut
-   values.  Node evaluation is monotone in the information order (X
-   below Zero and One): Kleene LUT completion, [Logic.resolve], and the
-   glitch rule, whose [last] values stay fixed within a cycle.  So
+   cyclic SCC: a set of cut nodes meets every such cycle; every cycle
+   its cut lanes restart from X at the cuts, the sweeps settle the rest
+   with the cut bits held, and re-evaluating the cuts and repeating
+   until they stop moving is Kleene iteration on the cut values.  Node
+   evaluation is monotone in the information order (X below Zero and
+   One): Kleene LUT completion, [Logic.resolve], and the glitch rule,
+   whose [last] values stay fixed within a cycle.  So
    iteration from X reaches, in any order, the least fixpoint — the
    value [Fsim.eval] on a rebuilt simulator computes.  A lane with a
    seed on a cycle never replay-converges.
@@ -52,7 +59,6 @@
    baseline, cycle by cycle. *)
 
 module Logic = Tmr_logic.Logic
-module Lanemask = Tmr_logic.Bitvec.Lanemask
 module Lanes = Fsim_backend.Lanes
 module Scalar = Fsim_backend.Scalar
 module F = Fsim
@@ -75,32 +81,23 @@ type t = {
   base_pos : int array;  (* per base node: base evaluation-order index *)
   (* capacity-managed per-node state (base nodes + appended extras) *)
   mutable cap : int;
-  mutable h : int array;  (* value planes, node * stride + sub *)
-  mutable l : int array;
-  mutable lh : int array;  (* previous-cycle planes (glitch rule) *)
-  mutable ll : int array;
-  mutable qh : int array;  (* register state planes *)
-  mutable ql : int array;
   mutable mark : Bytes.t;  (* '\001' = union-cone member *)
   mutable fmark : Bytes.t;  (* '\001' = frontier *)
-  mutable dirty : int array;  (* per node: tick stamp *)
-  mutable rdirty : int array;  (* per register: tick stamp *)
   mutable rstamp : int array;  (* per node: replay epoch stamp *)
-  mutable order : int array;  (* members in topological order *)
-  mutable pos : int array;  (* member -> topological index *)
+  mutable order : int array;  (* members in evaluation order *)
+  mutable pos : int array;  (* member or frontier node -> local index *)
   mutable indeg : int array;
   mutable queue : int array;
   mutable members : int array;
   mutable frontier : int array;
-  mutable regs : int array;
-  mutable tick : int;  (* monotone across runs *)
+  mutable regs : int array;  (* clocked members, local indices *)
   mutable repoch : int;  (* monotone across replays *)
   mutable rv : Logic.t array;  (* replay overlay: value *)
   mutable rvl : Logic.t array;  (* replay overlay: last *)
   mutable rq : Logic.t array;  (* replay overlay: register state *)
   (* per-node overlay slots (base nodes + appended extras), empty
      between runs: each run clears the slots of the nodes it touched on
-     the way out, as it does [dv] and [fz] *)
+     the way out *)
   mutable ov_t1 : int array array;
       (* per-lane truth tables: leaf words, sub * 16 + minterm; [||] =
          the base table in every lane *)
@@ -112,69 +109,91 @@ type t = {
       (* registered lanes, per sub; [||] = the base kind in every lane *)
   mutable ov_rows : (int * int array) list array;  (* (lane, rewired row) *)
   mutable radj : int list array;  (* overlay readers *)
-  mutable ovm : int array;
-      (* node * stride + sub: lanes with a LUT overlay there (table,
-         inversion or rewired row) *)
+  (* the compiled program of one run, over local indices: member [i] of
+     the evaluation order is local [i], the frontier follows, and the
+     last local is a constant Zero that unused LUT pins read.  Plane
+     arrays hold [ns] words per local, full-valued on every lane. *)
+  mutable gid : int array;  (* local -> node *)
+  mutable kd : int array;  (* per member: evaluation kind, [k_*] *)
+  mutable pin : int array;
+      (* per member: its 4 pins' plane offsets, local index * ns *)
+  mutable tbl : int array;
+      (* per member: the base truth table with the base pin inversion
+         folded in *)
+  mutable lov : Bytes.t;  (* per member: '\001' = LUT overlay lanes *)
+  mutable lrows : (int * int array) list array;
+      (* per resolve member: (lane, rewired row over local indices) *)
+  mutable gof : int array;  (* per LUT member: rewired-pin offsets *)
+  mutable gat : int array;
+      (* rewired LUT pins, four words each: sub, pin, the local node the
+         lanes read there ([-1] = unused), the lanes *)
+  mutable roff : int array;  (* per member: resolve row offsets *)
+  mutable rins : int array;  (* resolve rows over local indices *)
+  mutable bk : int array;
+      (* per member of a union SCC: the lowest reader at or before it
+         in its group (a back edge), [max_int] = none *)
+  mutable bkm : int array;
+      (* per member and sub: the lanes of its back edges (a rewired row
+         or an appended node reads it in one lane, a base row in all) *)
+  mutable fw : int array;
+      (* per member of a union SCC: the highest reader after it in its
+         group, [-1] = none *)
+  mutable vh : int array;  (* value planes, local * ns + sub *)
+  mutable vl : int array;
+  mutable uh : int array;  (* previous-cycle planes (glitch rule) *)
+  mutable ul : int array;
+  mutable qh : int array;  (* register state planes, per member *)
+  mutable ql : int array;
+  mutable fz : int array;
+      (* per member and sub: lanes for which it is a Kleene cut *)
   (* kernel work of the last run *)
   mutable n_evals : int;
-  mutable n_quiet : int;
   mutable n_splices : int;
   (* evaluation scratch *)
+  sc : int array;  (* 16: LUT scratch *)
   phs : int array;  (* 4: per-pin H planes, inversion applied *)
   pls : int array;
+  ims : int array;  (* 4: per-pin inversion masks *)
   newh : int array;  (* stride: the value being built *)
   newl : int array;
   mutable resh : int array;  (* growable resolve-driver scratch *)
   mutable resl : int array;
   mutable reslh : int array;
   mutable resll : int array;
-  (* divergence state, all-zero between runs (each run clears the
-     entries of its own members on the way out) *)
-  mutable dv : int array;  (* per node: lanes diverged from the tape *)
-  mutable dvl : int array;  (* divergence as of the last boundary *)
-  mutable dq : int array;  (* register-state divergence *)
-  mutable dmark : Bytes.t;  (* '\001' = on [dlist] *)
-  mutable dlist : int array;  (* nodes with a non-empty [dv] word *)
-  mutable fz : int array;
-      (* per node: lanes for which it is a Kleene cut (all-zero between
-         runs, like [dv]) *)
   (* forensic provenance, sized by the first forensic run after a
-     capacity change: [ever] (all-zero between runs, like [dv]) is the
-     OR of every scanned cycle's divergence words; the per-lane BFS
-     stamps [pv_seen] with a monotone epoch *)
+     capacity change: [ever] (all-zero between runs: each run clears
+     its members' entries on the way out) is the OR of every cycle's
+     divergence words; the per-lane BFS stamps [pv_seen] with a
+     monotone epoch *)
   mutable ever : int array;
   mutable pv_seen : int array;
   mutable pv_depth : int array;
   mutable pv_epoch : int;
-  (* tape-value broadcast memo, stamped by cycle; valid across runs
-     while the worker keeps handing in the same tape *)
-  tb_h : int array;
-  tb_l : int array;
-  tb_c : int array;
-  tpb_h : int array;
-  tpb_l : int array;
-  tpb_c : int array;
-  mutable last_tape : F.tape option;
+  (* the tape as plane words, one per node and cycle ([tw_code]),
+     decoded once per worker tape *)
+  mutable tw : int array;
+  mutable tw_tape : F.tape option;
   mutable last_cone : int array;  (* test hook *)
   mutable last_nm : int;
 }
+
+(* evaluation kinds of a member *)
+let k_lut = 0 (* LUT, base table and pins in every lane *)
+let k_lut_ov = 1 (* LUT with overlay lanes: tables, inversions, rows *)
+let k_reg = 2 (* register in every lane: the state planes *)
+let k_mixed = 3 (* kind overridden in some lanes: LUT and state blended *)
+let k_res = 4 (* resolve node *)
+let k_extra = 5 (* appended resolve node of one lane *)
+let k_tape = 6 (* no function of its inputs: reads the tape *)
 
 let ensure t n =
   if t.cap < n then begin
     let cap = max n (max 1024 (2 * t.cap)) in
     t.cap <- cap;
-    let ps = cap * t.stride in
-    t.h <- Array.make ps 0;
-    t.l <- Array.make ps 0;
-    t.lh <- Array.make ps 0;
-    t.ll <- Array.make ps 0;
-    t.qh <- Array.make ps 0;
-    t.ql <- Array.make ps 0;
+    let ps = (cap + 1) * t.stride in
     t.mark <- Bytes.make cap '\000';
     t.fmark <- Bytes.make cap '\000';
-    (* fresh stamps start at 0 < any live tick/epoch: never stale *)
-    t.dirty <- Array.make cap 0;
-    t.rdirty <- Array.make cap 0;
+    (* fresh stamps start at 0 < any live epoch: never stale *)
     t.rstamp <- Array.make cap 0;
     t.order <- Array.make cap 0;
     t.pos <- Array.make cap 0;
@@ -186,12 +205,6 @@ let ensure t n =
     t.rv <- Array.make cap Logic.X;
     t.rvl <- Array.make cap Logic.X;
     t.rq <- Array.make cap Logic.X;
-    t.dv <- Array.make ps 0;
-    t.dvl <- Array.make ps 0;
-    t.dq <- Array.make ps 0;
-    t.dmark <- Bytes.make cap '\000';
-    t.dlist <- Array.make (cap + 1) 0;
-    t.fz <- Array.make ps 0;
     t.ov_t1 <- Array.make cap [||];
     t.ov_im <- Array.make cap [||];
     t.ov_ce <- Array.make cap [||];
@@ -200,7 +213,24 @@ let ensure t n =
     t.ov_reg <- Array.make cap [||];
     t.ov_rows <- Array.make cap [];
     t.radj <- Array.make cap [];
-    t.ovm <- Array.make ps 0
+    t.gid <- Array.make (cap + 1) 0;
+    t.kd <- Array.make cap 0;
+    t.pin <- Array.make (4 * cap) 0;
+    t.tbl <- Array.make cap 0;
+    t.lov <- Bytes.make cap '\000';
+    t.lrows <- Array.make cap [];
+    t.gof <- Array.make (cap + 1) 0;
+    t.roff <- Array.make (cap + 1) 0;
+    t.bk <- Array.make cap max_int;
+    t.fw <- Array.make cap (-1);
+    t.bkm <- Array.make ps 0;
+    t.vh <- Array.make ps 0;
+    t.vl <- Array.make ps 0;
+    t.uh <- Array.make ps 0;
+    t.ul <- Array.make ps 0;
+    t.qh <- Array.make ps 0;
+    t.ql <- Array.make ps 0;
+    t.fz <- Array.make ps 0
   end
 
 let res_ensure t n =
@@ -240,16 +270,8 @@ let create base cone =
       cyc_node;
       base_pos;
       cap = 0;
-      h = [||];
-      l = [||];
-      lh = [||];
-      ll = [||];
-      qh = [||];
-      ql = [||];
       mark = Bytes.empty;
       fmark = Bytes.empty;
-      dirty = [||];
-      rdirty = [||];
       rstamp = [||];
       order = [||];
       pos = [||];
@@ -258,7 +280,6 @@ let create base cone =
       members = [||];
       frontier = [||];
       regs = [||];
-      tick = 0;
       repoch = 0;
       rv = [||];
       rvl = [||];
@@ -271,35 +292,44 @@ let create base cone =
       ov_reg = [||];
       ov_rows = [||];
       radj = [||];
-      ovm = [||];
+      gid = [||];
+      kd = [||];
+      pin = [||];
+      tbl = [||];
+      lov = Bytes.empty;
+      lrows = [||];
+      gof = [||];
+      gat = [||];
+      roff = [||];
+      rins = [||];
+      bk = [||];
+      fw = [||];
+      bkm = [||];
+      vh = [||];
+      vl = [||];
+      uh = [||];
+      ul = [||];
+      qh = [||];
+      ql = [||];
+      fz = [||];
       n_evals = 0;
-      n_quiet = 0;
       n_splices = 0;
+      sc = Array.make 16 0;
       phs = Array.make 4 0;
       pls = Array.make 4 0;
+      ims = Array.make 4 0;
       newh = Array.make stride 0;
       newl = Array.make stride 0;
       resh = [||];
       resl = [||];
       reslh = [||];
       resll = [||];
-      dv = [||];
-      dvl = [||];
-      dq = [||];
-      dmark = Bytes.empty;
-      dlist = [||];
-      fz = [||];
       ever = [||];
       pv_seen = [||];
       pv_depth = [||];
       pv_epoch = 0;
-      tb_h = Array.make (max 1 bn) 0;
-      tb_l = Array.make (max 1 bn) 0;
-      tb_c = Array.make (max 1 bn) (-1);
-      tpb_h = Array.make (max 1 bn) 0;
-      tpb_l = Array.make (max 1 bn) 0;
-      tpb_c = Array.make (max 1 bn) (-1);
-      last_tape = None;
+      tw = [||];
+      tw_tape = None;
       last_cone = [||];
       last_nm = 0;
     }
@@ -311,9 +341,9 @@ let csr t = (t.csr_off, t.csr_succ)
 let bel_of t = t.bel_of
 let last_cone t = Array.sub t.last_cone 0 t.last_nm
 
-type work = { evals : int; quiet : int; splices : int }
+type work = { evals : int; splices : int }
 
-let work t = { evals = t.n_evals; quiet = t.n_quiet; splices = t.n_splices }
+let work t = { evals = t.n_evals; splices = t.n_splices }
 
 (* Whether node [u] replaces the current first-divergence pick [f]
    ([-1] = none yet): smaller BFS depth from the seed set, then smaller
@@ -321,8 +351,26 @@ let work t = { evals = t.n_evals; quiet = t.n_quiet; splices = t.n_splices }
 let nearer_first depth u f =
   f < 0 || depth.(u) < depth.(f) || (depth.(u) = depth.(f) && u < f)
 
-(* Index of the single set bit of [m] (an isolated power of two). *)
-let rec bit_index m i = if m land 1 = 1 then i else bit_index (m lsr 1) (i + 1)
+(* The row [rows] rewire node [u] to, else [base]. *)
+let rec row_or (u : int) base = function
+  | [] -> base
+  | (n, r) :: tl -> if n = u then r else row_or u base tl
+
+(* Index of the single set bit of [m] (an isolated power of two below
+   2^32). *)
+let bit_index m =
+  let i = if m land 0xffff = 0 then 16 else 0 in
+  let i = if (m lsr i) land 0xff = 0 then i + 8 else i in
+  let i = if (m lsr i) land 0xf = 0 then i + 4 else i in
+  let i = if (m lsr i) land 0x3 = 0 then i + 2 else i in
+  if (m lsr i) land 1 = 0 then i + 1 else i
+
+(* A tape value as a plane-word code: bit 0 = may be One (the H
+   plane), bit 1 = may be Zero (the L plane). *)
+let tw_code = function Logic.One -> 1 | Logic.Zero -> 2 | Logic.X -> 3
+
+let[@inline] code_h c = -(c land 1) land Lanes.full
+let[@inline] code_l c = -((c lsr 1) land 1) land Lanes.full
 
 let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
   let v = t.view in
@@ -355,7 +403,6 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
   let nn = bn + tot_extras in
   ensure t nn;
   t.n_evals <- 0;
-  t.n_quiet <- 0;
   t.n_splices <- 0;
   if voters <> None && Array.length t.pv_seen < t.cap then begin
     t.ever <- Array.make (t.cap * stride) 0;
@@ -396,6 +443,17 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
             invalid_arg "Fsim_batch.run: Seed_node lane with rewiring"
       | F.Seed_derived -> ())
     lanes;
+  (match t.tw_tape with
+  | Some tp when tp == tape -> ()
+  | _ ->
+      t.tw <- Array.make (max 1 (bn * cycles)) 0;
+      for c = 0 to cycles - 1 do
+        for u = 0 to bn - 1 do
+          t.tw.((c * bn) + u) <- tw_code (F.tape_get_u tape c u)
+        done
+      done;
+      t.tw_tape <- Some tape);
+  let tw = t.tw in
   let ext_row = Array.make (max 1 tot_extras) [||] in
   let ext_lane = Array.make (max 1 tot_extras) 0 in
   (* ---- per-lane overlays, into the per-node slots ---- *)
@@ -445,11 +503,6 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
   let set_lane a i m on =
     a.(i) <- (if on then a.(i) lor m else a.(i) land lnot m)
   in
-  let lut_overlay node sub m =
-    let i = (node * stride) + sub in
-    t.ovm.(i) <- t.ovm.(i) lor m;
-    touch node
-  in
   Array.iteri
     (fun li d ->
       let sub = li lsr 5 and bit = li land 31 in
@@ -463,14 +516,12 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
               let a = t1_of node in
               for mt = 0 to 15 do
                 set_lane a ((sub * 16) + mt) m ((tbl lsr mt) land 1 = 1)
-              done;
-              lut_overlay node sub m
+              done
           | F.Cp_inv iv ->
               let a = im_of node in
               for j = 0 to 3 do
                 set_lane a ((sub * 4) + j) m ((iv lsr j) land 1 = 1)
-              done;
-              lut_overlay node sub m
+              done
           | F.Cp_qinit q ->
               let ah, al = qi_of node in
               set_lane ah sub m (Lanes.broadcast_h q <> 0);
@@ -486,7 +537,7 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
         (fun (node, row) ->
           let rrow = Array.map remap row in
           t.ov_rows.(node) <- (li, rrow) :: t.ov_rows.(node);
-          lut_overlay node sub m;
+          touch node;
           lane_rows.(li) <- (node, rrow) :: lane_rows.(li);
           Array.iter (fun p -> if p >= 0 then radj_add p node) rrow)
         d.F.dl_rows;
@@ -508,9 +559,8 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
      [Seed_derived], what really differs from the base — the cell or
      kind, rows that changed (a re-resolved row can equal the base one)
      and every appended node — exactly the nodes whose function differs
-     from the base.  They root the union cone, are woken every cycle,
-     and drive the convergence replay, the replay veto and the
-     provenance BFS. *)
+     from the base.  They root the union cone and drive the convergence
+     replay, the replay veto and the provenance BFS. *)
   let lane_sseeds =
     Array.mapi
       (fun li rule ->
@@ -587,9 +637,9 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
      the q planes, and their input row is read only at the clock
      edge, after every combinational member settled.  A node whose kind
      some lane overrides is ordered as combinational, for the lanes that
-     read its pins now.  A leftover is a cycle in the UNION graph; the
-     nodes involved are appended at the end of the order and settled by
-     extra evaluation sweeps, with Kleene iteration wherever a lane's
+     read its pins now.  A leftover is on or behind a cycle of the UNION
+     graph; the leftover nodes are appended at the end of the order and
+     settled by fixpoint sweeps, with Kleene iteration wherever a lane's
      own circuit may be cyclic (classified below). ---- *)
   (* [mixed u]: some lane overrides [u]'s kind; [is_reg u]: a register
      in every lane; [clocked u]: a register in some lane *)
@@ -645,15 +695,13 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
   let eff_row_of li u =
     if u >= bn then ext_row.(u - bn)
     else if lane_reg li u then [||]
-    else
-      match List.assoc_opt u lane_rows.(li) with
-      | Some r -> r
-      | None -> v.F.v_inputs.(u)
+    else row_or u v.F.v_inputs.(u) lane_rows.(li)
   in
   let kahn_len = !ot in
   let have_backedges = !ot < nm in
   let scc_starts = ref [||] in
-  (* per leftover SCC: its Kleene cut nodes ([t.fz] holds their lanes);
+  Array.fill t.fz 0 (nm * ns) 0;
+  (* per leftover SCC: its Kleene cut members ([t.fz] holds their lanes);
      per lane: some seed lies on a cycle of its own circuit, so it
      never replay-converges *)
   let gcuts = ref [||] in
@@ -670,7 +718,7 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
        the leftover subgraph, dependencies first (successors = inputs,
        mirroring the base engine's Tarjan): the per-cycle loop then
        settles each SCC locally instead of re-sweeping the whole
-       suffix, and cross-SCC re-marks can only point forward.  Any
+       suffix, and edges between SCCs only point forward.  Any
        lane's own cycle lies entirely inside one such SCC (Kahn peels
        everything not on or downstream of a cycle). *)
     let leftover = ref [] in
@@ -775,20 +823,21 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
       u >= 0 && Bytes.get t.mark u <> '\000' && t.indeg.(u) > 0
     in
     let add_cut u s m =
-      let b = u * stride in
+      let i = t.pos.(u) in
+      let b = i * ns in
       let fresh = ref true in
-      for s' = 0 to stride - 1 do
+      for s' = 0 to ns - 1 do
         if t.fz.(b + s') <> 0 then fresh := false
       done;
       if !fresh then begin
-        let g = grp.(t.pos.(u) - kahn_len) in
-        gc.(g) <- u :: gc.(g)
+        let g = grp.(i - kahn_len) in
+        gc.(g) <- i :: gc.(g)
       end;
       t.fz.(b + s) <- t.fz.(b + s) lor m
     in
     (* Kleene cuts: a set of nodes meeting every cycle of every lane's
        own circuit.  With a lane's cut bits held fixed its circuit is
-       acyclic, so the event-driven sweeps settle the rest to unique
+       acyclic, so the sweeps settle the rest to unique
        values; re-evaluating the cuts from there and repeating is
        Kleene iteration on the cut values alone.  Every node of a
        base-cyclic SCC is a cut for all lanes.  A lane's cycle outside
@@ -848,22 +897,8 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
     done
   end;
   let gcuts = !gcuts in
-  t.last_nm <- nm;
-  t.last_cone <- Array.sub t.order 0 nm;
-  (* undecided lanes; a decided lane leaves every divergence word *)
-  let und = Lanemask.create nlanes in
-  Lanemask.set_all und;
-  let live = Array.init ns (Lanemask.word und) in
-  (* ---- registers and frontier ---- *)
-  let nregs = ref 0 in
-  for i = 0 to nm - 1 do
-    let u = t.members.(i) in
-    if clocked u then begin
-      t.regs.(!nregs) <- u;
-      incr nregs
-    end
-  done;
-  let nregs = !nregs in
+  (* ---- frontier: non-members some member reads; they follow the
+     tape in every lane ---- *)
   let nfrontier = ref 0 in
   for i = 0 to nm - 1 do
     iter_edges t.members.(i) (fun p ->
@@ -925,142 +960,485 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
         end)
       lane_sseeds
   in
-  (* suspect watch indices: inside the union cone (a lane that remaps a
-     position reads its own node there, checked per lane) *)
-  let suspects = ref [] in
-  Array.iteri
-    (fun wi w ->
-      if w >= 0 && w < bn && Bytes.get t.mark w <> '\000' then
-        suspects := wi :: !suspects)
-    watch;
-  let suspects = Array.of_list (List.rev !suspects) in
-  (* ---- divergence state (PROOFS-style difference simulation).
-     Stored planes are meaningful only on the lanes recorded in the
-     per-node divergence word [dv]; every other lane implicitly holds
-     the tape value of the current cycle, so tape switching costs
-     nothing — work is proportional to actual divergence, not to cone
-     activity.  [dvl] is the divergence word as of the last boundary
-     (glitch-rule reads), [dq] the register-state divergence against
-     the next boundary's tape.  [mcnt] counts diverged base members
-     per lane — the convergence test's "cone equals the tape" is then
-     a zero check.  [dlist] is the active set: nodes with a non-empty
-     divergence word, woken (with their readers) at each cycle start
-     because their tape-following inputs may move. *)
-  let h = t.h and l = t.l and lh = t.lh and ll = t.ll in
-  let dv = t.dv and dvl = t.dvl and dq = t.dq in
-  let mcnt = Array.make nlanes 0 in
-  let dmark = t.dmark in
-  let dlist = t.dlist in
-  let ndl = ref 0 in
-  let dpush u =
-    if Bytes.get dmark u = '\000' then begin
-      Bytes.set dmark u '\001';
-      dlist.(!ndl) <- u;
-      incr ndl
-    end
-  in
-  let cur_c = ref 0 in
-  (* extras exist only in their own lane's circuit: permanently
-     diverged there (they have no tape value), implicitly X to every
-     other lane *)
-  for e = 0 to tot_extras - 1 do
-    let u = bn + e in
-    if Bytes.get t.mark u <> '\000' then begin
-      let li = ext_lane.(e) in
-      let w = 1 lsl (li land 31) in
-      dv.((u * stride) + (li lsr 5)) <- w;
-      dvl.((u * stride) + (li lsr 5)) <- w;
-      dpush u
-    end
+  (* ---- the compiled program.  Local indices: member [i] of the
+     evaluation order is local [i] ([t.pos] says so already), frontier
+     node [k] is local [nm + k], and local [zero] is a constant Zero
+     that unused LUT pins read (their inversion bit dropped, as the
+     scalar pin scan skips them).  Every member's pins, kind, table and
+     resolve row land in flat arrays of [t]. ---- *)
+  for k = 0 to nfrontier - 1 do
+    t.pos.(t.frontier.(k)) <- nm + k
   done;
-  let tick0 = t.tick + 1 in
-  t.tick <- tick0 + cycles + 2;
-  (* lanes of sub [s] in which the clocked node [r] is a register: its
-     state planes and [dq] mean nothing on the others *)
-  let reg_w r s =
-    let a = t.ov_reg.(r) in
-    if Array.length a > 0 then a.(s) else fullw
-  in
-  for i = 0 to nregs - 1 do
-    let r = t.regs.(i) in
-    let b = r * stride in
-    (if Array.length t.ov_qh.(r) > 0 then begin
-       Array.blit t.ov_qh.(r) 0 t.qh b ns;
-       Array.blit t.ov_ql.(r) 0 t.ql b ns
-     end
-     else
-       let hh = Lanes.broadcast_h v.F.v_q_init.(r)
-       and lw = Lanes.broadcast_l v.F.v_q_init.(r) in
-       for s = 0 to ns - 1 do
-         t.qh.(b + s) <- hh;
-         t.ql.(b + s) <- lw
-       done);
-    (* initial register-state divergence (patched q-init, or a node
-       the lane made registered) *)
-    let tv = F.tape_get_u tape 0 r in
-    let nz = ref false in
-    for s = 0 to ns - 1 do
-      let d =
-        Lanes.mismatch ~h:t.qh.(b + s) ~l:t.ql.(b + s) tv
-        land live.(s) land reg_w r s
-      in
-      dq.(b + s) <- d;
-      if d <> 0 then nz := true
+  let zero = nm + nfrontier in
+  let nloc = zero + 1 in
+  let gid = t.gid in
+  Array.blit t.order 0 gid 0 nm;
+  Array.blit t.frontier 0 gid nm nfrontier;
+  gid.(zero) <- -1;
+  let loc p = if p < 0 then -1 else t.pos.(p) in
+  let nres = ref 0 in
+  let add_row row =
+    let n = Array.length row in
+    if Array.length t.rins < !nres + n then begin
+      let a = Array.make (max (!nres + n) (2 * Array.length t.rins + 64)) 0 in
+      Array.blit t.rins 0 a 0 !nres;
+      t.rins <- a
+    end;
+    for k = 0 to n - 1 do
+      t.rins.(!nres + k) <- loc row.(k)
     done;
-    if !nz then t.dirty.(r) <- tick0
-  done;
-  (* fault sites, deduplicated across lanes: woken every cycle —
-     their patched logic computes from tape-following inputs, so
-     divergence can (re)appear there at any cycle without any event *)
-  let seed_nodes =
-    let smark = Bytes.make nn '\000' in
-    let acc = ref [] in
-    Array.iter
-      (List.iter (fun u ->
-           if Bytes.get smark u = '\000' then begin
-             Bytes.set smark u '\001';
-             acc := u :: !acc
-           end))
-      lane_sseeds;
-    Array.of_list !acc
+    nres := !nres + n
   in
-  let nseednodes = Array.length seed_nodes in
-  (* ---- event scheme.
-     [pu] is the marking node's topological position: marking a
-     combinational member at or behind it is a union-graph back edge,
-     so the current sweep must run again to settle it. ---- *)
-  let sweep_again = ref false in
-  let mark1 s tick pu =
-    if Bytes.get t.mark s <> '\000' then begin
-      let k = if s < bn then v.F.v_kind.(s) else F.kind_resolve in
-      if k = F.kind_bel_reg && not (mixed s) then begin
-        if t.rdirty.(s) < tick then t.rdirty.(s) <- tick
-      end
-      else begin
-        (* a node of overridden kind re-latches in its register lanes
-           and re-evaluates in its combinational ones *)
-        if mixed s && t.rdirty.(s) < tick then t.rdirty.(s) <- tick;
-        let tg = if k = F.kind_resolve then tick + 1 else tick in
-        if t.dirty.(s) < tg then t.dirty.(s) <- tg;
-        if t.pos.(s) <= pu then sweep_again := true
-      end
+  let ngat = ref 0 in
+  (* lanes [m] of sub [s] read local [p] at pin [j]: one entry per
+     distinct (sub, pin, node) of the member starting at [g0] *)
+  let add_gather g0 s j p m =
+    let k = ref g0 in
+    let same k = t.gat.(k) = s && t.gat.(k + 1) = j && t.gat.(k + 2) = p in
+    while !k < !ngat && not (same !k) do
+      k := !k + 4
+    done;
+    if !k < !ngat then t.gat.(!k + 3) <- t.gat.(!k + 3) lor m
+    else begin
+      if Array.length t.gat < !ngat + 4 then begin
+        let a = Array.make (2 * Array.length t.gat + 64) 0 in
+        Array.blit t.gat 0 a 0 !ngat;
+        t.gat <- a
+      end;
+      t.gat.(!ngat) <- s;
+      t.gat.(!ngat + 1) <- j;
+      t.gat.(!ngat + 2) <- p;
+      t.gat.(!ngat + 3) <- m;
+      ngat := !ngat + 4
     end
   in
-  let rec mark_list l tick pu =
-    match l with
-    | [] -> ()
-    | s :: tl ->
-        mark1 s tick pu;
-        mark_list tl tick pu
+  let nregs = ref 0 in
+  for i = 0 to nm - 1 do
+    let u = gid.(i) in
+    t.roff.(i) <- !nres;
+    t.gof.(i) <- !ngat;
+    t.bk.(i) <- max_int;
+    t.fw.(i) <- -1;
+    t.lrows.(i) <- [];
+    Bytes.set t.lov i '\000';
+    if u >= bn then begin
+      t.kd.(i) <- k_extra;
+      add_row ext_row.(u - bn)
+    end
+    else begin
+      let k = v.F.v_kind.(u) in
+      if k = F.kind_bel_comb || k = F.kind_bel_reg then begin
+        let row = v.F.v_inputs.(u) in
+        (* a rewired row reads its own node only where it differs *)
+        List.iter
+          (fun (li, rrow) ->
+            for j = 0 to 3 do
+              if rrow.(j) <> row.(j) then
+                add_gather t.gof.(i) (li lsr 5) j (loc rrow.(j))
+                  (1 lsl (li land 31))
+            done)
+          t.ov_rows.(u);
+        let iv = ref 0 in
+        for j = 0 to 3 do
+          let p = row.(j) in
+          t.pin.((4 * i) + j) <- (if p < 0 then zero else t.pos.(p)) * ns;
+          if p >= 0 then iv := !iv lor (v.F.v_inv.(u) land (1 lsl j))
+        done;
+        t.tbl.(i) <- Lanes.fold_inversion ~table:v.F.v_table.(u) ~inv:!iv;
+        let ov =
+          Array.length t.ov_t1.(u) > 0
+          || Array.length t.ov_im.(u) > 0
+          || t.ov_rows.(u) <> []
+        in
+        if ov then Bytes.set t.lov i '\001';
+        t.kd.(i) <-
+          (if mixed u then k_mixed
+           else if k = F.kind_bel_reg then k_reg
+           else if ov then k_lut_ov
+           else k_lut);
+        if clocked u then begin
+          t.regs.(!nregs) <- i;
+          incr nregs
+        end
+      end
+      else if k = F.kind_resolve then begin
+        t.kd.(i) <- k_res;
+        add_row v.F.v_inputs.(u);
+        t.lrows.(i) <-
+          List.map (fun (li, row) -> (li, Array.map loc row)) t.ov_rows.(u)
+      end
+      else t.kd.(i) <- k_tape
+    end
+  done;
+  t.roff.(nm) <- !nres;
+  t.gof.(nm) <- !ngat;
+  let nregs = !nregs in
+  let rins = t.rins in
+  (* reader spans inside the union SCCs: member [i] read by a member
+     [r] of its own group at or before it is a back edge ([bk] = the
+     lowest such [r], [bkm] the lanes that read it there while the
+     sweeps run); [fw] is its highest reader after it *)
+  let starts = !scc_starts in
+  let nscc = Array.length starts in
+  let gend g = if g + 1 < nscc then starts.(g + 1) else nm in
+  Array.fill t.bkm 0 (nm * ns) 0;
+  for g = 0 to nscc - 1 do
+    let s0 = starts.(g) and s1 = gend g in
+    for r = s0 to s1 - 1 do
+      (* lanes that read [p] through this edge; a Kleene cut's cut
+         lanes hold their value while the sweeps run *)
+      let edge li p =
+        if p >= 0 && Bytes.get t.mark p <> '\000' then begin
+          let i = t.pos.(p) in
+          if i >= r && i < s1 then
+            for s = 0 to ns - 1 do
+              let m =
+                (if li < 0 then fullw
+                 else if li lsr 5 = s then 1 lsl (li land 31)
+                 else 0)
+                land lnot t.fz.((r * ns) + s)
+              in
+              if m <> 0 then begin
+                if r < t.bk.(i) then t.bk.(i) <- r;
+                t.bkm.((i * ns) + s) <- t.bkm.((i * ns) + s) lor m
+              end
+            done;
+          if i < r && i >= s0 && r > t.fw.(i) then t.fw.(i) <- r
+        end
+      in
+      let u = gid.(r) in
+      if u >= bn then Array.iter (edge ext_lane.(u - bn)) ext_row.(u - bn)
+      else begin
+        Array.iter (edge (-1)) v.F.v_inputs.(u);
+        List.iter (fun (li, row) -> Array.iter (edge li) row) t.ov_rows.(u)
+      end
+    done
+  done;
+  (* segments: maximal runs of the Kahn prefix and acyclic singleton
+     groups are swept once, in order; every other group is settled to
+     its fixpoint, with its Kleene cuts *)
+  let segs = ref [] in
+  let run_lo = ref 0 in
+  for g = 0 to nscc - 1 do
+    let s0 = starts.(g) and s1 = gend g in
+    if s1 - s0 > 1 || t.bk.(s0) < max_int || gcuts.(g) <> [] then begin
+      if !run_lo < s0 then segs := (!run_lo, s0, None) :: !segs;
+      segs := (s0, s1, Some (Array.of_list gcuts.(g))) :: !segs;
+      run_lo := s1
+    end
+  done;
+  if !run_lo < nm then segs := (!run_lo, nm, None) :: !segs;
+  let segs = Array.of_list (List.rev !segs) in
+  t.last_nm <- nm;
+  t.last_cone <- Array.sub t.order 0 nm;
+  (* ---- initial state: every local X (also the glitch rule's value
+     before cycle 0), the Zero slot Zero, the registers at their
+     (per-lane) init values ---- *)
+  let vh = t.vh and vl = t.vl and uh = t.uh and ul = t.ul in
+  let qh = t.qh and ql = t.ql and fz = t.fz in
+  Array.fill vh 0 (nloc * ns) fullw;
+  Array.fill vl 0 (nloc * ns) fullw;
+  Array.fill uh 0 (nloc * ns) fullw;
+  Array.fill ul 0 (nloc * ns) fullw;
+  Array.fill vh (zero * ns) ns 0;
+  for k = 0 to nregs - 1 do
+    let i = t.regs.(k) in
+    let u = gid.(i) and b = i * ns in
+    if Array.length t.ov_qh.(u) > 0 then begin
+      Array.blit t.ov_qh.(u) 0 qh b ns;
+      Array.blit t.ov_ql.(u) 0 ql b ns
+    end
+    else begin
+      Array.fill qh b ns (Lanes.broadcast_h v.F.v_q_init.(u));
+      Array.fill ql b ns (Lanes.broadcast_l v.F.v_q_init.(u))
+    end
+  done;
+  (* ---- the evaluation kernel: member [i]'s planes for sub [s] land in
+     [dh.(o + s)]/[dl.(o + s)] ---- *)
+  let pin = t.pin and kd = t.kd and tbl = t.tbl in
+  let roff = t.roff and lrows = t.lrows and gof = t.gof and gat = t.gat in
+  let bk = t.bk and bkm = t.bkm and fw = t.fw in
+  let sc = t.sc and phs = t.phs and pls = t.pls in
+  let newh = t.newh and newl = t.newl in
+  let cur_c = ref 0 in
+  let lane_v p sub bit =
+    let b = (p * ns) + sub in
+    Lanes.lane ~h:vh.(b) ~l:vl.(b) bit
   in
-  let mark_readers u tick ~pu =
-    if u < bn then
-      for e = t.csr_off.(u) to t.csr_off.(u + 1) - 1 do
-        mark1 t.csr_succ.(e) tick pu
+  let lane_lv p sub bit =
+    let b = (p * ns) + sub in
+    Lanes.lane ~h:uh.(b) ~l:ul.(b) bit
+  in
+  (* a node's value in one lane: its planes where the program holds it,
+     the tape's elsewhere (remapped watch positions, replay) *)
+  let node_v u sub bit =
+    if Bytes.get t.mark u <> '\000' || Bytes.get t.fmark u <> '\000' then
+      lane_v t.pos.(u) sub bit
+    else F.tape_get_u tape !cur_c u
+  in
+  let splice vv dh dl o sub bit =
+    let m = 1 lsl bit in
+    dh.(o + sub) <- dh.(o + sub) land lnot m lor (Lanes.broadcast_h vv land m);
+    dl.(o + sub) <- dl.(o + sub) land lnot m lor (Lanes.broadcast_l vv land m)
+  in
+  (* one lane's resolve over the locals [a.(off) .. a.(off + n - 1)] *)
+  let scalar_resolve a off n sub bit =
+    if n = 0 then Logic.X
+    else begin
+      let vr = ref (lane_v a.(off) sub bit) in
+      for k = 1 to n - 1 do
+        vr := Logic.resolve !vr (lane_v a.(off + k) sub bit)
       done;
-    mark_list t.radj.(u) tick pu
+      match !vr with
+      | Logic.X -> Logic.X
+      | (Logic.Zero | Logic.One) as sv ->
+          let g = ref false in
+          for k = 0 to n - 1 do
+            if not (Logic.equal (lane_lv a.(off + k) sub bit) sv) then g := true
+          done;
+          if !g then Logic.X else sv
+    end
   in
-  (* ---- per-lane effective circuit (row splices and replay) ---- *)
+  (* lanes reading pin [j] inverted: the per-lane masks [ima] when some
+     lane patched them, else the base inversion bits [inv] *)
+  let[@inline] pin_im ima inv s j =
+    if Array.length ima > 0 then ima.((s * 4) + j)
+    else -((inv lsr j) land 1) land fullw
+  in
+  let ims = t.ims in
+  (* a LUT with the base table, inversion and row in every lane *)
+  let lut_plain i dh dl o =
+    let b = 4 * i in
+    Lanes.lut_node sc ~table:tbl.(i) ~h:vh ~l:vl pin.(b) pin.(b + 1)
+      pin.(b + 2) pin.(b + 3)
+      ns ~dh ~dl o;
+    t.n_evals <- t.n_evals + ns
+  in
+  (* a LUT some lane patched: per-lane inversion masks and leaves, and
+     a lane that rewired a pin reads its own node there (an unused pin
+     is constant Zero) *)
+  let lut_ov i dh dl o =
+    let u = gid.(i) in
+    let row = v.F.v_inputs.(u) and b = 4 * i in
+    let iv = v.F.v_inv.(u) and ima = t.ov_im.(u) and leaves = t.ov_t1.(u) in
+    let g1 = gof.(i + 1) in
+    for s = 0 to ns - 1 do
+      for j = 0 to 3 do
+        let im = pin_im ima iv s j in
+        ims.(j) <- im;
+        if row.(j) < 0 then begin
+          phs.(j) <- 0;
+          pls.(j) <- fullw
+        end
+        else begin
+          let p = pin.(b + j) + s in
+          let h = vh.(p) and l = vl.(p) in
+          phs.(j) <- h land lnot im lor (l land im);
+          pls.(j) <- l land lnot im lor (h land im)
+        end
+      done;
+      let k = ref gof.(i) in
+      while !k < g1 do
+        if gat.(!k) = s then begin
+          let j = gat.(!k + 1) and p = gat.(!k + 2) and m = gat.(!k + 3) in
+          if p < 0 then begin
+            phs.(j) <- phs.(j) land lnot m;
+            pls.(j) <- pls.(j) lor m
+          end
+          else begin
+            let im = ims.(j) in
+            let h = vh.((p * ns) + s) and l = vl.((p * ns) + s) in
+            phs.(j) <-
+              phs.(j) land lnot m lor (h land lnot im lor (l land im) land m);
+            pls.(j) <-
+              pls.(j) land lnot m lor (l land lnot im lor (h land im) land m)
+          end
+        end;
+        k := !k + 4
+      done;
+      if Array.length leaves > 0 then
+        Lanes.lut_leaves ~ph:phs ~pl:pls ~leaves ~at:(s * 16) ~dh ~dl (o + s)
+      else
+        Lanes.lut_words sc v.F.v_table.(u) phs.(0) pls.(0) phs.(1) pls.(1)
+          phs.(2) pls.(2) phs.(3) pls.(3) dh dl (o + s)
+    done;
+    t.n_evals <- t.n_evals + ns
+  in
+  let lut_at i dh dl o =
+    if Bytes.get t.lov i <> '\000' then lut_ov i dh dl o
+    else lut_plain i dh dl o
+  in
+  let rec splice_rows rows dh dl o =
+    match rows with
+    | [] -> ()
+    | (li, rrow) :: tl ->
+        let sub = li lsr 5 and bit = li land 31 in
+        splice
+          (scalar_resolve rrow 0 (Array.length rrow) sub bit)
+          dh dl o sub bit;
+        t.n_splices <- t.n_splices + 1;
+        splice_rows tl dh dl o
+  in
+  let res_eval i dh dl o =
+    let r0 = roff.(i) in
+    let n = roff.(i + 1) - r0 in
+    res_ensure t n;
+    let resh = t.resh and resl = t.resl in
+    let reslh = t.reslh and resll = t.resll in
+    for s = 0 to ns - 1 do
+      for k = 0 to n - 1 do
+        let p = (rins.(r0 + k) * ns) + s in
+        resh.(k) <- vh.(p);
+        resl.(k) <- vl.(p);
+        reslh.(k) <- uh.(p);
+        resll.(k) <- ul.(p)
+      done;
+      Lanes.resolve_planes ~n ~h:resh ~l:resl ~lh:reslh ~ll:resll ~dh ~dl
+        (o + s)
+    done;
+    t.n_evals <- t.n_evals + ns;
+    splice_rows lrows.(i) dh dl o
+  in
+  (* an appended node exists only in its own lane's circuit: X in
+     every other lane *)
+  let extra_eval i dh dl o =
+    let li = ext_lane.(gid.(i) - bn) in
+    for s = 0 to ns - 1 do
+      dh.(o + s) <- fullw;
+      dl.(o + s) <- fullw
+    done;
+    let sub = li lsr 5 and bit = li land 31 in
+    let r0 = roff.(i) in
+    splice (scalar_resolve rins r0 (roff.(i + 1) - r0) sub bit) dh dl o sub bit;
+    t.n_splices <- t.n_splices + 1
+  in
+  let eval_into i dh dl o =
+    let k = kd.(i) in
+    if k = k_lut then lut_plain i dh dl o
+    else if k = k_lut_ov then lut_ov i dh dl o
+    else if k = k_reg then begin
+      for s = 0 to ns - 1 do
+        dh.(o + s) <- qh.((i * ns) + s);
+        dl.(o + s) <- ql.((i * ns) + s)
+      done
+    end
+    else if k = k_mixed then begin
+      (* the LUT in the combinational lanes, the state in the
+         registered ones *)
+      lut_at i dh dl o;
+      let ra = t.ov_reg.(gid.(i)) and b = i * ns in
+      for s = 0 to ns - 1 do
+        let r = ra.(s) in
+        dh.(o + s) <- dh.(o + s) land lnot r lor (qh.(b + s) land r);
+        dl.(o + s) <- dl.(o + s) land lnot r lor (ql.(b + s) land r)
+      done
+    end
+    else if k = k_res then res_eval i dh dl o
+    else if k = k_extra then extra_eval i dh dl o
+    else begin
+      let tc = tw.((!cur_c * bn) + gid.(i)) in
+      let th = code_h tc and tl = code_l tc in
+      for s = 0 to ns - 1 do
+        dh.(o + s) <- th;
+        dl.(o + s) <- tl
+      done
+    end
+  in
+  (* undecided lanes: a decided lane (watch error, or proven
+     convergence) leaves every check *)
+  let live = Array.make ns 0 in
+  for li = 0 to nlanes - 1 do
+    live.(li lsr 5) <- live.(li lsr 5) lor (1 lsl (li land 31))
+  done;
+  (* ---- fixpoint segments.  While [freeze] is set, the cut lanes of a
+     Kleene cut keep their value: the commit leaves those bits as they
+     are. ---- *)
+  let freeze = ref false in
+  (* commit member [i]: 0 = its planes stayed, 1 = they moved, 2 = they
+     moved on a lane of one of its back edges *)
+  let commit i =
+    let b = i * ns in
+    let moved = ref 0 in
+    for s = 0 to ns - 1 do
+      let f = if !freeze then fz.(b + s) else 0 in
+      let nh = newh.(s) land lnot f lor (vh.(b + s) land f)
+      and nl = newl.(s) land lnot f lor (vl.(b + s) land f) in
+      let d = nh lxor vh.(b + s) lor (nl lxor vl.(b + s)) in
+      if d <> 0 then begin
+        if d land bkm.(b + s) <> 0 then moved := 2
+        else if !moved = 0 then moved := 1;
+        vh.(b + s) <- nh;
+        vl.(b + s) <- nl
+      end
+    done;
+    !moved
+  in
+  (* Settle the group [lo, hi).  The cut lanes restart from X at the
+     cuts; sweeps then settle everything else with the cut bits held,
+     and the cuts are re-evaluated; rounds repeat until no cut moves.
+     A sweep covers [from, upto): a member that moves extends it to its
+     last forward reader, and, if it moved on a lane of a back edge,
+     puts its back readers into the next sweep; a member no moved input
+     reaches keeps its value.  Each
+     round raises some cut value (monotone from X) and each sweep
+     settles one more level of a cut-free acyclic graph: at most n + 1
+     of each. *)
+  let settle lo hi cuts =
+    let kleene = Array.length cuts > 0 in
+    for c = 0 to Array.length cuts - 1 do
+      let b = cuts.(c) * ns in
+      for s = 0 to ns - 1 do
+        vh.(b + s) <- vh.(b + s) lor fz.(b + s);
+        vl.(b + s) <- vl.(b + s) lor fz.(b + s)
+      done
+    done;
+    freeze := kleene;
+    let rounds = ref (hi - lo + 1) in
+    let from = ref lo and upto = ref hi in
+    while !from < !upto do
+      if !rounds = 0 then
+        failwith "Fsim_batch.run: Kleene rounds exceeded the n+1 bound";
+      decr rounds;
+      let budget = ref (hi - lo + 1) in
+      while !from < !upto do
+        if !budget = 0 then
+          failwith "Fsim_batch.run: SCC sweeps exceeded the n+1 bound";
+        decr budget;
+        let nfrom = ref hi and nupto = ref lo in
+        let i = ref !from in
+        while !i < !upto do
+          let m = !i in
+          eval_into m newh newl 0;
+          let mv = commit m in
+          if mv > 0 then begin
+            if fw.(m) >= !upto then upto := fw.(m) + 1;
+            if mv = 2 then begin
+              if bk.(m) < !nfrom then nfrom := bk.(m);
+              if m >= !nupto then nupto := m + 1
+            end
+          end;
+          incr i
+        done;
+        from := !nfrom;
+        upto := !nupto
+      done;
+      if kleene then begin
+        freeze := false;
+        for c = 0 to Array.length cuts - 1 do
+          let m = cuts.(c) in
+          eval_into m newh newl 0;
+          if commit m > 0 then begin
+            from := min !from (min bk.(m) (m + 1));
+            upto := max !upto (max (fw.(m) + 1) (m + 1))
+          end
+        done;
+        freeze := true
+      end
+    done;
+    freeze := false
+  in
+  (* ---- per-lane convergence replay over the lane's effective
+     circuit ---- *)
   let eff_table li u =
     match lane_cell.(li) with
     | Some (n, F.Cp_table tb) when n = u -> tb
@@ -1076,409 +1454,6 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
     | Some (n, F.Cp_ce b) when n = u -> b
     | _ -> v.F.v_ce_frozen.(u)
   in
-  (* single-lane reads (scalar splice paths and replay): an
-     undiverged lane holds the tape value implicitly *)
-  let lane_v p sub bit =
-    let bp = (p * stride) + sub in
-    if dv.(bp) land (1 lsl bit) <> 0 then Lanes.lane ~h:h.(bp) ~l:l.(bp) bit
-    else if p < bn then F.tape_get_u tape !cur_c p
-    else Logic.X
-  in
-  let lane_lv p sub bit =
-    let bp = (p * stride) + sub in
-    if dvl.(bp) land (1 lsl bit) <> 0 then
-      Lanes.lane ~h:lh.(bp) ~l:ll.(bp) bit
-    else if p < bn && !cur_c > 0 then F.tape_get_u tape (!cur_c - 1) p
-    else Logic.X
-  in
-  let splice vv sub bit =
-    let m = 1 lsl bit in
-    t.newh.(sub) <-
-      t.newh.(sub) land lnot m lor (Lanes.broadcast_h vv land m);
-    t.newl.(sub) <-
-      t.newl.(sub) land lnot m lor (Lanes.broadcast_l vv land m)
-  in
-  let scalar_resolve row sub bit =
-    let n = Array.length row in
-    if n = 0 then Logic.X
-    else begin
-      let vr = ref (lane_v row.(0) sub bit) in
-      for i = 1 to n - 1 do
-        vr := Logic.resolve !vr (lane_v row.(i) sub bit)
-      done;
-      match !vr with
-      | Logic.X -> Logic.X
-      | (Logic.Zero | Logic.One) as sv ->
-          let g = ref false in
-          for i = 0 to n - 1 do
-            if not (Logic.equal (lane_lv row.(i) sub bit) sv) then g := true
-          done;
-          if !g then Logic.X else sv
-    end
-  in
-  (* tape-value broadcast planes, memoized per node per cycle: every
-     undiverged lane of [p] reads the same tape bit, and a node is
-     read by several members within one cycle.  The memo survives
-     across runs as long as the worker keeps the same tape. *)
-  (match t.last_tape with
-  | Some tp when tp == tape -> ()
-  | _ ->
-      Array.fill t.tb_c 0 bn (-1);
-      Array.fill t.tpb_c 0 bn (-1);
-      t.last_tape <- Some tape);
-  let tb_h = t.tb_h and tb_l = t.tb_l and tb_c = t.tb_c in
-  let tape_bcast p =
-    if tb_c.(p) <> !cur_c then begin
-      let tv = F.tape_get_u tape !cur_c p in
-      tb_h.(p) <- Lanes.broadcast_h tv;
-      tb_l.(p) <- Lanes.broadcast_l tv;
-      tb_c.(p) <- !cur_c
-    end
-  in
-  let tpb_h = t.tpb_h and tpb_l = t.tpb_l and tpb_c = t.tpb_c in
-  let tape_bcast_prev p =
-    (* caller guarantees [!cur_c > 0] *)
-    if tpb_c.(p) <> !cur_c then begin
-      let tv = F.tape_get_u tape (!cur_c - 1) p in
-      tpb_h.(p) <- Lanes.broadcast_h tv;
-      tpb_l.(p) <- Lanes.broadcast_l tv;
-      tpb_c.(p) <- !cur_c
-    end
-  in
-  (* ---- the evaluation kernel: every result lands in newh/newl, one
-     plane word pair per sub-word ---- *)
-  let phs = t.phs and pls = t.pls and newh = t.newh and newl = t.newl in
-  (* lanes reading pin [j] inverted: the per-lane masks [ima] when some
-     lane patched them, else the base inversion bits [inv] *)
-  let pin_im ima inv s j =
-    if Array.length ima > 0 then ima.((s * 4) + j)
-    else if (inv lsr j) land 1 = 1 then fullw
-    else 0
-  in
-  (* pin words of sub [s] over the base row, inversion applied: an
-     undiverged lane reads the tape's value *)
-  let base_pins row inv ima s =
-    for j = 0 to 3 do
-      let p = row.(j) in
-      if p < 0 then begin
-        phs.(j) <- 0;
-        pls.(j) <- fullw
-      end
-      else begin
-        let bp = (p * stride) + s in
-        let d = dv.(bp) in
-        let ph =
-          if d = fullw then h.(bp)
-          else begin
-            tape_bcast p;
-            if d = 0 then tb_h.(p)
-            else h.(bp) land d lor (tb_h.(p) land lnot d)
-          end
-        in
-        let pl =
-          if d = fullw then l.(bp)
-          else if d = 0 then tb_l.(p)
-          else l.(bp) land d lor (tb_l.(p) land lnot d)
-        in
-        let im = pin_im ima inv s j in
-        phs.(j) <- Lanes.pin_h ~h:ph ~l:pl ~im ~unused:0;
-        pls.(j) <- Lanes.pin_l ~h:ph ~l:pl ~im ~unused:0
-      end
-    done
-  in
-  (* a lane that rewired this LUT's row reads its own pins: gather that
-     lane's pin bits (its own inversion bit applied; an unused pin is
-     constant Zero) into the pin words *)
-  let rec gather_rows rows ima inv s =
-    match rows with
-    | [] -> ()
-    | (li, rrow) :: tl ->
-        if li lsr 5 = s then begin
-          let m = 1 lsl (li land 31) in
-          for j = 0 to 3 do
-            let p = rrow.(j) in
-            let own = p >= 0 && dv.((p * stride) + s) land m <> 0 in
-            if p >= 0 && p < bn && not own then tape_bcast p;
-            let bp = (p * stride) + s in
-            let sh =
-              if p < 0 then 0
-              else if own then h.(bp)
-              else if p < bn then tb_h.(p)
-              else fullw
-            in
-            let sl =
-              if p < 0 then fullw
-              else if own then l.(bp)
-              else if p < bn then tb_l.(p)
-              else fullw
-            in
-            let im = pin_im ima inv s j in
-            let unused = if p < 0 then m else 0 in
-            phs.(j) <-
-              phs.(j) land lnot m
-              lor (Lanes.pin_h ~h:sh ~l:sl ~im ~unused land m);
-            pls.(j) <-
-              pls.(j) land lnot m
-              lor (Lanes.pin_l ~h:sh ~l:sl ~im ~unused land m)
-          done
-        end;
-        gather_rows tl ima inv s
-  in
-  (* sub-word [s] of LUT node [u] (a combinational bel, or a register's
-     next-state function): pins gathered, then one word-parallel LUT
-     over the base table or the per-lane leaves *)
-  let lut_sub u s =
-    let inv = v.F.v_inv.(u) and ima = t.ov_im.(u) in
-    base_pins v.F.v_inputs.(u) inv ima s;
-    (match t.ov_rows.(u) with
-    | [] -> ()
-    | rows -> gather_rows rows ima inv s);
-    let leaves = t.ov_t1.(u) in
-    if Array.length leaves > 0 then
-      Lanes.lut_leaves ~ph:phs ~pl:pls ~leaves ~at:(s * 16) ~dh:newh ~dl:newl s
-    else
-      Lanes.lut_table ~ph:phs ~pl:pls ~table:v.F.v_table.(u) ~dh:newh
-        ~dl:newl s;
-    t.n_evals <- t.n_evals + 1
-  in
-  let comb_planes u =
-    for s = 0 to ns - 1 do
-      lut_sub u s
-    done
-  in
-  let undiverged p s = p < 0 || dv.((p * stride) + s) = 0 in
-  (* A quiet sub-word — no lane with an overlay at [u], no diverged lane
-     on any input — equals the tape on every lane: the tape is the
-     settled fixpoint tape(u) = LUT(tape(inputs)) of the base circuit.
-     (Only on the evaluation path: a register's next state at the clock
-     reads this cycle's values against the next cycle's tape.)  False
-     when the commit would be a no-op: every sub-word quiet and no lane
-     diverged at [u]. *)
-  let comb_eval u =
-    let row = v.F.v_inputs.(u) in
-    let b = u * stride in
-    let moves = ref false in
-    for s = 0 to ns - 1 do
-      if
-        t.ovm.(b + s) = 0
-        && undiverged row.(0) s
-        && undiverged row.(1) s
-        && undiverged row.(2) s
-        && undiverged row.(3) s
-      then begin
-        tape_bcast u;
-        newh.(s) <- tb_h.(u);
-        newl.(s) <- tb_l.(u);
-        if dv.(b + s) <> 0 then moves := true;
-        t.n_quiet <- t.n_quiet + 1
-      end
-      else begin
-        lut_sub u s;
-        moves := true
-      end
-    done;
-    !moves
-  in
-  let rec splice_resolve_rows rows =
-    match rows with
-    | [] -> ()
-    | (li, rrow) :: tl ->
-        let sub = li lsr 5 and bit = li land 31 in
-        splice (scalar_resolve rrow sub bit) sub bit;
-        t.n_splices <- t.n_splices + 1;
-        splice_resolve_rows tl
-  in
-  let res_planes u =
-    let row = v.F.v_inputs.(u) in
-    let n = Array.length row in
-    res_ensure t n;
-    for s = 0 to ns - 1 do
-      for i = 0 to n - 1 do
-        let p = row.(i) in
-        let bp = (p * stride) + s in
-        let d = dv.(bp) and dl = dvl.(bp) in
-        (if d = fullw then begin
-           t.resh.(i) <- h.(bp);
-           t.resl.(i) <- l.(bp)
-         end
-         else begin
-           tape_bcast p;
-           if d = 0 then begin
-             t.resh.(i) <- tb_h.(p);
-             t.resl.(i) <- tb_l.(p)
-           end
-           else begin
-             t.resh.(i) <- h.(bp) land d lor (tb_h.(p) land lnot d);
-             t.resl.(i) <- l.(bp) land d lor (tb_l.(p) land lnot d)
-           end
-         end);
-        if dl = fullw then begin
-          t.reslh.(i) <- lh.(bp);
-          t.resll.(i) <- ll.(bp)
-        end
-        else if !cur_c > 0 then begin
-          tape_bcast_prev p;
-          if dl = 0 then begin
-            t.reslh.(i) <- tpb_h.(p);
-            t.resll.(i) <- tpb_l.(p)
-          end
-          else begin
-            t.reslh.(i) <- lh.(bp) land dl lor (tpb_h.(p) land lnot dl);
-            t.resll.(i) <- ll.(bp) land dl lor (tpb_l.(p) land lnot dl)
-          end
-        end
-        else begin
-          t.reslh.(i) <- lh.(bp) land dl lor (fullw land lnot dl);
-          t.resll.(i) <- ll.(bp) land dl lor (fullw land lnot dl)
-        end
-      done;
-      Lanes.resolve_planes ~n ~h:t.resh ~l:t.resl ~lh:t.reslh ~ll:t.resll
-        ~dh:newh ~dl:newl s;
-      t.n_evals <- t.n_evals + 1
-    done;
-    splice_resolve_rows t.ov_rows.(u)
-  in
-  let extra_planes u =
-    let li = ext_lane.(u - bn) in
-    let sub = li lsr 5 and bit = li land 31 in
-    for s = 0 to ns - 1 do
-      t.newh.(s) <- fullw;
-      t.newl.(s) <- fullw
-    done;
-    splice (scalar_resolve ext_row.(u - bn) sub bit) sub bit;
-    t.n_splices <- t.n_splices + 1
-  in
-  (* nodes whose value planes changed this cycle: only those need
-     their previous-cycle (glitch-rule) planes refreshed at the
-     boundary, instead of copying the whole union cone every cycle *)
-  let chmark = Bytes.make nn '\000' in
-  let chlist = Array.make (nm + nfrontier + 1) 0 in
-  let nch = ref 0 in
-  let note_changed u =
-    if Bytes.get chmark u = '\000' then begin
-      Bytes.set chmark u '\001';
-      chlist.(!nch) <- u;
-      incr nch
-    end
-  in
-  (* a base node's divergence word [s] moves from [od] to [nd] *)
-  let retag u s od nd =
-    dv.((u * stride) + s) <- nd;
-    if nd <> 0 then dpush u;
-    let m = ref (nd lxor od) in
-    while !m <> 0 do
-      let lsb = !m land - !m in
-      let li = (s * 32) + bit_index lsb 0 in
-      if nd land lsb <> 0 then mcnt.(li) <- mcnt.(li) + 1
-      else mcnt.(li) <- mcnt.(li) - 1;
-      m := !m land (!m - 1)
-    done
-  in
-  (* while [freeze] is set, the cut lanes of a Kleene cut node keep
-     their value: the commit leaves those bits as they are *)
-  let freeze = ref false in
-  let nobs = ref 0 in
-  let commit u tick =
-    let b = u * stride in
-    let obs = ref false in
-    let fz = t.fz in
-    (if u >= bn then
-       (* extras: divergence word is fixed (own lane); decided lanes
-          are masked out *)
-       for s = 0 to ns - 1 do
-         let f = if !freeze then fz.(b + s) else 0 in
-         let nh = t.newh.(s) land lnot f lor (h.(b + s) land f)
-         and nl = t.newl.(s) land lnot f lor (l.(b + s) land f) in
-         let dw =
-           ((h.(b + s) lxor nh) lor (l.(b + s) lxor nl)) land live.(s)
-         in
-         if dw <> 0 then begin
-           obs := true;
-           h.(b + s) <- nh;
-           l.(b + s) <- nl
-         end
-       done
-     else begin
-       tape_bcast u;
-       let th = tb_h.(u) and tl = tb_l.(u) in
-       for s = 0 to ns - 1 do
-         let f = if !freeze then fz.(b + s) else 0 in
-         let nh = t.newh.(s) land lnot f lor (h.(b + s) land f)
-         and nl = t.newl.(s) land lnot f lor (l.(b + s) land f) in
-         let od = dv.(b + s) in
-         let nd =
-           ((nh lxor th) lor (nl lxor tl)) land live.(s) land lnot f
-           lor (od land f)
-         in
-         (* observable to readers: a lane entering/leaving divergence,
-            or a value change on a diverged lane — undiverged lanes
-            are read from the tape, so their stored bits don't matter *)
-         let dw = ((h.(b + s) lxor nh) lor (l.(b + s) lxor nl)) land nd in
-         if nd <> od || dw <> 0 then begin
-           obs := true;
-           h.(b + s) <- nh;
-           l.(b + s) <- nl;
-           if nd <> od then retag u s od nd
-         end
-       done
-     end);
-    if !obs then begin
-      incr nobs;
-      note_changed u;
-      mark_readers u tick ~pu:t.pos.(u)
-    end
-  in
-  let eval_member u tick =
-    if t.dirty.(u) >= tick then begin
-      (* consume the event so extra sweeps only revisit re-marked
-         nodes; a tick+1 stamp (resolve next-cycle rule) survives *)
-      if t.dirty.(u) = tick then t.dirty.(u) <- tick - 1;
-      if u >= bn then begin
-        extra_planes u;
-        commit u tick
-      end
-      else begin
-        let k = v.F.v_kind.(u) in
-        if mixed u then begin
-          (* the LUT in the combinational lanes, the state in the
-             registered ones *)
-          comb_planes u;
-          let b = u * stride in
-          let tv = F.tape_get_u tape !cur_c u in
-          let bh = Lanes.broadcast_h tv and bl = Lanes.broadcast_l tv in
-          let ra = t.ov_reg.(u) in
-          for s = 0 to ns - 1 do
-            let r = ra.(s) and d = dq.(b + s) in
-            let qh = (t.qh.(b + s) land d) lor (bh land lnot d)
-            and ql = (t.ql.(b + s) land d) lor (bl land lnot d) in
-            t.newh.(s) <- t.newh.(s) land lnot r lor (qh land r);
-            t.newl.(s) <- t.newl.(s) land lnot r lor (ql land r)
-          done;
-          commit u tick
-        end
-        else if k = F.kind_bel_reg then begin
-          let b = u * stride in
-          let tv = F.tape_get_u tape !cur_c u in
-          let bh = Lanes.broadcast_h tv and bl = Lanes.broadcast_l tv in
-          for s = 0 to ns - 1 do
-            let d = dq.(b + s) in
-            t.newh.(s) <- (t.qh.(b + s) land d) lor (bh land lnot d);
-            t.newl.(s) <- (t.ql.(b + s) land d) lor (bl land lnot d)
-          done;
-          commit u tick
-        end
-        else if k = F.kind_bel_comb then begin
-          if comb_eval u then commit u tick
-        end
-        else if k = F.kind_resolve then begin
-          res_planes u;
-          commit u tick
-        end
-      end
-    end
-  in
-  (* ---- per-lane convergence replay over the lane's effective
-     circuit ---- *)
   let replay_converges li c =
     t.repoch <- t.repoch + 1;
     let ep = t.repoch in
@@ -1487,17 +1462,12 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
     let sub = li lsr 5 and bit = li land 31 in
     for i = 0 to nseeds - 1 do
       let s0 = seeds.(i) in
+      let b = (t.pos.(s0) * ns) + sub in
       t.rstamp.(s0) <- ep;
-      t.rv.(s0) <- lane_v s0 sub bit;
-      t.rvl.(s0) <- lane_lv s0 sub bit;
+      t.rv.(s0) <- lane_v t.pos.(s0) sub bit;
+      t.rvl.(s0) <- lane_lv t.pos.(s0) sub bit;
       if s0 < bn && lane_reg li s0 then
-        t.rq.(s0) <-
-          (if dq.((s0 * stride) + sub) land (1 lsl bit) <> 0 then
-             Lanes.lane
-               ~h:t.qh.((s0 * stride) + sub)
-               ~l:t.ql.((s0 * stride) + sub)
-               bit
-           else F.tape_get_u tape (c + 1) s0)
+        t.rq.(s0) <- Lanes.lane ~h:qh.(b) ~l:ql.(b) bit
     done;
     let getv cy p =
       if t.rstamp.(p) = ep then t.rv.(p) else F.tape_get_u tape cy p
@@ -1507,10 +1477,7 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
     in
     let eff_row u =
       if u >= bn then ext_row.(u - bn)
-      else
-        match List.assoc_opt u lane_rows.(li) with
-        | Some r -> r
-        | None -> v.F.v_inputs.(u)
+      else row_or u v.F.v_inputs.(u) lane_rows.(li)
     in
     let replay_lut cy u =
       let row = eff_row u in
@@ -1578,43 +1545,27 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
     done;
     !ok
   in
-  (* a decided lane (watch error or confirmed convergence) no longer
-     needs simulating: drop it from the live mask and scrub its
-     divergence bits, so the active set shrinks as verdicts land
-     instead of dragging every decided lane's divergence to the last
-     cycle *)
-  let purge_lane li =
-    let s = li lsr 5 in
-    let m = 1 lsl (li land 31) in
-    live.(s) <- live.(s) land lnot m;
-    for i = 0 to !ndl - 1 do
-      let b = (dlist.(i) * stride) + s in
-      dv.(b) <- dv.(b) land lnot m
-    done;
-    for i = 0 to nregs - 1 do
-      let b = (t.regs.(i) * stride) + s in
-      dq.(b) <- dq.(b) land lnot m
-    done
+  (* ---- verdicts ---- *)
+  let nund = ref nlanes in
+  let decide li =
+    live.(li lsr 5) <- live.(li lsr 5) land lnot (1 lsl (li land 31));
+    decr nund
   in
-  (* ---- the per-cycle loop ---- *)
+  let undecided li = live.(li lsr 5) land (1 lsl (li land 31)) <> 0 in
   let err_cy = Array.make nlanes (-1) in
   let conv_cy = Array.make nlanes (-1) in
   let det_cy = Array.make nlanes (-1) in
   (* a watch mismatch of lane [li] at position [wi]: functional entries
      ([wi < nfunc]) record the first error, trailing detection entries
-     the first disagreement flag.  The lane is decided — and leaves the
-     batch — once its functional verdict landed and no detection
-     verdict is still pending; with [ndetect = 0] it retires on its
-     first error *)
+     the first disagreement flag.  The lane is decided once its
+     functional verdict landed and no detection verdict is still
+     pending; with [ndetect = 0] it retires on its first error *)
   let note_watch li wi c =
     (if wi < nfunc then begin
        if err_cy.(li) < 0 then err_cy.(li) <- c
      end
      else if det_cy.(li) < 0 then det_cy.(li) <- c);
-    if err_cy.(li) >= 0 && (ndetect = 0 || det_cy.(li) >= 0) then begin
-      Lanemask.clear und li;
-      purge_lane li
-    end
+    if err_cy.(li) >= 0 && (ndetect = 0 || det_cy.(li) >= 0) then decide li
   in
   (* after lane [li] converged at [c], its remapped positions keep
      reading their old nodes, whose tape can still differ from the
@@ -1635,28 +1586,52 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
       incr c'
     done
   in
+  (* suspect watch positions: their base node inside the union cone (a
+     lane that remaps a position reads its own node there, checked per
+     lane) *)
+  let suspects = ref [] in
+  Array.iteri
+    (fun wi w ->
+      if w >= 0 && w < bn && Bytes.get t.mark w <> '\000' then
+        suspects := wi :: !suspects)
+    watch;
+  let suspects = Array.of_list (List.rev !suspects) in
+  let remaps = Array.exists (fun ws -> ws <> []) lane_watch in
+  (* lanes that never replay-converge *)
+  let norep = Array.make ns 0 in
+  Array.iteri
+    (fun li nr ->
+      if nr then norep.(li lsr 5) <- norep.(li lsr 5) lor (1 lsl (li land 31)))
+    noreplay;
   (* forensic scan state: [fresh] holds the lanes with no divergence
      yet, [first_cy]/[first_nodes] what each lane diverged at first *)
   let collect = voters <> None in
   let ever = t.ever in
-  let fresh = Array.init ns (Lanemask.word und) in
+  let fresh = Array.copy live in
   let hit = Array.make ns 0 in
   let first_cy = Array.make nlanes (-1) in
   let first_nodes = Array.make nlanes [] in
+  (* the undecided lanes' divergence at every base member: the planes
+     against the tape, folded into [ever] *)
+  let dvor = Array.make ns 0 in
   let scan_divergence c =
-    for i = 0 to !ndl - 1 do
-      let u = dlist.(i) in
+    Array.fill dvor 0 ns 0;
+    for i = 0 to nm - 1 do
+      let u = gid.(i) in
       if u < bn then begin
-        let b = u * stride in
+        let tc = tw.((c * bn) + u) in
+        let th = code_h tc and tl = code_l tc in
+        let b = i * ns and eb = u * stride in
         for s = 0 to ns - 1 do
-          let w = dv.(b + s) land Lanemask.word und s in
+          let w = (vh.(b + s) lxor th) lor (vl.(b + s) lxor tl) land live.(s) in
           if w <> 0 then begin
-            ever.(b + s) <- ever.(b + s) lor w;
+            dvor.(s) <- dvor.(s) lor w;
+            ever.(eb + s) <- ever.(eb + s) lor w;
             let m = ref (w land fresh.(s)) in
             hit.(s) <- hit.(s) lor !m;
             while !m <> 0 do
               let lsb = !m land - !m in
-              let li = (s * 32) + bit_index lsb 0 in
+              let li = (s * 32) + bit_index lsb in
               first_nodes.(li) <- u :: first_nodes.(li);
               m := !m land (!m - 1)
             done
@@ -1668,287 +1643,169 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
       let m = ref hit.(s) in
       while !m <> 0 do
         let lsb = !m land - !m in
-        first_cy.((s * 32) + bit_index lsb 0) <- c;
+        first_cy.((s * 32) + bit_index lsb) <- c;
         m := !m land (!m - 1)
       done;
       fresh.(s) <- fresh.(s) land lnot hit.(s);
       hit.(s) <- 0
     done
   in
-  let starts = !scc_starts in
-  let nscc = Array.length starts in
-  (* a Kleene cut restarts its cut lanes from X: an effective change
-     (the lane did not already read X there) schedules the readers *)
-  let reset_cut u tick =
-    let b = u * stride in
-    let tv = if u < bn then F.tape_get_u tape !cur_c u else Logic.X in
-    let tx = if Logic.equal tv Logic.X then fullw else 0 in
-    let moved = ref false in
+  (* convergence candidates: undecided lanes that replay, with no
+     member off the tape (the forensic scan already found those) and no
+     register state off the next cycle's tape; the scans stop once no
+     candidate is left *)
+  let cand = Array.make ns 0 in
+  let candidates c =
+    let any = ref false in
     for s = 0 to ns - 1 do
-      let m = t.fz.(b + s) land live.(s) in
-      if m <> 0 then begin
-        let od = if u < bn then dv.(b + s) else fullw in
-        let was_x = h.(b + s) land l.(b + s) land od lor (tx land lnot od) in
-        let ch = m land lnot was_x in
-        if ch <> 0 then begin
-          moved := true;
-          h.(b + s) <- h.(b + s) lor ch;
-          l.(b + s) <- l.(b + s) lor ch;
-          if u < bn then retag u s od (od land lnot ch lor (ch land lnot tx))
-        end
-      end
+      cand.(s) <- live.(s) land lnot norep.(s);
+      if collect then cand.(s) <- cand.(s) land lnot dvor.(s);
+      if cand.(s) <> 0 then any := true
     done;
-    if !moved then begin
-      note_changed u;
-      mark_readers u tick ~pu:t.pos.(u)
-    end
-  in
-  let cy = ref 0 in
-  while (not (Lanemask.is_empty und)) && !cy < cycles do
-    let c = !cy in
-    let tick = tick0 + c in
-    cur_c := c;
-    (* wake the active set.  Fault sites recompute every cycle: their
-       patched logic can diverge from the moving tape at any time
-       without an upstream event (a fault-site register also clocks
-       every cycle — a patched clock-enable or rerouted D input makes
-       its state drift with no divergence event on the D cone) *)
-    for i = 0 to nseednodes - 1 do
-      let u = seed_nodes.(i) in
-      if clocked u && t.rdirty.(u) < tick then t.rdirty.(u) <- tick;
-      if t.dirty.(u) < tick then t.dirty.(u) <- tick
+    let i = ref (if collect then nm else 0) in
+    while !any && !i < nm do
+      let u = gid.(!i) in
+      if u < bn then begin
+        let tc = tw.((c * bn) + u) and b = !i * ns in
+        let th = code_h tc and tl = code_l tc in
+        any := false;
+        for s = 0 to ns - 1 do
+          cand.(s) <-
+            cand.(s) land lnot ((vh.(b + s) lxor th) lor (vl.(b + s) lxor tl));
+          if cand.(s) <> 0 then any := true
+        done
+      end;
+      incr i
     done;
-    (* diverged nodes and their readers recompute too: their
-       tape-following inputs move under them (the list self-compacts
-       as divergence words empty out) *)
-    let j = ref 0 in
-    for i = 0 to !ndl - 1 do
-      let u = dlist.(i) in
-      let b = u * stride in
-      let nz = ref false in
+    let k = ref 0 in
+    while !any && !k < nregs do
+      let i = t.regs.(!k) in
+      let u = gid.(i) and b = i * ns in
+      let tc = tw.(((c + 1) * bn) + u) and ra = t.ov_reg.(u) in
+      let th = code_h tc and tl = code_l tc in
+      any := false;
       for s = 0 to ns - 1 do
-        if dv.(b + s) <> 0 then nz := true
+        (* the state planes mean nothing where the node is
+           combinational *)
+        let rw = if Array.length ra > 0 then ra.(s) else fullw in
+        cand.(s) <-
+          cand.(s)
+          land lnot ((qh.(b + s) lxor th) lor (ql.(b + s) lxor tl) land rw);
+        if cand.(s) <> 0 then any := true
       done;
-      if !nz then begin
-        dlist.(!j) <- u;
-        incr j;
-        if t.dirty.(u) < tick then t.dirty.(u) <- tick;
-        mark_readers u tick ~pu:(-1)
-      end
-      else Bytes.set dmark u '\000'
+      incr k
     done;
-    ndl := !j;
-    (* event-driven evaluation: the Kahn prefix in topological order
-       (never re-marked behind the scan), then each leftover SCC
-       iterated to its fixpoint — union-graph back edges live inside
-       an SCC, and cross-SCC marks only point forward.  A lane acyclic
-       in the SCC settles to its unique values from any start.  In an
-       SCC with Kleene cuts, a dirty member restarts the cut lanes from
-       X at the cuts, the sweeps settle everything else with the cuts
-       held, then the cuts are re-evaluated; rounds repeat until the
-       cuts stop moving *)
-    for i = 0 to kahn_len - 1 do
-      eval_member t.order.(i) tick
+    !any
+  in
+  (* ---- the per-cycle loop ---- *)
+  let nseg = Array.length segs in
+  let cy = ref 0 in
+  while !nund > 0 && !cy < cycles do
+    let c = !cy in
+    cur_c := c;
+    (* the frontier's tape values *)
+    for k = nm to zero - 1 do
+      let tc = tw.((c * bn) + gid.(k)) in
+      let th = code_h tc and tl = code_l tc in
+      for s = 0 to ns - 1 do
+        vh.((k * ns) + s) <- th;
+        vl.((k * ns) + s) <- tl
+      done
     done;
-    for g = 0 to nscc - 1 do
-      let s0 = starts.(g) in
-      let s1 = if g + 1 < nscc then starts.(g + 1) else nm in
-      let cuts = gcuts.(g) in
-      let kleene = ref false in
-      if cuts <> [] then
-        for i = s0 to s1 - 1 do
-          if t.dirty.(t.order.(i)) >= tick then kleene := true
-        done;
-      if !kleene then List.iter (fun u -> reset_cut u tick) cuts;
-      freeze := !kleene;
-      (* each round raises some cut value (monotone from X), each sweep
-         settles a cut-free acyclic graph: at most n + 1 of each *)
-      let rounds = ref (s1 - s0 + 1) in
-      let settled = ref false in
-      while not !settled do
-        if !rounds = 0 then
-          failwith "Fsim_batch.run: Kleene rounds exceeded the n+1 bound";
-        decr rounds;
-        let budget = ref (s1 - s0 + 1) in
-        sweep_again := true;
-        while !sweep_again do
-          if !budget = 0 then
-            failwith "Fsim_batch.run: SCC sweeps exceeded the n+1 bound";
-          decr budget;
-          sweep_again := false;
-          for i = s0 to s1 - 1 do
-            eval_member t.order.(i) tick
+    (* the members, in order: a plain run once, a union SCC to its
+       fixpoint *)
+    for g = 0 to nseg - 1 do
+      match segs.(g) with
+      | lo, hi, None ->
+          for i = lo to hi - 1 do
+            if kd.(i) = k_lut then lut_plain i vh vl (i * ns)
+            else eval_into i vh vl (i * ns)
           done
-        done;
-        settled := true;
-        if !kleene then begin
-          freeze := false;
-          let before = !nobs in
-          List.iter
-            (fun u ->
-              if t.dirty.(u) < tick then t.dirty.(u) <- tick;
-              eval_member u tick)
-            cuts;
-          freeze := true;
-          if !nobs <> before then settled := false
-        end
-      done;
-      freeze := false
+      | lo, hi, Some cuts -> settle lo hi cuts
     done;
     (* forensic divergence scan: the settled cycle, before decided
        lanes leave the batch *)
     if collect then scan_divergence c;
     (* watched-output check, before the clock *)
     let exp = expected.(c) in
-    for si = 0 to Array.length suspects - 1 do
-      let wi = suspects.(si) in
-      let w = watch.(wi) in
-      let b = w * stride in
-      let ev = exp.(wi) in
-      let tv = F.tape_get_u tape c w in
-      let bm =
-        Lanes.mismatch ~h:(Lanes.broadcast_h tv) ~l:(Lanes.broadcast_l tv)
-          ev
-      in
+    for k = 0 to Array.length suspects - 1 do
+      let wi = suspects.(k) in
+      let b = t.pos.(watch.(wi)) * ns and ev = exp.(wi) in
       for s = 0 to ns - 1 do
-        let d = dv.(b + s) in
         let mism =
-          ((Lanes.mismatch ~h:h.(b + s) ~l:l.(b + s) ev land d)
-          lor (bm land lnot d))
-          land Lanemask.word und s
+          Lanes.mismatch ~h:vh.(b + s) ~l:vl.(b + s) ev
+          land live.(s)
           land lnot wmask.((wi * ns) + s)
         in
         if mism <> 0 then begin
           let m = ref mism in
           while !m <> 0 do
             let lsb = !m land - !m in
-            note_watch ((s * 32) + bit_index lsb 0) wi c;
+            note_watch ((s * 32) + bit_index lsb) wi c;
             m := !m land (!m - 1)
           done
         end
       done
     done;
-    (* remapped positions: the lane's own node, diverged or on the tape *)
-    Array.iteri
-      (fun li ws ->
-        List.iter
-          (fun (wi, node) ->
-            if
-              Lanemask.get und li
-              && not
-                   (Logic.equal
-                      (lane_v node (li lsr 5) (li land 31))
-                      exp.(wi))
-            then note_watch li wi c)
-          ws)
-      lane_watch;
-    (* clock the cone registers.  A register clocks when divergence
-       events reached its D cone ([rdirty]) or its state is already
-       diverged ([dq], it may converge back); otherwise its next state
-       tracks the tape exactly and no work is needed — the stored q
-       planes go stale on undiverged lanes, which is fine because
-       every read blends them through [dq].  The last cycle's next
-       state is never read, so the clock is skipped entirely.  A node
-       whose kind some lane overrides clocks in its register lanes
-       only, and never skips as frozen: where its base kind is
-       combinational, the tape it is compared against moves. *)
+    (* remapped positions: the lane's own node *)
+    if remaps then
+      Array.iteri
+        (fun li ws ->
+          List.iter
+            (fun (wi, node) ->
+              if
+                undecided li
+                && not
+                     (Logic.equal
+                        (node_v node (li lsr 5) (li land 31))
+                        exp.(wi))
+              then note_watch li wi c)
+            ws)
+        lane_watch;
+    (* clock the cone registers; the last cycle's next state is never
+       read.  A frozen lane keeps its state.  A node whose kind some
+       lane overrides clocks in every lane and is read in its register
+       lanes only *)
     if c < cycles - 1 then
-      for i = 0 to nregs - 1 do
-        let r = t.regs.(i) in
-        let b = r * stride in
-        let dqnz = ref false in
-        for s = 0 to ns - 1 do
-          if dq.(b + s) <> 0 then dqnz := true
-        done;
-        if t.rdirty.(r) >= tick || !dqnz then begin
-          let fza = t.ov_ce.(r) in
-          let basefz = v.F.v_ce_frozen.(r) in
-          if mixed r || not (basefz && Array.length fza = 0) then begin
-            comb_planes r;
-            let tvq = F.tape_get_u tape c r in
-            let tvn = F.tape_get_u tape (c + 1) r in
-            let kh = Lanes.broadcast_h tvq and kl = Lanes.broadcast_l tvq in
-            let mark = ref false in
-            for s = 0 to ns - 1 do
-              let fzw =
-                if Array.length fza > 0 then fza.(s)
-                else if basefz then fullw
-                else 0
-              in
-              let od = dq.(b + s) in
-              (* a frozen lane keeps its current state: stored planes
-                 where diverged, the tape's value where not *)
-              let keep_h = t.qh.(b + s) land od lor (kh land lnot od) in
-              let keep_l = t.ql.(b + s) land od lor (kl land lnot od) in
-              let nh = t.newh.(s) land lnot fzw lor (keep_h land fzw) in
-              let nl = t.newl.(s) land lnot fzw lor (keep_l land fzw) in
-              let nd =
-                Lanes.mismatch ~h:nh ~l:nl tvn land live.(s) land reg_w r s
-              in
-              t.qh.(b + s) <- nh;
-              t.ql.(b + s) <- nl;
-              if nd <> 0 || od <> 0 then mark := true;
-              dq.(b + s) <- nd
-            done;
-            if !mark && t.dirty.(r) < tick + 1 then t.dirty.(r) <- tick + 1
-          end
+      for k = 0 to nregs - 1 do
+        let i = t.regs.(k) in
+        let u = gid.(i) in
+        let fza = t.ov_ce.(u) and basefz = v.F.v_ce_frozen.(u) in
+        if kd.(i) = k_mixed || not (basefz && Array.length fza = 0) then begin
+          lut_at i newh newl 0;
+          let b = i * ns in
+          for s = 0 to ns - 1 do
+            let fzw =
+              if Array.length fza > 0 then fza.(s)
+              else if basefz then fullw
+              else 0
+            in
+            qh.(b + s) <- newh.(s) land lnot fzw lor (qh.(b + s) land fzw);
+            ql.(b + s) <- newl.(s) land lnot fzw lor (ql.(b + s) land fzw)
+          done
         end
       done;
-    (* previous-cycle planes and divergence words for the glitch
-       rule: only nodes that committed this cycle can differ from
-       their boundary copy *)
-    for i = 0 to !nch - 1 do
-      let u = chlist.(i) in
-      Bytes.set chmark u '\000';
-      let b = u * stride in
-      for s = 0 to ns - 1 do
-        lh.(b + s) <- h.(b + s);
-        ll.(b + s) <- l.(b + s);
-        dvl.(b + s) <- dv.(b + s)
-      done
+    (* this cycle's planes are the next one's glitch-rule values *)
+    for k = 0 to (nloc * ns) - 1 do
+      uh.(k) <- vh.(k);
+      ul.(k) <- vl.(k)
     done;
-    nch := 0;
-    (* per-lane convergence early-exit: a candidate lane has no
-       diverged member ([mcnt]) and no diverged register state
-       ([dq]); the seed replay then confirms it.  A lane with a seed on
-       a cycle never converges early *)
-    if c < cycles - 1 && not (Lanemask.is_empty und) then begin
-      let cand = Array.init ns (fun s -> Lanemask.word und s) in
-      for li = 0 to nlanes - 1 do
-        if mcnt.(li) <> 0 || noreplay.(li) then
-          cand.(li lsr 5) <- cand.(li lsr 5) land lnot (1 lsl (li land 31))
-      done;
-      let nonzero = ref false in
+    (* per-lane convergence early-exit: a candidate's seed replay
+       confirms it *)
+    if c < cycles - 1 && !nund > 0 && candidates c then
       for s = 0 to ns - 1 do
-        if cand.(s) <> 0 then nonzero := true
-      done;
-      let i = ref 0 in
-      while !nonzero && !i < nregs do
-        let r = t.regs.(!i) in
-        let b = r * stride in
-        nonzero := false;
-        for s = 0 to ns - 1 do
-          cand.(s) <- cand.(s) land lnot dq.(b + s);
-          if cand.(s) <> 0 then nonzero := true
-        done;
-        incr i
-      done;
-      if !nonzero then
-        for s = 0 to ns - 1 do
-          let m = ref cand.(s) in
-          while !m <> 0 do
-            let lsb = !m land - !m in
-            m := !m land (!m - 1);
-            let li = (s * 32) + bit_index lsb 0 in
-            if replay_converges li c then begin
-              conv_cy.(li) <- c;
-              Lanemask.clear und li;
-              purge_lane li;
-              scan_remaps li c
-            end
-          done
+        let m = ref cand.(s) in
+        while !m <> 0 do
+          let lsb = !m land - !m in
+          m := !m land (!m - 1);
+          let li = (s * 32) + bit_index lsb in
+          if replay_converges li c then begin
+            conv_cy.(li) <- c;
+            decide li;
+            scan_remaps li c
+          end
         done
-    end;
+      done;
     incr cy
   done;
   (* ---- per-lane provenance: one BFS from the lane's seed set over
@@ -2015,10 +1872,9 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
           bv_provenance = Option.map (fun vo -> provenance vo li) voters;
         })
   in
-  (* restore the all-zero divergence and cut invariants and the empty
-     overlay slots for the next run: every touched
-     [dv]/[dvl]/[dq]/[ever]/[dmark]/[fz] entry is a member's, every
-     written slot is on [touched] *)
+  (* restore the empty overlay slots and the all-zero [ever] for the
+     next run: every written slot is on [touched], every [ever] entry
+     is a member's *)
   List.iter
     (fun u ->
       t.ov_t1.(u) <- [||];
@@ -2028,25 +1884,10 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
       t.ov_ql.(u) <- [||];
       t.ov_reg.(u) <- [||];
       t.ov_rows.(u) <- [];
-      t.radj.(u) <- [];
-      Array.fill t.ovm (u * stride) stride 0)
+      t.radj.(u) <- [])
     !touched;
-  Array.iter
-    (List.iter (fun u -> Array.fill t.fz (u * stride) stride 0))
-    gcuts;
-  for i = 0 to nm - 1 do
-    let u = t.members.(i) in
-    Bytes.set dmark u '\000';
-    let b = u * stride in
-    for s = 0 to stride - 1 do
-      dv.(b + s) <- 0;
-      dvl.(b + s) <- 0;
-      dq.(b + s) <- 0
+  if collect then
+    for i = 0 to nm - 1 do
+      Array.fill ever (gid.(i) * stride) stride 0
     done;
-    if collect then
-      for s = 0 to stride - 1 do
-        ever.(b + s) <- 0
-      done
-  done;
   verdicts
-

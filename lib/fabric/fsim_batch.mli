@@ -2,9 +2,10 @@
     one fast engine.
 
     Packs up to 64 faults into the lanes of possibility-plane words
-    ({!Fsim_backend.Lanes}) and runs one event-driven cone evaluation
-    over the union of the lanes' fanout cones against the shared
-    baseline tape.  Cell-content patches (truth table, pin inversion,
+    ({!Fsim_backend.Lanes}) and runs one dense evaluation of the union
+    of the lanes' fanout cones against the shared baseline tape: the
+    cone is compiled once per batch, and every cycle sweeps it in order
+    and settles its union SCCs.  Cell-content patches (truth table, pin inversion,
     flip-flop init, clock-enable) apply word-parallel through per-lane
     masks, a rewired LUT row is gathered into the pin words of its lane
     before the one word-parallel LUT evaluation, and rewired resolve
@@ -90,12 +91,11 @@ val run :
     provenance ([bv_provenance]): each cycle folds the lanes'
     divergence words into a per-node ever-diverged word, and after the
     run one BFS per lane over its own effective graph yields the cone,
-    the depths and the voter check.  Without it the per-cycle loop pays
-    one boolean test.
+    the depths and the voter check.
 
     Combinational loops are Kleene-iterated inside the batch: cut nodes
-    meeting every cycle restart from X whenever their SCC of the union
-    graph is dirty, and rounds of sweeps run until the cuts stop
+    meeting every cycle restart from X at every cycle in their SCC of
+    the union graph, and rounds of sweeps run until the cuts stop
     moving.  Node evaluation is monotone in the information order (X
     below Zero and One), so this reaches the least fixpoint, which is
     what {!Fsim.eval} on a rebuilt simulator computes.
@@ -114,9 +114,6 @@ type work = {
   evals : int;
       (** sub-words (32 lanes of one node) computed by the LUT or
           resolve kernel, at evaluation and at the register clock *)
-  quiet : int;
-      (** LUT sub-words short-circuited to the tape: no lane with an
-          overlay at the node, no diverged lane on any of its inputs *)
   splices : int;
       (** single-lane scalar splices: rewired resolve rows and appended
           resolve nodes *)

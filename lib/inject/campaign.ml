@@ -119,11 +119,10 @@ let m_batch_lanes = Tmr_obs.Metrics.counter "campaign.batch_lanes"
 let m_batch_occupancy = Tmr_obs.Metrics.histogram "campaign.batch_occupancy"
 
 (* Batch-kernel work ({!Fsim_batch.work}), added once per batch:
-   32-lane sub-words computed by the LUT/resolve kernel, LUT sub-words
-   short-circuited to the tape (quiet), and the single-lane scalar
-   splices left (rewired resolve rows, appended resolve nodes). *)
+   32-lane sub-words computed by the LUT/resolve kernel and the
+   single-lane scalar splices left (rewired resolve rows, appended
+   resolve nodes). *)
 let m_batch_evals = Tmr_obs.Metrics.counter "campaign.batch_evals"
-let m_batch_quiet = Tmr_obs.Metrics.counter "campaign.batch_quiet"
 let m_batch_splices = Tmr_obs.Metrics.counter "campaign.batch_splices"
 
 (* Cycle at which a batched fault provably converged back to the
@@ -595,10 +594,11 @@ let unpack_lane s : Fsim.dseeds * Fsim.delta = Marshal.from_string s 0
    and copies its verdict); the first fault of each overlay groups by
    {!group_key} and packs, in first-index order, into batches of at most
    {!Fsim_batch.width} lanes.  Silent faults, plan-level rebuilds and
-   reroutes with no overlay stay singles.  The schedule decides how
-   faults are grouped, never a verdict, so results are independent of
-   it. *)
-let plan s st faults masked =
+   reroutes with no overlay stay singles; [silent] records which of them
+   the pass classified silent, proved or cone-silent.  The schedule
+   decides how faults are grouped, never a verdict, so results are
+   independent of it. *)
+let plan s st faults silent =
   let total = Array.length faults in
   let dev = s.s_impl.Impl.dev and db = s.s_impl.Impl.db in
   let ex = st.w_ex and cone = st.w_cone in
@@ -635,7 +635,6 @@ let plan s st faults masked =
       | Some a -> Forensics.masked_domain a bit >= 0
       | None -> false
     in
-    if proved then Bytes.set masked i '\001';
     match if proved then Fsim.Path_silent else Fsim.plan_fault cone ex bit with
     | (Fsim.Path_patch | Fsim.Path_reroute) as path -> (
         match derive bit path with
@@ -653,7 +652,10 @@ let plan s st faults masked =
                 | None ->
                     Hashtbl.add groups k (ref [ i ]);
                     order := k :: !order)))
-    | Fsim.Path_silent | Fsim.Path_rebuild -> singles := i :: !singles
+    | Fsim.Path_silent ->
+        Bytes.set silent i '\001';
+        singles := i :: !singles
+    | Fsim.Path_rebuild -> singles := i :: !singles
   done;
   (* pack neighbouring keys together: bel and wire indices are spatially
      local, so adjacent keys drive overlapping fanout cones and the batch
@@ -683,8 +685,9 @@ let run_session ?progress s ~faults =
   let cone_skip = s.s_cone_skip and fattr = s.s_fattr in
   let ndetect = s.s_ndetect in
   let total = Array.length faults in
-  (* faults the planning pass proved silent by the vote-masking proof *)
-  let masked = Bytes.make total '\000' in
+  (* faults the planning pass classified silent: by the vote-masking
+     proof or as cone-silent *)
+  let silent = Bytes.make total '\000' in
   let dummy =
     { bit = -1; outcome = Silent; effect = Classify.Other_effect;
       first_error_cycle = -1; detect_cycle = -1; forensics = None }
@@ -712,7 +715,7 @@ let run_session ?progress s ~faults =
       Tmr_obs.Trace.with_span "batch_plan" (fun () ->
           let st = state s ~setup_ns 0 in
           let t0 = Tmr_obs.Clock.now_ns () in
-          let units = plan s st faults masked in
+          let units = plan s st faults silent in
           busy_ns.(0) <- busy_ns.(0) + (Tmr_obs.Clock.now_ns () - t0);
           units)
   in
@@ -731,7 +734,7 @@ let run_session ?progress s ~faults =
   let worker wid =
     let st = state s ~setup_ns wid in
     let t_setup = Tmr_obs.Clock.now_ns () in
-    let ex = st.w_ex and ws = st.w_ws and cone = st.w_cone in
+    let ex = st.w_ex and ws = st.w_ws in
     let bump f = stats_per_worker.(wid) <- f stats_per_worker.(wid) in
     let note_converge cv =
       if cv >= 0 then begin
@@ -784,11 +787,7 @@ let run_session ?progress s ~faults =
     let do_fault i =
       let bit = faults.(i) in
       let t0 = Tmr_obs.Clock.now_ns () in
-      let silent =
-        cone_skip
-        && (Bytes.get masked i <> '\000'
-           || Fsim.plan_fault cone ex bit = Fsim.Path_silent)
-      in
+      let silent = Bytes.get silent i <> '\000' in
       let r =
         if silent then begin
           bump (fun s -> { s with skipped = s.skipped + 1 });
@@ -839,7 +838,6 @@ let run_session ?progress s ~faults =
       let nl = Array.length lanes in
       let w = Fsim_batch.work bt in
       Tmr_obs.Metrics.incr ~by:w.Fsim_batch.evals m_batch_evals;
-      Tmr_obs.Metrics.incr ~by:w.Fsim_batch.quiet m_batch_quiet;
       Tmr_obs.Metrics.incr ~by:w.Fsim_batch.splices m_batch_splices;
       Tmr_obs.Metrics.incr ~by:nl m_batch_lanes;
       Tmr_obs.Metrics.observe m_batch_occupancy nl;

@@ -6,7 +6,8 @@
    bits the vote-masking proof classifies silent are silent on the
    oracle, and [tmrtool explain] reports what the campaign reports.
    Also the baseline tape: its packing and the fixpoint invariant the
-   batch kernel's quiet sub-words rest on. *)
+   batch kernel's convergence exit rests on; and that packing never
+   changes a verdict. *)
 
 module Logic = Tmr_logic.Logic
 module Srand = Tmr_logic.Srand
@@ -664,10 +665,11 @@ let test_loop_closing_lanes () =
 
 (* --- the baseline tape is the settled fixpoint of the base circuit:
    at every cycle every combinational base node reads the LUT of its
-   base row's tape values.  The batch engine's quiet sub-words rest on
-   this (a node with no overlay lane and no diverged input equals the
-   tape on every lane).  Nodes of cyclic SCCs are included — the tape
-   holds their least fixpoint, a fixpoint all the same; the reduced
+   base row's tape values.  The batch engine's convergence exit rests
+   on this (a lane's replay reads the tape at every node but its seeds:
+   a node whose inputs follow the tape follows it too).  Nodes of
+   cyclic SCCs are included — the tape holds their least fixpoint, a
+   fixpoint all the same; the reduced
    base graphs have none, so rebuilt simulators of a few loop-closing
    faults of the standard design stand in for them --- *)
 
@@ -991,6 +993,82 @@ let test_collapsing () =
     [ 3203; 9311; 5422; 4120; 1201 ]
     lanes
 
+(* --- packing never changes a verdict.  The planned reroutes of the two
+   reduced designs with the most union-SCC work, tmr_p1 and tmr_p3_nv,
+   pack into batches with union back edges and Kleene cuts.  Packed in
+   cone-key order, in reversed fault order and in a seeded shuffle, and
+   a seeded sample of them as one-lane batches, they are equal fault by
+   fault; a seeded sample equals the oracle --- *)
+
+let reroute_faults (run : Runs.design_run) =
+  let ctx = Lazy.force reduced_ctx in
+  let impl = run.Runs.impl in
+  let ex =
+    Extract.create impl.Impl.dev impl.Impl.db
+      (Bitstream.copy impl.Impl.bitgen.Tmr_pnr.Bitgen.bitstream)
+  in
+  let ws = Fsim.make_workspace impl.Impl.dev in
+  let watch =
+    Array.concat
+      (List.map
+         (fun (port, _) -> Campaign.dut_output_wires impl port)
+         (Netlist.output_ports ctx.Context.golden_nl))
+  in
+  ignore (Fsim.build ~ws ex ~watch_outputs:watch);
+  let cone = Fsim.snapshot_cone ws in
+  let a = Forensics.attrib_of_impl impl in
+  List.filter
+    (fun bit ->
+      Forensics.masked_domain a bit < 0
+      && Fsim.plan_fault cone ex bit = Fsim.Path_reroute)
+    (Array.to_list run.Runs.faultlist.Tmr_inject.Faultlist.bits)
+  |> Array.of_list
+
+let test_packing_independence () =
+  List.iter
+    (fun strategy ->
+      let name = Partition.name strategy in
+      let run, _ = design (strategy, Tmr_core.Voter.Majority) in
+      let faults = reroute_faults run in
+      let n = Array.length faults in
+      Alcotest.(check bool) (name ^ ": reroute faults found") true (n > 0);
+      (* the campaign over [faults] permuted by [order], results back in
+         [faults] order *)
+      let packed order =
+        let c = campaign run name (Array.map (fun i -> faults.(i)) order) in
+        let r = Array.copy c.Campaign.results in
+        Array.iteri (fun k i -> r.(i) <- c.Campaign.results.(k)) order;
+        r
+      in
+      let key = packed (Array.init n Fun.id) in
+      Alcotest.(check (array result_testable))
+        (name ^ ": reversed packing") key
+        (packed (Array.init n (fun i -> n - 1 - i)));
+      let shuffled = Array.init n Fun.id in
+      Srand.shuffle (Srand.create 41) shuffled;
+      Alcotest.(check (array result_testable))
+        (name ^ ": shuffled packing") key (packed shuffled);
+      let pick = Srand.sample (Srand.create 43) (min 40 n) n in
+      Array.sort compare pick;
+      Array.iter
+        (fun k ->
+          Alcotest.check result_testable
+            (Printf.sprintf "%s: bit %d as a one-lane batch" name faults.(k))
+            key.(k)
+            (campaign run name [| faults.(k) |]).Campaign.results.(0))
+        pick;
+      let pick = Srand.sample (Srand.create 47) (min 60 n) n in
+      Array.sort compare pick;
+      let oracle =
+        campaign ~cone_skip:false run name (Array.map (Array.get faults) pick)
+      in
+      Alcotest.(check (array result_testable))
+        (name ^ ": sample == oracle")
+        oracle.Campaign.results
+        (Array.map (fun k -> key.(k)) pick);
+      Printf.printf "%s: %d reroute faults\n" name n)
+    [ Partition.Max_partition; Partition.Min_partition_nv ]
+
 (* --- a session's build (attribution, golden outputs, extract) is
    setup time of the first run on it: worker 0's setup holds it and the
    wall clock covers it, so utilization stays within 1; a later run on
@@ -1240,6 +1318,8 @@ let () =
             test_collapsing;
           Alcotest.test_case "session build counts as first-run setup" `Quick
             test_session_accounting;
+          Alcotest.test_case "packing never changes a verdict" `Slow
+            test_packing_independence;
         ] );
       ( "explain",
         [

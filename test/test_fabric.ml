@@ -384,7 +384,10 @@ let qcheck_lanes_lut =
         pl.(j) <- Lanes.pin_l ~h ~l ~im ~unused
       done;
       let dh = Array.make 2 0 and dl = Array.make 2 0 in
-      if shared then Lanes.lut_table ~ph ~pl ~table:(table 0) ~dh ~dl 1
+      if shared then
+        (* stale scratch must not leak into the result *)
+        Lanes.lut_words (Array.make 16 Lanes.full) (table 0) ph.(0) pl.(0)
+          ph.(1) pl.(1) ph.(2) pl.(2) ph.(3) pl.(3) dh dl 1
       else begin
         (* the leaves sit behind 16 words of noise: [at] must be honoured *)
         let leaves =
@@ -405,6 +408,48 @@ let qcheck_lanes_lut =
                (Scalar.lut_eval ~values:(Array.map logic vals) ~pins
                   ~table:(table li) ~inv))
            lanes))
+
+(* the same with one table and one pin inversion for every lane, folded
+   into the table: [lut_node] over the raw planes, unused pins reading a
+   constant Zero, equals the scalar LUT lane by lane *)
+let qcheck_lanes_lut_node =
+  QCheck.Test.make ~count:500 ~name:"Lanes.lut_node of the folded table"
+    (QCheck.make
+       QCheck.Gen.(
+         quad
+           (array_size (return Lanes.word_bits)
+              (array_size (return 4) (int_bound 2)))
+           (int_bound 15) (int_bound 15) (int_bound 0xffff)))
+    (fun (vals, unused, inv, table) ->
+      let logic k = [| Logic.Zero; Logic.One; Logic.X |].(k) in
+      let lane_bits f =
+        let w = ref 0 in
+        Array.iteri (fun li v -> if f v then w := !w lor (1 lsl li)) vals;
+        !w
+      in
+      (* planes at 2j; a constant Zero at 8 *)
+      let h = Array.make 10 0 and l = Array.make 10 0 in
+      for j = 0 to 3 do
+        h.(2 * j) <- lane_bits (fun v -> v.(j) <> 0);
+        l.(2 * j) <- lane_bits (fun v -> v.(j) <> 1)
+      done;
+      l.(8) <- Lanes.full;
+      let used = lnot unused land 15 in
+      let p j = if (unused lsr j) land 1 = 1 then 8 else 2 * j in
+      let dh = Array.make 2 0 and dl = Array.make 2 0 in
+      Lanes.lut_node (Array.make 16 Lanes.full)
+        ~table:(Lanes.fold_inversion ~table ~inv:(inv land used))
+        ~h ~l (p 0) (p 1) (p 2) (p 3) 1 ~dh ~dl 1;
+      let pins =
+        Array.init 4 (fun j -> if (unused lsr j) land 1 = 1 then -1 else j)
+      in
+      Array.for_all Fun.id
+        (Array.mapi
+           (fun li v ->
+             Logic.equal
+               (Lanes.lane ~h:dh.(1) ~l:dl.(1) li)
+               (Scalar.lut_eval ~values:(Array.map logic v) ~pins ~table ~inv))
+           vals))
 
 let () =
   Alcotest.run "tmr_fabric"
@@ -432,5 +477,9 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_flip_involution;
           Alcotest.test_case "congestion report" `Quick test_congestion_report;
         ] );
-      ("lanes", [ QCheck_alcotest.to_alcotest qcheck_lanes_lut ]);
+      ( "lanes",
+        [
+          QCheck_alcotest.to_alcotest qcheck_lanes_lut;
+          QCheck_alcotest.to_alcotest qcheck_lanes_lut_node;
+        ] );
     ]

@@ -259,7 +259,6 @@ let test_fleet_stream_all_designs () =
 let fleet_counters =
   [
     "campaign.batch_evals";
-    "campaign.batch_quiet";
     "campaign.batch_splices";
     "campaign.batch_lanes";
     "campaign.detection.silent_correct";
@@ -371,6 +370,47 @@ let test_truncated_snapshot () =
     (Result.is_error (Metrics.read_file path));
   Sys.remove path
 
+(* A traced --procs 2 run names where the parent's share of the sharded
+   wall goes: one fork, one wait and one merge span, each on the
+   parent's own lane, and the profiler attributes them. *)
+let test_shard_overhead_spans () =
+  let ctx = Lazy.force ctx in
+  let run = Runs.implement_design ctx tmr_p2 in
+  let job =
+    Service.job ~scale:Context.Reduced ~seed:2 ~faults:40 ~shards:4 tmr_p2
+  in
+  let path = Filename.temp_file "tmr_fleet_trace" ".jsonl" in
+  Tmr_obs.Trace.to_file path;
+  ignore
+    (Fun.protect ~finally:Tmr_obs.Trace.close (fun () ->
+         complete
+           (Service.run_sharded ~procs:2 ~notify:ignore ~dir:(temp_dir "spans")
+              job ctx run)));
+  let lines = read_lines path in
+  let parent = Printf.sprintf "\"pid\":%d," (Unix.getpid ()) in
+  List.iter
+    (fun name ->
+      let mine =
+        List.filter
+          (fun l ->
+            contains ~needle:(Printf.sprintf "{\"name\":\"%s\"" name) l
+            && contains ~needle:parent l)
+          lines
+      in
+      Alcotest.(check int) (name ^ ": one span in the parent") 1
+        (List.length mine))
+    [ "shard_fork"; "shard_wait"; "shard_merge" ];
+  (match Tmr_obs.Profile.of_lines lines with
+  | Error e -> Alcotest.failf "profile: %s" e
+  | Ok p ->
+      let table = Tmr_obs.Profile.span_table p in
+      List.iter
+        (fun name ->
+          Alcotest.(check bool) (name ^ " in the span table") true
+            (contains ~needle:name table))
+        [ "shard_fork"; "shard_wait"; "shard_merge" ]);
+  Sys.remove path
+
 let () =
   Alcotest.run "fleet"
     [
@@ -393,5 +433,10 @@ let () =
             test_unreadable_worker_metrics;
           Alcotest.test_case "truncated snapshot is an Error" `Quick
             test_truncated_snapshot;
+        ] );
+      ( "trace",
+        [
+          Alcotest.test_case "fork, wait and merge spans" `Quick
+            test_shard_overhead_spans;
         ] );
     ]

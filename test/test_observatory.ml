@@ -245,7 +245,20 @@ let test_store_entry () =
             [ "tool_version"; "git_commit" ]
             (List.filteri
                (fun i _ -> i >= List.length fields - 2)
-               (List.map fst fields))
+               (List.map fst fields));
+          (* one token: a described commit (maybe "-dirty") or
+             "unknown" *)
+          let commit =
+            Option.bind (Json.member "git_commit" j) (function
+              | Json.Str s -> Some s
+              | _ -> None)
+          in
+          Alcotest.(check bool) "git_commit is one non-empty token" true
+            (match commit with
+            | Some s ->
+                s <> ""
+                && not (String.exists (fun ch -> ch = ' ' || ch = '\n') s)
+            | None -> false)
       | Ok _ -> Alcotest.fail "entry file is not an object")
 
 let () =
