@@ -251,28 +251,13 @@ let engine_summary (c : Campaign.t) =
     s.Campaign.rebuilt (pct s.Campaign.rebuilt);
   let snap = Metrics.snapshot () in
   if s.Campaign.batched > 0 then begin
-    (match List.assoc_opt "campaign.batch_occupancy" snap.Metrics.histograms with
+    match List.assoc_opt "campaign.batch_occupancy" snap.Metrics.histograms with
     | Some h when h.Metrics.count > 0 ->
         Printf.printf
           "  batch engine: %d faults word-parallel in %d batches, lane \
            occupancy p50 %.0f p95 %.0f\n"
           s.Campaign.batched h.Metrics.count h.Metrics.p50 h.Metrics.p95
-    | _ -> Printf.printf "  batch engine: %d faults word-parallel\n" s.Campaign.batched);
-    let conv_pct =
-      100.0
-      *. float_of_int s.Campaign.converged
-      /. float_of_int (max 1 s.Campaign.batched)
-    in
-    match
-      List.assoc_opt "campaign.diff_converge_cycle" snap.Metrics.histograms
-    with
-    | Some h when h.Metrics.count > 0 ->
-        Printf.printf
-          "  convergence: %d converged early (%.1f%%), median cycle %.0f\n"
-          s.Campaign.converged conv_pct h.Metrics.p50
-    | _ ->
-        Printf.printf "  convergence: %d converged early (%.1f%%)\n"
-          s.Campaign.converged conv_pct
+    | _ -> Printf.printf "  batch engine: %d faults word-parallel\n" s.Campaign.batched
   end;
   Printf.printf "  %-18s %8s %9s %9s %9s\n" "fault latency" "count" "p50"
     "p95" "p99";
@@ -1061,11 +1046,7 @@ let explain_cmd =
                else
                  "  verdict      silent but diverged; no voter in the cone \
                   held its baseline (logic masking)")
-        end;
-        if v.Fsim_batch.bv_converge_cycle >= 0 then
-          Printf.printf
-            "  convergence  faulty state rejoined the baseline at cycle %d\n"
-            v.Fsim_batch.bv_converge_cycle);
+        end);
     match (vcd, vcd_out) with
     | Some w, Some path ->
         Vcd.writer_save w path;

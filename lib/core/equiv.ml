@@ -23,7 +23,10 @@ let vector_for rng ~width ~cycle =
   if cycle < Array.length corners then corners.(cycle)
   else Srand.int rng (1 lsl min width 30) - (1 lsl (min width 30 - 1))
 
-let co_simulate ~cycles ~seed ~reference ~candidate ~drive_candidate =
+(* the random stimulus is the same on every check *)
+let seed = 1
+
+let co_simulate ~cycles ~reference ~candidate ~drive_candidate =
   let rng = Srand.create (seed * 97 + 5) in
   let ref_sim = Netsim.create reference in
   let cand_sim = Netsim.create candidate in
@@ -68,13 +71,13 @@ let co_simulate ~cycles ~seed ~reference ~candidate ~drive_candidate =
   done;
   !result
 
-let check_tmr ?(cycles = 256) ?(seed = 1) ~reference ~tmr () =
-  co_simulate ~cycles ~seed ~reference ~candidate:tmr
+let check_tmr ?(cycles = 256) ~reference ~tmr () =
+  co_simulate ~cycles ~reference ~candidate:tmr
     ~drive_candidate:(fun sim port v ->
       for d = 0 to Tmr.domains - 1 do
         Netsim.set_input sim (Tmr.redundant_port port d) v
       done)
 
-let check_same_ports ?(cycles = 256) ?(seed = 1) ~reference ~candidate () =
-  co_simulate ~cycles ~seed ~reference ~candidate
+let check_same_ports ?(cycles = 256) ~reference ~candidate () =
+  co_simulate ~cycles ~reference ~candidate
     ~drive_candidate:(fun sim port v -> Netsim.set_input sim port v)

@@ -3,7 +3,7 @@
     After {!Tmr.triplicate}, the protected netlist must compute exactly the
     original function when its three input-port copies are driven
     identically.  This checker co-simulates both netlists over directed
-    corner vectors plus seeded random stimulus and reports the first
+    corner vectors plus fixed-seed random stimulus and reports the first
     mismatch.  It is the flow's self-check (run by the tests and available
     to users), not a formal proof: coverage is bounded by [cycles]. *)
 
@@ -16,7 +16,6 @@ type mismatch = {
 
 val check_tmr :
   ?cycles:int ->
-  ?seed:int ->
   reference:Tmr_netlist.Netlist.t ->
   tmr:Tmr_netlist.Netlist.t ->
   unit ->
@@ -27,7 +26,6 @@ val check_tmr :
 
 val check_same_ports :
   ?cycles:int ->
-  ?seed:int ->
   reference:Tmr_netlist.Netlist.t ->
   candidate:Tmr_netlist.Netlist.t ->
   unit ->

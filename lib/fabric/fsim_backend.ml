@@ -39,6 +39,7 @@ module Scalar = struct
     else if s = 0 then true
     else lut_x_const table idx xmask ((s - 1) land xmask) first
 
+  (* Finish a pin-scan accumulator against a truth table. *)
   let lut_of_acc table acc =
     let idx = acc land 0xf and xmask = acc lsr 4 in
     let first = (table lsr idx) land 1 in

@@ -18,11 +18,6 @@ module Scalar : sig
 
   val code_logic : int -> Tmr_logic.Logic.t
 
-  val lut_of_acc : int -> int -> Tmr_logic.Logic.t
-  (** [lut_of_acc table acc] finishes a pin-scan accumulator against a
-      truth table: [acc] packs the LUT index of the defined pins into
-      bits 0-3 and a mask of X pins into bits 4-7. *)
-
   val lut_eval :
     values:Tmr_logic.Logic.t array ->
     pins:int array ->

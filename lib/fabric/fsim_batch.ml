@@ -28,9 +28,9 @@
    (the union cone is a closed superset of each lane's own cone, and
    nodes a fault does not reach reproduce the tape exactly), the
    watched-output check runs at the same point of the cycle as a full
-   replay, and a lane leaves early only when it provably converged back
-   to the baseline (its cone equals the tape at a boundary and a replay
-   of its seeds reproduces the tape for every remaining cycle).
+   replay, and a lane runs until its verdict is in (its first watch
+   error, plus its detection flag when the design has one) or to the
+   last cycle.  Only a batch whose lanes are all decided ends early.
 
    The union graph may be cyclic: lane A's rewired row can read a node
    downstream of lane B's cone, a bridge can close a combinational loop
@@ -47,8 +47,7 @@
    One): Kleene LUT completion, [Logic.resolve], and the glitch rule,
    whose [last] values stay fixed within a cycle.  So
    iteration from X reaches, in any order, the least fixpoint — the
-   value [Fsim.eval] on a rebuilt simulator computes.  A lane with a
-   seed on a cycle never replay-converges.
+   value [Fsim.eval] on a rebuilt simulator computes.
 
    With forensics requested, each lane also gets its divergence
    provenance ({!F.provenance}): a per-cycle word-parallel fold of the
@@ -60,12 +59,10 @@
 
 module Logic = Tmr_logic.Logic
 module Lanes = Fsim_backend.Lanes
-module Scalar = Fsim_backend.Scalar
 module F = Fsim
 
 type verdict = {
   bv_error_cycle : int;
-  bv_converge_cycle : int;
   bv_detect_cycle : int;
   bv_provenance : F.provenance option;
 }
@@ -83,7 +80,6 @@ type t = {
   mutable cap : int;
   mutable mark : Bytes.t;  (* '\001' = union-cone member *)
   mutable fmark : Bytes.t;  (* '\001' = frontier *)
-  mutable rstamp : int array;  (* per node: replay epoch stamp *)
   mutable order : int array;  (* members in evaluation order *)
   mutable pos : int array;  (* member or frontier node -> local index *)
   mutable indeg : int array;
@@ -91,10 +87,6 @@ type t = {
   mutable members : int array;
   mutable frontier : int array;
   mutable regs : int array;  (* clocked members, local indices *)
-  mutable repoch : int;  (* monotone across replays *)
-  mutable rv : Logic.t array;  (* replay overlay: value *)
-  mutable rvl : Logic.t array;  (* replay overlay: last *)
-  mutable rq : Logic.t array;  (* replay overlay: register state *)
   (* per-node overlay slots (base nodes + appended extras), empty
      between runs: each run clears the slots of the nodes it touched on
      the way out *)
@@ -193,8 +185,6 @@ let ensure t n =
     let ps = (cap + 1) * t.stride in
     t.mark <- Bytes.make cap '\000';
     t.fmark <- Bytes.make cap '\000';
-    (* fresh stamps start at 0 < any live epoch: never stale *)
-    t.rstamp <- Array.make cap 0;
     t.order <- Array.make cap 0;
     t.pos <- Array.make cap 0;
     t.indeg <- Array.make cap 0;
@@ -202,9 +192,6 @@ let ensure t n =
     t.members <- Array.make cap 0;
     t.frontier <- Array.make cap 0;
     t.regs <- Array.make cap 0;
-    t.rv <- Array.make cap Logic.X;
-    t.rvl <- Array.make cap Logic.X;
-    t.rq <- Array.make cap Logic.X;
     t.ov_t1 <- Array.make cap [||];
     t.ov_im <- Array.make cap [||];
     t.ov_ce <- Array.make cap [||];
@@ -272,7 +259,6 @@ let create base cone =
       cap = 0;
       mark = Bytes.empty;
       fmark = Bytes.empty;
-      rstamp = [||];
       order = [||];
       pos = [||];
       indeg = [||];
@@ -280,10 +266,6 @@ let create base cone =
       members = [||];
       frontier = [||];
       regs = [||];
-      repoch = 0;
-      rv = [||];
-      rvl = [||];
-      rq = [||];
       ov_t1 = [||];
       ov_im = [||];
       ov_ce = [||];
@@ -463,7 +445,6 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
     t.radj.(p) <- r :: t.radj.(p);
     touch p
   in
-  let lane_cell = Array.make nlanes None in
   let lane_rows : (int * int array) list array = Array.make nlanes [] in
   (* per lane: (watch position, node) the lane reads there instead of
      the base watch node; per position and sub: the lanes that do *)
@@ -510,7 +491,6 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
       (match d.F.dl_cell with
       | None -> ()
       | Some (node, p) -> (
-          lane_cell.(li) <- Some (node, p);
           match p with
           | F.Cp_table tbl ->
               let a = t1_of node in
@@ -559,8 +539,8 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
      [Seed_derived], what really differs from the base — the cell or
      kind, rows that changed (a re-resolved row can equal the base one)
      and every appended node — exactly the nodes whose function differs
-     from the base.  They root the union cone and drive the convergence
-     replay, the replay veto and the provenance BFS. *)
+     from the base.  They root the union cone and the provenance BFS,
+     and the Kleene cuts of a lane's own cycles are among them. *)
   let lane_sseeds =
     Array.mapi
       (fun li rule ->
@@ -647,7 +627,7 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
   let is_reg u = u < bn && v.F.v_kind.(u) = F.kind_bel_reg && not (mixed u) in
   let clocked u = u < bn && (v.F.v_kind.(u) = F.kind_bel_reg || mixed u) in
   let lane_reg li u =
-    match lane_cell.(li) with
+    match lanes.(li).F.dl_cell with
     | Some (n, F.Cp_reg r) when n = u -> r
     | _ -> v.F.v_kind.(u) = F.kind_bel_reg
   in
@@ -701,18 +681,8 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
   let have_backedges = !ot < nm in
   let scc_starts = ref [||] in
   Array.fill t.fz 0 (nm * ns) 0;
-  (* per leftover SCC: its Kleene cut members ([t.fz] holds their lanes);
-     per lane: some seed lies on a cycle of its own circuit, so it
-     never replay-converges *)
+  (* per leftover SCC: its Kleene cut members ([t.fz] holds their lanes) *)
   let gcuts = ref [||] in
-  let noreplay = Array.make nlanes false in
-  (* a watch position remapped to an appended node reads a value with no
-     tape behind it: that lane never converges early *)
-  Array.iteri
-    (fun li ws ->
-      if List.exists (fun (_, node) -> node >= bn) ws then
-        noreplay.(li) <- true)
-    lane_watch;
   if have_backedges then begin
     (* Append the leftover (union-cycle) nodes grouped by the SCCs of
        the leftover subgraph, dependencies first (successors = inputs,
@@ -888,10 +858,7 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
                         end)
                 (eff_row_of li u)
             in
-            if back_to_seed s0 then begin
-              noreplay.(li) <- true;
-              add_cut s0 (li lsr 5) (1 lsl (li land 31))
-            end
+            if back_to_seed s0 then add_cut s0 (li lsr 5) (1 lsl (li land 31))
           end)
         lane_sseeds.(li)
     done
@@ -910,56 +877,6 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
         end)
   done;
   let nfrontier = !nfrontier in
-  (* per-lane seeds, ordered for replay: the replay evaluates seeds in
-     the fault's own cone order, but only DIRECT seed->seed effective
-     edges constrain it (non-seed inputs read the tape).  Union
-     positions respect lane edges everywhere except inside the leftover
-     set, so refine there with a stable seed-level Kahn over each lane's
-     direct effective edges (registers read their row at the clock - no
-     incoming edge).  A lane that replays has no seed on a cycle, so the
-     Kahn always completes. *)
-  let lane_seed_arr =
-    Array.mapi
-      (fun li sl ->
-        let a = Array.of_list sl in
-        Array.sort (fun x y -> compare t.pos.(x) t.pos.(y)) a;
-        let nsd = Array.length a in
-        if noreplay.(li) || (not have_backedges) || nsd <= 1 then a
-        else begin
-          let idx s =
-            let r = ref (-1) in
-            for j = 0 to nsd - 1 do
-              if a.(j) = s then r := j
-            done;
-            !r
-          in
-          let row = Array.map (fun s -> eff_row_of li s) a in
-          let done_ = Array.make nsd false in
-          let out = Array.make nsd 0 in
-          for k = 0 to nsd - 1 do
-            let pick = ref (-1) in
-            let j = ref 0 in
-            while !pick < 0 && !j < nsd do
-              if not done_.(!j) then begin
-                let ready = ref true in
-                Array.iter
-                  (fun p ->
-                    let pj = idx p in
-                    if pj >= 0 && not done_.(pj) then ready := false)
-                  row.(!j);
-                if !ready then pick := !j
-              end;
-              incr j
-            done;
-            if !pick < 0 then
-              failwith "Fsim_batch.run: replay seeds on a cycle";
-            done_.(!pick) <- true;
-            out.(k) <- a.(!pick)
-          done;
-          out
-        end)
-      lane_sseeds
-  in
   (* ---- the compiled program.  Local indices: member [i] of the
      evaluation order is local [i] ([t.pos] says so already), frontier
      node [k] is local [nm + k], and local [zero] is a constant Zero
@@ -1170,7 +1087,7 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
     Lanes.lane ~h:uh.(b) ~l:ul.(b) bit
   in
   (* a node's value in one lane: its planes where the program holds it,
-     the tape's elsewhere (remapped watch positions, replay) *)
+     the tape's elsewhere (a remapped watch position) *)
   let node_v u sub bit =
     if Bytes.get t.mark u <> '\000' || Bytes.get t.fmark u <> '\000' then
       lane_v t.pos.(u) sub bit
@@ -1344,8 +1261,8 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
       done
     end
   in
-  (* undecided lanes: a decided lane (watch error, or proven
-     convergence) leaves every check *)
+  (* undecided lanes: a decided lane (its watch error, plus its
+     detection flag when watched) leaves every check *)
   let live = Array.make ns 0 in
   for li = 0 to nlanes - 1 do
     live.(li lsr 5) <- live.(li lsr 5) lor (1 lsl (li land 31))
@@ -1437,114 +1354,6 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
     done;
     freeze := false
   in
-  (* ---- per-lane convergence replay over the lane's effective
-     circuit ---- *)
-  let eff_table li u =
-    match lane_cell.(li) with
-    | Some (n, F.Cp_table tb) when n = u -> tb
-    | _ -> v.F.v_table.(u)
-  in
-  let eff_inv li u =
-    match lane_cell.(li) with
-    | Some (n, F.Cp_inv iv) when n = u -> iv
-    | _ -> v.F.v_inv.(u)
-  in
-  let eff_frozen li u =
-    match lane_cell.(li) with
-    | Some (n, F.Cp_ce b) when n = u -> b
-    | _ -> v.F.v_ce_frozen.(u)
-  in
-  let replay_converges li c =
-    t.repoch <- t.repoch + 1;
-    let ep = t.repoch in
-    let seeds = lane_seed_arr.(li) in
-    let nseeds = Array.length seeds in
-    let sub = li lsr 5 and bit = li land 31 in
-    for i = 0 to nseeds - 1 do
-      let s0 = seeds.(i) in
-      let b = (t.pos.(s0) * ns) + sub in
-      t.rstamp.(s0) <- ep;
-      t.rv.(s0) <- lane_v t.pos.(s0) sub bit;
-      t.rvl.(s0) <- lane_lv t.pos.(s0) sub bit;
-      if s0 < bn && lane_reg li s0 then
-        t.rq.(s0) <- Lanes.lane ~h:qh.(b) ~l:ql.(b) bit
-    done;
-    let getv cy p =
-      if t.rstamp.(p) = ep then t.rv.(p) else F.tape_get_u tape cy p
-    in
-    let getl cy p =
-      if t.rstamp.(p) = ep then t.rvl.(p) else F.tape_get_u tape (cy - 1) p
-    in
-    let eff_row u =
-      if u >= bn then ext_row.(u - bn)
-      else row_or u v.F.v_inputs.(u) lane_rows.(li)
-    in
-    let replay_lut cy u =
-      let row = eff_row u in
-      let tb = eff_table li u and iv = eff_inv li u in
-      let acc = ref 0 in
-      for j = 0 to 3 do
-        let p = row.(j) in
-        if p >= 0 then
-          match getv cy p with
-          | Logic.Zero -> acc := !acc lor (((iv lsr j) land 1) lsl j)
-          | Logic.One -> acc := !acc lor ((1 - ((iv lsr j) land 1)) lsl j)
-          | Logic.X -> acc := !acc lor (1 lsl (j + 4))
-      done;
-      Scalar.lut_of_acc tb !acc
-    in
-    let replay_eval cy s =
-      let k = if s < bn then v.F.v_kind.(s) else F.kind_resolve in
-      if s < bn && lane_reg li s then t.rq.(s)
-      else if k = F.kind_bel_comb || k = F.kind_bel_reg then replay_lut cy s
-      else if k = F.kind_resolve then begin
-        let ins = eff_row s in
-        let len = Array.length ins in
-        if len = 0 then Logic.X
-        else begin
-          let vr = ref (getv cy ins.(0)) in
-          for i = 1 to len - 1 do
-            vr := Logic.resolve !vr (getv cy ins.(i))
-          done;
-          match !vr with
-          | Logic.X -> Logic.X
-          | (Logic.Zero | Logic.One) as sv ->
-              let g = ref false in
-              for i = 0 to len - 1 do
-                if not (Logic.equal (getl cy ins.(i)) sv) then g := true
-              done;
-              if !g then Logic.X else sv
-        end
-      end
-      else Logic.X
-    in
-    let ok = ref true in
-    let cy' = ref (c + 1) in
-    while !ok && !cy' < cycles do
-      let cc = !cy' in
-      let i = ref 0 in
-      while !ok && !i < nseeds do
-        let s = seeds.(!i) in
-        let vv = replay_eval cc s in
-        t.rv.(s) <- vv;
-        if s < bn && not (Logic.equal vv (F.tape_get_u tape cc s)) then
-          ok := false;
-        incr i
-      done;
-      if !ok then begin
-        for i = 0 to nseeds - 1 do
-          let s = seeds.(i) in
-          if s < bn && lane_reg li s && not (eff_frozen li s) then
-            t.rq.(s) <- replay_lut cc s
-        done;
-        for i = 0 to nseeds - 1 do
-          t.rvl.(seeds.(i)) <- t.rv.(seeds.(i))
-        done
-      end;
-      incr cy'
-    done;
-    !ok
-  in
   (* ---- verdicts ---- *)
   let nund = ref nlanes in
   let decide li =
@@ -1553,7 +1362,6 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
   in
   let undecided li = live.(li lsr 5) land (1 lsl (li land 31)) <> 0 in
   let err_cy = Array.make nlanes (-1) in
-  let conv_cy = Array.make nlanes (-1) in
   let det_cy = Array.make nlanes (-1) in
   (* a watch mismatch of lane [li] at position [wi]: functional entries
      ([wi < nfunc]) record the first error, trailing detection entries
@@ -1567,25 +1375,6 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
      else if det_cy.(li) < 0 then det_cy.(li) <- c);
     if err_cy.(li) >= 0 && (ndetect = 0 || det_cy.(li) >= 0) then decide li
   in
-  (* after lane [li] converged at [c], its remapped positions keep
-     reading their old nodes, whose tape can still differ from the
-     golden expectation over the skipped cycles *)
-  let scan_remaps li c =
-    let c' = ref (c + 1) in
-    while (err_cy.(li) < 0 || (ndetect > 0 && det_cy.(li) < 0)) && !c' < cycles
-    do
-      List.iter
-        (fun (wi, node) ->
-          if not (Logic.equal (F.tape_get_u tape !c' node) expected.(!c').(wi))
-          then
-            if wi < nfunc then begin
-              if err_cy.(li) < 0 then err_cy.(li) <- !c'
-            end
-            else if det_cy.(li) < 0 then det_cy.(li) <- !c')
-        lane_watch.(li);
-      incr c'
-    done
-  in
   (* suspect watch positions: their base node inside the union cone (a
      lane that remaps a position reads its own node there, checked per
      lane) *)
@@ -1597,12 +1386,6 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
     watch;
   let suspects = Array.of_list (List.rev !suspects) in
   let remaps = Array.exists (fun ws -> ws <> []) lane_watch in
-  (* lanes that never replay-converge *)
-  let norep = Array.make ns 0 in
-  Array.iteri
-    (fun li nr ->
-      if nr then norep.(li lsr 5) <- norep.(li lsr 5) lor (1 lsl (li land 31)))
-    noreplay;
   (* forensic scan state: [fresh] holds the lanes with no divergence
      yet, [first_cy]/[first_nodes] what each lane diverged at first *)
   let collect = voters <> None in
@@ -1613,9 +1396,7 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
   let first_nodes = Array.make nlanes [] in
   (* the undecided lanes' divergence at every base member: the planes
      against the tape, folded into [ever] *)
-  let dvor = Array.make ns 0 in
   let scan_divergence c =
-    Array.fill dvor 0 ns 0;
     for i = 0 to nm - 1 do
       let u = gid.(i) in
       if u < bn then begin
@@ -1625,7 +1406,6 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
         for s = 0 to ns - 1 do
           let w = (vh.(b + s) lxor th) lor (vl.(b + s) lxor tl) land live.(s) in
           if w <> 0 then begin
-            dvor.(s) <- dvor.(s) lor w;
             ever.(eb + s) <- ever.(eb + s) lor w;
             let m = ref (w land fresh.(s)) in
             hit.(s) <- hit.(s) lor !m;
@@ -1649,53 +1429,6 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
       fresh.(s) <- fresh.(s) land lnot hit.(s);
       hit.(s) <- 0
     done
-  in
-  (* convergence candidates: undecided lanes that replay, with no
-     member off the tape (the forensic scan already found those) and no
-     register state off the next cycle's tape; the scans stop once no
-     candidate is left *)
-  let cand = Array.make ns 0 in
-  let candidates c =
-    let any = ref false in
-    for s = 0 to ns - 1 do
-      cand.(s) <- live.(s) land lnot norep.(s);
-      if collect then cand.(s) <- cand.(s) land lnot dvor.(s);
-      if cand.(s) <> 0 then any := true
-    done;
-    let i = ref (if collect then nm else 0) in
-    while !any && !i < nm do
-      let u = gid.(!i) in
-      if u < bn then begin
-        let tc = tw.((c * bn) + u) and b = !i * ns in
-        let th = code_h tc and tl = code_l tc in
-        any := false;
-        for s = 0 to ns - 1 do
-          cand.(s) <-
-            cand.(s) land lnot ((vh.(b + s) lxor th) lor (vl.(b + s) lxor tl));
-          if cand.(s) <> 0 then any := true
-        done
-      end;
-      incr i
-    done;
-    let k = ref 0 in
-    while !any && !k < nregs do
-      let i = t.regs.(!k) in
-      let u = gid.(i) and b = i * ns in
-      let tc = tw.(((c + 1) * bn) + u) and ra = t.ov_reg.(u) in
-      let th = code_h tc and tl = code_l tc in
-      any := false;
-      for s = 0 to ns - 1 do
-        (* the state planes mean nothing where the node is
-           combinational *)
-        let rw = if Array.length ra > 0 then ra.(s) else fullw in
-        cand.(s) <-
-          cand.(s)
-          land lnot ((qh.(b + s) lxor th) lor (ql.(b + s) lxor tl) land rw);
-        if cand.(s) <> 0 then any := true
-      done;
-      incr k
-    done;
-    !any
   in
   (* ---- the per-cycle loop ---- *)
   let nseg = Array.length segs in
@@ -1790,22 +1523,6 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
       uh.(k) <- vh.(k);
       ul.(k) <- vl.(k)
     done;
-    (* per-lane convergence early-exit: a candidate's seed replay
-       confirms it *)
-    if c < cycles - 1 && !nund > 0 && candidates c then
-      for s = 0 to ns - 1 do
-        let m = ref cand.(s) in
-        while !m <> 0 do
-          let lsb = !m land - !m in
-          m := !m land (!m - 1);
-          let li = (s * 32) + bit_index lsb in
-          if replay_converges li c then begin
-            conv_cy.(li) <- c;
-            decide li;
-            scan_remaps li c
-          end
-        done
-      done;
     incr cy
   done;
   (* ---- per-lane provenance: one BFS from the lane's seed set over
@@ -1867,7 +1584,6 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
     Array.init nlanes (fun li ->
         {
           bv_error_cycle = err_cy.(li);
-          bv_converge_cycle = conv_cy.(li);
           bv_detect_cycle = det_cy.(li);
           bv_provenance = Option.map (fun vo -> provenance vo li) voters;
         })

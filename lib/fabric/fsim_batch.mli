@@ -44,8 +44,6 @@ val bel_of : t -> int array
 
 type verdict = {
   bv_error_cycle : int;  (** first watched-output error, [-1] = silent *)
-  bv_converge_cycle : int;
-      (** convergence early-exit boundary, [-1] = ran every cycle *)
   bv_detect_cycle : int;
       (** first cycle a trailing detection watch entry left its all-zero
           expectation, [-1] = never (always [-1] when [ndetect = 0]) *)
@@ -79,13 +77,9 @@ val run :
     verdict is still pending, and vice versa.  Defaults to [0] (every
     watch entry functional).
 
-    A lane leaves the batch early once it provably converged back to the
-    baseline: its cone state equals the tape at a cycle boundary and a
-    replay of its seeds against the tape reproduces the tape for every
-    remaining cycle.  A lane with a seed on a cycle of its own circuit,
-    or a watch position read from an appended node, never converges
-    early.  Convergence changes only [bv_converge_cycle], never the
-    verdict.
+    A lane runs until its verdict is in (its first functional error,
+    plus its detection flag when [ndetect > 0]) or to the last cycle of
+    the tape; the batch ends when every lane is decided.
 
     [voters] (per base node, ['\001'] = voter node) turns on per-lane
     provenance ([bv_provenance]): each cycle folds the lanes'

@@ -125,11 +125,6 @@ let m_batch_occupancy = Tmr_obs.Metrics.histogram "campaign.batch_occupancy"
 let m_batch_evals = Tmr_obs.Metrics.counter "campaign.batch_evals"
 let m_batch_splices = Tmr_obs.Metrics.counter "campaign.batch_splices"
 
-(* Cycle at which a batched fault provably converged back to the
-   baseline; the distribution shows how much of the stimulus the early
-   exit saves. *)
-let m_converge = Tmr_obs.Metrics.histogram "campaign.diff_converge_cycle"
-
 (* Latency-to-error distribution: at which stimulus cycle wrong-answer
    faults first disagree with the golden reference. *)
 let m_first_error = Tmr_obs.Metrics.histogram "campaign.first_error_cycle"
@@ -157,7 +152,7 @@ let add_stats a b =
     rerouted = a.rerouted + b.rerouted;
     rebuilt = a.rebuilt + b.rebuilt;
     diffed = a.diffed + b.diffed;
-    converged = a.converged + b.converged;
+    converged = 0;
     batched = a.batched + b.batched;
   }
 
@@ -680,7 +675,7 @@ let plan s st faults silent =
   Array.append batches
     (Array.of_list (List.rev_map (fun i -> Single i) !singles))
 
-let run_session ?progress s ~faults =
+let run_with ?progress s ~faults =
   let name = s.s_name and impl = s.s_impl and workers = s.s_workers in
   let cone_skip = s.s_cone_skip and fattr = s.s_fattr in
   let ndetect = s.s_ndetect in
@@ -736,12 +731,6 @@ let run_session ?progress s ~faults =
     let t_setup = Tmr_obs.Clock.now_ns () in
     let ex = st.w_ex and ws = st.w_ws in
     let bump f = stats_per_worker.(wid) <- f stats_per_worker.(wid) in
-    let note_converge cv =
-      if cv >= 0 then begin
-        bump (fun s -> { s with converged = s.converged + 1 });
-        Tmr_obs.Metrics.observe m_converge cv
-      end
-    in
     (* The forensic record: structural attribution on every plan path;
        divergence fields from the batch engine's provenance when the
        fault ran batched.  [masked_at_voter]: the fault corrupted cone
@@ -821,8 +810,8 @@ let run_session ?progress s ~faults =
     in
     (* One batch: run every lane word-parallel and fan each lane's
        verdict out to the faults it stands for.  The kernel counters
-       count executed lanes; plan-path stats, convergence and the
-       per-fault trace spans count every fault, so they read as if each
+       count executed lanes; plan-path stats and the per-fault trace
+       spans count every fault, so they read as if each
        had run alone. *)
     let do_batch packed lane_faults =
       let bt, tape = Option.get st.w_batch in
@@ -875,7 +864,6 @@ let run_session ?progress s ~faults =
                     | _ -> { s with rerouted = s.rerouted + 1 }
                   in
                   { s with diffed = s.diffed + 1; batched = s.batched + 1 });
-              note_converge v.Fsim_batch.bv_converge_cycle;
               if Tmr_obs.Trace.enabled () then
                 Tmr_obs.Trace.emit_complete
                   ~args:
@@ -998,7 +986,6 @@ let run_session ?progress s ~faults =
            rerouted = stats.rerouted;
            rebuilt = stats.rebuilt;
            diffed = stats.diffed;
-           converged = stats.converged;
            batched = stats.batched;
          });
     Tmr_obs.Events.publish
@@ -1025,9 +1012,11 @@ let run_session ?progress s ~faults =
     workers; stats; wall_ns; busy_ns; setup_ns }
 
 
+let run_session s ~faults = run_with s ~faults
+
 let run ?progress ?workers ?cone_skip ?forensics ~name ~impl ~golden ~stimulus
     ~faults () =
-  run_session ?progress
+  run_with ?progress
     (session ?workers ?cone_skip ?forensics ~name ~impl ~golden ~stimulus ())
     ~faults
 
@@ -1154,9 +1143,9 @@ let summary_json t =
        (inject_utilization t));
   Buffer.add_string b
     (Printf.sprintf
-       ",\"plan_paths\":{\"silent\":%d,\"patched\":%d,\"rerouted\":%d,\"rebuilt\":%d,\"diffed\":%d,\"converged\":%d,\"batched\":%d}"
+       ",\"plan_paths\":{\"silent\":%d,\"patched\":%d,\"rerouted\":%d,\"rebuilt\":%d,\"diffed\":%d,\"batched\":%d}"
        t.stats.skipped t.stats.patched t.stats.rerouted t.stats.rebuilt
-       t.stats.diffed t.stats.converged t.stats.batched);
+       t.stats.diffed t.stats.batched);
   (* wrong answers per structural effect class, Table 4 row order *)
   Buffer.add_string b ",\"wrong_by_effect\":{";
   List.iteri

@@ -27,10 +27,10 @@
     {!Tmr_fabric.Fsim.fault_delta}) and runs in the bit-parallel batch
     engine ({!Tmr_fabric.Fsim_batch}).  That engine records one
     fault-free baseline tape per worker, packs up to 64 faults with
-    structurally close fanout cones into the bit lanes of one
-    event-driven cone walk against the tape, and retires a lane at the
-    first cycle boundary where it provably converged back to the
-    baseline.  Per-fault results are byte-identical to the oracle's: the
+    structurally close fanout cones into the bit lanes of one dense
+    evaluation of their union cone against the tape, and runs each
+    batch until every lane has its verdict or the stimulus ends.
+    Per-fault results are byte-identical to the oracle's: the
     engine changes only the throughput. *)
 
 type stimulus = {
@@ -82,8 +82,9 @@ type engine_stats = {
       (** faults simulated differentially against the baseline tape:
           [patched + rerouted] *)
   converged : int;
-      (** differential faults abandoned early after provably converging
-          back to the baseline (subset of [diffed]) *)
+      (** always [0]: the batch engine retires no lane early.  Kept
+          because the e2e benchmark reads it ([inject.converged_frac]);
+          to be dropped together with that metric. *)
   batched : int;
       (** faults executed word-parallel by the batch engine
           ({!Tmr_fabric.Fsim_batch}); equal to [diffed] *)
@@ -241,7 +242,7 @@ val session :
     Worker states are built lazily, so the DUT check of {!run} fails on
     the session's first {!run_session}. *)
 
-val run_session : ?progress:(progress -> unit) -> session -> faults:int array -> t
+val run_session : session -> faults:int array -> t
 (** [run] over [faults] with the session's fault-independent state.
     Byte-identical to {!run} with the session's arguments.  Runs of one
     session must not overlap. *)

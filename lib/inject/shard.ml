@@ -223,7 +223,6 @@ let manifest_to_json m =
             ("rerouted", i m.sm_stats.Campaign.rerouted);
             ("rebuilt", i m.sm_stats.Campaign.rebuilt);
             ("diffed", i m.sm_stats.Campaign.diffed);
-            ("converged", i m.sm_stats.Campaign.converged);
             ("batched", i m.sm_stats.Campaign.batched);
           ] );
       ("wall_ns", i m.sm_wall_ns);
@@ -244,7 +243,6 @@ let manifest_of_json j =
   let* rerouted = field "rerouted" Json.int stats in
   let* rebuilt = field "rebuilt" Json.int stats in
   let* diffed = field "diffed" Json.int stats in
-  let* converged = field "converged" Json.int stats in
   let* batched = field "batched" Json.int stats in
   let* sm_wall_ns = field "wall_ns" Json.int j in
   let* sm_busy_ns = field "busy_ns" Json.int j in
@@ -264,7 +262,7 @@ let manifest_of_json j =
           rerouted;
           rebuilt;
           diffed;
-          converged;
+          converged = 0;
           batched;
         };
       sm_wall_ns;
@@ -309,7 +307,7 @@ let add_stats (a : Campaign.engine_stats) (b : Campaign.engine_stats) =
     rerouted = a.Campaign.rerouted + b.Campaign.rerouted;
     rebuilt = a.Campaign.rebuilt + b.Campaign.rebuilt;
     diffed = a.Campaign.diffed + b.Campaign.diffed;
-    converged = a.Campaign.converged + b.Campaign.converged;
+    converged = 0;
     batched = a.Campaign.batched + b.Campaign.batched;
   }
 

@@ -34,7 +34,6 @@ type event =
       rerouted : int;
       rebuilt : int;
       diffed : int;
-      converged : int;
       batched : int;
     }
   | Manifest_written of { design : string; path : string }
@@ -98,14 +97,13 @@ let payload_of ev =
       int "busy_ns" busy_ns;
       int "idle_ns" idle_ns;
       int "items" items
-  | Plan_paths { design; silent; patched; rerouted; rebuilt; diffed; converged; batched } ->
+  | Plan_paths { design; silent; patched; rerouted; rebuilt; diffed; batched } ->
       str "design" design;
       int "silent" silent;
       int "patched" patched;
       int "rerouted" rerouted;
       int "rebuilt" rebuilt;
       int "diffed" diffed;
-      int "converged" converged;
       int "batched" batched
   | Manifest_written { design; path } ->
       str "design" design;
@@ -292,11 +290,10 @@ let parse_tree line =
         let* rerouted = int_f "rerouted" in
         let* rebuilt = int_f "rebuilt" in
         let* diffed = int_f "diffed" in
-        let* converged = int_f "converged" in
         let* batched = int_f "batched" in
         Ok
           (Plan_paths
-             { design; silent; patched; rerouted; rebuilt; diffed; converged; batched })
+             { design; silent; patched; rerouted; rebuilt; diffed; batched })
     | "manifest_written" ->
         let* design = str_f "design" in
         let* path = str_f "path" in

@@ -58,7 +58,6 @@ type event =
       rerouted : int;
       rebuilt : int;
       diffed : int;
-      converged : int;
       batched : int;
     }
   | Manifest_written of { design : string; path : string }

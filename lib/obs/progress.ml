@@ -106,7 +106,8 @@ let finish ?at t =
     end
   end
 
-let callback_note ?out () =
+(* one bar per label, finished when the label changes *)
+let bars ?out () =
   let current = ref None in
   let cb label note done_ total =
     let bar =
@@ -132,6 +133,8 @@ let callback_note ?out () =
   in
   (cb, flush)
 
+let callback_note () = bars ()
+
 let callback ?out () =
-  let cb, _flush = callback_note ?out () in
+  let cb, _flush = bars ?out () in
   fun label done_ total -> cb label "" done_ total

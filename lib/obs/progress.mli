@@ -13,7 +13,6 @@ val callback : ?out:out_channel -> unit -> string -> int -> int -> unit
     soon as its count reaches its total. *)
 
 val callback_note :
-  ?out:out_channel ->
   unit ->
   (string -> string -> int -> int -> unit) * (unit -> unit)
 (** Like {!callback} with a per-update note: the first component is

@@ -10,7 +10,7 @@ type campaign = {
   mutable c_wall_ns : int;
   mutable c_batches : int;
   mutable c_lanes : int;
-  mutable c_plan : (int * int * int * int * int * int * int) option;
+  mutable c_plan : (int * int * int * int * int) option;
   mutable c_detection : (int * int * int * int) option;
       (* silent-correct, detected-corrected, detected-wrong, silent-wrong *)
   mutable c_manifest : string option;
@@ -240,22 +240,16 @@ let feed t (p : Events.parsed) =
       w.w_busy <- busy_ns;
       w.w_idle <- idle_ns;
       w.w_items <- items
-  | Events.Plan_paths { design; silent; patched; rerouted; rebuilt; diffed; converged; batched = _ } ->
+  | Events.Plan_paths { design; silent; patched; rerouted; rebuilt; diffed; batched = _ } ->
       let c = campaign_of t design in
       (* accumulate: a sharded stream carries one plan-path record per
          shard (a plain campaign exactly one, so sum = replace there) *)
-      let s0, p0, rr0, rb0, d0, cv0, x0 =
-        match c.c_plan with Some v -> v | None -> (0, 0, 0, 0, 0, 0, 0)
+      let s0, p0, rr0, rb0, d0 =
+        match c.c_plan with Some v -> v | None -> (0, 0, 0, 0, 0)
       in
       c.c_plan <-
         Some
-          ( s0 + silent,
-            p0 + patched,
-            rr0 + rerouted,
-            rb0 + rebuilt,
-            d0 + diffed,
-            cv0 + converged,
-            x0 );
+          (s0 + silent, p0 + patched, rr0 + rerouted, rb0 + rebuilt, d0 + diffed);
       c.c_last_ts <- ts
   | Events.Manifest_written { design; path } ->
       let c = campaign_of t design in
@@ -339,11 +333,11 @@ let render ?(confidence = 0.95) ?worker_timeout t =
            (100.0 *. ci.Stats.lo) (100.0 *. ci.Stats.hi)
            status);
       (match c.c_plan with
-      | Some (silent, patched, rerouted, rebuilt, diffed, converged, _) ->
+      | Some (silent, patched, rerouted, rebuilt, diffed) ->
           Buffer.add_string b
             (Printf.sprintf
-               "             paths: silent %d patch %d reroute %d rebuild %d (diffed %d, converged %d)\n"
-               silent patched rerouted rebuilt diffed converged)
+               "             paths: silent %d patch %d reroute %d rebuild %d (diffed %d)\n"
+               silent patched rerouted rebuilt diffed)
       | None -> ());
       (match c.c_detection with
       | Some (sc, dc, dw, sw) ->

@@ -19,7 +19,7 @@ type t = {
    "implement" span (e2ebench's per-layer ledger reads them). *)
 let phase = Tmr_obs.Trace.with_span
 
-let implement ?(seed = 1) ?moves_per_site ?floorplan ?max_route_iters dev db nl =
+let implement ?(seed = 1) ?moves_per_site ?floorplan dev db nl =
   Tmr_obs.Trace.with_span ~args:[ ("seed", string_of_int seed) ] "implement"
   @@ fun () ->
   match Tmr_netlist.Check.run nl with
@@ -39,8 +39,7 @@ let implement ?(seed = 1) ?moves_per_site ?floorplan ?max_route_iters dev db nl 
           | exception Failure msg -> Error msg
           | place -> (
               match
-                phase "route" (fun () ->
-                    Route.run ?max_iters:max_route_iters dev pack place)
+                phase "route" (fun () -> Route.run dev pack place)
               with
               | Error msg -> Error ("route: " ^ msg)
               | Ok route ->
@@ -66,8 +65,8 @@ let implement ?(seed = 1) ?moves_per_site ?floorplan ?max_route_iters dev db nl 
                       seed;
                     })))
 
-let implement_exn ?seed ?moves_per_site ?floorplan ?max_route_iters dev db nl =
-  match implement ?seed ?moves_per_site ?floorplan ?max_route_iters dev db nl with
+let implement_exn ?seed ?moves_per_site ?floorplan dev db nl =
+  match implement ?seed ?moves_per_site ?floorplan dev db nl with
   | Ok t -> t
   | Error msg -> failwith ("Impl.implement: " ^ msg)
 

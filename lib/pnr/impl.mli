@@ -20,7 +20,6 @@ val implement_exn :
   ?seed:int ->
   ?moves_per_site:int ->
   ?floorplan:Place.floorplan ->
-  ?max_route_iters:int ->
   Tmr_arch.Device.t ->
   Tmr_arch.Bitdb.t ->
   Tmr_netlist.Netlist.t ->

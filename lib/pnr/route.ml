@@ -110,7 +110,10 @@ let[@inline] iabs x =
   let m = x asr (Sys.int_size - 1) in
   (x lxor m) - m
 
-let run ?(max_iters = 60) dev pack place =
+(* PathFinder negotiation rounds before the router gives up *)
+let max_iters = 60
+
+let run dev pack place =
   let nwires = dev.Device.nwires in
   let nnets = Array.length pack.Pack.nets in
   let wrow = dev.Device.wrow and wcol = dev.Device.wcol in

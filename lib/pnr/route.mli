@@ -39,7 +39,6 @@ val driver_wire : Tmr_arch.Device.t -> Pack.t -> Place.t -> int -> int
 val sink_wire : Tmr_arch.Device.t -> Pack.t -> Place.t -> Pack.sink -> int
 
 val run :
-  ?max_iters:int ->
   Tmr_arch.Device.t ->
   Pack.t ->
   Place.t ->

@@ -3,9 +3,9 @@
    ({!Fsim.fault_delta}):
    - [loop]: the overlay puts a seed on a combinational loop of the
      fault's own circuit.  Those are the lanes the batch engine
-     Kleene-iterates and never replays to convergence: bridges that close
-     a loop, a register turned combinational inside its own feedback
-     loop, and faults seeded inside a cyclic SCC of the base graph.
+     Kleene-iterates: bridges that close a loop, a register turned
+     combinational inside its own feedback loop, and faults seeded
+     inside a cyclic SCC of the base graph.
    - [kind]: out_sel flips, a node turned registered or combinational.
    - [watch]: faults that re-resolve a watched output.
    - [fallback]: planned reroutes with no overlay at all (they rebuild). *)

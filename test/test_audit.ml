@@ -3,7 +3,8 @@
    engine summary, the watch dashboard).  A metric
    or event that nothing reads is cost without a purpose, so adding one
    without a consumer fails here.  Likewise every [val] of a library
-   interface has a reader outside its own implementation. *)
+   interface has a reader outside its own implementation, and every
+   optional argument of one has a caller that passes it. *)
 
 module Metrics = Tmr_obs.Metrics
 
@@ -204,16 +205,19 @@ let is_module_name s =
 let last l = List.nth l (List.length l - 1)
 
 (* What one reader file names: qualified [Q.name] pairs, local aliases
-   [X -> Q], opened modules and every bare identifier. *)
+   [X -> Q], opened modules, every bare identifier and every label it
+   writes as [~label] or [?label]. *)
 type reads = {
   qualified : (string * string, unit) Hashtbl.t;
   aliases : (string * string) list;
   opened : string list;
   idents : (string, unit) Hashtbl.t;
+  labels : (string, unit) Hashtbl.t;
 }
 
 let reads_of text =
   let qualified = Hashtbl.create 1024 and idents = Hashtbl.create 1024 in
+  let labels = Hashtbl.create 256 in
   let aliases = ref [] and opened = ref [] in
   let rec scan = function
     | [] -> ()
@@ -237,29 +241,40 @@ let reads_of text =
         in
         pairs p;
         scan rest
+    | Sym ('~' | '?') :: Path (l :: _) :: rest ->
+        Hashtbl.replace labels l ();
+        scan rest
     | Sym _ :: rest -> scan rest
   in
   scan (tokens text);
-  { qualified; aliases = !aliases; opened = !opened; idents }
+  { qualified; aliases = !aliases; opened = !opened; idents; labels }
 
-(* The vals of one interface as [(qualifier, name)]: the module itself,
-   or the innermost [module N : sig ... end]; members of a [module type]
-   are a signature, not values, and are skipped. *)
+(* The vals of one interface as [((qualifier, name), optional labels)]:
+   the qualifier is the module itself, or the innermost [module N : sig
+   ... end]; members of a [module type] are a signature, not values, and
+   are skipped.  A val's labels are the [?label:] of its type, up to the
+   next item. *)
 let vals_of ~modname text =
-  let rec scan stack acc = function
+  let item = [ "val"; "type"; "exception"; "external"; "module"; "include"; "end" ] in
+  let rec scan stack acc in_val = function
     | [] -> List.rev acc
     | Path [ "module" ] :: Path [ "type" ] :: Path [ _ ] :: Sym '='
       :: Path [ "sig" ] :: rest ->
-        scan ("" :: stack) acc rest
+        scan ("" :: stack) acc false rest
     | Path [ "module" ] :: Path [ n ] :: Sym ':' :: Path [ "sig" ] :: rest ->
-        scan (n :: stack) acc rest
+        scan (n :: stack) acc false rest
     | Path [ "end" ] :: rest when List.length stack > 1 ->
-        scan (List.tl stack) acc rest
+        scan (List.tl stack) acc false rest
     | Path [ "val" ] :: Path [ name ] :: rest when List.hd stack <> "" ->
-        scan stack ((List.hd stack, name) :: acc) rest
-    | _ :: rest -> scan stack acc rest
+        scan stack (((List.hd stack, name), []) :: acc) true rest
+    | Sym '?' :: Path [ l ] :: Sym ':' :: rest when in_val -> (
+        match acc with
+        | (v, ls) :: tl -> scan stack ((v, l :: ls) :: tl) true rest
+        | [] -> scan stack acc true rest)
+    | Path [ k ] :: rest when List.mem k item -> scan stack acc false rest
+    | _ :: rest -> scan stack acc in_val rest
   in
-  scan [ modname ] [] (tokens text)
+  scan [ modname ] [] false (tokens text)
 
 let read_by r (q, name) =
   Hashtbl.mem r.qualified (q, name)
@@ -275,42 +290,81 @@ let source_files dir suffixes =
          List.exists (fun s -> Filename.check_suffix f s) suffixes)
   |> List.map (Filename.concat dir)
 
-let test_exports () =
-  let lib_dirs =
-    Sys.readdir (src "../lib") |> Array.to_list |> List.sort compare
-    |> List.filter (fun d ->
-           d.[0] <> '.' && Sys.is_directory (src (Filename.concat "../lib" d)))
-    |> List.map (Filename.concat "../lib")
-  in
+let lib_dirs () =
+  Sys.readdir (src "../lib") |> Array.to_list |> List.sort compare
+  |> List.filter (fun d ->
+         d.[0] <> '.' && Sys.is_directory (src (Filename.concat "../lib" d)))
+  |> List.map (Filename.concat "../lib")
+
+(* [f mli own vals readers]'s findings over every library interface,
+   with [own] its implementation and [readers] the [.ml] files of
+   [dirs] *)
+let over_interfaces dirs f =
+  let lib_dirs = lib_dirs () in
   let interfaces =
     List.concat_map (fun d -> source_files d [ ".mli" ]) lib_dirs
   in
   let readers =
-    List.concat_map
-      (fun d -> source_files d [ ".ml" ])
-      (lib_dirs @ [ "../bin"; "../e2ebench"; "../examples"; "." ])
+    List.concat_map (fun d -> source_files d [ ".ml" ]) (lib_dirs @ dirs)
     |> List.map (fun f -> (f, reads_of (read f)))
   in
   Alcotest.(check bool) "interfaces found" true (List.length interfaces > 30);
+  List.concat_map
+    (fun mli ->
+      let modname =
+        String.capitalize_ascii
+          (Filename.remove_extension (Filename.basename mli))
+      in
+      f mli
+        (Filename.remove_extension mli ^ ".ml")
+        (vals_of ~modname (read mli))
+        readers)
+    interfaces
+
+let test_exports () =
   let unread =
-    List.concat_map
-      (fun mli ->
-        let own = Filename.remove_extension mli ^ ".ml" in
-        let modname =
-          String.capitalize_ascii
-            (Filename.remove_extension (Filename.basename mli))
-        in
-        vals_of ~modname (read mli)
-        |> List.filter (fun v ->
-               not
-                 (List.exists
-                    (fun (f, r) -> f <> own && read_by r v)
-                    readers))
-        |> List.map (fun (q, name) ->
-               Printf.sprintf "%s: %s.%s" (Filename.basename mli) q name))
-      interfaces
+    over_interfaces [ "../bin"; "../e2ebench"; "../examples"; "." ]
+      (fun mli own vals readers ->
+        List.filter_map
+          (fun ((q, name) as v, _) ->
+            if List.exists (fun (f, r) -> f <> own && read_by r v) readers
+            then None
+            else Some (Printf.sprintf "%s: %s.%s" (Filename.basename mli) q name))
+          vals)
   in
   Alcotest.(check (list string)) "vals no other module reads" [] unread
+
+(* ------------------------------------------------------------------ *)
+(* Optional arguments: every [?label:] of a [val] in [lib/*/*.mli] is
+   passed, as [~label] or [?label], by a file outside the val's own
+   module that reads the val — in the library, the CLI, the e2e
+   benchmark or a test.  An optional argument no caller sets is a knob
+   nothing turns: its default is the only behaviour, and the argument
+   belongs deleted. *)
+
+let test_optionals () =
+  let unpassed =
+    over_interfaces [ "../bin"; "../e2ebench"; "." ]
+      (fun mli own vals readers ->
+        List.concat_map
+          (fun (((q, name) as v), labels) ->
+            List.filter_map
+              (fun l ->
+                if
+                  List.exists
+                    (fun (f, r) ->
+                      f <> own && read_by r v && Hashtbl.mem r.labels l)
+                    readers
+                then None
+                else
+                  Some
+                    (Printf.sprintf "%s: %s.%s ?%s" (Filename.basename mli) q
+                       name l))
+              (List.rev labels))
+          vals)
+  in
+  Alcotest.(check (list string)) "optional arguments no caller passes" []
+    unpassed
 
 let () =
   Alcotest.run "audit"
@@ -321,6 +375,10 @@ let () =
           Alcotest.test_case "every event is read" `Quick test_events;
         ] );
       ( "exports",
-        [ Alcotest.test_case "every val is read outside its module" `Quick
-            test_exports ] );
+        [
+          Alcotest.test_case "every val is read outside its module" `Quick
+            test_exports;
+          Alcotest.test_case "every optional argument is passed" `Quick
+            test_optionals;
+        ] );
     ]

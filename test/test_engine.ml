@@ -6,8 +6,7 @@
    bits the vote-masking proof classifies silent are silent on the
    oracle, and [tmrtool explain] reports what the campaign reports.
    Also the baseline tape: its packing and the fixpoint invariant the
-   batch kernel's convergence exit rests on; and that packing never
-   changes a verdict. *)
+   batch kernel rests on; and that packing never changes a verdict. *)
 
 module Logic = Tmr_logic.Logic
 module Srand = Tmr_logic.Srand
@@ -289,10 +288,9 @@ let test_one_lane_batch () =
           (fun k v ->
             let bit, lane, _ = faults.(i + k) in
             let alone = (run [| lane |]).(0) in
-            Alcotest.(check (pair int int))
+            Alcotest.(check int)
               (Printf.sprintf "bit %d: batched == alone" bit)
-              (alone.Fsim_batch.bv_error_cycle, alone.Fsim_batch.bv_converge_cycle)
-              (v.Fsim_batch.bv_error_cycle, v.Fsim_batch.bv_converge_cycle))
+              alone.Fsim_batch.bv_error_cycle v.Fsim_batch.bv_error_cycle)
           batch
       end)
     faults;
@@ -317,13 +315,13 @@ let test_one_lane_batch () =
         s.Campaign.batched)
     full.Campaign.results
 
-(* --- a lane that converges keeps reading its remapped watch position:
-   a patch identical to the base converges at cycle 0, and its output
-   position 0, remapped to a base node that agrees with the golden value
-   at cycle 0 only, still errs where that node's tape first disagrees
-   --- *)
+(* --- a lane reads its remapped watch position from its own node: a
+   patch identical to the base, with output position 0 remapped to a
+   base node that agrees with the golden value at cycle 0 only, errs
+   where that node's tape first disagrees; the same patch without the
+   remap, in the same batch, stays silent --- *)
 
-let test_remap_past_convergence () =
+let test_remapped_watch () =
   let b = Lazy.force datapath_bench in
   let v = Fsim.view b.base in
   let cycles = Fsim.tape_cycles b.tape in
@@ -350,24 +348,26 @@ let test_remap_past_convergence () =
     in
     find 0
   in
-  let lane =
+  let lane dl_watch =
     ( Fsim.Seed_node seed,
       {
         Fsim.dl_cell = Some (seed, Fsim.Cp_table v.Fsim.v_table.(seed));
         dl_rows = [||];
         dl_extras = [||];
-        dl_watch = [| (0, node) |];
+        dl_watch;
       } )
   in
   let bt = Fsim_batch.create b.base b.cone in
-  let r =
-    (Fsim_batch.run bt ~tape:b.tape ~expected:b.expected ~watch:b.watch
-       ~lanes:[| lane |] ()).(0)
+  let run lanes =
+    Fsim_batch.run bt ~tape:b.tape ~expected:b.expected ~watch:b.watch ~lanes ()
   in
-  Alcotest.(check int) "converged at the first boundary" 0
-    r.Fsim_batch.bv_converge_cycle;
+  let r = (run [| lane [| (0, node) |] |]).(0) in
   Alcotest.(check int) "the remapped node's first disagreement"
-    (first_error node) r.Fsim_batch.bv_error_cycle
+    (first_error node) r.Fsim_batch.bv_error_cycle;
+  let rs = run [| lane [| (0, node) |]; lane [||] |] in
+  Alcotest.(check (pair int int)) "remapped and plain lanes in one batch"
+    (first_error node, -1)
+    (rs.(0).Fsim_batch.bv_error_cycle, rs.(1).Fsim_batch.bv_error_cycle)
 
 (* --- campaign level: the engine == the oracle on all five paper
    designs over a shared fault sample, at one and two workers --- *)
@@ -376,7 +376,7 @@ let test_campaigns () =
   let ctx =
     Context.create ~scale:Context.Reduced ~seed:2 ~faults_per_design:120 ()
   in
-  let total_batched = ref 0 and total_converged = ref 0 in
+  let total_batched = ref 0 in
   List.iter
     (fun strategy ->
       let name = Partition.name strategy in
@@ -403,15 +403,10 @@ let test_campaigns () =
             s.Campaign.diffed;
           Alcotest.(check int) (label ^ ": every differential fault batched")
             s.Campaign.diffed s.Campaign.batched;
-          Alcotest.(check bool) (label ^ ": converged <= diffed") true
-            (s.Campaign.converged <= s.Campaign.diffed);
-          total_batched := !total_batched + s.Campaign.batched;
-          total_converged := !total_converged + s.Campaign.converged)
+          total_batched := !total_batched + s.Campaign.batched)
         [ 1; 2 ])
     Partition.all_paper_designs;
-  Alcotest.(check bool) "batch engine exercised" true (!total_batched > 0);
-  Alcotest.(check bool) "some faults converged early" true
-    (!total_converged > 0)
+  Alcotest.(check bool) "batch engine exercised" true (!total_batched > 0)
 
 (* --- the fault-free pass that records a worker's baseline tape also
    checks the DUT against the golden device: a DUT computing (a+b)*-3
@@ -499,8 +494,7 @@ let strip (c : Campaign.t) =
 (* [faults] on the engine twice and on the oracle: with the vote-masking
    proof, every fault ran batched but the vote-masked ones, which were
    skipped; with the proof off (forensics needs the simulated
-   divergence), every fault ran batched.  Both equal the oracle.
-   Returns the two engine campaigns. *)
+   divergence), every fault ran batched.  Both equal the oracle. *)
 let check_kernel_coverage label (run : Runs.design_run) faults =
   let e = campaign run label faults in
   let a = Forensics.attrib_of_impl run.Runs.impl in
@@ -521,26 +515,22 @@ let check_kernel_coverage label (run : Runs.design_run) faults =
   check_same_results (label ^ ": engine vs oracle") e oracle;
   Alcotest.(check (array result_testable))
     (label ^ ": proof off: engine vs oracle")
-    oracle.Campaign.results (strip all);
-  (e, all)
+    oracle.Campaign.results (strip all)
 
 (* --- the faults the batch overlay learned last: out_sel flips (a kind
    override) and faults that re-resolve a watched output.  Every one of
    them has an overlay, and on all five designs each equals the oracle
-   fault by fault.  The class sizes are pinned, so they cannot shrink
-   unnoticed.  The vote-masking proof takes many of them off the kernel
-   (on tmr_p3 and tmr_p3_nv every one that converged early), so the
-   early exits are pinned with the proof on and off --- *)
+   fault by fault, with the vote-masking proof on and off.  The class
+   sizes are pinned, so they cannot shrink unnoticed --- *)
 
 let test_kind_and_watch_faults () =
-  (* class sizes, then lanes converged early with the proof on and off *)
   let pinned =
     [
-      ("standard", ((96, 119), (3, 3)));
-      ("tmr_p1", ((418, 188), (15, 93)));
-      ("tmr_p2", ((358, 156), (3, 81)));
-      ("tmr_p3", ((328, 165), (0, 78)));
-      ("tmr_p3_nv", ((298, 212), (0, 75)));
+      ("standard", (96, 119));
+      ("tmr_p1", (418, 188));
+      ("tmr_p2", (358, 156));
+      ("tmr_p3", (328, 165));
+      ("tmr_p3_nv", (298, 212));
     ]
   in
   let total_kind = ref 0 and total_watch = ref 0 in
@@ -555,18 +545,10 @@ let test_kind_and_watch_faults () =
       and nw = Array.length lf.Loop_faults.watch in
       total_kind := !total_kind + nk;
       total_watch := !total_watch + nw;
-      let counts, converged = List.assoc name pinned in
       Alcotest.(check (pair int int)) (name ^ ": out_sel and watch-remap faults")
-        counts (nk, nw);
-      let faults = Array.append lf.Loop_faults.kind lf.Loop_faults.watch in
-      let e, all = check_kernel_coverage name run faults in
-      (* the early exit is exact but optional: pinning how many lanes
-         take it guards the convergence rules of kind-overridden and
-         remapped lanes, which no verdict shows *)
-      Alcotest.(check (pair int int)) (name ^ ": converged early, proof on/off")
-        converged
-        ( e.Campaign.stats.Campaign.converged,
-          all.Campaign.stats.Campaign.converged ))
+        (List.assoc name pinned) (nk, nw);
+      check_kernel_coverage name run
+        (Array.append lf.Loop_faults.kind lf.Loop_faults.watch))
     Partition.all_paper_designs;
   Alcotest.(check (pair int int)) "out_sel and watch-remap faults, all designs"
     (1498, 840) (!total_kind, !total_watch)
@@ -621,7 +603,7 @@ let test_constant_bridges () =
         (name ^ ": some faults bridge onto a constant node")
         true (bridges <> []);
       let faults = Array.of_list (List.filteri (fun i _ -> i < 64) bridges) in
-      ignore (check_kernel_coverage (name ^ ": bridges") run faults);
+      check_kernel_coverage (name ^ ": bridges") run faults;
       (* campaign level: the bridges, every planned rebuild and a sample
          of the rest; only the planned rebuilds rebuild *)
       let mixed =
@@ -659,15 +641,16 @@ let test_loop_closing_lanes () =
       let loop = (Lazy.force lf).Loop_faults.loop in
       total := !total + Array.length loop;
       if loop <> [||] then
-        ignore (check_kernel_coverage (name ^ ": loop-closing faults") run loop))
+        check_kernel_coverage (name ^ ": loop-closing faults") run loop)
     configs;
   Alcotest.(check bool) "loop-closing faults found" true (!total > 0)
 
 (* --- the baseline tape is the settled fixpoint of the base circuit:
    at every cycle every combinational base node reads the LUT of its
-   base row's tape values.  The batch engine's convergence exit rests
-   on this (a lane's replay reads the tape at every node but its seeds:
-   a node whose inputs follow the tape follows it too).  Nodes of
+   base row's tape values.  The batch kernel rests on this: every lane
+   evaluates every member of the union cone, and a member outside the
+   lane's own cone reads inputs that follow the tape, so it follows the
+   tape too.  Nodes of
    cyclic SCCs are included — the tape holds their least fixpoint, a
    fixpoint all the same; the reduced
    base graphs have none, so rebuilt simulators of a few loop-closing
@@ -1308,8 +1291,8 @@ let () =
             `Slow test_loop_closing_lanes;
           Alcotest.test_case "tape is the base circuit's fixpoint" `Quick
             test_tape_fixpoint;
-          Alcotest.test_case "remapped output read past convergence" `Quick
-            test_remap_past_convergence;
+          Alcotest.test_case "remapped watch reads the lane's node" `Quick
+            test_remapped_watch;
           Alcotest.test_case "vote-masked bits == oracle, silent" `Slow
             test_vote_masking_proof;
           Alcotest.test_case "unrouted input pins count as their bel" `Slow

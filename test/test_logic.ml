@@ -230,97 +230,6 @@ let test_srand_split_independent () =
   Alcotest.(check bool) "split differs from parent" true !differs
 
 (* ------------------------------------------------------------------ *)
-(* Lanemask: the word-level bitset under the batched fault simulator.
-   The edge cases that matter there are lengths that are not a multiple
-   of the word size, masking of the final partial word, and
-   popcount/first_set across (and on) that partial tail. *)
-
-let test_lanemask_basics () =
-  let m = Bitvec.Lanemask.create 70 in
-  Alcotest.(check int) "length" 70 (Bitvec.Lanemask.length m);
-  Alcotest.(check int) "words for 70 lanes" 3 (Bitvec.Lanemask.num_words m);
-  Alcotest.(check bool) "fresh empty" true (Bitvec.Lanemask.is_empty m);
-  Alcotest.(check int) "fresh first_set" (-1) (Bitvec.Lanemask.first_set m);
-  Bitvec.Lanemask.set m 0;
-  Bitvec.Lanemask.set m 31;
-  Bitvec.Lanemask.set m 32;
-  Bitvec.Lanemask.set m 69;
-  List.iter
-    (fun i ->
-      Alcotest.(check bool) (Printf.sprintf "lane %d set" i) true
-        (Bitvec.Lanemask.get m i))
-    [ 0; 31; 32; 69 ];
-  Alcotest.(check bool) "lane 33 clear" false (Bitvec.Lanemask.get m 33);
-  Alcotest.(check int) "popcount" 4 (Bitvec.Lanemask.popcount m);
-  Bitvec.Lanemask.clear m 0;
-  Alcotest.(check int) "first_set after clear" 31 (Bitvec.Lanemask.first_set m);
-  Alcotest.check_raises "get out of range"
-    (Invalid_argument "Bitvec.Lanemask.get: lane 70 out of [0,70)") (fun () ->
-      ignore (Bitvec.Lanemask.get m 70));
-  Alcotest.check_raises "set out of range"
-    (Invalid_argument "Bitvec.Lanemask.set: lane -1 out of [0,70)") (fun () ->
-      Bitvec.Lanemask.set m (-1))
-
-let test_lanemask_tail_masking () =
-  (* 33 lanes: one full word plus a 1-bit tail; set_all and set_word
-     must never let bits 33..63 of the storage leak into popcount *)
-  let m = Bitvec.Lanemask.create 33 in
-  Bitvec.Lanemask.set_all m;
-  Alcotest.(check int) "set_all popcount == length" 33
-    (Bitvec.Lanemask.popcount m);
-  Alcotest.(check int) "tail word holds exactly 1 bit" 1
-    (Bitvec.Lanemask.word m 1);
-  (* a garbage write into the tail word is truncated to the live lanes *)
-  Bitvec.Lanemask.set_word m 1 0x7fffffff;
-  Alcotest.(check int) "set_word masks tail" 1 (Bitvec.Lanemask.word m 1);
-  Bitvec.Lanemask.set_word m 1 0;
-  Alcotest.(check int) "tail cleared" 32 (Bitvec.Lanemask.popcount m);
-  (* a full-word-length mask keeps all 32 bits of a non-tail word *)
-  Bitvec.Lanemask.set_word m 0 0xffffffff;
-  Alcotest.(check int) "non-tail word unmasked" 0xffffffff
-    (Bitvec.Lanemask.word m 0)
-
-let test_lanemask_partial_word_scan () =
-  (* popcount/first_set landing inside the final partial word *)
-  let m = Bitvec.Lanemask.create 70 in
-  Bitvec.Lanemask.set m 64;
-  Bitvec.Lanemask.set m 69;
-  Alcotest.(check int) "tail popcount" 2 (Bitvec.Lanemask.popcount m);
-  Alcotest.(check int) "first_set in tail" 64 (Bitvec.Lanemask.first_set m);
-  Bitvec.Lanemask.clear m 64;
-  Alcotest.(check int) "first_set at last lane" 69
-    (Bitvec.Lanemask.first_set m);
-  let seen = ref [] in
-  Bitvec.Lanemask.set m 2;
-  Bitvec.Lanemask.iter (fun i -> seen := i :: !seen) m;
-  Alcotest.(check (list int)) "iter order" [ 2; 69 ] (List.rev !seen)
-
-let test_lanemask_set_ops () =
-  let a = Bitvec.Lanemask.create 40 and b = Bitvec.Lanemask.create 40 in
-  Bitvec.Lanemask.set a 3;
-  Bitvec.Lanemask.set a 39;
-  Bitvec.Lanemask.set b 39;
-  Bitvec.Lanemask.set b 17;
-  let u = Bitvec.Lanemask.copy a in
-  Bitvec.Lanemask.union_into ~into:u b;
-  Alcotest.(check int) "union popcount" 3 (Bitvec.Lanemask.popcount u);
-  let i = Bitvec.Lanemask.copy a in
-  Bitvec.Lanemask.inter_into ~into:i b;
-  Alcotest.(check int) "inter popcount" 1 (Bitvec.Lanemask.popcount i);
-  Alcotest.(check int) "inter lane" 39 (Bitvec.Lanemask.first_set i);
-  let d = Bitvec.Lanemask.copy a in
-  Bitvec.Lanemask.diff_into ~into:d b;
-  Alcotest.(check int) "diff lane" 3 (Bitvec.Lanemask.first_set d);
-  Alcotest.(check int) "diff popcount" 1 (Bitvec.Lanemask.popcount d);
-  Alcotest.(check bool) "copy is equal" true
-    (Bitvec.Lanemask.equal a (Bitvec.Lanemask.copy a));
-  Alcotest.(check bool) "union differs" false (Bitvec.Lanemask.equal a u);
-  Alcotest.check_raises "length mismatch"
-    (Invalid_argument "Bitvec.Lanemask.union_into: length mismatch 40 vs 70")
-    (fun () ->
-      Bitvec.Lanemask.union_into ~into:a (Bitvec.Lanemask.create 70))
-
-(* ------------------------------------------------------------------ *)
 (* Texttab *)
 
 let test_texttab_render () =
@@ -367,16 +276,6 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_bitvec_ops;
           QCheck_alcotest.to_alcotest qcheck_bitvec_mul_wide;
           QCheck_alcotest.to_alcotest qcheck_bitvec_resize;
-        ] );
-      ( "lanemask",
-        [
-          Alcotest.test_case "basics / non-multiple-of-64 length" `Quick
-            test_lanemask_basics;
-          Alcotest.test_case "tail-bit masking" `Quick
-            test_lanemask_tail_masking;
-          Alcotest.test_case "popcount/first_set on partial word" `Quick
-            test_lanemask_partial_word_scan;
-          Alcotest.test_case "union/inter/diff" `Quick test_lanemask_set_ops;
         ] );
       ( "srand",
         [

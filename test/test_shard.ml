@@ -251,7 +251,7 @@ let test_manifest_roundtrip () =
           rerouted = 3;
           rebuilt = 4;
           diffed = 5;
-          converged = 6;
+          converged = 0;
           batched = 7;
         };
       sm_wall_ns = 123456;
@@ -328,7 +328,7 @@ let shard_fuzz_corpus =
                   rerouted = 3;
                   rebuilt = 4;
                   diffed = 5;
-                  converged = 6;
+                  converged = 0;
                   batched = 7;
                 };
               sm_wall_ns = 123456;

@@ -100,7 +100,6 @@ let all_events =
         rerouted = 20;
         rebuilt = 10;
         diffed = 8;
-        converged = 6;
         batched = 64;
       };
     Events.Manifest_written { design = "tmr_p2"; path = "/tmp/x.json" };
