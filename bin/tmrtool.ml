@@ -451,8 +451,8 @@ let shards_t =
         ~doc:
           "Plan the fault space as $(docv) checkpointable ranges (default \
            16 when sharded).  Every completed shard persists a manifest \
-           plus per-fault JSONL under the shard directory, so an \
-           interrupted run resumes from what is already done.")
+           plus its per-fault verdict records under the shard directory, \
+           so an interrupted run resumes from what is already done.")
 
 let procs_t =
   Arg.(
@@ -471,9 +471,10 @@ let shard_dir_t =
     & info [ "shard-dir" ] ~docv:"DIR"
         ~doc:
           "Shard queue directory (default $(b,.tmr-shards/)<job name>): \
-           job.json, todo/, claims/, done/ manifests, results/ JSONL.  \
-           Rerunning with the same $(docv) resumes; a directory holding a \
-           different job is refused unless $(b,--fresh).")
+           job.json, todo/, claims/, done/ manifests, results/ verdict \
+           records.  Rerunning with the same $(docv) resumes; a directory \
+           holding a different job, or one another build of the tool \
+           wrote, is refused unless $(b,--fresh).")
 
 let shard_limit_t =
   Arg.(
@@ -640,7 +641,7 @@ let inject_cmd =
     if sharded && forensics <> None then begin
       Printf.eprintf
         "tmrtool: --forensics does not combine with sharded campaigns \
-         (per-shard result lines carry no forensic records)\n";
+         (shard verdict records carry no forensic records)\n";
       exit 2
     end;
     with_telemetry telem @@ fun () ->

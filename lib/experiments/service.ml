@@ -71,8 +71,20 @@ let faults_of _ctx (run : Runs.design_run) j =
   if j.j_exhaustive then Array.copy run.Runs.faultlist.Faultlist.bits
   else Faultlist.sample run.Runs.faultlist ~seed:j.j_seed ~count:j.j_faults
 
-let fingerprint j faults =
-  let b = Buffer.create (16 + (Array.length faults * 7)) in
+(* Verdicts are a function of the engine as much as of the job: a queue
+   directory another build wrote holds that build's verdicts (and its
+   results file format), so the running executable is part of the
+   fingerprint. *)
+let build_digest =
+  lazy
+    (try Digest.to_hex (Digest.file Sys.executable_name)
+     with Sys_error _ -> "unknown")
+
+let fingerprint ?build j faults =
+  let build = match build with Some b -> b | None -> Lazy.force build_digest in
+  let b = Buffer.create (64 + (Array.length faults * 7)) in
+  Buffer.add_string b build;
+  Buffer.add_char b ',';
   Buffer.add_string b (Json.to_string (job_to_json j));
   Array.iter
     (fun f ->

@@ -1,5 +1,6 @@
 module Campaign = Tmr_inject.Campaign
 module Classify = Tmr_inject.Classify
+module Shard = Tmr_inject.Shard
 module Json = Tmr_obs.Json
 
 type entry = {
@@ -43,37 +44,24 @@ let git_commit =
 let version_string () =
   Printf.sprintf "tmrtool %s (git %s)" tool_version (Lazy.force git_commit)
 
-(* The per-bit verdicts, one fixed-size record per fault in fault-list
-   order: the bit (int64), the outcome (one byte: 0 silent, 1 wrong
-   answer), the effect (one byte: its position in [Classify.all]), then
-   the first-error and detect cycles (int32 each), little-endian.
-   Records are packed into a chunk of [chunk_records] behind the 16-byte
-   running digest, and each chunk, the last (partial) one included, is
-   replaced by its MD5: memory stays one chunk whatever the run's
-   size. *)
-let record_bytes = 18
-let chunk_records = (1 lsl 16) / record_bytes
-let effect_codes = List.mapi (fun i e -> (e, i)) Classify.all
+(* The per-bit verdicts, one {!Shard.put_record} record per fault in
+   fault-list order.  Records are packed into a chunk of
+   [chunk_records] behind the 16-byte running digest, and each chunk,
+   the last (partial) one included, is replaced by its MD5: memory
+   stays one chunk whatever the run's size. *)
+let chunk_records = (1 lsl 16) / Shard.record_bytes
 
 let verdict_digest (results : Campaign.fault_result array) =
-  let buf = Bytes.make (16 + (chunk_records * record_bytes)) '\000' in
+  let buf = Bytes.make (16 + (chunk_records * Shard.record_bytes)) '\000' in
   let fill = ref 16 in
   let flush () =
     Bytes.blit_string (Digest.subbytes buf 0 !fill) 0 buf 0 16;
     fill := 16
   in
   Array.iter
-    (fun (r : Campaign.fault_result) ->
-      let p = !fill in
-      Bytes.set_int64_le buf p (Int64.of_int r.Campaign.bit);
-      Bytes.set_uint8 buf (p + 8)
-        (match r.Campaign.outcome with
-        | Campaign.Silent -> 0
-        | Campaign.Wrong_answer -> 1);
-      Bytes.set_uint8 buf (p + 9) (List.assq r.Campaign.effect effect_codes);
-      Bytes.set_int32_le buf (p + 10) (Int32.of_int r.Campaign.first_error_cycle);
-      Bytes.set_int32_le buf (p + 14) (Int32.of_int r.Campaign.detect_cycle);
-      fill := p + record_bytes;
+    (fun r ->
+      Shard.put_record buf !fill r;
+      fill := !fill + Shard.record_bytes;
       if !fill = Bytes.length buf then flush ())
     results;
   flush ();

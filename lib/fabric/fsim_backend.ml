@@ -72,8 +72,8 @@ end
    algebra, evaluating every lane of a word at once. *)
 
 module Lanes = struct
-  let word_bits = 32
-  let full = 0xffffffff
+  let word_bits = Sys.int_size
+  let full = -1
 
   (* Split plane words of a scalar value, for callers that keep H and L
      in separate flat arrays rather than as pairs. *)
@@ -112,8 +112,8 @@ module Lanes = struct
      OR of the [s] its nibble [n_k] selects for the H plane, and of
      those [15 - n_k] selects for the L plane: [sc] holds the ORs of all
      sixteen subsets, indexed by nibble.  [(h0, l0) .. (h3, l3)] are the
-     four pin words ({!pin_h}/{!pin_l}), every word within [full]; the
-     result lands in [dh.(i)]/[dl.(i)]. *)
+     four pin words ({!pin_h}/{!pin_l}); the result lands in
+     [dh.(i)]/[dl.(i)]. *)
   let[@inline] lut_into (sc : int array) table h0 l0 h1 l1 h2 l2 h3 l3
       (dh : int array) (dl : int array) i =
     let s0 = l0 land l1 and s1 = h0 land l1 in
@@ -167,12 +167,10 @@ module Lanes = struct
     done;
     !t
 
-  let lut_node sc ~table ~h ~l p0 p1 p2 p3 n ~dh ~dl o =
+  let lut_node sc ~table ~h ~l p0 p1 p2 p3 ~dh ~dl o =
     check_scratch sc;
-    for s = 0 to n - 1 do
-      lut_into sc table h.(p0 + s) l.(p0 + s) h.(p1 + s) l.(p1 + s)
-        h.(p2 + s) l.(p2 + s) h.(p3 + s) l.(p3 + s) dh dl (o + s)
-    done
+    lut_into sc table h.(p0) l.(p0) h.(p1) l.(p1) h.(p2) l.(p2) h.(p3) l.(p3)
+      dh dl o
 
   (* The same over per-lane truth tables: [leaves.(at + m)] is the mask
      of lanes whose table has minterm [m] set. *)

@@ -52,11 +52,12 @@ module Lanes : sig
       unreachable. *)
 
   val word_bits : int
-  (** 32 — plane words stay immediate integers everywhere, and two of
-      them form a 64-lane batch. *)
+  (** [Sys.int_size] (63 on 64-bit hosts) — every bit of an immediate
+      integer is a lane, the sign bit included, and one plane word
+      holds a whole batch. *)
 
   val full : int
-  (** All-lanes mask, [2^word_bits - 1]. *)
+  (** All-lanes mask: every bit set, [-1]. *)
 
   val broadcast_h : Tmr_logic.Logic.t -> int
   val broadcast_l : Tmr_logic.Logic.t -> int
@@ -94,8 +95,8 @@ module Lanes : sig
   (** [lut_words sc table h0 l0 h1 l1 h2 l2 h3 l3 dh dl i] evaluates a
       LUT whose truth table [table] is shared by every lane and stores
       the result planes in [dh.(i)]/[dl.(i)]; allocation-free.
-      [(h0, l0) .. (h3, l3)]: the four pin words from {!pin_h}/{!pin_l},
-      each within {!full}; [sc]: a scratch of at least 16 words.
+      [(h0, l0) .. (h3, l3)]: the four pin words from {!pin_h}/{!pin_l};
+      [sc]: a scratch of at least 16 words.
       Equals {!Scalar.lut_eval} (including Kleene completion over X
       pins) lane by lane. *)
 
@@ -114,16 +115,14 @@ module Lanes : sig
     int ->
     int ->
     int ->
-    int ->
     dh:int array ->
     dl:int array ->
     int ->
     unit
-  (** [lut_node sc ~table ~h ~l p0 p1 p2 p3 n ~dh ~dl o] evaluates one
-      LUT node over [n] sub-words of flat plane arrays: pin [j] reads
-      [h.(pj + s)]/[l.(pj + s)], uninverted, and sub-word [s] of the
-      result lands in [dh.(o + s)]/[dl.(o + s)].  Each sub-word is
-      {!lut_words} of those pin words. *)
+  (** [lut_node sc ~table ~h ~l p0 p1 p2 p3 ~dh ~dl o] evaluates one
+      LUT node over flat plane arrays: pin [j] reads [h.(pj)]/[l.(pj)],
+      uninverted, and the result lands in [dh.(o)]/[dl.(o)]: {!lut_words}
+      of those pin words. *)
 
   val lut_leaves :
     ph:int array ->

@@ -1,7 +1,8 @@
 (* Bit-parallel batched differential fault simulation.
 
-   Packs up to [width] faults into the lanes of 32-bit "possibility
-   plane" words ({!Fsim_backend.Lanes}) and runs ONE dense evaluation of
+   Packs up to [width] faults into the lanes of one pair of
+   "possibility plane" words per node ({!Fsim_backend.Lanes}) and runs
+   ONE dense evaluation of
    the union of the lanes' fanout cones against the shared baseline
    tape.  Once per batch the union cone is compiled into a program over
    local indices (members in evaluation order, then the frontier of
@@ -16,8 +17,9 @@
    cell patches apply word-parallel through per-lane masks, and a LUT
    row rewired by a lane is gathered into the pin words (that lane's
    pin bits read its own inputs) before the one word-parallel LUT
-   evaluation.  Rewired resolve rows and appended resolve nodes are
-   spliced per lane (scalar evaluation of just that lane's bit).  A
+   evaluation.  A rewired resolve row or an appended resolve node is
+   resolved word-parallel over that lane's row and blended in on that
+   lane's bit alone.  A
    kind override (out_sel) makes a node registered in some lanes and
    combinational in others: it is evaluated both ways and blended by
    lane, and clocked in its register lanes.  A remapped watch position
@@ -70,7 +72,6 @@ type verdict = {
 type t = {
   base : F.t;
   view : F.view;
-  stride : int;  (* plane words per node, width / 32 *)
   csr_off : int array;
   csr_succ : int array;
   bel_of : int array;
@@ -91,24 +92,25 @@ type t = {
      between runs: each run clears the slots of the nodes it touched on
      the way out *)
   mutable ov_t1 : int array array;
-      (* per-lane truth tables: leaf words, sub * 16 + minterm; [||] =
+      (* per-lane truth tables: 16 leaf words, one per minterm; [||] =
          the base table in every lane *)
-  mutable ov_im : int array array;  (* inversion masks, sub * 4 + pin *)
-  mutable ov_ce : int array array;  (* clock-enable-frozen lanes, per sub *)
-  mutable ov_qh : int array array;  (* flip-flop init planes, per sub *)
-  mutable ov_ql : int array array;
-  mutable ov_reg : int array array;
-      (* registered lanes, per sub; [||] = the base kind in every lane *)
+  mutable ov_im : int array array;  (* inversion masks, one per pin *)
+  mutable ov_set : Bytes.t;
+      (* which of the words below hold an overlay: [f_ce], [f_qi],
+         [f_reg] bits; unset = the base value in every lane *)
+  mutable ov_ce : int array;  (* clock-enable-frozen lanes *)
+  mutable ov_qh : int array;  (* flip-flop init planes *)
+  mutable ov_ql : int array;
+  mutable ov_reg : int array;  (* registered lanes *)
   mutable ov_rows : (int * int array) list array;  (* (lane, rewired row) *)
   mutable radj : int list array;  (* overlay readers *)
   (* the compiled program of one run, over local indices: member [i] of
      the evaluation order is local [i], the frontier follows, and the
      last local is a constant Zero that unused LUT pins read.  Plane
-     arrays hold [ns] words per local, full-valued on every lane. *)
+     arrays hold one word per local, full-valued on every lane. *)
   mutable gid : int array;  (* local -> node *)
   mutable kd : int array;  (* per member: evaluation kind, [k_*] *)
-  mutable pin : int array;
-      (* per member: its 4 pins' plane offsets, local index * ns *)
+  mutable pin : int array;  (* per member: its 4 pins' locals *)
   mutable tbl : int array;
       (* per member: the base truth table with the base pin inversion
          folded in *)
@@ -117,7 +119,7 @@ type t = {
       (* per resolve member: (lane, rewired row over local indices) *)
   mutable gof : int array;  (* per LUT member: rewired-pin offsets *)
   mutable gat : int array;
-      (* rewired LUT pins, four words each: sub, pin, the local node the
+      (* rewired LUT pins, three words each: pin, the local node the
          lanes read there ([-1] = unused), the lanes *)
   mutable roff : int array;  (* per member: resolve row offsets *)
   mutable rins : int array;  (* resolve rows over local indices *)
@@ -125,19 +127,18 @@ type t = {
       (* per member of a union SCC: the lowest reader at or before it
          in its group (a back edge), [max_int] = none *)
   mutable bkm : int array;
-      (* per member and sub: the lanes of its back edges (a rewired row
-         or an appended node reads it in one lane, a base row in all) *)
+      (* per member: the lanes of its back edges (a rewired row or an
+         appended node reads it in one lane, a base row in all) *)
   mutable fw : int array;
       (* per member of a union SCC: the highest reader after it in its
          group, [-1] = none *)
-  mutable vh : int array;  (* value planes, local * ns + sub *)
+  mutable vh : int array;  (* value planes, per local *)
   mutable vl : int array;
   mutable uh : int array;  (* previous-cycle planes (glitch rule) *)
   mutable ul : int array;
   mutable qh : int array;  (* register state planes, per member *)
   mutable ql : int array;
-  mutable fz : int array;
-      (* per member and sub: lanes for which it is a Kleene cut *)
+  mutable fz : int array;  (* per member: lanes for which it is a Kleene cut *)
   (* kernel work of the last run *)
   mutable n_evals : int;
   mutable n_splices : int;
@@ -146,8 +147,10 @@ type t = {
   phs : int array;  (* 4: per-pin H planes, inversion applied *)
   pls : int array;
   ims : int array;  (* 4: per-pin inversion masks *)
-  newh : int array;  (* stride: the value being built *)
+  newh : int array;  (* 1: the value being built *)
   newl : int array;
+  rsh : int array;  (* 1: one lane's resolve row, every lane *)
+  rsl : int array;
   mutable resh : int array;  (* growable resolve-driver scratch *)
   mutable resl : int array;
   mutable reslh : int array;
@@ -178,11 +181,15 @@ let k_res = 4 (* resolve node *)
 let k_extra = 5 (* appended resolve node of one lane *)
 let k_tape = 6 (* no function of its inputs: reads the tape *)
 
+(* [ov_set] bits *)
+let f_ce = 1
+let f_qi = 2
+let f_reg = 4
+
 let ensure t n =
   if t.cap < n then begin
     let cap = max n (max 1024 (2 * t.cap)) in
     t.cap <- cap;
-    let ps = (cap + 1) * t.stride in
     t.mark <- Bytes.make cap '\000';
     t.fmark <- Bytes.make cap '\000';
     t.order <- Array.make cap 0;
@@ -194,10 +201,11 @@ let ensure t n =
     t.regs <- Array.make cap 0;
     t.ov_t1 <- Array.make cap [||];
     t.ov_im <- Array.make cap [||];
-    t.ov_ce <- Array.make cap [||];
-    t.ov_qh <- Array.make cap [||];
-    t.ov_ql <- Array.make cap [||];
-    t.ov_reg <- Array.make cap [||];
+    t.ov_set <- Bytes.make cap '\000';
+    t.ov_ce <- Array.make cap 0;
+    t.ov_qh <- Array.make cap 0;
+    t.ov_ql <- Array.make cap 0;
+    t.ov_reg <- Array.make cap 0;
     t.ov_rows <- Array.make cap [];
     t.radj <- Array.make cap [];
     t.gid <- Array.make (cap + 1) 0;
@@ -210,14 +218,14 @@ let ensure t n =
     t.roff <- Array.make (cap + 1) 0;
     t.bk <- Array.make cap max_int;
     t.fw <- Array.make cap (-1);
-    t.bkm <- Array.make ps 0;
-    t.vh <- Array.make ps 0;
-    t.vl <- Array.make ps 0;
-    t.uh <- Array.make ps 0;
-    t.ul <- Array.make ps 0;
-    t.qh <- Array.make ps 0;
-    t.ql <- Array.make ps 0;
-    t.fz <- Array.make ps 0
+    t.bkm <- Array.make cap 0;
+    t.vh <- Array.make (cap + 1) 0;
+    t.vl <- Array.make (cap + 1) 0;
+    t.uh <- Array.make (cap + 1) 0;
+    t.ul <- Array.make (cap + 1) 0;
+    t.qh <- Array.make cap 0;
+    t.ql <- Array.make cap 0;
+    t.fz <- Array.make cap 0
   end
 
 let res_ensure t n =
@@ -229,7 +237,7 @@ let res_ensure t n =
     t.resll <- Array.make c 0
   end
 
-let width = 64
+let width = Lanes.word_bits
 
 let create base cone =
   let v = F.view base in
@@ -245,12 +253,10 @@ let create base cone =
   done;
   let base_pos = Array.make (max 1 bn) 0 in
   Array.iteri (fun i u -> base_pos.(u) <- i) v.F.v_scc_nodes;
-  let stride = width / 32 in
   let t =
     {
       base;
       view = v;
-      stride;
       csr_off;
       csr_succ;
       bel_of;
@@ -268,6 +274,7 @@ let create base cone =
       regs = [||];
       ov_t1 = [||];
       ov_im = [||];
+      ov_set = Bytes.empty;
       ov_ce = [||];
       ov_qh = [||];
       ov_ql = [||];
@@ -300,8 +307,10 @@ let create base cone =
       phs = Array.make 4 0;
       pls = Array.make 4 0;
       ims = Array.make 4 0;
-      newh = Array.make stride 0;
-      newl = Array.make stride 0;
+      newh = Array.make 1 0;
+      newl = Array.make 1 0;
+      rsh = Array.make 1 0;
+      rsl = Array.make 1 0;
       resh = [||];
       resl = [||];
       reslh = [||];
@@ -338,10 +347,11 @@ let rec row_or (u : int) base = function
   | [] -> base
   | (n, r) :: tl -> if n = u then r else row_or u base tl
 
-(* Index of the single set bit of [m] (an isolated power of two below
-   2^32). *)
+(* Index of the single set bit of [m] (an isolated power of two, the
+   sign bit 62 included). *)
 let bit_index m =
-  let i = if m land 0xffff = 0 then 16 else 0 in
+  let i = if m land 0xffffffff = 0 then 32 else 0 in
+  let i = if (m lsr i) land 0xffff = 0 then i + 16 else i in
   let i = if (m lsr i) land 0xff = 0 then i + 8 else i in
   let i = if (m lsr i) land 0xf = 0 then i + 4 else i in
   let i = if (m lsr i) land 0x3 = 0 then i + 2 else i in
@@ -351,8 +361,8 @@ let bit_index m =
    plane), bit 1 = may be Zero (the L plane). *)
 let tw_code = function Logic.One -> 1 | Logic.Zero -> 2 | Logic.X -> 3
 
-let[@inline] code_h c = -(c land 1) land Lanes.full
-let[@inline] code_l c = -((c lsr 1) land 1) land Lanes.full
+let[@inline] code_h c = -(c land 1)
+let[@inline] code_l c = -((c lsr 1) land 1)
 
 let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
   let v = t.view in
@@ -368,8 +378,6 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
   let cycles = F.tape_cycles tape in
   if Array.length expected <> cycles then
     invalid_arg "Fsim_batch.run: expected matrix / tape cycle mismatch";
-  let ns = (nlanes + 31) / 32 in
-  let stride = t.stride in
   let fullw = Lanes.full in
   let seed_rules = Array.map fst lanes and lanes = Array.map snd lanes in
   (* ---- lane address space: extras of lane i live at
@@ -387,7 +395,7 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
   t.n_evals <- 0;
   t.n_splices <- 0;
   if voters <> None && Array.length t.pv_seen < t.cap then begin
-    t.ever <- Array.make (t.cap * stride) 0;
+    t.ever <- Array.make t.cap 0;
     t.pv_seen <- Array.make t.cap 0;
     t.pv_depth <- Array.make t.cap 0
   end;
@@ -447,9 +455,9 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
   in
   let lane_rows : (int * int array) list array = Array.make nlanes [] in
   (* per lane: (watch position, node) the lane reads there instead of
-     the base watch node; per position and sub: the lanes that do *)
+     the base watch node; per position: the lanes that do *)
   let lane_watch : (int * int) list array = Array.make nlanes [] in
-  let wmask = Array.make (max 1 (Array.length watch * ns)) 0 in
+  let wmask = Array.make (max 1 (Array.length watch)) 0 in
   let slot_of slots node init =
     if Array.length slots.(node) = 0 then begin
       slots.(node) <- init ();
@@ -458,56 +466,59 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
     slots.(node)
   in
   let bcast_bit x k = if (x lsr k) land 1 = 1 then fullw else 0 in
-  let t1_of node =
-    let table = v.F.v_table.(node) in
-    slot_of t.ov_t1 node (fun () ->
-        Array.init (16 * ns) (fun i -> bcast_bit table (i land 15)))
-  in
-  let im_of node =
-    let inv = v.F.v_inv.(node) in
-    slot_of t.ov_im node (fun () ->
-        Array.init (4 * ns) (fun i -> bcast_bit inv (i land 3)))
-  in
-  let ce_of node =
-    slot_of t.ov_ce node (fun () ->
-        Array.make ns (if v.F.v_ce_frozen.(node) then fullw else 0))
-  in
-  let reg_of node =
-    slot_of t.ov_reg node (fun () ->
-        Array.make ns (if v.F.v_kind.(node) = F.kind_bel_reg then fullw else 0))
-  in
-  let qi_of node =
-    let q = v.F.v_q_init.(node) in
-    ( slot_of t.ov_qh node (fun () -> Array.make ns (Lanes.broadcast_h q)),
-      slot_of t.ov_ql node (fun () -> Array.make ns (Lanes.broadcast_l q)) )
+  (* the overlay words of flag [f] at [node]: [init] writes their base
+     values when no lane set them yet *)
+  let word_of f node init =
+    let set = Char.code (Bytes.get t.ov_set node) in
+    if set land f = 0 then begin
+      Bytes.set t.ov_set node (Char.chr (set lor f));
+      init ();
+      touch node
+    end
   in
   let set_lane a i m on =
     a.(i) <- (if on then a.(i) lor m else a.(i) land lnot m)
   in
   Array.iteri
     (fun li d ->
-      let sub = li lsr 5 and bit = li land 31 in
-      let m = 1 lsl bit in
+      let m = 1 lsl li in
       (match d.F.dl_cell with
       | None -> ()
       | Some (node, p) -> (
           match p with
           | F.Cp_table tbl ->
-              let a = t1_of node in
+              let table = v.F.v_table.(node) in
+              let a =
+                slot_of t.ov_t1 node (fun () -> Array.init 16 (bcast_bit table))
+              in
               for mt = 0 to 15 do
-                set_lane a ((sub * 16) + mt) m ((tbl lsr mt) land 1 = 1)
+                set_lane a mt m ((tbl lsr mt) land 1 = 1)
               done
           | F.Cp_inv iv ->
-              let a = im_of node in
+              let inv = v.F.v_inv.(node) in
+              let a =
+                slot_of t.ov_im node (fun () -> Array.init 4 (bcast_bit inv))
+              in
               for j = 0 to 3 do
-                set_lane a ((sub * 4) + j) m ((iv lsr j) land 1 = 1)
+                set_lane a j m ((iv lsr j) land 1 = 1)
               done
           | F.Cp_qinit q ->
-              let ah, al = qi_of node in
-              set_lane ah sub m (Lanes.broadcast_h q <> 0);
-              set_lane al sub m (Lanes.broadcast_l q <> 0)
-          | F.Cp_ce b -> set_lane (ce_of node) sub m b
-          | F.Cp_reg r -> set_lane (reg_of node) sub m r));
+              word_of f_qi node (fun () ->
+                  let q0 = v.F.v_q_init.(node) in
+                  t.ov_qh.(node) <- Lanes.broadcast_h q0;
+                  t.ov_ql.(node) <- Lanes.broadcast_l q0);
+              set_lane t.ov_qh node m (Lanes.broadcast_h q <> 0);
+              set_lane t.ov_ql node m (Lanes.broadcast_l q <> 0)
+          | F.Cp_ce b ->
+              word_of f_ce node (fun () ->
+                  t.ov_ce.(node) <-
+                    (if v.F.v_ce_frozen.(node) then fullw else 0));
+              set_lane t.ov_ce node m b
+          | F.Cp_reg r ->
+              word_of f_reg node (fun () ->
+                  t.ov_reg.(node) <-
+                    (if v.F.v_kind.(node) = F.kind_bel_reg then fullw else 0));
+              set_lane t.ov_reg node m r));
       let remap p =
         if p < 0 then -1
         else if p < bn then p
@@ -532,7 +543,7 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
       Array.iter
         (fun (wi, node) ->
           lane_watch.(li) <- (wi, remap node) :: lane_watch.(li);
-          wmask.((wi * ns) + sub) <- wmask.((wi * ns) + sub) lor m)
+          wmask.(wi) <- wmask.(wi) lor m)
         d.F.dl_watch)
     lanes;
   (* each lane's seed set: the node itself for [Seed_node]; for
@@ -623,7 +634,7 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
      own circuit may be cyclic (classified below). ---- *)
   (* [mixed u]: some lane overrides [u]'s kind; [is_reg u]: a register
      in every lane; [clocked u]: a register in some lane *)
-  let mixed u = u < bn && Array.length t.ov_reg.(u) > 0 in
+  let mixed u = u < bn && Char.code (Bytes.get t.ov_set u) land f_reg <> 0 in
   let is_reg u = u < bn && v.F.v_kind.(u) = F.kind_bel_reg && not (mixed u) in
   let clocked u = u < bn && (v.F.v_kind.(u) = F.kind_bel_reg || mixed u) in
   let lane_reg li u =
@@ -680,7 +691,7 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
   let kahn_len = !ot in
   let have_backedges = !ot < nm in
   let scc_starts = ref [||] in
-  Array.fill t.fz 0 (nm * ns) 0;
+  Array.fill t.fz 0 nm 0;
   (* per leftover SCC: its Kleene cut members ([t.fz] holds their lanes) *)
   let gcuts = ref [||] in
   if have_backedges then begin
@@ -792,18 +803,13 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
     let in_l u =
       u >= 0 && Bytes.get t.mark u <> '\000' && t.indeg.(u) > 0
     in
-    let add_cut u s m =
+    let add_cut u m =
       let i = t.pos.(u) in
-      let b = i * ns in
-      let fresh = ref true in
-      for s' = 0 to ns - 1 do
-        if t.fz.(b + s') <> 0 then fresh := false
-      done;
-      if !fresh then begin
+      if t.fz.(i) = 0 then begin
         let g = grp.(i - kahn_len) in
         gc.(g) <- i :: gc.(g)
       end;
-      t.fz.(b + s) <- t.fz.(b + s) lor m
+      t.fz.(i) <- t.fz.(i) lor m
     in
     (* Kleene cuts: a set of nodes meeting every cycle of every lane's
        own circuit.  With a lane's cut bits held fixed its circuit is
@@ -825,9 +831,7 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
       let u = t.order.(i) in
       if u < bn && Bytes.get t.cyc_node u <> '\000' then begin
         Bytes.set gbase grp.(i - kahn_len) '\001';
-        for s = 0 to ns - 1 do
-          add_cut u s fullw
-        done
+        add_cut u fullw
       end
     done;
     let seen = Array.make nn 0 in
@@ -858,7 +862,7 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
                         end)
                 (eff_row_of li u)
             in
-            if back_to_seed s0 then add_cut s0 (li lsr 5) (1 lsl (li land 31))
+            if back_to_seed s0 then add_cut s0 (1 lsl li)
           end)
         lane_sseeds.(li)
     done
@@ -907,26 +911,25 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
     nres := !nres + n
   in
   let ngat = ref 0 in
-  (* lanes [m] of sub [s] read local [p] at pin [j]: one entry per
-     distinct (sub, pin, node) of the member starting at [g0] *)
-  let add_gather g0 s j p m =
+  (* lanes [m] read local [p] at pin [j]: one entry per distinct
+     (pin, node) of the member starting at [g0] *)
+  let add_gather g0 j p m =
     let k = ref g0 in
-    let same k = t.gat.(k) = s && t.gat.(k + 1) = j && t.gat.(k + 2) = p in
+    let same k = t.gat.(k) = j && t.gat.(k + 1) = p in
     while !k < !ngat && not (same !k) do
-      k := !k + 4
+      k := !k + 3
     done;
-    if !k < !ngat then t.gat.(!k + 3) <- t.gat.(!k + 3) lor m
+    if !k < !ngat then t.gat.(!k + 2) <- t.gat.(!k + 2) lor m
     else begin
-      if Array.length t.gat < !ngat + 4 then begin
-        let a = Array.make (2 * Array.length t.gat + 64) 0 in
+      if Array.length t.gat < !ngat + 3 then begin
+        let a = Array.make (2 * Array.length t.gat + 63) 0 in
         Array.blit t.gat 0 a 0 !ngat;
         t.gat <- a
       end;
-      t.gat.(!ngat) <- s;
-      t.gat.(!ngat + 1) <- j;
-      t.gat.(!ngat + 2) <- p;
-      t.gat.(!ngat + 3) <- m;
-      ngat := !ngat + 4
+      t.gat.(!ngat) <- j;
+      t.gat.(!ngat + 1) <- p;
+      t.gat.(!ngat + 2) <- m;
+      ngat := !ngat + 3
     end
   in
   let nregs = ref 0 in
@@ -951,14 +954,13 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
           (fun (li, rrow) ->
             for j = 0 to 3 do
               if rrow.(j) <> row.(j) then
-                add_gather t.gof.(i) (li lsr 5) j (loc rrow.(j))
-                  (1 lsl (li land 31))
+                add_gather t.gof.(i) j (loc rrow.(j)) (1 lsl li)
             done)
           t.ov_rows.(u);
         let iv = ref 0 in
         for j = 0 to 3 do
           let p = row.(j) in
-          t.pin.((4 * i) + j) <- (if p < 0 then zero else t.pos.(p)) * ns;
+          t.pin.((4 * i) + j) <- (if p < 0 then zero else t.pos.(p));
           if p >= 0 then iv := !iv lor (v.F.v_inv.(u) land (1 lsl j))
         done;
         t.tbl.(i) <- Lanes.fold_inversion ~table:v.F.v_table.(u) ~inv:!iv;
@@ -998,7 +1000,7 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
   let starts = !scc_starts in
   let nscc = Array.length starts in
   let gend g = if g + 1 < nscc then starts.(g + 1) else nm in
-  Array.fill t.bkm 0 (nm * ns) 0;
+  Array.fill t.bkm 0 nm 0;
   for g = 0 to nscc - 1 do
     let s0 = starts.(g) and s1 = gend g in
     for r = s0 to s1 - 1 do
@@ -1007,19 +1009,13 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
       let edge li p =
         if p >= 0 && Bytes.get t.mark p <> '\000' then begin
           let i = t.pos.(p) in
-          if i >= r && i < s1 then
-            for s = 0 to ns - 1 do
-              let m =
-                (if li < 0 then fullw
-                 else if li lsr 5 = s then 1 lsl (li land 31)
-                 else 0)
-                land lnot t.fz.((r * ns) + s)
-              in
-              if m <> 0 then begin
-                if r < t.bk.(i) then t.bk.(i) <- r;
-                t.bkm.((i * ns) + s) <- t.bkm.((i * ns) + s) lor m
-              end
-            done;
+          if i >= r && i < s1 then begin
+            let m = (if li < 0 then fullw else 1 lsl li) land lnot t.fz.(r) in
+            if m <> 0 then begin
+              if r < t.bk.(i) then t.bk.(i) <- r;
+              t.bkm.(i) <- t.bkm.(i) lor m
+            end
+          end;
           if i < r && i >= s0 && r > t.fw.(i) then t.fw.(i) <- r
         end
       in
@@ -1053,83 +1049,52 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
      (per-lane) init values ---- *)
   let vh = t.vh and vl = t.vl and uh = t.uh and ul = t.ul in
   let qh = t.qh and ql = t.ql and fz = t.fz in
-  Array.fill vh 0 (nloc * ns) fullw;
-  Array.fill vl 0 (nloc * ns) fullw;
-  Array.fill uh 0 (nloc * ns) fullw;
-  Array.fill ul 0 (nloc * ns) fullw;
-  Array.fill vh (zero * ns) ns 0;
+  Array.fill vh 0 nloc fullw;
+  Array.fill vl 0 nloc fullw;
+  Array.fill uh 0 nloc fullw;
+  Array.fill ul 0 nloc fullw;
+  vh.(zero) <- 0;
   for k = 0 to nregs - 1 do
     let i = t.regs.(k) in
-    let u = gid.(i) and b = i * ns in
-    if Array.length t.ov_qh.(u) > 0 then begin
-      Array.blit t.ov_qh.(u) 0 qh b ns;
-      Array.blit t.ov_ql.(u) 0 ql b ns
+    let u = gid.(i) in
+    if Char.code (Bytes.get t.ov_set u) land f_qi <> 0 then begin
+      qh.(i) <- t.ov_qh.(u);
+      ql.(i) <- t.ov_ql.(u)
     end
     else begin
-      Array.fill qh b ns (Lanes.broadcast_h v.F.v_q_init.(u));
-      Array.fill ql b ns (Lanes.broadcast_l v.F.v_q_init.(u))
+      qh.(i) <- Lanes.broadcast_h v.F.v_q_init.(u);
+      ql.(i) <- Lanes.broadcast_l v.F.v_q_init.(u)
     end
   done;
-  (* ---- the evaluation kernel: member [i]'s planes for sub [s] land in
-     [dh.(o + s)]/[dl.(o + s)] ---- *)
+  (* ---- the evaluation kernel: member [i]'s planes land in
+     [dh.(o)]/[dl.(o)] ---- *)
   let pin = t.pin and kd = t.kd and tbl = t.tbl in
   let roff = t.roff and lrows = t.lrows and gof = t.gof and gat = t.gat in
   let bk = t.bk and bkm = t.bkm and fw = t.fw in
   let sc = t.sc and phs = t.phs and pls = t.pls in
-  let newh = t.newh and newl = t.newl in
+  let newh = t.newh and newl = t.newl and rsh = t.rsh and rsl = t.rsl in
   let cur_c = ref 0 in
-  let lane_v p sub bit =
-    let b = (p * ns) + sub in
-    Lanes.lane ~h:vh.(b) ~l:vl.(b) bit
-  in
-  let lane_lv p sub bit =
-    let b = (p * ns) + sub in
-    Lanes.lane ~h:uh.(b) ~l:ul.(b) bit
-  in
   (* a node's value in one lane: its planes where the program holds it,
      the tape's elsewhere (a remapped watch position) *)
-  let node_v u sub bit =
-    if Bytes.get t.mark u <> '\000' || Bytes.get t.fmark u <> '\000' then
-      lane_v t.pos.(u) sub bit
-    else F.tape_get_u tape !cur_c u
-  in
-  let splice vv dh dl o sub bit =
-    let m = 1 lsl bit in
-    dh.(o + sub) <- dh.(o + sub) land lnot m lor (Lanes.broadcast_h vv land m);
-    dl.(o + sub) <- dl.(o + sub) land lnot m lor (Lanes.broadcast_l vv land m)
-  in
-  (* one lane's resolve over the locals [a.(off) .. a.(off + n - 1)] *)
-  let scalar_resolve a off n sub bit =
-    if n = 0 then Logic.X
-    else begin
-      let vr = ref (lane_v a.(off) sub bit) in
-      for k = 1 to n - 1 do
-        vr := Logic.resolve !vr (lane_v a.(off + k) sub bit)
-      done;
-      match !vr with
-      | Logic.X -> Logic.X
-      | (Logic.Zero | Logic.One) as sv ->
-          let g = ref false in
-          for k = 0 to n - 1 do
-            if not (Logic.equal (lane_lv a.(off + k) sub bit) sv) then g := true
-          done;
-          if !g then Logic.X else sv
+  let node_v u li =
+    if Bytes.get t.mark u <> '\000' || Bytes.get t.fmark u <> '\000' then begin
+      let p = t.pos.(u) in
+      Lanes.lane ~h:vh.(p) ~l:vl.(p) li
     end
+    else F.tape_get_u tape !cur_c u
   in
   (* lanes reading pin [j] inverted: the per-lane masks [ima] when some
      lane patched them, else the base inversion bits [inv] *)
-  let[@inline] pin_im ima inv s j =
-    if Array.length ima > 0 then ima.((s * 4) + j)
-    else -((inv lsr j) land 1) land fullw
+  let[@inline] pin_im ima inv j =
+    if Array.length ima > 0 then ima.(j) else -((inv lsr j) land 1)
   in
   let ims = t.ims in
   (* a LUT with the base table, inversion and row in every lane *)
   let lut_plain i dh dl o =
     let b = 4 * i in
     Lanes.lut_node sc ~table:tbl.(i) ~h:vh ~l:vl pin.(b) pin.(b + 1)
-      pin.(b + 2) pin.(b + 3)
-      ns ~dh ~dl o;
-    t.n_evals <- t.n_evals + ns
+      pin.(b + 2) pin.(b + 3) ~dh ~dl o;
+    t.n_evals <- t.n_evals + 1
   in
   (* a LUT some lane patched: per-lane inversion masks and leaves, and
      a lane that rewired a pin reads its own node there (an unused pin
@@ -1138,134 +1103,123 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
     let u = gid.(i) in
     let row = v.F.v_inputs.(u) and b = 4 * i in
     let iv = v.F.v_inv.(u) and ima = t.ov_im.(u) and leaves = t.ov_t1.(u) in
-    let g1 = gof.(i + 1) in
-    for s = 0 to ns - 1 do
-      for j = 0 to 3 do
-        let im = pin_im ima iv s j in
-        ims.(j) <- im;
-        if row.(j) < 0 then begin
-          phs.(j) <- 0;
-          pls.(j) <- fullw
-        end
-        else begin
-          let p = pin.(b + j) + s in
-          let h = vh.(p) and l = vl.(p) in
-          phs.(j) <- h land lnot im lor (l land im);
-          pls.(j) <- l land lnot im lor (h land im)
-        end
-      done;
-      let k = ref gof.(i) in
-      while !k < g1 do
-        if gat.(!k) = s then begin
-          let j = gat.(!k + 1) and p = gat.(!k + 2) and m = gat.(!k + 3) in
-          if p < 0 then begin
-            phs.(j) <- phs.(j) land lnot m;
-            pls.(j) <- pls.(j) lor m
-          end
-          else begin
-            let im = ims.(j) in
-            let h = vh.((p * ns) + s) and l = vl.((p * ns) + s) in
-            phs.(j) <-
-              phs.(j) land lnot m lor (h land lnot im lor (l land im) land m);
-            pls.(j) <-
-              pls.(j) land lnot m lor (l land lnot im lor (h land im) land m)
-          end
-        end;
-        k := !k + 4
-      done;
-      if Array.length leaves > 0 then
-        Lanes.lut_leaves ~ph:phs ~pl:pls ~leaves ~at:(s * 16) ~dh ~dl (o + s)
-      else
-        Lanes.lut_words sc v.F.v_table.(u) phs.(0) pls.(0) phs.(1) pls.(1)
-          phs.(2) pls.(2) phs.(3) pls.(3) dh dl (o + s)
+    for j = 0 to 3 do
+      let im = pin_im ima iv j in
+      ims.(j) <- im;
+      if row.(j) < 0 then begin
+        phs.(j) <- 0;
+        pls.(j) <- fullw
+      end
+      else begin
+        let p = pin.(b + j) in
+        let h = vh.(p) and l = vl.(p) in
+        phs.(j) <- h land lnot im lor (l land im);
+        pls.(j) <- l land lnot im lor (h land im)
+      end
     done;
-    t.n_evals <- t.n_evals + ns
+    let g1 = gof.(i + 1) in
+    let k = ref gof.(i) in
+    while !k < g1 do
+      let j = gat.(!k) and p = gat.(!k + 1) and m = gat.(!k + 2) in
+      if p < 0 then begin
+        phs.(j) <- phs.(j) land lnot m;
+        pls.(j) <- pls.(j) lor m
+      end
+      else begin
+        let im = ims.(j) in
+        let h = vh.(p) and l = vl.(p) in
+        phs.(j) <-
+          phs.(j) land lnot m lor (h land lnot im lor (l land im) land m);
+        pls.(j) <-
+          pls.(j) land lnot m lor (l land lnot im lor (h land im) land m)
+      end;
+      k := !k + 3
+    done;
+    if Array.length leaves > 0 then
+      Lanes.lut_leaves ~ph:phs ~pl:pls ~leaves ~at:0 ~dh ~dl o
+    else
+      Lanes.lut_words sc v.F.v_table.(u) phs.(0) pls.(0) phs.(1) pls.(1)
+        phs.(2) pls.(2) phs.(3) pls.(3) dh dl o;
+    t.n_evals <- t.n_evals + 1
   in
   let lut_at i dh dl o =
     if Bytes.get t.lov i <> '\000' then lut_ov i dh dl o
     else lut_plain i dh dl o
   in
-  let rec splice_rows rows dh dl o =
-    match rows with
-    | [] -> ()
-    | (li, rrow) :: tl ->
-        let sub = li lsr 5 and bit = li land 31 in
-        splice
-          (scalar_resolve rrow 0 (Array.length rrow) sub bit)
-          dh dl o sub bit;
-        t.n_splices <- t.n_splices + 1;
-        splice_rows tl dh dl o
-  in
-  let res_eval i dh dl o =
-    let r0 = roff.(i) in
-    let n = roff.(i + 1) - r0 in
+  (* a resolve over the locals [a.(off) .. a.(off + n - 1)] in every
+     lane *)
+  let resolve_at a off n dh dl o =
     res_ensure t n;
     let resh = t.resh and resl = t.resl in
     let reslh = t.reslh and resll = t.resll in
-    for s = 0 to ns - 1 do
-      for k = 0 to n - 1 do
-        let p = (rins.(r0 + k) * ns) + s in
-        resh.(k) <- vh.(p);
-        resl.(k) <- vl.(p);
-        reslh.(k) <- uh.(p);
-        resll.(k) <- ul.(p)
-      done;
-      Lanes.resolve_planes ~n ~h:resh ~l:resl ~lh:reslh ~ll:resll ~dh ~dl
-        (o + s)
+    for k = 0 to n - 1 do
+      let p = a.(off + k) in
+      resh.(k) <- vh.(p);
+      resl.(k) <- vl.(p);
+      reslh.(k) <- uh.(p);
+      resll.(k) <- ul.(p)
     done;
-    t.n_evals <- t.n_evals + ns;
-    splice_rows lrows.(i) dh dl o
+    Lanes.resolve_planes ~n ~h:resh ~l:resl ~lh:reslh ~ll:resll ~dh ~dl o
+  in
+  (* lane [li]'s own resolve row, resolved in every lane and blended in
+     on that lane's bit alone *)
+  let lane_resolve li a off n dh dl o =
+    resolve_at a off n rsh rsl 0;
+    let m = 1 lsl li in
+    dh.(o) <- dh.(o) land lnot m lor (rsh.(0) land m);
+    dl.(o) <- dl.(o) land lnot m lor (rsl.(0) land m);
+    t.n_splices <- t.n_splices + 1
+  in
+  let rec rewired_rows rows dh dl o =
+    match rows with
+    | [] -> ()
+    | (li, rrow) :: tl ->
+        lane_resolve li rrow 0 (Array.length rrow) dh dl o;
+        rewired_rows tl dh dl o
+  in
+  let res_eval i dh dl o =
+    let r0 = roff.(i) in
+    resolve_at rins r0 (roff.(i + 1) - r0) dh dl o;
+    t.n_evals <- t.n_evals + 1;
+    rewired_rows lrows.(i) dh dl o
   in
   (* an appended node exists only in its own lane's circuit: X in
      every other lane *)
   let extra_eval i dh dl o =
-    let li = ext_lane.(gid.(i) - bn) in
-    for s = 0 to ns - 1 do
-      dh.(o + s) <- fullw;
-      dl.(o + s) <- fullw
-    done;
-    let sub = li lsr 5 and bit = li land 31 in
+    dh.(o) <- fullw;
+    dl.(o) <- fullw;
     let r0 = roff.(i) in
-    splice (scalar_resolve rins r0 (roff.(i + 1) - r0) sub bit) dh dl o sub bit;
-    t.n_splices <- t.n_splices + 1
+    lane_resolve ext_lane.(gid.(i) - bn) rins r0 (roff.(i + 1) - r0) dh dl o
   in
   let eval_into i dh dl o =
     let k = kd.(i) in
     if k = k_lut then lut_plain i dh dl o
     else if k = k_lut_ov then lut_ov i dh dl o
     else if k = k_reg then begin
-      for s = 0 to ns - 1 do
-        dh.(o + s) <- qh.((i * ns) + s);
-        dl.(o + s) <- ql.((i * ns) + s)
-      done
+      dh.(o) <- qh.(i);
+      dl.(o) <- ql.(i)
     end
     else if k = k_mixed then begin
       (* the LUT in the combinational lanes, the state in the
          registered ones *)
       lut_at i dh dl o;
-      let ra = t.ov_reg.(gid.(i)) and b = i * ns in
-      for s = 0 to ns - 1 do
-        let r = ra.(s) in
-        dh.(o + s) <- dh.(o + s) land lnot r lor (qh.(b + s) land r);
-        dl.(o + s) <- dl.(o + s) land lnot r lor (ql.(b + s) land r)
-      done
+      let r = t.ov_reg.(gid.(i)) in
+      dh.(o) <- dh.(o) land lnot r lor (qh.(i) land r);
+      dl.(o) <- dl.(o) land lnot r lor (ql.(i) land r)
     end
     else if k = k_res then res_eval i dh dl o
     else if k = k_extra then extra_eval i dh dl o
     else begin
       let tc = tw.((!cur_c * bn) + gid.(i)) in
-      let th = code_h tc and tl = code_l tc in
-      for s = 0 to ns - 1 do
-        dh.(o + s) <- th;
-        dl.(o + s) <- tl
-      done
+      dh.(o) <- code_h tc;
+      dl.(o) <- code_l tc
     end
   in
   (* undecided lanes: a decided lane (its watch error, plus its
      detection flag when watched) leaves every check *)
-  let live = Array.make ns 0 in
+  let live = ref 0 in
   for li = 0 to nlanes - 1 do
-    live.(li lsr 5) <- live.(li lsr 5) lor (1 lsl (li land 31))
+    live := !live lor (1 lsl li)
   done;
   (* ---- fixpoint segments.  While [freeze] is set, the cut lanes of a
      Kleene cut keep their value: the commit leaves those bits as they
@@ -1274,21 +1228,16 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
   (* commit member [i]: 0 = its planes stayed, 1 = they moved, 2 = they
      moved on a lane of one of its back edges *)
   let commit i =
-    let b = i * ns in
-    let moved = ref 0 in
-    for s = 0 to ns - 1 do
-      let f = if !freeze then fz.(b + s) else 0 in
-      let nh = newh.(s) land lnot f lor (vh.(b + s) land f)
-      and nl = newl.(s) land lnot f lor (vl.(b + s) land f) in
-      let d = nh lxor vh.(b + s) lor (nl lxor vl.(b + s)) in
-      if d <> 0 then begin
-        if d land bkm.(b + s) <> 0 then moved := 2
-        else if !moved = 0 then moved := 1;
-        vh.(b + s) <- nh;
-        vl.(b + s) <- nl
-      end
-    done;
-    !moved
+    let f = if !freeze then fz.(i) else 0 in
+    let nh = newh.(0) land lnot f lor (vh.(i) land f)
+    and nl = newl.(0) land lnot f lor (vl.(i) land f) in
+    let d = nh lxor vh.(i) lor (nl lxor vl.(i)) in
+    if d = 0 then 0
+    else begin
+      vh.(i) <- nh;
+      vl.(i) <- nl;
+      if d land bkm.(i) <> 0 then 2 else 1
+    end
   in
   (* Settle the group [lo, hi).  The cut lanes restart from X at the
      cuts; sweeps then settle everything else with the cut bits held,
@@ -1303,11 +1252,9 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
   let settle lo hi cuts =
     let kleene = Array.length cuts > 0 in
     for c = 0 to Array.length cuts - 1 do
-      let b = cuts.(c) * ns in
-      for s = 0 to ns - 1 do
-        vh.(b + s) <- vh.(b + s) lor fz.(b + s);
-        vl.(b + s) <- vl.(b + s) lor fz.(b + s)
-      done
+      let i = cuts.(c) in
+      vh.(i) <- vh.(i) lor fz.(i);
+      vl.(i) <- vl.(i) lor fz.(i)
     done;
     freeze := kleene;
     let rounds = ref (hi - lo + 1) in
@@ -1357,10 +1304,10 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
   (* ---- verdicts ---- *)
   let nund = ref nlanes in
   let decide li =
-    live.(li lsr 5) <- live.(li lsr 5) land lnot (1 lsl (li land 31));
+    live := !live land lnot (1 lsl li);
     decr nund
   in
-  let undecided li = live.(li lsr 5) land (1 lsl (li land 31)) <> 0 in
+  let undecided li = !live land (1 lsl li) <> 0 in
   let err_cy = Array.make nlanes (-1) in
   let det_cy = Array.make nlanes (-1) in
   (* a watch mismatch of lane [li] at position [wi]: functional entries
@@ -1390,45 +1337,38 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
      yet, [first_cy]/[first_nodes] what each lane diverged at first *)
   let collect = voters <> None in
   let ever = t.ever in
-  let fresh = Array.copy live in
-  let hit = Array.make ns 0 in
+  let fresh = ref !live in
   let first_cy = Array.make nlanes (-1) in
   let first_nodes = Array.make nlanes [] in
   (* the undecided lanes' divergence at every base member: the planes
      against the tape, folded into [ever] *)
   let scan_divergence c =
+    let hit = ref 0 in
     for i = 0 to nm - 1 do
       let u = gid.(i) in
       if u < bn then begin
         let tc = tw.((c * bn) + u) in
-        let th = code_h tc and tl = code_l tc in
-        let b = i * ns and eb = u * stride in
-        for s = 0 to ns - 1 do
-          let w = (vh.(b + s) lxor th) lor (vl.(b + s) lxor tl) land live.(s) in
-          if w <> 0 then begin
-            ever.(eb + s) <- ever.(eb + s) lor w;
-            let m = ref (w land fresh.(s)) in
-            hit.(s) <- hit.(s) lor !m;
-            while !m <> 0 do
-              let lsb = !m land - !m in
-              let li = (s * 32) + bit_index lsb in
-              first_nodes.(li) <- u :: first_nodes.(li);
-              m := !m land (!m - 1)
-            done
-          end
-        done
+        let w =
+          (vh.(i) lxor code_h tc) lor (vl.(i) lxor code_l tc) land !live
+        in
+        if w <> 0 then begin
+          ever.(u) <- ever.(u) lor w;
+          let m = ref (w land !fresh) in
+          hit := !hit lor !m;
+          while !m <> 0 do
+            let li = bit_index (!m land - !m) in
+            first_nodes.(li) <- u :: first_nodes.(li);
+            m := !m land (!m - 1)
+          done
+        end
       end
     done;
-    for s = 0 to ns - 1 do
-      let m = ref hit.(s) in
-      while !m <> 0 do
-        let lsb = !m land - !m in
-        first_cy.((s * 32) + bit_index lsb) <- c;
-        m := !m land (!m - 1)
-      done;
-      fresh.(s) <- fresh.(s) land lnot hit.(s);
-      hit.(s) <- 0
-    done
+    let m = ref !hit in
+    while !m <> 0 do
+      first_cy.(bit_index (!m land - !m)) <- c;
+      m := !m land (!m - 1)
+    done;
+    fresh := !fresh land lnot !hit
   in
   (* ---- the per-cycle loop ---- *)
   let nseg = Array.length segs in
@@ -1439,11 +1379,8 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
     (* the frontier's tape values *)
     for k = nm to zero - 1 do
       let tc = tw.((c * bn) + gid.(k)) in
-      let th = code_h tc and tl = code_l tc in
-      for s = 0 to ns - 1 do
-        vh.((k * ns) + s) <- th;
-        vl.((k * ns) + s) <- tl
-      done
+      vh.(k) <- code_h tc;
+      vl.(k) <- code_l tc
     done;
     (* the members, in order: a plain run once, a union SCC to its
        fixpoint *)
@@ -1451,8 +1388,8 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
       match segs.(g) with
       | lo, hi, None ->
           for i = lo to hi - 1 do
-            if kd.(i) = k_lut then lut_plain i vh vl (i * ns)
-            else eval_into i vh vl (i * ns)
+            if kd.(i) = k_lut then lut_plain i vh vl i
+            else eval_into i vh vl i
           done
       | lo, hi, Some cuts -> settle lo hi cuts
     done;
@@ -1463,21 +1400,16 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
     let exp = expected.(c) in
     for k = 0 to Array.length suspects - 1 do
       let wi = suspects.(k) in
-      let b = t.pos.(watch.(wi)) * ns and ev = exp.(wi) in
-      for s = 0 to ns - 1 do
-        let mism =
-          Lanes.mismatch ~h:vh.(b + s) ~l:vl.(b + s) ev
-          land live.(s)
-          land lnot wmask.((wi * ns) + s)
-        in
-        if mism <> 0 then begin
-          let m = ref mism in
-          while !m <> 0 do
-            let lsb = !m land - !m in
-            note_watch ((s * 32) + bit_index lsb) wi c;
-            m := !m land (!m - 1)
-          done
-        end
+      let b = t.pos.(watch.(wi)) in
+      let m =
+        ref
+          (Lanes.mismatch ~h:vh.(b) ~l:vl.(b) exp.(wi)
+          land !live
+          land lnot wmask.(wi))
+      in
+      while !m <> 0 do
+        note_watch (bit_index (!m land - !m)) wi c;
+        m := !m land (!m - 1)
       done
     done;
     (* remapped positions: the lane's own node *)
@@ -1486,12 +1418,7 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
         (fun li ws ->
           List.iter
             (fun (wi, node) ->
-              if
-                undecided li
-                && not
-                     (Logic.equal
-                        (node_v node (li lsr 5) (li land 31))
-                        exp.(wi))
+              if undecided li && not (Logic.equal (node_v node li) exp.(wi))
               then note_watch li wi c)
             ws)
         lane_watch;
@@ -1503,26 +1430,18 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
       for k = 0 to nregs - 1 do
         let i = t.regs.(k) in
         let u = gid.(i) in
-        let fza = t.ov_ce.(u) and basefz = v.F.v_ce_frozen.(u) in
-        if kd.(i) = k_mixed || not (basefz && Array.length fza = 0) then begin
+        let ovce = Char.code (Bytes.get t.ov_set u) land f_ce <> 0 in
+        let basefz = v.F.v_ce_frozen.(u) in
+        if kd.(i) = k_mixed || not (basefz && not ovce) then begin
           lut_at i newh newl 0;
-          let b = i * ns in
-          for s = 0 to ns - 1 do
-            let fzw =
-              if Array.length fza > 0 then fza.(s)
-              else if basefz then fullw
-              else 0
-            in
-            qh.(b + s) <- newh.(s) land lnot fzw lor (qh.(b + s) land fzw);
-            ql.(b + s) <- newl.(s) land lnot fzw lor (ql.(b + s) land fzw)
-          done
+          let fzw = if ovce then t.ov_ce.(u) else if basefz then fullw else 0 in
+          qh.(i) <- newh.(0) land lnot fzw lor (qh.(i) land fzw);
+          ql.(i) <- newl.(0) land lnot fzw lor (ql.(i) land fzw)
         end
       done;
     (* this cycle's planes are the next one's glitch-rule values *)
-    for k = 0 to (nloc * ns) - 1 do
-      uh.(k) <- vh.(k);
-      ul.(k) <- vl.(k)
-    done;
+    Array.blit vh 0 uh 0 nloc;
+    Array.blit vl 0 ul 0 nloc;
     incr cy
   done;
   (* ---- per-lane provenance: one BFS from the lane's seed set over
@@ -1557,11 +1476,11 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
           push t.csr_succ.(e) (depth.(p) + 1)
         done
     done;
-    let sub = li lsr 5 and m = 1 lsl (li land 31) in
+    let m = 1 lsl li in
     let diverged = ref 0 and dmax = ref (-1) and held = ref false in
     for i = 0 to !qtl - 1 do
       let u = q.(i) in
-      if u < bn && ever.((u * stride) + sub) land m <> 0 then begin
+      if u < bn && ever.(u) land m <> 0 then begin
         incr diverged;
         if depth.(u) > !dmax then dmax := depth.(u)
       end
@@ -1595,15 +1514,12 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
     (fun u ->
       t.ov_t1.(u) <- [||];
       t.ov_im.(u) <- [||];
-      t.ov_ce.(u) <- [||];
-      t.ov_qh.(u) <- [||];
-      t.ov_ql.(u) <- [||];
-      t.ov_reg.(u) <- [||];
+      Bytes.set t.ov_set u '\000';
       t.ov_rows.(u) <- [];
       t.radj.(u) <- [])
     !touched;
   if collect then
     for i = 0 to nm - 1 do
-      Array.fill ever (gid.(i) * stride) stride 0
+      ever.(gid.(i)) <- 0
     done;
   verdicts

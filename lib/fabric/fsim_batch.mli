@@ -1,15 +1,17 @@
 (** Bit-parallel batched differential fault simulation: the campaign's
     one fast engine.
 
-    Packs up to 64 faults into the lanes of possibility-plane words
-    ({!Fsim_backend.Lanes}) and runs one dense evaluation of the union
+    Packs up to {!width} faults into the lanes of one pair of
+    possibility-plane words per node ({!Fsim_backend.Lanes}) and runs
+    one dense evaluation of the union
     of the lanes' fanout cones against the shared baseline tape: the
     cone is compiled once per batch, and every cycle sweeps it in order
     and settles its union SCCs.  Cell-content patches (truth table, pin inversion,
     flip-flop init, clock-enable) apply word-parallel through per-lane
     masks, a rewired LUT row is gathered into the pin words of its lane
-    before the one word-parallel LUT evaluation, and rewired resolve
-    rows and appended resolve nodes are spliced per lane.  A lane can
+    before the one word-parallel LUT evaluation, and a rewired resolve
+    row or appended resolve node is resolved word-parallel over its
+    lane's row and blended in on that lane's bit.  A lane can
     also flip a node between combinational and registered (an out_sel
     fault) and read a watch position from a node of its own.
 
@@ -29,7 +31,8 @@ type t
     batch the worker executes. *)
 
 val width : int
-(** Lanes per batch: 64. *)
+(** Lanes per batch: {!Fsim_backend.Lanes.word_bits}, every bit of an
+    immediate int (63 on 64-bit hosts, the sign bit included). *)
 
 val create : Fsim.t -> Fsim.cone -> t
 (** [create base cone]: [base] is the worker's golden simulator, [cone]
@@ -104,13 +107,18 @@ val last_cone : t -> int array
 (** The union cone of the last {!run}, in evaluation order (test
     hook). *)
 
+val bit_index : int -> int
+(** The index of the one set bit of a single-lane word, [0] to
+    [width - 1] (test hook). *)
+
 type work = {
   evals : int;
-      (** sub-words (32 lanes of one node) computed by the LUT or
+      (** plane words (one node, every lane) computed by the LUT or
           resolve kernel, at evaluation and at the register clock *)
   splices : int;
-      (** single-lane scalar splices: rewired resolve rows and appended
-          resolve nodes *)
+      (** single-lane masked resolves: a rewired resolve row or an
+          appended resolve node, resolved word-parallel and blended in
+          on its lane's bit *)
 }
 (** Kernel work counts of one {!run}. *)
 

@@ -118,9 +118,9 @@ let m_fault_batch = Tmr_obs.Metrics.histogram "campaign.fault_ns.batch"
 let m_batch_lanes = Tmr_obs.Metrics.counter "campaign.batch_lanes"
 let m_batch_occupancy = Tmr_obs.Metrics.histogram "campaign.batch_occupancy"
 
-(* Batch-kernel work ({!Fsim_batch.work}), added once per batch:
-   32-lane sub-words computed by the LUT/resolve kernel and the
-   single-lane scalar splices left (rewired resolve rows, appended
+(* Batch-kernel work ({!Fsim_batch.work}), added once per batch: plane
+   words (one node, every lane) computed by the LUT/resolve kernel and
+   the single-lane masked resolves (rewired resolve rows, appended
    resolve nodes). *)
 let m_batch_evals = Tmr_obs.Metrics.counter "campaign.batch_evals"
 let m_batch_splices = Tmr_obs.Metrics.counter "campaign.batch_splices"

@@ -26,7 +26,8 @@
     simulator ({!Tmr_fabric.Fsim.patch_delta},
     {!Tmr_fabric.Fsim.fault_delta}) and runs in the bit-parallel batch
     engine ({!Tmr_fabric.Fsim_batch}).  That engine records one
-    fault-free baseline tape per worker, packs up to 64 faults with
+    fault-free baseline tape per worker, packs up to
+    {!Tmr_fabric.Fsim_batch.width} (63) faults with
     structurally close fanout cones into the bit lanes of one dense
     evaluation of their union cone against the tape, and runs each
     batch until every lane has its verdict or the stimulus ends.

@@ -23,12 +23,8 @@ let ranges_missing ~total ~done_ids ~shards =
   |> List.filter (fun r -> not (done_ids r.sh_id))
 
 (* ------------------------------------------------------------------ *)
-(* Per-fault result lines.  One compact JSON object per fault; the
-   concatenation over all shards in index order is the canonical result
-   stream the CI byte-diffs across process counts.  The encoder writes
-   straight into a buffer and the decoder scans exactly that shape in
-   place: the lines are the bulk of what a sharded run writes and reads
-   back. *)
+(* Per-fault result lines: one compact JSON object per fault, the
+   merged-output format.  The encoder writes straight into a buffer. *)
 
 let outcome_name = function
   | Campaign.Silent -> "silent"
@@ -67,7 +63,35 @@ let result_to_line ~index r =
   add_result_line b ~index r;
   Buffer.contents b
 
-exception Bad_line of string
+(* ------------------------------------------------------------------ *)
+(* Verdict records: one fixed-size record per fault, the bit (int64),
+   the outcome (one byte: 0 silent, 1 wrong answer), the effect (one
+   byte: its position in [Classify.all]), then the first-error and
+   detect cycles (int32 each), little-endian.  A shard's results file is
+   its records in fault-index order, and the fault dictionary's digest
+   chains over the same records. *)
+
+let record_bytes = 18
+let effects = Array.of_list Classify.all
+
+let effect_code e =
+  let rec find i = if effects.(i) = e then i else find (i + 1) in
+  find 0
+
+let put_cycle buf pos c =
+  if c < Int32.to_int Int32.min_int || c > Int32.to_int Int32.max_int then
+    invalid_arg "Shard.put_record: cycle outside the int32 range";
+  Bytes.set_int32_le buf pos (Int32.of_int c)
+
+let put_record buf pos (r : Campaign.fault_result) =
+  Bytes.set_int64_le buf pos (Int64.of_int r.Campaign.bit);
+  Bytes.set_uint8 buf (pos + 8)
+    (match r.Campaign.outcome with
+    | Campaign.Silent -> 0
+    | Campaign.Wrong_answer -> 1);
+  Bytes.set_uint8 buf (pos + 9) (effect_code r.Campaign.effect);
+  put_cycle buf (pos + 10) r.Campaign.first_error_cycle;
+  put_cycle buf (pos + 14) r.Campaign.detect_cycle
 
 (* placeholder of the arrays results are read or merged into *)
 let no_result =
@@ -80,109 +104,43 @@ let no_result =
     forensics = None;
   }
 
-let outcome_tokens =
-  List.map
-    (fun o -> ("\"" ^ outcome_name o ^ "\"", o))
-    [ Campaign.Silent; Campaign.Wrong_answer ]
-
-let effect_tokens =
-  List.map (fun e -> ("\"" ^ Classify.name e ^ "\"", e)) Classify.all
-
-(* One result line: the bytes [pos, stop) of [s], fields in the written
-   order with nothing between them.  Raises [Bad_line]. *)
-let scan_result s pos stop =
-  let p = ref pos in
-  let bad fmt =
-    Printf.ksprintf (fun m -> raise (Bad_line m)) ("byte %d: " ^^ fmt)
-      (!p - pos)
-  in
-  let at lit =
-    let n = String.length lit in
-    !p + n <= stop
-    &&
-    let rec same k = k = n || (s.[!p + k] = lit.[k] && same (k + 1)) in
-    same 0
-  in
-  let expect lit =
-    if at lit then p := !p + String.length lit else bad "expected %S" lit
-  in
-  let token what tokens =
-    match List.find_opt (fun (lit, _) -> at lit) tokens with
-    | Some (lit, v) ->
-        p := !p + String.length lit;
-        v
-    | None -> bad "unknown %s" what
-  in
-  (* [-]digits, no leading zero, no "-0", within [min_int, max_int];
-     accumulated negatively so that [min_int] fits *)
-  let int () =
-    let neg = !p < stop && s.[!p] = '-' in
-    if neg then incr p;
-    let first = !p in
-    let acc = ref 0 in
-    while !p < stop && s.[!p] >= '0' && s.[!p] <= '9' do
-      let d = Char.code s.[!p] - 48 in
-      if !acc < (min_int + d) / 10 then bad "integer overflow";
-      acc := (!acc * 10) - d;
-      incr p
-    done;
-    let len = !p - first in
-    if len = 0 then bad "expected a decimal integer"
-    else if len > 1 && s.[first] = '0' then bad "leading zero"
-    else if neg then (if !acc = 0 then bad "negative zero" else !acc)
-    else if !acc = min_int then bad "integer overflow"
-    else - !acc
-  in
-  expect "{\"index\":";
-  let index = int () in
-  expect ",\"bit\":";
-  let bit = int () in
-  expect ",\"outcome\":";
-  let outcome = token "outcome" outcome_tokens in
-  expect ",\"effect\":";
-  let effect = token "effect" effect_tokens in
-  expect ",\"first_error_cycle\":";
-  let first_error_cycle = int () in
-  expect ",\"detect_cycle\":";
-  let detect_cycle = int () in
-  expect "}";
-  if !p <> stop then bad "trailing bytes";
-  ( index,
-    {
-      Campaign.bit;
-      outcome;
-      effect;
-      first_error_cycle;
-      detect_cycle;
-      forensics = None;
-    } )
-
-let result_of_line line =
-  match scan_result line 0 (String.length line) with
-  | r -> Ok r
-  | exception Bad_line e -> Error e
-
-let results_of_bytes buf ~len:n =
-  (* scanned in place; nothing below writes [buf] *)
-  let body = Bytes.unsafe_to_string buf in
-  let lines = ref 0 in
-  for i = 0 to n - 1 do
-    if body.[i] = '\n' then incr lines
-  done;
-  if n > 0 && body.[n - 1] <> '\n' then Error "last line has no newline"
-  else
-    let out = Array.make !lines (0, no_result) in
-    let rec go k pos =
-      if k = !lines then Ok out
+let records_of_bytes buf ~len ~count =
+  if len <> count * record_bytes then
+    Error
+      (Printf.sprintf "%d bytes, not %d records of %d bytes" len count
+         record_bytes)
+  else begin
+    let out = Array.make count no_result in
+    let bad k fmt = Printf.ksprintf Result.error ("record %d: " ^^ fmt) k in
+    let rec go k =
+      if k = count then Ok out
       else
-        let stop = String.index_from body pos '\n' in
-        match scan_result body pos stop with
-        | r ->
-            out.(k) <- r;
-            go (k + 1) (stop + 1)
-        | exception Bad_line e -> Error (Printf.sprintf "line %d: %s" (k + 1) e)
+        let pos = k * record_bytes in
+        let bit = Bytes.get_int64_le buf pos in
+        let oc = Bytes.get_uint8 buf (pos + 8) in
+        let ec = Bytes.get_uint8 buf (pos + 9) in
+        if oc > 1 then bad k "outcome code %d" oc
+        else if ec >= Array.length effects then bad k "effect code %d" ec
+        else if Int64.of_int (Int64.to_int bit) <> bit then
+          bad k "bit %Ld outside the int range" bit
+        else begin
+          let fec = Bytes.get_int32_le buf (pos + 10) in
+          let dc = Bytes.get_int32_le buf (pos + 14) in
+          out.(k) <-
+            {
+              Campaign.bit = Int64.to_int bit;
+              outcome =
+                (if oc = 0 then Campaign.Silent else Campaign.Wrong_answer);
+              effect = effects.(ec);
+              first_error_cycle = Int32.to_int fec;
+              detect_cycle = Int32.to_int dc;
+              forensics = None;
+            };
+          go (k + 1)
+        end
     in
-    go 0 0
+    go 0
+  end
 
 let ( let* ) r f = Result.bind r f
 
@@ -336,20 +294,8 @@ let merge ~design ~total ~procs ~wall_ns shards =
       fail "shards cover [0,%d) of %d faults" edge total
     else Ok ()
   in
+  (* a shard's results sit at its range's indices, in order *)
   let results = Array.make total no_result in
-  let filled = Bytes.make total '\000' in
-  let place m (i, r) =
-    if i < m.sm_lo || i >= m.sm_hi then
-      fail "shard %d result index %d outside [%d,%d)" m.sm_id i m.sm_lo
-        m.sm_hi
-    else if Bytes.get filled i <> '\000' then
-      fail "duplicate result index %d" i
-    else begin
-      Bytes.set filled i '\001';
-      results.(i) <- r;
-      Ok ()
-    end
-  in
   let* () =
     List.fold_left
       (fun acc (m, rs) ->
@@ -357,12 +303,10 @@ let merge ~design ~total ~procs ~wall_ns shards =
         if Array.length rs <> m.sm_hi - m.sm_lo then
           fail "shard %d holds %d results for range [%d,%d)" m.sm_id
             (Array.length rs) m.sm_lo m.sm_hi
-        else
-          Array.fold_left
-            (fun acc ir ->
-              let* () = acc in
-              place m ir)
-            (Ok ()) rs)
+        else begin
+          Array.blit rs 0 results m.sm_lo (Array.length rs);
+          Ok ()
+        end)
       (Ok ()) shards
   in
   let wrong =

@@ -3,8 +3,8 @@
     A sharded campaign splits a fault-index space [0, total) into
     contiguous ranges ("shards").  Each shard is simulated independently
     — by another domain pool, another process, or another invocation
-    days later — and its per-fault verdicts are persisted as one JSONL
-    file plus a small manifest.  Because every per-fault verdict is a
+    days later — and its per-fault verdicts are persisted as one file of
+    fixed-size verdict records plus a small manifest.  Because every per-fault verdict is a
     pure function of the fault bit (never of scheduling, worker count or
     shard boundaries), folding the shard results back together in index
     order reconstructs a campaign bit-identical to the single-process
@@ -35,37 +35,45 @@ val ranges_missing : total:int -> done_ids:(int -> bool) -> shards:int -> range 
 
 (** {1 Per-fault result lines}
 
-    One compact JSON object per fault, in fault-index order within each
-    shard.  Concatenating the shard files in shard order yields the
-    canonical campaign result stream, byte-identical however the work
-    was split.  A line has exactly this shape, with no whitespace:
+    The merged-output format ([inject --merged-out]): one compact JSON
+    object per fault, in fault-index order, byte-identical however the
+    work was split.  A line has exactly this shape, with no whitespace:
 
     {v
 {"index":I,"bit":I,"outcome":O,"effect":E,"first_error_cycle":I,"detect_cycle":I}
     v}
 
-    where each [I] is a decimal integer as [string_of_int] writes it
-    (an optional [-], no leading zero, no [+], no exponent, within
-    [min_int .. max_int]), [O] is ["silent"] or ["wrong_answer"] and [E]
-    one of the eight {!Classify.name}s, unescaped.  The reader accepts
-    that shape and nothing else: any other line, including one without
-    [detect_cycle], with reordered fields or with trailing bytes, is an
-    [Error].  So every line it accepts re-encodes to itself. *)
-
-val add_result_line : Buffer.t -> index:int -> Campaign.fault_result -> unit
-(** Append one line, without its newline. *)
+    where each [I] is a decimal integer as [string_of_int] writes it,
+    [O] is ["silent"] or ["wrong_answer"] and [E] one of the eight
+    {!Classify.name}s, unescaped. *)
 
 val result_to_line : index:int -> Campaign.fault_result -> string
 
-val result_of_line : string -> (int * Campaign.fault_result, string) result
-(** Round-trips everything except [forensics] (sharded runs do not
-    collect forensic records; the field comes back [None]). *)
+(** {1 Verdict records}
 
-val results_of_bytes :
-  Bytes.t -> len:int -> ((int * Campaign.fault_result) array, string) result
-(** Every line of a results file body — the first [len] bytes of the
-    buffer, each line ended by a newline — in file order; the first bad
-    line is an [Error] naming its line number. *)
+    What a shard's results file holds, and what the fault dictionary's
+    digest chains over: one {!record_bytes}-byte record per fault, the
+    bit (int64), the outcome (one byte: 0 silent, 1 wrong answer), the
+    effect (one byte: its position in {!Classify.all}), then the
+    first-error and detect cycles (int32 each), all little-endian.
+    Records carry no index: the [k]-th record of a shard is the fault
+    at index [lo + k]. *)
+
+val record_bytes : int
+(** 18. *)
+
+val put_record : Bytes.t -> int -> Campaign.fault_result -> unit
+(** [put_record buf pos r] writes [r]'s record at [buf.[pos ..]]
+    ([forensics] is not recorded).  Raises [Invalid_argument] on a cycle
+    outside the int32 range. *)
+
+val records_of_bytes :
+  Bytes.t -> len:int -> count:int -> (Campaign.fault_result array, string) result
+(** The [count] records of the first [len] bytes of the buffer, in
+    order, with [forensics = None].  A length other than
+    [count * record_bytes], an unknown outcome or effect code, or a bit
+    outside the [int] range is an [Error] (naming the record), never an
+    exception.  Every accepted body re-encodes to itself. *)
 
 (** {1 Shard manifests} *)
 
@@ -98,17 +106,15 @@ val merge :
   total:int ->
   procs:int ->
   wall_ns:int ->
-  (manifest * (int * Campaign.fault_result) array) list ->
+  (manifest * Campaign.fault_result array) list ->
   (Campaign.t, string) result
 (** Fold completed shards into one campaign.  The shards must tile
     [0, total) exactly, each shard must hold one result per index of
-    its range, each result's index must lie in its shard's range and
-    appear once, and the manifests' [sm_wrong] must sum to the wrong
-    answers the results hold.  Manifests and results are read from
-    disk, so any violation (a gap, an overlap, an inverted range, an
-    index outside its shard, a duplicate index, a result count that
-    disagrees with the range, a wrong-count mismatch) is an [Error]
-    naming the defect, never an exception.
+    its range, in index order, and the manifests' [sm_wrong] must sum
+    to the wrong answers the results hold.  Manifests and results are
+    read from disk, so any violation (a gap, an overlap, an inverted
+    range, a result count that disagrees with the range, a wrong-count
+    mismatch) is an [Error] naming the defect, never an exception.
     [results] land at their fault index, so the merged array is
     bit-identical to the single-process campaign over the same fault
     list; [wrong] and [stats] are the sums; [wall_ns] is the

@@ -28,7 +28,7 @@ let create ~dir =
 
 let path t parts = List.fold_left Filename.concat t.root parts
 let id_name id = Printf.sprintf "%05d.json" id
-let results_name id = Printf.sprintf "%05d.jsonl" id
+let results_name id = Printf.sprintf "%05d.rec" id
 let claim_name id pid = Printf.sprintf "%05d.pid-%d.json" id pid
 
 (* Canonical per-worker telemetry paths inside the queue directory.
@@ -47,7 +47,7 @@ let trace_path t ~worker =
 (* Atomic whole-file write: tmp in the same directory, then rename. *)
 let write_with ~final write =
   let tmp = final ^ ".tmp." ^ string_of_int (Unix.getpid ()) in
-  let oc = open_out tmp in
+  let oc = open_out_bin tmp in
   Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> write oc);
   Sys.rename tmp final
 
@@ -180,15 +180,13 @@ let claim t ~pid =
   try_ids (List.sort compare (ids_in t "todo"))
 
 let complete t ~pid (r : Shard.range) ~results ~manifest =
-  let b = Buffer.create (128 * Array.length results) in
+  let b = Bytes.create (Shard.record_bytes * Array.length results) in
   Array.iteri
-    (fun i res ->
-      Shard.add_result_line b ~index:(r.Shard.sh_lo + i) res;
-      Buffer.add_char b '\n')
+    (fun i res -> Shard.put_record b (Shard.record_bytes * i) res)
     results;
   write_with
     ~final:(path t [ "results"; results_name r.Shard.sh_id ])
-    (fun oc -> Buffer.output_buffer oc b);
+    (fun oc -> output_bytes oc b);
   write_file
     ~final:(path t [ "done"; id_name r.Shard.sh_id ])
     (Json.to_string (Shard.manifest_to_json manifest) ^ "\n");
@@ -269,7 +267,7 @@ let read_results t (m : Shard.manifest) =
       ~finally:(fun () -> close_in_noerr ic)
       (fun () ->
         let n = in_channel_length ic in
-        (* shards differ in size by a few lines: room for twice the
+        (* shards differ in size by a record or so: room for twice the
            first one spares the rest a reallocation *)
         if Bytes.length t.rbuf < n then t.rbuf <- Bytes.create (2 * n);
         really_input ic t.rbuf 0 n;
@@ -277,15 +275,8 @@ let read_results t (m : Shard.manifest) =
   with
   | exception Sys_error e -> Error e
   | exception End_of_file -> Error (p ^ ": truncated while reading")
-  | len -> (
-      match Shard.results_of_bytes t.rbuf ~len with
-      | Error e -> Error (Printf.sprintf "%s: %s" p e)
-      | Ok rs ->
-          let expect = m.Shard.sm_hi - m.Shard.sm_lo in
-          if Array.length rs <> expect then
-            Error
-              (Printf.sprintf "%s: %d results for a %d-fault shard" p
-                 (Array.length rs) expect)
-          else Ok rs)
+  | len ->
+      Shard.records_of_bytes t.rbuf ~len ~count:(m.Shard.sm_hi - m.Shard.sm_lo)
+      |> Result.map_error (Printf.sprintf "%s: %s" p)
 
 let pending t = List.length (ids_in t "todo") + List.length (ids_in t "claims")

@@ -7,7 +7,7 @@
     <dir>/todo/00007.json          a pending shard range
     <dir>/claims/00007.pid-412.json  a range being simulated by pid 412
     <dir>/done/00007.json          a completed shard manifest
-    <dir>/results/00007.jsonl      that shard's per-fault results
+    <dir>/results/00007.rec        that shard's per-fault verdict records
     v}
 
     Claiming is one atomic [rename] of the range file from [todo/] into
@@ -69,9 +69,9 @@ val complete :
   manifest:Shard.manifest ->
   unit
 (** Persist a finished shard: its [results] (one per fault of the range,
-    in fault-index order) as the result lines of [results/<id>.jsonl],
-    encoded into one buffer, then its manifest as [done/<id>.json], each
-    via tmp + rename, then drop the claim. *)
+    in fault-index order) as {!Shard.put_record} records in
+    [results/<id>.rec], encoded into one buffer, then its manifest as
+    [done/<id>.json], each via tmp + rename, then drop the claim. *)
 
 val reclaim_orphans : t -> int
 (** Move every claim whose owner process is dead back into [todo/];
@@ -95,11 +95,12 @@ val load_done : t -> (Shard.manifest list, string) result
     are atomic, so that means external damage, not a crash. *)
 
 val read_results :
-  t -> Shard.manifest -> ((int * Campaign.fault_result) array, string) result
-(** The per-fault results of one completed shard, in file order, read
-    into the queue's one reusable buffer and scanned in place with
-    {!Shard.results_of_bytes}.  Checks the count against the manifest's
-    range.  Not reentrant on one [t]. *)
+  t -> Shard.manifest -> (Campaign.fault_result array, string) result
+(** The per-fault results of one completed shard, in fault-index order,
+    read into the queue's one reusable buffer and decoded by position
+    with {!Shard.records_of_bytes}: the file must hold exactly one
+    record per fault of the manifest's range.  Not reentrant on one
+    [t]. *)
 
 val pending : t -> int
 (** Ranges still in [todo/] plus live claims. *)

@@ -205,9 +205,10 @@ let datapath_lanes paths =
   done;
   (bt, Array.of_list (List.rev !lanes))
 
-(* --- every patchable bit in batches of 64: verdicts == the oracle, and
-   the union cone of each batch is closed under the reader relation with
-   every lane's seed inside it (fault effects cannot escape it) --- *)
+(* --- every patchable bit in batches of {!Fsim_batch.width}: verdicts
+   == the oracle, and the union cone of each batch is closed under the
+   reader relation with every lane's seed inside it (fault effects
+   cannot escape it) --- *)
 
 let test_patch_faults () =
   let b = Lazy.force datapath_bench in
@@ -1268,6 +1269,85 @@ let test_explain () =
   Alcotest.(check bool) (label ^ ": no violation line") false
     (List.exists (String.starts_with ~prefix:"  !!!") lines)
 
+(* --- the sign bit is a lane: in a full batch whose only erring lane
+   sits in the last bit (bit 62, an int's sign bit), that lane's first
+   error and detect cycles equal the oracle's and its provenance equals
+   its own one-lane batch's, and every other lane stays silent; patch
+   lanes and reroute lanes (rewired rows, appended resolve nodes) --- *)
+
+let test_sign_bit_lane () =
+  let b = Lazy.force datapath_bench in
+  let bt, faults = datapath_lanes [ Fsim.Path_patch; Fsim.Path_reroute ] in
+  let width = Fsim_batch.width in
+  Alcotest.(check int) "a batch fills every bit of an int" Sys.int_size width;
+  Alcotest.(check bool) "the last lane is the sign bit" true
+    (1 lsl (width - 1) < 0);
+  let faults = Array.to_list faults in
+  let silent =
+    Array.of_list
+      (List.filter_map (fun (_, l, o) -> if o < 0 then Some l else None) faults)
+  in
+  (* the first six erring patch lanes and six erring reroute lanes that
+     resolve a row of their own (a rewired resolve row or an appended
+     node) *)
+  let v = Fsim.view b.base in
+  let splices (d : Fsim.delta) =
+    d.Fsim.dl_extras <> [||]
+    || Array.exists
+         (fun (u, _) -> v.Fsim.v_kind.(u) = Fsim.kind_resolve)
+         d.Fsim.dl_rows
+  in
+  let first6 f = List.filteri (fun i _ -> i < 6) (List.filter f faults) in
+  let picks =
+    first6 (fun (_, (s, _), o) -> o >= 0 && s <> Fsim.Seed_derived)
+    @ first6 (fun (_, (_, d), o) -> o >= 0 && splices d)
+  in
+  Alcotest.(check bool) "found silent lanes" true (Array.length silent > 0);
+  let voters = Bytes.make (Fsim.num_nodes b.base) '\000' in
+  let run lanes =
+    Fsim_batch.run bt ~voters ~tape:b.tape ~expected:b.expected ~watch:b.watch
+      ~lanes ()
+  in
+  Alcotest.(check bool) "found erring patch and reroute lanes" true
+    (List.exists (fun (_, (s, _), _) -> s = Fsim.Seed_derived) picks
+    && List.exists (fun (_, (s, _), _) -> s <> Fsim.Seed_derived) picks);
+  List.iter
+    (fun (bit, lane, oracle) ->
+      let lanes =
+        Array.init width (fun k ->
+            if k = width - 1 then lane else silent.(k mod Array.length silent))
+      in
+      let vs = run lanes in
+      Array.iteri
+        (fun k v ->
+          if k < width - 1 then
+            Alcotest.(check int)
+              (Printf.sprintf "bit %d batch: lane %d silent" bit k)
+              (-1) v.Fsim_batch.bv_error_cycle)
+        vs;
+      let v = vs.(width - 1) and alone = (run [| lane |]).(0) in
+      Alcotest.(check int)
+        (Printf.sprintf "bit %d in the sign-bit lane: first error cycle" bit)
+        oracle v.Fsim_batch.bv_error_cycle;
+      Alcotest.(check int)
+        (Printf.sprintf "bit %d in the sign-bit lane: detect cycle" bit)
+        (-1) v.Fsim_batch.bv_detect_cycle;
+      Alcotest.(check bool)
+        (Printf.sprintf "bit %d in the sign-bit lane: provenance == alone" bit)
+        true
+        (v.Fsim_batch.bv_provenance = alone.Fsim_batch.bv_provenance))
+    picks
+
+(* --- [bit_index] of every single-lane word, the sign bit included --- *)
+
+let test_bit_index () =
+  for i = 0 to Fsim_batch.width - 1 do
+    Alcotest.(check int)
+      (Printf.sprintf "bit_index (1 lsl %d)" i)
+      i
+      (Fsim_batch.bit_index (1 lsl i))
+  done
+
 let () =
   Alcotest.run "tmr_engine"
     [
@@ -1303,6 +1383,9 @@ let () =
             test_session_accounting;
           Alcotest.test_case "packing never changes a verdict" `Slow
             test_packing_independence;
+          Alcotest.test_case "the sign-bit lane == oracle" `Quick
+            test_sign_bit_lane;
+          Alcotest.test_case "bit_index of every lane" `Quick test_bit_index;
         ] );
       ( "explain",
         [

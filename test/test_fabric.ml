@@ -343,7 +343,7 @@ let test_congestion_report () =
     (String.length (Tmr_pnr.Congestion.summary cong) > 0)
 
 (* --- the lane backend's LUT equals the scalar LUT lane by lane: one
-   32-lane word, each lane with its own pin values in {0, 1, X}, unused
+   full plane word, each lane with its own pin values in {0, 1, X}, unused
    pins, pin inversion and truth table (or every lane sharing lane 0's
    table, the base-table kernel) --- *)
 
@@ -439,7 +439,7 @@ let qcheck_lanes_lut_node =
       let dh = Array.make 2 0 and dl = Array.make 2 0 in
       Lanes.lut_node (Array.make 16 Lanes.full)
         ~table:(Lanes.fold_inversion ~table ~inv:(inv land used))
-        ~h ~l (p 0) (p 1) (p 2) (p 3) 1 ~dh ~dl 1;
+        ~h ~l (p 0) (p 1) (p 2) (p 3) ~dh ~dl 1;
       let pins =
         Array.init 4 (fun j -> if (unused lsr j) land 1 = 1 then -1 else j)
       in

@@ -76,34 +76,51 @@ let test_ranges_missing () =
 
 (* --- codecs ----------------------------------------------------------- *)
 
-let test_result_line_roundtrip () =
-  List.iter
-    (fun effect ->
-      List.iter
-        (fun (outcome, cycle, detect) ->
-          let r =
-            {
-              Campaign.bit = 4242;
-              outcome;
-              effect;
-              first_error_cycle = cycle;
-              detect_cycle = detect;
-              forensics = None;
-            }
-          in
-          let line = Shard.result_to_line ~index:17 r in
-          match Shard.result_of_line line with
-          | Error e -> Alcotest.failf "roundtrip failed on %s: %s" line e
-          | Ok (i, r') ->
-              Alcotest.(check int) "index" 17 i;
-              Alcotest.(check bool) "result survives" true (r = r'))
-        [
-          (Campaign.Silent, -1, -1);
-          (Campaign.Wrong_answer, 12, -1);
-          (Campaign.Silent, -1, 7);
-          (Campaign.Wrong_answer, 12, 3);
-        ])
-    Classify.all
+(* a results body: the records of [rs], in order *)
+let records_body rs =
+  let b = Bytes.create (Shard.record_bytes * List.length rs) in
+  List.iteri (fun i r -> Shard.put_record b (Shard.record_bytes * i) r) rs;
+  Bytes.to_string b
+
+(* Every outcome x effect, with boundary bits and cycles, survives one
+   results body: records are read back by position, in order. *)
+let test_record_roundtrip () =
+  let bits = [ 0; 4242; -1; max_int; min_int ] in
+  let cycles =
+    [ -1; 0; 12; Int32.to_int Int32.max_int; Int32.to_int Int32.min_int ]
+  in
+  let rs =
+    List.concat_map
+      (fun effect ->
+        List.concat_map
+          (fun outcome ->
+            List.concat_map
+              (fun bit ->
+                List.map
+                  (fun cycle ->
+                    {
+                      Campaign.bit;
+                      outcome;
+                      effect;
+                      first_error_cycle = cycle;
+                      detect_cycle = -1 - cycle;
+                      forensics = None;
+                    })
+                  cycles)
+              bits)
+          [ Campaign.Silent; Campaign.Wrong_answer ])
+      Classify.all
+  in
+  let n = List.length rs in
+  (* the trailing bytes stand for a reused buffer's stale tail *)
+  let buf = Bytes.of_string (records_body rs ^ "stale") in
+  match Shard.records_of_bytes buf ~len:(n * Shard.record_bytes) ~count:n with
+  | Error e -> Alcotest.failf "roundtrip failed: %s" e
+  | Ok rs' ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%d records survive in order" n)
+        true
+        (rs = Array.to_list rs')
 
 (* The line format as the encoder once wrote it, through Printf: the
    buffer encoder must reproduce these bytes exactly. *)
@@ -140,102 +157,70 @@ let test_result_line_encoder () =
                       forensics = None;
                     }
                   in
-                  let line = Shard.result_to_line ~index:a r in
                   Alcotest.(check string) "encoder == Printf format"
-                    (printf_line ~index:a r) line;
-                  match Shard.result_of_line line with
-                  | Ok (i, r') when i = a && r' = r -> ()
-                  | Ok _ -> Alcotest.failf "%s decodes to another result" line
-                  | Error e -> Alcotest.failf "%s rejected: %s" line e)
+                    (printf_line ~index:a r)
+                    (Shard.result_to_line ~index:a r))
                 ints)
             ints)
         [ Campaign.Silent; Campaign.Wrong_answer ])
     Classify.all
 
-(* The reader accepts the written shape and nothing else. *)
-let test_result_line_rejects () =
-  let good =
-    "{\"index\":1,\"bit\":2,\"outcome\":\"silent\",\"effect\":\"LUT\",\"first_error_cycle\":-1,\"detect_cycle\":-1}"
+(* The record reader refuses every body it cannot decode exactly. *)
+let test_record_rejects () =
+  let r =
+    {
+      Campaign.bit = 77;
+      outcome = Campaign.Wrong_answer;
+      effect = Classify.Other_effect;
+      first_error_cycle = 12;
+      detect_cycle = 4;
+      forensics = None;
+    }
   in
-  (match Shard.result_of_line good with
+  let body n = Bytes.of_string (records_body (List.init n (fun _ -> r))) in
+  let read b ~count = Shard.records_of_bytes b ~len:(Bytes.length b) ~count in
+  (match read (body 3) ~count:3 with
   | Ok _ -> ()
-  | Error e -> Alcotest.failf "the written shape is rejected: %s" e);
-  let replace ~sub ~by =
-    let i =
-      let n = String.length sub in
-      let rec find i =
-        if String.sub good i n = sub then i else find (i + 1)
-      in
-      find 0
-    in
-    String.sub good 0 i ^ by
-    ^ String.sub good (i + String.length sub)
-        (String.length good - i - String.length sub)
+  | Error e -> Alcotest.failf "the written body is rejected: %s" e);
+  let poke k off v =
+    let b = body 3 in
+    Bytes.set_uint8 b ((k * Shard.record_bytes) + off) v;
+    b
+  in
+  let bad_bit =
+    let b = body 3 in
+    Bytes.set_int64_le b Shard.record_bytes Int64.max_int;
+    b
   in
   List.iter
-    (fun (what, line) ->
-      match Shard.result_of_line line with
-      | Ok _ -> Alcotest.failf "%s accepted: %s" what line
-      | Error _ -> ())
-    [
-      ("missing detect_cycle", replace ~sub:",\"detect_cycle\":-1" ~by:"");
-      ( "reordered fields",
-        replace ~sub:"\"index\":1,\"bit\":2" ~by:"\"bit\":2,\"index\":1" );
-      ("space after a colon", replace ~sub:"\"bit\":2" ~by:"\"bit\": 2");
-      ("leading space", " " ^ good);
-      ("trailing space", good ^ " ");
-      ("newline", good ^ "\n");
-      ("exponent", replace ~sub:"\"bit\":2" ~by:"\"bit\":1e3");
-      ("plus sign", replace ~sub:"\"bit\":2" ~by:"\"bit\":+5");
-      ("leading zero", replace ~sub:"\"bit\":2" ~by:"\"bit\":02");
-      ("negative zero", replace ~sub:"\"bit\":2" ~by:"\"bit\":-0");
-      ("fraction", replace ~sub:"\"bit\":2" ~by:"\"bit\":2.0");
-      ("quoted int", replace ~sub:"\"bit\":2" ~by:"\"bit\":\"2\"");
-      ( "overflow past max_int",
-        replace ~sub:"\"bit\":2" ~by:"\"bit\":4611686018427387904" );
-      ( "overflow past min_int",
-        replace ~sub:"\"bit\":2" ~by:"\"bit\":-4611686018427387905" );
-      ( "overflow, many digits",
-        replace ~sub:"\"bit\":2" ~by:"\"bit\":99999999999999999999999" );
-      ("trailing bytes", good ^ "x");
-      ("second object", good ^ good);
-      ("escaped effect name", replace ~sub:"\"LUT\"" ~by:"\"\\u004cUT\"");
-      ("unknown effect", replace ~sub:"\"LUT\"" ~by:"\"LUTS\"");
-      ("unknown outcome", replace ~sub:"\"silent\"" ~by:"\"quiet\"");
-      ("extra field", replace ~sub:"}" ~by:",\"x\":1}");
-      ("truncated", String.sub good 0 (String.length good - 1));
-      ("empty", "");
-    ];
-  (* a results file is lines, each ended by a newline *)
-  let body = good ^ "\n" ^ good ^ "\n" in
-  let of_body body =
-    Shard.results_of_bytes (Bytes.of_string body) ~len:(String.length body)
-  in
-  (match of_body body with
-  | Ok rs -> Alcotest.(check int) "two lines read" 2 (Array.length rs)
-  | Error e -> Alcotest.failf "body rejected: %s" e);
-  (* a reused buffer holds stale bytes past the body *)
-  (match
-     Shard.results_of_bytes
-       (Bytes.of_string (body ^ "stale"))
-       ~len:(String.length body)
-   with
-  | Ok rs -> Alcotest.(check int) "stale tail ignored" 2 (Array.length rs)
-  | Error e -> Alcotest.failf "stale tail read: %s" e);
-  List.iter
-    (fun (what, body, needle) ->
-      match of_body body with
+    (fun (what, b, count, needle) ->
+      match read b ~count with
       | Ok _ -> Alcotest.failf "%s accepted" what
       | Error e ->
           Alcotest.(check bool)
-            (Printf.sprintf "%s: %S names %S" what e needle)
+            (Printf.sprintf "%s: %S starts with %S" what e needle)
             true
             (String.starts_with ~prefix:needle e))
     [
-      ("missing final newline", good ^ "\n" ^ good, "last line");
-      ("blank line", good ^ "\n\n" ^ good ^ "\n", "line 2:");
-      ("bad second line", good ^ "\n" ^ good ^ " \n", "line 2:");
-    ]
+      ("outcome code 2", poke 1 8 2, 3, "record 1: outcome code 2");
+      ("outcome code 255", poke 2 8 255, 3, "record 2: outcome code 255");
+      ( "effect code past the list",
+        poke 0 9 (List.length Classify.all),
+        3,
+        "record 0: effect code" );
+      ("effect code 255", poke 2 9 255, 3, "record 2: effect code 255");
+      ("bit past max_int", bad_bit, 3, "record 1: bit");
+      ("one record short", body 3, 4, "54 bytes, not 4 records");
+      ("one record long", body 3, 2, "54 bytes, not 2 records");
+      ("a truncated record", Bytes.sub (body 3) 0 53, 3, "53 bytes");
+      ("a trailing byte", Bytes.cat (body 3) (Bytes.make 1 '\000'), 3, "55 bytes");
+      ("empty for a 1-fault shard", Bytes.empty, 1, "0 bytes");
+    ];
+  Alcotest.check_raises "a cycle past int32"
+    (Invalid_argument "Shard.put_record: cycle outside the int32 range")
+    (fun () ->
+      Shard.put_record (body 1) 0
+        { r with Campaign.first_error_cycle = 1 lsl 31 })
 
 let test_manifest_roundtrip () =
   let m =
@@ -281,18 +266,41 @@ let test_shard_events_roundtrip () =
         { design = "tmr_p2"; shard = 3; lo = 30; hi = 40; wrong = 1; pending = 2 };
     ]
 
-(* Fuzzing the shard readers ({!Fuzz}) over rendered result lines and a
-   manifest.  Both come from disk, so [result_of_line] and
-   [manifest_of_json] must answer [Error] rather than raise, however the
-   bytes were damaged. *)
+(* Fuzzing the shard readers ({!Fuzz}) over results files of verdict
+   records and a manifest.  Both come from disk, so
+   [Workqueue.read_results] and [manifest_of_json] must answer [Error]
+   rather than raise, however the bytes were damaged. *)
+
+let fuzz_manifest =
+  {
+    Shard.sm_id = 3;
+    sm_lo = 30;
+    sm_hi = 40;
+    sm_wrong = 2;
+    sm_stats =
+      {
+        Campaign.skipped = 1;
+        patched = 2;
+        rerouted = 3;
+        rebuilt = 4;
+        diffed = 5;
+        converged = 0;
+        batched = 7;
+      };
+    sm_wall_ns = 123456;
+    sm_busy_ns = 111111;
+    sm_setup_ns = 22222;
+    sm_owner = 999;
+    sm_fingerprint = "cafe1234";
+  }
 
 let shard_fuzz_corpus =
   lazy
     (let results =
-       List.concat_map
+       List.map
          (fun effect ->
-           [
-             Shard.result_to_line ~index:3
+           records_body
+             [
                {
                  Campaign.bit = 77;
                  outcome = Campaign.Wrong_answer;
@@ -301,7 +309,6 @@ let shard_fuzz_corpus =
                  detect_cycle = 4;
                  forensics = None;
                };
-             Shard.result_to_line ~index:123456
                {
                  Campaign.bit = 9;
                  outcome = Campaign.Silent;
@@ -310,52 +317,49 @@ let shard_fuzz_corpus =
                  detect_cycle = -1;
                  forensics = None;
                };
-           ])
+             ])
          Classify.all
      in
      let manifest =
-       Tmr_obs.Json.to_string
-         (Shard.manifest_to_json
-            {
-              Shard.sm_id = 3;
-              sm_lo = 30;
-              sm_hi = 40;
-              sm_wrong = 2;
-              sm_stats =
-                {
-                  Campaign.skipped = 1;
-                  patched = 2;
-                  rerouted = 3;
-                  rebuilt = 4;
-                  diffed = 5;
-                  converged = 0;
-                  batched = 7;
-                };
-              sm_wall_ns = 123456;
-              sm_busy_ns = 111111;
-              sm_setup_ns = 22222;
-              sm_owner = 999;
-              sm_fingerprint = "cafe1234";
-            })
+       Tmr_obs.Json.to_string (Shard.manifest_to_json fuzz_manifest)
      in
      Array.of_list (manifest :: results))
 
-(* every line the reader accepts is one the encoder writes *)
-let qcheck_accepted_lines_reencode =
+(* every body the record reader accepts is one the encoder writes *)
+let qcheck_accepted_records_reencode =
   QCheck.Test.make ~count:3000
-    ~name:"accepted result lines re-encode to themselves" Fuzz.input
+    ~name:"accepted verdict records re-encode to themselves" Fuzz.input
     (fun input ->
       let text = Fuzz.mutate (Lazy.force shard_fuzz_corpus) input in
-      match Shard.result_of_line text with
-      | Ok (index, r) -> Shard.result_to_line ~index r = text
+      let count = String.length text / Shard.record_bytes in
+      match
+        Shard.records_of_bytes (Bytes.of_string text) ~len:(String.length text)
+          ~count
+      with
+      | Ok rs -> records_body (Array.to_list rs) = text
       | Error _ -> true)
+
+(* the mutated bytes as shard 3's results file, read back through the
+   queue for a shard of as many faults as whole records fit *)
+let fuzz_queue = lazy (Workqueue.create ~dir:(temp_dir "fuzz"))
 
 let qcheck_mutated_shard_files_fail_closed =
   QCheck.Test.make ~count:3000
-    ~name:"mutated result lines and manifests fail closed" Fuzz.input
+    ~name:"mutated verdict records and manifests fail closed" Fuzz.input
     (fun input ->
       let text = Fuzz.mutate (Lazy.force shard_fuzz_corpus) input in
-      (match Shard.result_of_line text with Ok _ | Error _ -> ());
+      let wq = Lazy.force fuzz_queue in
+      Out_channel.with_open_bin
+        (Filename.concat (Workqueue.dir wq) "results/00003.rec")
+        (fun oc -> output_string oc text);
+      let m =
+        {
+          fuzz_manifest with
+          Shard.sm_hi =
+            fuzz_manifest.Shard.sm_lo + (String.length text / Shard.record_bytes);
+        }
+      in
+      (match Workqueue.read_results wq m with Ok _ | Error _ -> ());
       (match Tmr_obs.Json.parse text with
       | Ok j -> ( match Shard.manifest_of_json j with Ok _ | Error _ -> ())
       | Error _ -> ());
@@ -435,11 +439,8 @@ let test_workqueue_claims () =
       | Ok rs ->
           Alcotest.(check int) "results count" (m.Shard.sm_hi - m.Shard.sm_lo)
             (Array.length rs);
-          Alcotest.(check bool) "results read back at their indices" true
-            (rs
-            = Array.mapi
-                (fun i r -> (m.Shard.sm_lo + i, r))
-                (results_of r1))
+          Alcotest.(check bool) "results read back in index order" true
+            (rs = results_of r1)
       | Error e -> Alcotest.failf "read_results: %s" e)
   | Ok ms -> Alcotest.failf "expected 1 done manifest, got %d" (List.length ms)
   | Error e -> Alcotest.failf "load_done: %s" e);
@@ -498,16 +499,15 @@ let intact_shards () =
              (r.Shard.sh_hi - r.Shard.sh_lo)
              (fun k ->
                let i = r.Shard.sh_lo + k in
-               ( i,
-                 {
-                   Campaign.bit = 100 + i;
-                   outcome =
-                     (if i = 25 then Campaign.Wrong_answer else Campaign.Silent);
-                   effect = Classify.Other_effect;
-                   first_error_cycle = (if i = 25 then 3 else -1);
-                   detect_cycle = -1;
-                   forensics = None;
-                 } ))
+               {
+                 Campaign.bit = 100 + i;
+                 outcome =
+                   (if i = 25 then Campaign.Wrong_answer else Campaign.Silent);
+                 effect = Classify.Other_effect;
+                 first_error_cycle = (if i = 25 then 3 else -1);
+                 detect_cycle = -1;
+                 forensics = None;
+               })
          in
          let m = mk_manifest r in
          ({ m with Shard.sm_wrong = (if r.Shard.sh_id = 2 then 1 else 0) }, rs))
@@ -556,20 +556,6 @@ let test_merge_defects () =
     (List.nth shards 1 :: shards);
   expect_error "inverted range" ~needle:"inverted range"
     (with_shard 3 (fun (m, rs) -> ({ m with Shard.sm_hi = 20 }, rs)) shards);
-  expect_error "index outside its shard" ~needle:"outside [10,20)"
-    (with_shard 1
-       (fun (m, rs) ->
-         let rs = Array.copy rs in
-         rs.(4) <- (35, snd rs.(4));
-         (m, rs))
-       shards);
-  expect_error "duplicate index" ~needle:"duplicate result index 12"
-    (with_shard 1
-       (fun (m, rs) ->
-         let rs = Array.copy rs in
-         rs.(3) <- (12, snd rs.(3));
-         (m, rs))
-       shards);
   expect_error "result count" ~needle:"holds 9 results"
     (with_shard 1 (fun (m, rs) -> (m, Array.sub rs 0 9)) shards);
   expect_error "wrong-count mismatch" ~needle:"claim 999 wrong answers"
@@ -831,6 +817,45 @@ let test_fingerprint_guard () =
       Alcotest.(check int) "nothing resumed" 0 o.Service.o_resumed
   | Ok (Service.Incomplete _) | Error _ -> Alcotest.fail "fresh run failed"
 
+(* the fingerprint covers the build: it hashes the running executable,
+   and a queue directory whose job.json another build of the tool wrote
+   is refused with the same mismatch error — its verdicts are that
+   build's — until [fresh] wipes it *)
+let test_other_build_refused () =
+  let ctx = Lazy.force ctx in
+  let run = Lazy.force run_p2 in
+  let job =
+    Service.job ~scale:Context.Reduced ~seed:2 ~faults:40 ~shards:2
+      Partition.Medium_partition
+  in
+  let faults = Service.faults_of ctx run job in
+  let this_build = Digest.to_hex (Digest.file Sys.executable_name) in
+  Alcotest.(check string) "the default build is the running executable"
+    (Service.fingerprint ~build:this_build job faults)
+    (Service.fingerprint job faults);
+  let other = Service.fingerprint ~build:"another build" job faults in
+  Alcotest.(check bool) "another build fingerprints differently" false
+    (other = Service.fingerprint job faults);
+  let dir = temp_dir "other-build" in
+  let wq = Workqueue.create ~dir in
+  Workqueue.write_job wq
+    (Tmr_obs.Json.Obj [ ("fingerprint", Tmr_obs.Json.Str other) ]);
+  (match Service.run_sharded ~notify:(fun _ -> ()) ~dir job ctx run with
+  | Error e ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%S names the mismatch" e)
+        true
+        (String.ends_with
+           ~suffix:"(fingerprint mismatch); pass --fresh to discard it" e)
+  | Ok _ -> Alcotest.fail "another build's queue dir accepted");
+  match
+    Service.run_sharded ~fresh:true ~notify:(fun _ -> ()) ~dir job ctx run
+  with
+  | Ok (Service.Complete o) ->
+      Alcotest.(check int) "fresh ran every shard" 2 o.Service.o_fresh;
+      Alcotest.(check int) "nothing resumed" 0 o.Service.o_resumed
+  | Ok (Service.Incomplete _) | Error _ -> Alcotest.fail "fresh run failed"
+
 (* a finished queue whose manifest was damaged on disk: the resume that
    merges it returns an [Error] naming the shard directory *)
 let test_damaged_manifest_refused () =
@@ -973,18 +998,18 @@ let () =
         ] );
       ( "codecs",
         [
-          Alcotest.test_case "result line roundtrip" `Quick
-            test_result_line_roundtrip;
+          Alcotest.test_case "verdict record roundtrip" `Quick
+            test_record_roundtrip;
           Alcotest.test_case "manifest roundtrip" `Quick
             test_manifest_roundtrip;
           Alcotest.test_case "shard/job events roundtrip" `Quick
             test_shard_events_roundtrip;
           QCheck_alcotest.to_alcotest qcheck_mutated_shard_files_fail_closed;
-          QCheck_alcotest.to_alcotest qcheck_accepted_lines_reencode;
+          QCheck_alcotest.to_alcotest qcheck_accepted_records_reencode;
           Alcotest.test_case "result line encoder == Printf format" `Quick
             test_result_line_encoder;
-          Alcotest.test_case "result line reader rejects" `Quick
-            test_result_line_rejects;
+          Alcotest.test_case "verdict record reader rejects" `Quick
+            test_record_rejects;
         ] );
       ( "merge",
         [
@@ -1025,5 +1050,7 @@ let () =
             test_session_reuse;
           Alcotest.test_case "resume at another worker count, bit-identical"
             `Slow test_resume_other_worker_count;
+          Alcotest.test_case "another build's queue refused + fresh" `Quick
+            test_other_build_refused;
         ] );
     ]
