@@ -74,24 +74,28 @@ let faults_of _ctx (run : Runs.design_run) j =
 (* Verdicts are a function of the engine as much as of the job: a queue
    directory another build wrote holds that build's verdicts (and its
    results file format), so the running executable is part of the
-   fingerprint. *)
+   fingerprint.  A build that cannot read its own executable gets no
+   fingerprint rather than one it would share with every other such
+   build. *)
 let build_digest =
   lazy
-    (try Digest.to_hex (Digest.file Sys.executable_name)
-     with Sys_error _ -> "unknown")
+    (try Ok (Digest.to_hex (Digest.file Sys.executable_name))
+     with Sys_error e -> Error ("cannot fingerprint the running build: " ^ e))
 
-let fingerprint ?build j faults =
-  let build = match build with Some b -> b | None -> Lazy.force build_digest in
-  let b = Buffer.create (64 + (Array.length faults * 7)) in
-  Buffer.add_string b build;
-  Buffer.add_char b ',';
-  Buffer.add_string b (Json.to_string (job_to_json j));
-  Array.iter
-    (fun f ->
+let fingerprint j faults =
+  Result.map
+    (fun build ->
+      let b = Buffer.create (64 + (Array.length faults * 7)) in
+      Buffer.add_string b build;
       Buffer.add_char b ',';
-      Buffer.add_string b (string_of_int f))
-    faults;
-  Digest.to_hex (Digest.string (Buffer.contents b))
+      Buffer.add_string b (Json.to_string (job_to_json j));
+      Array.iter
+        (fun f ->
+          Buffer.add_char b ',';
+          Buffer.add_string b (string_of_int f))
+        faults;
+      Digest.to_hex (Digest.string (Buffer.contents b)))
+    (Lazy.force build_digest)
 
 type outcome = {
   o_campaign : Campaign.t;
@@ -179,7 +183,7 @@ let run_sharded ?(procs = 1) ?shard_limit ?(fresh = false)
   let name = Partition.name j.j_design in
   let faults = faults_of ctx run j in
   let total = Array.length faults in
-  let fp = fingerprint j faults in
+  let* fp = fingerprint j faults in
   let wq = Workqueue.create ~dir in
   let* () =
     match Workqueue.read_job wq with

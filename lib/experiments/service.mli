@@ -49,13 +49,14 @@ val faults_of : Context.t -> Runs.design_run -> job -> int array
 (** The job's fault-index space: the full essential-bit list when
     exhaustive, otherwise the usual deterministic sample. *)
 
-val fingerprint : ?build:string -> job -> int array -> string
+val fingerprint : job -> int array -> (string, string) result
 (** Digest of the job spec (without [j_workers]), its resolved fault
-    list and the build: [build] defaults to the MD5 of the running
-    executable, read once per process.  Stored in the queue's
-    [job.json] and in every shard manifest; a resume whose recomputed
-    fingerprint differs — another job, or the same job simulated by
-    another build of the tool — refuses to mix results. *)
+    list and the build: the MD5 of the running executable, read once
+    per process.  Stored in the queue's [job.json] and in every shard
+    manifest; a resume whose recomputed fingerprint differs — another
+    job, or the same job simulated by another build of the tool —
+    refuses to mix results.  [Error] when the executable cannot be
+    read. *)
 
 type outcome = {
   o_campaign : Tmr_inject.Campaign.t;

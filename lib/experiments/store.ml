@@ -91,7 +91,7 @@ let of_run ?forensics:_ ?(exhaustive = false) (ctx : Context.t)
         incr (List.assq r.Campaign.effect by_effect)
       end)
     results;
-  Array.sort compare wrong_bits;
+  Array.sort Int.compare wrong_bits;
   {
     e_design = Tmr_core.Partition.name run.Runs.strategy;
     e_scale = scale_name ctx.Context.scale;

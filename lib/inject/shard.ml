@@ -24,44 +24,18 @@ let ranges_missing ~total ~done_ids ~shards =
 
 (* ------------------------------------------------------------------ *)
 (* Per-fault result lines: one compact JSON object per fault, the
-   merged-output format.  The encoder writes straight into a buffer. *)
+   merged-output format. *)
 
 let outcome_name = function
   | Campaign.Silent -> "silent"
   | Campaign.Wrong_answer -> "wrong_answer"
 
-(* decimal digits of [n], as [string_of_int] writes them *)
-let rec add_int b n =
-  if n < 0 then
-    if n = min_int then Buffer.add_string b (string_of_int n)
-    else begin
-      Buffer.add_char b '-';
-      add_int b (-n)
-    end
-  else begin
-    if n >= 10 then add_int b (n / 10);
-    Buffer.add_char b (Char.unsafe_chr (48 + (n mod 10)))
-  end
-
-let add_result_line b ~index (r : Campaign.fault_result) =
-  Buffer.add_string b "{\"index\":";
-  add_int b index;
-  Buffer.add_string b ",\"bit\":";
-  add_int b r.Campaign.bit;
-  Buffer.add_string b ",\"outcome\":\"";
-  Buffer.add_string b (outcome_name r.Campaign.outcome);
-  Buffer.add_string b "\",\"effect\":\"";
-  Buffer.add_string b (Classify.name r.Campaign.effect);
-  Buffer.add_string b "\",\"first_error_cycle\":";
-  add_int b r.Campaign.first_error_cycle;
-  Buffer.add_string b ",\"detect_cycle\":";
-  add_int b r.Campaign.detect_cycle;
-  Buffer.add_char b '}'
-
-let result_to_line ~index r =
-  let b = Buffer.create 128 in
-  add_result_line b ~index r;
-  Buffer.contents b
+let result_to_line ~index (r : Campaign.fault_result) =
+  Printf.sprintf
+    "{\"index\":%d,\"bit\":%d,\"outcome\":\"%s\",\"effect\":\"%s\",\"first_error_cycle\":%d,\"detect_cycle\":%d}"
+    index r.Campaign.bit (outcome_name r.Campaign.outcome)
+    (Classify.name r.Campaign.effect) r.Campaign.first_error_cycle
+    r.Campaign.detect_cycle
 
 (* ------------------------------------------------------------------ *)
 (* Verdict records: one fixed-size record per fault, the bit (int64),

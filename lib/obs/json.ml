@@ -192,7 +192,10 @@ let rec write buf = function
   | Bool false -> Buffer.add_string buf "false"
   | Num f ->
       if Float.is_integer f && Float.abs f < 1e15 then
-        Buffer.add_string buf (Printf.sprintf "%.0f" f)
+        (* the digits "%.0f" writes, without formatting a float *)
+        Buffer.add_string buf
+          (if f = 0.0 && Float.sign_bit f then "-0"
+           else string_of_int (int_of_float f))
       else Buffer.add_string buf (Printf.sprintf "%.17g" f)
   | Str s ->
       Buffer.add_char buf '"';

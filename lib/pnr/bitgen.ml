@@ -56,9 +56,14 @@ let run dev db pack place route nl =
   in
   Array.iter mark_pad pack.Pack.live_inputs;
   Array.iter mark_pad pack.Pack.live_outputs;
-  (* DUT bit list *)
-  let bits = ref [] in
-  let add b = bits := b :: !bits in
+  (* DUT bit list: each bit is marked once (pip, bel and pad bits are
+     distinct addresses), then read back in address order *)
+  let marked = Bytes.make (Bitdb.num_bits db) '\000' in
+  let n_marked = ref 0 in
+  let add b =
+    Bytes.set marked b '\001';
+    incr n_marked
+  in
   (* A routing bit is DUT-related when flipping it can alter a used net:
      any programmed pip (open), a pass pip with a used endpoint (short), or
      a buffered pip into a used wire (extra driver). *)
@@ -94,8 +99,15 @@ let run dev db pack place route nl =
       done
     end
   done;
-  let dut_bits = Array.of_list !bits in
-  Array.sort compare dut_bits;
+  let dut_bits = Array.make !n_marked 0 in
+  let k = ref 0 in
+  Bytes.iteri
+    (fun b m ->
+      if m <> '\000' then begin
+        dut_bits.(!k) <- b;
+        incr k
+      end)
+    marked;
   { bitstream = bs; dut_bits; used_wires; used_bels; used_pads }
 
 let dut_bits_by_class db t =

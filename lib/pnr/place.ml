@@ -158,19 +158,57 @@ let run ?(seed = 1) ?(moves_per_site = 128) ?(floorplan = `Free) dev pack nl =
         Array.of_list (List.sort_uniq compare !cells))
       pack.Pack.nets
   in
+  (* Terminal positions: site s is terminal s, port cell c terminal
+     nsites + c; [tpos] holds each terminal's row and column side by side
+     and moves keep it current, so a net's HPWL reads one array. *)
+  let tpos = Array.make (2 * (nsites + n)) 0 in
+  let set_site_pos s =
+    let b = site_bel.(s) in
+    tpos.(2 * s) <- bel_row.(b);
+    tpos.((2 * s) + 1) <- bel_col.(b)
+  in
+  let set_pad_pos c =
+    let w = cell_pad_wire c in
+    tpos.(2 * (nsites + c)) <- wrow.(w);
+    tpos.((2 * (nsites + c)) + 1) <- wcol.(w)
+  in
+  for s = 0 to nsites - 1 do
+    set_site_pos s
+  done;
+  Array.iter set_pad_pos pack.Pack.live_inputs;
+  Array.iter set_pad_pos pack.Pack.live_outputs;
+  let net_terms =
+    Array.map
+      (Array.map (fun c ->
+           let s = site_of_cell.(c) in
+           if s >= 0 then 2 * s
+           else begin
+             assert (pad_of_cell.(c) >= 0);
+             2 * (nsites + c)
+           end))
+      net_cells
+  in
+  (* every net has its driver, so [terms] is never empty; the terms are
+     even indices below [2 * (nsites + n)], hence the unsafe reads.  The
+     minima and maxima are kept without branches: [d land (d asr sign)] is
+     [min d 0] *)
+  let sign = Sys.int_size - 1 in
   let hpwl ni =
-    let cells = net_cells.(ni) in
-    let rmin = ref max_int and rmax = ref min_int in
-    let cmin = ref max_int and cmax = ref min_int in
-    for i = 0 to Array.length cells - 1 do
-      let c = cells.(i) in
-      let s = site_of_cell.(c) in
-      let r = if s >= 0 then bel_row.(site_bel.(s)) else wrow.(cell_pad_wire c) in
-      let cc = if s >= 0 then bel_col.(site_bel.(s)) else wcol.(cell_pad_wire c) in
-      if r < !rmin then rmin := r;
-      if r > !rmax then rmax := r;
-      if cc < !cmin then cmin := cc;
-      if cc > !cmax then cmax := cc
+    let terms = net_terms.(ni) in
+    let t = Array.unsafe_get terms 0 in
+    let rmin = ref (Array.unsafe_get tpos t) and cmin = ref (Array.unsafe_get tpos (t + 1)) in
+    let rmax = ref !rmin and cmax = ref !cmin in
+    for i = 1 to Array.length terms - 1 do
+      let t = Array.unsafe_get terms i in
+      let r = Array.unsafe_get tpos t and c = Array.unsafe_get tpos (t + 1) in
+      let d = r - !rmin in
+      rmin := !rmin + (d land (d asr sign));
+      let d = !rmax - r in
+      rmax := !rmax - (d land (d asr sign));
+      let d = c - !cmin in
+      cmin := !cmin + (d land (d asr sign));
+      let d = !cmax - c in
+      cmax := !cmax - (d land (d asr sign))
     done;
     !rmax - !rmin + (!cmax - !cmin)
   in
@@ -255,25 +293,44 @@ let run ?(seed = 1) ?(moves_per_site = 128) ?(floorplan = `Free) dev pack nl =
   (* --- annealing --- *)
   let nmoves = max 2000 (moves_per_site * max nsites 1) in
   let temp0 = 4.0 +. (0.02 *. float_of_int nsites) in
-  (* the current temperature, in a float array so updates do not box *)
-  let temp = Float.Array.make 1 1.0 in
   let rows = dev.Device.params.Arch.rows in
   let cols = dev.Device.params.Arch.cols in
   let bpt = Arch.bels_per_tile dev.Device.params in
-  let radius_ref = ref (max rows cols) in
+  let max_dim = max rows cols in
+  (* The schedule is a function of the move number alone, so the
+     temperature and the move radius are computed only by the moves that
+     read them. *)
+  let move = ref 0 in
+  let[@inline] progress () = float_of_int !move /. float_of_int nmoves in
+  let[@inline] temperature () =
+    let t = temp0 *. ((1.0 -. progress ()) ** 3.0) in
+    if 0.005 >= t then 0.005 else t
+  in
+  (* [x *. x] is within an ulp or two of [x ** 2.0], so the radius it
+     gives is exact unless the scaled square lies next to an integer;
+     only then is [pow] called to settle the floor. *)
+  let radius () =
+    let x = 1.0 -. progress () in
+    let z = float_of_int max_dim *. (x *. x) in
+    let rad =
+      if Float.abs (z -. Float.round z) > 1e-6 then int_of_float z
+      else int_of_float (float_of_int max_dim *. (x ** 2.0))
+    in
+    if 2 >= rad then 2 else rad
+  in
   let accept delta =
     delta <= 0
     ||
     let delta = float_of_int delta in
-    Srand.float rng 1.0 < exp (-.delta /. Float.Array.get temp 0)
+    Srand.float rng 1.0 < exp (-.delta /. temperature ())
   in
   (* Range-limited move target: a random bel within the current radius of
      the site's tile. *)
-  let clamp v lo hi = if v < lo then lo else if v > hi then hi else v in
+  let clamp (v : int) lo hi = if v < lo then lo else if v > hi then hi else v in
   let candidate_bel s =
     let b = site_bel.(s) in
     let r0 = bel_row.(b) and c0 = bel_col.(b) in
-    let rad = !radius_ref in
+    let rad = radius () in
     let r = clamp (r0 - rad + Srand.int rng ((2 * rad) + 1)) 0 (rows - 1) in
     let c = clamp (c0 - rad + Srand.int rng ((2 * rad) + 1)) 0 (cols - 1) in
     Device.bel_at dev ~row:r ~col:c ~slot:(Srand.int rng bpt)
@@ -293,7 +350,11 @@ let run ?(seed = 1) ?(moves_per_site = 128) ?(floorplan = `Free) dev pack nl =
           site_bel.(s) <- b_new;
           bel_site.(b_new) <- s;
           bel_site.(b_old) <- s2;
-          if s2 >= 0 then site_bel.(s2) <- b_old;
+          set_site_pos s;
+          if s2 >= 0 then begin
+            site_bel.(s2) <- b_old;
+            set_site_pos s2
+          end;
           let delta = recompute () in
           if accept delta then total := !total + delta
           else begin
@@ -301,7 +362,11 @@ let run ?(seed = 1) ?(moves_per_site = 128) ?(floorplan = `Free) dev pack nl =
             site_bel.(s) <- b_old;
             bel_site.(b_old) <- s;
             bel_site.(b_new) <- s2;
-            if s2 >= 0 then site_bel.(s2) <- b_new;
+            set_site_pos s;
+            if s2 >= 0 then begin
+              site_bel.(s2) <- b_new;
+              set_site_pos s2
+            end;
             restore ()
           end
         end
@@ -324,27 +389,29 @@ let run ?(seed = 1) ?(moves_per_site = 128) ?(floorplan = `Free) dev pack nl =
         pad_of_cell.(c1) <- p2;
         pad_cell.(p2) <- c1;
         pad_cell.(p1) <- c2;
-        if c2 >= 0 then pad_of_cell.(c2) <- p1;
+        set_pad_pos c1;
+        if c2 >= 0 then begin
+          pad_of_cell.(c2) <- p1;
+          set_pad_pos c2
+        end;
         let delta = recompute () in
         if accept delta then total := !total + delta
         else begin
           pad_of_cell.(c1) <- p1;
           pad_cell.(p1) <- c1;
           pad_cell.(p2) <- c2;
-          if c2 >= 0 then pad_of_cell.(c2) <- p2;
+          set_pad_pos c1;
+          if c2 >= 0 then begin
+            pad_of_cell.(c2) <- p2;
+            set_pad_pos c2
+          end;
           restore ()
         end
       end
     end
   in
-  let max_dim = max rows cols in
   for m = 0 to nmoves - 1 do
-    let progress = float_of_int m /. float_of_int nmoves in
-    let t = temp0 *. ((1.0 -. progress) ** 3.0) in
-    Float.Array.set temp 0 (if 0.005 >= t then 0.005 else t);
-    let shrink = (1.0 -. progress) ** 2.0 in
-    let rad = int_of_float (float_of_int max_dim *. shrink) in
-    radius_ref := if 2 >= rad then 2 else rad;
+    move := m;
     if Srand.int rng 10 < 8 then try_site_move () else try_pad_move ()
   done;
   { site_bel; pad_of_cell; cost = float_of_int !total }

@@ -181,6 +181,23 @@ let test_srand_deterministic () =
   done;
   Alcotest.(check bool) "different seed differs" true !differs
 
+(* The first draws of seed 1, recorded from the generator's first
+   implementation (a boxed int64 state): placement, stimulus and fault
+   samples all depend on this exact stream. *)
+let test_srand_stream_pinned () =
+  let r = Srand.create 1 in
+  Alcotest.(check (list int)) "ints"
+    [ 808126293; 624635970; 565617645; 893811442; 134869802; 767873536 ]
+    (List.init 6 (fun _ -> Srand.int r 1_000_000_007));
+  let c = Srand.split r in
+  Alcotest.(check (list int)) "split stream"
+    [ 1327614307408224819; 797169183612368656; 2315218692810306491 ]
+    (List.init 3 (fun _ -> Srand.int c max_int));
+  Alcotest.(check (float 0.0)) "float" 0x1.7cd0f89b24754p-3 (Srand.float r 1.0);
+  Alcotest.(check (list bool)) "bools"
+    [ true; false; false; true; false; true; true; false ]
+    (List.init 8 (fun _ -> Srand.bool r))
+
 let test_srand_bounds () =
   let r = Srand.create 7 in
   for _ = 1 to 1000 do
@@ -280,6 +297,7 @@ let () =
       ( "srand",
         [
           Alcotest.test_case "deterministic" `Quick test_srand_deterministic;
+          Alcotest.test_case "stream pinned" `Quick test_srand_stream_pinned;
           Alcotest.test_case "bounds" `Quick test_srand_bounds;
           Alcotest.test_case "sample" `Quick test_srand_sample;
           Alcotest.test_case "shuffle permutes" `Quick test_srand_shuffle_permutes;

@@ -122,48 +122,41 @@ let test_record_roundtrip () =
         true
         (rs = Array.to_list rs')
 
-(* The line format as the encoder once wrote it, through Printf: the
-   buffer encoder must reproduce these bytes exactly. *)
-let printf_line ~index (r : Campaign.fault_result) =
-  Printf.sprintf
-    "{\"index\":%d,\"bit\":%d,\"outcome\":\"%s\",\"effect\":\"%s\",\"first_error_cycle\":%d,\"detect_cycle\":%d}"
-    index r.Campaign.bit
-    (match r.Campaign.outcome with
-    | Campaign.Silent -> "silent"
-    | Campaign.Wrong_answer -> "wrong_answer")
-    (Tmr_obs.Jsonl.escape (Classify.name r.Campaign.effect))
-    r.Campaign.first_error_cycle r.Campaign.detect_cycle
-
+(* The --merged-out line format, pinned byte for byte: every outcome and
+   effect name, negative and extreme integers. *)
 let test_result_line_encoder () =
-  let ints =
-    [ 0; 1; -1; 9; 10; -10; 99; 4242; -4242; 123456789; max_int; min_int;
-      -max_int ]
+  let line ~index bit outcome effect first_error_cycle detect_cycle =
+    Shard.result_to_line ~index
+      {
+        Campaign.bit;
+        outcome;
+        effect;
+        first_error_cycle;
+        detect_cycle;
+        forensics = None;
+      }
   in
   List.iter
-    (fun effect ->
-      List.iter
-        (fun outcome ->
-          List.iter
-            (fun a ->
-              List.iter
-                (fun b ->
-                  let r =
-                    {
-                      Campaign.bit = b;
-                      outcome;
-                      effect;
-                      first_error_cycle = a;
-                      detect_cycle = b;
-                      forensics = None;
-                    }
-                  in
-                  Alcotest.(check string) "encoder == Printf format"
-                    (printf_line ~index:a r)
-                    (Shard.result_to_line ~index:a r))
-                ints)
-            ints)
-        [ Campaign.Silent; Campaign.Wrong_answer ])
-    Classify.all
+    (fun (expected, got) -> Alcotest.(check string) "pinned line" expected got)
+    [
+      ( {|{"index":0,"bit":77,"outcome":"silent","effect":"LUT","first_error_cycle":-1,"detect_cycle":-1}|},
+        line ~index:0 77 Campaign.Silent Classify.Lut_effect (-1) (-1) );
+      ( {|{"index":12,"bit":4242,"outcome":"wrong_answer","effect":"MUX","first_error_cycle":3,"detect_cycle":0}|},
+        line ~index:12 4242 Campaign.Wrong_answer Classify.Mux_effect 3 0 );
+      ( {|{"index":1,"bit":9,"outcome":"wrong_answer","effect":"Initialization","first_error_cycle":10,"detect_cycle":99}|},
+        line ~index:1 9 Campaign.Wrong_answer Classify.Init_effect 10 99 );
+      ( {|{"index":2,"bit":10,"outcome":"silent","effect":"Open","first_error_cycle":-10,"detect_cycle":-4242}|},
+        line ~index:2 10 Campaign.Silent Classify.Open_effect (-10) (-4242) );
+      ( {|{"index":3,"bit":0,"outcome":"silent","effect":"Bridge","first_error_cycle":0,"detect_cycle":1}|},
+        line ~index:3 0 Campaign.Silent Classify.Bridge_effect 0 1 );
+      ( {|{"index":4611686018427387903,"bit":-4611686018427387904,"outcome":"wrong_answer","effect":"Input-Antenna","first_error_cycle":123456789,"detect_cycle":-4611686018427387903}|},
+        line ~index:max_int min_int Campaign.Wrong_answer Classify.Antenna_effect
+          123456789 (-max_int) );
+      ( {|{"index":5,"bit":6,"outcome":"wrong_answer","effect":"Conflict","first_error_cycle":7,"detect_cycle":8}|},
+        line ~index:5 6 Campaign.Wrong_answer Classify.Conflict_effect 7 8 );
+      ( {|{"index":6,"bit":7,"outcome":"silent","effect":"Others","first_error_cycle":8,"detect_cycle":-1}|},
+        line ~index:6 7 Campaign.Silent Classify.Other_effect 8 (-1) );
+    ]
 
 (* The record reader refuses every body it cannot decode exactly. *)
 let test_record_rejects () =
@@ -787,8 +780,9 @@ let test_procs2_bit_identical () =
           check_matches_plain (label ^ " merge") plain o.Service.o_campaign)
     [ 2; 3 ]
 
-(* a queue directory belonging to a different job is refused — unless
-   [fresh] wipes it *)
+(* a queue directory belonging to a different job, or to the same job
+   as another build of the tool wrote it (the fingerprint hashes the
+   running executable), is refused — unless [fresh] wipes it *)
 let test_fingerprint_guard () =
   let ctx = Lazy.force ctx in
   let run = Lazy.force run_p2 in
@@ -801,60 +795,49 @@ let test_fingerprint_guard () =
     Service.job ~scale:Context.Reduced ~seed:2 ~faults:40 ~shards:2
       Partition.Medium_partition
   in
+  let refused label =
+    match Service.run_sharded ~notify:(fun _ -> ()) ~dir job40 ctx run with
+    | Error e ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %S names the mismatch" label e)
+          true
+          (String.ends_with
+             ~suffix:"(fingerprint mismatch); pass --fresh to discard it" e)
+    | Ok _ -> Alcotest.failf "%s: foreign queue dir accepted" label
+  in
+  let fresh_runs label =
+    match
+      Service.run_sharded ~fresh:true ~notify:(fun _ -> ()) ~dir job40 ctx run
+    with
+    | Ok (Service.Complete o) ->
+        Alcotest.(check int) (label ^ ": fresh wiped the old shards") 2
+          o.Service.o_fresh;
+        Alcotest.(check int) (label ^ ": nothing resumed") 0 o.Service.o_resumed
+    | Ok (Service.Incomplete _) | Error _ -> Alcotest.failf "%s: fresh run failed" label
+  in
   (match Service.run_sharded ~notify:(fun _ -> ()) ~dir job20 ctx run with
   | Ok (Service.Complete _) -> ()
   | Ok (Service.Incomplete _) | Error _ -> Alcotest.fail "seed run failed");
-  (match Service.run_sharded ~notify:(fun _ -> ()) ~dir job40 ctx run with
-  | Error e ->
-      Alcotest.(check bool) "mentions the mismatch" true
-        (String.length e > 0)
-  | Ok _ -> Alcotest.fail "foreign queue dir accepted");
-  match
-    Service.run_sharded ~fresh:true ~notify:(fun _ -> ()) ~dir job40 ctx run
-  with
-  | Ok (Service.Complete o) ->
-      Alcotest.(check int) "fresh wiped the old shards" 2 o.Service.o_fresh;
-      Alcotest.(check int) "nothing resumed" 0 o.Service.o_resumed
-  | Ok (Service.Incomplete _) | Error _ -> Alcotest.fail "fresh run failed"
-
-(* the fingerprint covers the build: it hashes the running executable,
-   and a queue directory whose job.json another build of the tool wrote
-   is refused with the same mismatch error — its verdicts are that
-   build's — until [fresh] wipes it *)
-let test_other_build_refused () =
-  let ctx = Lazy.force ctx in
-  let run = Lazy.force run_p2 in
-  let job =
-    Service.job ~scale:Context.Reduced ~seed:2 ~faults:40 ~shards:2
-      Partition.Medium_partition
+  refused "another job";
+  fresh_runs "another job";
+  (* job40's own spec, fingerprinted by another build *)
+  let json = Result.get_ok (Option.get (Workqueue.read_job (Workqueue.create ~dir))) in
+  let other_build =
+    match json with
+    | Tmr_obs.Json.Obj fields ->
+        Tmr_obs.Json.Obj
+          (List.map
+             (function
+               | "fingerprint", _ ->
+                   ( "fingerprint",
+                     Tmr_obs.Json.Str (Digest.to_hex (Digest.string "another build")) )
+               | field -> field)
+             fields)
+    | _ -> Alcotest.fail "job.json is not an object"
   in
-  let faults = Service.faults_of ctx run job in
-  let this_build = Digest.to_hex (Digest.file Sys.executable_name) in
-  Alcotest.(check string) "the default build is the running executable"
-    (Service.fingerprint ~build:this_build job faults)
-    (Service.fingerprint job faults);
-  let other = Service.fingerprint ~build:"another build" job faults in
-  Alcotest.(check bool) "another build fingerprints differently" false
-    (other = Service.fingerprint job faults);
-  let dir = temp_dir "other-build" in
-  let wq = Workqueue.create ~dir in
-  Workqueue.write_job wq
-    (Tmr_obs.Json.Obj [ ("fingerprint", Tmr_obs.Json.Str other) ]);
-  (match Service.run_sharded ~notify:(fun _ -> ()) ~dir job ctx run with
-  | Error e ->
-      Alcotest.(check bool)
-        (Printf.sprintf "%S names the mismatch" e)
-        true
-        (String.ends_with
-           ~suffix:"(fingerprint mismatch); pass --fresh to discard it" e)
-  | Ok _ -> Alcotest.fail "another build's queue dir accepted");
-  match
-    Service.run_sharded ~fresh:true ~notify:(fun _ -> ()) ~dir job ctx run
-  with
-  | Ok (Service.Complete o) ->
-      Alcotest.(check int) "fresh ran every shard" 2 o.Service.o_fresh;
-      Alcotest.(check int) "nothing resumed" 0 o.Service.o_resumed
-  | Ok (Service.Incomplete _) | Error _ -> Alcotest.fail "fresh run failed"
+  Workqueue.write_job (Workqueue.create ~dir) other_build;
+  refused "another build";
+  fresh_runs "another build"
 
 (* a finished queue whose manifest was damaged on disk: the resume that
    merges it returns an [Error] naming the shard directory *)
@@ -1050,7 +1033,5 @@ let () =
             test_session_reuse;
           Alcotest.test_case "resume at another worker count, bit-identical"
             `Slow test_resume_other_worker_count;
-          Alcotest.test_case "another build's queue refused + fresh" `Quick
-            test_other_build_refused;
         ] );
     ]

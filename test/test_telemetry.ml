@@ -610,6 +610,30 @@ let qcheck_json_roundtrip =
     (QCheck.make ~print:Json.to_string json_gen)
     (fun j -> Json.parse (Json.to_string j) = Ok j)
 
+(* Integral numbers print as the digits "%.0f" writes (negative zero as
+   "-0"); others, and integers from 1e15 on, as "%.17g". *)
+let test_json_numbers () =
+  List.iter
+    (fun (f, expected) ->
+      Alcotest.(check string) (Printf.sprintf "%h" f) expected
+        (Json.to_string (Json.Num f));
+      Alcotest.(check string) (Printf.sprintf "%h as %%.0f" f)
+        (if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+         else Printf.sprintf "%.17g" f)
+        (Json.to_string (Json.Num f)))
+    [
+      (0.0, "0");
+      (-0.0, "-0");
+      (1.0, "1");
+      (-7.0, "-7");
+      (4242.0, "4242");
+      (999_999_999_999_999.0, "999999999999999");
+      (-999_999_999_999_999.0, "-999999999999999");
+      (1e15, "1000000000000000");
+      (0.5, "0.5");
+      (-2.25, "-2.25");
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* End to end: events on vs. events off gives bit-identical verdicts,
    and the stream alone reproduces the final n/wrong/CI. *)
@@ -684,6 +708,7 @@ let () =
           Alcotest.test_case "exact min/max" `Quick test_hist_min_max;
           QCheck_alcotest.to_alcotest qcheck_mutated_snapshots_fail_closed;
           QCheck_alcotest.to_alcotest qcheck_json_roundtrip;
+          Alcotest.test_case "Json integral numbers" `Quick test_json_numbers;
         ] );
       ( "campaign",
         [
