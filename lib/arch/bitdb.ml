@@ -204,21 +204,29 @@ let in_inv_bit t ~bel ~pin = t.in_inv_bits.(bel) + pin
 let pad_enable_bit t ~pad = t.pad_bits.(pad)
 let pad_cfg_bit t ~pad ~attr = t.pad_cfg_bits.(pad) + attr
 
-let class_counts t =
+(* [iter f] calls [f] on every address to count *)
+let tally t iter =
   let routing = ref 0 and lut = ref 0 and custom = ref 0 and ff = ref 0 in
-  for a = 0 to num_bits t - 1 do
-    match class_of_bit t a with
-    | Class_routing -> incr routing
-    | Class_lut -> incr lut
-    | Class_custom -> incr custom
-    | Class_ff -> incr ff
-  done;
+  iter (fun a ->
+      match class_of_bit t a with
+      | Class_routing -> incr routing
+      | Class_lut -> incr lut
+      | Class_custom -> incr custom
+      | Class_ff -> incr ff);
   [
     (Class_routing, !routing);
     (Class_lut, !lut);
     (Class_custom, !custom);
     (Class_ff, !ff);
   ]
+
+let class_counts t =
+  tally t (fun f ->
+      for a = 0 to num_bits t - 1 do
+        f a
+      done)
+
+let class_counts_of t bits = tally t (fun f -> Array.iter f bits)
 
 let class_name = function
   | Class_routing -> "routing"

@@ -58,4 +58,8 @@ val class_counts : t -> (bit_class * int) list
 (** Composition of the configuration memory, for the paper's §2 percentage
     report (routing / LUT / customization / flip-flop). *)
 
+val class_counts_of : t -> int array -> (bit_class * int) list
+(** The same composition of the given addresses, e.g. a design's DUT bit
+    list (Table 2's #routing / #LUT / #CLB-FF columns). *)
+
 val class_name : bit_class -> string

@@ -9,7 +9,7 @@ let of_impl impl =
   let bg = impl.Tmr_pnr.Impl.bitgen in
   {
     bits = bg.Tmr_pnr.Bitgen.dut_bits;
-    by_class = Tmr_pnr.Bitgen.dut_bits_by_class impl.Tmr_pnr.Impl.db bg;
+    by_class = Tmr_arch.Bitdb.class_counts_of impl.Tmr_pnr.Impl.db bg.Tmr_pnr.Bitgen.dut_bits;
   }
 
 let sample t ~seed ~count =

@@ -109,18 +109,3 @@ let run dev db pack place route nl =
       end)
     marked;
   { bitstream = bs; dut_bits; used_wires; used_bels; used_pads }
-
-let dut_bits_by_class db t =
-  let counts = Hashtbl.create 4 in
-  Array.iter
-    (fun b ->
-      let cls = Bitdb.class_of_bit db b in
-      Hashtbl.replace counts cls
-        (1 + Option.value ~default:0 (Hashtbl.find_opt counts cls)))
-    t.dut_bits;
-  List.filter_map
-    (fun cls ->
-      match Hashtbl.find_opt counts cls with
-      | Some n -> Some (cls, n)
-      | None -> Some (cls, 0))
-    [ Bitdb.Class_routing; Bitdb.Class_lut; Bitdb.Class_custom; Bitdb.Class_ff ]

@@ -21,8 +21,3 @@ val run :
   Route.result ->
   Tmr_netlist.Netlist.t ->
   t
-
-val dut_bits_by_class :
-  Tmr_arch.Bitdb.t -> t -> (Tmr_arch.Bitdb.bit_class * int) list
-(** Composition of the DUT bit list — Table 2's #routing / #LUT / #CLB-FF
-    columns. *)
