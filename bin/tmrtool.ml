@@ -30,7 +30,6 @@ module Stats = Tmr_obs.Stats
 module Trace = Tmr_obs.Trace
 module Progress = Tmr_obs.Progress
 module Fsim = Tmr_fabric.Fsim
-module Fsim_batch = Tmr_fabric.Fsim_batch
 module Extract = Tmr_fabric.Extract
 module Footprint = Tmr_fabric.Footprint
 module Bitdb = Tmr_arch.Bitdb
@@ -751,39 +750,18 @@ let explain_cmd =
               (Array.map (Forensics.part_name a) st.Forensics.partitions)));
     if st.Forensics.voter_touch then
       print_endline "  voter        footprint touches voter logic or a voter net";
-    (* build the fabric simulators and plan the fault *)
-    let stim = ctx.Context.stimulus in
-    let cycles = stim.Campaign.cycles in
-    let golden =
-      Campaign.golden_outputs ctx.Context.golden_nl stim
+    (* one forensic session: the campaign's plan, its lane verdict and
+       provenance, and its replay of the faulted fabric *)
+    let session =
+      Campaign.session ~workers:1 ~forensics:true
+        ~name:(Partition.name design) ~impl ~golden:ctx.Context.golden_nl
+        ~stimulus:ctx.Context.stimulus ()
     in
+    let cone = Campaign.golden_cone session in
     let ex =
       Extract.create dev db
         (Bitstream.copy impl.Impl.bitgen.Tmr_pnr.Bitgen.bitstream)
     in
-    let ws = Fsim.make_workspace dev in
-    (* the detecting voter's disagreement flags, when the design has
-       them: watched at the end, expected all-zero, like in campaigns *)
-    let detect_map =
-      List.filter_map
-        (fun port ->
-          if
-            List.mem_assoc port
-              (Tmr_netlist.Netlist.output_ports impl.Impl.mapped)
-          then Some (port, Campaign.dut_output_wires impl port)
-          else None)
-        Voter.detect_ports
-    in
-    let ndetect =
-      List.fold_left (fun n (_, w) -> n + Array.length w) 0 detect_map
-    in
-    let watch_outputs =
-      Array.concat
-        (List.map (fun (port, _) -> Campaign.dut_output_wires impl port) golden
-        @ List.map snd detect_map)
-    in
-    let base = Fsim.build ~ws ex ~watch_outputs in
-    let cone = Fsim.snapshot_cone ws in
     let plan = Fsim.plan_fault cone ex bit in
     Printf.printf "  plan path    %s\n" (Fsim.path_name plan);
     (* campaigns classify a vote-masked bit silent before planning it *)
@@ -805,175 +783,75 @@ let explain_cmd =
          "not proved: the footprint touches no domain's resources"
        else "not proved: the footprint touches a pad or a used resource \
              with no domain");
-    let io_ins sim =
-      List.map
-        (fun (port, samples) ->
-          ( List.map (Fsim.pad_nodes sim) (Campaign.dut_input_wires impl port),
-            samples ))
-        stim.Campaign.inputs
-    in
-    let drive sim ins c =
-      List.iter
-        (fun (node_sets, samples) ->
-          let v = samples.(c) in
-          List.iter
-            (fun nodes ->
-              Array.iteri
-                (fun i n ->
-                  Fsim.set_node sim n (Logic.of_bool ((v asr i) land 1 = 1)))
-                nodes)
-            node_sets)
-        ins
-    in
-    (* voter bels of the golden cone as simulation nodes, for the
-       masked-at-voter verdict *)
-    let voters =
-      let nn = Fsim.num_nodes base in
-      let v = Bytes.make nn '\000' in
-      Array.iteri
-        (fun b isv ->
-          if isv then begin
-            let n = Fsim.cone_node_of_bel cone b in
-            if n >= 0 && n < nn then Bytes.set v n '\001'
-          end)
-        a.Forensics.bel_voter;
-      v
-    in
-    let bt = Fsim_batch.create base cone in
+    let c = Campaign.run_session session ~faults:[| bit |] in
+    (* ground truth: the faulted fabric replayed end to end (also feeds
+       the waveform) *)
     Extract.apply_bit_flip ex bit;
-    (* batch-engine divergence trace: the fault as a one-lane batch
-       (patch / reroute faults with an overlay only) *)
-    let lane =
-      match plan with
-      | Fsim.Path_patch ->
-          Some
-            ( Fsim.Seed_node (Fsim.patch_node cone ex bit),
-              Fsim.patch_delta cone ex bit )
-      | Fsim.Path_reroute ->
-          let succ_off, succ = Fsim_batch.csr bt in
-          Option.map
-            (fun d -> (Fsim.Seed_derived, d))
-            (Fsim.fault_delta ~scratch:(Fsim.make_scratch ()) cone base ex bit
-               ~watch:watch_outputs ~succ_off ~succ
-               ~bel_of:(Fsim_batch.bel_of bt))
-      | Fsim.Path_silent | Fsim.Path_rebuild -> None
-    in
-    let engine =
-      Option.map
-        (fun lane ->
-          let ins = io_ins base in
-          let tape = Fsim.tape_create ~nnodes:(Fsim.num_nodes base) ~cycles in
-          Fsim.reset base;
-          for c = 0 to cycles - 1 do
-            drive base ins c;
-            Fsim.eval base;
-            Fsim.tape_record tape base ~cycle:c;
-            Fsim.clock base
-          done;
-          let expected =
-            let det_zeros = Array.make ndetect Logic.Zero in
-            Array.init cycles (fun c ->
-                Array.concat
-                  (List.map (fun (_, m) -> m.(c)) golden @ [ det_zeros ]))
-          in
-          (Fsim_batch.run bt ~ndetect ~voters ~tape ~expected
-             ~watch:(Fsim.watch_nodes base watch_outputs)
-             ~lanes:[| lane |] ()).(0))
-        lane
-    in
-    (* ground truth: full rebuild of the faulted fabric, replayed end to
-       end (also feeds the waveform) *)
-    let fsim = Fsim.build ex ~watch_outputs in
-    let ins = io_ins fsim in
-    let outs =
-      List.map
-        (fun (port, matrix) ->
-          (port, Fsim.watch_nodes fsim (Campaign.dut_output_wires impl port),
-           matrix))
-        golden
-    in
     let vcd = Option.map (fun _ -> Vcd.writer ()) vcd_out in
-    let vcd_sigs =
-      match vcd with
-      | None -> []
-      | Some w ->
-          List.map
-            (fun (port, _, matrix) ->
-              let width = Array.length matrix.(0) in
-              ( Vcd.add_signal w ~label:port ~width,
-                Vcd.add_signal w ~label:(port ^ ".golden") ~width ))
-            outs
-    in
-    Fsim.reset fsim;
-    let first_err = ref (-1) in
+    let vcd_sigs = ref [] in
     let err_detail = ref None in
     (* per disagreement flag: the first cycle it left zero *)
-    let det_nodes =
-      List.map
-        (fun (port, wires) -> (port, Fsim.watch_nodes fsim wires, ref (-1)))
-        detect_map
-    in
-    for c = 0 to cycles - 1 do
-      drive fsim ins c;
-      Fsim.eval fsim;
-      List.iter
-        (fun (port, nodes, matrix) ->
-          Array.iteri
-            (fun i n ->
-              if not (Logic.equal (Fsim.node_value fsim n) matrix.(c).(i))
-              then begin
-                if !first_err < 0 then begin
-                  first_err := c;
-                  err_detail := Some (port, i)
-                end
-              end)
-            nodes)
-        outs;
-      List.iter
-        (fun (_, nodes, first) ->
-          if
-            !first < 0
-            && Array.exists
-                 (fun n ->
-                   not (Logic.equal (Fsim.node_value fsim n) Logic.Zero))
-                 nodes
-          then first := c)
-        det_nodes;
-      (match vcd with
-      | Some w ->
+    let flags = ref [] in
+    let first_err, _ =
+      Campaign.replay session ex ~observe:(fun cyc ports ->
+          let dets, outs = List.partition (fun p -> p.Campaign.ps_flag) ports in
+          if cyc = 0 then begin
+            flags := List.map (fun p -> (p.Campaign.ps_port, ref (-1))) dets;
+            match vcd with
+            | Some w ->
+                vcd_sigs :=
+                  List.map
+                    (fun p ->
+                      let port = p.Campaign.ps_port in
+                      let width = Array.length p.Campaign.ps_golden in
+                      ( Vcd.add_signal w ~label:port ~width,
+                        Vcd.add_signal w ~label:(port ^ ".golden") ~width ))
+                    outs
+            | None -> ()
+          end;
+          if !err_detail = None then err_detail := Campaign.first_mismatch ports;
           List.iter2
-            (fun (fs, gs) (_, nodes, matrix) ->
-              Vcd.set w fs (Array.map (Fsim.node_value fsim) nodes);
-              Vcd.set w gs matrix.(c))
-            vcd_sigs outs;
-          Vcd.tick w
-      | None -> ());
-      Fsim.clock fsim
-    done;
-    (match !first_err with
-    | -1 -> print_endline "  outcome      silent (all outputs match golden)"
-    | c ->
-        let port, i = Option.get !err_detail in
+            (fun p (_, first) ->
+              if
+                !first < 0
+                && Array.exists
+                     (fun v -> not (Logic.equal v Logic.Zero))
+                     p.Campaign.ps_got
+              then first := cyc)
+            dets !flags;
+          match vcd with
+          | Some w ->
+              List.iter2
+                (fun (fs, gs) p ->
+                  Vcd.set w fs p.Campaign.ps_got;
+                  Vcd.set w gs p.Campaign.ps_golden)
+                !vcd_sigs outs;
+              Vcd.tick w
+          | None -> ())
+    in
+    (match !err_detail with
+    | None -> print_endline "  outcome      silent (all outputs match golden)"
+    | Some (p, i) ->
         Printf.printf
           "  outcome      WRONG ANSWER, first at cycle %d (port %S bit %d)\n"
-          c port i);
-    if masked >= 0 && !first_err >= 0 then
+          first_err p.Campaign.ps_port i);
+    if masked >= 0 && first_err >= 0 then
       Printf.printf
         "  !!! PROOF VIOLATED: the vote-masking proof classifies this bit \
          silent, but the rebuilt fabric answers wrongly at cycle %d; \
          campaigns report it silent\n"
-        !first_err;
-    if ndetect > 0 then begin
+        first_err;
+    if !flags <> [] then begin
       let fired =
         List.filter_map
-          (fun (port, _, first) ->
+          (fun (port, first) ->
             if !first >= 0 then Some (port, !first) else None)
-          det_nodes
+          !flags
       in
       match fired with
       | [] ->
           print_endline
-            (if !first_err >= 0 then
+            (if first_err >= 0 then
                "  detection    NONE — silent data corruption: no \
                 disagreement flag ever fired"
              else "  detection    none (no voter pair ever disagreed)")
@@ -984,74 +862,77 @@ let explain_cmd =
                (List.map (fun (p, c) -> Printf.sprintf "%s@%d" p c) l))
             earliest
     end;
-    (match engine with
-    | None -> (
-        match plan with
-        | Fsim.Path_silent ->
-            print_endline
-              "  divergence   none: the bit is outside the DUT's active \
-               fabric (cone-silent)"
-        | _ ->
-            print_endline
-              "  divergence   n/a: the fault restructures the netlist \
-               (rebuild path), no differential trace")
-    | Some v ->
-        let err = v.Fsim_batch.bv_error_cycle in
-        if err >= 0 then
-          Printf.printf "  engine       batch lane: first error at cycle %d\n" err
-        else print_endline "  engine       batch lane: silent";
-        if ndetect > 0 && v.Fsim_batch.bv_detect_cycle >= 0 then
-          Printf.printf "  engine flag  batch lane saw the flag at cycle %d\n"
-            v.Fsim_batch.bv_detect_cycle;
-        let p = Option.get v.Fsim_batch.bv_provenance in
-        Printf.printf "  cone         %d nodes\n" p.Fsim.pv_cone;
-        if p.Fsim.pv_diverged = 0 then
-          print_endline
-            (if !first_err >= 0 then
-               "  divergence   confined to rewired/appended nodes (no \
-                baseline-comparable node diverged)"
-             else
-               "  divergence   cone never left the baseline (masked at the \
-                fault site)")
-        else begin
-          Printf.printf
-            "  divergence   %d cone nodes diverged; first at cycle %d, \
-             propagation depth %d\n"
-            p.Fsim.pv_diverged p.Fsim.pv_first_cycle p.Fsim.pv_depth;
-          (* describe the first diverging node (the one nearest the fault
-             site on the first diverging cycle) via its bel, if it has one *)
-          let node = p.Fsim.pv_first_node in
-          let bel = ref (-1) in
-          for b = 0 to dev.Tmr_arch.Device.nbels - 1 do
-            if !bel < 0 && Fsim.cone_node_of_bel cone b = node then bel := b
-          done;
-          if !bel >= 0 then
-            Printf.printf
-              "  first node   %d = bel %d (domain %d, partition %s%s), \
-               nearest the fault site\n"
-              node !bel
-              a.Forensics.bel_domain.(!bel)
-              (Forensics.part_name a a.Forensics.bel_part.(!bel))
-              (if a.Forensics.bel_voter.(!bel) then ", voter" else "")
-          else
-            Printf.printf
-              "  first node   %d (routing/pad node), nearest the fault site\n"
-              node;
-          (* voter masking: silent overall, yet some voter in the cone
-             held its baseline value every cycle *)
-          if err < 0 then
-            print_endline
-              (if p.Fsim.pv_voter_held then
-                 "  verdict      masked at a voter: internal corruption \
-                  stopped at (or before) a majority vote"
-               else
-                 "  verdict      silent but diverged; no voter in the cone \
-                  held its baseline (logic masking)")
-        end);
+    (* the campaign's verdict: a batch lane's, with its divergence
+       provenance, when the fault ran batched *)
+    let r = c.Campaign.results.(0) in
+    (if c.Campaign.stats.Campaign.batched = 0 then
+       match plan with
+       | Fsim.Path_silent ->
+           print_endline
+             "  divergence   none: the bit is outside the DUT's active \
+              fabric (cone-silent)"
+       | _ ->
+           print_endline
+             "  divergence   n/a: the fault restructures the netlist \
+              (rebuild path), no differential trace"
+     else
+       let err = r.Campaign.first_error_cycle in
+       if err >= 0 then
+         Printf.printf "  engine       batch lane: first error at cycle %d\n" err
+       else print_endline "  engine       batch lane: silent";
+       if r.Campaign.detect_cycle >= 0 then
+         Printf.printf "  engine flag  batch lane saw the flag at cycle %d\n"
+           r.Campaign.detect_cycle;
+       let f = Option.get r.Campaign.forensics in
+       Printf.printf "  cone         %d nodes\n" f.Forensics.cone_nodes;
+       if f.Forensics.diverged = 0 then
+         print_endline
+           (if first_err >= 0 then
+              "  divergence   confined to rewired/appended nodes (no \
+               baseline-comparable node diverged)"
+            else
+              "  divergence   cone never left the baseline (masked at the \
+               fault site)")
+       else begin
+         Printf.printf
+           "  divergence   %d cone nodes diverged; first at cycle %d, \
+            propagation depth %d\n"
+           f.Forensics.diverged f.Forensics.diverge_cycle f.Forensics.depth;
+         (* describe the first diverging node (the one nearest the fault
+            site on the first diverging cycle) via its bel, if it has one *)
+         let node = f.Forensics.first_diverged_node in
+         let bel = ref (-1) in
+         for b = 0 to dev.Tmr_arch.Device.nbels - 1 do
+           if !bel < 0 && Fsim.cone_node_of_bel cone b = node then bel := b
+         done;
+         if !bel >= 0 then
+           Printf.printf
+             "  first node   %d = bel %d (domain %d, partition %s%s), \
+              nearest the fault site\n"
+             node !bel
+             a.Forensics.bel_domain.(!bel)
+             (Forensics.part_name a a.Forensics.bel_part.(!bel))
+             (if a.Forensics.bel_voter.(!bel) then ", voter" else "")
+         else
+           Printf.printf
+             "  first node   %d (routing/pad node), nearest the fault site\n"
+             node;
+         (* voter masking: silent overall, yet some voter in the cone
+            held its baseline value every cycle *)
+         if err < 0 then
+           print_endline
+             (if f.Forensics.masked_at_voter then
+                "  verdict      masked at a voter: internal corruption \
+                 stopped at (or before) a majority vote"
+              else
+                "  verdict      silent but diverged; no voter in the cone \
+                 held its baseline (logic masking)")
+       end);
     match (vcd, vcd_out) with
     | Some w, Some path ->
         Vcd.writer_save w path;
-        Printf.printf "  waveform     wrote %s (%d cycles)\n" path cycles
+        Printf.printf "  waveform     wrote %s (%d cycles)\n" path
+          ctx.Context.stimulus.Campaign.cycles
     | _ -> ()
   in
   Cmd.v

@@ -13,9 +13,7 @@ module Runs = Tmr_experiments.Runs
 module Campaign = Tmr_inject.Campaign
 module Classify = Tmr_inject.Classify
 module Extract = Tmr_fabric.Extract
-module Fsim = Tmr_fabric.Fsim
 module Impl = Tmr_pnr.Impl
-module Netlist = Tmr_netlist.Netlist
 
 let () =
   let ctx = Context.create ~scale:Context.Reduced ~faults_per_design:0 () in
@@ -26,48 +24,27 @@ let () =
   let example_of_effect eff =
     Array.find_opt (fun b -> Classify.classify impl b = eff) bits
   in
-  let stim = ctx.Context.stimulus in
-  let golden = Campaign.golden_outputs ctx.Context.golden_nl stim in
-  let y_golden = List.assoc "y" golden in
-  let out_wires =
-    let bits = Netlist.find_output_port impl.Impl.mapped "y" in
-    Array.init (Array.length bits) (Impl.output_pad_wire impl "y")
+  let session =
+    Campaign.session ~name:"anatomy" ~impl ~golden:ctx.Context.golden_nl
+      ~stimulus:ctx.Context.stimulus ()
   in
-  let in_wires =
-    let bits = Netlist.find_input_port impl.Impl.mapped "x" in
-    Array.init (Array.length bits) (Impl.input_pad_wire impl "x")
+  (* a port's bits, MSB first *)
+  let word v =
+    let n = Array.length v in
+    String.init n (fun i -> Logic.to_char v.(n - 1 - i))
   in
-  let samples = List.assoc "x" stim.Campaign.inputs in
   let show_run ex =
-    let sim = Fsim.build ex ~watch_outputs:out_wires in
-    Fsim.reset sim;
     let shown = ref 0 in
-    for cycle = 0 to stim.Campaign.cycles - 1 do
-      Array.iteri
-        (fun i w ->
-          Fsim.set_pad sim w
-            (Logic.of_bool ((samples.(cycle) asr i) land 1 = 1)))
-        in_wires;
-      Fsim.eval sim;
-      let n_out = Array.length out_wires in
-      let dut =
-        String.init n_out (fun i ->
-            Logic.to_char (Fsim.read sim out_wires.(n_out - 1 - i)))
-      in
-      let gold =
-        String.init
-          (Array.length y_golden.(cycle))
-          (fun i ->
-            Logic.to_char
-              y_golden.(cycle).(Array.length y_golden.(cycle) - 1 - i))
-      in
-      if dut <> gold && !shown < 3 then begin
-        incr shown;
-        Printf.printf "    cycle %2d  golden %s\n" cycle gold;
-        Printf.printf "              dut    %s\n" dut
-      end;
-      Fsim.clock sim
-    done;
+    ignore
+      (Campaign.replay session ex ~observe:(fun cycle ports ->
+           let y = List.find (fun p -> p.Campaign.ps_port = "y") ports in
+           let dut = word y.Campaign.ps_got
+           and gold = word y.Campaign.ps_golden in
+           if dut <> gold && !shown < 3 then begin
+             incr shown;
+             Printf.printf "    cycle %2d  golden %s\n" cycle gold;
+             Printf.printf "              dut    %s\n" dut
+           end));
     if !shown = 0 then print_endline "    (silent: no output difference)"
   in
   List.iter

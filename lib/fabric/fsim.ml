@@ -725,21 +725,6 @@ let plan_fault c ex bit =
       else Path_silent (* only [drivers dst] changes, and the cone never
                           reads it *)
 
-(* The single node whose cell content a [Path_patch] fault edits: the
-   seed of its fanout cone in the batch engine. *)
-let patch_node c ex bit =
-  let db = Extract.database ex in
-  match Bitdb.resource db bit with
-  | Bitdb.Lut_bit (b, _)
-  | Bitdb.In_inv (b, _)
-  | Bitdb.Ff_init b
-  | Bitdb.Sr_inv b
-  | Bitdb.Ce_inv b ->
-      let n = c.c_bel_node.(b) in
-      if n < 0 then invalid_arg "Fsim.patch_node: bel outside the cone";
-      n
-  | _ -> invalid_arg "Fsim.patch_node: not a patchable bit"
-
 (* ------------------------------------------------------------------ *)
 (* Local repair of a [Path_reroute] fault against the base graph.  The
    flipped bit is already applied to [ex].  For a routing bit only the
@@ -1283,9 +1268,7 @@ let tape_record tp t ~cycle =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Batch-engine seeds and divergence provenance. *)
-
-type dseeds = Seed_node of int | Seed_derived
+(* Batch-engine divergence provenance. *)
 
 type provenance = {
   pv_diverged : int;
@@ -1309,3 +1292,10 @@ let fault_delta ~scratch c base ex bit ~watch ~succ_off ~succ ~bel_of =
   let r = fault_delta ~scratch c base ex bit ~watch ~succ_off ~succ ~bel_of in
   if Option.is_none r then Tmr_obs.Metrics.incr m_reroute_fallback;
   r
+
+let delta_of_plan ~scratch c base ex bit path ~watch ~succ_off ~succ ~bel_of =
+  match path with
+  | Path_patch -> Some (patch_delta c ex bit)
+  | Path_reroute ->
+      fault_delta ~scratch c base ex bit ~watch ~succ_off ~succ ~bel_of
+  | Path_silent | Path_rebuild -> None

@@ -96,8 +96,8 @@ type fault_path =
       (** the flip provably cannot change any watched output: classify
           without building or simulating *)
   | Path_patch
-      (** cell-content change of an existing node: a {!patch_delta}
-          overlay *)
+      (** cell-content change of an existing node: a one-cell overlay
+          ({!delta_of_plan}) *)
   | Path_reroute
       (** local graph repair: a {!fault_delta} overlay over the base
           graph instead of a rebuild — routing changes, support-widening
@@ -117,10 +117,6 @@ type scratch
     domains every minor collection is a stop-the-world rendezvous). *)
 
 val make_scratch : unit -> scratch
-
-val patch_node : cone -> Extract.t -> int -> int
-(** The node whose cell content a [Path_patch] bit edits — the seed of
-    its fanout cone in the batch engine. *)
 
 (** {1 Graph view and fault overlays}
 
@@ -188,10 +184,6 @@ type delta = {
 (** One fault as an overlay over the base graph.  A lane's effective
     circuit is the base with these substitutions applied. *)
 
-val patch_delta : cone -> Extract.t -> int -> delta
-(** A [Path_patch] bit (already flipped in [ex]) as an overlay: one
-    cell-content override, never fails. *)
-
 val fault_delta :
   scratch:scratch ->
   cone ->
@@ -219,6 +211,25 @@ val fault_delta :
     loop: the caller rebuilds, and the [fsim.reroute_fallback] counter
     counts it. *)
 
+val delta_of_plan :
+  scratch:scratch ->
+  cone ->
+  t ->
+  Extract.t ->
+  int ->
+  fault_path ->
+  watch:int array ->
+  succ_off:int array ->
+  succ:int array ->
+  bel_of:int array ->
+  delta option
+(** The overlay of a bit {!plan_fault} planned as [path] (already
+    flipped in [ex]): a [Path_patch] bit is one cell-content override
+    (the bit's table, pin-inversion mask, flip-flop init or clock-enable
+    freeze, which always differs from the base's), a [Path_reroute] bit
+    is {!fault_delta}; [None] for a reroute with no overlay and for
+    [Path_silent] and [Path_rebuild]. *)
+
 (** {1 Baseline tape}
 
     The fault-free DUT runs once per worker, recording every node's
@@ -243,14 +254,7 @@ val tape_get_u : tape -> int -> int -> Tmr_logic.Logic.t
 val tape_record : tape -> t -> cycle:int -> unit
 (** Pack the simulator's current post-{!eval} values as [cycle]. *)
 
-(** {1 Batch-engine seeds and provenance} *)
-
-type dseeds =
-  | Seed_node of int  (** a [Path_patch] fault: {!patch_node} *)
-  | Seed_derived
-      (** a {!fault_delta} overlay: seeds are every node whose cell
-          content, kind or input row differs from the base, plus every
-          appended node *)
+(** {1 Batch-engine provenance} *)
 
 type provenance = {
   pv_diverged : int;  (** distinct cone nodes that left the baseline *)

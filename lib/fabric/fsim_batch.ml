@@ -379,7 +379,6 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
   if Array.length expected <> cycles then
     invalid_arg "Fsim_batch.run: expected matrix / tape cycle mismatch";
   let fullw = Lanes.full in
-  let seed_rules = Array.map fst lanes and lanes = Array.map snd lanes in
   (* ---- lane address space: extras of lane i live at
      [lane_extbase.(i) ..], after every base node ---- *)
   let lane_extbase = Array.make nlanes 0 in
@@ -401,8 +400,8 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
   end;
   (* every check before any slot is written, so a rejected run leaves
      the slots empty *)
-  Array.iteri
-    (fun li d ->
+  Array.iter
+    (fun d ->
       (match d.F.dl_cell with
       | Some (node, _) when node < 0 || node >= bn ->
           invalid_arg "Fsim_batch.run: cell patch outside the base graph"
@@ -424,14 +423,7 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
         (fun (node, _) ->
           if node < 0 || node >= bn then
             invalid_arg "Fsim_batch.run: rewired row outside the base graph")
-        d.F.dl_rows;
-      match seed_rules.(li) with
-      | F.Seed_node s ->
-          if s < 0 || s >= bn then
-            invalid_arg "Fsim_batch.run: seed node outside the base graph";
-          if d.F.dl_rows <> [||] || d.F.dl_extras <> [||] then
-            invalid_arg "Fsim_batch.run: Seed_node lane with rewiring"
-      | F.Seed_derived -> ())
+        d.F.dl_rows)
     lanes;
   (match t.tw_tape with
   | Some tp when tp == tape -> ()
@@ -546,40 +538,35 @@ let run t ?(ndetect = 0) ?voters ~tape ~expected ~watch ~lanes () =
           wmask.(wi) <- wmask.(wi) lor m)
         d.F.dl_watch)
     lanes;
-  (* each lane's seed set: the node itself for [Seed_node]; for
-     [Seed_derived], what really differs from the base — the cell or
-     kind, rows that changed (a re-resolved row can equal the base one)
-     and every appended node — exactly the nodes whose function differs
-     from the base.  They root the union cone and the provenance BFS,
-     and the Kleene cuts of a lane's own cycles are among them. *)
+  (* each lane's seed set: what really differs from the base — the cell
+     or kind, rows that changed (a re-resolved row can equal the base
+     one) and every appended node — exactly the nodes whose function
+     differs from the base.  They root the union cone and the provenance
+     BFS, and the Kleene cuts of a lane's own cycles are among them. *)
   let lane_sseeds =
     Array.mapi
-      (fun li rule ->
-        match rule with
-        | F.Seed_node s -> [ s ]
-        | F.Seed_derived ->
-            let d = lanes.(li) in
-            let acc = ref [] in
-            (match d.F.dl_cell with
-            | Some (u, p) ->
-                let differs =
-                  match p with
-                  | F.Cp_table tb -> tb <> v.F.v_table.(u)
-                  | F.Cp_inv iv -> iv <> v.F.v_inv.(u)
-                  | F.Cp_qinit qi -> not (Logic.equal qi v.F.v_q_init.(u))
-                  | F.Cp_ce b -> b <> v.F.v_ce_frozen.(u)
-                  | F.Cp_reg r -> r <> (v.F.v_kind.(u) = F.kind_bel_reg)
-                in
-                if differs then acc := [ u ]
-            | None -> ());
-            Array.iter
-              (fun (u, row) -> if row <> v.F.v_inputs.(u) then acc := u :: !acc)
-              d.F.dl_rows;
-            for i = 0 to Array.length d.F.dl_extras - 1 do
-              acc := (lane_extbase.(li) + i) :: !acc
-            done;
-            List.sort_uniq compare !acc)
-      seed_rules
+      (fun li d ->
+        let acc = ref [] in
+        (match d.F.dl_cell with
+        | Some (u, p) ->
+            let differs =
+              match p with
+              | F.Cp_table tb -> tb <> v.F.v_table.(u)
+              | F.Cp_inv iv -> iv <> v.F.v_inv.(u)
+              | F.Cp_qinit qi -> not (Logic.equal qi v.F.v_q_init.(u))
+              | F.Cp_ce b -> b <> v.F.v_ce_frozen.(u)
+              | F.Cp_reg r -> r <> (v.F.v_kind.(u) = F.kind_bel_reg)
+            in
+            if differs then acc := [ u ]
+        | None -> ());
+        Array.iter
+          (fun (u, row) -> if row <> v.F.v_inputs.(u) then acc := u :: !acc)
+          d.F.dl_rows;
+        for i = 0 to Array.length d.F.dl_extras - 1 do
+          acc := (lane_extbase.(li) + i) :: !acc
+        done;
+        List.sort_uniq compare !acc)
+      lanes
   in
   (* ---- union cone: BFS closure of every lane's seeds over the base
      reader CSR plus the overlay reader edges ---- *)

@@ -62,15 +62,17 @@ val run :
   tape:Fsim.tape ->
   expected:Tmr_logic.Logic.t array array ->
   watch:int array ->
-  lanes:(Fsim.dseeds * Fsim.delta) array ->
+  lanes:Fsim.delta array ->
   unit ->
   verdict array
 (** [run t ~tape ~expected ~watch ~lanes ()] simulates all faults of
     [lanes] (one to {!width}) in one batch against the baseline [tape]
-    and returns one verdict per lane.  Each lane is a
-    {!Fsim.patch_delta} overlay seeded [Seed_node] (its
-    {!Fsim.patch_node}) or a {!Fsim.fault_delta} overlay seeded
-    [Seed_derived].  [watch] are the base simulator's watch nodes and
+    and returns one verdict per lane.  Each lane is an overlay
+    ({!Fsim.delta_of_plan}); its fanout cone is rooted at the nodes
+    whose function differs from the base: the cell or kind override
+    when it changes the stored value, the rewired rows that differ from
+    the base rows, and every appended node.  [watch] are the base
+    simulator's watch nodes and
     [expected.(cycle).(i)] the golden value of [watch.(i)]; a lane's
     [dl_watch] entries name the node it reads at a position instead.
 
@@ -97,9 +99,8 @@ val run :
     below Zero and One), so this reaches the least fixpoint, which is
     what {!Fsim.eval} on a rebuilt simulator computes.
 
-    Raises [Invalid_argument] on a [Seed_node] lane whose overlay
-    rewires rows or appends nodes, on overlay nodes or watch positions
-    out of range, or on a kind override of a non-bel node; [Failure] if
+    Raises [Invalid_argument] on overlay nodes or watch positions out
+    of range, or on a kind override of a non-bel node; [Failure] if
     a fixpoint iteration runs past its n + 1 bound (a non-monotone node
     — a broken invariant, never a slow loop). *)
 

@@ -383,6 +383,40 @@ let drive sim io c =
         node_sets)
     io.io_ins
 
+type port_sample = {
+  ps_port : string;
+  ps_flag : bool;
+  ps_got : Logic.t array;
+  ps_golden : Logic.t array;
+}
+
+(* Every watched port's values at cycle [c], in watch order: the
+   functional outputs, then the detection flags (golden all zero). *)
+let samples s sim io c =
+  let got nodes = Array.map (Fsim.node_value sim) nodes in
+  List.map2
+    (fun (port, _, matrix) (nodes, _) ->
+      { ps_port = port; ps_flag = false; ps_got = got nodes;
+        ps_golden = matrix.(c) })
+    s.s_output_map io.io_outs
+  @ List.map2
+      (fun (port, _) nodes ->
+        { ps_port = port; ps_flag = true; ps_got = got nodes;
+          ps_golden = Array.make (Array.length nodes) Logic.Zero })
+      s.s_detect_map io.io_dets
+
+let first_mismatch ports =
+  List.find_map
+    (fun p ->
+      let n = Array.length p.ps_got in
+      let rec scan i =
+        if i >= n then None
+        else if Logic.equal p.ps_got.(i) p.ps_golden.(i) then scan (i + 1)
+        else Some (p, i)
+      in
+      if p.ps_flag then None else scan 0)
+    ports
+
 (* Run the DUT through the stimulus; return the first cycle where any
    functional output bit disagrees with the golden reference (or -1)
    paired with the first cycle an in-circuit detection flag left zero
@@ -391,14 +425,18 @@ let drive sim io c =
    latency is an observable, not a side effect of when we stopped.
    With [tape], every node's settled value of every cycle is recorded
    on the way: a fault-free DUT runs every cycle, so its tape is
-   complete. *)
-let run_dut s ?tape sim io =
+   complete.  With [observe], every cycle runs and hands it its
+   {!samples}. *)
+let run_dut s ?tape ?observe sim io =
   Fsim.reset sim;
   let error_cycle = ref (-1) in
   let detect_cycle = ref (-1) in
   let det_pending () = io.io_dets <> [] && !detect_cycle < 0 in
+  let every_cycle = Option.is_some observe in
   let cycle = ref 0 in
-  while (!error_cycle < 0 || det_pending ()) && !cycle < s.s_cycles do
+  while
+    (!error_cycle < 0 || det_pending () || every_cycle) && !cycle < s.s_cycles
+  do
     let c = !cycle in
     drive sim io c;
     Fsim.eval sim;
@@ -430,7 +468,8 @@ let run_dut s ?tape sim io =
       in
       if fired then detect_cycle := c
     end;
-    if !error_cycle < 0 || det_pending () then Fsim.clock sim;
+    Option.iter (fun f -> f c (samples s sim io c)) observe;
+    Fsim.clock sim;
     incr cycle
   done;
   (!error_cycle, !detect_cycle)
@@ -446,33 +485,25 @@ let check_baseline s ?tape sim io =
             at cycle %d"
            s.s_name d)
   | c, _ ->
-      (* pinpoint the first disagreeing output bit for the message *)
-      let detail =
-        List.find_map
-          (fun (port, wires, matrix) ->
-            let expected = matrix.(c) in
-            let n = Array.length wires in
-            let rec scan i =
-              if i >= n then None
-              else
-                let got = Fsim.read sim wires.(i) in
-                if not (Logic.equal got expected.(i)) then
-                  Some
-                    (Printf.sprintf "port %S bit %d: expected %c, got %c" port
-                       i
-                       (Logic.to_char expected.(i))
-                       (Logic.to_char got))
-                else scan (i + 1)
-            in
-            scan 0)
-          s.s_output_map
-      in
+      (* replay to pinpoint the first disagreeing output bit *)
+      let detail = ref None in
+      ignore
+        (run_dut s sim io ~observe:(fun c' ports ->
+             if c' = c then
+               detail :=
+                 Option.map
+                   (fun (p, i) ->
+                     Printf.sprintf "port %S bit %d: expected %c, got %c"
+                       p.ps_port i
+                       (Logic.to_char p.ps_golden.(i))
+                       (Logic.to_char p.ps_got.(i)))
+                   (first_mismatch ports)));
       failwith
         (Printf.sprintf
            "Campaign %s: fault-free DUT disagrees with golden device at cycle \
             %d (%s)"
            s.s_name c
-           (Option.value detail ~default:"no differing bit re-found"))
+           (Option.value !detail ~default:"no differing bit re-found"))
 
 (* Worker-local simulator state: own extract, own workspace, plus the
    golden cone snapshot for the fast paths.  One fault-free pass records
@@ -532,6 +563,22 @@ let state s ~setup_ns wid =
       setup_ns.(wid) <- setup_ns.(wid) + (Tmr_obs.Clock.now_ns () - t0);
       st
 
+(* Worker 0's state outside a run; its build counts as session build,
+   which the next run charges as setup. *)
+let state0 s =
+  let setup_ns = [| 0 |] in
+  let st = state s ~setup_ns 0 in
+  s.s_build_ns <- s.s_build_ns + setup_ns.(0);
+  st
+
+let golden_cone s = (state0 s).w_cone
+
+let replay ?observe s ex =
+  let sim =
+    Fsim.build ~ws:(state0 s).w_ws ex ~watch_outputs:s.s_watch_outputs
+  in
+  run_dut s ?observe sim (resolve_io s sim)
+
 (* Pool work units: one fault that needs no simulation or a rebuild, or
    a batch for the bit-parallel engine: at most {!Fsim_batch.width}
    lanes, each an overlay derived by the planning pass ({!pack_lane})
@@ -562,7 +609,7 @@ let group_key dev db bit =
   | Bitdb.Pip p -> (4 * dev.Device.pip_dst.(p)) + 1
   | Bitdb.Pad_enable p | Bitdb.Pad_cfg (p, _) -> (4 * p) + 2
 
-(* A planned lane in canonical form — rows in node order, appended
+(* A planned overlay in canonical form — rows in node order, appended
    nodes without their resolution wires (which {!Fsim_batch.run} never
    reads) — marshalled.  Marshalling plain data without sharing is
    injective, so the string is the collapsing key: two lanes with one
@@ -570,16 +617,15 @@ let group_key dev db bit =
    engine computes one verdict, one set of cycles and one provenance.
    It is also what a batch unit holds until it runs, in well under half
    the memory of the structured overlay. *)
-let pack_lane (seeds, (d : Fsim.delta)) =
+let pack_lane (d : Fsim.delta) =
   let rows = Array.copy d.Fsim.dl_rows in
   Array.sort (fun (a, _) (b, _) -> Int.compare a b) rows;
   let extras = Array.map (fun (ins, _) -> (ins, [||])) d.Fsim.dl_extras in
   Marshal.to_string
-    ((seeds, { d with Fsim.dl_rows = rows; dl_extras = extras })
-      : Fsim.dseeds * Fsim.delta)
+    { d with Fsim.dl_rows = rows; dl_extras = extras }
     [ Marshal.No_sharing ]
 
-let unpack_lane s : Fsim.dseeds * Fsim.delta = Marshal.from_string s 0
+let unpack_lane s : Fsim.delta = Marshal.from_string s 0
 
 (* Batch schedule: one planning pass over worker 0's (un-flipped)
    extract classifies every fault — a fault the vote-masking proof
@@ -589,11 +635,12 @@ let unpack_lane s : Fsim.dseeds * Fsim.delta = Marshal.from_string s 0
    and copies its verdict); the first fault of each overlay groups by
    {!group_key} and packs, in first-index order, into batches of at most
    {!Fsim_batch.width} lanes.  Silent faults, plan-level rebuilds and
-   reroutes with no overlay stay singles; [silent] records which of them
-   the pass classified silent, proved or cone-silent.  The schedule
-   decides how faults are grouped, never a verdict, so results are
-   independent of it. *)
-let plan s st faults silent =
+   reroutes with no overlay stay singles.  [paths] records each fault's
+   plan path ([Path_silent] for a proved one too), which decides how a
+   single runs and which stat a batched fault counts under.  The
+   schedule decides how faults are grouped, never a verdict, so results
+   are independent of it. *)
+let plan s st faults paths =
   let total = Array.length faults in
   let dev = s.s_impl.Impl.dev and db = s.s_impl.Impl.db in
   let ex = st.w_ex and cone = st.w_cone in
@@ -606,16 +653,8 @@ let plan s st faults silent =
     Fun.protect
       ~finally:(fun () -> Extract.apply_bit_flip ex bit)
       (fun () ->
-        match path with
-        | Fsim.Path_patch ->
-            Some
-              ( Fsim.Seed_node (Fsim.patch_node cone ex bit),
-                Fsim.patch_delta cone ex bit )
-        | _ ->
-            Option.map
-              (fun d -> (Fsim.Seed_derived, d))
-              (Fsim.fault_delta ~scratch:st.w_scratch cone st.w_base ex bit
-                 ~watch:s.s_watch_outputs ~succ_off ~succ ~bel_of))
+        Fsim.delta_of_plan ~scratch:st.w_scratch cone st.w_base ex bit path
+          ~watch:s.s_watch_outputs ~succ_off ~succ ~bel_of)
   in
   let first_of_key : (string, int) Hashtbl.t = Hashtbl.create 1024 in
   let overlay = Array.make total "" in
@@ -630,8 +669,10 @@ let plan s st faults silent =
       | Some a -> Forensics.masked_domain a bit >= 0
       | None -> false
     in
-    match if proved then Fsim.Path_silent else Fsim.plan_fault cone ex bit with
-    | (Fsim.Path_patch | Fsim.Path_reroute) as path -> (
+    let path = if proved then Fsim.Path_silent else Fsim.plan_fault cone ex bit in
+    paths.(i) <- path;
+    match path with
+    | Fsim.Path_patch | Fsim.Path_reroute -> (
         match derive bit path with
         | None -> singles := i :: !singles
         | Some lane -> (
@@ -647,10 +688,7 @@ let plan s st faults silent =
                 | None ->
                     Hashtbl.add groups k (ref [ i ]);
                     order := k :: !order)))
-    | Fsim.Path_silent ->
-        Bytes.set silent i '\001';
-        singles := i :: !singles
-    | Fsim.Path_rebuild -> singles := i :: !singles
+    | Fsim.Path_silent | Fsim.Path_rebuild -> singles := i :: !singles
   done;
   (* pack neighbouring keys together: bel and wire indices are spatially
      local, so adjacent keys drive overlapping fanout cones and the batch
@@ -680,9 +718,9 @@ let run_with ?progress s ~faults =
   let cone_skip = s.s_cone_skip and fattr = s.s_fattr in
   let ndetect = s.s_ndetect in
   let total = Array.length faults in
-  (* faults the planning pass classified silent: by the vote-masking
-     proof or as cone-silent *)
-  let silent = Bytes.make total '\000' in
+  (* each fault's plan path; a fault the planning pass never sees (every
+     fault on the oracle) rebuilds *)
+  let paths = Array.make total Fsim.Path_rebuild in
   let dummy =
     { bit = -1; outcome = Silent; effect = Classify.Other_effect;
       first_error_cycle = -1; detect_cycle = -1; forensics = None }
@@ -710,7 +748,7 @@ let run_with ?progress s ~faults =
       Tmr_obs.Trace.with_span "batch_plan" (fun () ->
           let st = state s ~setup_ns 0 in
           let t0 = Tmr_obs.Clock.now_ns () in
-          let units = plan s st faults silent in
+          let units = plan s st faults paths in
           busy_ns.(0) <- busy_ns.(0) + (Tmr_obs.Clock.now_ns () - t0);
           units)
   in
@@ -776,7 +814,7 @@ let run_with ?progress s ~faults =
     let do_fault i =
       let bit = faults.(i) in
       let t0 = Tmr_obs.Clock.now_ns () in
-      let silent = Bytes.get silent i <> '\000' in
+      let silent = paths.(i) = Fsim.Path_silent in
       let r =
         if silent then begin
           bump (fun s -> { s with skipped = s.skipped + 1 });
@@ -849,14 +887,10 @@ let run_with ?progress s ~faults =
       Array.iteri
         (fun li idxs ->
           let v = vs.(li) in
-          let path =
-            match fst lanes.(li) with
-            | Fsim.Seed_node _ -> Fsim.Path_patch
-            | Fsim.Seed_derived -> Fsim.Path_reroute
-          in
           Tmr_obs.Metrics.observe m_fault_batch per_lane;
           Array.iter
             (fun i ->
+              let path = paths.(i) in
               bump (fun s ->
                   let s =
                     match path with
@@ -1020,9 +1054,12 @@ let run ?progress ?workers ?cone_skip ?forensics ~name ~impl ~golden ~stimulus
     (session ?workers ?cone_skip ?forensics ~name ~impl ~golden ~stimulus ())
     ~faults
 
-let wrong_percent t =
+(* [n] faults as a share of the injected ones, in percent *)
+let percent t n =
   if t.injected = 0 then 0.0
-  else 100.0 *. float_of_int t.wrong /. float_of_int t.injected
+  else 100.0 *. float_of_int n /. float_of_int t.injected
+
+let wrong_percent t = percent t t.wrong
 
 let ci ?confidence t =
   Tmr_obs.Stats.wilson ?confidence ~n:t.injected ~k:t.wrong ()
@@ -1037,38 +1074,40 @@ type detection_counts = {
   dc_silent_wrong : int;
 }
 
-let detection_counts t =
-  Array.fold_left
-    (fun acc r ->
-      match verdict_of r with
-      | Silent_correct -> { acc with dc_silent_correct = acc.dc_silent_correct + 1 }
-      | Detected_corrected ->
-          { acc with dc_detected_corrected = acc.dc_detected_corrected + 1 }
-      | Detected_wrong ->
-          { acc with dc_detected_wrong = acc.dc_detected_wrong + 1 }
-      | Silent_wrong -> { acc with dc_silent_wrong = acc.dc_silent_wrong + 1 })
-    {
-      dc_silent_correct = 0;
-      dc_detected_corrected = 0;
-      dc_detected_wrong = 0;
-      dc_silent_wrong = 0;
-    }
-    t.results
+let effects = Array.of_list Classify.all
 
-let sdc_percent t =
-  if t.injected = 0 then 0.0
-  else
-    100.0
-    *. float_of_int (detection_counts t).dc_silent_wrong
-    /. float_of_int t.injected
+(* One pass over the results: the four verdict class sizes, and the
+   wrong answers per effect class in {!Classify.all} order. *)
+let tally t =
+  let sc = ref 0 and dc = ref 0 and dw = ref 0 and sw = ref 0 in
+  let wrong_by = Array.make (Array.length effects) 0 in
+  Array.iter
+    (fun r ->
+      (match verdict_of r with
+      | Silent_correct -> incr sc
+      | Detected_corrected -> incr dc
+      | Detected_wrong -> incr dw
+      | Silent_wrong -> incr sw);
+      if r.outcome = Wrong_answer then begin
+        let rec find i = if effects.(i) = r.effect then i else find (i + 1) in
+        let i = find 0 in
+        wrong_by.(i) <- wrong_by.(i) + 1
+      end)
+    t.results;
+  ( {
+      dc_silent_correct = !sc;
+      dc_detected_corrected = !dc;
+      dc_detected_wrong = !dw;
+      dc_silent_wrong = !sw;
+    },
+    wrong_by )
+
+let detection_counts t = fst (tally t)
+let sdc_percent t = percent t (detection_counts t).dc_silent_wrong
 
 let detected_percent t =
-  if t.injected = 0 then 0.0
-  else
-    let d = detection_counts t in
-    100.0
-    *. float_of_int (d.dc_detected_corrected + d.dc_detected_wrong)
-    /. float_of_int t.injected
+  let d = detection_counts t in
+  percent t (d.dc_detected_corrected + d.dc_detected_wrong)
 
 (* ------------------------------------------------------------------ *)
 (* Forensic aggregation: the per-design numbers that explain Table 2's
@@ -1146,29 +1185,27 @@ let summary_json t =
        ",\"plan_paths\":{\"silent\":%d,\"patched\":%d,\"rerouted\":%d,\"rebuilt\":%d,\"diffed\":%d,\"batched\":%d}"
        t.stats.skipped t.stats.patched t.stats.rerouted t.stats.rebuilt
        t.stats.diffed t.stats.batched);
+  let d, wrong_by = tally t in
   (* wrong answers per structural effect class, Table 4 row order *)
   Buffer.add_string b ",\"wrong_by_effect\":{";
-  List.iteri
+  Array.iteri
     (fun i e ->
-      let n =
-        Array.fold_left
-          (fun acc r ->
-            if r.effect = e && r.outcome = Wrong_answer then acc + 1 else acc)
-          0 t.results
-      in
       if i > 0 then Buffer.add_char b ',';
       Buffer.add_string b
-        (Printf.sprintf "\"%s\":%d" (Tmr_obs.Jsonl.escape (Classify.name e)) n))
-    Classify.all;
+        (Printf.sprintf "\"%s\":%d"
+           (Tmr_obs.Jsonl.escape (Classify.name e))
+           wrong_by.(i)))
+    effects;
   Buffer.add_char b '}';
   (* the four-way detected-vs-silent verdict split; the four counts
      always sum to [injected] *)
-  (let d = detection_counts t in
-   Buffer.add_string b
-     (Printf.sprintf
-        ",\"detection\":{\"silent_correct\":%d,\"detected_corrected\":%d,\"detected_wrong\":%d,\"silent_wrong\":%d,\"sdc_percent\":%.4f,\"detected_percent\":%.4f}"
-        d.dc_silent_correct d.dc_detected_corrected d.dc_detected_wrong
-        d.dc_silent_wrong (sdc_percent t) (detected_percent t)));
+  Buffer.add_string b
+    (Printf.sprintf
+       ",\"detection\":{\"silent_correct\":%d,\"detected_corrected\":%d,\"detected_wrong\":%d,\"silent_wrong\":%d,\"sdc_percent\":%.4f,\"detected_percent\":%.4f}"
+       d.dc_silent_correct d.dc_detected_corrected d.dc_detected_wrong
+       d.dc_silent_wrong
+       (percent t d.dc_silent_wrong)
+       (percent t (d.dc_detected_corrected + d.dc_detected_wrong)));
   (match forensic_summary t with
   | None -> Buffer.add_string b ",\"forensics\":null"
   | Some s ->

@@ -23,8 +23,8 @@
     ({!Tmr_fabric.Fsim.plan_fault}): a flip that provably cannot reach a
     watched output is classified silent without simulating; a pad-enable flip on the cone rebuilds, as on the
     oracle; every other flip becomes an overlay over the golden
-    simulator ({!Tmr_fabric.Fsim.patch_delta},
-    {!Tmr_fabric.Fsim.fault_delta}) and runs in the bit-parallel batch
+    simulator ({!Tmr_fabric.Fsim.delta_of_plan}, recorded with the
+    fault's plan path) and runs in the bit-parallel batch
     engine ({!Tmr_fabric.Fsim_batch}).  That engine records one
     fault-free baseline tape per worker, packs up to
     {!Tmr_fabric.Fsim_batch.width} (63) faults with
@@ -247,6 +247,48 @@ val run_session : session -> faults:int array -> t
 (** [run] over [faults] with the session's fault-independent state.
     Byte-identical to {!run} with the session's arguments.  Runs of one
     session must not overlap. *)
+
+(** {1 Replay}
+
+    The oracle's replay of one configuration, for tools that look at a
+    single upset or a set of accumulated ones rather than a fault list
+    ([tmrtool explain], {!Scrub}, the examples). *)
+
+type port_sample = {
+  ps_port : string;
+  ps_flag : bool;
+      (** an in-circuit detection flag, whose golden row is all zero *)
+  ps_got : Tmr_logic.Logic.t array;  (** the DUT's values, LSB first *)
+  ps_golden : Tmr_logic.Logic.t array;  (** the golden device's values *)
+}
+(** One watched port at one cycle. *)
+
+val replay :
+  ?observe:(int -> port_sample list -> unit) ->
+  session ->
+  Tmr_fabric.Extract.t ->
+  int * int
+(** [replay s ex] builds the simulator of the configuration [ex] (on the
+    session's device: the golden one with some bits flipped) and runs
+    the session's stimulus through it over the session's IO map.
+    Returns the first error cycle and the first detect cycle ([-1] for
+    none), as the oracle computes a fault's [first_error_cycle] and
+    [detect_cycle].  Without [observe] it stops once both are in; with
+    it every cycle runs, and [observe cycle ports] sees every watched
+    port after that cycle's evaluation: the functional outputs in
+    golden-output order, then the detection flags.  Builds worker 0's
+    state on first use (checking the fault-free DUT, like a run); must
+    not overlap a run of the session. *)
+
+val first_mismatch : port_sample list -> (port_sample * int) option
+(** The first functional port and bit whose value differs from its
+    golden one. *)
+
+val golden_cone : session -> Tmr_fabric.Fsim.cone
+(** The cone of the session's golden simulator (worker 0's, built on
+    first use), against which a campaign plans each bit
+    ({!Tmr_fabric.Fsim.plan_fault}); its node ids are those of the
+    forensic [first_diverged_node]. *)
 
 val wrong_percent : t -> float
 

@@ -1,10 +1,7 @@
-module Logic = Tmr_logic.Logic
 module Srand = Tmr_logic.Srand
-module Netlist = Tmr_netlist.Netlist
 module Bitstream = Tmr_arch.Bitstream
 module Impl = Tmr_pnr.Impl
 module Extract = Tmr_fabric.Extract
-module Fsim = Tmr_fabric.Fsim
 
 type result = {
   trials : int;
@@ -16,56 +13,13 @@ type result = {
 
 let accumulate ?(trials = 20) ?(cap = 60) ~seed ~impl ~golden ~stimulus
     ~faultlist () =
-  let golden_ref = Campaign.golden_outputs golden stimulus in
-  let input_map =
-    List.map
-      (fun (port, samples) -> (Campaign.dut_input_wires impl port, samples))
-      stimulus.Campaign.inputs
+  let session =
+    Campaign.session ~workers:1 ~cone_skip:false ~name:"scrub" ~impl ~golden
+      ~stimulus ()
   in
-  let output_map =
-    List.map
-      (fun (port, matrix) -> (Campaign.dut_output_wires impl port, matrix))
-      golden_ref
-  in
-  let watch_outputs =
-    Array.concat (List.map (fun (wires, _) -> wires) output_map)
-  in
-  let ws = Fsim.make_workspace impl.Impl.dev in
   let rng = Srand.create (seed * 131 + 7) in
   let bits = faultlist.Faultlist.bits in
-  let run_dut ex =
-    let sim = Fsim.build ~ws ex ~watch_outputs in
-    Fsim.reset sim;
-    let failed = ref false in
-    let cycle = ref 0 in
-    while (not !failed) && !cycle < stimulus.Campaign.cycles do
-      let c = !cycle in
-      List.iter
-        (fun (wire_sets, samples) ->
-          let v = samples.(c) in
-          List.iter
-            (fun wires ->
-              Array.iteri
-                (fun i w ->
-                  Fsim.set_pad sim w (Logic.of_bool ((v asr i) land 1 = 1)))
-                wires)
-            wire_sets)
-        input_map;
-      Fsim.eval sim;
-      List.iter
-        (fun (wires, matrix) ->
-          let expected = matrix.(c) in
-          Array.iteri
-            (fun i w ->
-              if not (Logic.equal (Fsim.read sim w) expected.(i)) then
-                failed := true)
-            wires)
-        output_map;
-      Fsim.clock sim;
-      incr cycle
-    done;
-    !failed
-  in
+  let distinct = List.length (List.sort_uniq Int.compare (Array.to_list bits)) in
   let upsets_to_failure =
     Array.init trials (fun _ ->
         (* a fresh (scrubbed) configuration for every trial *)
@@ -74,15 +28,17 @@ let accumulate ?(trials = 20) ?(cap = 60) ~seed ~impl ~golden ~stimulus
             (Bitstream.copy impl.Impl.bitgen.Tmr_pnr.Bitgen.bitstream)
         in
         let injected = Hashtbl.create 64 in
+        (* a trial that has injected every bit of the list survives *)
         let rec inject k =
-          if k > cap then cap + 1
+          if k > cap || Hashtbl.length injected = distinct then cap + 1
           else begin
             let bit = Srand.pick rng bits in
             if Hashtbl.mem injected bit then inject k
             else begin
               Hashtbl.add injected bit ();
               Extract.apply_bit_flip ex bit;
-              if run_dut ex then k else inject (k + 1)
+              if fst (Campaign.replay session ex) >= 0 then k
+              else inject (k + 1)
             end
           end
         in

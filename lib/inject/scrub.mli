@@ -18,7 +18,8 @@ type result = {
   cap : int;  (** per-trial injection cap *)
   upsets_to_failure : int array;
       (** per trial: number of accumulated upsets at the first wrong
-          answer; [cap + 1] when the trial never failed *)
+          answer; [cap + 1] when the trial never failed, within the cap
+          or with every bit of the fault list injected *)
   mean : float;  (** censored trials count as [cap + 1] *)
   survived : int;  (** trials that reached the cap without failing *)
 }
@@ -33,4 +34,5 @@ val accumulate :
   faultlist:Faultlist.t ->
   unit ->
   result
-(** Defaults: 20 trials, cap 60 upsets per trial. *)
+(** Defaults: 20 trials, cap 60 upsets per trial.  Each run of the test
+    pattern is a {!Campaign.replay} of the accumulated configuration. *)

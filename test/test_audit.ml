@@ -3,8 +3,9 @@
    engine summary, the watch dashboard).  A metric
    or event that nothing reads is cost without a purpose, so adding one
    without a consumer fails here.  Likewise every [val] of a library
-   interface has a reader outside its own implementation, and every
-   optional argument of one has a caller that passes it. *)
+   interface has a reader outside its own implementation, every
+   optional argument of one has a caller that passes it, and only the
+   campaign replays a configuration. *)
 
 module Metrics = Tmr_obs.Metrics
 
@@ -366,6 +367,41 @@ let test_optionals () =
   Alcotest.(check (list string)) "optional arguments no caller passes" []
     unpassed
 
+(* ------------------------------------------------------------------ *)
+(* One replay loop: driving a simulator's pads, recording its baseline
+   tape and deriving fault overlays belong to the fabric simulator and
+   to the campaign (the paper's Fault Injection Manager).  Library, CLI
+   and example code elsewhere replays a configuration through
+   [Campaign.replay] or a campaign run, so the oracle exists once. *)
+
+let replay_calls =
+  [ "set_pad"; "set_node"; "tape_record"; "patch_delta"; "fault_delta" ]
+
+let test_one_replay () =
+  let owner = Filename.concat (src "../lib/inject") "campaign.ml" in
+  let files =
+    List.concat_map
+      (fun d -> source_files d [ ".ml" ])
+      (List.filter (fun d -> d <> "../lib/fabric") (lib_dirs ())
+      @ [ "../bin"; "../examples" ])
+    |> List.filter (fun f -> f <> owner)
+  in
+  Alcotest.(check bool) "sources found" true (List.length files > 30);
+  let calls =
+    List.concat_map
+      (fun f ->
+        let r = reads_of (read f) in
+        List.filter_map
+          (fun name ->
+            if read_by r ("Fsim", name) then
+              Some (Printf.sprintf "%s: Fsim.%s" (Filename.basename f) name)
+            else None)
+          replay_calls)
+      files
+  in
+  Alcotest.(check (list string)) "replay primitives called outside Campaign"
+    [] calls
+
 let () =
   Alcotest.run "audit"
     [
@@ -380,5 +416,10 @@ let () =
             test_exports;
           Alcotest.test_case "every optional argument is passed" `Quick
             test_optionals;
+        ] );
+      ( "replay",
+        [
+          Alcotest.test_case "Campaign holds the only replay loop" `Quick
+            test_one_replay;
         ] );
     ]

@@ -173,8 +173,8 @@ let datapath_bench =
      in
      { ex; base; cone; out_wires; watch; tape; expected; oracle; db })
 
-(* every bit [plan_fault] sends to the batch engine, as (bit, lane,
-   oracle first error cycle) *)
+(* every bit [plan_fault] sends to the batch engine, as (bit, plan path,
+   overlay, oracle first error cycle) *)
 let datapath_lanes paths =
   let b = Lazy.force datapath_bench in
   let bt = Fsim_batch.create b.base b.cone in
@@ -188,19 +188,11 @@ let datapath_lanes paths =
       Fun.protect
         ~finally:(fun () -> Extract.apply_bit_flip b.ex bit)
         (fun () ->
-          let lane =
-            if plan = Fsim.Path_patch then
-              Some
-                ( Fsim.Seed_node (Fsim.patch_node b.cone b.ex bit),
-                  Fsim.patch_delta b.cone b.ex bit )
-            else
-              Option.map
-                (fun d -> (Fsim.Seed_derived, d))
-                (Fsim.fault_delta ~scratch b.cone b.base b.ex bit
-                   ~watch:b.out_wires ~succ_off ~succ
-                   ~bel_of:(Fsim_batch.bel_of bt))
-          in
-          Option.iter (fun l -> lanes := (bit, l, b.oracle ()) :: !lanes) lane)
+          Option.iter
+            (fun d -> lanes := (bit, plan, d, b.oracle ()) :: !lanes)
+            (Fsim.delta_of_plan ~scratch b.cone b.base b.ex bit plan
+               ~watch:b.out_wires ~succ_off ~succ
+               ~bel_of:(Fsim_batch.bel_of bt)))
     end
   done;
   (bt, Array.of_list (List.rev !lanes))
@@ -221,14 +213,14 @@ let test_patch_faults () =
   for chunk = 0 to nchunks - 1 do
     let lo = chunk * width in
     let n = min width (Array.length faults - lo) in
-    let lanes = Array.init n (fun k -> let _, l, _ = faults.(lo + k) in l) in
+    let lanes = Array.init n (fun k -> let _, _, d, _ = faults.(lo + k) in d) in
     let verdicts =
       Fsim_batch.run bt ~tape:b.tape ~expected:b.expected ~watch:b.watch ~lanes
         ()
     in
     Array.iteri
       (fun k v ->
-        let bit, _, oracle = faults.(lo + k) in
+        let bit, _, _, oracle = faults.(lo + k) in
         Alcotest.(check int)
           (Printf.sprintf "bit %d: first error cycle" bit)
           oracle v.Fsim_batch.bv_error_cycle)
@@ -246,13 +238,13 @@ let test_patch_faults () =
           done)
       members;
     Array.iter
-      (fun (seed, _) ->
-        match seed with
-        | Fsim.Seed_node s ->
+      (fun d ->
+        Option.iter
+          (fun (s, _) ->
             Alcotest.(check bool)
               (Printf.sprintf "seed %d inside union cone" s)
-              true in_cone.(s)
-        | Fsim.Seed_derived -> ())
+              true in_cone.(s))
+          d.Fsim.dl_cell)
       lanes
   done
 
@@ -265,8 +257,8 @@ let test_one_lane_batch () =
   let bt, faults = datapath_lanes [ Fsim.Path_patch; Fsim.Path_reroute ] in
   let reroutes =
     Array.fold_left
-      (fun n (_, (seed, _), _) ->
-        if seed = Fsim.Seed_derived then n + 1 else n)
+      (fun n (_, path, _, _) ->
+        if path = Fsim.Path_reroute then n + 1 else n)
       0 faults
   in
   Alcotest.(check bool) "found reroute bits" true (reroutes > 0);
@@ -275,7 +267,7 @@ let test_one_lane_batch () =
   in
   let width = Fsim_batch.width in
   Array.iteri
-    (fun i (bit, lane, oracle) ->
+    (fun i (bit, _, lane, oracle) ->
       let alone = (run [| lane |]).(0) in
       Alcotest.(check int)
         (Printf.sprintf "bit %d alone: first error cycle" bit)
@@ -283,11 +275,11 @@ let test_one_lane_batch () =
       if i mod width = 0 then begin
         let n = min width (Array.length faults - i) in
         let batch =
-          run (Array.init n (fun k -> let _, l, _ = faults.(i + k) in l))
+          run (Array.init n (fun k -> let _, _, l, _ = faults.(i + k) in l))
         in
         Array.iteri
           (fun k v ->
-            let bit, lane, _ = faults.(i + k) in
+            let bit, _, lane, _ = faults.(i + k) in
             let alone = (run [| lane |]).(0) in
             Alcotest.(check int)
               (Printf.sprintf "bit %d: batched == alone" bit)
@@ -350,13 +342,12 @@ let test_remapped_watch () =
     find 0
   in
   let lane dl_watch =
-    ( Fsim.Seed_node seed,
-      {
-        Fsim.dl_cell = Some (seed, Fsim.Cp_table v.Fsim.v_table.(seed));
-        dl_rows = [||];
-        dl_extras = [||];
-        dl_watch;
-      } )
+    {
+      Fsim.dl_cell = Some (seed, Fsim.Cp_table v.Fsim.v_table.(seed));
+      dl_rows = [||];
+      dl_extras = [||];
+      dl_watch;
+    }
   in
   let bt = Fsim_batch.create b.base b.cone in
   let run lanes =
@@ -908,25 +899,17 @@ let collapsed_faults (run : Runs.design_run) faults =
       | (Fsim.Path_patch | Fsim.Path_reroute) as path when not masked -> (
           Extract.apply_bit_flip ex bit;
           let lane =
-            if path = Fsim.Path_patch then
-              Some
-                ( Fsim.Seed_node (Fsim.patch_node cone ex bit),
-                  Fsim.patch_delta cone ex bit )
-            else
-              Option.map
-                (fun d -> (Fsim.Seed_derived, d))
-                (Fsim.fault_delta ~scratch cone base ex bit ~watch ~succ_off
-                   ~succ ~bel_of)
+            Fsim.delta_of_plan ~scratch cone base ex bit path ~watch ~succ_off
+              ~succ ~bel_of
           in
           Extract.apply_bit_flip ex bit;
           match lane with
           | None -> ()
-          | Some (seeds, d) ->
+          | Some d ->
               let rows = Array.copy d.Fsim.dl_rows in
               Array.sort (fun (u, _) (v, _) -> compare u v) rows;
               let key =
-                ( seeds,
-                  d.Fsim.dl_cell,
+                ( d.Fsim.dl_cell,
                   rows,
                   Array.map fst d.Fsim.dl_extras,
                   d.Fsim.dl_watch )
@@ -1165,17 +1148,20 @@ let test_unrouted_pins () =
 (* --- [tmrtool explain --bit] prints the campaign's verdict: the
    outcome and first error cycle of its rebuilt replay, and the same
    from its one-lane batch, for one wrong and one silent bit of reduced
-   TMR_p2 (both batchable, so the divergence trace runs) --- *)
+   TMR_p2 (both batchable, so the divergence trace runs); the detect
+   cycle of a flagged bit on the detecting-voter TMR_p2; and for a
+   rebuild-path bit (a pad enable on the cone) no trace and the
+   oracle's outcome --- *)
 
 let tmrtool =
   Filename.concat (Filename.dirname Sys.executable_name) "../bin/tmrtool.exe"
 
-let explain bit =
+let explain ?(voter = "majority") bit =
   let ic =
     Unix.open_process_args_in tmrtool
       [|
         tmrtool; "explain"; "--scale"; "reduced"; "--seed"; "1"; "--design";
-        "tmr_p2"; "--bit"; string_of_int bit;
+        "tmr_p2"; "--voter"; voter; "--bit"; string_of_int bit;
       |]
   in
   let out = In_channel.input_all ic in
@@ -1195,13 +1181,8 @@ let field lines key =
       String.trim (String.sub l k (String.length l - k))
   | None -> Alcotest.failf "explain printed no %S line" key
 
-let test_explain () =
-  let ctx =
-    Context.create ~scale:Context.Reduced ~seed:1 ~faults_per_design:400 ()
-  in
-  let run = Runs.implement_design ctx Partition.Medium_partition in
-  let c = Option.get (Runs.campaign_design ~workers:1 ctx run).Runs.campaign in
-  let impl = run.Runs.impl in
+(* the plan path of a bit of [impl], as a campaign plans it *)
+let planner impl =
   let ex =
     Extract.create impl.Impl.dev impl.Impl.db
       (Bitstream.copy impl.Impl.bitgen.Tmr_pnr.Bitgen.bitstream)
@@ -1209,16 +1190,38 @@ let test_explain () =
   let ws = Fsim.make_workspace impl.Impl.dev in
   ignore (Fsim.build ~ws ex ~watch_outputs:(Loop_faults.watch_outputs impl));
   let cone = Fsim.snapshot_cone ws in
-  let batchable (r : Campaign.fault_result) =
-    match Fsim.plan_fault cone ex r.Campaign.bit with
-    | Fsim.Path_patch | Fsim.Path_reroute -> true
-    | Fsim.Path_silent | Fsim.Path_rebuild -> false
+  fun bit -> Fsim.plan_fault cone ex bit
+
+let batchable plan bit =
+  match plan bit with
+  | Fsim.Path_patch | Fsim.Path_reroute -> true
+  | Fsim.Path_silent | Fsim.Path_rebuild -> false
+
+(* the outcome line explain prints for a result, up to the port detail *)
+let check_outcome label lines (r : Campaign.fault_result) =
+  let outcome =
+    if r.Campaign.outcome = Campaign.Wrong_answer then
+      Printf.sprintf "WRONG ANSWER, first at cycle %d"
+        r.Campaign.first_error_cycle
+    else "silent (all outputs match golden)"
   in
+  let printed = field lines "outcome" in
+  Alcotest.(check string) (label ^ ": outcome") outcome
+    (String.sub printed 0 (min (String.length printed) (String.length outcome)))
+
+let test_explain () =
+  let ctx =
+    Context.create ~scale:Context.Reduced ~seed:1 ~faults_per_design:400 ()
+  in
+  let run = Runs.implement_design ctx Partition.Medium_partition in
+  let c = Option.get (Runs.campaign_design ~workers:1 ctx run).Runs.campaign in
+  let impl = run.Runs.impl in
+  let plan = planner impl in
   let pick outcome =
     match
       Array.find_opt
         (fun (r : Campaign.fault_result) ->
-          r.Campaign.outcome = outcome && batchable r)
+          r.Campaign.outcome = outcome && batchable plan r.Campaign.bit)
         c.Campaign.results
     with
     | Some r -> r
@@ -1229,17 +1232,13 @@ let test_explain () =
       let bit = r.Campaign.bit in
       let lines = explain bit in
       let label = Printf.sprintf "bit %d" bit in
-      let outcome, engine =
+      let engine =
         if r.Campaign.outcome = Campaign.Wrong_answer then
-          ( Printf.sprintf "WRONG ANSWER, first at cycle %d"
-              r.Campaign.first_error_cycle,
-            Printf.sprintf "batch lane: first error at cycle %d"
-              r.Campaign.first_error_cycle )
-        else ("silent (all outputs match golden)", "batch lane: silent")
+          Printf.sprintf "batch lane: first error at cycle %d"
+            r.Campaign.first_error_cycle
+        else "batch lane: silent"
       in
-      let printed = field lines "outcome" in
-      Alcotest.(check string) (label ^ ": outcome") outcome
-        (String.sub printed 0 (min (String.length printed) (String.length outcome)));
+      check_outcome label lines r;
       Alcotest.(check string) (label ^ ": engine") engine (field lines "engine");
       Alcotest.(check bool) (label ^ ": divergence trace printed") true
         (List.exists (String.starts_with ~prefix:"  cone ") lines);
@@ -1267,7 +1266,50 @@ let test_explain () =
   Alcotest.(check string) (label ^ ": outcome")
     "silent (all outputs match golden)" (field lines "outcome");
   Alcotest.(check bool) (label ^ ": no violation line") false
-    (List.exists (String.starts_with ~prefix:"  !!!") lines)
+    (List.exists (String.starts_with ~prefix:"  !!!") lines);
+  (* a rebuild-path bit: no differential trace, the oracle's outcome *)
+  let bit =
+    Option.get
+      (Array.find_opt
+         (fun bit -> plan bit = Fsim.Path_rebuild)
+         run.Runs.faultlist.Tmr_inject.Faultlist.bits)
+  in
+  let oracle =
+    Campaign.run ~workers:1 ~cone_skip:false ~name:"tmr_p2" ~impl
+      ~golden:ctx.Context.golden_nl ~stimulus:ctx.Context.stimulus
+      ~faults:[| bit |] ()
+  in
+  let lines = explain bit in
+  let label = Printf.sprintf "rebuild bit %d" bit in
+  Alcotest.(check bool) (label ^ ": divergence n/a") true
+    (String.starts_with ~prefix:"n/a" (field lines "divergence"));
+  check_outcome label lines oracle.Campaign.results.(0);
+  (* a batchable bit the detecting voter flags: the detection and engine
+     flag lines give the campaign's detect cycle *)
+  let drun =
+    Runs.implement_design ~voter:Tmr_core.Voter.Detecting ctx
+      Partition.Medium_partition
+  in
+  let dc = Option.get (Runs.campaign_design ~workers:1 ctx drun).Runs.campaign in
+  let dplan = planner drun.Runs.impl in
+  let r =
+    Option.get
+      (Array.find_opt
+         (fun (r : Campaign.fault_result) ->
+           r.Campaign.detect_cycle >= 0 && batchable dplan r.Campaign.bit)
+         dc.Campaign.results)
+  in
+  let lines = explain ~voter:"detecting" r.Campaign.bit in
+  let label = Printf.sprintf "detecting bit %d" r.Campaign.bit in
+  let d = r.Campaign.detect_cycle in
+  check_outcome label lines r;
+  Alcotest.(check bool) (label ^ ": detection") true
+    (String.ends_with
+       ~suffix:(Printf.sprintf "(first flag at cycle %d)" d)
+       (field lines "detection"));
+  Alcotest.(check string) (label ^ ": engine flag")
+    (Printf.sprintf "batch lane saw the flag at cycle %d" d)
+    (field lines "engine flag")
 
 (* --- the sign bit is a lane: in a full batch whose only erring lane
    sits in the last bit (bit 62, an int's sign bit), that lane's first
@@ -1285,7 +1327,8 @@ let test_sign_bit_lane () =
   let faults = Array.to_list faults in
   let silent =
     Array.of_list
-      (List.filter_map (fun (_, l, o) -> if o < 0 then Some l else None) faults)
+      (List.filter_map (fun (_, _, l, o) -> if o < 0 then Some l else None)
+         faults)
   in
   (* the first six erring patch lanes and six erring reroute lanes that
      resolve a row of their own (a rewired resolve row or an appended
@@ -1299,8 +1342,8 @@ let test_sign_bit_lane () =
   in
   let first6 f = List.filteri (fun i _ -> i < 6) (List.filter f faults) in
   let picks =
-    first6 (fun (_, (s, _), o) -> o >= 0 && s <> Fsim.Seed_derived)
-    @ first6 (fun (_, (_, d), o) -> o >= 0 && splices d)
+    first6 (fun (_, p, _, o) -> o >= 0 && p = Fsim.Path_patch)
+    @ first6 (fun (_, _, d, o) -> o >= 0 && splices d)
   in
   Alcotest.(check bool) "found silent lanes" true (Array.length silent > 0);
   let voters = Bytes.make (Fsim.num_nodes b.base) '\000' in
@@ -1309,10 +1352,10 @@ let test_sign_bit_lane () =
       ~lanes ()
   in
   Alcotest.(check bool) "found erring patch and reroute lanes" true
-    (List.exists (fun (_, (s, _), _) -> s = Fsim.Seed_derived) picks
-    && List.exists (fun (_, (s, _), _) -> s <> Fsim.Seed_derived) picks);
+    (List.exists (fun (_, p, _, _) -> p = Fsim.Path_reroute) picks
+    && List.exists (fun (_, p, _, _) -> p = Fsim.Path_patch) picks);
   List.iter
-    (fun (bit, lane, oracle) ->
+    (fun (bit, _, lane, oracle) ->
       let lanes =
         Array.init width (fun k ->
             if k = width - 1 then lane else silent.(k mod Array.length silent))

@@ -249,6 +249,35 @@ let test_scrub_deterministic () =
   in
   Alcotest.(check (array int)) "same seed same trace" (run ()) (run ())
 
+(* a trial whose fault list runs out before the cap survives: two bits
+   of an unused LUT (silent however many are injected) and an empty
+   list end every trial at [cap + 1] *)
+let test_scrub_list_exhausted () =
+  let impl = Lazy.force standard_impl and db = Lazy.force db in
+  let used = (Tmr_inject.Forensics.attrib_of_impl impl).Tmr_inject.Forensics.bel_used in
+  let unused_lut bit =
+    match Bitdb.resource db bit with
+    | Bitdb.Lut_bit (b, _) -> not used.(b)
+    | _ -> false
+  in
+  let two =
+    Array.of_seq
+      (Seq.take 2 (Seq.filter unused_lut (Seq.init (Bitdb.num_bits db) Fun.id)))
+  in
+  Alcotest.(check int) "two unused LUT bits" 2 (Array.length two);
+  let accumulate bits =
+    Tmr_inject.Scrub.accumulate ~trials:3 ~cap:10 ~seed:4 ~impl
+      ~golden:(Lazy.force golden_nl) ~stimulus:(stimulus 16)
+      ~faultlist:{ Faultlist.bits; by_class = [] } ()
+  in
+  List.iter
+    (fun (label, bits) ->
+      let r = accumulate bits in
+      Alcotest.(check (array int)) (label ^ ": every trial survives")
+        [| 11; 11; 11 |] r.Tmr_inject.Scrub.upsets_to_failure;
+      Alcotest.(check int) (label ^ ": survived") 3 r.Tmr_inject.Scrub.survived)
+    [ ("two silent bits", two); ("empty list", [||]) ]
+
 let () =
   Alcotest.run "tmr_inject"
     [
@@ -257,6 +286,8 @@ let () =
           Alcotest.test_case "accumulation favours TMR" `Quick
             test_scrub_accumulation;
           Alcotest.test_case "deterministic" `Quick test_scrub_deterministic;
+          Alcotest.test_case "a trial that injects the whole list survives"
+            `Quick test_scrub_list_exhausted;
         ] );
       ( "faultlist",
         [
